@@ -2,10 +2,9 @@
 
 Subcommands: solve, verify, oracle, stats, generate, bench.  JSON goes to
 stdout, logs to stderr (level picked by the RAINBOW_LOG environment variable:
-error, info, debug, or trace, which maps to debug).  Exit codes: 0 success,
-1 bad arguments or unreadable input, and per-command codes documented on each
-handler (solve: 2 stalled, 3 iteration cap; verify: 2 violations; oracle:
-2 cap exceeded).
+error, info or debug).  Exit codes: 0 success, 1 bad arguments or unreadable
+input, and per-command codes documented on each handler (solve: 2 stalled,
+3 iteration cap; verify: 2 violations; oracle: 2 cap exceeded).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .switching import SwitchContext, solve
 logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
-               "debug": logging.DEBUG, "trace": logging.DEBUG}
+               "debug": logging.DEBUG}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -26,7 +26,7 @@ class RainbowMatching:
     excluded from the derived views.
     """
 
-    __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_covered")
+    __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_covered", "_clean")
 
     def __init__(self, graph: ColouredMultigraph, edge_ids=()):
         self.graph = graph
@@ -34,10 +34,15 @@ class RainbowMatching:
         by_colour: dict[int, int] = {}
         twin: dict[int, int] = {}
         covered = set()
+        clean = True
         for i in sorted(self.edge_ids):
             if not (0 <= i < graph.num_edges):
+                clean = False
                 continue
             e = graph.edge(i)
+            if (e.u == e.v or e.colour in by_colour
+                    or e.u in covered or e.v in covered):
+                clean = False
             by_colour.setdefault(e.colour, i)
             twin.setdefault(e.u, e.v)
             twin.setdefault(e.v, e.u)
@@ -46,6 +51,9 @@ class RainbowMatching:
         self._by_colour = by_colour
         self._twin = twin
         self._covered = frozenset(covered)
+        # clean: every id known, no loop, no colour or vertex used twice; the
+        # views then hold one entry per edge, so ``with_swap`` can patch them
+        self._clean = clean
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -95,7 +103,10 @@ class RainbowMatching:
         """A new matching with ``removed`` taken out and ``added`` put in.
 
         Every removed id must be present and every added id absent; validity
-        of the result is the caller's business.
+        of the result is the caller's business.  A valid parent whose result
+        stays valid gets its views patched by the delta; anything else falls
+        back to a full rebuild, so the views always match a fresh
+        ``RainbowMatching(graph, ids)``.
         """
         rem = frozenset(removed)
         add = frozenset(added)
@@ -103,7 +114,32 @@ class RainbowMatching:
             raise ValueError(f"cannot remove absent edges {sorted(rem - self.edge_ids)}")
         if add & self.edge_ids:
             raise ValueError(f"cannot add present edges {sorted(add & self.edge_ids)}")
-        return RainbowMatching(self.graph, (self.edge_ids - rem) | add)
+        new_ids = (self.edge_ids - rem) | add
+        if not self._clean:
+            return RainbowMatching(self.graph, new_ids)
+        g = self.graph
+        by_colour = dict(self._by_colour)
+        twin = dict(self._twin)
+        for i in rem:
+            e = g.edge(i)
+            del by_colour[e.colour], twin[e.u], twin[e.v]
+        for i in add:
+            if type(i) is not int or not (0 <= i < g.num_edges):
+                return RainbowMatching(g, new_ids)
+            e = g.edge(i)
+            if e.u == e.v or e.colour in by_colour or e.u in twin or e.v in twin:
+                return RainbowMatching(g, new_ids)
+            by_colour[e.colour] = i
+            twin[e.u] = e.v
+            twin[e.v] = e.u
+        out = RainbowMatching.__new__(RainbowMatching)
+        out.graph = g
+        out.edge_ids = new_ids
+        out._by_colour = by_colour
+        out._twin = twin
+        out._covered = frozenset(twin)
+        out._clean = True
+        return out
 
     def __repr__(self) -> str:
         return f"RainbowMatching({sorted(self.edge_ids)})"

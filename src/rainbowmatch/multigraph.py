@@ -135,9 +135,8 @@ class ColouredMultigraph:
 def validate(graph: ColouredMultigraph) -> list[Issue]:
     """Report every structural defect of the colouring.
 
-    Checks loops, properness (no two incident edges share a colour, parallel
-    edges included), and audits the derived indexes against the edge list.
-    A clean proper instance yields an empty list.
+    Checks loops and properness (no two incident edges share a colour,
+    parallel edges included).  A clean proper instance yields an empty list.
     """
     issues: list[Issue] = []
     for e in graph.edges:
@@ -150,14 +149,6 @@ def validate(graph: ColouredMultigraph) -> list[Issue]:
                 "colour_clash",
                 f"vertex {v} carries {len(ids)} edges of colour {c}",
                 edge_ids=tuple(ids), vertex=v, colour=c))
-    # index audit: recount colour classes from scratch
-    recount: dict[int, int] = {}
-    for e in graph.edges:
-        recount[e.colour] = recount.get(e.colour, 0) + 1
-    for c, n in recount.items():
-        if graph.colour_class_size(c) != n:
-            issues.append(Issue("index", f"colour index out of sync for colour {c}",
-                                colour=c))
     return issues
 
 

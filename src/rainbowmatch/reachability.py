@@ -57,11 +57,14 @@ class FlexibleStructure:
     full_colour: bool
     external_free_at: dict[int, tuple[int, ...]]
 
-    def by_colour(self, colour: int) -> OrientedEdge | None:
+    def __post_init__(self):
+        by_colour: dict[int, OrientedEdge] = {}
         for oe in self.edges:
-            if oe.colour == colour:
-                return oe
-        return None
+            by_colour.setdefault(oe.colour, oe)
+        object.__setattr__(self, "_by_colour", by_colour)
+
+    def by_colour(self, colour: int) -> OrientedEdge | None:
+        return self._by_colour.get(colour)
 
 
 def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
@@ -204,22 +207,23 @@ class Hierarchy:
     def m(self) -> int:
         return len(self.levels)
 
+    def __post_init__(self):
+        # first match in level order, then edge order
+        by_colour: dict[int, tuple[int, LevelEdge]] = {}
+        by_head: dict[int, tuple[int, LevelEdge]] = {}
+        for level in self.levels:
+            for le in level.edges:
+                by_colour.setdefault(le.colour, (level.index, le))
+                by_head.setdefault(le.head, (level.index, le))
+        object.__setattr__(self, "_by_colour", by_colour)
+        object.__setattr__(self, "_by_head", by_head)
+
     def entry(self, colour: int) -> tuple[int, LevelEdge] | None:
         """(level index, level edge) for a reachable colour, else None."""
-        for level in self.levels:
-            if colour in level.colours:
-                for le in level.edges:
-                    if le.colour == colour:
-                        return level.index, le
-        return None
+        return self._by_colour.get(colour)
 
     def head_entry(self, head: int) -> tuple[int, LevelEdge] | None:
-        for level in self.levels:
-            if head in level.heads:
-                for le in level.edges:
-                    if le.head == head:
-                        return level.index, le
-        return None
+        return self._by_head.get(head)
 
 
 def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,

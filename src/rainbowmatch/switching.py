@@ -22,13 +22,14 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
                        matching_to_json)
 from .multigraph import ColouredMultigraph, InstanceParams
 from .reachability import (FlexibleStructure, GoodBadReport, Hierarchy,
-                           Violation, build_hierarchy, classify_good_bad,
-                           compute_flexible, find_violations)
+                           LevelEdge, Violation, build_hierarchy,
+                           classify_good_bad, compute_flexible, find_violations)
 
 logger = logging.getLogger(__name__)
 
@@ -139,6 +140,9 @@ class SwitchContext:
     max_budget: int = 64
     rng: random.Random | None = None
     call_log: list[CallRecord] = field(default_factory=list)
+    # facts fixed for the base, computed on first use, keyed by level-edge id
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, graph: ColouredMultigraph, matching: RainbowMatching,
@@ -154,6 +158,72 @@ class SwitchContext:
 
     def violations(self) -> list[Violation]:
         return find_violations(self.graph, self.base, self.flex, self.hierarchy)
+
+    @cached_property
+    def base_free(self) -> frozenset[int]:
+        return frozenset(self.base.free_vertices())
+
+    @cached_property
+    def base_ids(self) -> tuple[int, ...]:
+        """The base's edge ids, sorted; shared by every call record."""
+        return tuple(self.base.sorted_edge_ids())
+
+    @cached_property
+    def lower_heads(self) -> tuple[frozenset[int], ...]:
+        """``lower_heads[i - 1]``: the heads of every level below level ``i``."""
+        out = [frozenset()]
+        for level in self.hierarchy.levels[:-1]:
+            out.append(out[-1] | level.heads)
+        return tuple(out)
+
+    def base_pairs(self, le: LevelEdge) -> tuple[tuple, ...]:
+        """Level-1 configurations ``(w, z, gid, hid, partner)`` for ``le``:
+        a good edge from its tail to ``w`` whose colour has flexible edge
+        ``partner``, and an external unused-colour edge from the partner's
+        tail to ``z``; sorted by the first four."""
+        pairs = self._pairs.get(le.edge_id)
+        if pairs is None:
+            g = self.graph
+            found = []
+            for gid in self.good.good_at.get(le.tail, ()):
+                ge = g.edge(gid)
+                w = ge.other(le.tail)
+                partner = self.flex.by_colour(ge.colour)
+                if partner is None or partner.edge_id == le.edge_id:
+                    continue
+                for hid in self.flex.external_free_at.get(partner.tail, ()):
+                    z = g.edge(hid).other(partner.tail)
+                    if z == w:
+                        continue
+                    found.append((w, z, gid, hid, partner))
+            found.sort(key=lambda t: t[:4])
+            pairs = self._pairs[le.edge_id] = tuple(found)
+        return pairs
+
+    def walks(self, level_idx: int, le: LevelEdge) -> tuple[tuple, tuple]:
+        """Sorted ``(vertex, edge id)`` steps along certifying-level colours
+        from the tail of ``le``: lifts into base-free vertices and descends
+        into lower heads."""
+        walks = self._walks.get(le.edge_id)
+        if walks is None:
+            g = self.graph
+            cert = self.hierarchy.levels[le.cert - 1]
+            lower_heads = self.lower_heads[level_idx - 1]
+            base_free = self.base_free
+            lifts = []
+            descends = []
+            for eid in g.edges_at(le.tail):
+                e = g.edge(eid)
+                if e.colour not in cert.colours or e.u == e.v:
+                    continue
+                other = e.other(le.tail)
+                if other in base_free:
+                    lifts.append((other, eid))
+                elif other in lower_heads:
+                    descends.append((other, eid))
+            walks = self._walks[le.edge_id] = (tuple(sorted(lifts)),
+                                               tuple(sorted(descends)))
+        return walks
 
 
 def robust_switch(ctx: SwitchContext, current: RainbowMatching,
@@ -219,7 +289,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
             budget=request.budget, fix=tuple(sorted(request.fix)),
             avoid_vertices=tuple(sorted(request.avoid_vertices)),
             avoid_colours=tuple(sorted(request.avoid_colours)),
-            base_ids=tuple(ctx.base.sorted_edge_ids()),
+            base_ids=ctx.base_ids,
             start_ids=tuple(current.sorted_edge_ids()),
             result_ids=tuple(result.sorted_edge_ids()),
             distance_to_base=out.distance_to_base,
@@ -233,20 +303,9 @@ def _switch_base(ctx, current, request, le, depth):
     the partner's tail."""
     g = ctx.graph
     rej: Counter = Counter()
-    pairs = []
-    for gid in ctx.good.good_at.get(le.tail, ()):
-        ge = g.edge(gid)
-        w = ge.other(le.tail)
-        partner = ctx.flex.by_colour(ge.colour)
-        if partner is None or partner.edge_id == le.edge_id:
-            continue
-        for hid in ctx.flex.external_free_at.get(partner.tail, ()):
-            z = g.edge(hid).other(partner.tail)
-            if z == w:
-                continue
-            pairs.append((w, z, gid, hid, partner))
-    pairs.sort(key=lambda t: t[:4])
+    pairs = ctx.base_pairs(le)
     if ctx.rng is not None:
+        pairs = list(pairs)
         ctx.rng.shuffle(pairs)
 
     for w, z, gid, hid, partner in pairs:
@@ -293,25 +352,10 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
     first into a free vertex (one recursion), else into a lower head (two)."""
     g = ctx.graph
     rej: Counter = Counter()
-    cert = ctx.hierarchy.levels[le.cert - 1]
-    lower_heads = frozenset().union(
-        *(lv.heads for lv in ctx.hierarchy.levels[:level_idx - 1]))
-    base_free = frozenset(ctx.base.free_vertices())
-
-    lifts = []
-    descends = []
-    for eid in g.edges_at(le.tail):
-        e = g.edge(eid)
-        if e.colour not in cert.colours or e.u == e.v:
-            continue
-        other = e.other(le.tail)
-        if other in base_free:
-            lifts.append((other, eid))
-        elif other in lower_heads:
-            descends.append((other, eid))
-    lifts.sort()
-    descends.sort()
+    lifts, descends = ctx.walks(level_idx, le)
     if ctx.rng is not None:
+        lifts = list(lifts)
+        descends = list(descends)
         ctx.rng.shuffle(lifts)
         ctx.rng.shuffle(descends)
 

@@ -80,6 +80,78 @@ class TestContainer:
         assert m.covered == frozenset({e0.u, e0.v})
 
 
+def views(m: RainbowMatching) -> tuple:
+    g = m.graph
+    return (m.edge_ids, m.covered, m.colours,
+            [m.edge_of_colour(c) for c in range(g.num_colours)],
+            [m.twin_of(v) for v in range(g.num_vertices)],
+            m.free_vertices())
+
+
+def clash_graph() -> ColouredMultigraph:
+    return ColouredMultigraph(6, 3, [
+        (0, 1, 0),
+        (2, 3, 1),
+        (4, 5, 0),   # colour 0 again
+        (1, 4, 2),   # meets edge 0 at vertex 1
+        (5, 5, 2),   # loop
+        (4, 5, 2),   # fits beside edges 0 and 1
+    ])
+
+
+class TestWithSwapMatchesRebuild:
+    @pytest.mark.parametrize("start,removed,added", [
+        ([0, 1], [1], [5]),      # clean result
+        ([0, 1], [0], [2]),      # reuses the colour just freed
+        ([0, 1], [], [2]),       # colour clash
+        ([0, 1], [], [3]),       # vertex clash
+        ([0, 1], [], [4]),       # loop
+        ([0, 1], [], [99]),      # unknown id
+        ([0, 2], [], [1]),       # unclean parent
+        ([0, 2], [2], [5]),      # unclean parent, clean result
+        ([0, 4], [4], [5]),      # loop in the parent
+    ])
+    def test_cases(self, start, removed, added):
+        g = clash_graph()
+        got = RainbowMatching(g, start).with_swap(removed, added)
+        want = RainbowMatching(g, (set(start) - set(removed)) | set(added))
+        assert views(got) == views(want)
+
+    def test_clean_swap_skips_the_rebuild(self, monkeypatch):
+        g = clash_graph()
+        m = RainbowMatching(g, [0, 1])
+        builds = []
+        init = RainbowMatching.__init__
+        monkeypatch.setattr(RainbowMatching, "__init__",
+                            lambda self, *a: builds.append(a) or init(self, *a))
+        m.with_swap([1], [5])
+        assert builds == []
+        m.with_swap([], [3])
+        assert len(builds) == 1
+
+    @given(st.integers(0, 6), st.booleans(), st.data())
+    @PROPERTY_SETTINGS
+    def test_property(self, seed, from_greedy, data):
+        base = random_instance(seed)
+        # two loops on top, so a swap can also add one
+        g = ColouredMultigraph(
+            base.num_vertices, base.num_colours,
+            [(e.u, e.v, e.colour) for e in base.edges] + [(0, 0, 0), (1, 1, 1)])
+        if from_greedy:
+            start = greedy(g, seed).edge_ids
+        else:
+            start = data.draw(st.sets(st.integers(0, g.num_edges - 1), max_size=6))
+        removed = data.draw(st.sets(st.sampled_from(sorted(start)))
+                            if start else st.just(set()))
+        added = data.draw(st.sets(
+            st.integers(0, g.num_edges + 2).filter(lambda i: i not in start),
+            max_size=3))
+        m = RainbowMatching(g, start)
+        got = m.with_swap(removed, added)
+        assert views(got) == views(RainbowMatching(g, (set(start) - removed) | added))
+        assert views(m) == views(RainbowMatching(g, start))  # parent untouched
+
+
 class TestVerify:
     def test_clean(self):
         g = random_instance(0)

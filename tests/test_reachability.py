@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from math import ceil, floor
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowmatch import (
@@ -14,8 +15,11 @@ from rainbowmatch import (
     classify_good_bad,
     compute_flexible,
     counting_diagnostics,
+    cyclic_square,
     find_violations,
+    generate_random,
     greedy,
+    latin_to_graph,
 )
 
 from conftest import default_params, random_instance
@@ -301,3 +305,32 @@ class TestProperties:
             "reach_edges_inside_core", "max_inside_core", "expected_min_total",
             "fringe_capacity", "core_capacity", "forced_into_core",
             "contradiction"])
+
+
+def scan_entry(hier, key, attr, level_set):
+    """First (level index, level edge) whose ``attr`` equals ``key``, in level
+    order, then edge order."""
+    for level in hier.levels:
+        if key in getattr(level, level_set):
+            for le in level.edges:
+                if getattr(le, attr) == key:
+                    return level.index, le
+    return None
+
+
+class TestLookups:
+    # greedy starts with two-level hierarchies (and a few with one level)
+    @pytest.mark.parametrize("graph,seed", [
+        *((generate_random(24, 26, 52, 2, s), 0) for s in range(4)),
+        *((latin_to_graph(cyclic_square(n)), s) for n in (11, 12) for s in range(3)),
+    ])
+    def test_match_a_first_match_scan(self, graph, seed):
+        m = greedy(graph, seed)
+        _, flex, _, hier = analyse(graph, m, InstanceParams.for_graph(graph))
+        assert flex.edges and hier.levels
+        for c in range(graph.num_colours + 1):
+            assert hier.entry(c) == scan_entry(hier, c, "colour", "colours")
+            assert flex.by_colour(c) == next(
+                (oe for oe in flex.edges if oe.colour == c), None)
+        for v in range(graph.num_vertices + 1):
+            assert hier.head_entry(v) == scan_entry(hier, v, "head", "heads")
