@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: solve, verify, oracle, stats, generate, bench.  JSON goes to
-stdout, logs to stderr (level picked by the RAINBOW_LOG environment variable:
-error, info or debug).  Exit codes: 0 success, 1 bad arguments or unreadable
-input, and per-command codes documented on each handler (solve: 2 stalled,
-3 iteration cap; verify: 2 violations; oracle: 2 cap exceeded).
+Subcommands: solve, verify, oracle, stats, check, generate, bench.  JSON
+goes to stdout, logs to stderr (level picked by the RAINBOW_LOG environment
+variable: error, info or debug).  Exit codes: 0 success, 1 bad arguments or
+unreadable input, and per-command codes documented on each handler (solve:
+2 stalled, 3 iteration cap; verify: 2 violations; oracle: 2 cap exceeded;
+stats: 2 the --matching file is not a rainbow matching; check: 2 hypotheses
+not met).
 """
 
 from __future__ import annotations
@@ -133,6 +135,11 @@ def _cmd_stats(args) -> int:
     if args.matching:
         with open(args.matching, "r", encoding="utf-8") as fh:
             m = matching_from_json(graph, json.load(fh))
+        issues = verify(graph, m)
+        if issues:
+            for i in issues:
+                print(f"{i.kind}: {i.detail}", file=sys.stderr)
+            return 2
     else:
         m = greedy(graph, args.seed)
     ctx = SwitchContext.build(graph, m, params)
@@ -150,13 +157,20 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _random_shape(args) -> tuple[int, int, int, int]:
+    """``(colours, count, vertices, cap)`` from the flags, defaulting to
+    ``count = ceil(1.5 * colours)``, ``vertices = 2 * count`` and
+    ``cap = max(1, colours // 16)``."""
+    colours = args.colours
+    count = args.count if args.count is not None else ceil(3 * colours / 2)
+    vertices = args.vertices if args.vertices is not None else 2 * count
+    cap = args.cap if args.cap is not None else max(1, colours // 16)
+    return colours, count, vertices, cap
+
+
 def _cmd_generate(args) -> int:
     if args.what == "random":
-        colours = args.colours
-        count = args.count if args.count is not None else ceil(3 * colours / 2)
-        vertices = args.vertices if args.vertices is not None else 2 * count
-        cap = args.cap if args.cap is not None else max(1, colours // 16)
-        graph = generate_random(colours, count, vertices, cap, args.seed)
+        graph = generate_random(*_random_shape(args), args.seed)
         _emit(multigraph.dumps(graph), args.output)
         return 0
     square = cyclic_square(args.cyclic)
@@ -176,10 +190,7 @@ def _parse_seed_range(text: str) -> range:
 
 
 def _cmd_bench(args) -> int:
-    colours = args.colours
-    count = args.count if args.count is not None else ceil(3 * colours / 2)
-    vertices = args.vertices if args.vertices is not None else 2 * count
-    cap = args.cap if args.cap is not None else max(1, colours // 16)
+    colours, count, vertices, cap = _random_shape(args)
     print("seed,n,found,optimum,iterations,switches,ms")
     for seed in _parse_seed_range(args.seeds):
         try:

@@ -165,7 +165,7 @@ def closeness(a: RainbowMatching, b: RainbowMatching) -> Closeness:
 
 def verify(graph: ColouredMultigraph, matching: RainbowMatching) -> list[Issue]:
     """Report every way ``matching`` fails to be a rainbow matching of
-    ``graph``: unknown edge ids, repeated colours, shared vertices."""
+    ``graph``: unknown edge ids, loops, repeated colours, shared vertices."""
     issues: list[Issue] = []
     by_colour: dict[int, list[int]] = {}
     by_vertex: dict[int, list[int]] = {}
@@ -175,6 +175,9 @@ def verify(graph: ColouredMultigraph, matching: RainbowMatching) -> list[Issue]:
                                 edge_ids=(i,)))
             continue
         e = graph.edge(i)
+        if e.u == e.v:
+            issues.append(Issue("loop", f"edge {i} is a loop at vertex {e.u}",
+                                edge_ids=(i,), vertex=e.u))
         by_colour.setdefault(e.colour, []).append(i)
         by_vertex.setdefault(e.u, []).append(i)
         if e.v != e.u:

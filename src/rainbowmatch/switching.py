@@ -8,11 +8,16 @@ unused-colour edge; higher levels recurse through lower levels first.  Every
 produced matching stays within ``budget + closeness_slack(level)`` of the
 base, which keeps chains composable.
 
-Each violation kind from :mod:`rainbowmatch.reachability` has a recipe here:
-a direct extension adds its edge; the other kinds run one to three switches
-to clear the violating edge's colour and endpoints, then add it.  The solve
-loop is greedy construction followed by repeated find-violations / augment
-rounds until the target size is reached or no recipe lands.
+Every multi-switch move is one chain (:func:`_chain`): requests served in
+order, each starting from the previous result with the previous distance to
+base as its budget.  An augmentation (:func:`augment`) is a chain from the
+base that frees each endpoint of the violating edge that is a reachable
+head, then the edge's colour and its own head, and adds the edge; a direct
+extension is the empty chain.  A higher-level switch is a chain one level
+down: a lift frees one lower colour, a descend two, then one exchange moves
+the switched edge onto the certifying edge.  The solve loop is greedy
+construction followed by repeated find-violations / augment rounds until the
+target size is reached or no recipe lands.
 """
 
 from __future__ import annotations
@@ -51,10 +56,6 @@ class SwitchUsageError(ValueError):
     that came up empty, which is reported as :class:`NotFound`."""
 
 
-def _frozen(values) -> frozenset:
-    return values if isinstance(values, frozenset) else frozenset(values)
-
-
 @dataclass(frozen=True)
 class SwitchRequest:
     """Free ``colour`` and its designated head ``vertex``.
@@ -73,9 +74,10 @@ class SwitchRequest:
     avoid_colours: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "fix", _frozen(self.fix))
-        object.__setattr__(self, "avoid_vertices", _frozen(self.avoid_vertices))
-        object.__setattr__(self, "avoid_colours", _frozen(self.avoid_colours))
+        for name in ("fix", "avoid_vertices", "avoid_colours"):
+            value = getattr(self, name)
+            if not isinstance(value, frozenset):
+                object.__setattr__(self, name, frozenset(value))
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,6 @@ class NotFound:
 
     reason: str
     rejections: dict[str, int]
-    steps: list[ExchangeStep] = field(default_factory=list)
 
 
 @dataclass
@@ -274,27 +275,44 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
         out = _switch_base(ctx, current, request, le, depth)
     else:
         out = _switch_inductive(ctx, current, request, level_idx, le, depth)
+    if isinstance(out, NotFound):
+        return out
 
-    if isinstance(out, SwitchOutcome):
-        result = out.matching
-        assert result.edge_of_colour(request.colour) is None
-        assert not result.is_covered(request.vertex)
-        assert request.fix <= result.edge_ids
-        assert not (request.avoid_vertices & result.covered)
-        assert not any(result.uses_colour(c) for c in request.avoid_colours)
-        assert closeness(ctx.base, result).within(
-            request.budget + closeness_slack(level_idx))
-        ctx.call_log.append(CallRecord(
-            colour=request.colour, vertex=request.vertex, level=level_idx,
-            budget=request.budget, fix=tuple(sorted(request.fix)),
-            avoid_vertices=tuple(sorted(request.avoid_vertices)),
-            avoid_colours=tuple(sorted(request.avoid_colours)),
-            base_ids=ctx.base_ids,
-            start_ids=tuple(current.sorted_edge_ids()),
-            result_ids=tuple(result.sorted_edge_ids()),
-            distance_to_base=out.distance_to_base,
-        ))
-    return out
+    result, steps, rejections = out
+    assert result.edge_of_colour(request.colour) is None
+    assert not result.is_covered(request.vertex)
+    assert request.fix <= result.edge_ids
+    assert not (request.avoid_vertices & result.covered)
+    assert not any(result.uses_colour(c) for c in request.avoid_colours)
+    near = closeness(ctx.base, result)
+    assert near.within(request.budget + closeness_slack(level_idx))
+    ctx.call_log.append(CallRecord(
+        colour=request.colour, vertex=request.vertex, level=level_idx,
+        budget=request.budget, fix=tuple(sorted(request.fix)),
+        avoid_vertices=tuple(sorted(request.avoid_vertices)),
+        avoid_colours=tuple(sorted(request.avoid_colours)),
+        base_ids=ctx.base_ids,
+        start_ids=tuple(current.sorted_edge_ids()),
+        result_ids=tuple(result.sorted_edge_ids()),
+        distance_to_base=near.distance,
+    ))
+    return SwitchOutcome(result, steps, near.distance, rejections)
+
+
+def _chain(ctx, current, budget, requests, depth):
+    """Serve ``(colour, vertex, fix, avoid_vertices, avoid_colours)``
+    requests in order, each from the previous result with the previous
+    distance to base as its budget.  Returns ``(matching, steps)`` or the
+    first :class:`NotFound` unchanged."""
+    steps = []
+    for colour, vertex, fix, avoid_vertices, avoid_colours in requests:
+        out = robust_switch(ctx, current, SwitchRequest(
+            colour, vertex, budget, fix, avoid_vertices, avoid_colours), depth)
+        if isinstance(out, NotFound):
+            return out
+        current, budget = out.matching, out.distance_to_base
+        steps += out.steps
+    return current, steps
 
 
 def _switch_base(ctx, current, request, le, depth):
@@ -342,14 +360,53 @@ def _switch_base(ctx, current, request, le, depth):
                                    added=(gid, hid))
         step = ExchangeStep(depth, 1, request.colour, request.vertex, "base",
                             (le.edge_id, partner.edge_id), (gid, hid))
-        return SwitchOutcome(result, [step],
-                             closeness(ctx.base, result).distance, dict(rej))
+        return result, [step], dict(rej)
     return NotFound("no_configuration", dict(rej))
+
+
+def _lift(ctx, current, request, keep, w, e):
+    """Requests that free the colour of ``e``, which then replaces the
+    switched edge through the free vertex ``w``; or the name of the first
+    filter the candidate fails.  ``keep`` is the request's fix set plus the
+    switched edge."""
+    if current.is_covered(w):
+        return "w_not_free"
+    if w in request.avoid_vertices:
+        return "w_avoided"
+    sub = ctx.hierarchy.entry(e.colour)[1]
+    if current.edge_of_colour(e.colour) != sub.edge_id:
+        return "partner_missing"
+    if sub.edge_id in keep:
+        return "partner_fixed"
+    return [(e.colour, sub.head, keep, request.avoid_vertices | {w},
+             request.avoid_colours)]
+
+
+def _descend(ctx, current, request, keep, u, e):
+    """Requests that free the colour of ``e``, then the lower head ``u``,
+    after which ``e`` replaces the switched edge; or the name of the first
+    filter the candidate fails.  ``keep`` is the request's fix set plus the
+    switched edge."""
+    u_edge = ctx.hierarchy.head_entry(u)[1]
+    if u_edge.edge_id not in current.edge_ids:
+        return "head_edge_missing"
+    if u_edge.edge_id in keep:
+        return "head_edge_fixed"
+    sub = ctx.hierarchy.entry(e.colour)[1]
+    if current.edge_of_colour(e.colour) != sub.edge_id:
+        return "partner_missing"
+    if sub.edge_id in keep or sub.edge_id == u_edge.edge_id:
+        return "partner_fixed"
+    return [(e.colour, sub.head, keep | {u_edge.edge_id},
+             request.avoid_vertices, request.avoid_colours),
+            (u_edge.colour, u, keep, request.avoid_vertices,
+             request.avoid_colours | {e.colour})]
 
 
 def _switch_inductive(ctx, current, request, level_idx, le, depth):
     """Level >= 2: walk a certifying lower-level-coloured edge from the tail,
-    first into a free vertex (one recursion), else into a lower head (two)."""
+    first into a free vertex (a lift, one lower switch), else into a lower
+    head (a descend, two)."""
     g = ctx.graph
     rej: Counter = Counter()
     lifts, descends = ctx.walks(level_idx, le)
@@ -359,76 +416,21 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
         ctx.rng.shuffle(lifts)
         ctx.rng.shuffle(descends)
 
-    for w, eid in lifts:
-        e = g.edge(eid)
-        if current.is_covered(w):
-            rej["w_not_free"] += 1
-            continue
-        if w in request.avoid_vertices:
-            rej["w_avoided"] += 1
-            continue
-        sub_entry = ctx.hierarchy.entry(e.colour)
-        partner_id = sub_entry[1].edge_id
-        if current.edge_of_colour(e.colour) != partner_id or partner_id not in current.edge_ids:
-            rej["partner_missing"] += 1
-            continue
-        if partner_id in request.fix or partner_id == le.edge_id:
-            rej["partner_fixed"] += 1
-            continue
-        sub = robust_switch(ctx, current, SwitchRequest(
-            colour=e.colour, vertex=sub_entry[1].head, budget=request.budget,
-            fix=request.fix | {le.edge_id},
-            avoid_vertices=request.avoid_vertices | {w},
-            avoid_colours=request.avoid_colours), depth + 1)
-        if isinstance(sub, NotFound):
-            rej["recursion_failed"] += 1
-            continue
-        result = sub.matching.with_swap(removed=(le.edge_id,), added=(eid,))
-        step = ExchangeStep(depth, level_idx, request.colour, request.vertex,
-                            "lift", (le.edge_id,), (eid,))
-        return SwitchOutcome(result, sub.steps + [step],
-                             closeness(ctx.base, result).distance, dict(rej))
-
-    for u, eid in descends:
-        e = g.edge(eid)
-        u_entry = ctx.hierarchy.head_entry(u)
-        u_edge = u_entry[1]
-        if u_edge.edge_id not in current.edge_ids:
-            rej["head_edge_missing"] += 1
-            continue
-        if u_edge.edge_id in request.fix or u_edge.edge_id == le.edge_id:
-            rej["head_edge_fixed"] += 1
-            continue
-        sub_entry = ctx.hierarchy.entry(e.colour)
-        partner_id = sub_entry[1].edge_id
-        if current.edge_of_colour(e.colour) != partner_id or partner_id not in current.edge_ids:
-            rej["partner_missing"] += 1
-            continue
-        if partner_id in request.fix or partner_id in (le.edge_id, u_edge.edge_id):
-            rej["partner_fixed"] += 1
-            continue
-        first = robust_switch(ctx, current, SwitchRequest(
-            colour=e.colour, vertex=sub_entry[1].head, budget=request.budget,
-            fix=request.fix | {le.edge_id, u_edge.edge_id},
-            avoid_vertices=request.avoid_vertices,
-            avoid_colours=request.avoid_colours), depth + 1)
-        if isinstance(first, NotFound):
-            rej["recursion_failed"] += 1
-            continue
-        second = robust_switch(ctx, first.matching, SwitchRequest(
-            colour=u_edge.colour, vertex=u, budget=first.distance_to_base,
-            fix=request.fix | {le.edge_id},
-            avoid_vertices=request.avoid_vertices,
-            avoid_colours=request.avoid_colours | {e.colour}), depth + 1)
-        if isinstance(second, NotFound):
-            rej["recursion_failed"] += 1
-            continue
-        result = second.matching.with_swap(removed=(le.edge_id,), added=(eid,))
-        step = ExchangeStep(depth, level_idx, request.colour, request.vertex,
-                            "descend", (le.edge_id,), (eid,))
-        return SwitchOutcome(result, first.steps + second.steps + [step],
-                             closeness(ctx.base, result).distance, dict(rej))
-
+    keep = request.fix | {le.edge_id}
+    for case, walk, plan in (("lift", lifts, _lift), ("descend", descends, _descend)):
+        for v, eid in walk:
+            requests = plan(ctx, current, request, keep, v, g.edge(eid))
+            if isinstance(requests, str):
+                rej[requests] += 1
+                continue
+            out = _chain(ctx, current, request.budget, requests, depth + 1)
+            if isinstance(out, NotFound):
+                rej["recursion_failed"] += 1
+                continue
+            result, steps = out
+            steps.append(ExchangeStep(depth, level_idx, request.colour,
+                                      request.vertex, case, (le.edge_id,), (eid,)))
+            return result.with_swap((le.edge_id,), (eid,)), steps, dict(rej)
     return NotFound("no_configuration", dict(rej))
 
 
@@ -442,99 +444,42 @@ class AugmentOutcome:
 def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFound:
     """Run the recipe for one violation against the context base.
 
+    ``extend`` just adds its edge.  Every other kind follows one rule: each
+    endpoint that is a reachable head, other than the head of the violating
+    colour's own edge, is freed by a switch of that head's colour, which
+    keeps the colour's own edge and the head edges still to be freed and
+    avoids the endpoints already free or freed.  One last switch frees the
+    colour and its head, avoiding every other endpoint.  The switches run as
+    one chain from the base, then the edge goes in.
+
     Returns a matching one edge larger, or :class:`NotFound` when some switch
     in the chain finds no configuration under the budget cap.
     """
-    g = ctx.graph
-    base = ctx.base
-    e = g.edge(violation.edge_id)
-
-    if violation.kind == "extend":
-        return AugmentOutcome(base.with_swap((), (e.id,)), [], violation)
-
-    target_level, target = ctx.hierarchy.entry(e.colour)
-
-    if violation.kind == "free_free":
-        out = robust_switch(ctx, base, SwitchRequest(
-            colour=e.colour, vertex=target.head,
-            avoid_vertices=frozenset((e.u, e.v))))
-        if isinstance(out, NotFound):
-            return out
-        return AugmentOutcome(out.matching.with_swap((), (e.id,)),
-                              out.steps, violation)
-
-    if violation.kind == "reach_free":
-        head, free_end = violation.vertices
-        head_level, head_edge = ctx.hierarchy.head_entry(head)
-        if head_edge.edge_id == target.edge_id:
-            # the violating edge hangs off the head of its own colour's
-            # matching edge: one switch frees colour and head together
-            out = robust_switch(ctx, base, SwitchRequest(
-                colour=e.colour, vertex=head,
-                avoid_vertices=frozenset((free_end,))))
-            if isinstance(out, NotFound):
-                return out
-            return AugmentOutcome(out.matching.with_swap((), (e.id,)),
-                                  out.steps, violation)
-        first = robust_switch(ctx, base, SwitchRequest(
-            colour=head_edge.colour, vertex=head,
-            fix=frozenset((target.edge_id,)),
-            avoid_vertices=frozenset((free_end,))))
-        if isinstance(first, NotFound):
-            return first
-        second = robust_switch(ctx, first.matching, SwitchRequest(
-            colour=e.colour, vertex=target.head, budget=first.distance_to_base,
-            avoid_vertices=frozenset((head, free_end))))
-        if isinstance(second, NotFound):
-            return second
-        return AugmentOutcome(second.matching.with_swap((), (e.id,)),
-                              first.steps + second.steps, violation)
-
-    if violation.kind == "reach_reach":
-        v, u = violation.vertices
-        v_level, v_edge = ctx.hierarchy.head_entry(v)
-        u_level, u_edge = ctx.hierarchy.head_entry(u)
-        if target.edge_id in (v_edge.edge_id, u_edge.edge_id):
-            # one endpoint is the head of the violating colour's own matching
-            # edge; free the other endpoint first, then one switch clears both
-            # the colour and the remaining endpoint
-            if v_edge.edge_id == target.edge_id:
-                other, other_edge = u, u_edge
-            else:
-                other, other_edge = v, v_edge
-            first = robust_switch(ctx, base, SwitchRequest(
-                colour=other_edge.colour, vertex=other,
-                fix=frozenset((target.edge_id,))))
-            if isinstance(first, NotFound):
-                return first
-            second = robust_switch(ctx, first.matching, SwitchRequest(
-                colour=e.colour, vertex=target.head,
-                budget=first.distance_to_base,
-                avoid_vertices=frozenset((other,))))
-            if isinstance(second, NotFound):
-                return second
-            return AugmentOutcome(second.matching.with_swap((), (e.id,)),
-                                  first.steps + second.steps, violation)
-        first = robust_switch(ctx, base, SwitchRequest(
-            colour=v_edge.colour, vertex=v,
-            fix=frozenset((u_edge.edge_id, target.edge_id))))
-        if isinstance(first, NotFound):
-            return first
-        second = robust_switch(ctx, first.matching, SwitchRequest(
-            colour=u_edge.colour, vertex=u, budget=first.distance_to_base,
-            fix=frozenset((target.edge_id,)),
-            avoid_vertices=frozenset((v,))))
-        if isinstance(second, NotFound):
-            return second
-        third = robust_switch(ctx, second.matching, SwitchRequest(
-            colour=e.colour, vertex=target.head, budget=second.distance_to_base,
-            avoid_vertices=frozenset((v, u))))
-        if isinstance(third, NotFound):
-            return third
-        return AugmentOutcome(third.matching.with_swap((), (e.id,)),
-                              first.steps + second.steps + third.steps, violation)
-
-    raise SwitchUsageError(f"unknown violation kind {violation.kind!r}")
+    if violation.kind not in ("extend", "reach_free", "reach_reach", "free_free"):
+        raise SwitchUsageError(f"unknown violation kind {violation.kind!r}")
+    e = ctx.graph.edge(violation.edge_id)
+    requests = []
+    if violation.kind != "extend":
+        h = ctx.hierarchy
+        target = h.entry(e.colour)[1]
+        # level edges of the endpoints that are heads, in witness order; a
+        # free endpoint is never a head, since heads are covered
+        heads = [h.head_entry(v)[1] for v in violation.vertices if v in h.reach_heads]
+        to_free = [le for le in heads if le.edge_id != target.edge_id]
+        ends = frozenset(violation.vertices)
+        keep = frozenset([target.edge_id] + [le.edge_id for le in to_free])
+        avoid = ends & ctx.base_free
+        for le in to_free:
+            keep -= {le.edge_id}
+            requests.append((le.colour, le.head, keep, avoid, frozenset()))
+            avoid |= {le.head}
+        requests.append((e.colour, target.head, frozenset(),
+                         ends - {target.head}, frozenset()))
+    out = _chain(ctx, ctx.base, 0, requests, 0)
+    if isinstance(out, NotFound):
+        return out
+    matching, steps = out
+    return AugmentOutcome(matching.with_swap((), (e.id,)), steps, violation)
 
 
 @dataclass

@@ -158,6 +158,22 @@ class TestStats:
         # a full transversal uses every colour: nothing is flexible
         assert doc["F_size"] == 0 and doc["m"] == 0
 
+    @pytest.mark.parametrize("edge_ids,kind", [
+        ([0, 99], "unknown_edge"),   # past the last edge
+        ([0, -1], "unknown_edge"),   # not read as the last edge
+        ([0, 1], "vertex_clash"),    # edges 0 and 1 share vertex 0
+    ], ids=["unknown_id", "negative_id", "vertex_clash"])
+    def test_rejects_invalid_matching(self, tmp_path, z4_path, capsys,
+                                      edge_ids, kind):
+        matching = tmp_path / "bad.json"
+        matching.write_text(json.dumps({"edges": [
+            {"edge_id": i} for i in edge_ids]}))
+        code = main(["stats", "--input", z4_path, "--matching", str(matching)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"{kind}: ")
+
 
 class TestBench:
     def test_csv_shape(self, capsys):

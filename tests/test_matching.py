@@ -176,6 +176,15 @@ class TestVerify:
         assert [i.kind for i in issues] == ["unknown_edge"]
         assert issues[0].edge_ids == (404,)
 
+    def test_loop(self):
+        # a loop covers one vertex only, so the pair looks disjoint, yet the
+        # largest rainbow matching here has one edge
+        g = ColouredMultigraph(3, 2, [(0, 0, 0), (1, 2, 1)])
+        issues = verify(g, RainbowMatching(g, [0, 1]))
+        assert [i.kind for i in issues] == ["loop"]
+        assert (issues[0].edge_ids, issues[0].vertex) == ((0,), 0)
+        assert max_rainbow_matching(g).size == 1
+
 
 class TestGreedy:
     def test_deterministic_per_seed(self):

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rainbowmatch import switching
 from rainbowmatch import (
     AugmentOutcome,
     ColouredMultigraph,
@@ -30,6 +32,13 @@ from rainbowmatch import (
 from conftest import random_instance, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def requests_served(ctx: SwitchContext) -> list[tuple]:
+    """``(colour, vertex, budget, fix, avoid_vertices, avoid_colours)`` of
+    every successful switch call, innermost first."""
+    return [(r.colour, r.vertex, r.budget, r.fix, r.avoid_vertices,
+             r.avoid_colours) for r in ctx.call_log]
 
 
 class TestSlack:
@@ -289,6 +298,9 @@ class TestInductiveCase:
         assert out.steps[1].removed == (2,) and out.steps[1].added == (6,)
         assert [rec.level for rec in ctx.call_log] == [1, 2]
         assert [rec.distance_to_base for rec in ctx.call_log] == [4, 6]
+        # the inner switch keeps the level-2 edge and avoids the lift vertex
+        assert requests_served(ctx) == [
+            (0, 0, 0, (2,), (11,), ()), (2, 6, 0, (), (), ())]
 
     def test_descend(self, descend_fixture):
         g = descend_fixture
@@ -306,6 +318,11 @@ class TestInductiveCase:
         assert out.steps[2].removed == (4,) and out.steps[2].added == (11,)
         assert not out.matching.uses_colour(6)
         assert not out.matching.is_covered(6)
+        # the first inner switch keeps both the level-2 edge and the lower
+        # head's edge; the second frees that head without the first colour
+        assert requests_served(ctx) == [
+            (0, 0, 0, (2, 4), (), ()), (2, 4, 4, (4,), (), (0,)),
+            (6, 6, 0, (), (), ())]
 
     def test_lift_preferred_over_descend(self, descend_fixture):
         # same shape plus a certifying edge into a free vertex: the lift wins
@@ -342,6 +359,7 @@ class TestAugment:
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {0, 1}
         assert out.steps == []
+        assert requests_served(ctx) == []
 
     def test_free_free(self, free_free_fixture):
         g = free_free_fixture
@@ -355,6 +373,7 @@ class TestAugment:
         assert len(out.steps) == 1
         assert verify(g, out.matching) == []
         assert len(out.matching) == len(base) + 1
+        assert requests_served(ctx) == [(0, 0, 0, (), (6, 7), ())]
 
     def test_reach_free(self, reach_free_fixture):
         g = reach_free_fixture
@@ -370,6 +389,8 @@ class TestAugment:
         assert len(out.steps) == 2
         assert [rec.distance_to_base for rec in ctx.call_log] == [4, 8]
         assert [rec.budget for rec in ctx.call_log] == [0, 4]
+        assert requests_served(ctx) == [
+            (0, 0, 0, (2,), (9,), ()), (2, 4, 4, (), (0, 9), ())]
 
     def test_reach_reach(self, reach_reach_fixture):
         g = reach_reach_fixture
@@ -384,6 +405,9 @@ class TestAugment:
         assert verify(g, out.matching) == []
         assert len(out.steps) == 3
         assert [rec.distance_to_base for rec in ctx.call_log] == [4, 8, 12]
+        assert requests_served(ctx) == [
+            (0, 0, 0, (2, 3), (), ()), (2, 4, 4, (3,), (0,), ()),
+            (3, 6, 8, (), (0, 4), ())]
 
     def test_reach_free_off_own_head(self):
         """A violating edge can leave the head of its own colour's matching
@@ -407,6 +431,7 @@ class TestAugment:
         assert verify(g, out.matching) == []
         assert len(out.steps) == 1
         assert [rec.distance_to_base for rec in ctx.call_log] == [4]
+        assert requests_served(ctx) == [(0, 0, 0, (), (6,), ())]
 
     def test_reach_reach_off_own_head(self):
         """Both endpoints reachable but one is the head of the violating
@@ -436,6 +461,8 @@ class TestAugment:
         assert verify(g, out.matching) == []
         assert len(out.steps) == 2
         assert [rec.distance_to_base for rec in ctx.call_log] == [4, 8]
+        assert requests_served(ctx) == [
+            (2, 4, 0, (0,), (), ()), (0, 0, 4, (), (4,), ())]
 
     def test_not_found_propagates(self, reach_free_fixture):
         g = reach_free_fixture
@@ -445,6 +472,7 @@ class TestAugment:
         out = augment(ctx, violation)
         assert isinstance(out, NotFound)
         assert out.reason == "budget_cap"
+        assert requests_served(ctx) == []
 
 
 class TestContractFuzz:
@@ -557,6 +585,12 @@ GOLDEN = {
     (5, False): "b63fa156c15e55ecef7ef6dcca65f4982566cc1761dd5f6981865f8926893951",
     (5, True): "2baae8c9d849a89219b57ef88d273fd68254cae98b18390580175e014af5ecff",
 }
+# solve(generate_random(48, 50, 100, 3, 1), seed=1, shuffle=...), recorded
+# the same way before the recipes were folded into one chain runner
+GOLDEN_DESCEND = {
+    False: "32c6770ac974eef0e492ff167b9e4331dd249e498d515427bda575fb6927ff46",
+    True: "8d47fe203e8a8e355c4921c5d86854b300d50e4bb570966582d39f27e786a94d",
+}
 
 
 class TestGoldenOutput:
@@ -568,3 +602,22 @@ class TestGoldenOutput:
         blob = (json.dumps(report.to_json_dict(), indent=2)
                 + repr(report.switch_calls) + repr(report.iterations))
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[seed, shuffle]
+
+    @pytest.mark.parametrize("shuffle", sorted(GOLDEN_DESCEND))
+    def test_descend_output_unchanged(self, shuffle, monkeypatch):
+        # the only golden instance on which a descend lands (next to 171
+        # lifts); the cases above land base switches and lifts only
+        landed = Counter()
+
+        class CountedStep(switching.ExchangeStep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                landed[self.case] += 1
+
+        monkeypatch.setattr(switching, "ExchangeStep", CountedStep)
+        report = solve(generate_random(48, 50, 100, 3, 1), seed=1,
+                       shuffle=shuffle)
+        assert (landed["lift"], landed["descend"]) == (171, 1)
+        blob = (json.dumps(report.to_json_dict(), indent=2)
+                + repr(report.switch_calls) + repr(report.iterations))
+        assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_DESCEND[shuffle]
