@@ -81,20 +81,37 @@ class ColouredMultigraph:
 
         by_colour: dict[int, list[int]] = {}
         by_vertex: dict[int, list[int]] = {}
-        by_vc: dict[tuple[int, int], list[int]] = {}
-        pair_count: dict[tuple[int, int], int] = {}
         for e in self.edges:
             by_colour.setdefault(e.colour, []).append(e.id)
-            ends = (e.u,) if e.u == e.v else (e.u, e.v)
-            for x in ends:
-                by_vertex.setdefault(x, []).append(e.id)
-                by_vc.setdefault((x, e.colour), []).append(e.id)
-            key = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
-            pair_count[key] = pair_count.get(key, 0) + 1
+            by_vertex.setdefault(e.u, []).append(e.id)
+            if e.v != e.u:
+                by_vertex.setdefault(e.v, []).append(e.id)
         self._by_colour = {c: tuple(ids) for c, ids in by_colour.items()}
         self._by_vertex = {v: tuple(ids) for v, ids in by_vertex.items()}
-        self._by_vertex_colour = {k: tuple(ids) for k, ids in by_vc.items()}
-        self._pair_count = pair_count
+        # read only by checks and diagnostics, never by solve: built on first use
+        self._by_vertex_colour = None
+        self._pair_count = None
+
+    def _vertex_colour_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Edge ids by ``(vertex, colour)``; a loop counts once at its vertex."""
+        if self._by_vertex_colour is None:
+            by_vc: dict[tuple[int, int], list[int]] = {}
+            for e in self.edges:
+                by_vc.setdefault((e.u, e.colour), []).append(e.id)
+                if e.v != e.u:
+                    by_vc.setdefault((e.v, e.colour), []).append(e.id)
+            self._by_vertex_colour = {k: tuple(ids) for k, ids in by_vc.items()}
+        return self._by_vertex_colour
+
+    def _pair_counts(self) -> dict[tuple[int, int], int]:
+        """Number of edges joining each vertex pair ``(u, v)``, ``u <= v``."""
+        if self._pair_count is None:
+            counts: dict[tuple[int, int], int] = {}
+            for e in self.edges:
+                key = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
+                counts[key] = counts.get(key, 0) + 1
+            self._pair_count = counts
+        return self._pair_count
 
     # -- basic accessors ----------------------------------------------------
 
@@ -115,17 +132,17 @@ class ColouredMultigraph:
         return self._by_vertex.get(vertex, ())
 
     def edges_at_with_colour(self, vertex: int, colour: int) -> tuple[int, ...]:
-        return self._by_vertex_colour.get((vertex, colour), ())
+        return self._vertex_colour_index().get((vertex, colour), ())
 
     def degree(self, vertex: int) -> int:
         return len(self._by_vertex.get(vertex, ()))
 
     def multiplicity(self, u: int, v: int) -> int:
         key = (u, v) if u <= v else (v, u)
-        return self._pair_count.get(key, 0)
+        return self._pair_counts().get(key, 0)
 
     def max_multiplicity(self) -> int:
-        return max(self._pair_count.values(), default=0)
+        return max(self._pair_counts().values(), default=0)
 
     def __repr__(self) -> str:
         return (f"ColouredMultigraph(V={self.num_vertices}, "
@@ -143,7 +160,7 @@ def validate(graph: ColouredMultigraph) -> list[Issue]:
         if e.u == e.v:
             issues.append(Issue("loop", f"edge {e.id} is a loop at vertex {e.u}",
                                 edge_ids=(e.id,), vertex=e.u))
-    for (v, c), ids in sorted(graph._by_vertex_colour.items()):
+    for (v, c), ids in sorted(graph._vertex_colour_index().items()):
         if len(ids) > 1:
             issues.append(Issue(
                 "colour_clash",
@@ -231,7 +248,7 @@ def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> Hypot
                 f"colour {c} has {size} edges, needs >= {params.min_colour_count}",
                 colour=c))
     cap = params.multiplicity_cap
-    for (u, v), n in sorted(graph._pair_count.items()):
+    for (u, v), n in sorted(graph._pair_counts().items()):
         if n > cap:
             issues.append(Issue(
                 "multiplicity",

@@ -25,9 +25,9 @@ from __future__ import annotations
 import logging
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
                        matching_to_json)
@@ -56,16 +56,7 @@ class SwitchUsageError(ValueError):
     that came up empty, which is reported as :class:`NotFound`."""
 
 
-@dataclass(frozen=True)
-class SwitchRequest:
-    """Free ``colour`` and its designated head ``vertex``.
-
-    ``budget`` promises how far the current matching already is from the
-    context base; ``fix`` edges must survive, ``avoid_vertices`` and
-    ``avoid_colours`` must stay untouched.  Set sizes are capped by
-    2 * (m - level + 1) for the colour's level.
-    """
-
+class _SwitchRequestFields(NamedTuple):
     colour: int
     vertex: int
     budget: int = 0
@@ -73,11 +64,36 @@ class SwitchRequest:
     avoid_vertices: frozenset[int] = frozenset()
     avoid_colours: frozenset[int] = frozenset()
 
-    def __post_init__(self):
-        for name in ("fix", "avoid_vertices", "avoid_colours"):
-            value = getattr(self, name)
-            if not isinstance(value, frozenset):
-                object.__setattr__(self, name, frozenset(value))
+
+class SwitchRequest(_SwitchRequestFields):
+    """Free ``colour`` and its designated head ``vertex``.
+
+    ``budget`` promises how far the current matching already is from the
+    context base; ``fix`` edges must survive, ``avoid_vertices`` and
+    ``avoid_colours`` must stay untouched.  Set sizes are capped by
+    2 * (m - level + 1) for the colour's level.
+
+    An immutable named tuple (one is built per switch call); the three set
+    fields are coerced to frozensets.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, colour: int, vertex: int, budget: int = 0,
+                fix=frozenset(), avoid_vertices=frozenset(), avoid_colours=frozenset()):
+        if type(fix) is not frozenset:
+            fix = frozenset(fix)
+        if type(avoid_vertices) is not frozenset:
+            avoid_vertices = frozenset(avoid_vertices)
+        if type(avoid_colours) is not frozenset:
+            avoid_colours = frozenset(avoid_colours)
+        return tuple.__new__(cls, (colour, vertex, budget, fix, avoid_vertices,
+                                   avoid_colours))
+
+    @classmethod
+    def _make(cls, iterable) -> "SwitchRequest":
+        # ``_replace`` builds through here, so it coerces too
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -93,10 +109,10 @@ class ExchangeStep:
     added: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     """A successful switch call with everything needed to re-check its
-    contract afterwards."""
+    contract afterwards.  A named tuple, cheap to build once per call; the
+    id tuples are shared with the matchings' sorted ids, never copied."""
 
     colour: int
     vertex: int
@@ -165,11 +181,6 @@ class SwitchContext:
         return frozenset(self.base.free_vertices())
 
     @cached_property
-    def base_ids(self) -> tuple[int, ...]:
-        """The base's edge ids, sorted; shared by every call record."""
-        return tuple(self.base.sorted_edge_ids())
-
-    @cached_property
     def lower_heads(self) -> tuple[frozenset[int], ...]:
         """``lower_heads[i - 1]``: the heads of every level below level ``i``."""
         out = [frozenset()]
@@ -178,10 +189,11 @@ class SwitchContext:
         return tuple(out)
 
     def base_pairs(self, le: LevelEdge) -> tuple[tuple, ...]:
-        """Level-1 configurations ``(w, z, gid, hid, partner)`` for ``le``:
-        a good edge from its tail to ``w`` whose colour has flexible edge
-        ``partner``, and an external unused-colour edge from the partner's
-        tail to ``z``; sorted by the first four."""
+        """Level-1 configurations ``(w, z, gid, hid, partner, spare)`` for
+        ``le``: a good edge from its tail to ``w`` whose colour has flexible
+        edge ``partner``, and an external unused-colour edge of colour
+        ``spare`` from the partner's tail to ``z``; sorted by the first
+        four."""
         pairs = self._pairs.get(le.edge_id)
         if pairs is None:
             g = self.graph
@@ -193,10 +205,11 @@ class SwitchContext:
                 if partner is None or partner.edge_id == le.edge_id:
                     continue
                 for hid in self.flex.external_free_at.get(partner.tail, ()):
-                    z = g.edge(hid).other(partner.tail)
+                    he = g.edge(hid)
+                    z = he.other(partner.tail)
                     if z == w:
                         continue
-                    found.append((w, z, gid, hid, partner))
+                    found.append((w, z, gid, hid, partner, he.colour))
             found.sort(key=lambda t: t[:4])
             pairs = self._pairs[le.edge_id] = tuple(found)
         return pairs
@@ -291,9 +304,9 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
         budget=request.budget, fix=tuple(sorted(request.fix)),
         avoid_vertices=tuple(sorted(request.avoid_vertices)),
         avoid_colours=tuple(sorted(request.avoid_colours)),
-        base_ids=ctx.base_ids,
-        start_ids=tuple(current.sorted_edge_ids()),
-        result_ids=tuple(result.sorted_edge_ids()),
+        base_ids=ctx.base.sorted_ids,
+        start_ids=current.sorted_ids,
+        result_ids=result.sorted_ids,
         distance_to_base=near.distance,
     ))
     return SwitchOutcome(result, steps, near.distance, rejections)
@@ -319,49 +332,41 @@ def _switch_base(ctx, current, request, le, depth):
     """Level 1: trade the target edge and one flexible partner for a good
     flexible-coloured edge at the tail plus an external unused-colour edge at
     the partner's tail."""
-    g = ctx.graph
-    rej: Counter = Counter()
+    rej: dict[str, int] = {}
     pairs = ctx.base_pairs(le)
     if ctx.rng is not None:
         pairs = list(pairs)
         ctx.rng.shuffle(pairs)
 
-    for w, z, gid, hid, partner in pairs:
-        if current.is_covered(w):
-            rej["w_not_free"] += 1
-            continue
-        if w in request.avoid_vertices:
-            rej["w_avoided"] += 1
-            continue
-        if current.is_covered(z):
-            rej["z_not_free"] += 1
-            continue
-        if z in request.avoid_vertices:
-            rej["z_avoided"] += 1
-            continue
-        holder = current.edge_of_colour(partner.colour)
-        if holder is not None and holder != partner.edge_id:
-            rej["partner_colour_in_use"] += 1
-            continue
-        if partner.edge_id not in current.edge_ids:
-            rej["partner_missing"] += 1
-            continue
-        if partner.edge_id in request.fix:
-            rej["partner_fixed"] += 1
-            continue
-        spare = g.edge(hid).colour
-        if current.uses_colour(spare):
-            rej["spare_colour_in_use"] += 1
-            continue
-        if spare in request.avoid_colours:
-            rej["spare_colour_avoided"] += 1
-            continue
-        result = current.with_swap(removed=(le.edge_id, partner.edge_id),
-                                   added=(gid, hid))
-        step = ExchangeStep(depth, 1, request.colour, request.vertex, "base",
-                            (le.edge_id, partner.edge_id), (gid, hid))
-        return result, [step], dict(rej)
-    return NotFound("no_configuration", dict(rej))
+    covered = current.covered
+    avoid_vertices = request.avoid_vertices
+    for w, z, gid, hid, partner, spare in pairs:
+        if w in covered:
+            reason = "w_not_free"
+        elif w in avoid_vertices:
+            reason = "w_avoided"
+        elif z in covered:
+            reason = "z_not_free"
+        elif z in avoid_vertices:
+            reason = "z_avoided"
+        elif current.edge_of_colour(partner.colour) not in (None, partner.edge_id):
+            reason = "partner_colour_in_use"
+        elif partner.edge_id not in current.edge_ids:
+            reason = "partner_missing"
+        elif partner.edge_id in request.fix:
+            reason = "partner_fixed"
+        elif current.uses_colour(spare):
+            reason = "spare_colour_in_use"
+        elif spare in request.avoid_colours:
+            reason = "spare_colour_avoided"
+        else:
+            result = current.with_swap(removed=(le.edge_id, partner.edge_id),
+                                       added=(gid, hid))
+            step = ExchangeStep(depth, 1, request.colour, request.vertex, "base",
+                                (le.edge_id, partner.edge_id), (gid, hid))
+            return result, [step], rej
+        rej[reason] = rej.get(reason, 0) + 1
+    return NotFound("no_configuration", rej)
 
 
 def _lift(ctx, current, request, keep, w, e):
@@ -408,7 +413,7 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
     first into a free vertex (a lift, one lower switch), else into a lower
     head (a descend, two)."""
     g = ctx.graph
-    rej: Counter = Counter()
+    rej: dict[str, int] = {}
     lifts, descends = ctx.walks(level_idx, le)
     if ctx.rng is not None:
         lifts = list(lifts)
@@ -421,17 +426,17 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
         for v, eid in walk:
             requests = plan(ctx, current, request, keep, v, g.edge(eid))
             if isinstance(requests, str):
-                rej[requests] += 1
+                rej[requests] = rej.get(requests, 0) + 1
                 continue
             out = _chain(ctx, current, request.budget, requests, depth + 1)
             if isinstance(out, NotFound):
-                rej["recursion_failed"] += 1
+                rej["recursion_failed"] = rej.get("recursion_failed", 0) + 1
                 continue
             result, steps = out
             steps.append(ExchangeStep(depth, level_idx, request.colour,
                                       request.vertex, case, (le.edge_id,), (eid,)))
-            return result.with_swap((le.edge_id,), (eid,)), steps, dict(rej)
-    return NotFound("no_configuration", dict(rej))
+            return result.with_swap((le.edge_id,), (eid,)), steps, rej
+    return NotFound("no_configuration", rej)
 
 
 @dataclass
@@ -585,14 +590,14 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
         if chosen is None:
             iterations.append(IterationRecord(
                 index, len(current), len(current), len(found), attempted,
-                None, None, 0, tuple(current.sorted_edge_ids())))
+                None, None, 0, current.sorted_ids))
             status = "stalled"
             break
         violation, out = chosen
         iterations.append(IterationRecord(
             index, len(current), len(out.matching), len(found), attempted,
             violation.kind, violation.edge_id, len(out.steps),
-            tuple(current.sorted_edge_ids())))
+            current.sorted_ids))
         exchanges += len(out.steps)
         logger.debug("iteration %d: %s via edge %d, size %d -> %d", index,
                      violation.kind, violation.edge_id, len(current),

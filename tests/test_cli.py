@@ -138,6 +138,18 @@ class TestOracle:
         assert doc["exact"] is False
         assert doc["size"] <= 3
 
+    def test_too_deep_for_the_recursive_search(self, tmp_path, capsys):
+        # the graph search recurses once per edge; 1089 edges pass the limit
+        path = tmp_path / "z33.txt"
+        path.write_text(dumps_graph(latin_to_graph(cyclic_square(33))))
+        code = main(["oracle", "--input", str(path), "--json"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+        assert "V=66, C=33, E=1089" in line
+
 
 class TestStats:
     def test_schema(self, z5_path, capsys):
@@ -193,6 +205,18 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[3] == ""
+
+    def test_too_deep_for_oracle_leaves_column_empty(self, capsys):
+        # 32 colours at the default density: 1536 edges, past the recursion
+        # limit of the graph search
+        assert main(["bench", "--seeds", "0", "--colours", "32"]) == 0
+        out, err = capsys.readouterr()
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        seed, n, found, optimum = lines[1].split(",")[:4]
+        assert (seed, n, optimum) == ("0", "32", "")
+        assert "seed 0: no optimum" in err
+        assert "E=1536" in err
 
     def test_unplaceable_seed_skipped_not_fatal(self, capsys, monkeypatch):
         from rainbowmatch import PlacementError

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import (InstanceParams, LatinSquare, cyclic_square, dumps,
-                          dumps_square, enumerate_reduced_squares, generate_random,
-                          hypothesis_check, latin_to_graph, loads_square,
-                          max_partial_transversal, permute_square, validate)
+from rainbowmatch import (InstanceParams, LatinSquare, PlacementError, cyclic_square,
+                          dumps, dumps_square, enumerate_reduced_squares,
+                          generate_random, hypothesis_check, latin_to_graph,
+                          loads_square, max_partial_transversal, permute_square,
+                          validate)
 from conftest import random_instance
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -100,6 +101,15 @@ def test_generator_rejects_impossible():
         generate_random(2, 4, 6, 1, 0)  # count > vertices // 2
     with pytest.raises(ValueError):
         generate_random(2, 2, 4, 0, 0)  # cap < 1
+
+
+def test_generator_placement_fails_on_a_feasible_shape():
+    # a known defect of the rejection sampler, kept visible until a
+    # constructive generator replaces it: ten colour classes of 15 edges (a
+    # perfect matching each) fit on 30 vertices, as any ten classes of a
+    # 1-factorisation of K_30 show, but this seed exhausts the 64 tries
+    with pytest.raises(PlacementError):
+        generate_random(10, 15, 30, 1, 8391)
 
 
 @given(seed=st.integers(0, 10_000))

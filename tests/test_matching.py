@@ -132,11 +132,7 @@ class TestWithSwapMatchesRebuild:
     @given(st.integers(0, 6), st.booleans(), st.data())
     @PROPERTY_SETTINGS
     def test_property(self, seed, from_greedy, data):
-        base = random_instance(seed)
-        # two loops on top, so a swap can also add one
-        g = ColouredMultigraph(
-            base.num_vertices, base.num_colours,
-            [(e.u, e.v, e.colour) for e in base.edges] + [(0, 0, 0), (1, 1, 1)])
+        g = with_loops(seed)
         if from_greedy:
             start = greedy(g, seed).edge_ids
         else:
@@ -150,6 +146,75 @@ class TestWithSwapMatchesRebuild:
         got = m.with_swap(removed, added)
         assert views(got) == views(RainbowMatching(g, (set(start) - removed) | added))
         assert views(m) == views(RainbowMatching(g, start))  # parent untouched
+
+
+def with_loops(seed: int) -> ColouredMultigraph:
+    """``random_instance(seed)`` plus two loops, so a swap can add one."""
+    base = random_instance(seed)
+    return ColouredMultigraph(
+        base.num_vertices, base.num_colours,
+        [(e.u, e.v, e.colour) for e in base.edges] + [(0, 0, 0), (1, 1, 1)])
+
+
+class TestChainDistance:
+    """A ``with_swap`` result carries its distance to the chain root."""
+
+    @given(st.integers(0, 6), st.booleans(), st.data())
+    @PROPERTY_SETTINGS
+    def test_matches_the_symmetric_difference(self, seed, from_greedy, data):
+        g = with_loops(seed)
+        if from_greedy:  # a clean root: the views are patched by the delta
+            start = greedy(g, seed).edge_ids
+        else:  # often unclean: clashes, loops, unknown ids, so swaps rebuild
+            start = data.draw(st.sets(st.integers(0, g.num_edges + 2), max_size=6))
+        root = RainbowMatching(g, start)
+        chain = [root]
+        for _ in range(data.draw(st.integers(1, 6))):
+            m = chain[-1]
+            removed = data.draw(st.sets(st.sampled_from(m.sorted_ids))
+                                if len(m) else st.just(set()))
+            added = data.draw(st.sets(
+                st.integers(0, g.num_edges + 2).filter(lambda i: i not in m),
+                max_size=3))
+            chain.append(m.with_swap(removed, added))
+        for m in chain:
+            c = closeness(root, m)
+            assert c.distance == len(root.edge_ids ^ m.edge_ids)
+            assert c.size_equal == (len(root) == len(m))
+            assert m.sorted_ids == tuple(sorted(m.edge_ids))
+            assert views(m) == views(RainbowMatching(g, m.edge_ids))
+        # pairs where neither is the other's root take the full path
+        for a, b in zip(chain, chain[1:]):
+            assert closeness(b, a).distance == len(a.edge_ids ^ b.edge_ids)
+            assert closeness(a, b).distance == len(a.edge_ids ^ b.edge_ids)
+
+    def test_unrelated_matchings(self):
+        g = with_loops(0)
+        root = greedy(g, 0)
+        twin = RainbowMatching(g, root.edge_ids)  # equal, but not the root
+        first, second = root.sorted_ids[:2]
+        child = root.with_swap([first], [])
+        sibling = root.with_swap([second], [])
+
+        def fields(c):
+            return c.distance, c.size_equal
+
+        assert fields(closeness(root, child)) == (1, False)
+        assert fields(closeness(twin, child)) == (1, False)
+        assert fields(closeness(child, twin)) == (1, False)
+        assert fields(closeness(child, sibling)) == (2, True)
+        assert fields(closeness(child, child)) == (0, True)
+
+    def test_sorted_ids_computed_once(self):
+        g = random_instance(0)
+        m = RainbowMatching(g, [9, 2, 5])
+        assert m.sorted_ids == (2, 5, 9)
+        assert m.sorted_ids is m.sorted_ids
+        assert m.sorted_edge_ids() == [2, 5, 9]
+        swapped = m.with_swap([5], [0])
+        assert swapped.sorted_ids == (0, 2, 9)
+        assert swapped.sorted_ids is swapped.sorted_ids
+        assert m.sorted_ids == (2, 5, 9)
 
 
 class TestVerify:

@@ -15,6 +15,17 @@ from conftest import random_instance
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
+@st.composite
+def raw_graphs(draw) -> ColouredMultigraph:
+    """Any in-range ``(u, v, c)`` triples: loops, parallel edges and colour
+    clashes included, on few enough vertices that they are common."""
+    v = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 4))
+    edge = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1),
+                     st.integers(0, c - 1))
+    return ColouredMultigraph(v, c, draw(st.lists(edge, max_size=24)))
+
+
 def test_construction_and_indexes():
     g = ColouredMultigraph(4, 3, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (0, 1, 2)])
     assert g.num_vertices == 4
@@ -132,13 +143,43 @@ def test_hypothesis_check_passes_on_dense_instance():
     assert hypothesis_check(g, p).ok
 
 
-@given(seed=st.integers(0, 10_000))
+@given(raw_graphs())
 @PROPERTY_SETTINGS
-def test_text_round_trip_property(seed):
-    g = random_instance(seed)
+def test_text_round_trip_property(g):
     again = loads(dumps(g))
     assert again.num_vertices == g.num_vertices
     assert again.num_colours == g.num_colours
     assert [(e.u, e.v, e.colour) for e in again.edges] == \
         [(e.u, e.v, e.colour) for e in g.edges]
     assert dumps(again) == dumps(g)
+
+
+@given(raw_graphs(), st.integers(1, 3))
+@PROPERTY_SETTINGS
+def test_lazy_indexes_match_a_scan_and_an_eager_build(g, cap):
+    eager = ColouredMultigraph(g.num_vertices, g.num_colours,
+                               [(e.u, e.v, e.colour) for e in g.edges])
+    eager.edges_at_with_colour(0, 0)  # builds both indexes before any check
+    eager.multiplicity(0, 0)
+    params = InstanceParams(epsilon=Fraction(1, 2), alpha=Fraction(1, 24),
+                            min_colour_count=2, multiplicity_cap=cap)
+    # the checks run first on ``g``, so they are the ones that build its indexes
+    assert validate(g) == validate(eager)
+    assert hypothesis_check(g, params) == hypothesis_check(eager, params)
+    vertices, colours = range(g.num_vertices), range(g.num_colours)
+    for v in vertices:
+        for c in colours:
+            want = tuple(e.id for e in g.edges if e.colour == c and v in (e.u, e.v))
+            assert g.edges_at_with_colour(v, c) == want
+            assert eager.edges_at_with_colour(v, c) == want
+    pairs = {}
+    for u in vertices:
+        for v in vertices:
+            want = sum(1 for e in g.edges if {e.u, e.v} == {u, v})
+            assert g.multiplicity(u, v) == eager.multiplicity(u, v) == want
+            pairs[min(u, v), max(u, v)] = want
+    assert g.max_multiplicity() == eager.max_multiplicity() == max(pairs.values())
+    clashes = [(v, c) for v in vertices for c in colours
+               if len(g.edges_at_with_colour(v, c)) > 1]
+    assert [(i.vertex, i.colour) for i in validate(g)
+            if i.kind == "colour_clash"] == clashes

@@ -258,6 +258,25 @@ class TestUsageErrors:
         assert req.fix == frozenset({1, 2})
         assert isinstance(req.avoid_vertices, frozenset)
         assert isinstance(req.avoid_colours, frozenset)
+        moved = req._replace(fix=[5], budget=3)
+        assert (moved.fix, moved.budget) == (frozenset({5}), 3)
+        assert type(moved) is SwitchRequest
+
+    def test_request_defaults_repr_hash_immutability(self):
+        req = SwitchRequest(2, 7)
+        assert (req.colour, req.vertex, req.budget) == (2, 7, 0)
+        assert req.fix == req.avoid_vertices == req.avoid_colours == frozenset()
+        full = SwitchRequest(0, 1, 4, [3], avoid_colours=[2, 1])
+        assert repr(full) == (
+            "SwitchRequest(colour=0, vertex=1, budget=4, fix=frozenset({3}), "
+            "avoid_vertices=frozenset(), avoid_colours=frozenset({1, 2}))")
+        same = SwitchRequest(0, 1, 4, frozenset({3}), (), {1, 2})
+        assert same == full and hash(same) == hash(full)
+        assert len({full, same, req}) == 2
+        with pytest.raises(AttributeError):
+            full.budget = 5
+        with pytest.raises(AttributeError):
+            full.extra = 1
 
 
 class TestBudgetCap:
