@@ -4,8 +4,7 @@ Subcommands: solve, verify, oracle, stats, check, generate, bench.  JSON
 goes to stdout, logs to stderr (level picked by the RAINBOW_LOG environment
 variable: error, info or debug).  Exit codes: 0 success, 1 bad arguments or
 unreadable input, and per-command codes documented on each handler (solve:
-2 stalled, 3 iteration cap; verify: 2 violations; oracle: 2 cap exceeded,
-1 instance too large for the recursive search;
+2 stalled, 3 iteration cap; verify: 2 violations; oracle: 2 cap exceeded;
 stats: 2 the --matching file is not a rainbow matching; check: 2 hypotheses
 not met).
 """
@@ -20,8 +19,8 @@ import sys
 from math import ceil
 
 from . import multigraph
-from .instances import (LatinSquare, PlacementError, cyclic_square, dumps_square,
-                        generate_random, latin_to_graph, load_square)
+from .instances import (PlacementError, cyclic_square, dumps_square, generate_random,
+                        latin_to_graph, load_square)
 from .matching import greedy, matching_from_json, matching_to_json, verify
 from .multigraph import InstanceParams, hypothesis_check
 from .oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, CapExceeded,
@@ -116,9 +115,6 @@ def _cmd_oracle(args) -> int:
             res = max_rainbow_matching(graph, args.max_nodes, args.time_limit)
     except CapExceeded as exc:
         res, exact = exc.best, False
-    except RecursionError:
-        print(f"error: {_too_deep(square if args.latin else graph)}", file=sys.stderr)
-        return 1
     if args.latin:
         witness = [list(cell) for cell in res.witness]
     else:
@@ -130,17 +126,6 @@ def _cmd_oracle(args) -> int:
         tag = "optimum" if exact else "best found (cap exceeded)"
         print(f"{tag}: {res.size}  nodes: {res.nodes}")
     return 0 if exact else 2
-
-
-def _too_deep(instance) -> str:
-    """Why the recursive exact search gave up on ``instance``: it recurses
-    once per edge (or square row) and hit Python's recursion limit."""
-    if isinstance(instance, LatinSquare):
-        shape = f"order {instance.order}"
-    else:
-        shape = (f"V={instance.num_vertices}, C={instance.num_colours}, "
-                 f"E={instance.num_edges}")
-    return f"exact search recursed too deep on this instance ({shape})"
 
 
 def _cmd_stats(args) -> int:
@@ -224,8 +209,6 @@ def _cmd_bench(args) -> int:
                                                    args.time_limit).size)
             except CapExceeded:
                 optimum = ""
-            except RecursionError:
-                print(f"seed {seed}: no optimum, {_too_deep(graph)}", file=sys.stderr)
         print(f"{seed},{colours},{report.size},{optimum},"
               f"{len(report.iterations)},{report.total_exchanges},"
               f"{report.wall_ms:.3f}")

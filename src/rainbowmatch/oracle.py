@@ -5,9 +5,12 @@ rainbow matchings, and a row-by-row search over Latin square cells for maximum
 partial transversals.  They share no code beyond the result type, so agreement
 between them on square-induced graphs is a real cross-check.
 
-Both searches honour a node cap and a wall-clock limit and raise
-:class:`CapExceeded` (carrying the best matching found so far) when either is
-hit, so callers can distinguish a certified optimum from a lower bound.
+Both searches are depth-first loops over an explicit stack, so their depth is
+bounded by memory, not by Python's recursion limit.  Both honour a node cap and
+a wall-clock limit and raise :class:`CapExceeded` (carrying the best matching
+found so far) when either is hit, so callers can distinguish a certified
+optimum from a lower bound.  The node cap is checked on every node and the
+clock on every ``_TIME_CHECK_STRIDE``-th.
 """
 
 from __future__ import annotations
@@ -46,21 +49,19 @@ class CapExceeded(Exception):
         self.best = best
 
 
-class _Caps:
-    __slots__ = ("max_nodes", "deadline", "nodes")
+def _next_check(nodes: int, max_nodes: int) -> int:
+    """The first node count after ``nodes`` at which a cap may fire: one past
+    the node cap, or the next multiple of the clock stride."""
+    return min(max_nodes + 1, (nodes // _TIME_CHECK_STRIDE + 1) * _TIME_CHECK_STRIDE)
 
-    def __init__(self, max_nodes: int, time_limit: float):
-        self.max_nodes = max_nodes
-        self.deadline = time.perf_counter() + time_limit
-        self.nodes = 0
 
-    def tick(self) -> str | None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            return "nodes"
-        if self.nodes % _TIME_CHECK_STRIDE == 0 and time.perf_counter() > self.deadline:
-            return "time"
-        return None
+def _breach(nodes: int, max_nodes: int, deadline: float) -> str | None:
+    """The cap that node number ``nodes`` breaches, node cap first."""
+    if nodes > max_nodes:
+        return "nodes"
+    if nodes % _TIME_CHECK_STRIDE == 0 and time.perf_counter() > deadline:
+        return "time"
+    return None
 
 
 def max_rainbow_matching(graph: ColouredMultigraph,
@@ -71,41 +72,51 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     Edges are ordered by ascending colour-class size (scarce colours first);
     the bound adds the number of distinct unused colours in the remaining
     suffix to the current size.  Loops never enter a matching and are skipped
-    outright.
+    outright.  Each node first takes its edge (when it fits) and then skips
+    it; the skip branch waits on the stack while the take branch runs.
     """
     order = [e for e in graph.edges if e.u != e.v]
     order.sort(key=lambda e: (graph.colour_class_size(e.colour), e.id))
     m = len(order)
+    ids = [e.id for e in order]
+    vmasks = [1 << e.u | 1 << e.v for e in order]
+    cbits = [1 << e.colour for e in order]
     # suffix[i] = bitmask of colours on order[i:]
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << order[i].colour)
-    caps = _Caps(max_nodes, time_limit)
+        suffix[i] = suffix[i + 1] | cbits[i]
+    deadline = time.perf_counter() + time_limit
+    nodes = 0
+    check_at = _next_check(0, max_nodes)
     best_size = 0
     best: tuple[int, ...] = ()
     chosen: list[int] = []
-
-    def walk(i: int, used_v: int, used_c: int) -> None:
-        nonlocal best_size, best
-        breach = caps.tick()
-        if breach:
-            raise CapExceeded(breach, OracleResult(best_size, best, caps.nodes))
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = tuple(chosen)
-        if i == m:
-            return
-        if len(chosen) + (suffix[i] & ~used_c).bit_count() <= best_size:
-            return
-        e = order[i]
-        if not (used_v >> e.u & 1 or used_v >> e.v & 1 or used_c >> e.colour & 1):
-            chosen.append(e.id)
-            walk(i + 1, used_v | 1 << e.u | 1 << e.v, used_c | 1 << e.colour)
-            chosen.pop()
-        walk(i + 1, used_v, used_c)
-
-    walk(0, 0, 0)
-    return OracleResult(best_size, best, caps.nodes)
+    # skip branches still to visit: (edge index, used vertices, used colours,
+    # len(chosen))
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, used_v, used_c, k = stack.pop()
+        del chosen[k:]
+        while True:
+            nodes += 1
+            if nodes >= check_at:
+                breach = _breach(nodes, max_nodes, deadline)
+                if breach:
+                    raise CapExceeded(breach, OracleResult(best_size, best, nodes))
+                check_at = _next_check(nodes, max_nodes)
+            if k > best_size:
+                best_size = k
+                best = tuple(chosen)
+            if i == m or k + (suffix[i] & ~used_c).bit_count() <= best_size:
+                break
+            if not (used_v & vmasks[i] or used_c & cbits[i]):
+                stack.append((i + 1, used_v, used_c, k))
+                chosen.append(ids[i])
+                used_v |= vmasks[i]
+                used_c |= cbits[i]
+                k += 1
+            i += 1
+    return OracleResult(best_size, best, nodes)
 
 
 def max_partial_transversal(square: LatinSquare,
@@ -114,36 +125,46 @@ def max_partial_transversal(square: LatinSquare,
     """Exact maximum partial transversal by row-wise search over cells.
 
     Works on the square directly (columns and symbols as bitmasks), with the
-    bound min(rows left, free columns, free symbols).  Independent of the
-    graph search above.
+    bound min(rows left, free columns, free symbols).  A node's children are
+    its free cells in row ``i`` by ascending column, then the child that
+    leaves row ``i`` empty; they are pushed in reverse so they pop in that
+    order.  Independent of the graph search above.
     """
     n = square.order
-    caps = _Caps(max_nodes, time_limit)
+    rows = square.rows
+    deadline = time.perf_counter() + time_limit
+    nodes = 0
+    check_at = _next_check(0, max_nodes)
     best_size = 0
     best: tuple = ()
     chosen: list[tuple[int, int]] = []
-
-    def walk(i: int, cols: int, syms: int) -> None:
-        nonlocal best_size, best
-        breach = caps.tick()
-        if breach:
-            raise CapExceeded(breach, OracleResult(best_size, best, caps.nodes))
-        if len(chosen) > best_size:
-            best_size = len(chosen)
+    # nodes still to visit: (row, used columns, used symbols, len(chosen) of
+    # the parent, cell taken in the parent's row or None)
+    stack: list[tuple[int, int, int, int, tuple[int, int] | None]] = [(0, 0, 0, 0, None)]
+    while stack:
+        i, cols, syms, k, cell = stack.pop()
+        del chosen[k:]
+        if cell is not None:
+            chosen.append(cell)
+            k += 1
+        nodes += 1
+        if nodes >= check_at:
+            breach = _breach(nodes, max_nodes, deadline)
+            if breach:
+                raise CapExceeded(breach, OracleResult(best_size, best, nodes))
+            check_at = _next_check(nodes, max_nodes)
+        if k > best_size:
+            best_size = k
             best = tuple(chosen)
         if i == n:
-            return
+            continue
         room = min(n - i, n - cols.bit_count(), n - syms.bit_count())
-        if len(chosen) + room <= best_size:
-            return
-        for j in range(n):
-            s = square.rows[i][j]
-            if cols >> j & 1 or syms >> s & 1:
-                continue
-            chosen.append((i, j))
-            walk(i + 1, cols | 1 << j, syms | 1 << s)
-            chosen.pop()
-        walk(i + 1, cols, syms)
-
-    walk(0, 0, 0)
-    return OracleResult(best_size, best, caps.nodes)
+        if k + room <= best_size:
+            continue
+        stack.append((i + 1, cols, syms, k, None))
+        row = rows[i]
+        for j in range(n - 1, -1, -1):
+            s = row[j]
+            if not (cols >> j & 1 or syms >> s & 1):
+                stack.append((i + 1, cols | 1 << j, syms | 1 << s, k, (i, j)))
+    return OracleResult(best_size, best, nodes)

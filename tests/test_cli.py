@@ -138,17 +138,23 @@ class TestOracle:
         assert doc["exact"] is False
         assert doc["size"] <= 3
 
-    def test_too_deep_for_the_recursive_search(self, tmp_path, capsys):
-        # the graph search recurses once per edge; 1089 edges pass the limit
+    def test_exact_on_z33_past_a_thousand_edges(self, tmp_path, capsys):
+        # 1089 edges: one Python frame per edge would pass the recursion limit
         path = tmp_path / "z33.txt"
         path.write_text(dumps_graph(latin_to_graph(cyclic_square(33))))
         code = main(["oracle", "--input", str(path), "--json"])
         out, err = capsys.readouterr()
-        assert code == 1
-        assert out == ""
-        (line,) = err.splitlines()
-        assert line.startswith("error: ")
-        assert "V=66, C=33, E=1089" in line
+        assert code == 0
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["size"] == 33
+        assert doc["exact"] is True
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps({"edges": [
+            {"edge_id": i} for i in doc["witness"]]}))
+        assert main(["verify", "--input", str(path), "--matching",
+                     str(matching)]) == 0
+        assert capsys.readouterr().out == "ok: valid rainbow matching of size 33\n"
 
 
 class TestStats:
@@ -206,17 +212,16 @@ class TestBench:
         assert len(lines) == 2
         assert lines[1].split(",")[3] == ""
 
-    def test_too_deep_for_oracle_leaves_column_empty(self, capsys):
-        # 32 colours at the default density: 1536 edges, past the recursion
-        # limit of the graph search
+    def test_optimum_past_a_thousand_edges(self, capsys):
+        # 32 colours at the default density: 1536 edges
         assert main(["bench", "--seeds", "0", "--colours", "32"]) == 0
         out, err = capsys.readouterr()
+        assert err == ""
         lines = out.strip().splitlines()
         assert len(lines) == 2
         seed, n, found, optimum = lines[1].split(",")[:4]
-        assert (seed, n, optimum) == ("0", "32", "")
-        assert "seed 0: no optimum" in err
-        assert "E=1536" in err
+        assert (seed, n, optimum) == ("0", "32", "32")
+        assert int(found) <= 32
 
     def test_unplaceable_seed_skipped_not_fatal(self, capsys, monkeypatch):
         from rainbowmatch import PlacementError

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,28 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 # Frozen before the solver existed; both oracles agree on every value.
 CYCLIC_OPTIMA = {1: 1, 2: 1, 3: 3, 4: 3, 5: 5, 6: 5, 7: 7}
+
+
+def isotope(n: int, seed: int):
+    """Z_n with seeded row, column and symbol permutations."""
+    rng = random.Random(seed)
+    perms = [rng.sample(range(n), n) for _ in range(3)]
+    return permute_square(cyclic_square(n), *perms)
+
+
+def outcome(search, instance, **caps):
+    """``(status, size, witness, nodes)``: status is "ok" for a finished
+    search, else the reason of its ``CapExceeded``."""
+    try:
+        res, status = search(instance, **caps), "ok"
+    except CapExceeded as exc:
+        res, status = exc.best, exc.reason
+    return status, res.size, res.witness, res.nodes
+
+
+Z7_DIAGONAL = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6))
+Z8_AT_4096_GRAPH = (0, 9, 18, 27, 37, 46, 55)
+Z8_AT_4096_SQUARE = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 5), (5, 6), (6, 7))
 
 
 class TestFrozenValues:
@@ -140,3 +163,94 @@ class TestCaps:
         res2 = max_rainbow_matching(latin_to_graph(cyclic_square(4)),
                                     max_nodes=res.nodes)
         assert res2.size == 3
+
+    # the node at which each cap fires, pinned on both searches
+    @pytest.mark.parametrize("n,max_nodes,graph,square", [
+        (7, 1, ("nodes", 0, (), 2), ("nodes", 0, (), 2)),
+        (7, 10, ("nodes", 2, (0, 8), 11), ("nodes", 7, Z7_DIAGONAL, 11)),
+        (7, 29, ("nodes", 4, (0, 8, 16, 24), 30), ("nodes", 7, Z7_DIAGONAL, 30)),
+        (7, 30, ("nodes", 4, (0, 8, 16, 24), 31), ("ok", 7, Z7_DIAGONAL, 30)),
+        (7, 56, ("nodes", 7, (0, 8, 16, 24, 32, 40, 48), 57), ("ok", 7, Z7_DIAGONAL, 30)),
+        (7, 57, ("ok", 7, (0, 8, 16, 24, 32, 40, 48), 57), ("ok", 7, Z7_DIAGONAL, 30)),
+        (7, 4095, ("ok", 7, (0, 8, 16, 24, 32, 40, 48), 57), ("ok", 7, Z7_DIAGONAL, 30)),
+        (7, 4096, ("ok", 7, (0, 8, 16, 24, 32, 40, 48), 57), ("ok", 7, Z7_DIAGONAL, 30)),
+        (7, 4097, ("ok", 7, (0, 8, 16, 24, 32, 40, 48), 57), ("ok", 7, Z7_DIAGONAL, 30)),
+        (8, 4095, ("nodes", 7, Z8_AT_4096_GRAPH, 4096), ("nodes", 7, Z8_AT_4096_SQUARE, 4096)),
+        (8, 4096, ("nodes", 7, Z8_AT_4096_GRAPH, 4097), ("nodes", 7, Z8_AT_4096_SQUARE, 4097)),
+        (8, 4097, ("nodes", 7, Z8_AT_4096_GRAPH, 4098), ("nodes", 7, Z8_AT_4096_SQUARE, 4098)),
+    ])
+    def test_node_caps(self, n, max_nodes, graph, square):
+        sq = cyclic_square(n)
+        assert outcome(max_rainbow_matching, latin_to_graph(sq),
+                       max_nodes=max_nodes) == graph
+        assert outcome(max_partial_transversal, sq, max_nodes=max_nodes) == square
+
+    # the clock is read on every 4096th node only
+    def test_expired_clock_fires_on_node_4096(self):
+        sq = cyclic_square(8)
+        assert outcome(max_rainbow_matching, latin_to_graph(sq), time_limit=0) \
+            == ("time", 7, Z8_AT_4096_GRAPH, 4096)
+        assert outcome(max_partial_transversal, sq, time_limit=0) \
+            == ("time", 7, Z8_AT_4096_SQUARE, 4096)
+
+    def test_node_cap_checked_before_the_clock(self):
+        sq = cyclic_square(8)
+        assert outcome(max_rainbow_matching, latin_to_graph(sq), max_nodes=4095,
+                       time_limit=0) == ("nodes", 7, Z8_AT_4096_GRAPH, 4096)
+        assert outcome(max_partial_transversal, sq, max_nodes=4095,
+                       time_limit=0) == ("nodes", 7, Z8_AT_4096_SQUARE, 4096)
+
+
+class TestGolden:
+    """Exact search trees, node for node: size, witness and node count."""
+
+    @pytest.mark.parametrize("seed,expected", [
+        (0, (7, (0, 9, 18, 27, 36, 46, 53), 740919)),
+        (1, (7, (0, 9, 19, 26, 38, 45, 52), 740557)),
+        (2, (7, (0, 9, 18, 28, 35, 45, 62), 741016)),
+    ])
+    def test_graph_on_z8_isotopes(self, seed, expected):
+        res = max_rainbow_matching(latin_to_graph(isotope(8, seed)))
+        assert (res.size, res.witness, res.nodes) == expected
+
+    @pytest.mark.parametrize("seed,expected", [
+        (0, (7, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 6), (6, 5)), 7378)),
+        (1, (7, ((0, 0), (1, 1), (2, 3), (3, 2), (4, 6), (5, 5), (6, 4)), 7410)),
+        (2, (7, ((0, 0), (1, 1), (2, 2), (3, 4), (4, 3), (5, 5), (7, 6)), 7394)),
+    ])
+    def test_square_on_z8_isotopes(self, seed, expected):
+        res = max_partial_transversal(isotope(8, seed))
+        assert (res.size, res.witness, res.nodes) == expected
+
+    @pytest.mark.parametrize("seed,expected", [
+        (0, (4, (0, 6, 13, 21), 27)),
+        (1, (6, (0, 9, 20, 29, 36, 46), 54)),
+        (2, (6, (0, 10, 18, 27, 36, 45), 53)),
+    ])
+    def test_graph_on_random_instances(self, seed, expected):
+        res = max_rainbow_matching(random_instance(seed))
+        assert (res.size, res.witness, res.nodes) == expected
+
+
+def call_near_recursion_limit(fn, *args, headroom=20):
+    """``fn(*args)`` called with only ``headroom`` frames left below the
+    recursion limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+
+    def descend(k):
+        return fn(*args) if k == 0 else descend(k - 1)
+
+    return descend(sys.getrecursionlimit() - headroom - depth)
+
+
+class TestStackDepth:
+    @pytest.mark.parametrize("square", [cyclic_square(33), isotope(8, 0)],
+                             ids=["z33", "z8_isotope"])
+    def test_same_result_deep_in_the_stack(self, square):
+        graph = latin_to_graph(square)
+        assert call_near_recursion_limit(max_rainbow_matching, graph) \
+            == max_rainbow_matching(graph)
+        assert call_near_recursion_limit(max_partial_transversal, square) \
+            == max_partial_transversal(square)
