@@ -17,8 +17,8 @@ from .oracle import (CapExceeded, OracleResult, max_partial_transversal,
                      max_rainbow_matching)
 from .reachability import (CountReport, FlexibleStructure, GoodBadReport,
                            Hierarchy, Level, LevelEdge, OrientedEdge, Violation,
-                           build_hierarchy, classify_good_bad, compute_flexible,
-                           counting_diagnostics, find_violations)
+                           build_hierarchy, certificate, classify_good_bad,
+                           compute_flexible, counting_diagnostics, find_violations)
 from .switching import (AugmentOutcome, CallRecord, ExchangeStep, NotFound,
                         SolveReport, SwitchContext, SwitchOutcome, SwitchRequest,
                         SwitchUsageError, augment, closeness_slack, robust_switch,

@@ -279,14 +279,13 @@ def _greedy_pass(graph, order, start_ids) -> RainbowMatching:
 def external_edges(graph: ColouredMultigraph, matching: RainbowMatching,
                    colours) -> list[int]:
     """Edge ids with exactly one endpoint covered and colour in ``colours``,
-    sorted by id."""
-    wanted = set(colours)
-    out = []
-    for e in graph.edges:
-        if e.colour not in wanted:
-            continue
-        if matching.is_covered(e.u) != matching.is_covered(e.v):
-            out.append(e.id)
+    sorted by id: the external edges, the one place that rule is written.
+    Reads only the requested colour classes; a loop is never external."""
+    covered = matching.covered
+    edges = graph.edges
+    out = [eid for c in set(colours) for eid in graph.edges_with_colour(c)
+           if (edges[eid].u in covered) != (edges[eid].v in covered)]
+    out.sort()
     return out
 
 

@@ -173,13 +173,15 @@ def as_fraction(x) -> Fraction:
     """Coerce a user-supplied ratio to an exact Fraction.
 
     Floats go through their decimal literal (``0.1`` means 1/10), strings may
-    be decimals or ``p/q``.
+    be decimals or ``p/q``; a zero ``q`` raises ValueError like any other
+    unreadable ratio.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(str(x) if isinstance(x, float) else x)
+    except ZeroDivisionError:
+        raise ValueError(f"ratio {x!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,20 @@
 """Flexible structure, reachability levels, violations, counting diagnostics.
 
 Everything here is computed against one fixed maximal rainbow matching M of a
-graph.  The flexible structure singles out matching edges whose tail sees many
-external edges in currently unused colours; levels are then grown on top of
-it: level-1 edges are certified by good flexible-coloured edges at their tail,
-level-(i+1) edges by many lower-level-coloured edges from their tail into free
-vertices or lower heads.  Growth stops when a candidate level falls below the
-stop threshold.  A head is "reachable" when its matching edge made some level;
-the switching engine can free any reachable head on demand.
+graph; a vertex is free when M does not cover it.  Each rule is stated once:
+external edges (one endpoint covered) in
+:func:`rainbowmatch.matching.external_edges`, indexed by covered endpoint in
+:func:`_by_covered_end`; the orientation of a matching edge, lower-id tail
+first, in :func:`_orient`; the certificate of a level edge in
+:func:`certificate`, which the switching engine walks too.
+
+Flexible edges have a tail that sees many external edges of unused colours;
+level-1 edges are certified by good flexible-coloured edges at their tail,
+level-(i+1) edges by a lower level's certificate: many edges of its colours
+from the tail into free vertices or lower heads.  Growth stops when a
+candidate level falls below the stop threshold.  A head is "reachable" when
+its matching edge made some level; the switching engine can free any
+reachable head on demand.
 
 Violations are edges whose colour is reachable but whose endpoints sit where
 no such edge may sit if the matching were unimprovable; each kind maps to an
@@ -20,10 +27,36 @@ import logging
 from dataclasses import dataclass
 from math import ceil, floor
 
-from .matching import RainbowMatching
-from .multigraph import ColouredMultigraph, InstanceParams
+from .matching import RainbowMatching, external_edges
+from .multigraph import ColouredMultigraph, Edge, InstanceParams
 
 logger = logging.getLogger(__name__)
+
+
+def _orient(e: Edge, certify):
+    """``(tail, head, found)`` for the first orientation of the matching edge
+    ``e``, lower-id tail first, whose tail gets a ``found`` other than None
+    from ``certify(tail)``; None when neither does or ``e`` is a loop."""
+    if e.u == e.v:
+        return None
+    lo, hi = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+    for tail, head in ((lo, hi), (hi, lo)):
+        found = certify(tail)
+        if found is not None:
+            return tail, head, found
+    return None
+
+
+def _by_covered_end(graph: ColouredMultigraph, matching: RainbowMatching,
+                    edge_ids) -> dict[int, tuple[int, ...]]:
+    """External ``edge_ids`` indexed by covered endpoint, each tuple sorted
+    by (free endpoint, edge id)."""
+    at: dict[int, list[tuple[int, int]]] = {}
+    for eid in edge_ids:
+        e = graph.edge(eid)
+        x, y = (e.u, e.v) if matching.is_covered(e.u) else (e.v, e.u)
+        at.setdefault(x, []).append((y, eid))
+    return {x: tuple(eid for _, eid in sorted(ends)) for x, ends in at.items()}
 
 
 @dataclass(frozen=True)
@@ -43,18 +76,15 @@ class FlexibleStructure:
     colours.
 
     ``threshold`` is the count a tail must reach; ``external_free_at`` indexes
-    the external unused-colour edges by their covered endpoint, each list
-    sorted by (free endpoint, edge id).  ``full_colour`` flags a matching that
-    already uses every colour, in which case there is nothing to compute and
-    all sets are empty.
+    the external unused-colour edges by their covered endpoint, each tuple
+    sorted by (free endpoint, edge id).  A matching that uses every colour has
+    no ``free_colours``, and then every other field is empty too.
     """
 
     free_colours: frozenset[int]
     threshold: int
     edges: tuple[OrientedEdge, ...]
-    heads: frozenset[int]
     colours: frozenset[int]
-    full_colour: bool
     external_free_at: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
@@ -69,45 +99,30 @@ class FlexibleStructure:
 
 def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
                      params: InstanceParams) -> FlexibleStructure:
-    """Orient every matching edge whose endpoints see enough external
-    unused-colour edges; ties broken toward the lower-id tail."""
+    """Orient every matching edge that has an endpoint seeing enough
+    external unused-colour edges to be its tail."""
     free_colours = frozenset(matching.free_colours())
     if not free_colours:
-        return FlexibleStructure(frozenset(), 0, (), frozenset(), frozenset(),
-                                 True, {})
+        return FlexibleStructure(frozenset(), 0, (), frozenset(), {})
     threshold = max(1, ceil(params.alpha * len(free_colours)))
+    external_free_at = _by_covered_end(
+        graph, matching, external_edges(graph, matching, free_colours))
 
-    external_at: dict[int, list[int]] = {}
-    for e in graph.edges:
-        if e.colour not in free_colours or e.u == e.v:
-            continue
-        cu, cv = matching.is_covered(e.u), matching.is_covered(e.v)
-        if cu == cv:
-            continue
-        x = e.u if cu else e.v
-        external_at.setdefault(x, []).append(e.id)
-    for x, ids in external_at.items():
-        ids.sort(key=lambda i: (graph.edge(i).other(x), i))
+    def enough(tail):
+        return len(external_free_at.get(tail, ())) >= threshold or None
 
     oriented: list[OrientedEdge] = []
-    for eid in matching.sorted_edge_ids():
+    for eid in matching.sorted_ids:
         e = graph.edge(eid)
-        if e.u == e.v:
-            continue
-        lo, hi = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-        for tail, head in ((lo, hi), (hi, lo)):
-            if len(external_at.get(tail, ())) >= threshold:
-                oriented.append(OrientedEdge(eid, tail, head, e.colour))
-                break
-
+        found = _orient(e, enough)
+        if found is not None:
+            oriented.append(OrientedEdge(eid, found[0], found[1], e.colour))
     return FlexibleStructure(
         free_colours=free_colours,
         threshold=threshold,
         edges=tuple(oriented),
-        heads=frozenset(oe.head for oe in oriented),
         colours=frozenset(oe.colour for oe in oriented),
-        full_colour=False,
-        external_free_at={x: tuple(ids) for x, ids in external_at.items()},
+        external_free_at=external_free_at,
     )
 
 
@@ -116,13 +131,12 @@ class GoodBadReport:
     """External flexible-coloured edges split by whether the tail of their
     colour's matching edge keeps enough disjoint external unused-colour edges.
 
-    ``good_at`` indexes good edges by covered endpoint, sorted by
-    (free endpoint, edge id); ``bad_per_colour`` counts bad edges per
+    ``good_at`` indexes the good edges by covered endpoint, each tuple sorted
+    by (free endpoint, edge id); ``bad_per_colour`` counts bad edges per
     flexible colour.
     """
 
     half_threshold: int
-    good: frozenset[int]
     bad: frozenset[int]
     good_at: dict[int, tuple[int, ...]]
     bad_per_colour: dict[int, int]
@@ -131,44 +145,30 @@ class GoodBadReport:
 def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
                       flex: FlexibleStructure,
                       params: InstanceParams) -> GoodBadReport:
-    if flex.full_colour or not flex.colours:
-        return GoodBadReport(0, frozenset(), frozenset(), {}, {})
+    if not flex.colours:
+        return GoodBadReport(0, frozenset(), {}, {})
     half = max(1, ceil(params.alpha * len(flex.free_colours) / 2))
-    partner = {oe.colour: oe for oe in flex.edges}
+    reserve = {oe.colour: flex.external_free_at.get(oe.tail, ()) for oe in flex.edges}
 
     good: list[int] = []
     bad: list[int] = []
-    good_at: dict[int, list[int]] = {}
     bad_per_colour: dict[int, int] = {c: 0 for c in flex.colours}
-    for c in sorted(flex.colours):
-        tail = partner[c].tail
-        reserve = flex.external_free_at.get(tail, ())
-        for eid in graph.edges_with_colour(c):
-            e = graph.edge(eid)
-            if e.u == e.v:
-                continue
-            cu, cv = matching.is_covered(e.u), matching.is_covered(e.v)
-            if cu == cv:
-                continue
-            x = e.u if cu else e.v
-            kept = 0
-            for rid in reserve:
-                r = graph.edge(rid)
-                if not (r.touches(e.u) or r.touches(e.v)):
-                    kept += 1
-            if kept >= half:
-                good.append(eid)
-                good_at.setdefault(x, []).append(eid)
-            else:
-                bad.append(eid)
-                bad_per_colour[c] += 1
-    for x, ids in good_at.items():
-        ids.sort(key=lambda i: (graph.edge(i).other(x), i))
+    for eid in external_edges(graph, matching, flex.colours):
+        e = graph.edge(eid)
+        kept = 0
+        for rid in reserve[e.colour]:
+            r = graph.edge(rid)
+            if not (r.touches(e.u) or r.touches(e.v)):
+                kept += 1
+        if kept >= half:
+            good.append(eid)
+        else:
+            bad.append(eid)
+            bad_per_colour[e.colour] += 1
     return GoodBadReport(
         half_threshold=half,
-        good=frozenset(good),
         bad=frozenset(bad),
-        good_at={x: tuple(ids) for x, ids in good_at.items()},
+        good_at=_by_covered_end(graph, matching, good),
         bad_per_colour=bad_per_colour,
     )
 
@@ -187,15 +187,20 @@ class LevelEdge:
 
 @dataclass(frozen=True)
 class Level:
+    """One level; ``heads_below`` holds the heads of every lower level, the
+    ones its certificates may descend into."""
+
     index: int
     edges: tuple[LevelEdge, ...]
     heads: frozenset[int]
     colours: frozenset[int]
+    heads_below: frozenset[int]
 
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """The levels, plus the below-threshold candidate set that stopped growth."""
+    """The levels, plus the below-threshold candidate set that stopped growth;
+    ``reach_heads`` is the heads of every level."""
 
     levels: tuple[Level, ...]
     stop_threshold: int
@@ -226,82 +231,87 @@ class Hierarchy:
         return self._by_head.get(head)
 
 
+def certificate(graph: ColouredMultigraph, tail: int, colours, covered,
+                below) -> tuple[tuple, tuple]:
+    """What a level with ``colours`` certifies at ``tail``: the edges of those
+    colours from ``tail`` into a free vertex (one not in ``covered``), the
+    lifts, and into ``below``, the descends.  Each is a tuple of
+    ``(vertex, edge id)`` in ascending order."""
+    lifts = []
+    descends = []
+    edges = graph.edges
+    for eid in graph.edges_at(tail):
+        e = edges[eid]
+        if e.colour not in colours or e.u == e.v:
+            continue
+        other = e.v if e.u == tail else e.u
+        if other not in covered:
+            lifts.append((other, eid))
+        elif other in below:
+            descends.append((other, eid))
+    lifts.sort()
+    descends.sort()
+    return tuple(lifts), tuple(descends)
+
+
 def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
                     flex: FlexibleStructure, good: GoodBadReport,
                     params: InstanceParams) -> Hierarchy:
     """Grow levels until a candidate set falls below max(1, ceil(alpha * C)).
 
     Level 1 takes matching edges with at least max(1, ceil(alpha * |F|)) good
-    flexible-coloured edges at the tail; level i+1 takes unassigned edges with,
-    for some lower level j, at least max(1, ceil(alpha * |R_j|)) edges of
-    level-j colours from the tail into free vertices or lower heads.  Ties on
-    orientation go to the lower-id tail.
+    flexible-coloured edges at the tail; level i+1 takes unassigned edges
+    whose tail gets, from some lower level j, a certificate of at least
+    max(1, ceil(alpha * |R_j|)) edges.
     """
-    n = graph.num_colours
-    stop = max(1, ceil(params.alpha * n))
+    stop = max(1, ceil(params.alpha * graph.num_colours))
+    level1_threshold = max(1, ceil(params.alpha * len(flex.colours)))
+    covered = matching.covered
     levels: list[Level] = []
     assigned: set[int] = set()
-    head_union: set[int] = set()
-    free_set = frozenset(matching.free_vertices())
-    level1_threshold = max(1, ceil(params.alpha * len(flex.colours))) if flex.colours else 1
+    below: frozenset[int] = frozenset()
+
+    def certified_by_good(tail):
+        return 0 if len(good.good_at.get(tail, ())) >= level1_threshold else None
+
+    def certified_below(tail):
+        # the smallest lower level whose certificate at ``tail`` is big enough
+        for level in levels:
+            need = max(1, ceil(params.alpha * len(level.colours)))
+            lifts, descends = certificate(graph, tail, level.colours, covered, below)
+            if len(lifts) + len(descends) >= need:
+                return level.index
+        return None
 
     while True:
-        i = len(levels) + 1
+        certify = certified_by_good if not levels else certified_below
         cands: list[LevelEdge] = []
-        for eid in matching.sorted_edge_ids():
+        for eid in matching.sorted_ids:
             if eid in assigned:
                 continue
             e = graph.edge(eid)
-            if e.u == e.v or not (0 <= eid < graph.num_edges):
-                continue
-            lo, hi = (e.u, e.v) if e.u < e.v else (e.v, e.u)
-            placed = None
-            for tail, head in ((lo, hi), (hi, lo)):
-                if i == 1:
-                    if flex.colours and len(good.good_at.get(tail, ())) >= level1_threshold:
-                        placed = LevelEdge(eid, tail, head, e.colour, 0)
-                        break
-                else:
-                    cert = _certifying_level(graph, tail, levels, free_set,
-                                             head_union, params)
-                    if cert is not None:
-                        placed = LevelEdge(eid, tail, head, e.colour, cert)
-                        break
-            if placed is not None:
-                cands.append(placed)
+            found = _orient(e, certify)
+            if found is not None:
+                tail, head, cert = found
+                cands.append(LevelEdge(eid, tail, head, e.colour, cert))
         if len(cands) < stop:
             return Hierarchy(
                 levels=tuple(levels),
                 stop_threshold=stop,
                 stopped=tuple(cands),
-                reach_heads=frozenset(head_union),
+                reach_heads=below,
                 reach_colours=frozenset(c for lv in levels for c in lv.colours),
             )
         level = Level(
-            index=i,
+            index=len(levels) + 1,
             edges=tuple(cands),
             heads=frozenset(le.head for le in cands),
             colours=frozenset(le.colour for le in cands),
+            heads_below=below,
         )
         levels.append(level)
         assigned.update(le.edge_id for le in cands)
-        head_union.update(level.heads)
-
-
-def _certifying_level(graph, tail, levels, free_set, head_union, params):
-    """Smallest lower level j whose colours give enough edges from ``tail``
-    into free vertices or lower heads, or None."""
-    targets = free_set | head_union
-    for level in levels:
-        need = max(1, ceil(params.alpha * len(level.colours)))
-        count = 0
-        for eid in graph.edges_at(tail):
-            e = graph.edge(eid)
-            if e.colour in level.colours and e.other(tail) in targets:
-                count += 1
-                if count >= need:
-                    return level.index
-    return None
+        below = below | level.heads
 
 
 _KIND_RANK = {"extend": 0, "reach_free": 1, "reach_reach": 2, "free_free": 3}

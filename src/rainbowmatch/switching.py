@@ -26,14 +26,13 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
-                       matching_to_json)
+                       matching_to_json, verify)
 from .multigraph import ColouredMultigraph, InstanceParams
 from .reachability import (FlexibleStructure, GoodBadReport, Hierarchy,
-                           LevelEdge, Violation, build_hierarchy,
+                           LevelEdge, Violation, build_hierarchy, certificate,
                            classify_good_bad, compute_flexible, find_violations)
 
 logger = logging.getLogger(__name__)
@@ -146,7 +145,8 @@ class NotFound:
 
 @dataclass
 class SwitchContext:
-    """Everything the engine needs about one base matching."""
+    """Everything the engine needs about one base matching, which
+    :meth:`build` checks is a rainbow matching of the graph."""
 
     graph: ColouredMultigraph
     base: RainbowMatching
@@ -165,6 +165,9 @@ class SwitchContext:
     def build(cls, graph: ColouredMultigraph, matching: RainbowMatching,
               params: InstanceParams | None = None, max_budget: int = 64,
               rng: random.Random | None = None) -> "SwitchContext":
+        issues = verify(graph, matching)
+        if issues:
+            raise SwitchUsageError(f"base is not a rainbow matching: {issues[0].detail}")
         if params is None:
             params = InstanceParams.for_graph(graph)
         flex = compute_flexible(graph, matching, params)
@@ -175,18 +178,6 @@ class SwitchContext:
 
     def violations(self) -> list[Violation]:
         return find_violations(self.graph, self.base, self.flex, self.hierarchy)
-
-    @cached_property
-    def base_free(self) -> frozenset[int]:
-        return frozenset(self.base.free_vertices())
-
-    @cached_property
-    def lower_heads(self) -> tuple[frozenset[int], ...]:
-        """``lower_heads[i - 1]``: the heads of every level below level ``i``."""
-        out = [frozenset()]
-        for level in self.hierarchy.levels[:-1]:
-            out.append(out[-1] | level.heads)
-        return tuple(out)
 
     def base_pairs(self, le: LevelEdge) -> tuple[tuple, ...]:
         """Level-1 configurations ``(w, z, gid, hid, partner, spare)`` for
@@ -215,28 +206,16 @@ class SwitchContext:
         return pairs
 
     def walks(self, level_idx: int, le: LevelEdge) -> tuple[tuple, tuple]:
-        """Sorted ``(vertex, edge id)`` steps along certifying-level colours
-        from the tail of ``le``: lifts into base-free vertices and descends
-        into lower heads."""
+        """The :func:`~rainbowmatch.reachability.certificate` that put ``le``
+        on level ``level_idx``, computed on first use: sorted
+        ``(vertex, edge id)`` lifts into base-free vertices and descends into
+        lower heads, along the certifying level's colours."""
         walks = self._walks.get(le.edge_id)
         if walks is None:
-            g = self.graph
-            cert = self.hierarchy.levels[le.cert - 1]
-            lower_heads = self.lower_heads[level_idx - 1]
-            base_free = self.base_free
-            lifts = []
-            descends = []
-            for eid in g.edges_at(le.tail):
-                e = g.edge(eid)
-                if e.colour not in cert.colours or e.u == e.v:
-                    continue
-                other = e.other(le.tail)
-                if other in base_free:
-                    lifts.append((other, eid))
-                elif other in lower_heads:
-                    descends.append((other, eid))
-            walks = self._walks[le.edge_id] = (tuple(sorted(lifts)),
-                                               tuple(sorted(descends)))
+            levels = self.hierarchy.levels
+            walks = self._walks[le.edge_id] = certificate(
+                self.graph, le.tail, levels[le.cert - 1].colours, self.base.covered,
+                levels[level_idx - 1].heads_below)
         return walks
 
 
@@ -473,7 +452,7 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
         to_free = [le for le in heads if le.edge_id != target.edge_id]
         ends = frozenset(violation.vertices)
         keep = frozenset([target.edge_id] + [le.edge_id for le in to_free])
-        avoid = ends & ctx.base_free
+        avoid = ends - ctx.base.covered
         for le in to_free:
             keep -= {le.edge_id}
             requests.append((le.colour, le.head, keep, avoid, frozenset()))

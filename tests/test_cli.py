@@ -272,6 +272,19 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--epsilon", "--alpha"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--input", "{z4}"], ["stats", "--input", "{z4}"],
+        ["check", "--input", "{z4}"],
+        ["bench", "--seeds", "0", "--colours", "4", "--no-oracle"],
+    ], ids=["solve", "stats", "check", "bench"])
+    def test_zero_denominator(self, z4_path, capsys, command, flag):
+        argv = [arg.format(z4=z4_path) for arg in command] + [flag, "1/0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero denominator" in err
+        assert len(err.splitlines()) == 1
+
     def test_impossible_generate(self, capsys):
         code = main(["generate", "random", "--colours", "4", "--count", "10",
                      "--vertices", "6"])

@@ -8,9 +8,11 @@ from rainbowmatch import (
     ColouredMultigraph,
     RainbowMatching,
     closeness,
+    cyclic_square,
     extend_to_maximal,
     external_edges,
     greedy,
+    latin_to_graph,
     matching_from_json,
     matching_to_json,
     max_rainbow_matching,
@@ -337,6 +339,17 @@ class TestExternalEdges:
         expect = [e.id for e in g.edges
                   if m.is_covered(e.u) != m.is_covered(e.v)]
         assert got == expect
+
+    def test_sorted_by_id_across_colour_classes(self):
+        # a Latin square's graph numbers its edges by cell, so its colour
+        # classes interleave in id order (the random family's do not)
+        g = latin_to_graph(cyclic_square(6))
+        m = greedy(g)
+        expect = [e.id for e in g.edges
+                  if m.is_covered(e.u) != m.is_covered(e.v)]
+        assert expect and external_edges(g, m, range(g.num_colours)) == expect
+        assert external_edges(g, m, [3, 1]) == [
+            i for i in expect if g.edge(i).colour in (1, 3)]
 
 
 class TestJson:

@@ -107,6 +107,14 @@ def test_as_fraction_reads_decimals_exactly():
     assert as_fraction(Fraction(3, 7)) == Fraction(3, 7)
 
 
+@pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+def test_as_fraction_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        as_fraction(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        InstanceParams.for_graph(ColouredMultigraph(2, 1, [(0, 1, 0)]), epsilon=text)
+
+
 def test_params_defaults():
     g = ColouredMultigraph(40, 16, [(0, 1, c) for c in range(16)])
     p = InstanceParams.for_graph(g, epsilon="1/2")

@@ -1,6 +1,9 @@
 """Flexible structure, level growth, violation detection, counting."""
 from __future__ import annotations
 
+import hashlib
+import json
+import random
 from math import ceil, floor
 
 import pytest
@@ -10,6 +13,7 @@ from rainbowmatch import (
     ColouredMultigraph,
     InstanceParams,
     RainbowMatching,
+    SwitchContext,
     Violation,
     build_hierarchy,
     classify_good_bad,
@@ -20,7 +24,10 @@ from rainbowmatch import (
     generate_random,
     greedy,
     latin_to_graph,
+    permute_square,
 )
+from rainbowmatch.cli import main
+from rainbowmatch.multigraph import dumps
 
 from conftest import default_params, random_instance
 
@@ -46,7 +53,7 @@ class TestFlexibleStructure:
         assert len(flex.edges) == 1
         oe = flex.edges[0]
         assert (oe.edge_id, oe.tail, oe.head, oe.colour) == (0, 0, 1, 0)
-        assert flex.heads == {1}
+        assert {oe.head for oe in flex.edges} == {1}
         assert flex.colours == {0}
         assert flex.external_free_at == {0: (1, 2, 3)}
         assert flex.by_colour(0) == oe
@@ -66,15 +73,15 @@ class TestFlexibleStructure:
     def test_full_colour_matching_short_circuits(self):
         g = ColouredMultigraph(2, 1, [(0, 1, 0)])
         _, flex, good, hier = analyse(g, RainbowMatching(g, [0]))
-        assert flex.full_colour
-        assert not flex.edges and not flex.free_colours
-        assert not good.good and not good.bad
+        assert not flex.free_colours  # the matching uses every colour
+        assert not flex.edges
+        assert not any(good.good_at.values()) and not good.bad
         assert hier.m == 0
 
     def test_no_externals_means_no_structure(self):
         g = ColouredMultigraph(4, 3, [(0, 1, 0), (2, 3, 1)])
         _, flex, good, hier = analyse(g, RainbowMatching(g, [0, 1]))
-        assert not flex.full_colour
+        assert flex.free_colours  # not every colour is used
         assert flex.edges == ()
         assert hier.m == 0
         assert hier.reach_heads == frozenset()
@@ -89,7 +96,7 @@ class TestGoodBad:
         assert flex.colours == {1, 3}
         assert {oe.tail for oe in flex.edges} == {3, 7}
         assert good.half_threshold == 1
-        assert good.good == {8, 9}
+        assert {i for ids in good.good_at.values() for i in ids} == {8, 9}
         assert good.bad == frozenset()
         assert good.good_at == {1: (8,), 5: (9,)}
         assert good.bad_per_colour == {1: 0, 3: 0}
@@ -106,7 +113,7 @@ class TestGoodBad:
         m = RainbowMatching(g, [0, 1])
         _, flex, good, _ = analyse(g, m)
         assert flex.colours == {1}
-        assert good.good == frozenset()
+        assert {i for ids in good.good_at.values() for i in ids} == set()
         assert good.bad == {3}
         assert good.bad_per_colour == {1: 1}
 
@@ -210,6 +217,50 @@ def brute_scan(graph, matching, flex, hier):
     return sorted(out)
 
 
+def recount_certificates(g, m) -> int:
+    """Recount every level edge's certificate from scratch, check that the
+    switch engine walks exactly the certifying edges counted, and return how
+    many level-2+ edges were checked."""
+    params, flex, good, hier = analyse(g, m)
+    ctx = SwitchContext(g, m, params, flex, good, hier)
+    free_set = set(m.free_vertices())
+    level1_threshold = (max(1, ceil(params.alpha * len(flex.colours)))
+                        if flex.colours else 1)
+
+    checked = 0
+    heads_below: set[int] = set()
+    for level in hier.levels:
+        for le in level.edges:
+            if level.index == 1:
+                assert le.cert == 0
+                assert len(good.good_at.get(le.tail, ())) >= level1_threshold
+                continue
+            assert 1 <= le.cert < level.index
+            targets = free_set | heads_below
+            for j in range(1, le.cert + 1):
+                lower = hier.levels[j - 1]
+                need = max(1, ceil(params.alpha * len(lower.colours)))
+                counted = sorted(
+                    (g.edge(eid).other(le.tail), eid)
+                    for eid in g.edges_at(le.tail)
+                    if g.edge(eid).colour in lower.colours
+                    and g.edge(eid).other(le.tail) in targets)
+                if j < le.cert:
+                    assert len(counted) < need  # cert is the smallest level
+                else:
+                    assert len(counted) >= need
+            # the switch walks exactly the certifying edges counted
+            lifts, descends = ctx.walks(level.index, le)
+            assert all(v in free_set for v, _ in lifts)
+            assert all(v in heads_below for v, _ in descends)
+            assert list(lifts) == sorted(lifts)
+            assert list(descends) == sorted(descends)
+            assert sorted(lifts + descends) == counted
+            checked += 1
+        heads_below |= level.heads
+    return checked
+
+
 class TestProperties:
     @given(st.integers(0, 200), st.integers(0, 7))
     @PROPERTY_SETTINGS
@@ -242,33 +293,7 @@ class TestProperties:
     @PROPERTY_SETTINGS
     def test_certificates_recount(self, seed, greedy_seed):
         g = random_instance(seed)
-        m = greedy(g, greedy_seed)
-        params, flex, good, hier = analyse(g, m)
-        free_set = set(m.free_vertices())
-        level1_threshold = (max(1, ceil(params.alpha * len(flex.colours)))
-                            if flex.colours else 1)
-
-        heads_below: set[int] = set()
-        for level in hier.levels:
-            for le in level.edges:
-                if level.index == 1:
-                    assert le.cert == 0
-                    assert len(good.good_at.get(le.tail, ())) >= level1_threshold
-                else:
-                    assert 1 <= le.cert < level.index
-                    targets = free_set | heads_below
-                    for j in range(1, le.cert + 1):
-                        lower = hier.levels[j - 1]
-                        need = max(1, ceil(params.alpha * len(lower.colours)))
-                        count = sum(
-                            1 for eid in g.edges_at(le.tail)
-                            if g.edge(eid).colour in lower.colours
-                            and g.edge(eid).other(le.tail) in targets)
-                        if j < le.cert:
-                            assert count < need  # cert is the smallest level
-                        else:
-                            assert count >= need
-            heads_below |= level.heads
+        recount_certificates(g, greedy(g, greedy_seed))
 
     @given(st.integers(0, 200), st.integers(0, 7))
     @PROPERTY_SETTINGS
@@ -334,3 +359,92 @@ class TestLookups:
                 (oe for oe in flex.edges if oe.colour == c), None)
         for v in range(graph.num_vertices + 1):
             assert hier.head_entry(v) == scan_entry(hier, v, "head", "heads")
+
+
+def isotope(n, seed):
+    """Z_n with seeded row, column and symbol permutations, as a graph."""
+    rng = random.Random(seed)
+    perms = [rng.sample(range(n), n) for _ in range(3)]
+    return latin_to_graph(permute_square(cyclic_square(n), *perms))
+
+
+def reachability_facts(graph, tmp_path, capsys) -> dict:
+    """Every reachability fact of the greedy (seed 0) base as plain values:
+    no record reprs, so fields may move between records as long as the facts
+    stay."""
+    m = greedy(graph, 0)
+    ctx = SwitchContext.build(graph, m)
+    flex, good, hier = ctx.flex, ctx.good, ctx.hierarchy
+
+    def level_edge(le):
+        return [le.edge_id, le.tail, le.head, le.colour, le.cert]
+
+    levels = []
+    for level in hier.levels:
+        entries = []
+        for le in level.edges:
+            entry = {"edge": level_edge(le), "base_pairs": [
+                [w, z, gid, hid, partner.edge_id, partner.tail, spare]
+                for w, z, gid, hid, partner, spare in ctx.base_pairs(le)]}
+            if level.index >= 2:
+                entry["walks"] = ctx.walks(level.index, le)
+            entries.append(entry)
+        levels.append(entries)
+    path = tmp_path / "instance.txt"
+    path.write_text(dumps(graph))
+    assert main(["stats", "--input", str(path), "--seed", "0"]) == 0
+    return {
+        "flexible": [[oe.edge_id, oe.tail, oe.head, oe.colour] for oe in flex.edges],
+        "external_free_at": sorted(flex.external_free_at.items()),
+        "good_at": sorted(good.good_at.items()),
+        "bad": sorted(good.bad),
+        "bad_per_colour": sorted(good.bad_per_colour.items()),
+        "levels": levels,
+        "stopped": [level_edge(le) for le in hier.stopped],
+        "reach_heads": sorted(hier.reach_heads),
+        "reach_colours": sorted(hier.reach_colours),
+        "violations": [[v.kind, v.edge_id, v.colour, v.vertices]
+                       for v in find_violations(graph, m, flex, hier)],
+        "stats": json.loads(capsys.readouterr().out),
+    }
+
+
+# name: (instance, sha256 of ``reachability_facts`` as sorted JSON), recorded
+# before the certificate, orientation and external-edge rules each moved into
+# one function of the reachability module
+REACHABILITY_GOLDEN = {
+    # 3 level-2 edges
+    "random_c32_s1": (lambda: generate_random(32, 34, 68, 2, 1),
+                      "9be54162a6d4b42f6970ed4563f26933a659e24b2a6fa41497d09aea52b00ba3"),
+    # one level and one stopped candidate
+    "random_c32_s3": (lambda: generate_random(32, 34, 68, 2, 3),
+                      "aae1acceba41444a41b26ecba78f909b037d5ea198172afe4b01c1d8797d115f"),
+    # 4 level-2 edges
+    "random_c48_s0": (lambda: generate_random(48, 50, 100, 3, 0),
+                      "a13dccf3182768e3c47c6392acea3da2e367dd185b93f27c28d3a2ac8b271a0a"),
+    # 4 level-2 edges
+    "random_c48_s2": (lambda: generate_random(48, 50, 100, 3, 2),
+                      "1fa89d221dd6ed2adb4636333e5a99e445b9a619957f4fcfb3187b9e384c8c81"),
+    # 4 level-2 edges
+    "z15_iso1": (lambda: isotope(15, 1),
+                 "04b6574847258a3e1784ab0da6291bb71b41f00b0bfc7f7ddac7f67e87025bda"),
+    # 5 level-2 edges
+    "z16_iso2": (lambda: isotope(16, 2),
+                 "ea0cab01cabc01c32e24b740561d6aaec398e2f7483ae7649495fc1a25d28d21"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name", sorted(REACHABILITY_GOLDEN))
+    def test_reachability_facts_unchanged(self, name, tmp_path, capsys):
+        instance, digest = REACHABILITY_GOLDEN[name]
+        facts = reachability_facts(instance(), tmp_path, capsys)
+        blob = json.dumps(facts, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(REACHABILITY_GOLDEN))
+    def test_certificates_recount(self, name):
+        # the random family above rarely grows a second level; these do
+        g = REACHABILITY_GOLDEN[name][0]()
+        checked = recount_certificates(g, greedy(g, 0))
+        assert checked >= (0 if name == "random_c32_s3" else 3)

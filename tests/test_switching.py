@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -251,6 +252,31 @@ class TestUsageErrors:
         ctx = SwitchContext.build(g, base)
         with pytest.raises(SwitchUsageError, match="deeper"):
             robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0), depth=2)
+
+    @pytest.mark.parametrize("edge_ids,problem", [
+        ([0, -1], "edge id -1 not in graph"),      # not read as the last edge
+        ([0, 4], "edge id 4 not in graph"),        # E = 4
+        ([1, 2], "colour 1 used by edges [1, 2]"),
+        ([0, 2], "vertex 1 covered by edges [0, 2]"),
+    ], ids=["negative_id", "id_E", "colour_clash", "vertex_clash"])
+    def test_base_not_a_rainbow_matching(self, base_switch_fixture, edge_ids,
+                                         problem):
+        g = base_switch_fixture
+        with pytest.raises(SwitchUsageError, match=rf"^base is not a rainbow "
+                                                  rf"matching: {re.escape(problem)}$"):
+            SwitchContext.build(g, RainbowMatching(g, edge_ids))
+
+    def test_base_checked_once_per_context(self, monkeypatch):
+        checked = []
+
+        def counted_verify(graph, matching):
+            checked.append(matching.sorted_ids)
+            return verify(graph, matching)
+
+        monkeypatch.setattr(switching, "verify", counted_verify)
+        report = solve(generate_random(32, 34, 68, 2, 3))
+        assert len(report.switch_calls) > 100
+        assert checked == [it.base_ids for it in report.iterations]
 
     def test_request_coerces_collections(self):
         req = SwitchRequest(colour=0, vertex=0, fix=[1, 2],
