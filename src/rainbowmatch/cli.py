@@ -181,17 +181,22 @@ def _cmd_generate(args) -> int:
 
 
 def _parse_seed_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
-    return range(value, value + 1)
+    lo, dots, hi = text.partition("..")
+    try:
+        seeds = range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError:
+        raise ValueError(f"--seeds: expected a seed or a range like 0..99, "
+                         f"got {text!r}") from None
+    if not seeds:
+        raise ValueError(f"--seeds: {text} is an empty range")
+    return seeds
 
 
 def _cmd_bench(args) -> int:
     colours, count, vertices, cap = _random_shape(args)
+    seeds = _parse_seed_range(args.seeds)  # before the header: errors leave stdout empty
     print("seed,n,found,optimum,iterations,switches,ms")
-    for seed in _parse_seed_range(args.seeds):
+    for seed in seeds:
         try:
             graph = generate_random(colours, count, vertices, cap, seed)
         except PlacementError as exc:

@@ -119,6 +119,11 @@ def generate_random(colours: int, count: int, vertices: int, cap: int,
     Deterministic in ``seed``.  Raises ValueError when the parameters cannot
     be satisfied (detected up front for the obvious cases, after bounded
     retries otherwise).
+
+    The seed-to-instance map is test and benchmark data, pinned by
+    ``tests/test_instances.py::TestGeneratorGolden``: vertex draws are
+    exactly the ones ``rng.randrange(vertices)`` makes (inlined for speed),
+    so instances are byte-for-byte those of the plain ``randrange`` loop.
     """
     if colours < 0 or count < 0 or vertices < 0 or cap < 1:
         raise ValueError("counts must be non-negative and cap >= 1")
@@ -159,9 +164,18 @@ def _try_generate(colours: int, count: int, vertices: int, cap: int,
 def _sample_edge(vertices: int, cap: int, used: set[int],
                  pair_load: dict[tuple[int, int], int],
                  rng: random.Random) -> tuple[int, int] | None:
+    # each endpoint is ``rng.randrange(vertices)`` drawn the way CPython's
+    # ``Random._randbelow`` draws it: ``k``-bit words until one is below
+    # ``vertices``; inlined because the calls cost two thirds of generation
+    getrandbits = rng.getrandbits
+    k = vertices.bit_length()
     for _ in range(200):
-        u = rng.randrange(vertices)
-        v = rng.randrange(vertices)
+        u = getrandbits(k)
+        while u >= vertices:
+            u = getrandbits(k)
+        v = getrandbits(k)
+        while v >= vertices:
+            v = getrandbits(k)
         if u == v or u in used or v in used:
             continue
         key = (u, v) if u <= v else (v, u)

@@ -11,16 +11,20 @@ a vertex) so that broken instances can still be loaded and reported on;
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Edge:
-    """A single coloured edge; ``id`` is its position in the instance."""
+class Edge(NamedTuple):
+    """A single coloured edge; ``id`` is its position in the instance.
+
+    A named tuple: immutable, and equal and hashed as its field tuple.
+    """
 
     id: int
     u: int
@@ -69,23 +73,22 @@ class ColouredMultigraph:
         if num_vertices < 0 or num_colours < 0:
             raise ValueError("vertex and colour counts must be non-negative")
         built = []
+        by_colour: defaultdict[int, list[int]] = defaultdict(list)
+        by_vertex: defaultdict[int, list[int]] = defaultdict(list)
+        make = tuple.__new__  # Edge's own __new__ adds a Python call per edge
         for i, (u, v, c) in enumerate(edges):
             if not (0 <= u < num_vertices and 0 <= v < num_vertices):
                 raise ValueError(f"edge {i}: endpoint out of range for V={num_vertices}")
             if not (0 <= c < num_colours):
                 raise ValueError(f"edge {i}: colour {c} out of range for C={num_colours}")
-            built.append(Edge(i, u, v, c))
+            built.append(make(Edge, (i, u, v, c)))
+            by_colour[c].append(i)
+            by_vertex[u].append(i)
+            if v != u:
+                by_vertex[v].append(i)
         self.num_vertices = num_vertices
         self.num_colours = num_colours
         self.edges = tuple(built)
-
-        by_colour: dict[int, list[int]] = {}
-        by_vertex: dict[int, list[int]] = {}
-        for e in self.edges:
-            by_colour.setdefault(e.colour, []).append(e.id)
-            by_vertex.setdefault(e.u, []).append(e.id)
-            if e.v != e.u:
-                by_vertex.setdefault(e.v, []).append(e.id)
         self._by_colour = {c: tuple(ids) for c, ids in by_colour.items()}
         self._by_vertex = {v: tuple(ids) for v, ids in by_vertex.items()}
         # read only by checks and diagnostics, never by solve: built on first use

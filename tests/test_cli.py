@@ -290,3 +290,15 @@ class TestErrors:
                      "--vertices", "6"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds, fragment", [
+        ("abc", "expected a seed or a range"),
+        ("3..1", "empty range"),
+    ])
+    def test_bench_bad_seeds(self, capsys, seeds, fragment):
+        code = main(["bench", "--seeds", seeds, "--colours", "4", "--no-oracle"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --seeds: ") and fragment in err
+        assert len(err.splitlines()) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import (ColouredMultigraph, InstanceParams, as_fraction, dumps,
+from rainbowmatch import (ColouredMultigraph, Edge, InstanceParams, as_fraction, dumps,
                           hypothesis_check, loads, validate)
 from conftest import random_instance
 
@@ -46,12 +46,28 @@ def test_construction_and_indexes():
 
 
 def test_construction_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    # the messages reach users verbatim as the CLI's ``error:`` line
+    with pytest.raises(ValueError, match=r"^edge 0: endpoint out of range for V=2$"):
         ColouredMultigraph(2, 1, [(0, 2, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge 0: colour 1 out of range for C=1$"):
         ColouredMultigraph(2, 1, [(0, 1, 1)])
     with pytest.raises(ValueError):
         ColouredMultigraph(-1, 1, [])
+
+
+def test_edge_value_semantics():
+    e = ColouredMultigraph(3, 4, [(1, 2, 3)]).edge(0)
+    assert repr(e) == "Edge(id=0, u=1, v=2, colour=3)"
+    fresh = Edge(0, 1, 2, 3)
+    assert e == fresh and hash(e) == hash(fresh)
+    assert e != Edge(0, 2, 1, 3)
+    for field in ("id", "u", "v", "colour"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, 0)
+    assert e.other(1) == 2 and e.other(2) == 1
+    assert e.touches(1) and e.touches(2) and not e.touches(0)
+    with pytest.raises(ValueError, match="vertex 0 not an endpoint of edge 0"):
+        e.other(0)
 
 
 def test_validate_reports_loops_and_clashes():

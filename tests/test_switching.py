@@ -31,6 +31,7 @@ from rainbowmatch import (
 )
 
 from conftest import random_instance, tight_instance
+from test_reachability import REACHABILITY_GOLDEN
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -520,32 +521,58 @@ class TestAugment:
         assert requests_served(ctx) == []
 
 
+def check_switch_contract(g, base, ctx) -> list[int]:
+    """Switch every level edge of ``ctx`` from ``base`` and check the
+    contract on each outcome and each ``call_log`` record; returns the
+    levels of the switches that succeeded."""
+    found = []
+    for level in ctx.hierarchy.levels:
+        for le in level.edges:
+            out = robust_switch(ctx, base, SwitchRequest(
+                colour=le.colour, vertex=le.head))
+            if isinstance(out, NotFound):
+                continue
+            m = out.matching
+            assert verify(g, m) == []
+            assert len(m) == len(base)
+            assert not m.uses_colour(le.colour)
+            assert not m.is_covered(le.head)
+            assert out.distance_to_base <= closeness_slack(level.index)
+            found.append(level.index)
+    for rec in ctx.call_log:
+        result = RainbowMatching(g, rec.result_ids)
+        assert closeness(ctx.base, result).distance == rec.distance_to_base
+        assert set(rec.fix) <= set(rec.result_ids)
+        assert not set(rec.avoid_vertices) & result.covered
+        assert not any(result.uses_colour(c) for c in rec.avoid_colours)
+        assert rec.distance_to_base <= rec.budget + closeness_slack(rec.level)
+    return found
+
+
 class TestContractFuzz:
     @given(st.integers(0, 150), st.integers(0, 3))
     @PROPERTY_SETTINGS
     def test_every_reachable_colour_obeys_the_contract(self, seed, greedy_seed):
         g = random_instance(seed)
         base = greedy(g, greedy_seed)
-        ctx = SwitchContext.build(g, base)
-        for level in ctx.hierarchy.levels:
-            for le in level.edges:
-                out = robust_switch(ctx, base, SwitchRequest(
-                    colour=le.colour, vertex=le.head))
-                if isinstance(out, NotFound):
-                    continue
-                m = out.matching
-                assert verify(g, m) == []
-                assert len(m) == len(base)
-                assert not m.uses_colour(le.colour)
-                assert not m.is_covered(le.head)
-                assert out.distance_to_base <= closeness_slack(level.index)
-        for rec in ctx.call_log:
-            result = RainbowMatching(g, rec.result_ids)
-            assert closeness(ctx.base, result).distance == rec.distance_to_base
-            assert set(rec.fix) <= set(rec.result_ids)
-            assert not set(rec.avoid_vertices) & result.covered
-            assert not any(result.uses_colour(c) for c in rec.avoid_colours)
-            assert rec.distance_to_base <= rec.budget + closeness_slack(rec.level)
+        check_switch_contract(g, base, SwitchContext.build(g, base))
+
+
+# the reachability golden instances that grow level-2 edges; the random
+# family above almost never does, so the inductive switch is checked here
+_LEVEL2_INSTANCES = ["random_c32_s1", "random_c48_s0", "random_c48_s2",
+                     "z15_iso1", "z16_iso2"]
+
+
+class TestContractLevel2:
+    def test_every_level_edge_obeys_the_contract(self):
+        found = []
+        for name in _LEVEL2_INSTANCES:
+            g = REACHABILITY_GOLDEN[name][0]()
+            for greedy_seed in range(4):
+                base = greedy(g, greedy_seed)
+                found += check_switch_contract(g, base, SwitchContext.build(g, base))
+        assert any(level >= 2 for level in found)
 
 
 class TestSolve:
