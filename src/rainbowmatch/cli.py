@@ -56,13 +56,13 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _params_for(graph, args) -> InstanceParams:
-    return InstanceParams.for_graph(graph, epsilon=args.epsilon, alpha=args.alpha)
+def _params_for(num_colours: int, args) -> InstanceParams:
+    return InstanceParams.for_colours(num_colours, args.epsilon, args.alpha)
 
 
 def _cmd_solve(args) -> int:
     graph = multigraph.load(args.input)
-    params = _params_for(graph, args)
+    params = _params_for(graph.num_colours, args)
     report = solve(graph, params, target_deficit=args.target_deficit,
                    seed=args.seed, max_budget=args.max_budget,
                    max_iterations=args.max_iterations, shuffle=args.shuffle)
@@ -130,7 +130,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_stats(args) -> int:
     graph = multigraph.load(args.input)
-    params = _params_for(graph, args)
+    params = _params_for(graph.num_colours, args)
     if args.matching:
         with open(args.matching, "r", encoding="utf-8") as fh:
             m = matching_from_json(graph, json.load(fh))
@@ -157,9 +157,8 @@ def _cmd_stats(args) -> int:
 
 
 def _random_shape(args) -> tuple[int, int, int, int]:
-    """``(colours, count, vertices, cap)`` from the flags, defaulting to
-    ``count = ceil(1.5 * colours)``, ``vertices = 2 * count`` and
-    ``cap = max(1, colours // 16)``."""
+    """``(colours, count, vertices, cap)`` from the flags of
+    :func:`_add_shape_flags`, with the defaults their help states."""
     colours = args.colours
     count = args.count if args.count is not None else ceil(3 * colours / 2)
     vertices = args.vertices if args.vertices is not None else 2 * count
@@ -194,7 +193,9 @@ def _parse_seed_range(text: str) -> range:
 
 def _cmd_bench(args) -> int:
     colours, count, vertices, cap = _random_shape(args)
-    seeds = _parse_seed_range(args.seeds)  # before the header: errors leave stdout empty
+    # before the header, so that a bad argument leaves stdout empty
+    seeds = _parse_seed_range(args.seeds)
+    params = _params_for(colours, args)
     print("seed,n,found,optimum,iterations,switches,ms")
     for seed in seeds:
         try:
@@ -203,7 +204,6 @@ def _cmd_bench(args) -> int:
             # a seed that cannot be placed should not abort the sweep
             print(f"seed {seed} skipped: {exc}", file=sys.stderr)
             continue
-        params = _params_for(graph, args)
         report = solve(graph, params, target_deficit=args.target_deficit,
                        seed=seed, max_budget=args.max_budget,
                        max_iterations=args.max_iterations)
@@ -222,7 +222,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_check(args) -> int:
     graph = multigraph.load(args.input)
-    params = _params_for(graph, args)
+    params = _params_for(graph.num_colours, args)
     report = hypothesis_check(graph, params)
     if args.json:
         print(json.dumps({
@@ -245,6 +245,30 @@ def _add_density_flags(p) -> None:
                    help="structure threshold ratio (default epsilon/12)")
 
 
+def _add_shape_flags(p) -> None:
+    p.add_argument("--colours", type=int, required=True)
+    p.add_argument("--count", type=int, default=None,
+                   help="edges per colour (default ceil(1.5 * colours))")
+    p.add_argument("--vertices", type=int, default=None,
+                   help="default 2 * count")
+    p.add_argument("--cap", type=int, default=None,
+                   help="parallel edge cap (default max(1, colours // 16))")
+
+
+def _add_solve_flags(p) -> None:
+    _add_density_flags(p)
+    p.add_argument("--target-deficit", type=int, default=0,
+                   help="stop at size n minus this (default 0)")
+    p.add_argument("--max-budget", type=int, default=64,
+                   help="cap on distance to the iteration base (default 64)")
+    p.add_argument("--max-iterations", type=int, default=1000)
+
+
+def _add_oracle_caps(p, time_limit: float) -> None:
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--time-limit", type=float, default=time_limit)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rainbowmatch",
                      description="Rainbow matchings in properly edge-coloured multigraphs")
@@ -252,13 +276,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="greedy plus switching augmentation")
     p.add_argument("--input", required=True, help="instance file")
-    _add_density_flags(p)
-    p.add_argument("--target-deficit", type=int, default=0,
-                   help="stop at size n minus this (default 0)")
+    _add_solve_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-budget", type=int, default=64,
-                   help="cap on distance to the iteration base (default 64)")
-    p.add_argument("--max-iterations", type=int, default=1000)
     p.add_argument("--shuffle", action="store_true",
                    help="seeded shuffle of switch configurations")
     p.add_argument("--json", action="store_true")
@@ -278,8 +297,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--latin", action="store_true",
                    help="input is a Latin square, search cells instead of edges")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
+    _add_oracle_caps(p, DEFAULT_TIME_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_oracle)
 
@@ -300,13 +318,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="write an instance")
     gsub = p.add_subparsers(dest="what", required=True)
     pr = gsub.add_parser("random", help="random dense proper instance")
-    pr.add_argument("--colours", type=int, required=True)
-    pr.add_argument("--count", type=int, default=None,
-                    help="edges per colour (default ceil(1.5 * colours))")
-    pr.add_argument("--vertices", type=int, default=None,
-                    help="default 2 * count")
-    pr.add_argument("--cap", type=int, default=None,
-                    help="parallel edge cap (default max(1, colours // 16))")
+    _add_shape_flags(pr)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--output", default=None)
     pr.set_defaults(handler=_cmd_generate)
@@ -318,18 +330,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="solve random instances, CSV to stdout")
     p.add_argument("--seeds", required=True, help="a range like 0..99 or one seed")
-    p.add_argument("--colours", type=int, required=True)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--vertices", type=int, default=None)
-    p.add_argument("--cap", type=int, default=None)
-    _add_density_flags(p)
-    p.add_argument("--target-deficit", type=int, default=0)
-    p.add_argument("--max-budget", type=int, default=64)
-    p.add_argument("--max-iterations", type=int, default=1000)
+    _add_shape_flags(p)
+    _add_solve_flags(p)
     p.add_argument("--no-oracle", action="store_true",
                    help="skip the exact optimum column")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--time-limit", type=float, default=10.0)
+    _add_oracle_caps(p, 10.0)
     p.set_defaults(handler=_cmd_bench)
 
     return parser

@@ -216,17 +216,18 @@ class InstanceParams:
         return self.alpha > self.epsilon / 12
 
     @classmethod
-    def for_graph(cls, graph: ColouredMultigraph, epsilon="1/2", alpha=None,
-                  min_colour_count: int | None = None,
-                  multiplicity_cap: int | None = None) -> "InstanceParams":
+    def for_graph(cls, graph: ColouredMultigraph, epsilon="1/2",
+                  alpha=None) -> "InstanceParams":
+        return cls.for_colours(graph.num_colours, epsilon, alpha)
+
+    @classmethod
+    def for_colours(cls, num_colours: int, epsilon="1/2",
+                    alpha=None) -> "InstanceParams":
+        """The defaults for any graph with ``num_colours`` colours."""
         eps = as_fraction(epsilon)
         a = eps / 12 if alpha is None else as_fraction(alpha)
-        n = graph.num_colours
-        if min_colour_count is None:
-            min_colour_count = ceil((1 + eps) * n)
-        if multiplicity_cap is None:
-            multiplicity_cap = max(1, floor(Fraction(n, 16)))
-        return cls(eps, a, min_colour_count, multiplicity_cap)
+        return cls(eps, a, ceil((1 + eps) * num_colours),
+                   max(1, floor(Fraction(num_colours, 16))))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ graph; a vertex is free when M does not cover it.  Each rule is stated once:
 external edges (one endpoint covered) in
 :func:`rainbowmatch.matching.external_edges`, indexed by covered endpoint in
 :func:`_by_covered_end`; the orientation of a matching edge, lower-id tail
-first, in :func:`_orient`; the certificate of a level edge in
-:func:`certificate`, which the switching engine walks too.
+first, in :func:`_orient`; a level edge's certificate in :func:`certificate`
+and a level-1 edge's base-switch pairs in :func:`_base_pairs`.
 
 Flexible edges have a tail that sees many external edges of unused colours;
 level-1 edges are certified by good flexible-coloured edges at their tail,
@@ -14,7 +14,8 @@ level-(i+1) edges by a lower level's certificate: many edges of its colours
 from the tail into free vertices or lower heads.  Growth stops when a
 candidate level falls below the stop threshold.  A head is "reachable" when
 its matching edge made some level; the switching engine can free any
-reachable head on demand.
+reachable head on demand.  Each :class:`LevelEdge` carries its switch
+options, built once when the edge is placed.
 
 Violations are edges whose colour is reachable but whose endpoints sit where
 no such edge may sit if the matching were unimprovable; each kind maps to an
@@ -24,7 +25,7 @@ augmentation recipe in :mod:`rainbowmatch.switching`.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, floor
 
 from .matching import RainbowMatching, external_edges
@@ -175,26 +176,30 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
 
 @dataclass(frozen=True)
 class LevelEdge:
-    """A matching edge placed on a level; ``cert`` names the lower level whose
-    colours certified it (0 means certified by good flexible edges)."""
+    """A matching edge placed on a level, with the options a switch has to
+    free its head.  ``cert`` names the lower level whose colours certified it
+    (0 means certified by good flexible edges).  A level-1 edge carries its
+    :func:`_base_pairs`; a higher one the :func:`certificate` that placed it,
+    ``lifts`` and ``descends``.  The fields a level does not use are empty."""
 
     edge_id: int
     tail: int
     head: int
     colour: int
     cert: int
+    pairs: tuple[tuple, ...] = field(repr=False)
+    lifts: tuple[tuple[int, int], ...] = field(repr=False)
+    descends: tuple[tuple[int, int], ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
 class Level:
-    """One level; ``heads_below`` holds the heads of every lower level, the
-    ones its certificates may descend into."""
+    """One level: its edges, with their heads and colours."""
 
     index: int
     edges: tuple[LevelEdge, ...]
     heads: frozenset[int]
     colours: frozenset[int]
-    heads_below: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -254,6 +259,30 @@ def certificate(graph: ColouredMultigraph, tail: int, colours, covered,
     return tuple(lifts), tuple(descends)
 
 
+def _base_pairs(graph: ColouredMultigraph, flex: FlexibleStructure,
+                good: GoodBadReport, edge_id: int, tail: int) -> tuple[tuple, ...]:
+    """Level-1 configurations ``(w, z, gid, hid, partner, spare)`` for the
+    matching edge ``edge_id`` with tail ``tail``: a good edge from the tail to
+    ``w`` whose colour has flexible edge ``partner``, other than ``edge_id``
+    itself, and an external unused-colour edge of colour ``spare`` from the
+    partner's tail to ``z``, with ``z`` not ``w``; sorted by the first four."""
+    found = []
+    for gid in good.good_at.get(tail, ()):
+        ge = graph.edge(gid)
+        w = ge.other(tail)
+        partner = flex.by_colour(ge.colour)
+        if partner is None or partner.edge_id == edge_id:
+            continue
+        for hid in flex.external_free_at.get(partner.tail, ()):
+            he = graph.edge(hid)
+            z = he.other(partner.tail)
+            if z == w:
+                continue
+            found.append((w, z, gid, hid, partner, he.colour))
+    found.sort(key=lambda t: t[:4])
+    return tuple(found)
+
+
 def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
                     flex: FlexibleStructure, good: GoodBadReport,
                     params: InstanceParams) -> Hierarchy:
@@ -262,7 +291,8 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
     Level 1 takes matching edges with at least max(1, ceil(alpha * |F|)) good
     flexible-coloured edges at the tail; level i+1 takes unassigned edges
     whose tail gets, from some lower level j, a certificate of at least
-    max(1, ceil(alpha * |R_j|)) edges.
+    max(1, ceil(alpha * |R_j|)) edges, and carries that certificate (from
+    the smallest such j), a level-1 edge its base-switch pairs.
     """
     stop = max(1, ceil(params.alpha * graph.num_colours))
     level1_threshold = max(1, ceil(params.alpha * len(flex.colours)))
@@ -272,7 +302,9 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
     below: frozenset[int] = frozenset()
 
     def certified_by_good(tail):
-        return 0 if len(good.good_at.get(tail, ())) >= level1_threshold else None
+        if len(good.good_at.get(tail, ())) >= level1_threshold:
+            return 0, (), ()
+        return None
 
     def certified_below(tail):
         # the smallest lower level whose certificate at ``tail`` is big enough
@@ -280,7 +312,7 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
             need = max(1, ceil(params.alpha * len(level.colours)))
             lifts, descends = certificate(graph, tail, level.colours, covered, below)
             if len(lifts) + len(descends) >= need:
-                return level.index
+                return level.index, lifts, descends
         return None
 
     while True:
@@ -292,8 +324,10 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
             e = graph.edge(eid)
             found = _orient(e, certify)
             if found is not None:
-                tail, head, cert = found
-                cands.append(LevelEdge(eid, tail, head, e.colour, cert))
+                tail, head, (cert, lifts, descends) = found
+                pairs = _base_pairs(graph, flex, good, eid, tail) if cert == 0 else ()
+                cands.append(LevelEdge(eid, tail, head, e.colour, cert,
+                                       pairs, lifts, descends))
         if len(cands) < stop:
             return Hierarchy(
                 levels=tuple(levels),
@@ -307,7 +341,6 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
             edges=tuple(cands),
             heads=frozenset(le.head for le in cands),
             colours=frozenset(le.colour for le in cands),
-            heads_below=below,
         )
         levels.append(level)
         assigned.update(le.edge_id for le in cands)

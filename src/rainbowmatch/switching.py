@@ -4,9 +4,11 @@ A switch request asks: starting from a matching close to the iteration base,
 free a given colour and its designated head while keeping named edges, never
 touching named vertices or colours.  Level-1 colours are freed directly by a
 four-edge exchange built from a good flexible-coloured edge and an external
-unused-colour edge; higher levels recurse through lower levels first.  Every
-produced matching stays within ``budget + closeness_slack(level)`` of the
-base, which keeps chains composable.
+unused-colour edge; higher levels recurse through lower levels first.  A
+switch tries exactly the options that its level edge
+(:class:`~rainbowmatch.reachability.LevelEdge`) carries.  Every produced
+matching stays within ``budget + closeness_slack(level)`` of the base, which
+keeps chains composable.
 
 Every multi-switch move is one chain (:func:`_chain`): requests served in
 order, each starting from the previous result with the previous distance to
@@ -32,8 +34,8 @@ from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
                        matching_to_json, verify)
 from .multigraph import ColouredMultigraph, InstanceParams
 from .reachability import (FlexibleStructure, GoodBadReport, Hierarchy,
-                           LevelEdge, Violation, build_hierarchy, certificate,
-                           classify_good_bad, compute_flexible, find_violations)
+                           Violation, build_hierarchy, classify_good_bad,
+                           compute_flexible, find_violations)
 
 logger = logging.getLogger(__name__)
 
@@ -157,9 +159,6 @@ class SwitchContext:
     max_budget: int = 64
     rng: random.Random | None = None
     call_log: list[CallRecord] = field(default_factory=list)
-    # facts fixed for the base, computed on first use, keyed by level-edge id
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, graph: ColouredMultigraph, matching: RainbowMatching,
@@ -178,45 +177,6 @@ class SwitchContext:
 
     def violations(self) -> list[Violation]:
         return find_violations(self.graph, self.base, self.flex, self.hierarchy)
-
-    def base_pairs(self, le: LevelEdge) -> tuple[tuple, ...]:
-        """Level-1 configurations ``(w, z, gid, hid, partner, spare)`` for
-        ``le``: a good edge from its tail to ``w`` whose colour has flexible
-        edge ``partner``, and an external unused-colour edge of colour
-        ``spare`` from the partner's tail to ``z``; sorted by the first
-        four."""
-        pairs = self._pairs.get(le.edge_id)
-        if pairs is None:
-            g = self.graph
-            found = []
-            for gid in self.good.good_at.get(le.tail, ()):
-                ge = g.edge(gid)
-                w = ge.other(le.tail)
-                partner = self.flex.by_colour(ge.colour)
-                if partner is None or partner.edge_id == le.edge_id:
-                    continue
-                for hid in self.flex.external_free_at.get(partner.tail, ()):
-                    he = g.edge(hid)
-                    z = he.other(partner.tail)
-                    if z == w:
-                        continue
-                    found.append((w, z, gid, hid, partner, he.colour))
-            found.sort(key=lambda t: t[:4])
-            pairs = self._pairs[le.edge_id] = tuple(found)
-        return pairs
-
-    def walks(self, level_idx: int, le: LevelEdge) -> tuple[tuple, tuple]:
-        """The :func:`~rainbowmatch.reachability.certificate` that put ``le``
-        on level ``level_idx``, computed on first use: sorted
-        ``(vertex, edge id)`` lifts into base-free vertices and descends into
-        lower heads, along the certifying level's colours."""
-        walks = self._walks.get(le.edge_id)
-        if walks is None:
-            levels = self.hierarchy.levels
-            walks = self._walks[le.edge_id] = certificate(
-                self.graph, le.tail, levels[le.cert - 1].colours, self.base.covered,
-                levels[level_idx - 1].heads_below)
-        return walks
 
 
 def robust_switch(ctx: SwitchContext, current: RainbowMatching,
@@ -312,7 +272,7 @@ def _switch_base(ctx, current, request, le, depth):
     flexible-coloured edge at the tail plus an external unused-colour edge at
     the partner's tail."""
     rej: dict[str, int] = {}
-    pairs = ctx.base_pairs(le)
+    pairs = le.pairs
     if ctx.rng is not None:
         pairs = list(pairs)
         ctx.rng.shuffle(pairs)
@@ -393,7 +353,7 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
     head (a descend, two)."""
     g = ctx.graph
     rej: dict[str, int] = {}
-    lifts, descends = ctx.walks(level_idx, le)
+    lifts, descends = le.lifts, le.descends
     if ctx.rng is not None:
         lifts = list(lifts)
         descends = list(descends)

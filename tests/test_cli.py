@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -241,6 +242,14 @@ class TestBench:
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
         assert "seed 1 skipped" in err
 
+    def test_params_built_once_per_run(self, capsys, caplog):
+        with caplog.at_level(logging.WARNING, logger="rainbowmatch"):
+            assert main(["bench", "--seeds", "0..2", "--colours", "4",
+                         "--no-oracle", "--alpha", "1/2"]) == 0
+        warned = [r for r in caplog.records if "exceeds epsilon/12" in r.getMessage()]
+        assert len(warned) == 1
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+
     def test_bad_parameters_still_fatal(self, capsys):
         # count beyond a perfect matching is a usage error, not a skip
         assert main(["bench", "--seeds", "0..2", "--colours", "4",
@@ -281,7 +290,8 @@ class TestErrors:
     def test_zero_denominator(self, z4_path, capsys, command, flag):
         argv = [arg.format(z4=z4_path) for arg in command] + [flag, "1/0"]
         assert main(argv) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # bench reads the ratios before its CSV header
         assert err.startswith("error: ") and "zero denominator" in err
         assert len(err.splitlines()) == 1
 

@@ -217,12 +217,38 @@ def brute_scan(graph, matching, flex, hier):
     return sorted(out)
 
 
+def brute_pairs(g, m, flex, good, le) -> tuple:
+    """The level-1 configurations ``(w, z, gid, hid, partner, spare)`` of
+    ``le``, enumerated from the graph: good edges at the tail (external,
+    flexible-coloured, not bad) times the external unused-colour edges at the
+    tail of their colour's flexible edge, minus ``z == w`` and ``le``'s own
+    flexible edge as partner; sorted by the first four."""
+    out = []
+    for gid in g.edges_at(le.tail):
+        ge = g.edge(gid)
+        if ge.u == ge.v or ge.colour not in flex.colours or gid in good.bad:
+            continue
+        w = ge.other(le.tail)
+        if m.is_covered(w):
+            continue
+        partner = next(oe for oe in flex.edges if oe.colour == ge.colour)
+        if partner.edge_id == le.edge_id:
+            continue
+        for hid in g.edges_at(partner.tail):
+            he = g.edge(hid)
+            if he.u == he.v or he.colour not in flex.free_colours:
+                continue
+            z = he.other(partner.tail)
+            if not m.is_covered(z) and z != w:
+                out.append((w, z, gid, hid, partner, he.colour))
+    return tuple(sorted(out, key=lambda t: t[:4]))
+
+
 def recount_certificates(g, m) -> int:
-    """Recount every level edge's certificate from scratch, check that the
-    switch engine walks exactly the certifying edges counted, and return how
+    """Recount every level edge's certificate from scratch, check that each
+    level edge carries exactly the switch options counted, and return how
     many level-2+ edges were checked."""
     params, flex, good, hier = analyse(g, m)
-    ctx = SwitchContext(g, m, params, flex, good, hier)
     free_set = set(m.free_vertices())
     level1_threshold = (max(1, ceil(params.alpha * len(flex.colours)))
                         if flex.colours else 1)
@@ -234,8 +260,11 @@ def recount_certificates(g, m) -> int:
             if level.index == 1:
                 assert le.cert == 0
                 assert len(good.good_at.get(le.tail, ())) >= level1_threshold
+                assert le.pairs == brute_pairs(g, m, flex, good, le)
+                assert le.lifts == le.descends == ()
                 continue
             assert 1 <= le.cert < level.index
+            assert le.pairs == ()
             targets = free_set | heads_below
             for j in range(1, le.cert + 1):
                 lower = hier.levels[j - 1]
@@ -249,13 +278,12 @@ def recount_certificates(g, m) -> int:
                     assert len(counted) < need  # cert is the smallest level
                 else:
                     assert len(counted) >= need
-            # the switch walks exactly the certifying edges counted
-            lifts, descends = ctx.walks(level.index, le)
-            assert all(v in free_set for v, _ in lifts)
-            assert all(v in heads_below for v, _ in descends)
-            assert list(lifts) == sorted(lifts)
-            assert list(descends) == sorted(descends)
-            assert sorted(lifts + descends) == counted
+            # the edge carries exactly the certifying edges counted
+            assert all(v in free_set for v, _ in le.lifts)
+            assert all(v in heads_below for v, _ in le.descends)
+            assert list(le.lifts) == sorted(le.lifts)
+            assert list(le.descends) == sorted(le.descends)
+            assert sorted(le.lifts + le.descends) == counted
             checked += 1
         heads_below |= level.heads
     return checked
@@ -383,11 +411,14 @@ def reachability_facts(graph, tmp_path, capsys) -> dict:
     for level in hier.levels:
         entries = []
         for le in level.edges:
+            # a level-2+ edge carries no base pairs; they stay pinned anyway
+            pairs = le.pairs if level.index == 1 else brute_pairs(
+                graph, m, flex, good, le)
             entry = {"edge": level_edge(le), "base_pairs": [
                 [w, z, gid, hid, partner.edge_id, partner.tail, spare]
-                for w, z, gid, hid, partner, spare in ctx.base_pairs(le)]}
+                for w, z, gid, hid, partner, spare in pairs]}
             if level.index >= 2:
-                entry["walks"] = ctx.walks(level.index, le)
+                entry["walks"] = (le.lifts, le.descends)
             entries.append(entry)
         levels.append(entries)
     path = tmp_path / "instance.txt"
