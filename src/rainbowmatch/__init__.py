@@ -15,10 +15,10 @@ from .matching import (Closeness, RainbowMatching, closeness, extend_to_maximal,
                        verify)
 from .oracle import (CapExceeded, OracleResult, max_partial_transversal,
                      max_rainbow_matching)
-from .reachability import (CountReport, FlexibleStructure, GoodBadReport,
-                           Hierarchy, Level, LevelEdge, OrientedEdge, Violation,
-                           build_hierarchy, certificate, classify_good_bad,
-                           compute_flexible, counting_diagnostics, find_violations)
+from .reachability import (FlexibleStructure, GoodBadReport, Hierarchy, Level,
+                           LevelEdge, OrientedEdge, Violation, build_hierarchy,
+                           certificate, classify_good_bad, compute_flexible,
+                           counting_diagnostics, find_violations)
 from .switching import (AugmentOutcome, CallRecord, ExchangeStep, NotFound,
                         SolveReport, SwitchContext, SwitchOutcome, SwitchRequest,
                         SwitchUsageError, augment, closeness_slack, robust_switch,

@@ -142,7 +142,6 @@ def _cmd_stats(args) -> int:
     else:
         m = greedy(graph, args.seed)
     ctx = SwitchContext.build(graph, m, params)
-    counting = counting_diagnostics(graph, m, ctx.flex, ctx.hierarchy, params)
     doc = {
         "levels": [{"i": lv.index, "size": len(lv.edges),
                     "colours": sorted(lv.colours)}
@@ -150,7 +149,7 @@ def _cmd_stats(args) -> int:
         "m": ctx.hierarchy.m,
         "F_size": len(ctx.flex.colours),
         "R_size": len(ctx.hierarchy.reach_colours),
-        "counting": counting.to_json_dict(),
+        "counting": counting_diagnostics(graph, m, ctx.hierarchy, params),
     }
     print(json.dumps(doc, indent=2))
     return 0

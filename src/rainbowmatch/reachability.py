@@ -19,14 +19,16 @@ options, built once when the edge is placed.
 
 Violations are edges whose colour is reachable but whose endpoints sit where
 no such edge may sit if the matching were unimprovable; each kind maps to an
-augmentation recipe in :mod:`rainbowmatch.switching`.
+augmentation recipe in :mod:`rainbowmatch.switching`.  The counting argument
+that some violation must exist is :func:`counting_diagnostics`, which returns
+the ``counting`` document that ``rainbowmatch stats`` prints.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from math import ceil, floor
+from math import ceil
 
 from .matching import RainbowMatching, external_edges
 from .multigraph import ColouredMultigraph, Edge, InstanceParams
@@ -409,9 +411,10 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
     return out
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """Edge counts behind the "some violation must exist" argument.
+def counting_diagnostics(graph: ColouredMultigraph, matching: RainbowMatching,
+                         hierarchy: Hierarchy, params: InstanceParams) -> dict:
+    """Edge counts behind the "some violation must exist" argument, as the
+    ``counting`` document of ``rainbowmatch stats``.
 
     The covered vertices split three ways: reachable heads, the fringe (tails
     of level edges plus both ends of the stopped candidates), and the core
@@ -420,99 +423,57 @@ class CountReport:
     supply of reachable-coloured edges exceeds what fringe and core can
     absorb, which at scale forces a violation; desk-size instances normally
     report False.
+
+    Raises ValueError when more edges of one colour lie inside the core than
+    a matching there can hold, which only an improper colouring allows.
     """
-
-    reach_colour_count: int
-    fringe: tuple[int, ...]
-    core: tuple[int, ...]
-    reach_edges_total: int
-    reach_edges_touching_fringe: int
-    reach_edges_core_not_fringe: int
-    reach_edges_inside_core: int
-    inside_core_by_colour: dict[int, int]
-    max_inside_core: int
-    per_core_vertex_outward: dict[int, int]
-    expected_min_total: int
-    fringe_capacity: int
-    core_capacity: int
-    forced_into_core: int
-    contradiction: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "reach_colours": self.reach_colour_count,
-            "fringe_size": len(self.fringe),
-            "core_size": len(self.core),
-            "reach_edges_total": self.reach_edges_total,
-            "reach_edges_touching_fringe": self.reach_edges_touching_fringe,
-            "reach_edges_core_not_fringe": self.reach_edges_core_not_fringe,
-            "reach_edges_inside_core": self.reach_edges_inside_core,
-            "max_inside_core": self.max_inside_core,
-            "expected_min_total": self.expected_min_total,
-            "fringe_capacity": self.fringe_capacity,
-            "core_capacity": self.core_capacity,
-            "forced_into_core": self.forced_into_core,
-            "contradiction": self.contradiction,
-        }
-
-
-def counting_diagnostics(graph: ColouredMultigraph, matching: RainbowMatching,
-                         flex: FlexibleStructure, hierarchy: Hierarchy,
-                         params: InstanceParams) -> CountReport:
     fringe: set[int] = set()
     for level in hierarchy.levels:
         fringe.update(le.tail for le in level.edges)
     for le in hierarchy.stopped:
         fringe.add(le.tail)
         fringe.add(le.head)
-    core = sorted(matching.covered - hierarchy.reach_heads - fringe)
-    core_set = set(core)
+    core = matching.covered - hierarchy.reach_heads - fringe
     reach = hierarchy.reach_colours
-    free_or_head = set(matching.free_vertices()) | hierarchy.reach_heads
 
-    total = touching_fringe = core_not_fringe = inside = 0
-    by_colour: dict[int, int] = {c: 0 for c in sorted(reach)}
-    outward: dict[int, int] = {v: 0 for v in core}
+    total = touching_fringe = core_not_fringe = inside_total = max_inside = 0
     for c in sorted(reach):
+        inside = 0
         for eid in graph.edges_with_colour(c):
             e = graph.edge(eid)
             total += 1
-            in_fringe = e.u in fringe or e.v in fringe
-            in_core = e.u in core_set or e.v in core_set
-            if in_fringe:
+            if e.u in fringe or e.v in fringe:
                 touching_fringe += 1
-            elif in_core:
+            elif e.u in core or e.v in core:
                 core_not_fringe += 1
-            if e.u in core_set and e.v in core_set and e.u != e.v:
+            if e.u in core and e.v in core and e.u != e.v:
                 inside += 1
-                by_colour[c] += 1
-            for x in {e.u, e.v}:
-                if x in core_set and e.other(x) in free_or_head:
-                    outward[x] += 1
-
-    max_inside = max(by_colour.values(), default=0)
-    # edges of one colour inside the core form a matching there
-    assert max_inside <= floor(len(core) / 2), "properness bound breached"
+        # edges of one colour inside the core form a matching there
+        if inside > len(core) // 2:
+            raise ValueError(
+                f"colour {c} has {inside} edges inside a core of {len(core)} "
+                "vertices, more than a matching there can hold: the colouring "
+                "is not proper")
+        inside_total += inside
+        max_inside = max(max_inside, inside)
 
     r = len(reach)
     expected_min_total = r * params.min_colour_count
     fringe_capacity = r * len(fringe)
     core_capacity = r * len(core)
     forced = expected_min_total - fringe_capacity
-    return CountReport(
-        reach_colour_count=r,
-        fringe=tuple(sorted(fringe)),
-        core=tuple(core),
-        reach_edges_total=total,
-        reach_edges_touching_fringe=touching_fringe,
-        reach_edges_core_not_fringe=core_not_fringe,
-        reach_edges_inside_core=inside,
-        inside_core_by_colour=by_colour,
-        max_inside_core=max_inside,
-        per_core_vertex_outward=outward,
-        expected_min_total=expected_min_total,
-        fringe_capacity=fringe_capacity,
-        core_capacity=core_capacity,
-        forced_into_core=forced,
-        contradiction=forced > core_capacity,
-    )
+    return {
+        "reach_colours": r,
+        "fringe_size": len(fringe),
+        "core_size": len(core),
+        "reach_edges_total": total,
+        "reach_edges_touching_fringe": touching_fringe,
+        "reach_edges_core_not_fringe": core_not_fringe,
+        "reach_edges_inside_core": inside_total,
+        "max_inside_core": max_inside,
+        "expected_min_total": expected_min_total,
+        "fringe_capacity": fringe_capacity,
+        "core_capacity": core_capacity,
+        "forced_into_core": forced,
+        "contradiction": forced > core_capacity,
+    }

@@ -33,9 +33,9 @@ from typing import NamedTuple
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
                        matching_to_json, verify)
 from .multigraph import ColouredMultigraph, InstanceParams
-from .reachability import (FlexibleStructure, GoodBadReport, Hierarchy,
-                           Violation, build_hierarchy, classify_good_bad,
-                           compute_flexible, find_violations)
+from .reachability import (FlexibleStructure, Hierarchy, Violation,
+                           build_hierarchy, classify_good_bad, compute_flexible,
+                           find_violations)
 
 logger = logging.getLogger(__name__)
 
@@ -152,9 +152,7 @@ class SwitchContext:
 
     graph: ColouredMultigraph
     base: RainbowMatching
-    params: InstanceParams
     flex: FlexibleStructure
-    good: GoodBadReport
     hierarchy: Hierarchy
     max_budget: int = 64
     rng: random.Random | None = None
@@ -172,8 +170,7 @@ class SwitchContext:
         flex = compute_flexible(graph, matching, params)
         good = classify_good_bad(graph, matching, flex, params)
         hierarchy = build_hierarchy(graph, matching, flex, good, params)
-        return cls(graph, matching, params, flex, good, hierarchy,
-                   max_budget=max_budget, rng=rng)
+        return cls(graph, matching, flex, hierarchy, max_budget=max_budget, rng=rng)
 
     def violations(self) -> list[Violation]:
         return find_violations(self.graph, self.base, self.flex, self.hierarchy)
@@ -382,7 +379,6 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
 class AugmentOutcome:
     matching: RainbowMatching
     steps: list[ExchangeStep]
-    violation: Violation
 
 
 def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFound:
@@ -423,7 +419,7 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     if isinstance(out, NotFound):
         return out
     matching, steps = out
-    return AugmentOutcome(matching.with_swap((), (e.id,)), steps, violation)
+    return AugmentOutcome(matching.with_swap((), (e.id,)), steps)
 
 
 @dataclass

@@ -154,3 +154,14 @@ def descend_fixture():
         (7, 4, 0),     # 11: certifying edge, tail 7 to head 4
     ])
     return g
+
+
+@pytest.fixture
+def improper_witness():
+    """Colour 2 repeats the edge 3-5, and greedy (seed 0) leaves both copies
+    inside a core of two vertices: more edges of one colour there than a
+    matching can hold."""
+    return ColouredMultigraph(7, 3, [
+        (3, 5, 2), (2, 2, 2), (2, 4, 2), (3, 5, 0), (0, 1, 1), (0, 0, 2),
+        (3, 5, 2), (0, 2, 2), (2, 3, 1),
+    ])

@@ -193,6 +193,15 @@ class TestStats:
         assert out == ""
         assert err.startswith(f"{kind}: ")
 
+    def test_improper_colouring_exits_1(self, tmp_path, improper_witness, capsys):
+        path = tmp_path / "improper.txt"
+        path.write_text(dumps_graph(improper_witness))
+        assert main(["stats", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: colour 2 has 2 edges inside a core of 2 ")
+        assert len(err.splitlines()) == 1
+
 
 class TestBench:
     def test_csv_shape(self, capsys):
