@@ -130,6 +130,12 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_stats(args) -> int:
     graph = multigraph.load(args.input)
+    # every count in the document assumes a proper colouring; loops are left
+    # to the counting
+    clash = next((i for i in multigraph.validate(graph) if i.kind == "colour_clash"),
+                 None)
+    if clash is not None:
+        raise ValueError(f"not properly coloured: {clash.detail}")
     params = _params_for(graph.num_colours, args)
     if args.matching:
         with open(args.matching, "r", encoding="utf-8") as fh:

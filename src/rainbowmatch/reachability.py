@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from math import ceil
+from typing import NamedTuple
 
 from .matching import RainbowMatching, external_edges
 from .multigraph import ColouredMultigraph, Edge, InstanceParams
@@ -352,8 +353,7 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
 _KIND_RANK = {"extend": 0, "reach_free": 1, "reach_reach": 2, "free_free": 3}
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """An edge that lets the matching grow.
 
     kinds: ``extend`` (unused colour, both endpoints free),
@@ -378,37 +378,39 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
     free_free, ties by witness vertices then edge id.
 
     Scans only the unused-colour and reachable-colour classes; the brute-force
-    equivalent is a full edge sweep.
+    equivalent is a full edge sweep.  Candidates are ranked as plain tuples,
+    ``(kind rank, vertices, edge id, kind, colour)``, and only then built.
     """
-    out: list[Violation] = []
+    edges = graph.edges
+    covered = matching.covered
+    found = []
     for c in sorted(flex.free_colours):
         for eid in graph.edges_with_colour(c):
-            e = graph.edge(eid)
-            if e.u == e.v:
-                continue
-            if not matching.is_covered(e.u) and not matching.is_covered(e.v):
-                out.append(Violation("extend", eid, c, tuple(sorted((e.u, e.v)))))
+            _, u, v, _ = edges[eid]
+            if u != v and u not in covered and v not in covered:
+                found.append((0, (u, v) if u < v else (v, u), eid, "extend", c))
     heads = hierarchy.reach_heads
     for c in sorted(hierarchy.reach_colours):
         own = matching.edge_of_colour(c)
         for eid in graph.edges_with_colour(c):
             if eid == own:
                 continue
-            e = graph.edge(eid)
-            if e.u == e.v:
+            _, u, v, _ = edges[eid]
+            if u == v:
                 continue
-            hu, hv = e.u in heads, e.v in heads
-            fu, fv = not matching.is_covered(e.u), not matching.is_covered(e.v)
-            if hu and hv:
-                out.append(Violation("reach_reach", eid, c, tuple(sorted((e.u, e.v)))))
-            elif hu and fv:
-                out.append(Violation("reach_free", eid, c, (e.u, e.v)))
-            elif hv and fu:
-                out.append(Violation("reach_free", eid, c, (e.v, e.u)))
-            elif fu and fv:
-                out.append(Violation("free_free", eid, c, tuple(sorted((e.u, e.v)))))
-    out.sort(key=lambda v: v.rank)
-    return out
+            if u in heads:
+                if v in heads:
+                    found.append((2, (u, v) if u < v else (v, u), eid, "reach_reach", c))
+                elif v not in covered:
+                    found.append((1, (u, v), eid, "reach_free", c))
+            elif v in heads:
+                if u not in covered:
+                    found.append((1, (v, u), eid, "reach_free", c))
+            elif u not in covered and v not in covered:
+                found.append((3, (u, v) if u < v else (v, u), eid, "free_free", c))
+    found.sort()
+    return [Violation(kind, eid, c, vertices)
+            for _, vertices, eid, kind, c in found]
 
 
 def counting_diagnostics(graph: ColouredMultigraph, matching: RainbowMatching,

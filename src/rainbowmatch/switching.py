@@ -185,66 +185,67 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     and the requested head uncovered, or :class:`NotFound`.  Malformed
     requests raise :class:`SwitchUsageError`.
     """
-    entry = ctx.hierarchy.entry(request.colour)
+    colour, vertex, budget, fix, avoid_vertices, avoid_colours = request
+    hierarchy = ctx.hierarchy
+    entry = hierarchy.entry(colour)
     if entry is None:
-        raise SwitchUsageError(f"colour {request.colour} is not reachable")
+        raise SwitchUsageError(f"colour {colour} is not reachable")
     level_idx, le = entry
-    if request.vertex != le.head:
+    if vertex != le.head:
         raise SwitchUsageError(
-            f"vertex {request.vertex} is not the designated head of colour "
-            f"{request.colour} (expected {le.head})")
-    if le.edge_id not in current.edge_ids:
-        raise SwitchUsageError(f"edge {le.edge_id} for colour {request.colour} "
+            f"vertex {vertex} is not the designated head of colour "
+            f"{colour} (expected {le.head})")
+    edge_ids = current.edge_ids
+    if le.edge_id not in edge_ids:
+        raise SwitchUsageError(f"edge {le.edge_id} for colour {colour} "
                                "has already left the matching")
-    if le.edge_id in request.fix:
+    if le.edge_id in fix:
         raise SwitchUsageError("cannot fix the edge being switched out")
-    if not request.fix <= current.edge_ids:
+    if not fix <= edge_ids:
         raise SwitchUsageError("fix set contains edges outside the matching")
-    clash = request.avoid_vertices & current.covered
-    if clash:
+    if not avoid_vertices.isdisjoint(current.covered):
+        clash = avoid_vertices & current.covered
         raise SwitchUsageError(f"avoided vertices already covered: {sorted(clash)}")
-    for c in request.avoid_colours:
+    for c in avoid_colours:
         if current.uses_colour(c):
             raise SwitchUsageError(f"avoided colour {c} already in use")
-    cap = 2 * (ctx.hierarchy.m - level_idx + 1)
-    for name, group in (("fix", request.fix),
-                        ("avoid_vertices", request.avoid_vertices),
-                        ("avoid_colours", request.avoid_colours)):
-        if len(group) > cap:
-            raise SwitchUsageError(f"{name} larger than {cap} at level {level_idx}")
-    if not closeness(ctx.base, current).within(request.budget):
+    cap = 2 * (hierarchy.m - level_idx + 1)
+    if len(fix) > cap or len(avoid_vertices) > cap or len(avoid_colours) > cap:
+        for name, group in (("fix", fix), ("avoid_vertices", avoid_vertices),
+                            ("avoid_colours", avoid_colours)):
+            if len(group) > cap:
+                raise SwitchUsageError(f"{name} larger than {cap} at level {level_idx}")
+    if not closeness(ctx.base, current).within(budget):
         raise SwitchUsageError("current matching is farther from base than the budget")
-    if depth > ctx.hierarchy.m:
+    if depth > hierarchy.m:
         raise SwitchUsageError("recursion deeper than the hierarchy")
 
-    if request.budget + closeness_slack(level_idx) > ctx.max_budget:
+    slack = closeness_slack(level_idx)
+    if budget + slack > ctx.max_budget:
         return NotFound("budget_cap", {})
 
     if level_idx == 1:
         out = _switch_base(ctx, current, request, le, depth)
     else:
         out = _switch_inductive(ctx, current, request, level_idx, le, depth)
-    if isinstance(out, NotFound):
+    if type(out) is NotFound:
         return out
 
     result, steps, rejections = out
-    assert result.edge_of_colour(request.colour) is None
-    assert not result.is_covered(request.vertex)
-    assert request.fix <= result.edge_ids
-    assert not (request.avoid_vertices & result.covered)
-    assert not any(result.uses_colour(c) for c in request.avoid_colours)
+    assert result.edge_of_colour(colour) is None
+    assert not result.is_covered(vertex)
+    assert fix <= result.edge_ids
+    assert avoid_vertices.isdisjoint(result.covered)
+    assert not any(result.uses_colour(c) for c in avoid_colours)
     near = closeness(ctx.base, result)
-    assert near.within(request.budget + closeness_slack(level_idx))
+    assert near.within(budget + slack)
     ctx.call_log.append(CallRecord(
-        colour=request.colour, vertex=request.vertex, level=level_idx,
-        budget=request.budget, fix=tuple(sorted(request.fix)),
-        avoid_vertices=tuple(sorted(request.avoid_vertices)),
-        avoid_colours=tuple(sorted(request.avoid_colours)),
-        base_ids=ctx.base.sorted_ids,
-        start_ids=current.sorted_ids,
-        result_ids=result.sorted_ids,
-        distance_to_base=near.distance,
-    ))
+        colour, vertex, level_idx, budget,
+        tuple(sorted(fix)) if fix else (),
+        tuple(sorted(avoid_vertices)) if avoid_vertices else (),
+        tuple(sorted(avoid_colours)) if avoid_colours else (),
+        ctx.base.sorted_ids, current.sorted_ids, result.sorted_ids,
+        near.distance))
     return SwitchOutcome(result, steps, near.distance, rejections)
 
 

@@ -199,8 +199,28 @@ class TestStats:
         assert main(["stats", "--input", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: colour 2 has 2 edges inside a core of 2 ")
+        assert err.startswith("error: not properly coloured: vertex 0 carries 2 "
+                              "edges of colour 2")
         assert len(err.splitlines()) == 1
+
+    def test_improper_colouring_within_the_core_bound_exits_1(self, tmp_path,
+                                                              capsys):
+        # two paths of two colours: no colour breaks the core bound, so the
+        # counting alone would print a full document and exit 0
+        path = tmp_path / "improper.txt"
+        path.write_text("4 2\n0 1 0\n1 2 0\n2 3 1\n0 3 1\n")
+        assert main(["stats", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: not properly coloured: vertex 1 carries 2 edges "
+                       "of colour 0\n")
+
+    def test_loop_is_not_a_clash(self, tmp_path, capsys):
+        path = tmp_path / "loop.txt"
+        path.write_text("4 2\n0 1 0\n2 3 1\n2 2 0\n")
+        assert main(["stats", "--input", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "contradiction" in doc["counting"]
 
 
 class TestBench:

@@ -191,9 +191,19 @@ class TestViolations:
         # ties within a kind fall back to witness vertices then edge id
         assert sorted(vs, key=lambda v: v.rank)[0].edge_id == 2
 
+    def test_named_tuple_repr_and_immutability(self):
+        v = Violation("reach_free", 10, 2, (0, 9))
+        assert repr(v) == ("Violation(kind='reach_free', edge_id=10, colour=2, "
+                           "vertices=(0, 9))")
+        assert v.rank == (1, (0, 9), 10)
+        with pytest.raises(AttributeError):
+            v.kind = "extend"
+
 
 def brute_scan(graph, matching, flex, hier):
-    """Full-edge-sweep reference for find_violations, kind and id only."""
+    """Full-edge-sweep reference for find_violations: ``(kind, edge id,
+    colour, witness vertices)`` in rank order, that is extend, reach_free,
+    reach_reach, free_free, ties by witness vertices then edge id."""
     heads = hier.reach_heads
     out = []
     for e in graph.edges:
@@ -201,20 +211,24 @@ def brute_scan(graph, matching, flex, hier):
             continue
         fu = not matching.is_covered(e.u)
         fv = not matching.is_covered(e.v)
+        hu, hv = e.u in heads, e.v in heads
+        ends = tuple(sorted((e.u, e.v)))
         if e.colour in flex.free_colours:
             if fu and fv:
-                out.append(("extend", e.id))
+                out.append(("extend", e.id, e.colour, ends))
         elif e.colour in hier.reach_colours:
             if e.id == matching.edge_of_colour(e.colour):
                 continue
-            hu, hv = e.u in heads, e.v in heads
             if hu and hv:
-                out.append(("reach_reach", e.id))
-            elif (hu and fv) or (hv and fu):
-                out.append(("reach_free", e.id))
+                out.append(("reach_reach", e.id, e.colour, ends))
+            elif hu and fv:
+                out.append(("reach_free", e.id, e.colour, (e.u, e.v)))
+            elif hv and fu:
+                out.append(("reach_free", e.id, e.colour, (e.v, e.u)))
             elif fu and fv:
-                out.append(("free_free", e.id))
-    return sorted(out)
+                out.append(("free_free", e.id, e.colour, ends))
+    order = ["extend", "reach_free", "reach_reach", "free_free"]
+    return sorted(out, key=lambda t: (order.index(t[0]), t[3], t[1]))
 
 
 def brute_pairs(g, m, flex, good, le) -> tuple:
@@ -301,9 +315,9 @@ class TestProperties:
         found = find_violations(g, m, flex, hier)
         assert all(v.kind != "extend" for v in found)
 
-        # detector agrees with the brute-force sweep
-        assert sorted((v.kind, v.edge_id) for v in found) == brute_scan(
-            g, m, flex, hier)
+        # detector agrees with the brute-force sweep, order and witnesses too
+        assert [(v.kind, v.edge_id, v.colour, v.vertices)
+                for v in found] == brute_scan(g, m, flex, hier)
 
         # levels partition a subset of the matching edges
         seen: set[int] = set()
@@ -316,6 +330,24 @@ class TestProperties:
 
         # the level count respects the 1/alpha bound
         assert hier.m <= floor(1 / params.alpha)
+
+    @given(st.integers(0, 200), st.integers(0, 7), st.integers(0, 50))
+    @PROPERTY_SETTINGS
+    def test_violations_on_non_maximal_matchings(self, seed, greedy_seed, drop):
+        # greedy minus one edge: the freed edge, at least, is an extend
+        # violation, which a maximal matching never has
+        g = random_instance(seed)
+        full = greedy(g, greedy_seed)
+        if not full.sorted_ids:
+            return
+        dropped = full.sorted_ids[drop % len(full)]
+        m = RainbowMatching(g, full.edge_ids - {dropped})
+        _, flex, _, hier = analyse(g, m)
+        found = find_violations(g, m, flex, hier)
+        assert [(v.kind, v.edge_id, v.colour, v.vertices)
+                for v in found] == brute_scan(g, m, flex, hier)
+        assert ("extend", dropped) in [(v.kind, v.edge_id) for v in found]
+        assert [v.rank for v in found] == sorted(v.rank for v in found)
 
     @given(st.integers(0, 200), st.integers(0, 7))
     @PROPERTY_SETTINGS

@@ -31,7 +31,7 @@ from rainbowmatch import (
 )
 
 from conftest import random_instance, tight_instance
-from test_reachability import REACHABILITY_GOLDEN
+from test_reachability import REACHABILITY_GOLDEN, isotope
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -253,6 +253,48 @@ class TestUsageErrors:
         ctx = SwitchContext.build(g, base)
         with pytest.raises(SwitchUsageError, match="deeper"):
             robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0), depth=2)
+
+    # each request breaks one rule and the next one in check order (the last
+    # rule alone); the first rule's message wins, also when the budget cap
+    # would block the search (max_budget 3 is below level 1's slack of 4)
+    @pytest.mark.parametrize("max_budget", [64, 3])
+    @pytest.mark.parametrize("current_ids,request_kw,depth,message", [
+        ([0, 1], dict(colour=1, vertex=5), 0, "not reachable"),
+        ([2, 3], dict(colour=0, vertex=1), 0, "designated head"),
+        ([2, 3], dict(colour=0, vertex=0, fix=[0]), 0, "left the matching"),
+        ([0, 1], dict(colour=0, vertex=0, fix=[0, 3]), 0, "cannot fix"),
+        ([0, 1], dict(colour=0, vertex=0, fix=[3], avoid_vertices=[1]), 0,
+         "outside the matching"),
+        ([0, 1], dict(colour=0, vertex=0, avoid_vertices=[1],
+                      avoid_colours=[1]), 0, "already covered: [1]"),
+        ([0, 1], dict(colour=0, vertex=0, avoid_colours=[1, 5, 6]), 0,
+         "colour 1 already in use"),
+        ([0, 3], dict(colour=0, vertex=0, avoid_colours=[5, 6, 7]), 0,
+         "avoid_colours larger than 2 at level 1"),
+        ([0, 3], dict(colour=0, vertex=0), 2, "farther from base"),
+        ([0, 1], dict(colour=0, vertex=0), 2, "deeper than the hierarchy"),
+    ], ids=["unreachable+head", "head+gone", "gone+fix_target",
+            "fix_target+fix_outside", "fix_outside+avoid_covered",
+            "avoid_covered+colour_in_use", "colour_in_use+cap",
+            "cap+budget", "budget+depth", "depth"])
+    def test_first_broken_rule_wins(self, base_switch_fixture, max_budget,
+                                    current_ids, request_kw, depth, message):
+        g = base_switch_fixture
+        ctx = SwitchContext.build(g, RainbowMatching(g, [0, 1]),
+                                  max_budget=max_budget)
+        current = RainbowMatching(g, current_ids)
+        with pytest.raises(SwitchUsageError, match=re.escape(message)):
+            robust_switch(ctx, current, SwitchRequest(**request_kw), depth)
+
+    def test_cap_names_the_first_oversized_set(self, reach_free_fixture):
+        g = reach_free_fixture
+        base = RainbowMatching(g, [0, 1, 2, 3])
+        ctx = SwitchContext.build(g, base)
+        with pytest.raises(SwitchUsageError,
+                           match="^avoid_vertices larger than 2 at level 1$"):
+            robust_switch(ctx, base, SwitchRequest(
+                colour=0, vertex=0, avoid_vertices=[8, 9, 10],
+                avoid_colours=[20, 21, 22]))
 
     @pytest.mark.parametrize("edge_ids,problem", [
         ([0, -1], "edge id -1 not in graph"),      # not read as the last edge
@@ -664,6 +706,22 @@ GOLDEN_DESCEND = {
     True: "8d47fe203e8a8e355c4921c5d86854b300d50e4bb570966582d39f27e786a94d",
 }
 
+# solve(isotope(n, seed), seed=seed): (status, size, violations tried in the
+# last iteration, logged calls, digest), recorded the same way before the
+# switch call's checks and the violation sweep were made cheaper; n=64 is a
+# full stall proof
+GOLDEN_LATIN = {
+    (63, 1): ("target_reached", 63, 611, 927,
+              "2c2635ca0d63c14d475afe78ed552ad32dba9eddff841f2631496627d68845a8"),
+    (64, 2): ("stalled", 62, 629, 799,
+              "fa7c20eb9fb98fe48d8358b902d1ba2ffa7a2e8d3b834b4b26006f23934f7820"),
+}
+
+
+def golden_blob(report) -> str:
+    return (json.dumps(report.to_json_dict(), indent=2)
+            + repr(report.switch_calls) + repr(report.iterations))
+
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("seed,shuffle", sorted(GOLDEN))
@@ -671,8 +729,7 @@ class TestGoldenOutput:
         # near-threshold random instances: seeds 3 and 5 log 400-600
         # successful switch calls over two augmentation rounds
         report = solve(generate_random(32, 34, 68, 2, seed), shuffle=shuffle)
-        blob = (json.dumps(report.to_json_dict(), indent=2)
-                + repr(report.switch_calls) + repr(report.iterations))
+        blob = golden_blob(report)
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[seed, shuffle]
 
     @pytest.mark.parametrize("shuffle", sorted(GOLDEN_DESCEND))
@@ -690,6 +747,14 @@ class TestGoldenOutput:
         report = solve(generate_random(48, 50, 100, 3, 1), seed=1,
                        shuffle=shuffle)
         assert (landed["lift"], landed["descend"]) == (171, 1)
-        blob = (json.dumps(report.to_json_dict(), indent=2)
-                + repr(report.switch_calls) + repr(report.iterations))
+        blob = golden_blob(report)
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_DESCEND[shuffle]
+
+    @pytest.mark.parametrize("n,seed", sorted(GOLDEN_LATIN))
+    def test_latin_stall_proof_unchanged(self, n, seed):
+        report = solve(isotope(n, seed), seed=seed)
+        *shape, digest = GOLDEN_LATIN[n, seed]
+        assert [report.status, report.size, report.iterations[-1].attempted,
+                len(report.switch_calls)] == shape
+        blob = golden_blob(report)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
