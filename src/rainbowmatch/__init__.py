@@ -20,9 +20,9 @@ from .reachability import (FlexibleStructure, GoodBadReport, Hierarchy, Level,
                            certificate, classify_good_bad, compute_flexible,
                            counting_diagnostics, find_violations)
 from .switching import (AugmentOutcome, CallRecord, ExchangeStep, NotFound,
-                        SolveReport, SwitchContext, SwitchOutcome, SwitchRequest,
-                        SwitchUsageError, augment, closeness_slack, robust_switch,
-                        solve)
+                        SolveReport, SwitchCall, SwitchContext, SwitchOutcome,
+                        SwitchRequest, SwitchUsageError, augment, closeness_slack,
+                        robust_switch, solve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

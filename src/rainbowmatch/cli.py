@@ -4,9 +4,10 @@ Subcommands: solve, verify, oracle, stats, check, generate, bench.  JSON
 goes to stdout, logs to stderr (level picked by the RAINBOW_LOG environment
 variable: error, info or debug).  Exit codes: 0 success, 1 bad arguments or
 unreadable input, and per-command codes documented on each handler (solve:
-2 stalled, 3 iteration cap; verify: 2 violations; oracle: 2 cap exceeded;
-stats: 2 the --matching file is not a rainbow matching; check: 2 hypotheses
-not met).
+2 stalled, 3 iteration cap; verify: 2 violations, or a matching document
+that disagrees with itself or the instance; oracle: 2 cap exceeded; stats: 2
+the same for the --matching file; check: 2 hypotheses not met).  A matching
+document with an edge id that is not an integer is unreadable input.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from math import ceil
 from . import multigraph
 from .instances import (PlacementError, cyclic_square, dumps_square, generate_random,
                         latin_to_graph, load_square)
-from .matching import greedy, matching_from_json, matching_to_json, verify
+from .matching import (document_issues, greedy, matching_from_json,
+                       matching_to_json, verify)
 from .multigraph import InstanceParams, hypothesis_check
 from .oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, CapExceeded,
                      max_partial_transversal, max_rainbow_matching)
@@ -83,12 +85,18 @@ def _cmd_solve(args) -> int:
     return report.exit_code
 
 
-def _cmd_verify(args) -> int:
-    graph = multigraph.load(args.input)
-    with open(args.matching, "r", encoding="utf-8") as fh:
+def _load_matching(graph, path: str):
+    """The matching that the JSON document at ``path`` lists, and every
+    issue with it: the document's own first, then :func:`verify`'s."""
+    with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     m = matching_from_json(graph, doc)
-    issues = verify(graph, m)
+    return m, document_issues(graph, doc) + verify(graph, m)
+
+
+def _cmd_verify(args) -> int:
+    graph = multigraph.load(args.input)
+    m, issues = _load_matching(graph, args.matching)
     if args.json:
         print(json.dumps({
             "ok": not issues,
@@ -138,9 +146,7 @@ def _cmd_stats(args) -> int:
         raise ValueError(f"not properly coloured: {clash.detail}")
     params = _params_for(graph.num_colours, args)
     if args.matching:
-        with open(args.matching, "r", encoding="utf-8") as fh:
-            m = matching_from_json(graph, json.load(fh))
-        issues = verify(graph, m)
+        m, issues = _load_matching(graph, args.matching)
         if issues:
             for i in issues:
                 print(f"{i.kind}: {i.detail}", file=sys.stderr)

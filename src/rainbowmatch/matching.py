@@ -14,6 +14,7 @@ violation instead of raising.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import NamedTuple
 
 from .multigraph import ColouredMultigraph, Issue
@@ -303,10 +304,45 @@ def matching_to_json(graph: ColouredMultigraph, matching: RainbowMatching) -> di
 
 
 def matching_from_json(graph: ColouredMultigraph, doc: dict) -> RainbowMatching:
-    """Rebuild a matching from its JSON form; ids are taken as-is so a stale
-    or corrupt document still loads and can be verified."""
+    """Rebuild a matching from its JSON form; integer ids are taken as-is so
+    a stale or corrupt document still loads and can be checked with
+    :func:`document_issues` and :func:`verify`.  Any other id (a float, a
+    bool, a string, null) makes the document malformed."""
     try:
-        ids = [int(item["edge_id"]) for item in doc["edges"]]
+        ids = [item["edge_id"] for item in doc["edges"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matching document: {exc}") from None
+    for i in ids:
+        if type(i) is not int:
+            raise ValueError(f"malformed matching document: edge id {i!r} "
+                             "is not an integer")
     return RainbowMatching(graph, ids)
+
+
+def document_issues(graph: ColouredMultigraph, doc: dict) -> list[Issue]:
+    """Report every way a document that :func:`matching_from_json` loads
+    disagrees with itself or with ``graph``: an edge listed more than once,
+    an edge whose ``u``, ``v`` or ``colour`` differ from the graph's edge of
+    that id (either endpoint order), a ``size`` other than the number of
+    edges listed.  Fields left out are not checked; ids outside the graph
+    are left to :func:`verify`."""
+    items = doc["edges"]
+    listed = Counter(item["edge_id"] for item in items)
+    issues = [Issue("duplicate_edge", f"edge {i} listed {times} times", edge_ids=(i,))
+              for i, times in sorted(listed.items()) if times > 1]
+    for item in items:
+        i = item["edge_id"]
+        if not (0 <= i < graph.num_edges):
+            continue
+        e = graph.edge(i)
+        u, v, colour = item.get("u", e.u), item.get("v", e.v), item.get("colour", e.colour)
+        if (type(u) is not int or type(v) is not int or type(colour) is not int
+                or {u, v} != {e.u, e.v} or colour != e.colour):
+            issues.append(Issue(
+                "edge_mismatch", f"edge {i} is {e.u}-{e.v} colour {e.colour}, "
+                f"listed as {u!r}-{v!r} colour {colour!r}", edge_ids=(i,)))
+    size = doc.get("size", len(items))
+    if type(size) is not int or size != len(items):
+        issues.append(Issue("size_mismatch",
+                            f"size {size!r} but {len(items)} edges listed"))
+    return issues

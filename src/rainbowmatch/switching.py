@@ -20,6 +20,12 @@ down: a lift frees one lower colour, a descend two, then one exchange moves
 the switched edge onto the certifying edge.  The solve loop is greedy
 construction followed by repeated find-violations / augment rounds until the
 target size is reached or no recipe lands.
+
+Each successful call is asserted against its contract as it returns, and its
+outcome carries a :class:`SwitchCall` for it and for every call under it,
+the way it carries its exchange steps.  ``solve`` turns only the landed
+augmentations' calls into records (:class:`CallRecord`), one per exchange; a
+caller that wants every call wraps the module-global :func:`robust_switch`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
@@ -110,10 +116,22 @@ class ExchangeStep:
     added: tuple[int, ...]
 
 
+class SwitchCall(NamedTuple):
+    """A successful switch call as its outcome carries it: references only,
+    nothing sorted or copied.  :meth:`CallRecord.from_call` makes a record
+    of it."""
+
+    request: SwitchRequest
+    level: int
+    start: RainbowMatching
+    result: RainbowMatching
+    distance_to_base: int
+
+
 class CallRecord(NamedTuple):
     """A successful switch call with everything needed to re-check its
-    contract afterwards.  A named tuple, cheap to build once per call; the
-    id tuples are shared with the matchings' sorted ids, never copied."""
+    contract afterwards, as plain sorted ids.  The id tuples are shared with
+    the matchings' sorted ids, never copied."""
 
     colour: int
     vertex: int
@@ -127,11 +145,24 @@ class CallRecord(NamedTuple):
     result_ids: tuple[int, ...]
     distance_to_base: int
 
+    @classmethod
+    def from_call(cls, base: RainbowMatching, call: SwitchCall) -> "CallRecord":
+        """The record of ``call``, made in a context whose base is ``base``."""
+        colour, vertex, budget, fix, avoid_vertices, avoid_colours = call.request
+        return cls(colour, vertex, call.level, budget, tuple(sorted(fix)),
+                   tuple(sorted(avoid_vertices)), tuple(sorted(avoid_colours)),
+                   base.sorted_ids, call.start.sorted_ids, call.result.sorted_ids,
+                   call.distance_to_base)
+
 
 @dataclass
 class SwitchOutcome:
+    """A served request.  ``steps`` and ``calls`` cover this call and every
+    call under it, innermost first; this call's own entries come last."""
+
     matching: RainbowMatching
     steps: list[ExchangeStep]
+    calls: list[SwitchCall]
     distance_to_base: int
     rejections: dict[str, int]
 
@@ -156,7 +187,6 @@ class SwitchContext:
     hierarchy: Hierarchy
     max_budget: int = 64
     rng: random.Random | None = None
-    call_log: list[CallRecord] = field(default_factory=list)
 
     @classmethod
     def build(cls, graph: ColouredMultigraph, matching: RainbowMatching,
@@ -231,7 +261,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     if type(out) is NotFound:
         return out
 
-    result, steps, rejections = out
+    result, steps, calls, rejections = out
     assert result.edge_of_colour(colour) is None
     assert not result.is_covered(vertex)
     assert fix <= result.edge_ids
@@ -239,30 +269,28 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     assert not any(result.uses_colour(c) for c in avoid_colours)
     near = closeness(ctx.base, result)
     assert near.within(budget + slack)
-    ctx.call_log.append(CallRecord(
-        colour, vertex, level_idx, budget,
-        tuple(sorted(fix)) if fix else (),
-        tuple(sorted(avoid_vertices)) if avoid_vertices else (),
-        tuple(sorted(avoid_colours)) if avoid_colours else (),
-        ctx.base.sorted_ids, current.sorted_ids, result.sorted_ids,
-        near.distance))
-    return SwitchOutcome(result, steps, near.distance, rejections)
+    calls.append(SwitchCall(request, level_idx, current, result, near.distance))
+    return SwitchOutcome(result, steps, calls, near.distance, rejections)
 
 
 def _chain(ctx, current, budget, requests, depth):
     """Serve ``(colour, vertex, fix, avoid_vertices, avoid_colours)``
     requests in order, each from the previous result with the previous
-    distance to base as its budget.  Returns ``(matching, steps)`` or the
-    first :class:`NotFound` unchanged."""
+    distance to base as its budget.  Returns ``(matching, steps, calls)`` or
+    the first :class:`NotFound` unchanged."""
     steps = []
+    calls = []
     for colour, vertex, fix, avoid_vertices, avoid_colours in requests:
+        # looked up as a module global on every call: this is the seam that
+        # the benchmark's tracer and the tests' call recorder patch
         out = robust_switch(ctx, current, SwitchRequest(
             colour, vertex, budget, fix, avoid_vertices, avoid_colours), depth)
         if isinstance(out, NotFound):
             return out
         current, budget = out.matching, out.distance_to_base
         steps += out.steps
-    return current, steps
+        calls += out.calls
+    return current, steps, calls
 
 
 def _switch_base(ctx, current, request, le, depth):
@@ -301,7 +329,7 @@ def _switch_base(ctx, current, request, le, depth):
                                        added=(gid, hid))
             step = ExchangeStep(depth, 1, request.colour, request.vertex, "base",
                                 (le.edge_id, partner.edge_id), (gid, hid))
-            return result, [step], rej
+            return result, [step], [], rej
         rej[reason] = rej.get(reason, 0) + 1
     return NotFound("no_configuration", rej)
 
@@ -369,17 +397,20 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
             if isinstance(out, NotFound):
                 rej["recursion_failed"] = rej.get("recursion_failed", 0) + 1
                 continue
-            result, steps = out
+            result, steps, calls = out
             steps.append(ExchangeStep(depth, level_idx, request.colour,
                                       request.vertex, case, (le.edge_id,), (eid,)))
-            return result.with_swap((le.edge_id,), (eid,)), steps, rej
+            return result.with_swap((le.edge_id,), (eid,)), steps, calls, rej
     return NotFound("no_configuration", rej)
 
 
 @dataclass
 class AugmentOutcome:
+    """A landed recipe: the chain's steps and calls, in the order served."""
+
     matching: RainbowMatching
     steps: list[ExchangeStep]
+    calls: list[SwitchCall]
 
 
 def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFound:
@@ -419,8 +450,8 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     out = _chain(ctx, ctx.base, 0, requests, 0)
     if isinstance(out, NotFound):
         return out
-    matching, steps = out
-    return AugmentOutcome(matching.with_swap((), (e.id,)), steps)
+    matching, steps, calls = out
+    return AugmentOutcome(matching.with_swap((), (e.id,)), steps, calls)
 
 
 @dataclass
@@ -440,7 +471,13 @@ class IterationRecord:
 class SolveReport:
     """Everything one solve run did; :meth:`to_json_dict` is the stable
     serialised surface (timing excluded unless asked, to keep output
-    byte-identical across runs)."""
+    byte-identical across runs).
+
+    ``switch_calls`` holds the calls of the landed augmentations only, the
+    ones the returned matching went through: one record per exchange, each
+    iteration's in post-order (a call after the calls under it).  Calls in
+    chains that failed leave no record.
+    """
 
     status: str
     n: int
@@ -522,7 +559,6 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
             if isinstance(out, AugmentOutcome):
                 chosen = (violation, out)
                 break
-        calls.extend(ctx.call_log)
         if chosen is None:
             iterations.append(IterationRecord(
                 index, len(current), len(current), len(found), attempted,
@@ -535,6 +571,7 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
             violation.kind, violation.edge_id, len(out.steps),
             current.sorted_ids))
         exchanges += len(out.steps)
+        calls.extend(CallRecord.from_call(ctx.base, call) for call in out.calls)
         logger.debug("iteration %d: %s via edge %d, size %d -> %d", index,
                      violation.kind, violation.edge_id, len(current),
                      len(out.matching))

@@ -2,16 +2,18 @@
 
 ``random_instance(seed)`` is the one deterministic family used everywhere:
 mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
-Hand fixtures that several suites share live here too.
+Hand fixtures that several suites share live here too, and
+``recorded_calls()``, which logs every successful switch call.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import ceil
 
 import pytest
 
-from rainbowmatch import ColouredMultigraph, InstanceParams, generate_random
+from rainbowmatch import ColouredMultigraph, InstanceParams, generate_random, switching
 
 # (colours, count, vertices, cap) rotated by seed; count = ceil(1.5 * colours)
 _SHAPES = [
@@ -39,6 +41,33 @@ def tight_instance(seed: int) -> ColouredMultigraph:
     colours = 4 + (seed % 5) * 2  # 4..12
     count = ceil(3 * colours / 2)
     return generate_random(colours, count, 2 * count, 1, seed)
+
+
+@contextmanager
+def recorded_calls():
+    """Log a :class:`~rainbowmatch.CallRecord` for every successful switch
+    call made inside the block, innermost first, as ``CallRecord.from_call``
+    builds them.
+
+    Wraps the module global ``switching.robust_switch``, which the switch
+    engine's chains call, so a top-level call is seen only when it goes
+    through ``switching.robust_switch`` too.  A context manager rather than
+    a fixture, so it also serves hypothesis tests.
+    """
+    log = []
+    inner = switching.robust_switch
+
+    def recording(ctx, current, request, depth=0):
+        out = inner(ctx, current, request, depth)
+        if type(out) is switching.SwitchOutcome:
+            log.append(switching.CallRecord.from_call(ctx.base, out.calls[-1]))
+        return out
+
+    switching.robust_switch = recording
+    try:
+        yield log
+    finally:
+        switching.robust_switch = inner
 
 
 @pytest.fixture

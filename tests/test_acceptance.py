@@ -32,12 +32,12 @@ from rainbowmatch import (
     latin_to_graph,
     max_partial_transversal,
     max_rainbow_matching,
-    robust_switch,
     solve,
     verify,
 )
+from rainbowmatch import switching
 
-from conftest import default_params, random_instance
+from conftest import default_params, random_instance, recorded_calls
 
 _SOLVE_FUZZ_SEEDS = 1000
 _SOLVE_FUZZ_LIMIT_S = 300.0
@@ -167,21 +167,24 @@ def test_switch_closeness_contract(lift_fixture, descend_fixture):
     observed = []
     for seed in range(150):
         g = random_instance(seed)
-        report = solve(g, target_deficit=seed % 2, seed=seed)
-        observed.extend((g, rec) for rec in report.switch_calls)
+        with recorded_calls() as log:
+            solve(g, target_deficit=seed % 2, seed=seed)
+        observed.extend((g, rec) for rec in log)
     for g, base, params in _qualifying_pairs():
         ctx = SwitchContext.build(g, base, params=params)
-        for level in ctx.hierarchy.levels:
-            for le in level.edges:
-                robust_switch(ctx, base, SwitchRequest(le.colour, le.head))
-        observed.extend((g, rec) for rec in ctx.call_log)
+        with recorded_calls() as log:
+            for level in ctx.hierarchy.levels:
+                for le in level.edges:
+                    switching.robust_switch(ctx, base, SwitchRequest(le.colour, le.head))
+        observed.extend((g, rec) for rec in log)
     # two-level recursions, guaranteed by construction
     for g, ids, colour, head in ((lift_fixture, (0, 1, 2), 2, 6),
                                  (descend_fixture, (0, 1, 2, 3, 4), 6, 6)):
         ctx = SwitchContext.build(g, RainbowMatching(g, ids))
-        out = robust_switch(ctx, ctx.base, SwitchRequest(colour, head))
+        with recorded_calls() as log:
+            out = switching.robust_switch(ctx, ctx.base, SwitchRequest(colour, head))
         assert not isinstance(out, NotFound)
-        observed.extend((g, rec) for rec in ctx.call_log)
+        observed.extend((g, rec) for rec in log)
     levels_seen = set()
     for g, rec in observed:
         base = RainbowMatching(g, rec.base_ids)

@@ -98,6 +98,54 @@ class TestPipeline:
         assert doc["ok"] is False
         assert doc["issues"][0]["kind"] == "vertex_clash"
 
+    # z4's edge 0 is 0-4 colour 0 and edge 5 is 1-5 colour 2; {0, 5} is a
+    # rainbow matching, so each document's only fault is the one named
+    @pytest.mark.parametrize("doc,kind,detail", [
+        ({"size": 2, "edges": [{"edge_id": 0}, {"edge_id": 0}]},
+         "duplicate_edge", "edge 0 listed 2 times"),
+        ({"size": 2, "edges": [{"u": 0, "v": 4, "colour": 1, "edge_id": 0},
+                               {"edge_id": 5}]},
+         "edge_mismatch", "edge 0 is 0-4 colour 0, listed as 0-4 colour 1"),
+        ({"size": 2, "edges": [{"u": 0, "v": 6, "colour": 0, "edge_id": 0},
+                               {"edge_id": 5}]},
+         "edge_mismatch", "edge 0 is 0-4 colour 0, listed as 0-6 colour 0"),
+        ({"size": 3, "edges": [{"edge_id": 0}, {"edge_id": 5}]},
+         "size_mismatch", "size 3 but 2 edges listed"),
+    ], ids=["duplicate", "colour", "endpoint", "size"])
+    def test_verify_flags_inconsistent_document(self, tmp_path, z4_path, capsys,
+                                                doc, kind, detail):
+        matching = tmp_path / "bad.json"
+        matching.write_text(json.dumps(doc))
+        code = main(["verify", "--input", z4_path, "--matching", str(matching),
+                     "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert out["ok"] is False
+        assert out["issues"] == [{"kind": kind, "detail": detail}]
+
+    def test_verify_accepts_either_endpoint_order(self, tmp_path, z4_path, capsys):
+        matching = tmp_path / "m.json"
+        matching.write_text(json.dumps({"size": 2, "edges": [
+            {"u": 4, "v": 0, "colour": 0, "edge_id": 0},
+            {"u": 1, "v": 5, "colour": 2, "edge_id": 5}]}))
+        assert main(["verify", "--input", z4_path, "--matching", str(matching)]) == 0
+
+    @pytest.mark.parametrize("edge_id", [0.9, True, "0", None],
+                             ids=["float", "bool", "string", "null"])
+    @pytest.mark.parametrize("command", ["verify", "stats"])
+    def test_non_integer_id_is_malformed(self, tmp_path, z4_path, capsys,
+                                         command, edge_id):
+        # int() would read 0.9 as edge 0 and true as edge 1
+        matching = tmp_path / "bad.json"
+        matching.write_text(json.dumps({"size": 2, "edges": [
+            {"edge_id": 5}, {"edge_id": edge_id}]}))
+        code = main([command, "--input", z4_path, "--matching", str(matching)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: malformed matching document: edge id {edge_id!r} "
+                       "is not an integer\n")
+
     def test_generate_random_then_check(self, tmp_path, capsys):
         instance = str(tmp_path / "r.txt")
         assert main(["generate", "random", "--colours", "6", "--seed", "3",
@@ -181,7 +229,8 @@ class TestStats:
         ([0, 99], "unknown_edge"),   # past the last edge
         ([0, -1], "unknown_edge"),   # not read as the last edge
         ([0, 1], "vertex_clash"),    # edges 0 and 1 share vertex 0
-    ], ids=["unknown_id", "negative_id", "vertex_clash"])
+        ([0, 0], "duplicate_edge"),  # one edge listed twice
+    ], ids=["unknown_id", "negative_id", "vertex_clash", "duplicate_edge"])
     def test_rejects_invalid_matching(self, tmp_path, z4_path, capsys,
                                       edge_ids, kind):
         matching = tmp_path / "bad.json"

@@ -30,17 +30,18 @@ from rainbowmatch import (
     verify,
 )
 
-from conftest import random_instance, tight_instance
+from conftest import random_instance, recorded_calls, tight_instance
 from test_reachability import REACHABILITY_GOLDEN, isotope
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
-def requests_served(ctx: SwitchContext) -> list[tuple]:
+def requests_served(log) -> list[tuple]:
     """``(colour, vertex, budget, fix, avoid_vertices, avoid_colours)`` of
-    every successful switch call, innermost first."""
+    every successful switch call in a :func:`recorded_calls` log, innermost
+    first."""
     return [(r.colour, r.vertex, r.budget, r.fix, r.avoid_vertices,
-             r.avoid_colours) for r in ctx.call_log]
+             r.avoid_colours) for r in log]
 
 
 class TestSlack:
@@ -61,7 +62,8 @@ class TestBaseCase:
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
         ctx = SwitchContext.build(g, base)
-        out = robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0))
+        with recorded_calls() as log:
+            out = switching.robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0))
         assert not isinstance(out, NotFound)
         assert out.matching.edge_ids == {2, 3}
         assert out.distance_to_base == 4
@@ -69,7 +71,7 @@ class TestBaseCase:
         (step,) = out.steps
         assert (step.depth, step.level, step.case) == (0, 1, "base")
         assert step.removed == (0, 1) and step.added == (2, 3)
-        (rec,) = ctx.call_log
+        (rec,) = log
         assert rec.level == 1 and rec.distance_to_base == 4
         assert rec.result_ids == (2, 3)
 
@@ -317,8 +319,9 @@ class TestUsageErrors:
             return verify(graph, matching)
 
         monkeypatch.setattr(switching, "verify", counted_verify)
-        report = solve(generate_random(32, 34, 68, 2, 3))
-        assert len(report.switch_calls) > 100
+        with recorded_calls() as log:
+            report = solve(generate_random(32, 34, 68, 2, 3))
+        assert len(log) > 100
         assert checked == [it.base_ids for it in report.iterations]
 
     def test_request_coerces_collections(self):
@@ -375,7 +378,8 @@ class TestInductiveCase:
         base = RainbowMatching(g, [0, 1, 2])
         ctx = SwitchContext.build(g, base)
         assert ctx.hierarchy.m == 2
-        out = robust_switch(ctx, base, SwitchRequest(colour=2, vertex=6))
+        with recorded_calls() as log:
+            out = switching.robust_switch(ctx, base, SwitchRequest(colour=2, vertex=6))
         assert not isinstance(out, NotFound)
         assert out.matching.edge_ids == {3, 4, 6}
         assert out.distance_to_base == 6
@@ -384,10 +388,10 @@ class TestInductiveCase:
         assert [(s.depth, s.level, s.case) for s in out.steps] == [
             (1, 1, "base"), (0, 2, "lift")]
         assert out.steps[1].removed == (2,) and out.steps[1].added == (6,)
-        assert [rec.level for rec in ctx.call_log] == [1, 2]
-        assert [rec.distance_to_base for rec in ctx.call_log] == [4, 6]
+        assert [rec.level for rec in log] == [1, 2]
+        assert [rec.distance_to_base for rec in log] == [4, 6]
         # the inner switch keeps the level-2 edge and avoids the lift vertex
-        assert requests_served(ctx) == [
+        assert requests_served(log) == [
             (0, 0, 0, (2,), (11,), ()), (2, 6, 0, (), (), ())]
 
     def test_descend(self, descend_fixture):
@@ -395,7 +399,8 @@ class TestInductiveCase:
         base = RainbowMatching(g, [0, 1, 2, 3, 4])
         ctx = SwitchContext.build(g, base)
         assert ctx.hierarchy.m == 2
-        out = robust_switch(ctx, base, SwitchRequest(colour=6, vertex=6))
+        with recorded_calls() as log:
+            out = switching.robust_switch(ctx, base, SwitchRequest(colour=6, vertex=6))
         assert not isinstance(out, NotFound)
         assert out.matching.edge_ids == {5, 8, 9, 10, 11}
         # the bound is met exactly: 10 = closeness_slack(2)
@@ -408,7 +413,7 @@ class TestInductiveCase:
         assert not out.matching.is_covered(6)
         # the first inner switch keeps both the level-2 edge and the lower
         # head's edge; the second frees that head without the first colour
-        assert requests_served(ctx) == [
+        assert requests_served(log) == [
             (0, 0, 0, (2, 4), (), ()), (2, 4, 4, (4,), (), (0,)),
             (6, 6, 0, (), (), ())]
 
@@ -443,11 +448,12 @@ class TestAugment:
         ctx = SwitchContext.build(g, base)
         (violation,) = ctx.violations()
         assert violation.kind == "extend"
-        out = augment(ctx, violation)
+        with recorded_calls() as log:
+            out = augment(ctx, violation)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {0, 1}
         assert out.steps == []
-        assert requests_served(ctx) == []
+        assert requests_served(log) == []
 
     def test_free_free(self, free_free_fixture):
         g = free_free_fixture
@@ -455,13 +461,14 @@ class TestAugment:
         ctx = SwitchContext.build(g, base)
         (violation,) = ctx.violations()
         assert violation.kind == "free_free"
-        out = augment(ctx, violation)
+        with recorded_calls() as log:
+            out = augment(ctx, violation)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {2, 3, 5}
         assert len(out.steps) == 1
         assert verify(g, out.matching) == []
         assert len(out.matching) == len(base) + 1
-        assert requests_served(ctx) == [(0, 0, 0, (), (6, 7), ())]
+        assert requests_served(log) == [(0, 0, 0, (), (6, 7), ())]
 
     def test_reach_free(self, reach_free_fixture):
         g = reach_free_fixture
@@ -469,15 +476,16 @@ class TestAugment:
         ctx = SwitchContext.build(g, base)
         (violation,) = ctx.violations()
         assert violation.kind == "reach_free"
-        out = augment(ctx, violation)
+        with recorded_calls() as log:
+            out = augment(ctx, violation)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {6, 8, 9, 10, 11}
         assert len(out.matching) == 5
         assert verify(g, out.matching) == []
         assert len(out.steps) == 2
-        assert [rec.distance_to_base for rec in ctx.call_log] == [4, 8]
-        assert [rec.budget for rec in ctx.call_log] == [0, 4]
-        assert requests_served(ctx) == [
+        assert [rec.distance_to_base for rec in log] == [4, 8]
+        assert [rec.budget for rec in log] == [0, 4]
+        assert requests_served(log) == [
             (0, 0, 0, (2,), (9,), ()), (2, 4, 4, (), (0, 9), ())]
 
     def test_reach_reach(self, reach_reach_fixture):
@@ -486,14 +494,15 @@ class TestAugment:
         ctx = SwitchContext.build(g, base)
         (violation,) = ctx.violations()
         assert violation.kind == "reach_reach"
-        out = augment(ctx, violation)
+        with recorded_calls() as log:
+            out = augment(ctx, violation)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {6, 9, 12, 13, 14, 15, 16}
         assert len(out.matching) == 7
         assert verify(g, out.matching) == []
         assert len(out.steps) == 3
-        assert [rec.distance_to_base for rec in ctx.call_log] == [4, 8, 12]
-        assert requests_served(ctx) == [
+        assert [rec.distance_to_base for rec in log] == [4, 8, 12]
+        assert requests_served(log) == [
             (0, 0, 0, (2, 3), (), ()), (2, 4, 4, (3,), (0,), ()),
             (3, 6, 8, (), (0, 4), ())]
 
@@ -513,13 +522,14 @@ class TestAugment:
         (violation,) = ctx.violations()
         assert violation.kind == "reach_free"
         assert violation.vertices == (0, 6)
-        out = augment(ctx, violation)
+        with recorded_calls() as log:
+            out = augment(ctx, violation)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {2, 3, 4}
         assert verify(g, out.matching) == []
         assert len(out.steps) == 1
-        assert [rec.distance_to_base for rec in ctx.call_log] == [4]
-        assert requests_served(ctx) == [(0, 0, 0, (), (6,), ())]
+        assert [rec.distance_to_base for rec in log] == [4]
+        assert requests_served(log) == [(0, 0, 0, (), (6,), ())]
 
     def test_reach_reach_off_own_head(self):
         """Both endpoints reachable but one is the head of the violating
@@ -543,13 +553,14 @@ class TestAugment:
         (violation,) = ctx.violations()
         assert violation.kind == "reach_reach"
         assert violation.vertices == (0, 4)
-        out = augment(ctx, violation)
+        with recorded_calls() as log:
+            out = augment(ctx, violation)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {5, 6, 8, 9, 10}
         assert verify(g, out.matching) == []
         assert len(out.steps) == 2
-        assert [rec.distance_to_base for rec in ctx.call_log] == [4, 8]
-        assert requests_served(ctx) == [
+        assert [rec.distance_to_base for rec in log] == [4, 8]
+        assert requests_served(log) == [
             (2, 4, 0, (0,), (), ()), (0, 0, 4, (), (4,), ())]
 
     def test_not_found_propagates(self, reach_free_fixture):
@@ -557,38 +568,45 @@ class TestAugment:
         base = RainbowMatching(g, [0, 1, 2, 3])
         ctx = SwitchContext.build(g, base, max_budget=3)
         (violation,) = ctx.violations()
-        out = augment(ctx, violation)
+        with recorded_calls() as log:
+            out = augment(ctx, violation)
         assert isinstance(out, NotFound)
         assert out.reason == "budget_cap"
-        assert requests_served(ctx) == []
+        assert requests_served(log) == []
 
 
 def check_switch_contract(g, base, ctx) -> list[int]:
     """Switch every level edge of ``ctx`` from ``base`` and check the
-    contract on each outcome and each ``call_log`` record; returns the
-    levels of the switches that succeeded."""
+    contract on each outcome and each recorded call; returns the levels of
+    the switches that succeeded."""
     found = []
-    for level in ctx.hierarchy.levels:
-        for le in level.edges:
-            out = robust_switch(ctx, base, SwitchRequest(
-                colour=le.colour, vertex=le.head))
-            if isinstance(out, NotFound):
-                continue
-            m = out.matching
-            assert verify(g, m) == []
-            assert len(m) == len(base)
-            assert not m.uses_colour(le.colour)
-            assert not m.is_covered(le.head)
-            assert out.distance_to_base <= closeness_slack(level.index)
-            found.append(level.index)
-    for rec in ctx.call_log:
-        result = RainbowMatching(g, rec.result_ids)
-        assert closeness(ctx.base, result).distance == rec.distance_to_base
-        assert set(rec.fix) <= set(rec.result_ids)
-        assert not set(rec.avoid_vertices) & result.covered
-        assert not any(result.uses_colour(c) for c in rec.avoid_colours)
-        assert rec.distance_to_base <= rec.budget + closeness_slack(rec.level)
+    with recorded_calls() as log:
+        for level in ctx.hierarchy.levels:
+            for le in level.edges:
+                out = switching.robust_switch(ctx, base, SwitchRequest(
+                    colour=le.colour, vertex=le.head))
+                if isinstance(out, NotFound):
+                    continue
+                m = out.matching
+                assert verify(g, m) == []
+                assert len(m) == len(base)
+                assert not m.uses_colour(le.colour)
+                assert not m.is_covered(le.head)
+                assert out.distance_to_base <= closeness_slack(level.index)
+                found.append(level.index)
+    for rec in log:
+        recheck_call(g, ctx.base, rec)
     return found
+
+
+def recheck_call(g, base, rec) -> None:
+    """Re-check one call record against the switch contract, from ids."""
+    result = RainbowMatching(g, rec.result_ids)
+    assert closeness(base, result).distance == rec.distance_to_base
+    assert set(rec.fix) <= set(rec.result_ids)
+    assert not set(rec.avoid_vertices) & result.covered
+    assert not any(result.uses_colour(c) for c in rec.avoid_colours)
+    assert rec.distance_to_base <= rec.budget + closeness_slack(rec.level)
 
 
 class TestContractFuzz:
@@ -688,9 +706,10 @@ class TestSolve:
         assert report.size >= len(greedy(g, seed))
 
 
-# sha256 of the JSON report plus the call and iteration logs, recorded before
-# the switch engine applied deltas and memoised per-context facts; a speed-up
-# must leave every one of them unchanged.
+# sha256 of the JSON report plus the log of every successful switch call and
+# the iteration log, recorded before the switch engine applied deltas and
+# memoised per-context facts; a speed-up must leave every one of them
+# unchanged.
 GOLDEN = {
     (1, False): "bdc3592278728316ad335a272bdac68782e110099cce118031f70a3608bf33f4",
     (1, True): "bdc3592278728316ad335a272bdac68782e110099cce118031f70a3608bf33f4",
@@ -718,9 +737,11 @@ GOLDEN_LATIN = {
 }
 
 
-def golden_blob(report) -> str:
+def golden_blob(report, log) -> str:
+    """The golden text: ``log`` is every successful switch call of the run,
+    as :func:`recorded_calls` logs them."""
     return (json.dumps(report.to_json_dict(), indent=2)
-            + repr(report.switch_calls) + repr(report.iterations))
+            + repr(log) + repr(report.iterations))
 
 
 class TestGoldenOutput:
@@ -728,8 +749,9 @@ class TestGoldenOutput:
     def test_solve_output_unchanged(self, seed, shuffle):
         # near-threshold random instances: seeds 3 and 5 log 400-600
         # successful switch calls over two augmentation rounds
-        report = solve(generate_random(32, 34, 68, 2, seed), shuffle=shuffle)
-        blob = golden_blob(report)
+        with recorded_calls() as log:
+            report = solve(generate_random(32, 34, 68, 2, seed), shuffle=shuffle)
+        blob = golden_blob(report, log)
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[seed, shuffle]
 
     @pytest.mark.parametrize("shuffle", sorted(GOLDEN_DESCEND))
@@ -744,17 +766,63 @@ class TestGoldenOutput:
                 landed[self.case] += 1
 
         monkeypatch.setattr(switching, "ExchangeStep", CountedStep)
-        report = solve(generate_random(48, 50, 100, 3, 1), seed=1,
-                       shuffle=shuffle)
+        with recorded_calls() as log:
+            report = solve(generate_random(48, 50, 100, 3, 1), seed=1,
+                           shuffle=shuffle)
         assert (landed["lift"], landed["descend"]) == (171, 1)
-        blob = golden_blob(report)
+        blob = golden_blob(report, log)
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_DESCEND[shuffle]
 
     @pytest.mark.parametrize("n,seed", sorted(GOLDEN_LATIN))
     def test_latin_stall_proof_unchanged(self, n, seed):
-        report = solve(isotope(n, seed), seed=seed)
+        with recorded_calls() as log:
+            report = solve(isotope(n, seed), seed=seed)
         *shape, digest = GOLDEN_LATIN[n, seed]
         assert [report.status, report.size, report.iterations[-1].attempted,
-                len(report.switch_calls)] == shape
-        blob = golden_blob(report)
+                len(log)] == shape
+        blob = golden_blob(report, log)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# sha256 of repr(report.switch_calls) on the GOLDEN_LATIN cases, which land
+# 6 and 7 exchanges: the report keeps the calls of landed chains only
+GOLDEN_LATIN_LANDED = {
+    (63, 1): (6, "bd53bb74edd3c188eae08e1cfc412d6f4729f79ffec2a19f30789f047dfc544c"),
+    (64, 2): (7, "7cffcb1eb519bce54ae1d0cc00a4f4201dd5858a71f16d8a4fc432c55ce3872d"),
+}
+
+
+def _landed_cases():
+    """``(instance, solve seed, shuffle)`` of every golden solve above."""
+    for seed, shuffle in sorted(GOLDEN):
+        yield pytest.param(lambda seed=seed: generate_random(32, 34, 68, 2, seed),
+                           0, shuffle, id=f"random_s{seed}_{shuffle}")
+    for shuffle in sorted(GOLDEN_DESCEND):
+        yield pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1, shuffle,
+                           id=f"descend_{shuffle}")
+    for n, seed in sorted(GOLDEN_LATIN):
+        yield pytest.param(lambda n=n, seed=seed: isotope(n, seed), seed, False,
+                           id=f"latin_{n}_s{seed}")
+
+
+class TestLandedCalls:
+    @pytest.mark.parametrize("make,seed,shuffle", _landed_cases())
+    def test_one_checked_record_per_exchange(self, make, seed, shuffle):
+        g = make()
+        with recorded_calls() as log:
+            report = solve(g, seed=seed, shuffle=shuffle)
+        landed = report.switch_calls
+        assert len(landed) == report.total_exchanges
+        # an in-order subsequence of every call made
+        calls = iter(log)
+        assert all(rec in calls for rec in landed)
+        for rec in landed:
+            recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
+
+    @pytest.mark.parametrize("n,seed", sorted(GOLDEN_LATIN_LANDED))
+    def test_latin_landed_calls_unchanged(self, n, seed):
+        report = solve(isotope(n, seed), seed=seed)
+        count, digest = GOLDEN_LATIN_LANDED[n, seed]
+        assert len(report.switch_calls) == count
+        blob = repr(report.switch_calls)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
