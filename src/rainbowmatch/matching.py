@@ -5,10 +5,18 @@ pairwise differently coloured.  :class:`RainbowMatching` is a value object:
 every mutation produces a new instance, which keeps the switching engine's
 backtracking trivial.  :meth:`RainbowMatching.with_swap` pays only for the
 delta, including the distance to the start of its swap chain, so
-:func:`closeness` against that start is O(1) instead of O(k).  Construction
-is permissive (any set of edge ids is accepted) so that untrusted matchings
-can be loaded and then examined with :func:`verify`, which names each
-violation instead of raising.
+:func:`closeness` against that start is O(1) instead of O(k).
+
+A matching built by a greedy pass (:func:`greedy`, :func:`extend_to_maximal`)
+records that it is maximal.  :func:`extend_to_maximal` returns such a matching
+as it is, and extends a clean ``with_swap`` descendant of one by passing only
+over the edges at the vertices, and of the colours, that the root used and
+the descendant does not: every other edge is still blocked.  Anything else
+takes the full pass over every edge.
+
+Construction is permissive (any set of integer edge ids is accepted) so that
+untrusted matchings can be loaded and then examined with :func:`verify`,
+which names each violation instead of raising.
 """
 
 from __future__ import annotations
@@ -31,40 +39,63 @@ class RainbowMatching:
 
     A matching made by :meth:`with_swap` remembers the root of its swap chain
     (the first matching not made by ``with_swap``) and its distance to it.
+    One made by a greedy pass remembers that it is maximal.
+
+    Every id must be an ``int`` (a bool is not); ids outside the graph are
+    kept.
     """
 
     __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_covered", "_clean",
-                 "_sorted", "_root", "_dist")
+                 "_sorted", "_root", "_dist", "_maximal")
 
     def __init__(self, graph: ColouredMultigraph, edge_ids=()):
+        edge_ids = tuple(edge_ids)
+        for i in edge_ids:
+            if type(i) is not int:
+                raise TypeError(f"edge id {i!r} is not an int")
         self.graph = graph
-        self.edge_ids = frozenset(int(i) for i in edge_ids)
+        self.edge_ids = frozenset(edge_ids)
         self._sorted = tuple(sorted(self.edge_ids))
         self._root = None
         self._dist = 0
+        self._maximal = False
         by_colour: dict[int, int] = {}
         twin: dict[int, int] = {}
-        covered = set()
         clean = True
+        edges = graph.edges
         for i in self._sorted:
-            if not (0 <= i < graph.num_edges):
+            if not (0 <= i < len(edges)):
                 clean = False
                 continue
-            e = graph.edge(i)
-            if (e.u == e.v or e.colour in by_colour
-                    or e.u in covered or e.v in covered):
+            _, u, v, c = edges[i]
+            if u == v or c in by_colour or u in twin or v in twin:
                 clean = False
-            by_colour.setdefault(e.colour, i)
-            twin.setdefault(e.u, e.v)
-            twin.setdefault(e.v, e.u)
-            covered.add(e.u)
-            covered.add(e.v)
+            by_colour.setdefault(c, i)
+            twin.setdefault(u, v)
+            twin.setdefault(v, u)
         self._by_colour = by_colour
         self._twin = twin
-        self._covered = frozenset(covered)
+        self._covered = frozenset(twin)
         # clean: every id known, no loop, no colour or vertex used twice; the
         # views then hold one entry per edge, so ``with_swap`` can patch them
         self._clean = clean
+
+    @classmethod
+    def _from_views(cls, graph, edge_ids, by_colour, twin,
+                    clean) -> "RainbowMatching":
+        """A matching whose views the caller built; no root, not maximal."""
+        out = cls.__new__(cls)
+        out.graph = graph
+        out.edge_ids = edge_ids
+        out._by_colour = by_colour
+        out._twin = twin
+        out._covered = frozenset(twin)
+        out._clean = clean
+        out._sorted = None
+        out._root = None
+        out._dist = 0
+        out._maximal = False
+        return out
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -136,29 +167,24 @@ class RainbowMatching:
         new_ids = (self.edge_ids - rem) | add
         if not self._clean:
             return self._rebuilt(new_ids)
-        g = self.graph
-        by_colour = dict(self._by_colour)
-        twin = dict(self._twin)
+        edges = self.graph.edges
+        # dict.copy clones the hash table even after deletions; dict() does
+        # not, and a swap chain deletes on every step
+        by_colour = self._by_colour.copy()
+        twin = self._twin.copy()
         for i in rem:
-            e = g.edge(i)
-            del by_colour[e.colour], twin[e.u], twin[e.v]
+            _, u, v, c = edges[i]
+            del by_colour[c], twin[u], twin[v]
         for i in add:
-            if type(i) is not int or not (0 <= i < g.num_edges):
+            if type(i) is not int or not (0 <= i < len(edges)):
                 return self._rebuilt(new_ids)
-            e = g.edge(i)
-            if e.u == e.v or e.colour in by_colour or e.u in twin or e.v in twin:
+            _, u, v, c = edges[i]
+            if u == v or c in by_colour or u in twin or v in twin:
                 return self._rebuilt(new_ids)
-            by_colour[e.colour] = i
-            twin[e.u] = e.v
-            twin[e.v] = e.u
-        out = RainbowMatching.__new__(RainbowMatching)
-        out.graph = g
-        out.edge_ids = new_ids
-        out._by_colour = by_colour
-        out._twin = twin
-        out._covered = frozenset(twin)
-        out._clean = True
-        out._sorted = None
+            by_colour[c] = i
+            twin[u] = v
+            twin[v] = u
+        out = RainbowMatching._from_views(self.graph, new_ids, by_colour, twin, True)
         # every removed id was in self and every added id was not, so each
         # moves the distance to the root by one: closer where the root agrees
         root = self if self._root is None else self._root
@@ -248,33 +274,64 @@ def greedy(graph: ColouredMultigraph, seed: int = 0) -> RainbowMatching:
     rng = random.Random(seed)
     order = list(range(graph.num_edges))
     rng.shuffle(order)
-    return _greedy_pass(graph, order, ())
+    return _greedy_pass(graph, order, RainbowMatching(graph))
 
 
 def extend_to_maximal(graph: ColouredMultigraph,
                       matching: RainbowMatching) -> RainbowMatching:
-    """Add compatible edges in id order until no more fit."""
-    return _greedy_pass(graph, range(graph.num_edges), matching.edge_ids)
+    """Add compatible edges in id order until no more fit.
+
+    The cost depends on what is known about ``matching``.  A maximal matching
+    of ``graph`` (one a greedy pass built) is returned as it is.  A clean
+    :meth:`~RainbowMatching.with_swap` descendant of one pays only for the
+    delta: the pass reads just the edges at the vertices, and of the colours,
+    that its root used and it does not, since a vertex or colour it still
+    uses blocks every other edge.  Anything else, a matching of another
+    graph included, takes the full pass over every edge.  The result is the
+    same either way.  Raises ValueError naming the ids that are not edges
+    of ``graph``.
+    """
+    if matching.graph is not graph:
+        matching = RainbowMatching(graph, matching.edge_ids)
+    elif matching._maximal:
+        return matching
+    root = matching._root
+    if not matching._clean:
+        unknown = sorted(i for i in matching.edge_ids if not 0 <= i < graph.num_edges)
+        if unknown:
+            raise ValueError(f"cannot extend by unknown edges {unknown}")
+    elif root is not None and root._maximal:
+        freed = set()
+        for x in root._covered - matching._covered:
+            freed.update(graph.edges_at(x))
+        for c in root._by_colour.keys() - matching._by_colour.keys():
+            freed.update(graph.edges_with_colour(c))
+        return _greedy_pass(graph, sorted(freed), matching)
+    return _greedy_pass(graph, range(graph.num_edges), matching)
 
 
-def _greedy_pass(graph, order, start_ids) -> RainbowMatching:
-    chosen = set(start_ids)
-    used_v = set()
-    used_c = set()
-    for i in start_ids:
-        e = graph.edge(i)
-        used_v.update((e.u, e.v))
-        used_c.add(e.colour)
+def _greedy_pass(graph, order, start: RainbowMatching) -> RainbowMatching:
+    """``start`` plus every edge of ``order``, in that order, that no vertex
+    or colour used so far blocks; maximal when ``order`` holds every edge
+    that ``start`` does not block.  The views are patched copies of
+    ``start``'s, which equal a fresh build's: each added edge brings a new
+    colour and two new vertices."""
+    edges = graph.edges
+    by_colour = start._by_colour.copy()
+    twin = start._twin.copy()
+    added = []
     for i in order:
-        e = graph.edge(i)
-        if e.u == e.v:
+        _, u, v, c = edges[i]
+        if u == v or c in by_colour or u in twin or v in twin:
             continue
-        if e.u in used_v or e.v in used_v or e.colour in used_c:
-            continue
-        chosen.add(i)
-        used_v.update((e.u, e.v))
-        used_c.add(e.colour)
-    return RainbowMatching(graph, chosen)
+        added.append(i)
+        by_colour[c] = i
+        twin[u] = v
+        twin[v] = u
+    out = RainbowMatching._from_views(graph, start.edge_ids.union(added),
+                                      by_colour, twin, start._clean)
+    out._maximal = start._clean
+    return out
 
 
 def external_edges(graph: ColouredMultigraph, matching: RainbowMatching,
@@ -284,8 +341,12 @@ def external_edges(graph: ColouredMultigraph, matching: RainbowMatching,
     Reads only the requested colour classes; a loop is never external."""
     covered = matching.covered
     edges = graph.edges
-    out = [eid for c in set(colours) for eid in graph.edges_with_colour(c)
-           if (edges[eid].u in covered) != (edges[eid].v in covered)]
+    out = []
+    for c in set(colours):
+        for eid in graph.edges_with_colour(c):
+            _, u, v, _ = edges[eid]
+            if (u in covered) != (v in covered):
+                out.append(eid)
     out.sort()
     return out
 

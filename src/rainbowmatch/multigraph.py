@@ -272,25 +272,27 @@ def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> Hypot
 def loads(text: str) -> ColouredMultigraph:
     """Parse an instance from its text form; raises ValueError with the
     offending line number on malformed input."""
-    header: tuple[int, int] | None = None
-    triples: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    header: tuple[int, ...] | None = None
+    triples: list[tuple[int, ...]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
-        try:
-            nums = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
-        if header is None:
-            if len(nums) != 2:
-                raise ValueError(f"line {lineno}: header must be 'V C'")
-            header = (nums[0], nums[1])
+        if not parts:
             continue
-        if len(nums) != 3:
-            raise ValueError(f"line {lineno}: edge line must be 'u v c'")
-        triples.append((nums[0], nums[1], nums[2]))
+        try:
+            row = tuple(map(int, parts))
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected integers, got {line.strip()!r}") from None
+        if header is not None:
+            if len(row) != 3:
+                raise ValueError(f"line {lineno}: edge line must be 'u v c'")
+            triples.append(row)
+        elif len(row) == 2:
+            header = row
+        else:
+            raise ValueError(f"line {lineno}: header must be 'V C'")
     if header is None:
         raise ValueError("missing 'V C' header line")
     try:

@@ -56,10 +56,14 @@ def _by_covered_end(graph: ColouredMultigraph, matching: RainbowMatching,
     """External ``edge_ids`` indexed by covered endpoint, each tuple sorted
     by (free endpoint, edge id)."""
     at: dict[int, list[tuple[int, int]]] = {}
+    covered = matching.covered
+    edges = graph.edges
     for eid in edge_ids:
-        e = graph.edge(eid)
-        x, y = (e.u, e.v) if matching.is_covered(e.u) else (e.v, e.u)
-        at.setdefault(x, []).append((y, eid))
+        _, u, v, _ = edges[eid]
+        if u in covered:
+            at.setdefault(u, []).append((v, eid))
+        else:
+            at.setdefault(v, []).append((u, eid))
     return {x: tuple(eid for _, eid in sorted(ends)) for x, ends in at.items()}
 
 
@@ -152,23 +156,26 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
     if not flex.colours:
         return GoodBadReport(0, frozenset(), {}, {})
     half = max(1, ceil(params.alpha * len(flex.free_colours) / 2))
-    reserve = {oe.colour: flex.external_free_at.get(oe.tail, ()) for oe in flex.edges}
+    edges = graph.edges
+    # each flexible colour's reserve, as the (u, v) endpoints of its edges
+    reserve = {oe.colour: [edges[rid][1:3]
+                           for rid in flex.external_free_at.get(oe.tail, ())]
+               for oe in flex.edges}
 
     good: list[int] = []
     bad: list[int] = []
     bad_per_colour: dict[int, int] = {c: 0 for c in flex.colours}
     for eid in external_edges(graph, matching, flex.colours):
-        e = graph.edge(eid)
+        _, u, v, c = edges[eid]
         kept = 0
-        for rid in reserve[e.colour]:
-            r = graph.edge(rid)
-            if not (r.touches(e.u) or r.touches(e.v)):
+        for a, b in reserve[c]:
+            if a != u and a != v and b != u and b != v:
                 kept += 1
         if kept >= half:
             good.append(eid)
         else:
             bad.append(eid)
-            bad_per_colour[e.colour] += 1
+            bad_per_colour[c] += 1
     return GoodBadReport(
         half_threshold=half,
         bad=frozenset(bad),
@@ -249,10 +256,10 @@ def certificate(graph: ColouredMultigraph, tail: int, colours, covered,
     descends = []
     edges = graph.edges
     for eid in graph.edges_at(tail):
-        e = edges[eid]
-        if e.colour not in colours or e.u == e.v:
+        _, u, v, c = edges[eid]
+        if c not in colours or u == v:
             continue
-        other = e.v if e.u == tail else e.u
+        other = v if u == tail else u
         if other not in covered:
             lifts.append((other, eid))
         elif other in below:
@@ -270,18 +277,20 @@ def _base_pairs(graph: ColouredMultigraph, flex: FlexibleStructure,
     itself, and an external unused-colour edge of colour ``spare`` from the
     partner's tail to ``z``, with ``z`` not ``w``; sorted by the first four."""
     found = []
+    edges = graph.edges
     for gid in good.good_at.get(tail, ()):
-        ge = graph.edge(gid)
-        w = ge.other(tail)
-        partner = flex.by_colour(ge.colour)
+        _, u, v, c = edges[gid]
+        w = v if u == tail else u
+        partner = flex.by_colour(c)
         if partner is None or partner.edge_id == edge_id:
             continue
-        for hid in flex.external_free_at.get(partner.tail, ()):
-            he = graph.edge(hid)
-            z = he.other(partner.tail)
+        ptail = partner.tail
+        for hid in flex.external_free_at.get(ptail, ()):
+            _, u, v, spare = edges[hid]
+            z = v if u == ptail else u
             if z == w:
                 continue
-            found.append((w, z, gid, hid, partner, he.colour))
+            found.append((w, z, gid, hid, partner, spare))
     found.sort(key=lambda t: t[:4])
     return tuple(found)
 

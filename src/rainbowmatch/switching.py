@@ -334,50 +334,50 @@ def _switch_base(ctx, current, request, le, depth):
     return NotFound("no_configuration", rej)
 
 
-def _lift(ctx, current, request, keep, w, e):
-    """Requests that free the colour of ``e``, which then replaces the
-    switched edge through the free vertex ``w``; or the name of the first
-    filter the candidate fails.  ``keep`` is the request's fix set plus the
-    switched edge."""
+def _lift(ctx, current, request, keep, w, colour):
+    """Requests that free ``colour``, the certifying edge's, after which that
+    edge replaces the switched edge through the free vertex ``w``; or the
+    name of the first filter the candidate fails.  ``keep`` is the request's
+    fix set plus the switched edge."""
     if current.is_covered(w):
         return "w_not_free"
     if w in request.avoid_vertices:
         return "w_avoided"
-    sub = ctx.hierarchy.entry(e.colour)[1]
-    if current.edge_of_colour(e.colour) != sub.edge_id:
+    sub = ctx.hierarchy.entry(colour)[1]
+    if current.edge_of_colour(colour) != sub.edge_id:
         return "partner_missing"
     if sub.edge_id in keep:
         return "partner_fixed"
-    return [(e.colour, sub.head, keep, request.avoid_vertices | {w},
+    return [(colour, sub.head, keep, request.avoid_vertices | {w},
              request.avoid_colours)]
 
 
-def _descend(ctx, current, request, keep, u, e):
-    """Requests that free the colour of ``e``, then the lower head ``u``,
-    after which ``e`` replaces the switched edge; or the name of the first
-    filter the candidate fails.  ``keep`` is the request's fix set plus the
-    switched edge."""
+def _descend(ctx, current, request, keep, u, colour):
+    """Requests that free ``colour``, the certifying edge's, then the lower
+    head ``u``, after which that edge replaces the switched edge; or the name
+    of the first filter the candidate fails.  ``keep`` is the request's fix
+    set plus the switched edge."""
     u_edge = ctx.hierarchy.head_entry(u)[1]
     if u_edge.edge_id not in current.edge_ids:
         return "head_edge_missing"
     if u_edge.edge_id in keep:
         return "head_edge_fixed"
-    sub = ctx.hierarchy.entry(e.colour)[1]
-    if current.edge_of_colour(e.colour) != sub.edge_id:
+    sub = ctx.hierarchy.entry(colour)[1]
+    if current.edge_of_colour(colour) != sub.edge_id:
         return "partner_missing"
     if sub.edge_id in keep or sub.edge_id == u_edge.edge_id:
         return "partner_fixed"
-    return [(e.colour, sub.head, keep | {u_edge.edge_id},
+    return [(colour, sub.head, keep | {u_edge.edge_id},
              request.avoid_vertices, request.avoid_colours),
             (u_edge.colour, u, keep, request.avoid_vertices,
-             request.avoid_colours | {e.colour})]
+             request.avoid_colours | {colour})]
 
 
 def _switch_inductive(ctx, current, request, level_idx, le, depth):
     """Level >= 2: walk a certifying lower-level-coloured edge from the tail,
     first into a free vertex (a lift, one lower switch), else into a lower
     head (a descend, two)."""
-    g = ctx.graph
+    edges = ctx.graph.edges
     rej: dict[str, int] = {}
     lifts, descends = le.lifts, le.descends
     if ctx.rng is not None:
@@ -389,7 +389,8 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
     keep = request.fix | {le.edge_id}
     for case, walk, plan in (("lift", lifts, _lift), ("descend", descends, _descend)):
         for v, eid in walk:
-            requests = plan(ctx, current, request, keep, v, g.edge(eid))
+            _, _, _, colour = edges[eid]
+            requests = plan(ctx, current, request, keep, v, colour)
             if isinstance(requests, str):
                 rej[requests] = rej.get(requests, 0) + 1
                 continue

@@ -1,6 +1,10 @@
 """Matching container, greedy construction, verification, closeness."""
 from __future__ import annotations
 
+import random
+import re
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,13 +17,15 @@ from rainbowmatch import (
     external_edges,
     greedy,
     latin_to_graph,
+    matching,
     matching_from_json,
     matching_to_json,
     max_rainbow_matching,
+    permute_square,
     verify,
 )
 
-from conftest import random_instance
+from conftest import random_instance, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -75,11 +81,22 @@ class TestContainer:
 
     def test_unknown_ids_kept_but_skipped_in_views(self):
         g = random_instance(0)
-        m = RainbowMatching(g, [0, 999])
-        assert 999 in m
-        assert len(m) == 2
+        m = RainbowMatching(g, [0, 999, -1])
+        assert 999 in m and -1 in m
+        assert len(m) == 3
         e0 = g.edge(0)
         assert m.covered == frozenset({e0.u, e0.v})
+
+    @pytest.mark.parametrize("ids, first", [
+        ([0.9, True], 0.9),   # int() would have built [0, 1]
+        ([1, True], True),    # a bool is not an id, even where it equals one
+        ([0, "1"], "1"),
+        ([None], None),
+    ])
+    def test_non_int_id_is_a_type_error(self, ids, first):
+        g = random_instance(0)
+        with pytest.raises(TypeError, match=re.escape(f"edge id {first!r} is not an int")):
+            RainbowMatching(g, ids)
 
 
 def views(m: RainbowMatching) -> tuple:
@@ -289,6 +306,113 @@ class TestGreedy:
             if e.u == e.v:
                 continue
             assert m.is_covered(e.u) or m.is_covered(e.v) or m.uses_colour(e.colour)
+
+    @pytest.mark.parametrize("ids, unknown", [
+        ([-1], [-1]),         # used to read the last edge and extend to [-1, 0]
+        ([7], [7]),           # used to raise a bare IndexError
+        ([2, 0, -3], [-3, 2]),
+    ])
+    def test_extend_to_maximal_rejects_unknown_ids(self, ids, unknown):
+        g = ColouredMultigraph(4, 2, [(0, 1, 0), (2, 3, 1)])
+        with pytest.raises(ValueError, match=re.escape(f"unknown edges {unknown}")):
+            extend_to_maximal(g, RainbowMatching(g, ids))
+
+
+def reference_extension(g: ColouredMultigraph, ids) -> frozenset[int]:
+    """``ids`` plus every edge, in id order, that no vertex or colour used so
+    far blocks: the full pass, as a plain loop over the graph."""
+    chosen = set(ids)
+    used_v: set[int] = set()
+    used_c: set[int] = set()
+    for i in ids:
+        e = g.edge(i)
+        used_v.update((e.u, e.v))
+        used_c.add(e.colour)
+    for e in g.edges:
+        if (e.u != e.v and e.u not in used_v and e.v not in used_v
+                and e.colour not in used_c):
+            chosen.add(e.id)
+            used_v.update((e.u, e.v))
+            used_c.add(e.colour)
+    return frozenset(chosen)
+
+
+@contextmanager
+def greedy_passes():
+    """Log each greedy pass made inside the block: "full" when it reads
+    every edge of the graph, "delta" when it reads a subset."""
+    log = []
+    inner = matching._greedy_pass
+
+    def spy(graph, order, start):
+        log.append("full" if order == range(graph.num_edges) else "delta")
+        return inner(graph, order, start)
+
+    matching._greedy_pass = spy
+    try:
+        yield log
+    finally:
+        matching._greedy_pass = inner
+
+
+def family_graph(family: str, seed: int) -> ColouredMultigraph:
+    if family == "random":
+        return random_instance(seed)
+    if family == "tight":
+        return tight_instance(seed)
+    n = 4 + seed % 5
+    rng = random.Random(seed)
+    perms = [rng.sample(range(n), n) for _ in range(3)]
+    return latin_to_graph(permute_square(cyclic_square(n), *perms))
+
+
+class TestDeltaExtension:
+    """``extend_to_maximal`` passes over the delta only for clean
+    ``with_swap`` descendants of a maximal root of the same graph, and
+    always returns what the full id-order pass returns."""
+
+    @given(st.sampled_from(["random", "tight", "latin"]), st.integers(0, 60),
+           st.sampled_from(["greedy", "extended", "user", "foreign"]), st.data())
+    @PROPERTY_SETTINGS
+    def test_swap_chains_match_the_full_pass(self, family, seed, root_kind, data):
+        g = family_graph(family, seed)
+        start = greedy(g, seed)
+        if root_kind == "greedy":
+            root = start
+        elif root_kind == "extended":  # maximal, and built by extension
+            kept = data.draw(st.sets(st.sampled_from(start.sorted_ids)))
+            root = extend_to_maximal(g, RainbowMatching(g, kept))
+        elif root_kind == "user":  # maximal, but nothing records it
+            root = RainbowMatching(g, start.edge_ids)
+        else:  # maximal on an equal graph object that is not ``g``
+            other = ColouredMultigraph(g.num_vertices, g.num_colours,
+                                       [(e.u, e.v, e.colour) for e in g.edges])
+            root = greedy(other, seed)
+        chain = [root]
+        for _ in range(data.draw(st.integers(1, 5))):
+            m = chain[-1]
+            removed = data.draw(st.sets(st.sampled_from(m.sorted_ids), max_size=3)
+                                if len(m) else st.just(set()))
+            # any edge of the graph: clashes make unclean descendants
+            added = data.draw(st.sets(
+                st.integers(0, g.num_edges - 1).filter(lambda i: i not in m),
+                max_size=2))
+            chain.append(m.with_swap(removed, added))
+        for m in chain:
+            clean = not verify(g, m)
+            with greedy_passes() as log:
+                got = extend_to_maximal(g, m)
+            assert got.graph is g
+            assert got.edge_ids == reference_extension(g, m.edge_ids)
+            assert views(got) == views(RainbowMatching(g, got.edge_ids))
+            if root_kind in ("user", "foreign") or not clean:
+                assert log == ["full"]
+            elif m is root:
+                assert log == [] and got is m
+            else:
+                assert log == ["delta"]
+            if clean:  # the result records that it is maximal
+                assert extend_to_maximal(g, got) is got
 
 
 class TestCloseness:

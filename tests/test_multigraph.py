@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,31 @@ def test_loads_rejects_malformed(bad, fragment):
     with pytest.raises(ValueError) as err:
         loads(bad)
     assert fragment in str(err.value)
+
+
+def test_loads_skips_comments_blank_lines_crlf_and_surrounding_blanks():
+    text = ("# instance\r\n\r\n  3 2  \r\n\t0 1 0\t# first\r\n   \r\n"
+            "1 2 1#second\r\n# end")
+    g = loads(text)
+    assert (g.num_vertices, g.num_colours) == (3, 2)
+    assert [tuple(e) for e in g.edges] == [(0, 0, 1, 0), (1, 1, 2, 1)]
+    assert dumps(g) == "3 2\n0 1 0\n1 2 1\n"
+    assert dumps(loads(dumps(g))) == dumps(g)
+
+
+@pytest.mark.parametrize("bad, message", [
+    # line numbers count comment, blank and CRLF lines; the echoed text has
+    # its comment and surrounding blanks cut off
+    ("# c\r\n\r\n2 1\r\n0 x 0 # y\r\n", "line 4: expected integers, got '0 x 0'"),
+    ("  2 1 # h\r\n\r\n0 1\r\n", "line 3: edge line must be 'u v c'"),
+    ("2 1\n0 1 0 0\n", "line 2: edge line must be 'u v c'"),
+    ("\n\n1 2 3\n", "line 3: header must be 'V C'"),
+    ("# only\r\n  \r\n", "missing 'V C' header line"),
+    ("2 1\n0 1 0\n1 3 0\n", "edge 1: endpoint out of range for V=2"),
+])
+def test_loads_error_messages(bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        loads(bad)
 
 
 def test_as_fraction_reads_decimals_exactly():
