@@ -19,10 +19,10 @@ from .reachability import (FlexibleStructure, GoodBadReport, Hierarchy, Level,
                            LevelEdge, OrientedEdge, Violation, build_hierarchy,
                            certificate, classify_good_bad, compute_flexible,
                            counting_diagnostics, find_violations)
-from .switching import (AugmentOutcome, CallRecord, ExchangeStep, NotFound,
-                        SolveReport, SwitchCall, SwitchContext, SwitchOutcome,
-                        SwitchRequest, SwitchUsageError, augment, closeness_slack,
-                        robust_switch, solve)
+from .switching import (AugmentOutcome, CallRecord, NotFound, SolveReport,
+                        SwitchCall, SwitchContext, SwitchOutcome, SwitchRequest,
+                        SwitchUsageError, augment, closeness_slack, robust_switch,
+                        solve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

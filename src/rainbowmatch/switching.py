@@ -21,11 +21,11 @@ the switched edge onto the certifying edge.  The solve loop is greedy
 construction followed by repeated find-violations / augment rounds until the
 target size is reached or no recipe lands.
 
-Each successful call is asserted against its contract as it returns, and its
-outcome carries a :class:`SwitchCall` for it and for every call under it,
-the way it carries its exchange steps.  ``solve`` turns only the landed
-augmentations' calls into records (:class:`CallRecord`), one per exchange; a
-caller that wants every call wraps the module-global :func:`robust_switch`.
+Each successful call makes one elementary exchange and is asserted against
+its contract as it returns; its outcome carries a :class:`SwitchCall` for it
+and for every call under it.  ``solve`` turns only the landed augmentations'
+calls into records (:class:`CallRecord`), one per exchange; a caller that
+wants every call wraps the module-global :func:`robust_switch`.
 """
 
 from __future__ import annotations
@@ -103,29 +103,26 @@ class SwitchRequest(_SwitchRequestFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ExchangeStep:
-    """One elementary exchange performed while serving a request."""
-
-    depth: int
-    level: int
-    colour: int
-    vertex: int
-    case: str  # "base", "lift" (free endpoint), "descend" (lower head)
-    removed: tuple[int, ...]
-    added: tuple[int, ...]
-
-
 class SwitchCall(NamedTuple):
-    """A successful switch call as its outcome carries it: references only,
-    nothing sorted or copied.  :meth:`CallRecord.from_call` makes a record
-    of it."""
+    """A successful switch call at recursion ``depth`` and its one exchange,
+    as its outcome carries it: references only, nothing sorted or copied.
+    :meth:`CallRecord.from_call` makes a record of it.
+
+    ``case`` is ``"base"`` (level 1), ``"lift"`` (into a free vertex) or
+    ``"descend"`` (into a lower head).  The exchange takes the ``removed``
+    edge ids, the level edge of the request's colour first, out of ``start``
+    (base) or of the previous call's result (lift, descend) and puts the
+    ``added`` ones in."""
 
     request: SwitchRequest
     level: int
     start: RainbowMatching
     result: RainbowMatching
     distance_to_base: int
+    depth: int
+    case: str
+    removed: tuple[int, ...]
+    added: tuple[int, ...]
 
 
 class CallRecord(NamedTuple):
@@ -157,11 +154,10 @@ class CallRecord(NamedTuple):
 
 @dataclass
 class SwitchOutcome:
-    """A served request.  ``steps`` and ``calls`` cover this call and every
-    call under it, innermost first; this call's own entries come last."""
+    """A served request.  ``calls`` covers this call and every call under
+    it, innermost first; this call's own entry comes last."""
 
     matching: RainbowMatching
-    steps: list[ExchangeStep]
     calls: list[SwitchCall]
     distance_to_base: int
     rejections: dict[str, int]
@@ -255,13 +251,13 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
         return NotFound("budget_cap", {})
 
     if level_idx == 1:
-        out = _switch_base(ctx, current, request, le, depth)
+        out = _switch_base(ctx, current, request, le)
     else:
         out = _switch_inductive(ctx, current, request, level_idx, le, depth)
     if type(out) is NotFound:
         return out
 
-    result, steps, calls, rejections = out
+    result, calls, case, removed, added, rejections = out
     assert result.edge_of_colour(colour) is None
     assert not result.is_covered(vertex)
     assert fix <= result.edge_ids
@@ -269,16 +265,16 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     assert not any(result.uses_colour(c) for c in avoid_colours)
     near = closeness(ctx.base, result)
     assert near.within(budget + slack)
-    calls.append(SwitchCall(request, level_idx, current, result, near.distance))
-    return SwitchOutcome(result, steps, calls, near.distance, rejections)
+    calls.append(SwitchCall(request, level_idx, current, result, near.distance,
+                            depth, case, removed, added))
+    return SwitchOutcome(result, calls, near.distance, rejections)
 
 
 def _chain(ctx, current, budget, requests, depth):
     """Serve ``(colour, vertex, fix, avoid_vertices, avoid_colours)``
     requests in order, each from the previous result with the previous
-    distance to base as its budget.  Returns ``(matching, steps, calls)`` or
-    the first :class:`NotFound` unchanged."""
-    steps = []
+    distance to base as its budget.  Returns ``(matching, calls)`` or the
+    first :class:`NotFound` unchanged."""
     calls = []
     for colour, vertex, fix, avoid_vertices, avoid_colours in requests:
         # looked up as a module global on every call: this is the seam that
@@ -288,12 +284,11 @@ def _chain(ctx, current, budget, requests, depth):
         if isinstance(out, NotFound):
             return out
         current, budget = out.matching, out.distance_to_base
-        steps += out.steps
         calls += out.calls
-    return current, steps, calls
+    return current, calls
 
 
-def _switch_base(ctx, current, request, le, depth):
+def _switch_base(ctx, current, request, le):
     """Level 1: trade the target edge and one flexible partner for a good
     flexible-coloured edge at the tail plus an external unused-colour edge at
     the partner's tail."""
@@ -325,11 +320,8 @@ def _switch_base(ctx, current, request, le, depth):
         elif spare in request.avoid_colours:
             reason = "spare_colour_avoided"
         else:
-            result = current.with_swap(removed=(le.edge_id, partner.edge_id),
-                                       added=(gid, hid))
-            step = ExchangeStep(depth, 1, request.colour, request.vertex, "base",
-                                (le.edge_id, partner.edge_id), (gid, hid))
-            return result, [step], [], rej
+            removed, added = (le.edge_id, partner.edge_id), (gid, hid)
+            return current.with_swap(removed, added), [], "base", removed, added, rej
         rej[reason] = rej.get(reason, 0) + 1
     return NotFound("no_configuration", rej)
 
@@ -398,19 +390,17 @@ def _switch_inductive(ctx, current, request, level_idx, le, depth):
             if isinstance(out, NotFound):
                 rej["recursion_failed"] = rej.get("recursion_failed", 0) + 1
                 continue
-            result, steps, calls = out
-            steps.append(ExchangeStep(depth, level_idx, request.colour,
-                                      request.vertex, case, (le.edge_id,), (eid,)))
-            return result.with_swap((le.edge_id,), (eid,)), steps, calls, rej
+            result, calls = out
+            removed, added = (le.edge_id,), (eid,)
+            return result.with_swap(removed, added), calls, case, removed, added, rej
     return NotFound("no_configuration", rej)
 
 
 @dataclass
 class AugmentOutcome:
-    """A landed recipe: the chain's steps and calls, in the order served."""
+    """A landed recipe: the chain's calls, in the order served."""
 
     matching: RainbowMatching
-    steps: list[ExchangeStep]
     calls: list[SwitchCall]
 
 
@@ -451,12 +441,16 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     out = _chain(ctx, ctx.base, 0, requests, 0)
     if isinstance(out, NotFound):
         return out
-    matching, steps, calls = out
-    return AugmentOutcome(matching.with_swap((), (e.id,)), steps, calls)
+    matching, calls = out
+    return AugmentOutcome(matching.with_swap((), (e.id,)), calls)
 
 
 @dataclass
 class IterationRecord:
+    """One round of the solve loop.  ``exchanges`` is the number of switch
+    calls in the landed chain, one exchange each (0 when nothing landed);
+    ``base_ids`` is the round's base matching."""
+
     index: int
     size_before: int
     size_after: int
@@ -489,10 +483,13 @@ class SolveReport:
     matching: RainbowMatching
     iterations: list[IterationRecord]
     switch_calls: list[CallRecord]
-    total_exchanges: int
     wall_ms: float
 
     EXIT_CODES = {"target_reached": 0, "stalled": 2, "iteration_cap": 3}
+
+    @property
+    def total_exchanges(self) -> int:
+        return len(self.switch_calls)
 
     @property
     def exit_code(self) -> int:
@@ -535,7 +532,6 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
 
     iterations: list[IterationRecord] = []
     calls: list[CallRecord] = []
-    exchanges = 0
     status = None
     index = 0
     while True:
@@ -569,9 +565,8 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
         violation, out = chosen
         iterations.append(IterationRecord(
             index, len(current), len(out.matching), len(found), attempted,
-            violation.kind, violation.edge_id, len(out.steps),
+            violation.kind, violation.edge_id, len(out.calls),
             current.sorted_ids))
-        exchanges += len(out.steps)
         calls.extend(CallRecord.from_call(ctx.base, call) for call in out.calls)
         logger.debug("iteration %d: %s via edge %d, size %d -> %d", index,
                      violation.kind, violation.edge_id, len(current),
@@ -583,4 +578,4 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
     return SolveReport(
         status=status, n=n, target_deficit=target_deficit, target=target,
         seed=seed, size=len(current), matching=current, iterations=iterations,
-        switch_calls=calls, total_exchanges=exchanges, wall_ms=wall_ms)
+        switch_calls=calls, wall_ms=wall_ms)

@@ -68,9 +68,9 @@ class TestBaseCase:
         assert out.matching.edge_ids == {2, 3}
         assert out.distance_to_base == 4
         assert verify(g, out.matching) == []
-        (step,) = out.steps
-        assert (step.depth, step.level, step.case) == (0, 1, "base")
-        assert step.removed == (0, 1) and step.added == (2, 3)
+        (call,) = out.calls
+        assert (call.depth, call.level, call.case) == (0, 1, "base")
+        assert call.removed == (0, 1) and call.added == (2, 3)
         (rec,) = log
         assert rec.level == 1 and rec.distance_to_base == 4
         assert rec.result_ids == (2, 3)
@@ -385,9 +385,9 @@ class TestInductiveCase:
         assert out.distance_to_base == 6
         assert out.distance_to_base <= closeness_slack(2)
         assert verify(g, out.matching) == []
-        assert [(s.depth, s.level, s.case) for s in out.steps] == [
+        assert [(c.depth, c.level, c.case) for c in out.calls] == [
             (1, 1, "base"), (0, 2, "lift")]
-        assert out.steps[1].removed == (2,) and out.steps[1].added == (6,)
+        assert out.calls[1].removed == (2,) and out.calls[1].added == (6,)
         assert [rec.level for rec in log] == [1, 2]
         assert [rec.distance_to_base for rec in log] == [4, 6]
         # the inner switch keeps the level-2 edge and avoids the lift vertex
@@ -406,9 +406,9 @@ class TestInductiveCase:
         # the bound is met exactly: 10 = closeness_slack(2)
         assert out.distance_to_base == closeness_slack(2) == 10
         assert verify(g, out.matching) == []
-        assert [(s.depth, s.level, s.case) for s in out.steps] == [
+        assert [(c.depth, c.level, c.case) for c in out.calls] == [
             (1, 1, "base"), (1, 1, "base"), (0, 2, "descend")]
-        assert out.steps[2].removed == (4,) and out.steps[2].added == (11,)
+        assert out.calls[2].removed == (4,) and out.calls[2].added == (11,)
         assert not out.matching.uses_colour(6)
         assert not out.matching.is_covered(6)
         # the first inner switch keeps both the level-2 edge and the lower
@@ -426,7 +426,7 @@ class TestInductiveCase:
         ctx = SwitchContext.build(g, base)
         out = robust_switch(ctx, base, SwitchRequest(colour=6, vertex=6))
         assert not isinstance(out, NotFound)
-        assert out.steps[-1].case == "lift"
+        assert out.calls[-1].case == "lift"
         assert out.matching.edge_ids == {2, 3, 5, 9, 12}
 
     def test_recursion_failed_surfaces(self, lift_fixture):
@@ -452,7 +452,7 @@ class TestAugment:
             out = augment(ctx, violation)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {0, 1}
-        assert out.steps == []
+        assert out.calls == []
         assert requests_served(log) == []
 
     def test_free_free(self, free_free_fixture):
@@ -465,7 +465,7 @@ class TestAugment:
             out = augment(ctx, violation)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {2, 3, 5}
-        assert len(out.steps) == 1
+        assert len(out.calls) == 1
         assert verify(g, out.matching) == []
         assert len(out.matching) == len(base) + 1
         assert requests_served(log) == [(0, 0, 0, (), (6, 7), ())]
@@ -482,7 +482,7 @@ class TestAugment:
         assert out.matching.edge_ids == {6, 8, 9, 10, 11}
         assert len(out.matching) == 5
         assert verify(g, out.matching) == []
-        assert len(out.steps) == 2
+        assert len(out.calls) == 2
         assert [rec.distance_to_base for rec in log] == [4, 8]
         assert [rec.budget for rec in log] == [0, 4]
         assert requests_served(log) == [
@@ -500,7 +500,7 @@ class TestAugment:
         assert out.matching.edge_ids == {6, 9, 12, 13, 14, 15, 16}
         assert len(out.matching) == 7
         assert verify(g, out.matching) == []
-        assert len(out.steps) == 3
+        assert len(out.calls) == 3
         assert [rec.distance_to_base for rec in log] == [4, 8, 12]
         assert requests_served(log) == [
             (0, 0, 0, (2, 3), (), ()), (2, 4, 4, (3,), (0,), ()),
@@ -527,7 +527,7 @@ class TestAugment:
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {2, 3, 4}
         assert verify(g, out.matching) == []
-        assert len(out.steps) == 1
+        assert len(out.calls) == 1
         assert [rec.distance_to_base for rec in log] == [4]
         assert requests_served(log) == [(0, 0, 0, (), (6,), ())]
 
@@ -558,7 +558,7 @@ class TestAugment:
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {5, 6, 8, 9, 10}
         assert verify(g, out.matching) == []
-        assert len(out.steps) == 2
+        assert len(out.calls) == 2
         assert [rec.distance_to_base for rec in log] == [4, 8]
         assert requests_served(log) == [
             (2, 4, 0, (0,), (), ()), (0, 0, 4, (), (4,), ())]
@@ -759,13 +759,15 @@ class TestGoldenOutput:
         # the only golden instance on which a descend lands (next to 171
         # lifts); the cases above land base switches and lifts only
         landed = Counter()
+        inner = switching.robust_switch
 
-        class CountedStep(switching.ExchangeStep):
-            def __init__(self, *args):
-                super().__init__(*args)
-                landed[self.case] += 1
+        def counting(ctx, current, request, depth=0):
+            out = inner(ctx, current, request, depth)
+            if type(out) is switching.SwitchOutcome:
+                landed[out.calls[-1].case] += 1
+            return out
 
-        monkeypatch.setattr(switching, "ExchangeStep", CountedStep)
+        monkeypatch.setattr(switching, "robust_switch", counting)
         with recorded_calls() as log:
             report = solve(generate_random(48, 50, 100, 3, 1), seed=1,
                            shuffle=shuffle)
@@ -812,7 +814,7 @@ class TestLandedCalls:
         with recorded_calls() as log:
             report = solve(g, seed=seed, shuffle=shuffle)
         landed = report.switch_calls
-        assert len(landed) == report.total_exchanges
+        assert sum(it.exchanges for it in report.iterations) == len(landed)
         # an in-order subsequence of every call made
         calls = iter(log)
         assert all(rec in calls for rec in landed)
@@ -826,3 +828,39 @@ class TestLandedCalls:
         assert len(report.switch_calls) == count
         blob = repr(report.switch_calls)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+class TestExchangeReplay:
+    @pytest.mark.parametrize("make,seed,shuffle,cases", [
+        pytest.param(lambda: generate_random(32, 34, 68, 2, 3), 0, False,
+                     {"base", "lift"}, id="random_s3"),
+        pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1, False,
+                     {"base", "lift", "descend"}, id="descend_False"),
+        pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1, True,
+                     {"base", "lift", "descend"}, id="descend_True"),
+    ])
+    def test_every_call_replays_its_exchange(self, make, seed, shuffle, cases,
+                                             monkeypatch):
+        # each call's removed/added ids rebuild its result from its start
+        # (base) or from the result of the call just under it (lift, descend)
+        checked = Counter()
+        inner = switching.robust_switch
+
+        def replaying(ctx, current, request, depth=0):
+            out = inner(ctx, current, request, depth)
+            if type(out) is switching.SwitchOutcome:
+                calls = out.calls
+                for i, c in enumerate(calls):
+                    if c.case == "base":
+                        assert c.start.with_swap(c.removed, c.added) == c.result
+                    else:
+                        assert i > 0 and calls[i - 1].depth == c.depth + 1
+                        before = calls[i - 1].result
+                        assert before.with_swap(c.removed, c.added) == c.result
+                    assert c.removed[0] == ctx.hierarchy.entry(c.request.colour)[1].edge_id
+                    checked[c.case] += 1
+            return out
+
+        monkeypatch.setattr(switching, "robust_switch", replaying)
+        solve(make(), seed=seed, shuffle=shuffle)
+        assert set(checked) == cases
