@@ -157,10 +157,18 @@ class SwitchOutcome:
     """A served request.  ``calls`` covers this call and every call under
     it, innermost first; this call's own entry comes last."""
 
-    matching: RainbowMatching
     calls: list[SwitchCall]
-    distance_to_base: int
     rejections: dict[str, int]
+
+    @property
+    def matching(self) -> RainbowMatching:
+        """The served matching: this call's result."""
+        return self.calls[-1].result
+
+    @property
+    def distance_to_base(self) -> int:
+        """This call's result's distance to the context's base."""
+        return self.calls[-1].distance_to_base
 
 
 @dataclass
@@ -267,7 +275,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     assert near.within(budget + slack)
     calls.append(SwitchCall(request, level_idx, current, result, near.distance,
                             depth, case, removed, added))
-    return SwitchOutcome(result, calls, near.distance, rejections)
+    return SwitchOutcome(calls, rejections)
 
 
 def _chain(ctx, current, budget, requests, depth):
