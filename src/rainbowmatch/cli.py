@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from math import ceil
+from math import ceil, isnan
 
 from . import multigraph
 from .instances import (PlacementError, cyclic_square, dumps_square, generate_random,
@@ -28,7 +28,7 @@ from .multigraph import InstanceParams, hypothesis_check
 from .oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, CapExceeded,
                      max_partial_transversal, max_rainbow_matching)
 from .reachability import counting_diagnostics
-from .switching import SwitchContext, solve
+from .switching import DEFAULT_MAX_BUDGET, SwitchContext, solve
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +89,11 @@ def _load_matching(graph, path: str):
     """The matching that the JSON document at ``path`` lists, and every
     issue with it: the document's own first, then :func:`verify`'s."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            # nesting deeper than the decoder's recursion limit
+            raise ValueError(f"malformed matching document: {exc}") from None
     m = matching_from_json(graph, doc)
     return m, document_issues(graph, doc) + verify(graph, m)
 
@@ -270,14 +274,26 @@ def _add_solve_flags(p) -> None:
     _add_density_flags(p)
     p.add_argument("--target-deficit", type=int, default=0,
                    help="stop at size n minus this (default 0)")
-    p.add_argument("--max-budget", type=int, default=64,
-                   help="cap on distance to the iteration base (default 64)")
+    p.add_argument("--max-budget", type=int, default=DEFAULT_MAX_BUDGET,
+                   help="cap on distance to the iteration base (default %(default)s)")
     p.add_argument("--max-iterations", type=int, default=1000)
+
+
+def _seconds(text: str) -> float:
+    """A ``--time-limit`` value: a float other than NaN, which would switch
+    the oracles' clock off."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if isnan(value):
+        raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}")
+    return value
 
 
 def _add_oracle_caps(p, time_limit: float) -> None:
     p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
-    p.add_argument("--time-limit", type=float, default=time_limit)
+    p.add_argument("--time-limit", type=_seconds, default=time_limit)
 
 
 def _build_parser() -> _Parser:

@@ -2,8 +2,9 @@
 
 Two independent searches: a branch-and-bound over graph edges for maximum
 rainbow matchings, and a row-by-row search over Latin square cells for maximum
-partial transversals.  They share no code beyond the result type, so agreement
-between them on square-induced graphs is a real cross-check.
+partial transversals.  They share the result type and the cap machinery, and
+nothing of their search order or bound, so agreement between them on
+square-induced graphs is a real cross-check.
 
 The graph search bounds a node by the least of: the unused colours left in
 the edge suffix, the free vertices of either of two fixed vertex covers, and
@@ -18,13 +19,15 @@ bounded by memory, not by Python's recursion limit.  Both honour a node cap and
 a wall-clock limit and raise :class:`CapExceeded` (carrying the best matching
 found so far) when either is hit, so callers can distinguish a certified
 optimum from a lower bound.  The node cap is checked on every node and the
-clock on every ``_TIME_CHECK_STRIDE``-th.
+clock on every ``_TIME_CHECK_STRIDE``-th.  A NaN time limit raises
+ValueError: no clock reading would ever exceed its deadline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import isnan
 
 from .instances import LatinSquare
 from .multigraph import ColouredMultigraph
@@ -61,6 +64,13 @@ def _next_check(nodes: int, max_nodes: int) -> int:
     """The first node count after ``nodes`` at which a cap may fire: one past
     the node cap, or the next multiple of the clock stride."""
     return min(max_nodes + 1, (nodes // _TIME_CHECK_STRIDE + 1) * _TIME_CHECK_STRIDE)
+
+
+def _deadline(time_limit: float) -> float:
+    """The clock reading past which a search started now is out of time."""
+    if isnan(time_limit):
+        raise ValueError("time limit is NaN")
+    return time.perf_counter() + time_limit
 
 
 def _breach(nodes: int, max_nodes: int, deadline: float) -> str | None:
@@ -144,7 +154,7 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     nv = [x.bit_count() for x in vsuffix]
     n1 = [x.bit_count() for x in s1]
     n2 = [x.bit_count() for x in s2]
-    deadline = time.perf_counter() + time_limit
+    deadline = _deadline(time_limit)
     nodes = 0
     check_at = _next_check(0, max_nodes)
     best_size = 0
@@ -202,7 +212,7 @@ def max_partial_transversal(square: LatinSquare,
     """
     n = square.order
     rows = square.rows
-    deadline = time.perf_counter() + time_limit
+    deadline = _deadline(time_limit)
     nodes = 0
     check_at = _next_check(0, max_nodes)
     best_size = 0

@@ -85,8 +85,9 @@ class FlexibleStructure:
 
     ``threshold`` is the count a tail must reach; ``external_free_at`` indexes
     the external unused-colour edges by their covered endpoint, each tuple
-    sorted by (free endpoint, edge id).  A matching that uses every colour has
-    no ``free_colours``, and then every other field is empty too.
+    sorted by (free endpoint, edge id); ``partners`` indexes the oriented
+    edges by colour.  A matching that uses every colour has no
+    ``free_colours``, and then every other field is empty too.
     """
 
     free_colours: frozenset[int]
@@ -94,15 +95,10 @@ class FlexibleStructure:
     edges: tuple[OrientedEdge, ...]
     colours: frozenset[int]
     external_free_at: dict[int, tuple[int, ...]]
-
-    def __post_init__(self):
-        by_colour: dict[int, OrientedEdge] = {}
-        for oe in self.edges:
-            by_colour.setdefault(oe.colour, oe)
-        object.__setattr__(self, "_by_colour", by_colour)
+    partners: dict[int, OrientedEdge] = field(repr=False, compare=False)
 
     def by_colour(self, colour: int) -> OrientedEdge | None:
-        return self._by_colour.get(colour)
+        return self.partners.get(colour)
 
 
 def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
@@ -111,7 +107,7 @@ def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
     external unused-colour edges to be its tail."""
     free_colours = frozenset(matching.free_colours())
     if not free_colours:
-        return FlexibleStructure(frozenset(), 0, (), frozenset(), {})
+        return FlexibleStructure(frozenset(), 0, (), frozenset(), {}, {})
     threshold = max(1, ceil(params.alpha * len(free_colours)))
     external_free_at = _by_covered_end(
         graph, matching, external_edges(graph, matching, free_colours))
@@ -120,17 +116,21 @@ def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
         return len(external_free_at.get(tail, ())) >= threshold or None
 
     oriented: list[OrientedEdge] = []
+    partners: dict[int, OrientedEdge] = {}
     for eid in matching.sorted_ids:
         e = graph.edge(eid)
         found = _orient(e, enough)
         if found is not None:
-            oriented.append(OrientedEdge(eid, found[0], found[1], e.colour))
+            oe = OrientedEdge(eid, found[0], found[1], e.colour)
+            oriented.append(oe)
+            partners.setdefault(e.colour, oe)
     return FlexibleStructure(
         free_colours=free_colours,
         threshold=threshold,
         edges=tuple(oriented),
-        colours=frozenset(oe.colour for oe in oriented),
+        colours=frozenset(partners),
         external_free_at=external_free_at,
+        partners=partners,
     )
 
 
@@ -186,9 +186,10 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
 
 @dataclass(frozen=True)
 class LevelEdge:
-    """A matching edge placed on a level, with the options a switch has to
+    """A matching edge placed on level ``level`` (a stopped candidate carries
+    m + 1, the level it failed to start), with the options a switch has to
     free its head.  ``cert`` names the lower level whose colours certified it
-    (0 means certified by good flexible edges).  A level-1 edge carries its
+    (0 means good flexible edges).  A level-1 edge carries its
     :func:`_base_pairs`; a higher one the :func:`certificate` that placed it,
     ``lifts`` and ``descends``.  The fields a level does not use are empty."""
 
@@ -196,6 +197,7 @@ class LevelEdge:
     tail: int
     head: int
     colour: int
+    level: int
     cert: int
     pairs: tuple[tuple, ...] = field(repr=False)
     lifts: tuple[tuple[int, int], ...] = field(repr=False)
@@ -215,35 +217,26 @@ class Level:
 @dataclass(frozen=True)
 class Hierarchy:
     """The levels, plus the below-threshold candidate set that stopped growth;
-    ``reach_heads`` is the heads of every level."""
+    the heads and colours of every level, as sets and as level-edge indexes."""
 
     levels: tuple[Level, ...]
     stop_threshold: int
     stopped: tuple[LevelEdge, ...]
     reach_heads: frozenset[int]
     reach_colours: frozenset[int]
+    by_colour: dict[int, LevelEdge] = field(repr=False, compare=False)
+    by_head: dict[int, LevelEdge] = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.levels)
 
-    def __post_init__(self):
-        # first match in level order, then edge order
-        by_colour: dict[int, tuple[int, LevelEdge]] = {}
-        by_head: dict[int, tuple[int, LevelEdge]] = {}
-        for level in self.levels:
-            for le in level.edges:
-                by_colour.setdefault(le.colour, (level.index, le))
-                by_head.setdefault(le.head, (level.index, le))
-        object.__setattr__(self, "_by_colour", by_colour)
-        object.__setattr__(self, "_by_head", by_head)
+    def entry(self, colour: int) -> LevelEdge | None:
+        """The level edge of a reachable colour, else None."""
+        return self.by_colour.get(colour)
 
-    def entry(self, colour: int) -> tuple[int, LevelEdge] | None:
-        """(level index, level edge) for a reachable colour, else None."""
-        return self._by_colour.get(colour)
-
-    def head_entry(self, head: int) -> tuple[int, LevelEdge] | None:
-        return self._by_head.get(head)
+    def head_entry(self, head: int) -> LevelEdge | None:
+        return self.by_head.get(head)
 
 
 def certificate(graph: ColouredMultigraph, tail: int, colours, covered,
@@ -310,8 +303,9 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
     level1_threshold = max(1, ceil(params.alpha * len(flex.colours)))
     covered = matching.covered
     levels: list[Level] = []
-    assigned: set[int] = set()
-    below: frozenset[int] = frozenset()
+    # the level edges so far, first match kept (colours and heads are unique)
+    by_colour: dict[int, LevelEdge] = {}
+    by_head: dict[int, LevelEdge] = {}
 
     def certified_by_good(tail):
         if len(good.good_at.get(tail, ())) >= level1_threshold:
@@ -322,41 +316,44 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
         # the smallest lower level whose certificate at ``tail`` is big enough
         for level in levels:
             need = max(1, ceil(params.alpha * len(level.colours)))
-            lifts, descends = certificate(graph, tail, level.colours, covered, below)
+            lifts, descends = certificate(graph, tail, level.colours, covered, by_head)
             if len(lifts) + len(descends) >= need:
                 return level.index, lifts, descends
         return None
 
     while True:
         certify = certified_by_good if not levels else certified_below
+        index = len(levels) + 1
         cands: list[LevelEdge] = []
         for eid in matching.sorted_ids:
-            if eid in assigned:
-                continue
             e = graph.edge(eid)
+            if e.colour in by_colour:  # already on a level
+                continue
             found = _orient(e, certify)
             if found is not None:
                 tail, head, (cert, lifts, descends) = found
                 pairs = _base_pairs(graph, flex, good, eid, tail) if cert == 0 else ()
-                cands.append(LevelEdge(eid, tail, head, e.colour, cert,
+                cands.append(LevelEdge(eid, tail, head, e.colour, index, cert,
                                        pairs, lifts, descends))
         if len(cands) < stop:
             return Hierarchy(
                 levels=tuple(levels),
                 stop_threshold=stop,
                 stopped=tuple(cands),
-                reach_heads=below,
-                reach_colours=frozenset(c for lv in levels for c in lv.colours),
+                reach_heads=frozenset(by_head),
+                reach_colours=frozenset(by_colour),
+                by_colour=by_colour,
+                by_head=by_head,
             )
-        level = Level(
-            index=len(levels) + 1,
+        levels.append(Level(
+            index=index,
             edges=tuple(cands),
             heads=frozenset(le.head for le in cands),
             colours=frozenset(le.colour for le in cands),
-        )
-        levels.append(level)
-        assigned.update(le.edge_id for le in cands)
-        below = below | level.heads
+        ))
+        for le in cands:
+            by_colour.setdefault(le.colour, le)
+            by_head.setdefault(le.head, le)
 
 
 _KIND_RANK = {"extend": 0, "reach_free": 1, "reach_reach": 2, "free_free": 3}

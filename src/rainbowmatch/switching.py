@@ -45,6 +45,8 @@ from .reachability import (FlexibleStructure, Hierarchy, Violation,
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_MAX_BUDGET = 64  # the cap on a switch's distance to the iteration base
+
 
 def closeness_slack(level: int) -> int:
     """Worst-case growth of distance-to-base for one switch at ``level``.
@@ -183,19 +185,21 @@ class NotFound:
 @dataclass
 class SwitchContext:
     """Everything the engine needs about one base matching, which
-    :meth:`build` checks is a rainbow matching of the graph."""
+    :meth:`build` checks is a rainbow matching of the graph itself."""
 
     graph: ColouredMultigraph
     base: RainbowMatching
     flex: FlexibleStructure
     hierarchy: Hierarchy
-    max_budget: int = 64
+    max_budget: int = DEFAULT_MAX_BUDGET
     rng: random.Random | None = None
 
     @classmethod
     def build(cls, graph: ColouredMultigraph, matching: RainbowMatching,
-              params: InstanceParams | None = None, max_budget: int = 64,
+              params: InstanceParams | None = None, max_budget: int = DEFAULT_MAX_BUDGET,
               rng: random.Random | None = None) -> "SwitchContext":
+        if matching.graph is not graph:
+            raise SwitchUsageError("base is a matching of another graph")
         issues = verify(graph, matching)
         if issues:
             raise SwitchUsageError(f"base is not a rainbow matching: {issues[0].detail}")
@@ -221,10 +225,9 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     """
     colour, vertex, budget, fix, avoid_vertices, avoid_colours = request
     hierarchy = ctx.hierarchy
-    entry = hierarchy.entry(colour)
-    if entry is None:
+    le = hierarchy.entry(colour)
+    if le is None:
         raise SwitchUsageError(f"colour {colour} is not reachable")
-    level_idx, le = entry
     if vertex != le.head:
         raise SwitchUsageError(
             f"vertex {vertex} is not the designated head of colour "
@@ -243,25 +246,25 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     for c in avoid_colours:
         if current.uses_colour(c):
             raise SwitchUsageError(f"avoided colour {c} already in use")
-    cap = 2 * (hierarchy.m - level_idx + 1)
+    cap = 2 * (hierarchy.m - le.level + 1)
     if len(fix) > cap or len(avoid_vertices) > cap or len(avoid_colours) > cap:
         for name, group in (("fix", fix), ("avoid_vertices", avoid_vertices),
                             ("avoid_colours", avoid_colours)):
             if len(group) > cap:
-                raise SwitchUsageError(f"{name} larger than {cap} at level {level_idx}")
+                raise SwitchUsageError(f"{name} larger than {cap} at level {le.level}")
     if not closeness(ctx.base, current).within(budget):
         raise SwitchUsageError("current matching is farther from base than the budget")
     if depth > hierarchy.m:
         raise SwitchUsageError("recursion deeper than the hierarchy")
 
-    slack = closeness_slack(level_idx)
+    slack = closeness_slack(le.level)
     if budget + slack > ctx.max_budget:
         return NotFound("budget_cap", {})
 
-    if level_idx == 1:
+    if le.level == 1:
         out = _switch_base(ctx, current, request, le)
     else:
-        out = _switch_inductive(ctx, current, request, level_idx, le, depth)
+        out = _switch_inductive(ctx, current, request, le, depth)
     if type(out) is NotFound:
         return out
 
@@ -273,7 +276,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     assert not any(result.uses_colour(c) for c in avoid_colours)
     near = closeness(ctx.base, result)
     assert near.within(budget + slack)
-    calls.append(SwitchCall(request, level_idx, current, result, near.distance,
+    calls.append(SwitchCall(request, le.level, current, result, near.distance,
                             depth, case, removed, added))
     return SwitchOutcome(calls, rejections)
 
@@ -343,7 +346,7 @@ def _lift(ctx, current, request, keep, w, colour):
         return "w_not_free"
     if w in request.avoid_vertices:
         return "w_avoided"
-    sub = ctx.hierarchy.entry(colour)[1]
+    sub = ctx.hierarchy.entry(colour)
     if current.edge_of_colour(colour) != sub.edge_id:
         return "partner_missing"
     if sub.edge_id in keep:
@@ -357,12 +360,12 @@ def _descend(ctx, current, request, keep, u, colour):
     head ``u``, after which that edge replaces the switched edge; or the name
     of the first filter the candidate fails.  ``keep`` is the request's fix
     set plus the switched edge."""
-    u_edge = ctx.hierarchy.head_entry(u)[1]
+    u_edge = ctx.hierarchy.head_entry(u)
     if u_edge.edge_id not in current.edge_ids:
         return "head_edge_missing"
     if u_edge.edge_id in keep:
         return "head_edge_fixed"
-    sub = ctx.hierarchy.entry(colour)[1]
+    sub = ctx.hierarchy.entry(colour)
     if current.edge_of_colour(colour) != sub.edge_id:
         return "partner_missing"
     if sub.edge_id in keep or sub.edge_id == u_edge.edge_id:
@@ -373,7 +376,7 @@ def _descend(ctx, current, request, keep, u, colour):
              request.avoid_colours | {colour})]
 
 
-def _switch_inductive(ctx, current, request, level_idx, le, depth):
+def _switch_inductive(ctx, current, request, le, depth):
     """Level >= 2: walk a certifying lower-level-coloured edge from the tail,
     first into a free vertex (a lift, one lower switch), else into a lower
     head (a descend, two)."""
@@ -431,12 +434,10 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     e = ctx.graph.edge(violation.edge_id)
     requests = []
     if violation.kind != "extend":
-        h = ctx.hierarchy
-        target = h.entry(e.colour)[1]
-        # level edges of the endpoints that are heads, in witness order; a
-        # free endpoint is never a head, since heads are covered
-        heads = [h.head_entry(v)[1] for v in violation.vertices if v in h.reach_heads]
-        to_free = [le for le in heads if le.edge_id != target.edge_id]
+        target = ctx.hierarchy.entry(e.colour)
+        # the endpoints' level edges, in witness order, but the colour's own
+        to_free = [le for le in map(ctx.hierarchy.head_entry, violation.vertices)
+                   if le is not None and le is not target]
         ends = frozenset(violation.vertices)
         keep = frozenset([target.edge_id] + [le.edge_id for le in to_free])
         avoid = ends - ctx.base.covered
@@ -521,7 +522,7 @@ class SolveReport:
 
 
 def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
-          target_deficit: int = 0, seed: int = 0, *, max_budget: int = 64,
+          target_deficit: int = 0, seed: int = 0, *, max_budget: int = DEFAULT_MAX_BUDGET,
           max_iterations: int = 1000, shuffle: bool = False) -> SolveReport:
     """Greedy start, then repeatedly pick the best-ranked violation whose
     recipe lands, until size n - target_deficit is reached, no recipe lands

@@ -146,6 +146,19 @@ class TestPipeline:
         assert err == (f"error: malformed matching document: edge id {edge_id!r} "
                        "is not an integer\n")
 
+    @pytest.mark.parametrize("command", ["verify", "stats"])
+    def test_deeply_nested_document_is_malformed(self, tmp_path, z4_path, capsys,
+                                                 command):
+        # nesting past the JSON decoder's recursion limit
+        matching = tmp_path / "deep.json"
+        matching.write_text("[" * 100_000 + "]" * 100_000)
+        code = main([command, "--input", z4_path, "--matching", str(matching)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed matching document: ")
+        assert len(err.splitlines()) == 1
+
     def test_generate_random_then_check(self, tmp_path, capsys):
         instance = str(tmp_path / "r.txt")
         assert main(["generate", "random", "--colours", "6", "--seed", "3",
@@ -378,6 +391,28 @@ class TestErrors:
                      "--vertices", "6"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["oracle", "--input", "{z4}"], ["oracle", "--input", "{z4}", "--latin"],
+        ["bench", "--seeds", "0", "--colours", "4"],
+    ], ids=["oracle", "oracle_latin", "bench"])
+    @pytest.mark.parametrize("value", ["nan", "NaN", "abc"])
+    def test_time_limit_not_a_number(self, z4_path, capsys, command, value):
+        # a NaN deadline would never pass, so the clock would never fire
+        argv = [arg.format(z4=z4_path) for arg in command]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--time-limit", value])
+        out, err = capsys.readouterr()
+        assert info.value.code == 1
+        assert out == ""  # bench rejects it before its CSV header
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: argument --time-limit: not a number of seconds: {value!r}"]
+        assert "Traceback" not in err
+
+    def test_time_limit_inf_is_no_limit(self, z4_path, capsys):
+        assert main(["oracle", "--input", z4_path, "--time-limit", "inf",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] is True
 
     @pytest.mark.parametrize("seeds, fragment", [
         ("abc", "expected a seed or a range"),

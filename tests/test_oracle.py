@@ -262,6 +262,19 @@ class TestCaps:
         assert outcome(max_partial_transversal, sq, time_limit=0) \
             == ("time", 7, Z8_AT_4096_SQUARE, 4096)
 
+    # a NaN deadline compares False forever, which would switch the clock off
+    def test_nan_time_limit_refused(self):
+        sq = cyclic_square(8)
+        with pytest.raises(ValueError, match="^time limit is NaN$"):
+            max_rainbow_matching(latin_to_graph(sq), time_limit=float("nan"))
+        with pytest.raises(ValueError, match="^time limit is NaN$"):
+            max_partial_transversal(sq, time_limit=float("nan"))
+
+    def test_infinite_time_limit_allowed(self):
+        sq = cyclic_square(5)
+        assert max_rainbow_matching(latin_to_graph(sq), time_limit=float("inf")).size == 5
+        assert max_partial_transversal(sq, time_limit=float("inf")).size == 5
+
     def test_node_cap_checked_before_the_clock(self):
         sq = cyclic_square(8)
         assert outcome(max_rainbow_matching, latin_to_graph(sq), max_nodes=4095,

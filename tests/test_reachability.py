@@ -133,9 +133,9 @@ class TestHierarchy:
         assert hier.reach_heads == {0, 4}
         assert hier.reach_colours == {0, 2}
         assert hier.stopped == ()
-        assert hier.entry(0) == (1, level.edges[0])
+        assert hier.entry(0) is level.edges[0]
         assert hier.entry(5) is None
-        assert hier.head_entry(4) == (1, level.edges[1])
+        assert hier.head_entry(4) is level.edges[1]
         assert hier.head_entry(3) is None
 
     def test_high_alpha_stops_before_level_one(self, reach_free_fixture):
@@ -403,13 +403,14 @@ class TestCountingErrors:
 
 
 def scan_entry(hier, key, attr, level_set):
-    """First (level index, level edge) whose ``attr`` equals ``key``, in level
-    order, then edge order."""
+    """First level edge whose ``attr`` equals ``key``, in level order, then
+    edge order."""
     for level in hier.levels:
         if key in getattr(level, level_set):
             for le in level.edges:
                 if getattr(le, attr) == key:
-                    return level.index, le
+                    assert le.level == level.index
+                    return le
     return None
 
 
@@ -429,6 +430,18 @@ class TestLookups:
                 (oe for oe in flex.edges if oe.colour == c), None)
         for v in range(graph.num_vertices + 1):
             assert hier.head_entry(v) == scan_entry(hier, v, "head", "heads")
+
+    @pytest.mark.parametrize("graph,levels,stopped", [
+        (generate_random(32, 34, 68, 2, 1), 2, 0),
+        (generate_random(32, 34, 68, 2, 3), 1, 1),
+    ])
+    def test_each_level_edge_knows_its_level(self, graph, levels, stopped):
+        _, _, _, hier = analyse(graph, greedy(graph, 0), InstanceParams.for_graph(graph))
+        assert (hier.m, len(hier.stopped)) == (levels, stopped)
+        for level in hier.levels:
+            assert {le.level for le in level.edges} == {level.index}
+        # a stopped candidate carries the level it failed to start
+        assert all(le.level == hier.m + 1 for le in hier.stopped)
 
 
 def isotope(n, seed):

@@ -311,6 +311,19 @@ class TestUsageErrors:
                                                   rf"matching: {re.escape(problem)}$"):
             SwitchContext.build(g, RainbowMatching(g, edge_ids))
 
+    def test_base_of_another_graph(self, monkeypatch):
+        # g1's edge 0 covers {0, 1}, g2's covers {0, 2}: built on g2, the
+        # context would miss g2's edge 1, which extends the matching
+        g1 = ColouredMultigraph(4, 2, [(0, 1, 0), (2, 3, 1)])
+        g2 = ColouredMultigraph(4, 2, [(0, 2, 0), (1, 3, 1)])
+        checked = []
+        monkeypatch.setattr(switching, "verify",
+                            lambda graph, m: checked.append(m) or verify(graph, m))
+        with pytest.raises(SwitchUsageError,
+                           match="^base is a matching of another graph$"):
+            SwitchContext.build(g2, RainbowMatching(g1, [0]))
+        assert checked == []
+
     def test_base_checked_once_per_context(self, monkeypatch):
         checked = []
 
@@ -857,7 +870,7 @@ class TestExchangeReplay:
                         assert i > 0 and calls[i - 1].depth == c.depth + 1
                         before = calls[i - 1].result
                         assert before.with_swap(c.removed, c.added) == c.result
-                    assert c.removed[0] == ctx.hierarchy.entry(c.request.colour)[1].edge_id
+                    assert c.removed[0] == ctx.hierarchy.entry(c.request.colour).edge_id
                     checked[c.case] += 1
             return out
 
