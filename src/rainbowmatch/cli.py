@@ -163,8 +163,8 @@ def _cmd_stats(args) -> int:
                     "colours": sorted(lv.colours)}
                    for lv in ctx.hierarchy.levels],
         "m": ctx.hierarchy.m,
-        "F_size": len(ctx.flex.colours),
-        "R_size": len(ctx.hierarchy.reach_colours),
+        "F_size": len(ctx.flex.partners),
+        "R_size": len(ctx.hierarchy.by_colour),
         "counting": counting_diagnostics(graph, m, ctx.hierarchy, params),
     }
     print(json.dumps(doc, indent=2))

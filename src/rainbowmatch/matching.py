@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import KeysView
 from typing import NamedTuple
 
 from .multigraph import ColouredMultigraph, Issue
@@ -45,8 +46,8 @@ class RainbowMatching:
     kept.
     """
 
-    __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_covered", "_clean",
-                 "_sorted", "_root", "_dist", "_maximal")
+    __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_clean", "_sorted",
+                 "_root", "_dist", "_maximal")
 
     def __init__(self, graph: ColouredMultigraph, edge_ids=()):
         edge_ids = tuple(edge_ids)
@@ -75,7 +76,6 @@ class RainbowMatching:
             twin.setdefault(v, u)
         self._by_colour = by_colour
         self._twin = twin
-        self._covered = frozenset(twin)
         # clean: every id known, no loop, no colour or vertex used twice; the
         # views then hold one entry per edge, so ``with_swap`` can patch them
         self._clean = clean
@@ -89,7 +89,6 @@ class RainbowMatching:
         out.edge_ids = edge_ids
         out._by_colour = by_colour
         out._twin = twin
-        out._covered = frozenset(twin)
         out._clean = clean
         out._sorted = None
         out._root = None
@@ -112,15 +111,17 @@ class RainbowMatching:
         return hash(self.edge_ids)
 
     @property
-    def covered(self) -> frozenset[int]:
-        return self._covered
+    def covered(self) -> KeysView[int]:
+        """The covered vertices: a read-only view of the twin index's keys,
+        with set operators and ``isdisjoint`` but no ``union``."""
+        return self._twin.keys()
 
     @property
     def colours(self) -> frozenset[int]:
         return frozenset(self._by_colour)
 
     def free_vertices(self) -> list[int]:
-        return [v for v in range(self.graph.num_vertices) if v not in self._covered]
+        return [v for v in range(self.graph.num_vertices) if v not in self._twin]
 
     def free_colours(self) -> list[int]:
         return [c for c in range(self.graph.num_colours) if c not in self._by_colour]
@@ -133,7 +134,7 @@ class RainbowMatching:
         return self._twin.get(vertex)
 
     def is_covered(self, vertex: int) -> bool:
-        return vertex in self._covered
+        return vertex in self._twin
 
     def uses_colour(self, colour: int) -> bool:
         return colour in self._by_colour
@@ -302,7 +303,7 @@ def extend_to_maximal(graph: ColouredMultigraph,
             raise ValueError(f"cannot extend by unknown edges {unknown}")
     elif root is not None and root._maximal:
         freed = set()
-        for x in root._covered - matching._covered:
+        for x in root._twin.keys() - matching._twin.keys():
             freed.update(graph.edges_at(x))
         for c in root._by_colour.keys() - matching._by_colour.keys():
             freed.update(graph.edges_with_colour(c))

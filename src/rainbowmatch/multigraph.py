@@ -234,8 +234,12 @@ class InstanceParams:
 class HypothesisReport:
     """Outcome of checking an instance against density hypotheses."""
 
-    ok: bool
     issues: tuple[Issue, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        """True when the instance meets every hypothesis."""
+        return not self.issues
 
 
 def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> HypothesisReport:
@@ -260,7 +264,7 @@ def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> Hypot
                 "multiplicity",
                 f"pair ({u},{v}) joined by {n} edges, cap is {cap}",
                 vertex=u))
-    return HypothesisReport(ok=not issues, issues=tuple(issues))
+    return HypothesisReport(tuple(issues))
 
 
 # -- text format ------------------------------------------------------------

@@ -86,14 +86,13 @@ class FlexibleStructure:
     ``threshold`` is the count a tail must reach; ``external_free_at`` indexes
     the external unused-colour edges by their covered endpoint, each tuple
     sorted by (free endpoint, edge id); ``partners`` indexes the oriented
-    edges by colour.  A matching that uses every colour has no
+    edges by flexible colour.  A matching that uses every colour has no
     ``free_colours``, and then every other field is empty too.
     """
 
     free_colours: frozenset[int]
     threshold: int
     edges: tuple[OrientedEdge, ...]
-    colours: frozenset[int]
     external_free_at: dict[int, tuple[int, ...]]
     partners: dict[int, OrientedEdge] = field(repr=False, compare=False)
 
@@ -107,7 +106,7 @@ def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
     external unused-colour edges to be its tail."""
     free_colours = frozenset(matching.free_colours())
     if not free_colours:
-        return FlexibleStructure(frozenset(), 0, (), frozenset(), {}, {})
+        return FlexibleStructure(frozenset(), 0, (), {}, {})
     threshold = max(1, ceil(params.alpha * len(free_colours)))
     external_free_at = _by_covered_end(
         graph, matching, external_edges(graph, matching, free_colours))
@@ -128,7 +127,6 @@ def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
         free_colours=free_colours,
         threshold=threshold,
         edges=tuple(oriented),
-        colours=frozenset(partners),
         external_free_at=external_free_at,
         partners=partners,
     )
@@ -153,7 +151,7 @@ class GoodBadReport:
 def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
                       flex: FlexibleStructure,
                       params: InstanceParams) -> GoodBadReport:
-    if not flex.colours:
+    if not flex.partners:
         return GoodBadReport(0, frozenset(), {}, {})
     half = max(1, ceil(params.alpha * len(flex.free_colours) / 2))
     edges = graph.edges
@@ -164,8 +162,8 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
 
     good: list[int] = []
     bad: list[int] = []
-    bad_per_colour: dict[int, int] = {c: 0 for c in flex.colours}
-    for eid in external_edges(graph, matching, flex.colours):
+    bad_per_colour: dict[int, int] = {c: 0 for c in flex.partners}
+    for eid in external_edges(graph, matching, flex.partners):
         _, u, v, c = edges[eid]
         kept = 0
         for a, b in reserve[c]:
@@ -206,24 +204,21 @@ class LevelEdge:
 
 @dataclass(frozen=True)
 class Level:
-    """One level: its edges, with their heads and colours."""
+    """One level: its edges, with their colours."""
 
     index: int
     edges: tuple[LevelEdge, ...]
-    heads: frozenset[int]
     colours: frozenset[int]
 
 
 @dataclass(frozen=True)
 class Hierarchy:
     """The levels, plus the below-threshold candidate set that stopped growth;
-    the heads and colours of every level, as sets and as level-edge indexes."""
+    the level edges by reachable colour and by reachable head."""
 
     levels: tuple[Level, ...]
     stop_threshold: int
     stopped: tuple[LevelEdge, ...]
-    reach_heads: frozenset[int]
-    reach_colours: frozenset[int]
     by_colour: dict[int, LevelEdge] = field(repr=False, compare=False)
     by_head: dict[int, LevelEdge] = field(repr=False, compare=False)
 
@@ -300,7 +295,7 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
     the smallest such j), a level-1 edge its base-switch pairs.
     """
     stop = max(1, ceil(params.alpha * graph.num_colours))
-    level1_threshold = max(1, ceil(params.alpha * len(flex.colours)))
+    level1_threshold = max(1, ceil(params.alpha * len(flex.partners)))
     covered = matching.covered
     levels: list[Level] = []
     # the level edges so far, first match kept (colours and heads are unique)
@@ -340,15 +335,12 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
                 levels=tuple(levels),
                 stop_threshold=stop,
                 stopped=tuple(cands),
-                reach_heads=frozenset(by_head),
-                reach_colours=frozenset(by_colour),
                 by_colour=by_colour,
                 by_head=by_head,
             )
         levels.append(Level(
             index=index,
             edges=tuple(cands),
-            heads=frozenset(le.head for le in cands),
             colours=frozenset(le.colour for le in cands),
         ))
         for le in cands:
@@ -356,7 +348,8 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
             by_head.setdefault(le.head, le)
 
 
-_KIND_RANK = {"extend": 0, "reach_free": 1, "reach_reach": 2, "free_free": 3}
+# the violation kinds in rank order: a recipe for an earlier kind is tried first
+VIOLATION_KINDS = ("extend", "reach_free", "reach_reach", "free_free")
 
 
 class Violation(NamedTuple):
@@ -375,28 +368,28 @@ class Violation(NamedTuple):
 
     @property
     def rank(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.vertices, self.edge_id)
+        return (VIOLATION_KINDS.index(self.kind), self.vertices, self.edge_id)
 
 
 def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
                     flex: FlexibleStructure, hierarchy: Hierarchy) -> list[Violation]:
-    """All violations, ordered extend, then reach_free, reach_reach,
-    free_free, ties by witness vertices then edge id.
+    """All violations, ordered by kind as in :data:`VIOLATION_KINDS`, ties by
+    witness vertices then edge id.
 
     Scans only the unused-colour and reachable-colour classes; the brute-force
-    equivalent is a full edge sweep.  Candidates are ranked as plain tuples,
-    ``(kind rank, vertices, edge id, kind, colour)``, and only then built.
+    equivalent is a full edge sweep.  Candidates are kept by kind as plain
+    tuples, ``(vertices, edge id, colour)``, and only built once sorted.
     """
     edges = graph.edges
     covered = matching.covered
-    found = []
+    found = {kind: [] for kind in VIOLATION_KINDS}
     for c in sorted(flex.free_colours):
         for eid in graph.edges_with_colour(c):
             _, u, v, _ = edges[eid]
             if u != v and u not in covered and v not in covered:
-                found.append((0, (u, v) if u < v else (v, u), eid, "extend", c))
-    heads = hierarchy.reach_heads
-    for c in sorted(hierarchy.reach_colours):
+                found["extend"].append(((u, v) if u < v else (v, u), eid, c))
+    heads = hierarchy.by_head
+    for c in sorted(hierarchy.by_colour):
         own = matching.edge_of_colour(c)
         for eid in graph.edges_with_colour(c):
             if eid == own:
@@ -406,17 +399,16 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
                 continue
             if u in heads:
                 if v in heads:
-                    found.append((2, (u, v) if u < v else (v, u), eid, "reach_reach", c))
+                    found["reach_reach"].append(((u, v) if u < v else (v, u), eid, c))
                 elif v not in covered:
-                    found.append((1, (u, v), eid, "reach_free", c))
+                    found["reach_free"].append(((u, v), eid, c))
             elif v in heads:
                 if u not in covered:
-                    found.append((1, (v, u), eid, "reach_free", c))
+                    found["reach_free"].append(((v, u), eid, c))
             elif u not in covered and v not in covered:
-                found.append((3, (u, v) if u < v else (v, u), eid, "free_free", c))
-    found.sort()
-    return [Violation(kind, eid, c, vertices)
-            for _, vertices, eid, kind, c in found]
+                found["free_free"].append(((u, v) if u < v else (v, u), eid, c))
+    return [Violation(kind, eid, c, vertices) for kind in VIOLATION_KINDS
+            for vertices, eid, c in sorted(found[kind])]
 
 
 def counting_diagnostics(graph: ColouredMultigraph, matching: RainbowMatching,
@@ -441,8 +433,8 @@ def counting_diagnostics(graph: ColouredMultigraph, matching: RainbowMatching,
     for le in hierarchy.stopped:
         fringe.add(le.tail)
         fringe.add(le.head)
-    core = matching.covered - hierarchy.reach_heads - fringe
-    reach = hierarchy.reach_colours
+    core = matching.covered - hierarchy.by_head.keys() - fringe
+    reach = hierarchy.by_colour
 
     total = touching_fringe = core_not_fringe = inside_total = max_inside = 0
     for c in sorted(reach):

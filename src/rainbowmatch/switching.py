@@ -39,9 +39,9 @@ from typing import NamedTuple
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
                        matching_to_json, verify)
 from .multigraph import ColouredMultigraph, InstanceParams
-from .reachability import (FlexibleStructure, Hierarchy, Violation,
-                           build_hierarchy, classify_good_bad, compute_flexible,
-                           find_violations)
+from .reachability import (VIOLATION_KINDS, FlexibleStructure, Hierarchy,
+                           Violation, build_hierarchy, classify_good_bad,
+                           compute_flexible, find_violations)
 
 logger = logging.getLogger(__name__)
 
@@ -240,7 +240,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
         raise SwitchUsageError("cannot fix the edge being switched out")
     if not fix <= edge_ids:
         raise SwitchUsageError("fix set contains edges outside the matching")
-    if not avoid_vertices.isdisjoint(current.covered):
+    if not current.covered.isdisjoint(avoid_vertices):
         clash = avoid_vertices & current.covered
         raise SwitchUsageError(f"avoided vertices already covered: {sorted(clash)}")
     for c in avoid_colours:
@@ -272,7 +272,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     assert result.edge_of_colour(colour) is None
     assert not result.is_covered(vertex)
     assert fix <= result.edge_ids
-    assert avoid_vertices.isdisjoint(result.covered)
+    assert result.covered.isdisjoint(avoid_vertices)
     assert not any(result.uses_colour(c) for c in avoid_colours)
     near = closeness(ctx.base, result)
     assert near.within(budget + slack)
@@ -429,7 +429,7 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     Returns a matching one edge larger, or :class:`NotFound` when some switch
     in the chain finds no configuration under the budget cap.
     """
-    if violation.kind not in ("extend", "reach_free", "reach_reach", "free_free"):
+    if violation.kind not in VIOLATION_KINDS:
         raise SwitchUsageError(f"unknown violation kind {violation.kind!r}")
     e = ctx.graph.edge(violation.edge_id)
     requests = []
@@ -440,7 +440,8 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
                    if le is not None and le is not target]
         ends = frozenset(violation.vertices)
         keep = frozenset([target.edge_id] + [le.edge_id for le in to_free])
-        avoid = ends - ctx.base.covered
+        # a frozenset, so that ``avoid |=`` below leaves queued requests alone
+        avoid = ends.difference(ctx.base.covered)
         for le in to_free:
             keep -= {le.edge_id}
             requests.append((le.colour, le.head, keep, avoid, frozenset()))

@@ -137,8 +137,8 @@ def test_flexible_colour_lower_bound():
         flex = compute_flexible(g, m, params)
         n = g.num_colours
         bound = ceil((Fraction(params.epsilon, 2) - params.alpha) * n)
-        assert len(flex.colours) >= bound, (
-            f"|F| = {len(flex.colours)} < {bound} on n = {n}")
+        assert len(flex.partners) >= bound, (
+            f"|F| = {len(flex.partners)} < {bound} on n = {n}")
     _report(f"PASS flexible colour bound: |F| >= ceil((eps/2 - alpha) n) "
             f"on {len(pairs)} maximal matchings short of n")
 
@@ -263,7 +263,9 @@ def test_hierarchy_sanity():
 
 
 def _brute_scan(graph, matching, flex, hier):
-    heads = hier.reach_heads
+    level_edges = [le for level in hier.levels for le in level.edges]
+    heads = {le.head for le in level_edges}
+    reach_colours = {le.colour for le in level_edges}
     out = []
     for e in graph.edges:
         if e.u == e.v:
@@ -273,7 +275,7 @@ def _brute_scan(graph, matching, flex, hier):
         if e.colour in flex.free_colours:
             if fu and fv:
                 out.append(("extend", e.id))
-        elif e.colour in hier.reach_colours:
+        elif e.colour in reach_colours:
             if e.id == matching.edge_of_colour(e.colour):
                 continue
             hu, hv = e.u in heads, e.v in heads

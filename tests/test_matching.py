@@ -175,6 +175,34 @@ def with_loops(seed: int) -> ColouredMultigraph:
         [(e.u, e.v, e.colour) for e in base.edges] + [(0, 0, 0), (1, 1, 1)])
 
 
+class TestCovered:
+    """``covered`` is the set of endpoints of the known edges, read off the
+    graph, however the matching was made."""
+
+    @given(st.integers(0, 6), st.data())
+    @PROPERTY_SETTINGS
+    def test_equals_the_endpoint_set(self, seed, data):
+        g = with_loops(seed)
+        ids = st.integers(0, g.num_edges - 1)
+        built = RainbowMatching(g, data.draw(st.sets(
+            st.integers(0, g.num_edges + 2), max_size=6)))
+        root = greedy(g, seed)
+        removed = data.draw(st.sets(st.sampled_from(root.sorted_ids), max_size=3)
+                            if len(root) else st.just(set()))
+        # any edge of the graph: a clash makes the swap rebuild
+        added = data.draw(st.sets(ids.filter(lambda i: i not in root), max_size=2))
+        trimmed = root.with_swap(removed, ())
+        swapped = root.with_swap(removed, added)
+        for m in (built, built.with_swap((), data.draw(st.sets(
+                      ids.filter(lambda i: i not in built), max_size=2))),
+                  root, trimmed, swapped, extend_to_maximal(g, trimmed),
+                  extend_to_maximal(g, swapped),
+                  extend_to_maximal(g, RainbowMatching(g, trimmed.edge_ids))):
+            ends = {x for i in m.edge_ids if 0 <= i < g.num_edges
+                    for x in g.edge(i)[1:3]}
+            assert m.covered == ends
+
+
 class TestChainDistance:
     """A ``with_swap`` result carries its distance to the chain root."""
 

@@ -54,7 +54,7 @@ class TestFlexibleStructure:
         oe = flex.edges[0]
         assert (oe.edge_id, oe.tail, oe.head, oe.colour) == (0, 0, 1, 0)
         assert {oe.head for oe in flex.edges} == {1}
-        assert flex.colours == {0}
+        assert flex.partners.keys() == {0}
         assert flex.external_free_at == {0: (1, 2, 3)}
         assert flex.by_colour(0) == oe
         assert flex.by_colour(9) is None
@@ -84,7 +84,7 @@ class TestFlexibleStructure:
         assert flex.free_colours  # not every colour is used
         assert flex.edges == ()
         assert hier.m == 0
-        assert hier.reach_heads == frozenset()
+        assert not hier.by_head
         assert find_violations(g, RainbowMatching(g, [0, 1]), flex, hier) == []
 
 
@@ -93,7 +93,7 @@ class TestGoodBad:
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
         _, flex, good, _ = analyse(g, m)
-        assert flex.colours == {1, 3}
+        assert flex.partners.keys() == {1, 3}
         assert {oe.tail for oe in flex.edges} == {3, 7}
         assert good.half_threshold == 1
         assert {i for ids in good.good_at.values() for i in ids} == {8, 9}
@@ -112,7 +112,7 @@ class TestGoodBad:
         ])
         m = RainbowMatching(g, [0, 1])
         _, flex, good, _ = analyse(g, m)
-        assert flex.colours == {1}
+        assert flex.partners.keys() == {1}
         assert {i for ids in good.good_at.values() for i in ids} == set()
         assert good.bad == {3}
         assert good.bad_per_colour == {1: 1}
@@ -127,11 +127,11 @@ class TestHierarchy:
         assert hier.stop_threshold == 1
         level = hier.levels[0]
         assert {le.edge_id for le in level.edges} == {0, 2}
-        assert level.heads == {0, 4}
+        assert {le.head for le in level.edges} == {0, 4}
         assert level.colours == {0, 2}
         assert all(le.cert == 0 for le in level.edges)
-        assert hier.reach_heads == {0, 4}
-        assert hier.reach_colours == {0, 2}
+        assert hier.by_head.keys() == {0, 4}
+        assert hier.by_colour.keys() == {0, 2}
         assert hier.stopped == ()
         assert hier.entry(0) is level.edges[0]
         assert hier.entry(5) is None
@@ -148,7 +148,7 @@ class TestHierarchy:
         assert hier.stop_threshold == 3
         assert hier.m == 0
         assert {le.edge_id for le in hier.stopped} == {0, 2}
-        assert hier.reach_heads == frozenset()
+        assert not hier.by_head
         assert find_violations(g, m, flex, hier) == []
 
 
@@ -165,7 +165,7 @@ class TestViolations:
         g = reach_reach_fixture
         m = RainbowMatching(g, [0, 1, 2, 3, 4, 5])
         _, flex, _, hier = analyse(g, m)
-        assert hier.reach_heads == {0, 4, 6}
+        assert hier.by_head.keys() == {0, 4, 6}
         assert find_violations(g, m, flex, hier) == [
             Violation("reach_reach", 16, 3, (0, 4)),
         ]
@@ -204,7 +204,9 @@ def brute_scan(graph, matching, flex, hier):
     """Full-edge-sweep reference for find_violations: ``(kind, edge id,
     colour, witness vertices)`` in rank order, that is extend, reach_free,
     reach_reach, free_free, ties by witness vertices then edge id."""
-    heads = hier.reach_heads
+    level_edges = [le for level in hier.levels for le in level.edges]
+    heads = {le.head for le in level_edges}
+    reach_colours = {le.colour for le in level_edges}
     out = []
     for e in graph.edges:
         if e.u == e.v:
@@ -216,7 +218,7 @@ def brute_scan(graph, matching, flex, hier):
         if e.colour in flex.free_colours:
             if fu and fv:
                 out.append(("extend", e.id, e.colour, ends))
-        elif e.colour in hier.reach_colours:
+        elif e.colour in reach_colours:
             if e.id == matching.edge_of_colour(e.colour):
                 continue
             if hu and hv:
@@ -237,10 +239,11 @@ def brute_pairs(g, m, flex, good, le) -> tuple:
     flexible-coloured, not bad) times the external unused-colour edges at the
     tail of their colour's flexible edge, minus ``z == w`` and ``le``'s own
     flexible edge as partner; sorted by the first four."""
+    flex_colours = {oe.colour for oe in flex.edges}
     out = []
     for gid in g.edges_at(le.tail):
         ge = g.edge(gid)
-        if ge.u == ge.v or ge.colour not in flex.colours or gid in good.bad:
+        if ge.u == ge.v or ge.colour not in flex_colours or gid in good.bad:
             continue
         w = ge.other(le.tail)
         if m.is_covered(w):
@@ -264,8 +267,9 @@ def recount_certificates(g, m) -> int:
     many level-2+ edges were checked."""
     params, flex, good, hier = analyse(g, m)
     free_set = set(m.free_vertices())
-    level1_threshold = (max(1, ceil(params.alpha * len(flex.colours)))
-                        if flex.colours else 1)
+    flex_colours = {oe.colour for oe in flex.edges}
+    level1_threshold = (max(1, ceil(params.alpha * len(flex_colours)))
+                        if flex_colours else 1)
 
     checked = 0
     heads_below: set[int] = set()
@@ -299,7 +303,7 @@ def recount_certificates(g, m) -> int:
             assert list(le.descends) == sorted(le.descends)
             assert sorted(le.lifts + le.descends) == counted
             checked += 1
-        heads_below |= level.heads
+        heads_below |= {le.head for le in level.edges}
     return checked
 
 
@@ -365,11 +369,11 @@ class TestProperties:
 
         # core is covered - heads - fringe, so this holds exactly when the
         # fringe lies in the covered vertices and misses the heads
-        assert (doc["core_size"] + doc["fringe_size"] + len(hier.reach_heads)
+        assert (doc["core_size"] + doc["fringe_size"] + len(hier.by_head)
                 == len(m.covered))
 
         assert doc["reach_edges_total"] == sum(
-            g.colour_class_size(c) for c in hier.reach_colours)
+            g.colour_class_size(c) for c in hier.by_colour)
         assert (doc["reach_edges_touching_fringe"]
                 + doc["reach_edges_core_not_fringe"]) <= doc["reach_edges_total"]
         assert doc["reach_edges_inside_core"] <= doc["reach_edges_core_not_fringe"]
@@ -402,15 +406,14 @@ class TestCountingErrors:
             counting_diagnostics(g, m, hier, params)
 
 
-def scan_entry(hier, key, attr, level_set):
+def scan_entry(hier, key, attr):
     """First level edge whose ``attr`` equals ``key``, in level order, then
     edge order."""
     for level in hier.levels:
-        if key in getattr(level, level_set):
-            for le in level.edges:
-                if getattr(le, attr) == key:
-                    assert le.level == level.index
-                    return le
+        for le in level.edges:
+            if getattr(le, attr) == key:
+                assert le.level == level.index
+                return le
     return None
 
 
@@ -424,12 +427,14 @@ class TestLookups:
         m = greedy(graph, seed)
         _, flex, _, hier = analyse(graph, m, InstanceParams.for_graph(graph))
         assert flex.edges and hier.levels
+        for level in hier.levels:
+            assert level.colours == {le.colour for le in level.edges}
         for c in range(graph.num_colours + 1):
-            assert hier.entry(c) == scan_entry(hier, c, "colour", "colours")
+            assert hier.entry(c) == scan_entry(hier, c, "colour")
             assert flex.by_colour(c) == next(
                 (oe for oe in flex.edges if oe.colour == c), None)
         for v in range(graph.num_vertices + 1):
-            assert hier.head_entry(v) == scan_entry(hier, v, "head", "heads")
+            assert hier.head_entry(v) == scan_entry(hier, v, "head")
 
     @pytest.mark.parametrize("graph,levels,stopped", [
         (generate_random(32, 34, 68, 2, 1), 2, 0),
@@ -488,8 +493,8 @@ def reachability_facts(graph, tmp_path, capsys) -> dict:
         "bad_per_colour": sorted(good.bad_per_colour.items()),
         "levels": levels,
         "stopped": [level_edge(le) for le in hier.stopped],
-        "reach_heads": sorted(hier.reach_heads),
-        "reach_colours": sorted(hier.reach_colours),
+        "reach_heads": sorted(hier.by_head),
+        "reach_colours": sorted(hier.by_colour),
         "violations": [[v.kind, v.edge_id, v.colour, v.vertices]
                        for v in find_violations(graph, m, flex, hier)],
         "stats": json.loads(capsys.readouterr().out),

@@ -468,6 +468,14 @@ class TestAugment:
         assert out.calls == []
         assert requests_served(log) == []
 
+    def test_unknown_kind(self, base_switch_fixture):
+        g = base_switch_fixture
+        ctx = SwitchContext.build(g, RainbowMatching(g, [1]))
+        (violation,) = ctx.violations()
+        with pytest.raises(SwitchUsageError,
+                           match="^unknown violation kind 'bogus'$"):
+            augment(ctx, violation._replace(kind="bogus"))
+
     def test_free_free(self, free_free_fixture):
         g = free_free_fixture
         base = RainbowMatching(g, [0, 1])
