@@ -79,7 +79,7 @@ def _cmd_solve(args) -> int:
         print(f"status: {report.status}")
         print(f"size: {report.size} (target {report.target}, n {report.n})")
         print(f"iterations: {len(report.iterations)}  exchanges: {report.total_exchanges}")
-        for i in report.matching.sorted_edge_ids():
+        for i in report.matching.sorted_ids:
             e = graph.edge(i)
             print(f"  edge {i}: {e.u} {e.v} colour {e.colour}")
     return report.exit_code

@@ -116,10 +116,6 @@ class RainbowMatching:
         with set operators and ``isdisjoint`` but no ``union``."""
         return self._twin.keys()
 
-    @property
-    def colours(self) -> frozenset[int]:
-        return frozenset(self._by_colour)
-
     def free_vertices(self) -> list[int]:
         return [v for v in range(self.graph.num_vertices) if v not in self._twin]
 
@@ -145,9 +141,6 @@ class RainbowMatching:
         if self._sorted is None:
             self._sorted = tuple(sorted(self.edge_ids))
         return self._sorted
-
-    def sorted_edge_ids(self) -> list[int]:
-        return list(self.sorted_ids)
 
     def with_swap(self, removed=(), added=()) -> "RainbowMatching":
         """A new matching with ``removed`` taken out and ``added`` put in.
@@ -204,7 +197,7 @@ class RainbowMatching:
         return out
 
     def __repr__(self) -> str:
-        return f"RainbowMatching({self.sorted_edge_ids()})"
+        return f"RainbowMatching({list(self.sorted_ids)})"
 
 
 class Closeness(NamedTuple):

@@ -114,12 +114,14 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     S1 and S2 are vertex covers of the loopless graph: the vertices outside
     a greedy maximal independent set taken in ascending and in descending
     vertex order (on :func:`~rainbowmatch.instances.latin_to_graph`'s
-    K_{n,n}, the columns and the rows).  Every further matching edge comes
-    from the suffix and uses a distinct unused colour, a distinct free vertex
-    of each cover and two free vertices of its own, so the bound is valid.
-    The colour term is tested at every node, the vertex terms once per
-    state: after each pop and after each take.  Tested at every node, they
-    cost more than they prune on general graphs.
+    K_{n,n}, the columns and the rows).  Only the vertices with a non-loop
+    edge are indexed: an isolated vertex joins both independent sets and
+    blocks nothing, so the header's vertex count costs nothing.  Every
+    further matching edge comes from the suffix and uses a distinct unused
+    colour, a distinct free vertex of each cover and two free vertices of its
+    own, so the bound is valid.  The colour term is tested at every node,
+    the vertex terms once per state: after each pop and after each take.
+    Tested at every node, they cost more than they prune on general graphs.
 
     A valid bound never prunes a node whose subtree holds a matching larger
     than the best found so far.  With the branching order fixed, the nodes
@@ -131,14 +133,18 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     order.sort(key=lambda e: (graph.colour_class_size(e.colour), e.id))
     m = len(order)
     ids = [e.id for e in order]
-    vmasks = [1 << e.u | 1 << e.v for e in order]
+    # bit i of a vertex mask is the i-th vertex, in ascending id order, of
+    # those with an edge in ``order``: the rest are in no mask
+    ends = sorted({x for e in order for x in (e.u, e.v)})
+    bit = {v: i for i, v in enumerate(ends)}
+    vmasks = [1 << bit[e.u] | 1 << bit[e.v] for e in order]
     cbits = [1 << e.colour for e in order]
-    adjacent = [0] * graph.num_vertices
+    adjacent = [0] * len(bit)
     for e in order:
-        adjacent[e.u] |= 1 << e.v
-        adjacent[e.v] |= 1 << e.u
-    cover1 = _greedy_cover(adjacent, range(graph.num_vertices))
-    cover2 = _greedy_cover(adjacent, range(graph.num_vertices - 1, -1, -1))
+        adjacent[bit[e.u]] |= 1 << bit[e.v]
+        adjacent[bit[e.v]] |= 1 << bit[e.u]
+    cover1 = _greedy_cover(adjacent, range(len(bit)))
+    cover2 = _greedy_cover(adjacent, range(len(bit) - 1, -1, -1))
     # suffix[i] = bitmask of colours on order[i:], vsuffix[i] of their
     # vertices, and s1[i] and s2[i] of those vertices in each cover
     suffix = [0] * (m + 1)

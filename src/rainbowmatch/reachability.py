@@ -83,18 +83,14 @@ class FlexibleStructure:
     """Matching edges whose tail is incident to many external edges of unused
     colours.
 
-    ``threshold`` is the count a tail must reach; ``external_free_at`` indexes
-    the external unused-colour edges by their covered endpoint, each tuple
-    sorted by (free endpoint, edge id); ``partners`` indexes the oriented
-    edges by flexible colour.  A matching that uses every colour has no
-    ``free_colours``, and then every other field is empty too.
+    ``external_free_at`` indexes the external unused-colour edges by their
+    covered endpoint, each tuple sorted by (free endpoint, edge id);
+    ``partners`` indexes the oriented edges by flexible colour.  The unused
+    colours themselves are the matching's :meth:`free_colours`.
     """
 
-    free_colours: frozenset[int]
-    threshold: int
-    edges: tuple[OrientedEdge, ...]
     external_free_at: dict[int, tuple[int, ...]]
-    partners: dict[int, OrientedEdge] = field(repr=False, compare=False)
+    partners: dict[int, OrientedEdge]
 
     def by_colour(self, colour: int) -> OrientedEdge | None:
         return self.partners.get(colour)
@@ -102,11 +98,12 @@ class FlexibleStructure:
 
 def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
                      params: InstanceParams) -> FlexibleStructure:
-    """Orient every matching edge that has an endpoint seeing enough
-    external unused-colour edges to be its tail."""
-    free_colours = frozenset(matching.free_colours())
+    """Orient every matching edge that has an endpoint seeing at least
+    max(1, ceil(alpha * |free colours|)) external unused-colour edges to be
+    its tail."""
+    free_colours = matching.free_colours()
     if not free_colours:
-        return FlexibleStructure(frozenset(), 0, (), {}, {})
+        return FlexibleStructure({}, {})
     threshold = max(1, ceil(params.alpha * len(free_colours)))
     external_free_at = _by_covered_end(
         graph, matching, external_edges(graph, matching, free_colours))
@@ -114,36 +111,26 @@ def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
     def enough(tail):
         return len(external_free_at.get(tail, ())) >= threshold or None
 
-    oriented: list[OrientedEdge] = []
     partners: dict[int, OrientedEdge] = {}
     for eid in matching.sorted_ids:
         e = graph.edge(eid)
         found = _orient(e, enough)
         if found is not None:
-            oe = OrientedEdge(eid, found[0], found[1], e.colour)
-            oriented.append(oe)
-            partners.setdefault(e.colour, oe)
-    return FlexibleStructure(
-        free_colours=free_colours,
-        threshold=threshold,
-        edges=tuple(oriented),
-        external_free_at=external_free_at,
-        partners=partners,
-    )
+            partners.setdefault(e.colour, OrientedEdge(eid, found[0], found[1], e.colour))
+    return FlexibleStructure(external_free_at, partners)
 
 
 @dataclass(frozen=True)
 class GoodBadReport:
     """External flexible-coloured edges split by whether the tail of their
-    colour's matching edge keeps enough disjoint external unused-colour edges.
+    colour's matching edge keeps at least max(1, ceil(alpha * |free colours|
+    / 2)) external unused-colour edges disjoint from them.
 
     ``good_at`` indexes the good edges by covered endpoint, each tuple sorted
     by (free endpoint, edge id); ``bad_per_colour`` counts bad edges per
     flexible colour.
     """
 
-    half_threshold: int
-    bad: frozenset[int]
     good_at: dict[int, tuple[int, ...]]
     bad_per_colour: dict[int, int]
 
@@ -152,16 +139,15 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
                       flex: FlexibleStructure,
                       params: InstanceParams) -> GoodBadReport:
     if not flex.partners:
-        return GoodBadReport(0, frozenset(), {}, {})
-    half = max(1, ceil(params.alpha * len(flex.free_colours) / 2))
+        return GoodBadReport({}, {})
+    half = max(1, ceil(params.alpha * len(matching.free_colours()) / 2))
     edges = graph.edges
     # each flexible colour's reserve, as the (u, v) endpoints of its edges
     reserve = {oe.colour: [edges[rid][1:3]
                            for rid in flex.external_free_at.get(oe.tail, ())]
-               for oe in flex.edges}
+               for oe in flex.partners.values()}
 
     good: list[int] = []
-    bad: list[int] = []
     bad_per_colour: dict[int, int] = {c: 0 for c in flex.partners}
     for eid in external_edges(graph, matching, flex.partners):
         _, u, v, c = edges[eid]
@@ -172,14 +158,8 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
         if kept >= half:
             good.append(eid)
         else:
-            bad.append(eid)
             bad_per_colour[c] += 1
-    return GoodBadReport(
-        half_threshold=half,
-        bad=frozenset(bad),
-        good_at=_by_covered_end(graph, matching, good),
-        bad_per_colour=bad_per_colour,
-    )
+    return GoodBadReport(_by_covered_end(graph, matching, good), bad_per_colour)
 
 
 @dataclass(frozen=True)
@@ -217,7 +197,6 @@ class Hierarchy:
     the level edges by reachable colour and by reachable head."""
 
     levels: tuple[Level, ...]
-    stop_threshold: int
     stopped: tuple[LevelEdge, ...]
     by_colour: dict[int, LevelEdge] = field(repr=False, compare=False)
     by_head: dict[int, LevelEdge] = field(repr=False, compare=False)
@@ -333,7 +312,6 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
         if len(cands) < stop:
             return Hierarchy(
                 levels=tuple(levels),
-                stop_threshold=stop,
                 stopped=tuple(cands),
                 by_colour=by_colour,
                 by_head=by_head,
@@ -372,7 +350,7 @@ class Violation(NamedTuple):
 
 
 def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
-                    flex: FlexibleStructure, hierarchy: Hierarchy) -> list[Violation]:
+                    hierarchy: Hierarchy) -> list[Violation]:
     """All violations, ordered by kind as in :data:`VIOLATION_KINDS`, ties by
     witness vertices then edge id.
 
@@ -383,7 +361,7 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
     edges = graph.edges
     covered = matching.covered
     found = {kind: [] for kind in VIOLATION_KINDS}
-    for c in sorted(flex.free_colours):
+    for c in matching.free_colours():
         for eid in graph.edges_with_colour(c):
             _, u, v, _ = edges[eid]
             if u != v and u not in covered and v not in covered:

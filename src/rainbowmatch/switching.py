@@ -211,7 +211,7 @@ class SwitchContext:
         return cls(graph, matching, flex, hierarchy, max_budget=max_budget, rng=rng)
 
     def violations(self) -> list[Violation]:
-        return find_violations(self.graph, self.base, self.flex, self.hierarchy)
+        return find_violations(self.graph, self.base, self.hierarchy)
 
 
 def robust_switch(ctx: SwitchContext, current: RainbowMatching,
@@ -441,7 +441,7 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
         ends = frozenset(violation.vertices)
         keep = frozenset([target.edge_id] + [le.edge_id for le in to_free])
         # a frozenset, so that ``avoid |=`` below leaves queued requests alone
-        avoid = ends.difference(ctx.base.covered)
+        avoid = frozenset([v for v in ends if not ctx.base.is_covered(v)])
         for le in to_free:
             keep -= {le.edge_id}
             requests.append((le.colour, le.head, keep, avoid, frozenset()))

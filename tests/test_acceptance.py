@@ -253,8 +253,8 @@ def test_hierarchy_sanity():
                 seen |= ids
 
             found = sorted((v.kind, v.edge_id)
-                           for v in find_violations(g, m, flex, hier))
-            assert found == _brute_scan(g, m, flex, hier)
+                           for v in find_violations(g, m, hier))
+            assert found == _brute_scan(g, m, hier)
             matchings += 1
         instances += 1
     _report(f"PASS hierarchy sanity: m < 1/alpha, levels partition the "
@@ -262,7 +262,7 @@ def test_hierarchy_sanity():
             f"matchings over {instances} instances")
 
 
-def _brute_scan(graph, matching, flex, hier):
+def _brute_scan(graph, matching, hier):
     level_edges = [le for level in hier.levels for le in level.edges]
     heads = {le.head for le in level_edges}
     reach_colours = {le.colour for le in level_edges}
@@ -272,7 +272,7 @@ def _brute_scan(graph, matching, flex, hier):
             continue
         fu = not matching.is_covered(e.u)
         fv = not matching.is_covered(e.v)
-        if e.colour in flex.free_colours:
+        if not matching.uses_colour(e.colour):
             if fu and fv:
                 out.append(("extend", e.id))
         elif e.colour in reach_colours:

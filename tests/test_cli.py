@@ -1,12 +1,13 @@
 """End-to-end command-line behaviour via main(argv)."""
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 
 import pytest
 
-from rainbowmatch import cyclic_square, dumps_square, latin_to_graph
+from rainbowmatch import cyclic_square, dumps_square, generate_random, latin_to_graph
 from rainbowmatch.cli import main
 from rainbowmatch.multigraph import dumps as dumps_graph
 
@@ -56,6 +57,21 @@ class TestSolve:
         assert "status: target_reached" in out
         assert "size: 5 (target 5, n 5)" in out
         assert out.count("edge ") == 5
+
+    # sha256 of the plain stdout, recorded before the printer read
+    # ``RainbowMatching.sorted_ids`` directly
+    @pytest.mark.parametrize("graph,digest", [
+        (latin_to_graph(cyclic_square(5)),
+         "aa379581510c3941de1ae40b1d03f4b41f287ac71dce8ef0c1cf80b18de8fcf3"),
+        (generate_random(32, 34, 68, 2, 3),
+         "853addd6265f2f8d399551b5882aa51b61136b6843493b338f8ee12ca457599e"),
+    ])
+    def test_human_output_unchanged(self, tmp_path, capsys, graph, digest):
+        path = tmp_path / "instance.txt"
+        path.write_text(dumps_graph(graph))
+        assert main(["solve", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_timing_flag(self, z4_path, capsys):
         main(["solve", "--input", z4_path, "--target-deficit", "1", "--json",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -312,6 +313,26 @@ class TestGolden:
     def test_graph_on_random_instances(self, seed, expected):
         res = max_rainbow_matching(random_instance(seed))
         assert (res.size, res.witness, res.nodes) == expected
+
+    # vertex v moved to 3v + 1, so isolated vertices sit before, between and
+    # after the others in the same ascending order
+    @pytest.mark.parametrize("graph", [
+        *(latin_to_graph(isotope(8, s)) for s in range(3)),
+        *(random_instance(s) for s in range(3)),
+        ColouredMultigraph(5, 3, [(0, 1, 0), (2, 2, 1), (1, 3, 2)]),
+    ])
+    def test_isolated_vertices_change_nothing(self, graph):
+        padded = ColouredMultigraph(
+            3 * graph.num_vertices + 5, graph.num_colours,
+            [(3 * e.u + 1, 3 * e.v + 1, e.colour) for e in graph.edges])
+        assert max_rainbow_matching(padded) == max_rainbow_matching(graph)
+
+    def test_sparse_header_costs_nothing(self):
+        g = ColouredMultigraph(1_000_000, 2, [(0, 1, 0), (2, 3, 1)])
+        start = time.perf_counter()
+        res = max_rainbow_matching(g)
+        assert time.perf_counter() - start < 2
+        assert (res.size, res.witness) == (2, (0, 1))
 
 
 def call_near_recursion_limit(fn, *args, headroom=20):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rainbowmatch import (
     ColouredMultigraph,
     InstanceParams,
+    OrientedEdge,
     RainbowMatching,
     SwitchContext,
     Violation,
@@ -27,6 +28,7 @@ from rainbowmatch import (
     permute_square,
 )
 from rainbowmatch.cli import main
+from rainbowmatch.matching import external_edges
 from rainbowmatch.multigraph import dumps
 
 from conftest import default_params, random_instance
@@ -47,13 +49,13 @@ class TestFlexibleStructure:
         # one matching edge, three unused-colour externals at vertex 0
         g = ColouredMultigraph(5, 4, [(0, 1, 0), (0, 2, 1), (0, 3, 2), (0, 4, 3)])
         m = RainbowMatching(g, [0])
-        _, flex, _, _ = analyse(g, m)
-        assert flex.free_colours == {1, 2, 3}
-        assert flex.threshold == 1
-        assert len(flex.edges) == 1
-        oe = flex.edges[0]
+        params, flex, _, _ = analyse(g, m)
+        assert m.free_colours() == [1, 2, 3]
+        assert max(1, ceil(params.alpha * 3)) == 1  # the tail threshold
+        assert len(flex.partners) == 1
+        oe = flex.partners[0]
         assert (oe.edge_id, oe.tail, oe.head, oe.colour) == (0, 0, 1, 0)
-        assert {oe.head for oe in flex.edges} == {1}
+        assert {oe.head for oe in flex.partners.values()} == {1}
         assert flex.partners.keys() == {0}
         assert flex.external_free_at == {0: (1, 2, 3)}
         assert flex.by_colour(0) == oe
@@ -63,41 +65,45 @@ class TestFlexibleStructure:
         # both endpoints qualify: the lower one becomes the tail
         g = ColouredMultigraph(6, 3, [(0, 1, 0), (0, 2, 1), (1, 3, 2)])
         _, flex, _, _ = analyse(g, RainbowMatching(g, [0]))
-        assert flex.edges[0].tail == 0 and flex.edges[0].head == 1
+        assert flex.partners[0].tail == 0 and flex.partners[0].head == 1
 
     def test_tail_follows_the_externals(self):
         g = ColouredMultigraph(6, 3, [(0, 1, 0), (1, 3, 2)])
         _, flex, _, _ = analyse(g, RainbowMatching(g, [0]))
-        assert flex.edges[0].tail == 1 and flex.edges[0].head == 0
+        assert flex.partners[0].tail == 1 and flex.partners[0].head == 0
 
     def test_full_colour_matching_short_circuits(self):
         g = ColouredMultigraph(2, 1, [(0, 1, 0)])
-        _, flex, good, hier = analyse(g, RainbowMatching(g, [0]))
-        assert not flex.free_colours  # the matching uses every colour
-        assert not flex.edges
-        assert not any(good.good_at.values()) and not good.bad
+        m = RainbowMatching(g, [0])
+        _, flex, good, hier = analyse(g, m)
+        assert not m.free_colours()  # the matching uses every colour
+        assert not flex.partners
+        assert not any(good.good_at.values()) and not good.bad_per_colour
         assert hier.m == 0
 
     def test_no_externals_means_no_structure(self):
         g = ColouredMultigraph(4, 3, [(0, 1, 0), (2, 3, 1)])
-        _, flex, good, hier = analyse(g, RainbowMatching(g, [0, 1]))
-        assert flex.free_colours  # not every colour is used
-        assert flex.edges == ()
+        m = RainbowMatching(g, [0, 1])
+        _, flex, good, hier = analyse(g, m)
+        assert m.free_colours()  # not every colour is used
+        assert flex.partners == {}
         assert hier.m == 0
         assert not hier.by_head
-        assert find_violations(g, RainbowMatching(g, [0, 1]), flex, hier) == []
+        assert find_violations(g, m, hier) == []
 
 
 class TestGoodBad:
     def test_reach_free_fixture_classification(self, reach_free_fixture):
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
-        _, flex, good, _ = analyse(g, m)
+        params, flex, good, _ = analyse(g, m)
         assert flex.partners.keys() == {1, 3}
-        assert {oe.tail for oe in flex.edges} == {3, 7}
-        assert good.half_threshold == 1
+        assert {oe.tail for oe in flex.partners.values()} == {3, 7}
+        assert max(1, ceil(params.alpha * len(m.free_colours()) / 2)) == 1
         assert {i for ids in good.good_at.values() for i in ids} == {8, 9}
-        assert good.bad == frozenset()
+        # every external flexible-coloured edge is good
+        assert {e.id for e in g.edges if e.colour in (1, 3)
+                and m.is_covered(e.u) != m.is_covered(e.v)} == {8, 9}
         assert good.good_at == {1: (8,), 5: (9,)}
         assert good.bad_per_colour == {1: 0, 3: 0}
 
@@ -114,7 +120,7 @@ class TestGoodBad:
         _, flex, good, _ = analyse(g, m)
         assert flex.partners.keys() == {1}
         assert {i for ids in good.good_at.values() for i in ids} == set()
-        assert good.bad == {3}
+        assert all(3 not in ids for ids in good.good_at.values())
         assert good.bad_per_colour == {1: 1}
 
 
@@ -122,9 +128,9 @@ class TestHierarchy:
     def test_reach_free_fixture_levels(self, reach_free_fixture):
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
-        _, flex, good, hier = analyse(g, m)
+        params, flex, good, hier = analyse(g, m)
         assert hier.m == 1
-        assert hier.stop_threshold == 1
+        assert max(1, ceil(params.alpha * g.num_colours)) == 1  # the stop threshold
         level = hier.levels[0]
         assert {le.edge_id for le in level.edges} == {0, 2}
         assert {le.head for le in level.edges} == {0, 4}
@@ -144,37 +150,37 @@ class TestHierarchy:
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
         params = InstanceParams.for_graph(g, epsilon="1/2", alpha="1/3")
-        _, flex, good, hier = analyse(g, m, params)
-        assert hier.stop_threshold == 3
+        _, _, good, hier = analyse(g, m, params)
+        assert max(1, ceil(params.alpha * g.num_colours)) == 3
         assert hier.m == 0
         assert {le.edge_id for le in hier.stopped} == {0, 2}
         assert not hier.by_head
-        assert find_violations(g, m, flex, hier) == []
+        assert find_violations(g, m, hier) == []
 
 
 class TestViolations:
     def test_reach_free_detection(self, reach_free_fixture):
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
-        _, flex, _, hier = analyse(g, m)
-        assert find_violations(g, m, flex, hier) == [
+        _, _, _, hier = analyse(g, m)
+        assert find_violations(g, m, hier) == [
             Violation("reach_free", 10, 2, (0, 9)),
         ]
 
     def test_reach_reach_detection(self, reach_reach_fixture):
         g = reach_reach_fixture
         m = RainbowMatching(g, [0, 1, 2, 3, 4, 5])
-        _, flex, _, hier = analyse(g, m)
+        _, _, _, hier = analyse(g, m)
         assert hier.by_head.keys() == {0, 4, 6}
-        assert find_violations(g, m, flex, hier) == [
+        assert find_violations(g, m, hier) == [
             Violation("reach_reach", 16, 3, (0, 4)),
         ]
 
     def test_free_free_detection(self, free_free_fixture):
         g = free_free_fixture
         m = RainbowMatching(g, [0, 1])
-        _, flex, _, hier = analyse(g, m)
-        assert find_violations(g, m, flex, hier) == [
+        _, _, _, hier = analyse(g, m)
+        assert find_violations(g, m, hier) == [
             Violation("free_free", 5, 0, (6, 7)),
         ]
 
@@ -200,7 +206,7 @@ class TestViolations:
             v.kind = "extend"
 
 
-def brute_scan(graph, matching, flex, hier):
+def brute_scan(graph, matching, hier):
     """Full-edge-sweep reference for find_violations: ``(kind, edge id,
     colour, witness vertices)`` in rank order, that is extend, reach_free,
     reach_reach, free_free, ties by witness vertices then edge id."""
@@ -215,7 +221,7 @@ def brute_scan(graph, matching, flex, hier):
         fv = not matching.is_covered(e.v)
         hu, hv = e.u in heads, e.v in heads
         ends = tuple(sorted((e.u, e.v)))
-        if e.colour in flex.free_colours:
+        if not matching.uses_colour(e.colour):
             if fu and fv:
                 out.append(("extend", e.id, e.colour, ends))
         elif e.colour in reach_colours:
@@ -239,21 +245,21 @@ def brute_pairs(g, m, flex, good, le) -> tuple:
     flexible-coloured, not bad) times the external unused-colour edges at the
     tail of their colour's flexible edge, minus ``z == w`` and ``le``'s own
     flexible edge as partner; sorted by the first four."""
-    flex_colours = {oe.colour for oe in flex.edges}
     out = []
     for gid in g.edges_at(le.tail):
         ge = g.edge(gid)
-        if ge.u == ge.v or ge.colour not in flex_colours or gid in good.bad:
+        if ge.u == ge.v or ge.colour not in flex.partners:
             continue
         w = ge.other(le.tail)
-        if m.is_covered(w):
+        # an external flexible-coloured edge is bad unless good_at holds it
+        if m.is_covered(w) or gid not in good.good_at.get(le.tail, ()):
             continue
-        partner = next(oe for oe in flex.edges if oe.colour == ge.colour)
+        partner = flex.partners[ge.colour]
         if partner.edge_id == le.edge_id:
             continue
         for hid in g.edges_at(partner.tail):
             he = g.edge(hid)
-            if he.u == he.v or he.colour not in flex.free_colours:
+            if he.u == he.v or m.uses_colour(he.colour):
                 continue
             z = he.other(partner.tail)
             if not m.is_covered(z) and z != w:
@@ -267,7 +273,7 @@ def recount_certificates(g, m) -> int:
     many level-2+ edges were checked."""
     params, flex, good, hier = analyse(g, m)
     free_set = set(m.free_vertices())
-    flex_colours = {oe.colour for oe in flex.edges}
+    flex_colours = flex.partners.keys()
     level1_threshold = (max(1, ceil(params.alpha * len(flex_colours)))
                         if flex_colours else 1)
 
@@ -316,12 +322,12 @@ class TestProperties:
         params, flex, good, hier = analyse(g, m)
 
         # maximal matchings leave no extend violations
-        found = find_violations(g, m, flex, hier)
+        found = find_violations(g, m, hier)
         assert all(v.kind != "extend" for v in found)
 
         # detector agrees with the brute-force sweep, order and witnesses too
         assert [(v.kind, v.edge_id, v.colour, v.vertices)
-                for v in found] == brute_scan(g, m, flex, hier)
+                for v in found] == brute_scan(g, m, hier)
 
         # levels partition a subset of the matching edges
         seen: set[int] = set()
@@ -329,7 +335,7 @@ class TestProperties:
             ids = {le.edge_id for le in level.edges}
             assert ids <= m.edge_ids
             assert not ids & seen
-            assert len(level.edges) >= hier.stop_threshold
+            assert len(level.edges) >= max(1, ceil(params.alpha * g.num_colours))
             seen |= ids
 
         # the level count respects the 1/alpha bound
@@ -346,10 +352,10 @@ class TestProperties:
             return
         dropped = full.sorted_ids[drop % len(full)]
         m = RainbowMatching(g, full.edge_ids - {dropped})
-        _, flex, _, hier = analyse(g, m)
-        found = find_violations(g, m, flex, hier)
+        _, _, _, hier = analyse(g, m)
+        found = find_violations(g, m, hier)
         assert [(v.kind, v.edge_id, v.colour, v.vertices)
-                for v in found] == brute_scan(g, m, flex, hier)
+                for v in found] == brute_scan(g, m, hier)
         assert ("extend", dropped) in [(v.kind, v.edge_id) for v in found]
         assert [v.rank for v in found] == sorted(v.rank for v in found)
 
@@ -425,14 +431,35 @@ class TestLookups:
     ])
     def test_match_a_first_match_scan(self, graph, seed):
         m = greedy(graph, seed)
-        _, flex, _, hier = analyse(graph, m, InstanceParams.for_graph(graph))
-        assert flex.edges and hier.levels
+        params = InstanceParams.for_graph(graph)
+        _, flex, _, hier = analyse(graph, m, params)
+        assert flex.partners and hier.levels
         for level in hier.levels:
             assert level.colours == {le.colour for le in level.edges}
+        # recount from the graph: the tails that see at least the threshold
+        # of external unused-colour edges, the lower id first
+        threshold = max(1, ceil(params.alpha * len(m.free_colours())))
+        seen = {v: 0 for v in range(graph.num_vertices)}
+        for e in graph.edges:
+            if not m.uses_colour(e.colour) and m.is_covered(e.u) != m.is_covered(e.v):
+                seen[e.u if m.is_covered(e.u) else e.v] += 1
+        tails = {}
+        for eid in m.edge_ids:
+            e = graph.edge(eid)
+            ends = [x for x in sorted((e.u, e.v)) if seen[x] >= threshold]
+            if e.u != e.v and ends:
+                tails[e.colour] = ends[0]
+        assert flex.partners.keys() == tails.keys()
         for c in range(graph.num_colours + 1):
             assert hier.entry(c) == scan_entry(hier, c, "colour")
-            assert flex.by_colour(c) == next(
-                (oe for oe in flex.edges if oe.colour == c), None)
+            oe = flex.by_colour(c)
+            if c not in tails:
+                assert oe is None
+                continue
+            e = graph.edge(m.edge_of_colour(c))
+            assert isinstance(oe, OrientedEdge)
+            assert (oe.edge_id, oe.colour) == (e.id, c)
+            assert (oe.tail, oe.head) == (tails[c], e.other(tails[c]))
         for v in range(graph.num_vertices + 1):
             assert hier.head_entry(v) == scan_entry(hier, v, "head")
 
@@ -486,17 +513,19 @@ def reachability_facts(graph, tmp_path, capsys) -> dict:
     path.write_text(dumps(graph))
     assert main(["stats", "--input", str(path), "--seed", "0"]) == 0
     return {
-        "flexible": [[oe.edge_id, oe.tail, oe.head, oe.colour] for oe in flex.edges],
+        "flexible": [[oe.edge_id, oe.tail, oe.head, oe.colour]
+                     for oe in flex.partners.values()],
         "external_free_at": sorted(flex.external_free_at.items()),
         "good_at": sorted(good.good_at.items()),
-        "bad": sorted(good.bad),
+        "bad": sorted(set(external_edges(graph, m, flex.partners))
+                      - {i for ids in good.good_at.values() for i in ids}),
         "bad_per_colour": sorted(good.bad_per_colour.items()),
         "levels": levels,
         "stopped": [level_edge(le) for le in hier.stopped],
         "reach_heads": sorted(hier.by_head),
         "reach_colours": sorted(hier.by_colour),
         "violations": [[v.kind, v.edge_id, v.colour, v.vertices]
-                       for v in find_violations(graph, m, flex, hier)],
+                       for v in find_violations(graph, m, hier)],
         "stats": json.loads(capsys.readouterr().out),
     }
 
