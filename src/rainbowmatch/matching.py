@@ -7,16 +7,18 @@ backtracking trivial.  :meth:`RainbowMatching.with_swap` pays only for the
 delta, including the distance to the start of its swap chain, so
 :func:`closeness` against that start is O(1) instead of O(k).
 
+Only ``RainbowMatching(graph, ids)`` accepts any set of integer edge ids,
+so that untrusted matchings can be loaded and then examined with
+:func:`verify`, which names each violation instead of raising.  Every
+matching derived from one (:meth:`~RainbowMatching.with_swap`, a greedy
+pass) is rainbow, or the call raises ValueError.
+
 A matching built by a greedy pass (:func:`greedy`, :func:`extend_to_maximal`)
 records that it is maximal.  :func:`extend_to_maximal` returns such a matching
-as it is, and extends a clean ``with_swap`` descendant of one by passing only
-over the edges at the vertices, and of the colours, that the root used and
-the descendant does not: every other edge is still blocked.  Anything else
-takes the full pass over every edge.
-
-Construction is permissive (any set of integer edge ids is accepted) so that
-untrusted matchings can be loaded and then examined with :func:`verify`,
-which names each violation instead of raising.
+as it is, and extends a ``with_swap`` descendant of one by passing only over
+the edges at the vertices, and of the colours, that the root used and the
+descendant does not: every other edge is still blocked.  Anything else takes
+the full pass over every edge.
 """
 
 from __future__ import annotations
@@ -33,17 +35,15 @@ class RainbowMatching:
     """An immutable set of edge ids of one graph, intended to be a rainbow
     matching.
 
-    Derived views (``edge_of_colour``, ``twin_of``, ``covered``) assume the
-    matching is valid; for untrusted input run :func:`verify` first.  Ids that
-    do not exist in the graph are kept (so ``verify`` can report them) but
-    excluded from the derived views.
+    Only the constructor holds a set that is not rainbow, for :func:`verify`
+    to report on; the derived views (``edge_of_colour``, ``twin_of``,
+    ``covered``) assume a rainbow matching.  Every id must be an ``int`` (a
+    bool is not); ids outside the graph are kept (so ``verify`` can report
+    them) but excluded from the views.
 
     A matching made by :meth:`with_swap` remembers the root of its swap chain
     (the first matching not made by ``with_swap``) and its distance to it.
     One made by a greedy pass remembers that it is maximal.
-
-    Every id must be an ``int`` (a bool is not); ids outside the graph are
-    kept.
     """
 
     __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_clean", "_sorted",
@@ -76,20 +76,19 @@ class RainbowMatching:
             twin.setdefault(v, u)
         self._by_colour = by_colour
         self._twin = twin
-        # clean: every id known, no loop, no colour or vertex used twice; the
-        # views then hold one entry per edge, so ``with_swap`` can patch them
+        # clean: every id known, no loop, no colour or vertex used twice, so
+        # a rainbow matching; only a clean matching may be derived from
         self._clean = clean
 
     @classmethod
-    def _from_views(cls, graph, edge_ids, by_colour, twin,
-                    clean) -> "RainbowMatching":
-        """A matching whose views the caller built; no root, not maximal."""
+    def _from_views(cls, graph, edge_ids, by_colour, twin) -> "RainbowMatching":
+        """A rainbow matching from views the caller built; no root, not maximal."""
         out = cls.__new__(cls)
         out.graph = graph
         out.edge_ids = edge_ids
         out._by_colour = by_colour
         out._twin = twin
-        out._clean = clean
+        out._clean = True
         out._sorted = None
         out._root = None
         out._dist = 0
@@ -143,14 +142,13 @@ class RainbowMatching:
         return self._sorted
 
     def with_swap(self, removed=(), added=()) -> "RainbowMatching":
-        """A new matching with ``removed`` taken out and ``added`` put in.
+        """A new rainbow matching with ``removed`` taken out and ``added`` put
+        in, its views and its distance to the chain root patched by the delta.
 
-        Every removed id must be present and every added id absent; validity
-        of the result is the caller's business.  A valid parent whose result
-        stays valid gets its views and its distance to the chain root patched
-        by the delta; anything else falls back to a full rebuild, distance
-        included, so the views always match a fresh
-        ``RainbowMatching(graph, ids)``.
+        Every removed id must be present and every added id absent.  Raises
+        ValueError if this matching is not rainbow or the result would not be
+        (an added id outside the graph, a loop, a colour or vertex in use),
+        TypeError for a non-int id; this matching is left as it was.
         """
         rem = frozenset(removed)
         add = frozenset(added)
@@ -158,9 +156,9 @@ class RainbowMatching:
             raise ValueError(f"cannot remove absent edges {sorted(rem - self.edge_ids)}")
         if add & self.edge_ids:
             raise ValueError(f"cannot add present edges {sorted(add & self.edge_ids)}")
-        new_ids = (self.edge_ids - rem) | add
         if not self._clean:
-            return self._rebuilt(new_ids)
+            raise ValueError("cannot swap in a matching that is not rainbow: "
+                             + verify(self.graph, self)[0].detail)
         edges = self.graph.edges
         # dict.copy clones the hash table even after deletions; dict() does
         # not, and a swap chain deletes on every step
@@ -170,15 +168,19 @@ class RainbowMatching:
             _, u, v, c = edges[i]
             del by_colour[c], twin[u], twin[v]
         for i in add:
-            if type(i) is not int or not (0 <= i < len(edges)):
-                return self._rebuilt(new_ids)
+            if type(i) is not int:
+                raise TypeError(f"edge id {i!r} is not an int")
+            if not (0 <= i < len(edges)):
+                raise ValueError(f"cannot add edge {i}: not an edge of the graph")
             _, u, v, c = edges[i]
             if u == v or c in by_colour or u in twin or v in twin:
-                return self._rebuilt(new_ids)
+                raise ValueError(f"cannot add edge {i} ({u}-{v}, colour {c}): "
+                                 "a loop, or its colour or a vertex is in use")
             by_colour[c] = i
             twin[u] = v
             twin[v] = u
-        out = RainbowMatching._from_views(self.graph, new_ids, by_colour, twin, True)
+        out = RainbowMatching._from_views(self.graph, (self.edge_ids - rem) | add,
+                                          by_colour, twin)
         # every removed id was in self and every added id was not, so each
         # moves the distance to the root by one: closer where the root agrees
         root = self if self._root is None else self._root
@@ -186,14 +188,6 @@ class RainbowMatching:
         out._root = root
         out._dist = (self._dist + len(rem) + len(add)
                      - 2 * (len(rem - root_ids) + len(add & root_ids)))
-        return out
-
-    def _rebuilt(self, new_ids) -> "RainbowMatching":
-        """``with_swap``'s fallback: a full build, still tied to the root."""
-        out = RainbowMatching(self.graph, new_ids)
-        root = self if self._root is None else self._root
-        out._root = root
-        out._dist = len(root.edge_ids ^ out.edge_ids)
         return out
 
     def __repr__(self) -> str:
@@ -276,25 +270,28 @@ def extend_to_maximal(graph: ColouredMultigraph,
     """Add compatible edges in id order until no more fit.
 
     The cost depends on what is known about ``matching``.  A maximal matching
-    of ``graph`` (one a greedy pass built) is returned as it is.  A clean
+    of ``graph`` (one a greedy pass built) is returned as it is.  A
     :meth:`~RainbowMatching.with_swap` descendant of one pays only for the
     delta: the pass reads just the edges at the vertices, and of the colours,
     that its root used and it does not, since a vertex or colour it still
     uses blocks every other edge.  Anything else, a matching of another
     graph included, takes the full pass over every edge.  The result is the
-    same either way.  Raises ValueError naming the ids that are not edges
-    of ``graph``.
+    same either way.  A matching that is not rainbow raises ValueError
+    naming its ids that are not edges of ``graph``, else its first
+    :func:`verify` issue.
     """
     if matching.graph is not graph:
         matching = RainbowMatching(graph, matching.edge_ids)
     elif matching._maximal:
         return matching
-    root = matching._root
     if not matching._clean:
         unknown = sorted(i for i in matching.edge_ids if not 0 <= i < graph.num_edges)
         if unknown:
             raise ValueError(f"cannot extend by unknown edges {unknown}")
-    elif root is not None and root._maximal:
+        raise ValueError("cannot extend a matching that is not rainbow: "
+                         + verify(graph, matching)[0].detail)
+    root = matching._root
+    if root is not None and root._maximal:
         freed = set()
         for x in root._twin.keys() - matching._twin.keys():
             freed.update(graph.edges_at(x))
@@ -305,11 +302,11 @@ def extend_to_maximal(graph: ColouredMultigraph,
 
 
 def _greedy_pass(graph, order, start: RainbowMatching) -> RainbowMatching:
-    """``start`` plus every edge of ``order``, in that order, that no vertex
-    or colour used so far blocks; maximal when ``order`` holds every edge
-    that ``start`` does not block.  The views are patched copies of
-    ``start``'s, which equal a fresh build's: each added edge brings a new
-    colour and two new vertices."""
+    """The rainbow matching ``start`` plus every edge of ``order``, in that
+    order, that no vertex or colour used so far blocks; maximal, since
+    ``order`` holds every edge that ``start`` does not block.  The views are
+    patched copies of ``start``'s, which equal a fresh build's: each added
+    edge brings a new colour and two new vertices."""
     edges = graph.edges
     by_colour = start._by_colour.copy()
     twin = start._twin.copy()
@@ -323,8 +320,8 @@ def _greedy_pass(graph, order, start: RainbowMatching) -> RainbowMatching:
         twin[u] = v
         twin[v] = u
     out = RainbowMatching._from_views(graph, start.edge_ids.union(added),
-                                      by_colour, twin, start._clean)
-    out._maximal = start._clean
+                                      by_colour, twin)
+    out._maximal = True
     return out
 
 

@@ -128,6 +128,11 @@ class ColouredMultigraph:
     def edges_with_colour(self, colour: int) -> tuple[int, ...]:
         return self._by_colour.get(colour, ())
 
+    def colours_with_edges(self):
+        """The colours with at least one edge, a read-only view of the colour
+        index: a scan costs the number of such colours, not C."""
+        return self._by_colour.keys()
+
     def colour_class_size(self, colour: int) -> int:
         return len(self._by_colour.get(colour, ()))
 

@@ -86,7 +86,7 @@ class FlexibleStructure:
     ``external_free_at`` indexes the external unused-colour edges by their
     covered endpoint, each tuple sorted by (free endpoint, edge id);
     ``partners`` indexes the oriented edges by flexible colour.  The unused
-    colours themselves are the matching's :meth:`free_colours`.
+    colours with an edge are :func:`_unused_colours`.
     """
 
     external_free_at: dict[int, tuple[int, ...]]
@@ -96,15 +96,23 @@ class FlexibleStructure:
         return self.partners.get(colour)
 
 
+def _unused_colours(graph: ColouredMultigraph, matching: RainbowMatching) -> list[int]:
+    """The colours that have an edge and that ``matching`` does not use.
+    Empty classes are never read, so a header's colour count costs nothing;
+    the number of unused colours, C - |M| for a rainbow matching, needs no
+    scan either."""
+    return [c for c in graph.colours_with_edges() if not matching.uses_colour(c)]
+
+
 def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
                      params: InstanceParams) -> FlexibleStructure:
     """Orient every matching edge that has an endpoint seeing at least
     max(1, ceil(alpha * |free colours|)) external unused-colour edges to be
-    its tail."""
-    free_colours = matching.free_colours()
+    its tail; ``matching`` is rainbow, so |free colours| = C - |M|."""
+    free_colours = _unused_colours(graph, matching)
     if not free_colours:
         return FlexibleStructure({}, {})
-    threshold = max(1, ceil(params.alpha * len(free_colours)))
+    threshold = max(1, ceil(params.alpha * (graph.num_colours - len(matching))))
     external_free_at = _by_covered_end(
         graph, matching, external_edges(graph, matching, free_colours))
 
@@ -140,7 +148,7 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
                       params: InstanceParams) -> GoodBadReport:
     if not flex.partners:
         return GoodBadReport({}, {})
-    half = max(1, ceil(params.alpha * len(matching.free_colours()) / 2))
+    half = max(1, ceil(params.alpha * (graph.num_colours - len(matching)) / 2))
     edges = graph.edges
     # each flexible colour's reserve, as the (u, v) endpoints of its edges
     reserve = {oe.colour: [edges[rid][1:3]
@@ -361,7 +369,7 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
     edges = graph.edges
     covered = matching.covered
     found = {kind: [] for kind in VIOLATION_KINDS}
-    for c in matching.free_colours():
+    for c in _unused_colours(graph, matching):
         for eid in graph.edges_with_colour(c):
             _, u, v, _ = edges[eid]
             if u != v and u not in covered and v not in covered:

@@ -487,15 +487,21 @@ class SolveReport:
     status: str
     n: int
     target_deficit: int
-    target: int
     seed: int
-    size: int
     matching: RainbowMatching
     iterations: list[IterationRecord]
     switch_calls: list[CallRecord]
     wall_ms: float
 
     EXIT_CODES = {"target_reached": 0, "stalled": 2, "iteration_cap": 3}
+
+    @property
+    def target(self) -> int:
+        return self.n - self.target_deficit
+
+    @property
+    def size(self) -> int:
+        return len(self.matching)
 
     @property
     def total_exchanges(self) -> int:
@@ -586,6 +592,6 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return SolveReport(
-        status=status, n=n, target_deficit=target_deficit, target=target,
-        seed=seed, size=len(current), matching=current, iterations=iterations,
-        switch_calls=calls, wall_ms=wall_ms)
+        status=status, n=n, target_deficit=target_deficit, seed=seed,
+        matching=current, iterations=iterations, switch_calls=calls,
+        wall_ms=wall_ms)

@@ -2,8 +2,9 @@
 
 ``random_instance(seed)`` is the one deterministic family used everywhere:
 mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
-Hand fixtures that several suites share live here too, and
-``recorded_calls()``, which logs every successful switch call.
+Hand fixtures that several suites share live here too, along with
+``recorded_calls()``, which logs every successful switch call, and
+``brute_scan()``, the full-edge-sweep reference for ``find_violations``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,39 @@ def tight_instance(seed: int) -> ColouredMultigraph:
     colours = 4 + (seed % 5) * 2  # 4..12
     count = ceil(3 * colours / 2)
     return generate_random(colours, count, 2 * count, 1, seed)
+
+
+def brute_scan(graph, matching, hier):
+    """Full-edge-sweep reference for find_violations: ``(kind, edge id,
+    colour, witness vertices)`` in rank order, that is extend, reach_free,
+    reach_reach, free_free, ties by witness vertices then edge id."""
+    level_edges = [le for level in hier.levels for le in level.edges]
+    heads = {le.head for le in level_edges}
+    reach_colours = {le.colour for le in level_edges}
+    out = []
+    for e in graph.edges:
+        if e.u == e.v:
+            continue
+        fu = not matching.is_covered(e.u)
+        fv = not matching.is_covered(e.v)
+        hu, hv = e.u in heads, e.v in heads
+        ends = tuple(sorted((e.u, e.v)))
+        if not matching.uses_colour(e.colour):
+            if fu and fv:
+                out.append(("extend", e.id, e.colour, ends))
+        elif e.colour in reach_colours:
+            if e.id == matching.edge_of_colour(e.colour):
+                continue
+            if hu and hv:
+                out.append(("reach_reach", e.id, e.colour, ends))
+            elif hu and fv:
+                out.append(("reach_free", e.id, e.colour, (e.u, e.v)))
+            elif hv and fu:
+                out.append(("reach_free", e.id, e.colour, (e.v, e.u)))
+            elif fu and fv:
+                out.append(("free_free", e.id, e.colour, ends))
+    order = ["extend", "reach_free", "reach_reach", "free_free"]
+    return sorted(out, key=lambda t: (order.index(t[0]), t[3], t[1]))
 
 
 @contextmanager

@@ -37,7 +37,7 @@ from rainbowmatch import (
 )
 from rainbowmatch import switching
 
-from conftest import default_params, random_instance, recorded_calls
+from conftest import brute_scan, default_params, random_instance, recorded_calls
 
 _SOLVE_FUZZ_SEEDS = 1000
 _SOLVE_FUZZ_LIMIT_S = 300.0
@@ -254,35 +254,10 @@ def test_hierarchy_sanity():
 
             found = sorted((v.kind, v.edge_id)
                            for v in find_violations(g, m, hier))
-            assert found == _brute_scan(g, m, hier)
+            assert found == sorted((kind, eid) for kind, eid, _, _
+                                   in brute_scan(g, m, hier))
             matchings += 1
         instances += 1
     _report(f"PASS hierarchy sanity: m < 1/alpha, levels partition the "
             f"matching, detector matches the brute scan on {matchings} "
             f"matchings over {instances} instances")
-
-
-def _brute_scan(graph, matching, hier):
-    level_edges = [le for level in hier.levels for le in level.edges]
-    heads = {le.head for le in level_edges}
-    reach_colours = {le.colour for le in level_edges}
-    out = []
-    for e in graph.edges:
-        if e.u == e.v:
-            continue
-        fu = not matching.is_covered(e.u)
-        fv = not matching.is_covered(e.v)
-        if not matching.uses_colour(e.colour):
-            if fu and fv:
-                out.append(("extend", e.id))
-        elif e.colour in reach_colours:
-            if e.id == matching.edge_of_colour(e.colour):
-                continue
-            hu, hv = e.u in heads, e.v in heads
-            if hu and hv:
-                out.append(("reach_reach", e.id))
-            elif (hu and fv) or (hv and fu):
-                out.append(("reach_free", e.id))
-            elif fu and fv:
-                out.append(("free_free", e.id))
-    return sorted(out)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import time
 
 import pytest
 
@@ -299,6 +300,36 @@ class TestStats:
         assert main(["stats", "--input", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "contradiction" in doc["counting"]
+
+
+class TestSparseColourHeader:
+    """Two edges under a header of 4,000,000 colours: only the colour
+    classes with an edge are read, and a rainbow matching M leaves C - |M|
+    colours unused, so the colour count costs nothing.  Each command takes
+    milliseconds; a probe of every empty colour class takes about a second,
+    which the bound catches."""
+
+    @pytest.fixture
+    def sparse_path(self, tmp_path):
+        path = tmp_path / "sparse.txt"
+        path.write_text("4 4000000\n0 1 0\n2 3 1\n")
+        return str(path)
+
+    def test_solve(self, sparse_path, capsys):
+        start = time.perf_counter()
+        code = main(["solve", "--input", sparse_path, "--json"])
+        assert time.perf_counter() - start < 0.5
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2  # stalled far below the target of 4,000,000
+        assert (doc["size"], doc["target"]) == (2, 4_000_000)
+
+    def test_stats(self, sparse_path, capsys):
+        start = time.perf_counter()
+        code = main(["stats", "--input", sparse_path])
+        assert time.perf_counter() - start < 0.5
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (doc["F_size"], doc["m"]) == (0, 0)
 
 
 class TestBench:

@@ -67,18 +67,20 @@ class TestContainer:
 
     def test_with_swap(self):
         g = random_instance(0)
-        m = RainbowMatching(g, [0, 1])
-        m2 = m.with_swap(removed=[0], added=[7])
-        assert m2.edge_ids == frozenset({1, 7})
-        assert m.edge_ids == frozenset({0, 1})  # original untouched
+        m = RainbowMatching(g, [0, 7])  # colours 0 and 1: rainbow
+        m2 = m.with_swap(removed=[0], added=[14])
+        assert m2.edge_ids == frozenset({7, 14})
+        assert verify(g, m2) == []
+        assert m.edge_ids == frozenset({0, 7})  # original untouched
+        assert views(m) == views(RainbowMatching(g, [0, 7]))
 
     def test_with_swap_rejects_bad_ids(self):
         g = random_instance(0)
-        m = RainbowMatching(g, [0, 1])
+        m = RainbowMatching(g, [0, 7])
         with pytest.raises(ValueError, match="absent"):
             m.with_swap(removed=[3])
         with pytest.raises(ValueError, match="present"):
-            m.with_swap(added=[1])
+            m.with_swap(added=[7])
 
     def test_unknown_ids_kept_but_skipped_in_views(self):
         g = random_instance(0)
@@ -120,6 +122,10 @@ def clash_graph() -> ColouredMultigraph:
 
 
 class TestWithSwapMatchesRebuild:
+    """A swap patches the parent's views by the delta and equals a fresh
+    build; a parent or a result that is not rainbow raises instead, and the
+    parent is left as it was either way."""
+
     @pytest.mark.parametrize("start,removed,added", [
         ([0, 1], [1], [5]),      # clean result
         ([0, 1], [0], [2]),      # reuses the colour just freed
@@ -133,9 +139,31 @@ class TestWithSwapMatchesRebuild:
     ])
     def test_cases(self, start, removed, added):
         g = clash_graph()
-        got = RainbowMatching(g, start).with_swap(removed, added)
+        parent = RainbowMatching(g, start)
         want = RainbowMatching(g, (set(start) - set(removed)) | set(added))
-        assert views(got) == views(want)
+        if start == [0, 1] and removed:  # the two clean cases
+            assert views(parent.with_swap(removed, added)) == views(want)
+        else:
+            with pytest.raises(ValueError, match="not rainbow|cannot add edge"):
+                parent.with_swap(removed, added)
+        assert views(parent) == views(RainbowMatching(g, start))
+
+    @pytest.mark.parametrize("start,added,message", [
+        ([0, 1], [2], "cannot add edge 2 (4-5, colour 0)"),   # colour clash
+        ([0, 1], [3], "cannot add edge 3 (1-4, colour 2)"),   # vertex clash
+        ([0, 1], [4], "cannot add edge 4 (5-5, colour 2)"),   # loop
+        ([0, 1], [99], "cannot add edge 99: not an edge of the graph"),
+        ([0, 2], [], "not rainbow: colour 0 used by edges [0, 2]"),
+        ([0, 4], [], "not rainbow: edge 4 is a loop at vertex 5"),
+    ])
+    def test_error_names_the_fault(self, start, added, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RainbowMatching(clash_graph(), start).with_swap((), added)
+
+    def test_non_int_added_id_is_a_type_error(self):
+        m = RainbowMatching(clash_graph(), [0, 1])
+        with pytest.raises(TypeError, match=re.escape("edge id 5.0 is not an int")):
+            m.with_swap((), [5.0])
 
     def test_clean_swap_skips_the_rebuild(self, monkeypatch):
         g = clash_graph()
@@ -145,13 +173,13 @@ class TestWithSwapMatchesRebuild:
         monkeypatch.setattr(RainbowMatching, "__init__",
                             lambda self, *a: builds.append(a) or init(self, *a))
         m.with_swap([1], [5])
+        with pytest.raises(ValueError):
+            m.with_swap([], [3])
         assert builds == []
-        m.with_swap([], [3])
-        assert len(builds) == 1
 
-    @given(st.integers(0, 6), st.booleans(), st.data())
+    @given(st.integers(0, 6), st.booleans(), st.booleans(), st.data())
     @PROPERTY_SETTINGS
-    def test_property(self, seed, from_greedy, data):
+    def test_property(self, seed, from_greedy, admissible, data):
         g = with_loops(seed)
         if from_greedy:
             start = greedy(g, seed).edge_ids
@@ -159,12 +187,19 @@ class TestWithSwapMatchesRebuild:
             start = data.draw(st.sets(st.integers(0, g.num_edges - 1), max_size=6))
         removed = data.draw(st.sets(st.sampled_from(sorted(start)))
                             if start else st.just(set()))
-        added = data.draw(st.sets(
-            st.integers(0, g.num_edges + 2).filter(lambda i: i not in start),
-            max_size=3))
         m = RainbowMatching(g, start)
-        got = m.with_swap(removed, added)
-        assert views(got) == views(RainbowMatching(g, (set(start) - removed) | added))
+        if admissible:  # fits beside the kept edges, if they are rainbow
+            added = draw_additions(data, m, removed)
+        else:
+            added = data.draw(st.sets(
+                st.integers(0, g.num_edges + 2).filter(lambda i: i not in start),
+                max_size=3))
+        rebuilt = RainbowMatching(g, (set(start) - removed) | added)
+        if verify(g, m) or verify(g, rebuilt):
+            with pytest.raises(ValueError):
+                m.with_swap(removed, added)
+        else:
+            assert views(m.with_swap(removed, added)) == views(rebuilt)
         assert views(m) == views(RainbowMatching(g, start))  # parent untouched
 
 
@@ -176,6 +211,41 @@ def with_loops(seed: int) -> ColouredMultigraph:
         [(e.u, e.v, e.colour) for e in base.edges] + [(0, 0, 0), (1, 1, 1)])
 
 
+def fitting(g: ColouredMultigraph, kept, ids) -> set[int]:
+    """The edges of ``ids``, in that order, that fit beside the rainbow
+    matching ``kept`` and the edges taken before them: no loop, and no
+    colour or vertex used twice."""
+    used_v = {x for i in kept for x in g.edge(i)[1:3]}
+    used_c = {g.edge(i).colour for i in kept}
+    taken = set()
+    for i in ids:
+        _, u, v, c = g.edge(i)
+        if u != v and c not in used_c and u not in used_v and v not in used_v:
+            taken.add(i)
+            used_v.update((u, v))
+            used_c.add(c)
+    return taken
+
+
+def draw_rainbow(data, g: ColouredMultigraph) -> set[int]:
+    """A rainbow matching's ids, as the constructor would be given them."""
+    return fitting(g, (), data.draw(st.lists(st.integers(0, g.num_edges - 1),
+                                             max_size=6)))
+
+
+def draw_additions(data, m: RainbowMatching, removed=frozenset(),
+                   max_size=3) -> set[int]:
+    """Admissible additions to the rainbow matching ``m`` less ``removed``:
+    edges outside ``m`` drawn from those that fit beside the kept ones, less
+    any that clash with one drawn before them."""
+    g = m.graph
+    kept = m.edge_ids - removed
+    fits = [i for i in range(g.num_edges) if i not in m and fitting(g, kept, [i])]
+    drawn = data.draw(st.lists(st.sampled_from(fits), max_size=max_size)
+                      if fits else st.just([]))
+    return fitting(g, kept, drawn)
+
+
 class TestCovered:
     """``covered`` is the set of endpoints of the known edges, read off the
     graph, however the matching was made."""
@@ -184,18 +254,18 @@ class TestCovered:
     @PROPERTY_SETTINGS
     def test_equals_the_endpoint_set(self, seed, data):
         g = with_loops(seed)
-        ids = st.integers(0, g.num_edges - 1)
+        # any ids: only the constructor may hold a set that is not rainbow
         built = RainbowMatching(g, data.draw(st.sets(
             st.integers(0, g.num_edges + 2), max_size=6)))
+        user = RainbowMatching(g, draw_rainbow(data, g))
         root = greedy(g, seed)
         removed = data.draw(st.sets(st.sampled_from(root.sorted_ids), max_size=3)
                             if len(root) else st.just(set()))
-        # any edge of the graph: a clash makes the swap rebuild
-        added = data.draw(st.sets(ids.filter(lambda i: i not in root), max_size=2))
+        added = draw_additions(data, root, removed)
         trimmed = root.with_swap(removed, ())
         swapped = root.with_swap(removed, added)
-        for m in (built, built.with_swap((), data.draw(st.sets(
-                      ids.filter(lambda i: i not in built), max_size=2))),
+        for m in (built, user,
+                  user.with_swap((), draw_additions(data, user)),
                   root, trimmed, swapped, extend_to_maximal(g, trimmed),
                   extend_to_maximal(g, swapped),
                   extend_to_maximal(g, RainbowMatching(g, trimmed.edge_ids))):
@@ -211,19 +281,17 @@ class TestChainDistance:
     @PROPERTY_SETTINGS
     def test_matches_the_symmetric_difference(self, seed, from_greedy, data):
         g = with_loops(seed)
-        if from_greedy:  # a clean root: the views are patched by the delta
+        if from_greedy:  # a maximal root
             start = greedy(g, seed).edge_ids
-        else:  # often unclean: clashes, loops, unknown ids, so swaps rebuild
-            start = data.draw(st.sets(st.integers(0, g.num_edges + 2), max_size=6))
+        else:  # a rainbow root that the constructor built
+            start = draw_rainbow(data, g)
         root = RainbowMatching(g, start)
         chain = [root]
         for _ in range(data.draw(st.integers(1, 6))):
             m = chain[-1]
             removed = data.draw(st.sets(st.sampled_from(m.sorted_ids))
                                 if len(m) else st.just(set()))
-            added = data.draw(st.sets(
-                st.integers(0, g.num_edges + 2).filter(lambda i: i not in m),
-                max_size=3))
+            added = draw_additions(data, m, removed)
             chain.append(m.with_swap(removed, added))
         for m in chain:
             c = closeness(root, m)
@@ -235,6 +303,23 @@ class TestChainDistance:
         for a, b in zip(chain, chain[1:]):
             assert closeness(b, a).distance == len(a.edge_ids ^ b.edge_ids)
             assert closeness(a, b).distance == len(a.edge_ids ^ b.edge_ids)
+
+    # with_loops(0) is random_instance(0), whose edges 0 and 1 both have
+    # colour 0 and edges 1 and 6 share vertex 5, plus loops 24 and 25
+    @pytest.mark.parametrize("start,kind", [
+        ([0, 1], "colour_clash"),
+        ([1, 6], "vertex_clash"),
+        ([24], "loop"),
+        ([999], "unknown_edge"),
+    ])
+    def test_non_rainbow_parent_raises(self, start, kind):
+        g = with_loops(0)
+        parent = RainbowMatching(g, start)
+        issue = verify(g, parent)[0]
+        assert issue.kind == kind
+        # even a swap whose result would be rainbow
+        with pytest.raises(ValueError, match="not rainbow: " + re.escape(issue.detail)):
+            parent.with_swap([start[0]], ())
 
     def test_unrelated_matchings(self):
         g = with_loops(0)
@@ -255,14 +340,14 @@ class TestChainDistance:
 
     def test_sorted_ids_computed_once(self):
         g = random_instance(0)
-        m = RainbowMatching(g, [9, 2, 5])
-        assert m.sorted_ids == (2, 5, 9)
+        m = RainbowMatching(g, [19, 9, 14])  # colours 3, 1 and 2: rainbow
+        assert m.sorted_ids == (9, 14, 19)
         assert m.sorted_ids is m.sorted_ids
-        assert repr(m) == "RainbowMatching([2, 5, 9])"
-        swapped = m.with_swap([5], [0])
-        assert swapped.sorted_ids == (0, 2, 9)
+        assert repr(m) == "RainbowMatching([9, 14, 19])"
+        swapped = m.with_swap([14], [3])
+        assert swapped.sorted_ids == (3, 9, 19)
         assert swapped.sorted_ids is swapped.sorted_ids
-        assert m.sorted_ids == (2, 5, 9)
+        assert m.sorted_ids == (9, 14, 19)
 
 
 class TestVerify:
@@ -346,6 +431,19 @@ class TestGreedy:
         with pytest.raises(ValueError, match=re.escape(f"unknown edges {unknown}")):
             extend_to_maximal(g, RainbowMatching(g, ids))
 
+    @pytest.mark.parametrize("ids, kind", [
+        ([4], "loop"),
+        ([0, 2], "colour_clash"),
+        ([0, 3], "vertex_clash"),
+    ])
+    def test_extend_to_maximal_rejects_non_rainbow(self, ids, kind):
+        g = clash_graph()
+        m = RainbowMatching(g, ids)
+        issue = verify(g, m)[0]
+        assert issue.kind == kind
+        with pytest.raises(ValueError, match="not rainbow: " + re.escape(issue.detail)):
+            extend_to_maximal(g, m)
+
 
 def reference_extension(g: ColouredMultigraph, ids) -> frozenset[int]:
     """``ids`` plus every edge, in id order, that no vertex or colour used so
@@ -396,9 +494,9 @@ def family_graph(family: str, seed: int) -> ColouredMultigraph:
 
 
 class TestDeltaExtension:
-    """``extend_to_maximal`` passes over the delta only for clean
-    ``with_swap`` descendants of a maximal root of the same graph, and
-    always returns what the full id-order pass returns."""
+    """``extend_to_maximal`` passes over the delta only for ``with_swap``
+    descendants of a maximal root of the same graph, and always returns what
+    the full id-order pass returns."""
 
     @given(st.sampled_from(["random", "tight", "latin"]), st.integers(0, 60),
            st.sampled_from(["greedy", "extended", "user", "foreign"]), st.data())
@@ -422,26 +520,21 @@ class TestDeltaExtension:
             m = chain[-1]
             removed = data.draw(st.sets(st.sampled_from(m.sorted_ids), max_size=3)
                                 if len(m) else st.just(set()))
-            # any edge of the graph: clashes make unclean descendants
-            added = data.draw(st.sets(
-                st.integers(0, g.num_edges - 1).filter(lambda i: i not in m),
-                max_size=2))
+            added = draw_additions(data, m, removed, max_size=2)
             chain.append(m.with_swap(removed, added))
         for m in chain:
-            clean = not verify(g, m)
             with greedy_passes() as log:
                 got = extend_to_maximal(g, m)
             assert got.graph is g
             assert got.edge_ids == reference_extension(g, m.edge_ids)
             assert views(got) == views(RainbowMatching(g, got.edge_ids))
-            if root_kind in ("user", "foreign") or not clean:
+            if root_kind in ("user", "foreign"):
                 assert log == ["full"]
             elif m is root:
                 assert log == [] and got is m
             else:
                 assert log == ["delta"]
-            if clean:  # the result records that it is maximal
-                assert extend_to_maximal(g, got) is got
+            assert extend_to_maximal(g, got) is got  # it records being maximal
 
 
 class TestCloseness:

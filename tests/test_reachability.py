@@ -31,7 +31,7 @@ from rainbowmatch.cli import main
 from rainbowmatch.matching import external_edges
 from rainbowmatch.multigraph import dumps
 
-from conftest import default_params, random_instance
+from conftest import brute_scan, default_params, random_instance
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -204,39 +204,6 @@ class TestViolations:
         assert v.rank == (1, (0, 9), 10)
         with pytest.raises(AttributeError):
             v.kind = "extend"
-
-
-def brute_scan(graph, matching, hier):
-    """Full-edge-sweep reference for find_violations: ``(kind, edge id,
-    colour, witness vertices)`` in rank order, that is extend, reach_free,
-    reach_reach, free_free, ties by witness vertices then edge id."""
-    level_edges = [le for level in hier.levels for le in level.edges]
-    heads = {le.head for le in level_edges}
-    reach_colours = {le.colour for le in level_edges}
-    out = []
-    for e in graph.edges:
-        if e.u == e.v:
-            continue
-        fu = not matching.is_covered(e.u)
-        fv = not matching.is_covered(e.v)
-        hu, hv = e.u in heads, e.v in heads
-        ends = tuple(sorted((e.u, e.v)))
-        if not matching.uses_colour(e.colour):
-            if fu and fv:
-                out.append(("extend", e.id, e.colour, ends))
-        elif e.colour in reach_colours:
-            if e.id == matching.edge_of_colour(e.colour):
-                continue
-            if hu and hv:
-                out.append(("reach_reach", e.id, e.colour, ends))
-            elif hu and fv:
-                out.append(("reach_free", e.id, e.colour, (e.u, e.v)))
-            elif hv and fu:
-                out.append(("reach_free", e.id, e.colour, (e.v, e.u)))
-            elif fu and fv:
-                out.append(("free_free", e.id, e.colour, ends))
-    order = ["extend", "reach_free", "reach_reach", "free_free"]
-    return sorted(out, key=lambda t: (order.index(t[0]), t[3], t[1]))
 
 
 def brute_pairs(g, m, flex, good, le) -> tuple:
