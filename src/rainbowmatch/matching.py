@@ -115,12 +115,6 @@ class RainbowMatching:
         with set operators and ``isdisjoint`` but no ``union``."""
         return self._twin.keys()
 
-    def free_vertices(self) -> list[int]:
-        return [v for v in range(self.graph.num_vertices) if v not in self._twin]
-
-    def free_colours(self) -> list[int]:
-        return [c for c in range(self.graph.num_colours) if c not in self._by_colour]
-
     def edge_of_colour(self, colour: int) -> int | None:
         return self._by_colour.get(colour)
 

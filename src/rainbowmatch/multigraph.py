@@ -11,7 +11,7 @@ a vertex) so that broken instances can still be loaded and reported on;
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -65,8 +65,7 @@ class ColouredMultigraph:
     see :func:`validate`.
     """
 
-    __slots__ = ("num_vertices", "num_colours", "edges", "_by_colour",
-                 "_by_vertex", "_by_vertex_colour", "_pair_count")
+    __slots__ = ("num_vertices", "num_colours", "edges", "_by_colour", "_by_vertex")
 
     def __init__(self, num_vertices: int, num_colours: int,
                  edges: list[tuple[int, int, int]] | tuple[tuple[int, int, int], ...]):
@@ -91,30 +90,6 @@ class ColouredMultigraph:
         self.edges = tuple(built)
         self._by_colour = {c: tuple(ids) for c, ids in by_colour.items()}
         self._by_vertex = {v: tuple(ids) for v, ids in by_vertex.items()}
-        # read only by checks and diagnostics, never by solve: built on first use
-        self._by_vertex_colour = None
-        self._pair_count = None
-
-    def _vertex_colour_index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Edge ids by ``(vertex, colour)``; a loop counts once at its vertex."""
-        if self._by_vertex_colour is None:
-            by_vc: dict[tuple[int, int], list[int]] = {}
-            for e in self.edges:
-                by_vc.setdefault((e.u, e.colour), []).append(e.id)
-                if e.v != e.u:
-                    by_vc.setdefault((e.v, e.colour), []).append(e.id)
-            self._by_vertex_colour = {k: tuple(ids) for k, ids in by_vc.items()}
-        return self._by_vertex_colour
-
-    def _pair_counts(self) -> dict[tuple[int, int], int]:
-        """Number of edges joining each vertex pair ``(u, v)``, ``u <= v``."""
-        if self._pair_count is None:
-            counts: dict[tuple[int, int], int] = {}
-            for e in self.edges:
-                key = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
-                counts[key] = counts.get(key, 0) + 1
-            self._pair_count = counts
-        return self._pair_count
 
     # -- basic accessors ----------------------------------------------------
 
@@ -139,18 +114,8 @@ class ColouredMultigraph:
     def edges_at(self, vertex: int) -> tuple[int, ...]:
         return self._by_vertex.get(vertex, ())
 
-    def edges_at_with_colour(self, vertex: int, colour: int) -> tuple[int, ...]:
-        return self._vertex_colour_index().get((vertex, colour), ())
-
     def degree(self, vertex: int) -> int:
         return len(self._by_vertex.get(vertex, ()))
-
-    def multiplicity(self, u: int, v: int) -> int:
-        key = (u, v) if u <= v else (v, u)
-        return self._pair_counts().get(key, 0)
-
-    def max_multiplicity(self) -> int:
-        return max(self._pair_counts().values(), default=0)
 
     def __repr__(self) -> str:
         return (f"ColouredMultigraph(V={self.num_vertices}, "
@@ -158,23 +123,24 @@ class ColouredMultigraph:
 
 
 def validate(graph: ColouredMultigraph) -> list[Issue]:
-    """Report every structural defect of the colouring.
-
-    Checks loops and properness (no two incident edges share a colour,
-    parallel edges included).  A clean proper instance yields an empty list.
+    """Report every structural defect of the colouring: the loops in edge
+    order, then each vertex carrying two or more edges of one colour
+    (parallel edges included) by vertex and colour.  One pass over the edges;
+    a clean proper instance yields an empty list.
     """
-    issues: list[Issue] = []
-    for e in graph.edges:
-        if e.u == e.v:
-            issues.append(Issue("loop", f"edge {e.id} is a loop at vertex {e.u}",
-                                edge_ids=(e.id,), vertex=e.u))
-    for (v, c), ids in sorted(graph._vertex_colour_index().items()):
-        if len(ids) > 1:
-            issues.append(Issue(
-                "colour_clash",
-                f"vertex {v} carries {len(ids)} edges of colour {c}",
-                edge_ids=tuple(ids), vertex=v, colour=c))
-    return issues
+    loops: list[Issue] = []
+    at: dict[tuple[int, int], list[int]] = {}  # edge ids by (vertex, colour)
+    for i, u, v, c in graph.edges:
+        if u == v:
+            loops.append(Issue("loop", f"edge {i} is a loop at vertex {u}",
+                               edge_ids=(i,), vertex=u))
+        else:
+            at.setdefault((v, c), []).append(i)
+        at.setdefault((u, c), []).append(i)
+    return loops + [Issue("colour_clash",
+                          f"vertex {v} carries {len(ids)} edges of colour {c}",
+                          edge_ids=tuple(ids), vertex=v, colour=c)
+                    for (v, c), ids in sorted(at.items()) if len(ids) > 1]
 
 
 def as_fraction(x) -> Fraction:
@@ -252,18 +218,34 @@ def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> Hypot
 
     Requires: proper colouring, every colour class at least
     ``min_colour_count`` edges, and every vertex pair joined by at most
-    ``multiplicity_cap`` parallel edges.
+    ``multiplicity_cap`` parallel edges.  The issues come in that order:
+    :func:`validate`'s, each short colour class that has an edge by colour,
+    one issue for every empty class together (``colour`` is the first), and
+    each pair over the cap.  Only the colours with an edge are read, so a
+    header's colour count costs nothing.
     """
-    issues = list(validate(graph))
-    for c in range(graph.num_colours):
+    issues = validate(graph)
+    need = params.min_colour_count
+    present = sorted(graph.colours_with_edges())
+    for c in present:
         size = graph.colour_class_size(c)
-        if size < params.min_colour_count:
-            issues.append(Issue(
-                "colour_count",
-                f"colour {c} has {size} edges, needs >= {params.min_colour_count}",
-                colour=c))
+        if size < need:
+            issues.append(Issue("colour_count",
+                                f"colour {c} has {size} edges, needs >= {need}",
+                                colour=c))
+    empty = graph.num_colours - len(present)
+    if empty and need > 0:
+        # the first colour missing from 0, 1, ...: the first i with
+        # present[i] != i, else the one after the last present colour
+        first = next((i for i, c in enumerate(present) if c != i), len(present))
+        issues.append(Issue(
+            "colour_count",
+            f"no edges in {empty} of {graph.num_colours} colours, "
+            f"need >= {need}; the first is colour {first}",
+            colour=first))
     cap = params.multiplicity_cap
-    for (u, v), n in sorted(graph._pair_counts().items()):
+    pairs = Counter((u, v) if u <= v else (v, u) for _, u, v, _ in graph.edges)
+    for (u, v), n in sorted(pairs.items()):
         if n > cap:
             issues.append(Issue(
                 "multiplicity",

@@ -116,7 +116,9 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     vertex order (on :func:`~rainbowmatch.instances.latin_to_graph`'s
     K_{n,n}, the columns and the rows).  Only the vertices with a non-loop
     edge are indexed: an isolated vertex joins both independent sets and
-    blocks nothing, so the header's vertex count costs nothing.  Every
+    blocks nothing, so the header's vertex count costs nothing.  Likewise a
+    colour's bit is its rank among the colours of those edges, so a mask is
+    as wide as the colours that occur, not as the largest colour id.  Every
     further matching edge comes from the suffix and uses a distinct unused
     colour, a distinct free vertex of each cover and two free vertices of its
     own, so the bound is valid.  The colour term is tested at every node,
@@ -138,7 +140,8 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     ends = sorted({x for e in order for x in (e.u, e.v)})
     bit = {v: i for i, v in enumerate(ends)}
     vmasks = [1 << bit[e.u] | 1 << bit[e.v] for e in order]
-    cbits = [1 << e.colour for e in order]
+    rank = {c: i for i, c in enumerate(sorted({e.colour for e in order}))}
+    cbits = [1 << rank[e.colour] for e in order]
     adjacent = [0] * len(bit)
     for e in order:
         adjacent[bit[e.u]] |= 1 << bit[e.v]

@@ -109,12 +109,12 @@ def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
     """Orient every matching edge that has an endpoint seeing at least
     max(1, ceil(alpha * |free colours|)) external unused-colour edges to be
     its tail; ``matching`` is rainbow, so |free colours| = C - |M|."""
-    free_colours = _unused_colours(graph, matching)
-    if not free_colours:
+    unused = _unused_colours(graph, matching)
+    if not unused:
         return FlexibleStructure({}, {})
     threshold = max(1, ceil(params.alpha * (graph.num_colours - len(matching))))
     external_free_at = _by_covered_end(
-        graph, matching, external_edges(graph, matching, free_colours))
+        graph, matching, external_edges(graph, matching, unused))
 
     def enough(tail):
         return len(external_free_at.get(tail, ())) >= threshold or None

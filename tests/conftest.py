@@ -2,19 +2,24 @@
 
 ``random_instance(seed)`` is the one deterministic family used everywhere:
 mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
-Hand fixtures that several suites share live here too, along with
-``recorded_calls()``, which logs every successful switch call, and
-``brute_scan()``, the full-edge-sweep reference for ``find_violations``.
+``isotope(n, seed)`` is the one seeded Latin square family.  Hand fixtures
+that several suites share live here too, along with ``recorded_calls()``,
+which logs every successful switch call, ``recheck_call()``, which checks
+one such record against the switch contract, and ``brute_scan()``, the
+full-edge-sweep reference for ``find_violations``.
 """
 
 from __future__ import annotations
 
+import random
 from contextlib import contextmanager
 from math import ceil
 
 import pytest
 
-from rainbowmatch import ColouredMultigraph, InstanceParams, generate_random, switching
+from rainbowmatch import (ColouredMultigraph, InstanceParams, RainbowMatching, closeness,
+                          closeness_slack, cyclic_square, generate_random, permute_square,
+                          switching, verify)
 
 # (colours, count, vertices, cap) rotated by seed; count = ceil(1.5 * colours)
 _SHAPES = [
@@ -31,6 +36,13 @@ _SHAPES = [
 def random_instance(seed: int) -> ColouredMultigraph:
     colours, count, vertices, cap = _SHAPES[seed % len(_SHAPES)]
     return generate_random(colours, count, vertices, cap, seed)
+
+
+def isotope(n: int, seed: int):
+    """Z_n with seeded row, column and symbol permutations, as a square."""
+    rng = random.Random(seed)
+    perms = [rng.sample(range(n), n) for _ in range(3)]
+    return permute_square(cyclic_square(n), *perms)
 
 
 def default_params(graph) -> InstanceParams:
@@ -102,6 +114,24 @@ def recorded_calls():
         yield log
     finally:
         switching.robust_switch = inner
+
+
+def recheck_call(g, base, rec) -> None:
+    """Re-check one call record against the switch contract, from ids: the
+    result is a rainbow matching of ``base``'s size without the requested
+    colour or vertex, within the budget plus the level's slack of ``base``,
+    holding ``fix`` and clear of both avoid sets."""
+    result = RainbowMatching(g, rec.result_ids)
+    assert verify(g, result) == []
+    assert result.edge_of_colour(rec.colour) is None          # clause 1
+    assert not result.is_covered(rec.vertex)
+    c = closeness(base, result)                               # clause 2
+    assert c.size_equal
+    assert c.distance == rec.distance_to_base
+    assert c.distance <= rec.budget + closeness_slack(rec.level)
+    assert set(rec.fix) <= set(rec.result_ids)                # clause 3
+    assert not set(rec.avoid_vertices) & result.covered
+    assert not any(result.uses_colour(col) for col in rec.avoid_colours)
 
 
 @pytest.fixture

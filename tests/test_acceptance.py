@@ -21,8 +21,6 @@ from rainbowmatch import (
     SwitchRequest,
     build_hierarchy,
     classify_good_bad,
-    closeness,
-    closeness_slack,
     compute_flexible,
     cyclic_square,
     enumerate_reduced_squares,
@@ -37,7 +35,8 @@ from rainbowmatch import (
 )
 from rainbowmatch import switching
 
-from conftest import brute_scan, default_params, random_instance, recorded_calls
+from conftest import (brute_scan, default_params, random_instance, recheck_call,
+                      recorded_calls)
 
 _SOLVE_FUZZ_SEEDS = 1000
 _SOLVE_FUZZ_LIMIT_S = 300.0
@@ -187,19 +186,8 @@ def test_switch_closeness_contract(lift_fixture, descend_fixture):
         observed.extend((g, rec) for rec in log)
     levels_seen = set()
     for g, rec in observed:
-        base = RainbowMatching(g, rec.base_ids)
-        result = RainbowMatching(g, rec.result_ids)
         levels_seen.add(rec.level)
-        assert verify(g, result) == []
-        assert result.edge_of_colour(rec.colour) is None          # clause 1
-        assert not result.is_covered(rec.vertex)
-        c = closeness(base, result)                               # clause 2
-        assert c.size_equal
-        assert c.distance == rec.distance_to_base
-        assert c.distance <= rec.budget + closeness_slack(rec.level)
-        assert set(rec.fix) <= set(rec.result_ids)                # clause 3
-        assert not set(rec.avoid_vertices) & result.covered
-        assert not any(result.uses_colour(col) for col in rec.avoid_colours)
+        recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
     assert len(observed) >= 100, f"only {len(observed)} switch calls observed"
     _report(f"PASS switch contract: {len(observed)} successful calls at "
             f"levels {sorted(levels_seen)}, all clauses hold, distance <= "

@@ -304,10 +304,11 @@ class TestStats:
 
 class TestSparseColourHeader:
     """Two edges under a header of 4,000,000 colours: only the colour
-    classes with an edge are read, and a rainbow matching M leaves C - |M|
-    colours unused, so the colour count costs nothing.  Each command takes
-    milliseconds; a probe of every empty colour class takes about a second,
-    which the bound catches."""
+    classes with an edge are read, a rainbow matching M leaves C - |M|
+    colours unused, and ``check`` reports the empty classes as one issue, so
+    the colour count costs nothing.  Each command takes milliseconds; a
+    probe of every empty colour class takes about a second, which the bound
+    catches."""
 
     @pytest.fixture
     def sparse_path(self, tmp_path):
@@ -330,6 +331,22 @@ class TestSparseColourHeader:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert (doc["F_size"], doc["m"]) == (0, 0)
+
+    def test_check(self, sparse_path, capsys):
+        start = time.perf_counter()
+        code = main(["check", "--input", sparse_path])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "colour_count: colour 0 has 1 edges, needs >= 6000000",
+            "colour_count: colour 1 has 1 edges, needs >= 6000000",
+            "colour_count: no edges in 3999998 of 4000000 colours, need >= 6000000; "
+            "the first is colour 2",
+        ]
+        assert main(["check", "--input", sparse_path, "--json"]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["ok"]
+        assert len(doc["issues"]) == 3
 
 
 class TestBench:

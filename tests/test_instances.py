@@ -94,7 +94,6 @@ def test_generator_meets_hypotheses():
     assert validate(g) == []
     for c in range(8):
         assert g.colour_class_size(c) == 12
-    assert g.max_multiplicity() <= 1
     assert hypothesis_check(g, InstanceParams.for_graph(g, epsilon="1/2")).ok
 
 

@@ -1,7 +1,6 @@
 """Matching container, greedy construction, verification, closeness."""
 from __future__ import annotations
 
-import random
 import re
 from contextlib import contextmanager
 
@@ -21,11 +20,10 @@ from rainbowmatch import (
     matching_from_json,
     matching_to_json,
     max_rainbow_matching,
-    permute_square,
     verify,
 )
 
-from conftest import random_instance, tight_instance
+from conftest import isotope, random_instance, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -50,14 +48,6 @@ class TestContainer:
         assert m.twin_of(e0.v) == e0.u
         assert m.is_covered(e0.u) and not m.is_covered(
             next(v for v in range(g.num_vertices) if v not in m.covered))
-
-    def test_free_lists_sorted(self):
-        g = random_instance(1)
-        m = RainbowMatching(g, [3])
-        assert m.free_vertices() == sorted(
-            v for v in range(g.num_vertices) if v not in m.covered)
-        assert m.free_colours() == sorted(
-            c for c in range(g.num_colours) if c != g.edge(3).colour)
 
     def test_equality_is_by_edge_set(self):
         g = random_instance(0)
@@ -106,8 +96,7 @@ def views(m: RainbowMatching) -> tuple:
     g = m.graph
     return (m.edge_ids, m.covered,
             [m.edge_of_colour(c) for c in range(g.num_colours)],
-            [m.twin_of(v) for v in range(g.num_vertices)],
-            m.free_vertices())
+            [m.twin_of(v) for v in range(g.num_vertices)])
 
 
 def clash_graph() -> ColouredMultigraph:
@@ -487,10 +476,7 @@ def family_graph(family: str, seed: int) -> ColouredMultigraph:
         return random_instance(seed)
     if family == "tight":
         return tight_instance(seed)
-    n = 4 + seed % 5
-    rng = random.Random(seed)
-    perms = [rng.sample(range(n), n) for _ in range(3)]
-    return latin_to_graph(permute_square(cyclic_square(n), *perms))
+    return latin_to_graph(isotope(4 + seed % 5, seed))
 
 
 class TestDeltaExtension:

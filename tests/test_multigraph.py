@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import (ColouredMultigraph, Edge, InstanceParams, as_fraction, dumps,
-                          hypothesis_check, loads, validate)
+from rainbowmatch import (ColouredMultigraph, Edge, InstanceParams, Issue, as_fraction,
+                          dumps, hypothesis_check, loads, validate)
 from conftest import random_instance
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -27,6 +27,13 @@ def raw_graphs(draw) -> ColouredMultigraph:
     return ColouredMultigraph(v, c, draw(st.lists(edge, max_size=24)))
 
 
+def check_params(need: int = 0, cap: int = 1) -> InstanceParams:
+    """Hypotheses of at least ``need`` edges per colour and at most ``cap``
+    edges per vertex pair."""
+    return InstanceParams(epsilon=Fraction(1, 2), alpha=Fraction(1, 24),
+                          min_colour_count=need, multiplicity_cap=cap)
+
+
 def test_construction_and_indexes():
     g = ColouredMultigraph(4, 3, [(0, 1, 0), (2, 3, 0), (0, 2, 1), (0, 1, 2)])
     assert g.num_vertices == 4
@@ -35,11 +42,14 @@ def test_construction_and_indexes():
     assert g.edges_with_colour(0) == (0, 1)
     assert g.colour_class_size(2) == 1
     assert g.edges_at(0) == (0, 2, 3)
-    assert g.edges_at_with_colour(0, 0) == (0,)
+    assert [i for i in g.edges_at(0) if g.edge(i).colour == 0] == [0]
     assert g.degree(0) == 3
-    assert g.multiplicity(0, 1) == 2
-    assert g.multiplicity(1, 0) == 2
-    assert g.max_multiplicity() == 2
+    # edges 0 and 3 both join 0 and 1, in either order
+    assert [i for i in g.edges_at(1) if g.edge(i).other(1) == 0] == [0, 3]
+    assert [i for i in g.edges_at(0) if g.edge(i).other(0) == 1] == [0, 3]
+    assert hypothesis_check(g, check_params(cap=1)).issues == (
+        Issue("multiplicity", "pair (0,1) joined by 2 edges, cap is 1", vertex=0),)
+    assert hypothesis_check(g, check_params(cap=2)).ok
     e = g.edge(2)
     assert e.other(0) == 2 and e.other(2) == 0
     with pytest.raises(ValueError):
@@ -98,7 +108,9 @@ def test_text_round_trip_with_comments_and_parallel_edges():
     g = loads(text)
     assert g.num_vertices == 4
     assert g.num_edges == 3
-    assert g.multiplicity(0, 1) == 2
+    assert [i for i in g.edges_at(0) if g.edge(i).other(0) == 1] == [0, 1]
+    assert hypothesis_check(g, check_params(cap=1)).issues[-1] == \
+        Issue("multiplicity", "pair (0,1) joined by 2 edges, cap is 1", vertex=0)
     again = loads(dumps(g))
     assert [(e.u, e.v, e.colour) for e in again.edges] == \
         [(e.u, e.v, e.colour) for e in g.edges]
@@ -204,32 +216,56 @@ def test_text_round_trip_property(g):
     assert dumps(again) == dumps(g)
 
 
-@given(raw_graphs(), st.integers(1, 3))
+def test_hypothesis_check_reports_empty_colour_classes_once():
+    # colours 1, 3, 4 and 5 have no edge; colour 0 has one, colour 2 two
+    g = ColouredMultigraph(6, 6, [(0, 1, 0), (2, 3, 2), (4, 5, 2)])
+    assert [(i.kind, i.detail, i.colour) for i in
+            hypothesis_check(g, check_params(need=2)).issues] == [
+        ("colour_count", "colour 0 has 1 edges, needs >= 2", 0),
+        ("colour_count", "no edges in 4 of 6 colours, need >= 2; the first is colour 1", 1),
+    ]
+    # the first empty colour may follow every colour with an edge
+    tail = ColouredMultigraph(2, 3, [(0, 1, 0), (0, 1, 1)])
+    assert hypothesis_check(tail, check_params(need=1, cap=2)).issues == (
+        Issue("colour_count", "no edges in 1 of 3 colours, need >= 1; "
+              "the first is colour 2", colour=2),)
+    # no edge is too few only when at least one is needed
+    assert hypothesis_check(g, check_params(need=0)).ok
+
+
+@given(raw_graphs(), st.integers(0, 3), st.integers(1, 3))
 @PROPERTY_SETTINGS
-def test_lazy_indexes_match_a_scan_and_an_eager_build(g, cap):
-    eager = ColouredMultigraph(g.num_vertices, g.num_colours,
-                               [(e.u, e.v, e.colour) for e in g.edges])
-    eager.edges_at_with_colour(0, 0)  # builds both indexes before any check
-    eager.multiplicity(0, 0)
-    params = InstanceParams(epsilon=Fraction(1, 2), alpha=Fraction(1, 24),
-                            min_colour_count=2, multiplicity_cap=cap)
-    # the checks run first on ``g``, so they are the ones that build its indexes
-    assert validate(g) == validate(eager)
-    assert hypothesis_check(g, params) == hypothesis_check(eager, params)
+def test_checks_match_a_brute_force_scan(g, need, cap):
     vertices, colours = range(g.num_vertices), range(g.num_colours)
+    loops = [Issue("loop", f"edge {e.id} is a loop at vertex {e.u}",
+                   edge_ids=(e.id,), vertex=e.u) for e in g.edges if e.u == e.v]
+    clashes = []
     for v in vertices:
         for c in colours:
-            want = tuple(e.id for e in g.edges if e.colour == c and v in (e.u, e.v))
-            assert g.edges_at_with_colour(v, c) == want
-            assert eager.edges_at_with_colour(v, c) == want
-    pairs = {}
+            ids = tuple(e.id for e in g.edges if e.colour == c and v in (e.u, e.v))
+            if len(ids) > 1:
+                clashes.append(Issue(
+                    "colour_clash", f"vertex {v} carries {len(ids)} edges of colour {c}",
+                    edge_ids=ids, vertex=v, colour=c))
+    assert validate(g) == loops + clashes
+    short = []
+    for c in colours:
+        size = sum(1 for e in g.edges if e.colour == c)
+        if 0 < size < need:
+            short.append(Issue("colour_count",
+                               f"colour {c} has {size} edges, needs >= {need}", colour=c))
+    empty = [c for c in colours if not any(e.colour == c for e in g.edges)]
+    if empty and need > 0:
+        short.append(Issue(
+            "colour_count", f"no edges in {len(empty)} of {g.num_colours} colours, "
+            f"need >= {need}; the first is colour {empty[0]}", colour=empty[0]))
+    over = []
     for u in vertices:
-        for v in vertices:
-            want = sum(1 for e in g.edges if {e.u, e.v} == {u, v})
-            assert g.multiplicity(u, v) == eager.multiplicity(u, v) == want
-            pairs[min(u, v), max(u, v)] = want
-    assert g.max_multiplicity() == eager.max_multiplicity() == max(pairs.values())
-    clashes = [(v, c) for v in vertices for c in colours
-               if len(g.edges_at_with_colour(v, c)) > 1]
-    assert [(i.vertex, i.colour) for i in validate(g)
-            if i.kind == "colour_clash"] == clashes
+        for v in range(u, g.num_vertices):
+            n = sum(1 for e in g.edges if {e.u, e.v} == {u, v})
+            if n > cap:
+                over.append(Issue("multiplicity",
+                                  f"pair ({u},{v}) joined by {n} edges, cap is {cap}",
+                                  vertex=u))
+    report = hypothesis_check(g, check_params(need, cap))
+    assert report.issues == tuple(loops + clashes + short + over)

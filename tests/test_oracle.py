@@ -23,19 +23,12 @@ from rainbowmatch import (
     verify,
 )
 
-from conftest import random_instance, tight_instance
+from conftest import isotope, random_instance, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 # Frozen before the solver existed; both oracles agree on every value.
 CYCLIC_OPTIMA = {1: 1, 2: 1, 3: 3, 4: 3, 5: 5, 6: 5, 7: 7}
-
-
-def isotope(n: int, seed: int):
-    """Z_n with seeded row, column and symbol permutations."""
-    rng = random.Random(seed)
-    perms = [rng.sample(range(n), n) for _ in range(3)]
-    return permute_square(cyclic_square(n), *perms)
 
 
 def outcome(search, instance, **caps):
@@ -326,6 +319,17 @@ class TestGolden:
             3 * graph.num_vertices + 5, graph.num_colours,
             [(3 * e.u + 1, 3 * e.v + 1, e.colour) for e in graph.edges])
         assert max_rainbow_matching(padded) == max_rainbow_matching(graph)
+
+    # Z_8's colours moved near 4,000,000, in order and shuffled: a colour's
+    # bit is its rank, so the ids change nothing and cost nothing
+    @pytest.mark.parametrize("relabel", [lambda c: 3_999_983 + c,
+                                         lambda c: 3_999_983 + 5 * c % 8],
+                             ids=["shifted", "shuffled"])
+    def test_colour_ids_change_nothing(self, relabel):
+        graph = latin_to_graph(isotope(8, 0))
+        far = ColouredMultigraph(16, 4_000_000, [(e.u, e.v, relabel(e.colour))
+                                                 for e in graph.edges])
+        assert max_rainbow_matching(far, time_limit=5) == max_rainbow_matching(graph)
 
     def test_sparse_header_costs_nothing(self):
         g = ColouredMultigraph(1_000_000, 2, [(0, 1, 0), (2, 3, 1)])

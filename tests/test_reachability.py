@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from math import ceil, floor
 
 import pytest
@@ -25,13 +24,12 @@ from rainbowmatch import (
     generate_random,
     greedy,
     latin_to_graph,
-    permute_square,
 )
 from rainbowmatch.cli import main
 from rainbowmatch.matching import external_edges
 from rainbowmatch.multigraph import dumps
 
-from conftest import brute_scan, default_params, random_instance
+from conftest import brute_scan, default_params, isotope, random_instance
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -50,7 +48,7 @@ class TestFlexibleStructure:
         g = ColouredMultigraph(5, 4, [(0, 1, 0), (0, 2, 1), (0, 3, 2), (0, 4, 3)])
         m = RainbowMatching(g, [0])
         params, flex, _, _ = analyse(g, m)
-        assert m.free_colours() == [1, 2, 3]
+        assert [c for c in range(g.num_colours) if not m.uses_colour(c)] == [1, 2, 3]
         assert max(1, ceil(params.alpha * 3)) == 1  # the tail threshold
         assert len(flex.partners) == 1
         oe = flex.partners[0]
@@ -76,7 +74,7 @@ class TestFlexibleStructure:
         g = ColouredMultigraph(2, 1, [(0, 1, 0)])
         m = RainbowMatching(g, [0])
         _, flex, good, hier = analyse(g, m)
-        assert not m.free_colours()  # the matching uses every colour
+        assert g.num_colours - len(m) == 0  # the matching uses every colour
         assert not flex.partners
         assert not any(good.good_at.values()) and not good.bad_per_colour
         assert hier.m == 0
@@ -85,7 +83,7 @@ class TestFlexibleStructure:
         g = ColouredMultigraph(4, 3, [(0, 1, 0), (2, 3, 1)])
         m = RainbowMatching(g, [0, 1])
         _, flex, good, hier = analyse(g, m)
-        assert m.free_colours()  # not every colour is used
+        assert g.num_colours - len(m) > 0  # not every colour is used
         assert flex.partners == {}
         assert hier.m == 0
         assert not hier.by_head
@@ -99,7 +97,7 @@ class TestGoodBad:
         params, flex, good, _ = analyse(g, m)
         assert flex.partners.keys() == {1, 3}
         assert {oe.tail for oe in flex.partners.values()} == {3, 7}
-        assert max(1, ceil(params.alpha * len(m.free_colours()) / 2)) == 1
+        assert max(1, ceil(params.alpha * (g.num_colours - len(m)) / 2)) == 1
         assert {i for ids in good.good_at.values() for i in ids} == {8, 9}
         # every external flexible-coloured edge is good
         assert {e.id for e in g.edges if e.colour in (1, 3)
@@ -239,7 +237,7 @@ def recount_certificates(g, m) -> int:
     level edge carries exactly the switch options counted, and return how
     many level-2+ edges were checked."""
     params, flex, good, hier = analyse(g, m)
-    free_set = set(m.free_vertices())
+    free_set = {v for v in range(g.num_vertices) if not m.is_covered(v)}
     flex_colours = flex.partners.keys()
     level1_threshold = (max(1, ceil(params.alpha * len(flex_colours)))
                         if flex_colours else 1)
@@ -405,7 +403,7 @@ class TestLookups:
             assert level.colours == {le.colour for le in level.edges}
         # recount from the graph: the tails that see at least the threshold
         # of external unused-colour edges, the lower id first
-        threshold = max(1, ceil(params.alpha * len(m.free_colours())))
+        threshold = max(1, ceil(params.alpha * (graph.num_colours - len(m))))
         seen = {v: 0 for v in range(graph.num_vertices)}
         for e in graph.edges:
             if not m.uses_colour(e.colour) and m.is_covered(e.u) != m.is_covered(e.v):
@@ -441,13 +439,6 @@ class TestLookups:
             assert {le.level for le in level.edges} == {level.index}
         # a stopped candidate carries the level it failed to start
         assert all(le.level == hier.m + 1 for le in hier.stopped)
-
-
-def isotope(n, seed):
-    """Z_n with seeded row, column and symbol permutations, as a graph."""
-    rng = random.Random(seed)
-    perms = [rng.sample(range(n), n) for _ in range(3)]
-    return latin_to_graph(permute_square(cyclic_square(n), *perms))
 
 
 def reachability_facts(graph, tmp_path, capsys) -> dict:
@@ -514,10 +505,10 @@ REACHABILITY_GOLDEN = {
     "random_c48_s2": (lambda: generate_random(48, 50, 100, 3, 2),
                       "1fa89d221dd6ed2adb4636333e5a99e445b9a619957f4fcfb3187b9e384c8c81"),
     # 4 level-2 edges
-    "z15_iso1": (lambda: isotope(15, 1),
+    "z15_iso1": (lambda: latin_to_graph(isotope(15, 1)),
                  "04b6574847258a3e1784ab0da6291bb71b41f00b0bfc7f7ddac7f67e87025bda"),
     # 5 level-2 edges
-    "z16_iso2": (lambda: isotope(16, 2),
+    "z16_iso2": (lambda: latin_to_graph(isotope(16, 2)),
                  "ea0cab01cabc01c32e24b740561d6aaec398e2f7483ae7649495fc1a25d28d21"),
 }
 

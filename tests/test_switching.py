@@ -19,7 +19,6 @@ from rainbowmatch import (
     SwitchRequest,
     SwitchUsageError,
     augment,
-    closeness,
     closeness_slack,
     cyclic_square,
     generate_random,
@@ -30,8 +29,9 @@ from rainbowmatch import (
     verify,
 )
 
-from conftest import random_instance, recorded_calls, tight_instance
-from test_reachability import REACHABILITY_GOLDEN, isotope
+from conftest import (isotope, random_instance, recheck_call, recorded_calls,
+                      tight_instance)
+from test_reachability import REACHABILITY_GOLDEN
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -620,16 +620,6 @@ def check_switch_contract(g, base, ctx) -> list[int]:
     return found
 
 
-def recheck_call(g, base, rec) -> None:
-    """Re-check one call record against the switch contract, from ids."""
-    result = RainbowMatching(g, rec.result_ids)
-    assert closeness(base, result).distance == rec.distance_to_base
-    assert set(rec.fix) <= set(rec.result_ids)
-    assert not set(rec.avoid_vertices) & result.covered
-    assert not any(result.uses_colour(c) for c in rec.avoid_colours)
-    assert rec.distance_to_base <= rec.budget + closeness_slack(rec.level)
-
-
 class TestContractFuzz:
     @given(st.integers(0, 150), st.integers(0, 3))
     @PROPERTY_SETTINGS
@@ -746,10 +736,10 @@ GOLDEN_DESCEND = {
     True: "8d47fe203e8a8e355c4921c5d86854b300d50e4bb570966582d39f27e786a94d",
 }
 
-# solve(isotope(n, seed), seed=seed): (status, size, violations tried in the
-# last iteration, logged calls, digest), recorded the same way before the
-# switch call's checks and the violation sweep were made cheaper; n=64 is a
-# full stall proof
+# solve(latin_to_graph(isotope(n, seed)), seed=seed): (status, size,
+# violations tried in the last iteration, logged calls, digest), recorded the
+# same way before the switch call's checks and the violation sweep were made
+# cheaper; n=64 is a full stall proof
 GOLDEN_LATIN = {
     (63, 1): ("target_reached", 63, 611, 927,
               "2c2635ca0d63c14d475afe78ed552ad32dba9eddff841f2631496627d68845a8"),
@@ -799,7 +789,7 @@ class TestGoldenOutput:
     @pytest.mark.parametrize("n,seed", sorted(GOLDEN_LATIN))
     def test_latin_stall_proof_unchanged(self, n, seed):
         with recorded_calls() as log:
-            report = solve(isotope(n, seed), seed=seed)
+            report = solve(latin_to_graph(isotope(n, seed)), seed=seed)
         *shape, digest = GOLDEN_LATIN[n, seed]
         assert [report.status, report.size, report.iterations[-1].attempted,
                 len(log)] == shape
@@ -824,8 +814,8 @@ def _landed_cases():
         yield pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1, shuffle,
                            id=f"descend_{shuffle}")
     for n, seed in sorted(GOLDEN_LATIN):
-        yield pytest.param(lambda n=n, seed=seed: isotope(n, seed), seed, False,
-                           id=f"latin_{n}_s{seed}")
+        yield pytest.param(lambda n=n, seed=seed: latin_to_graph(isotope(n, seed)),
+                           seed, False, id=f"latin_{n}_s{seed}")
 
 
 class TestLandedCalls:
@@ -844,7 +834,7 @@ class TestLandedCalls:
 
     @pytest.mark.parametrize("n,seed", sorted(GOLDEN_LATIN_LANDED))
     def test_latin_landed_calls_unchanged(self, n, seed):
-        report = solve(isotope(n, seed), seed=seed)
+        report = solve(latin_to_graph(isotope(n, seed)), seed=seed)
         count, digest = GOLDEN_LATIN_LANDED[n, seed]
         assert len(report.switch_calls) == count
         blob = repr(report.switch_calls)
