@@ -22,7 +22,7 @@ from math import ceil, isnan
 from . import multigraph
 from .instances import (PlacementError, cyclic_square, dumps_square, generate_random,
                         latin_to_graph, load_square)
-from .matching import (document_issues, greedy, matching_from_json,
+from .matching import (RainbowMatching, document_ids, document_issues, greedy,
                        matching_to_json, verify)
 from .multigraph import InstanceParams, hypothesis_check
 from .oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, CapExceeded,
@@ -86,25 +86,26 @@ def _cmd_solve(args) -> int:
 
 
 def _load_matching(graph, path: str):
-    """The matching that the JSON document at ``path`` lists, and every
-    issue with it: the document's own first, then :func:`verify`'s."""
+    """The edge ids that the JSON document at ``path`` lists, and every
+    issue with them: the document's own first, then :func:`verify`'s."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except RecursionError as exc:
             # nesting deeper than the decoder's recursion limit
             raise ValueError(f"malformed matching document: {exc}") from None
-    m = matching_from_json(graph, doc)
-    return m, document_issues(graph, doc) + verify(graph, m)
+    ids = document_ids(doc)
+    return ids, document_issues(graph, doc) + verify(graph, ids)
 
 
 def _cmd_verify(args) -> int:
     graph = multigraph.load(args.input)
-    m, issues = _load_matching(graph, args.matching)
+    ids, issues = _load_matching(graph, args.matching)
+    size = len(set(ids))
     if args.json:
         print(json.dumps({
             "ok": not issues,
-            "size": len(m),
+            "size": size,
             "issues": [{"kind": i.kind, "detail": i.detail} for i in issues],
         }, indent=2))
     else:
@@ -112,7 +113,7 @@ def _cmd_verify(args) -> int:
             for i in issues:
                 print(f"{i.kind}: {i.detail}")
         else:
-            print(f"ok: valid rainbow matching of size {len(m)}")
+            print(f"ok: valid rainbow matching of size {size}")
     return 2 if issues else 0
 
 
@@ -150,11 +151,12 @@ def _cmd_stats(args) -> int:
         raise ValueError(f"not properly coloured: {clash.detail}")
     params = _params_for(graph.num_colours, args)
     if args.matching:
-        m, issues = _load_matching(graph, args.matching)
+        ids, issues = _load_matching(graph, args.matching)
         if issues:
             for i in issues:
                 print(f"{i.kind}: {i.detail}", file=sys.stderr)
             return 2
+        m = RainbowMatching(graph, ids)
     else:
         m = greedy(graph, args.seed)
     ctx = SwitchContext.build(graph, m, params)

@@ -7,11 +7,10 @@ backtracking trivial.  :meth:`RainbowMatching.with_swap` pays only for the
 delta, including the distance to the start of its swap chain, so
 :func:`closeness` against that start is O(1) instead of O(k).
 
-Only ``RainbowMatching(graph, ids)`` accepts any set of integer edge ids,
-so that untrusted matchings can be loaded and then examined with
-:func:`verify`, which names each violation instead of raising.  Every
-matching derived from one (:meth:`~RainbowMatching.with_swap`, a greedy
-pass) is rainbow, or the call raises ValueError.
+Every :class:`RainbowMatching` is a rainbow matching of its graph: the
+constructor, :meth:`~RainbowMatching.with_swap` and the greedy passes raise
+ValueError rather than make anything else.  Untrusted edge ids are checked as
+ids by :func:`verify`, which names each violation instead of raising.
 
 A matching built by a greedy pass (:func:`greedy`, :func:`extend_to_maximal`)
 records that it is maximal.  :func:`extend_to_maximal` returns such a matching
@@ -25,28 +24,25 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import KeysView
+from collections.abc import Iterator, KeysView
 from typing import NamedTuple
 
 from .multigraph import ColouredMultigraph, Issue
 
 
 class RainbowMatching:
-    """An immutable set of edge ids of one graph, intended to be a rainbow
-    matching.
+    """An immutable rainbow matching of one graph, held as its edge ids.
 
-    Only the constructor holds a set that is not rainbow, for :func:`verify`
-    to report on; the derived views (``edge_of_colour``, ``twin_of``,
-    ``covered``) assume a rainbow matching.  Every id must be an ``int`` (a
-    bool is not); ids outside the graph are kept (so ``verify`` can report
-    them) but excluded from the views.
+    The constructor raises TypeError for an id that is not an ``int`` (a bool
+    is not), and ValueError naming the first :func:`verify` issue of ids that
+    are not a rainbow matching of ``graph``; repeated ids collapse.
 
     A matching made by :meth:`with_swap` remembers the root of its swap chain
     (the first matching not made by ``with_swap``) and its distance to it.
     One made by a greedy pass remembers that it is maximal.
     """
 
-    __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_clean", "_sorted",
+    __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_sorted",
                  "_root", "_dist", "_maximal")
 
     def __init__(self, graph: ColouredMultigraph, edge_ids=()):
@@ -62,23 +58,18 @@ class RainbowMatching:
         self._maximal = False
         by_colour: dict[int, int] = {}
         twin: dict[int, int] = {}
-        clean = True
         edges = graph.edges
         for i in self._sorted:
-            if not (0 <= i < len(edges)):
-                clean = False
-                continue
-            _, u, v, c = edges[i]
-            if u == v or c in by_colour or u in twin or v in twin:
-                clean = False
-            by_colour.setdefault(c, i)
-            twin.setdefault(u, v)
-            twin.setdefault(v, u)
+            if 0 <= i < len(edges):
+                _, u, v, c = edges[i]
+                if u != v and c not in by_colour and u not in twin and v not in twin:
+                    by_colour[c] = i
+                    twin[u] = v
+                    twin[v] = u
+                    continue
+            raise ValueError("not rainbow: " + verify(graph, self._sorted)[0].detail)
         self._by_colour = by_colour
         self._twin = twin
-        # clean: every id known, no loop, no colour or vertex used twice, so
-        # a rainbow matching; only a clean matching may be derived from
-        self._clean = clean
 
     @classmethod
     def _from_views(cls, graph, edge_ids, by_colour, twin) -> "RainbowMatching":
@@ -88,7 +79,6 @@ class RainbowMatching:
         out.edge_ids = edge_ids
         out._by_colour = by_colour
         out._twin = twin
-        out._clean = True
         out._sorted = None
         out._root = None
         out._dist = 0
@@ -97,6 +87,9 @@ class RainbowMatching:
 
     def __len__(self) -> int:
         return len(self.edge_ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.sorted_ids)
 
     def __contains__(self, edge_id: int) -> bool:
         return edge_id in self.edge_ids
@@ -140,9 +133,9 @@ class RainbowMatching:
         in, its views and its distance to the chain root patched by the delta.
 
         Every removed id must be present and every added id absent.  Raises
-        ValueError if this matching is not rainbow or the result would not be
-        (an added id outside the graph, a loop, a colour or vertex in use),
-        TypeError for a non-int id; this matching is left as it was.
+        ValueError if the result would not be rainbow (an added id outside the
+        graph, a loop, a colour or vertex in use), TypeError for a non-int
+        id; this matching is left as it was.
         """
         rem = frozenset(removed)
         add = frozenset(added)
@@ -150,9 +143,6 @@ class RainbowMatching:
             raise ValueError(f"cannot remove absent edges {sorted(rem - self.edge_ids)}")
         if add & self.edge_ids:
             raise ValueError(f"cannot add present edges {sorted(add & self.edge_ids)}")
-        if not self._clean:
-            raise ValueError("cannot swap in a matching that is not rainbow: "
-                             + verify(self.graph, self)[0].detail)
         edges = self.graph.edges
         # dict.copy clones the hash table even after deletions; dict() does
         # not, and a swap chain deletes on every step
@@ -215,13 +205,14 @@ def closeness(a: RainbowMatching, b: RainbowMatching) -> Closeness:
     return Closeness(distance, len(a.edge_ids) == len(b.edge_ids))
 
 
-def verify(graph: ColouredMultigraph, matching: RainbowMatching) -> list[Issue]:
-    """Report every way ``matching`` fails to be a rainbow matching of
-    ``graph``: unknown edge ids, loops, repeated colours, shared vertices."""
+def verify(graph: ColouredMultigraph, edge_ids) -> list[Issue]:
+    """Report every way the set of int ``edge_ids`` (a :class:`RainbowMatching`
+    included) fails to be a rainbow matching of ``graph``: unknown edge ids,
+    loops, repeated colours, shared vertices."""
     issues: list[Issue] = []
     by_colour: dict[int, list[int]] = {}
     by_vertex: dict[int, list[int]] = {}
-    for i in sorted(matching.edge_ids):
+    for i in sorted(set(edge_ids)):
         if not (0 <= i < graph.num_edges):
             issues.append(Issue("unknown_edge", f"edge id {i} not in graph",
                                 edge_ids=(i,)))
@@ -268,22 +259,14 @@ def extend_to_maximal(graph: ColouredMultigraph,
     :meth:`~RainbowMatching.with_swap` descendant of one pays only for the
     delta: the pass reads just the edges at the vertices, and of the colours,
     that its root used and it does not, since a vertex or colour it still
-    uses blocks every other edge.  Anything else, a matching of another
-    graph included, takes the full pass over every edge.  The result is the
-    same either way.  A matching that is not rainbow raises ValueError
-    naming its ids that are not edges of ``graph``, else its first
-    :func:`verify` issue.
+    uses blocks every other edge.  Anything else takes the full pass over
+    every edge.  The result is the same either way.  A matching of another
+    graph raises ValueError.
     """
     if matching.graph is not graph:
-        matching = RainbowMatching(graph, matching.edge_ids)
-    elif matching._maximal:
+        raise ValueError("matching belongs to another graph")
+    if matching._maximal:
         return matching
-    if not matching._clean:
-        unknown = sorted(i for i in matching.edge_ids if not 0 <= i < graph.num_edges)
-        if unknown:
-            raise ValueError(f"cannot extend by unknown edges {unknown}")
-        raise ValueError("cannot extend a matching that is not rainbow: "
-                         + verify(graph, matching)[0].detail)
     root = matching._root
     if root is not None and root._maximal:
         freed = set()
@@ -341,19 +324,16 @@ def external_edges(graph: ColouredMultigraph, matching: RainbowMatching,
 def matching_to_json(graph: ColouredMultigraph, matching: RainbowMatching) -> dict:
     edges = []
     for i in matching.sorted_ids:
-        if 0 <= i < graph.num_edges:
-            e = graph.edge(i)
-            edges.append({"u": e.u, "v": e.v, "colour": e.colour, "edge_id": e.id})
-        else:
-            edges.append({"u": None, "v": None, "colour": None, "edge_id": i})
+        e = graph.edge(i)
+        edges.append({"u": e.u, "v": e.v, "colour": e.colour, "edge_id": e.id})
     return {"size": len(matching), "edges": edges}
 
 
-def matching_from_json(graph: ColouredMultigraph, doc: dict) -> RainbowMatching:
-    """Rebuild a matching from its JSON form; integer ids are taken as-is so
-    a stale or corrupt document still loads and can be checked with
-    :func:`document_issues` and :func:`verify`.  Any other id (a float, a
-    bool, a string, null) makes the document malformed."""
+def document_ids(doc: dict) -> list[int]:
+    """The edge ids that a matching's JSON form lists, in order, repeats
+    included, for :func:`document_issues` and :func:`verify` to check.  A
+    missing field or an id that is not an integer (a float, a bool, a string,
+    null) makes the document malformed."""
     try:
         ids = [item["edge_id"] for item in doc["edges"]]
     except (KeyError, TypeError) as exc:
@@ -362,11 +342,17 @@ def matching_from_json(graph: ColouredMultigraph, doc: dict) -> RainbowMatching:
         if type(i) is not int:
             raise ValueError(f"malformed matching document: edge id {i!r} "
                              "is not an integer")
-    return RainbowMatching(graph, ids)
+    return ids
+
+
+def matching_from_json(graph: ColouredMultigraph, doc: dict) -> RainbowMatching:
+    """The rainbow matching that a JSON form lists; raises ValueError on a
+    malformed document or ids that are not a rainbow matching of ``graph``."""
+    return RainbowMatching(graph, document_ids(doc))
 
 
 def document_issues(graph: ColouredMultigraph, doc: dict) -> list[Issue]:
-    """Report every way a document that :func:`matching_from_json` loads
+    """Report every way a document that :func:`document_ids` reads
     disagrees with itself or with ``graph``: an edge listed more than once,
     an edge whose ``u``, ``v`` or ``colour`` differ from the graph's edge of
     that id (either endpoint order), a ``size`` other than the number of

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
-                       matching_to_json, verify)
+                       matching_to_json)
 from .multigraph import ColouredMultigraph, InstanceParams
 from .reachability import (VIOLATION_KINDS, FlexibleStructure, Hierarchy,
                            Violation, build_hierarchy, classify_good_bad,
@@ -185,7 +185,7 @@ class NotFound:
 @dataclass
 class SwitchContext:
     """Everything the engine needs about one base matching, which
-    :meth:`build` checks is a rainbow matching of the graph itself."""
+    :meth:`build` checks is a matching of the graph itself."""
 
     graph: ColouredMultigraph
     base: RainbowMatching
@@ -200,9 +200,6 @@ class SwitchContext:
               rng: random.Random | None = None) -> "SwitchContext":
         if matching.graph is not graph:
             raise SwitchUsageError("base is a matching of another graph")
-        issues = verify(graph, matching)
-        if issues:
-            raise SwitchUsageError(f"base is not a rainbow matching: {issues[0].detail}")
         if params is None:
             params = InstanceParams.for_graph(graph)
         flex = compute_flexible(graph, matching, params)

@@ -2,7 +2,9 @@
 
 ``random_instance(seed)`` is the one deterministic family used everywhere:
 mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
-``isotope(n, seed)`` is the one seeded Latin square family.  Hand fixtures
+``isotope(n, seed)`` is the one seeded Latin square family, and
+``raw_graphs()`` draws improper multigraphs (loops, parallel edges, colour
+clashes).  Hand fixtures
 that several suites share live here too, along with ``recorded_calls()``,
 which logs every successful switch call, ``recheck_call()``, which checks
 one such record against the switch contract, and ``brute_scan()``, the
@@ -16,6 +18,7 @@ from contextlib import contextmanager
 from math import ceil
 
 import pytest
+from hypothesis import strategies as st
 
 from rainbowmatch import (ColouredMultigraph, InstanceParams, RainbowMatching, closeness,
                           closeness_slack, cyclic_square, generate_random, permute_square,
@@ -43,6 +46,17 @@ def isotope(n: int, seed: int):
     rng = random.Random(seed)
     perms = [rng.sample(range(n), n) for _ in range(3)]
     return permute_square(cyclic_square(n), *perms)
+
+
+@st.composite
+def raw_graphs(draw) -> ColouredMultigraph:
+    """Any in-range ``(u, v, c)`` triples: loops, parallel edges and colour
+    clashes included, on few enough vertices that they are common."""
+    v = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 4))
+    edge = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1),
+                     st.integers(0, c - 1))
+    return ColouredMultigraph(v, c, draw(st.lists(edge, max_size=24)))
 
 
 def default_params(graph) -> InstanceParams:

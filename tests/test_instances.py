@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from rainbowmatch import (InstanceParams, LatinSquare, PlacementError, cyclic_square,
                           dumps, dumps_square, enumerate_reduced_squares,
-                          generate_random, hypothesis_check, latin_to_graph,
-                          loads_square, max_partial_transversal, permute_square,
-                          validate)
+                          generate_random, hypothesis_check, latin_to_graph, load,
+                          load_square, loads_square, max_partial_transversal,
+                          permute_square, save, save_square, validate)
 from rainbowmatch.instances import _sample_edge
-from conftest import _SHAPES, random_instance, tight_instance
+from conftest import _SHAPES, isotope, random_instance, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -66,6 +66,19 @@ def test_square_text_round_trip():
         loads_square("2\n0 1\n")
     with pytest.raises(ValueError):
         loads_square("")
+
+
+def test_file_round_trip(tmp_path):
+    g = random_instance(3)
+    save(g, tmp_path / "g.txt")
+    again = load(tmp_path / "g.txt")
+    assert (again.num_vertices, again.num_colours) == (g.num_vertices, g.num_colours)
+    assert again.edges == g.edges
+    assert (tmp_path / "g.txt").read_text(encoding="utf-8") == dumps(g)
+    sq = isotope(6, 1)
+    save_square(sq, tmp_path / "sq.txt")
+    assert load_square(tmp_path / "sq.txt").rows == sq.rows
+    assert (tmp_path / "sq.txt").read_text(encoding="utf-8") == dumps_square(sq)
 
 
 @given(seed=st.integers(0, 5000))

@@ -23,7 +23,9 @@ from rainbowmatch import (
     verify,
 )
 
-from conftest import isotope, random_instance, tight_instance
+from rainbowmatch.matching import document_ids
+
+from conftest import isotope, random_instance, raw_graphs, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -36,10 +38,11 @@ def triangle() -> ColouredMultigraph:
 class TestContainer:
     def test_views(self):
         g = random_instance(0)
-        m = RainbowMatching(g, [0, 1])
-        e0, e1 = g.edge(0), g.edge(1)
+        m = RainbowMatching(g, [7, 0])  # colours 0 and 1: rainbow
+        e0, e1 = g.edge(0), g.edge(7)
         assert len(m) == 2
         assert 0 in m and 2 not in m
+        assert list(m) == [0, 7]
         assert m.covered == frozenset({e0.u, e0.v, e1.u, e1.v})
         assert {c for c in range(g.num_colours) if m.uses_colour(c)} == {
             e0.colour, e1.colour}
@@ -51,8 +54,8 @@ class TestContainer:
 
     def test_equality_is_by_edge_set(self):
         g = random_instance(0)
-        assert RainbowMatching(g, [2, 5]) == RainbowMatching(g, (5, 2))
-        assert hash(RainbowMatching(g, [2, 5])) == hash(RainbowMatching(g, [5, 2]))
+        assert RainbowMatching(g, [2, 9]) == RainbowMatching(g, (9, 2, 9))
+        assert hash(RainbowMatching(g, [2, 9])) == hash(RainbowMatching(g, [9, 2]))
         assert RainbowMatching(g, [2]) != RainbowMatching(g, [5])
 
     def test_with_swap(self):
@@ -72,24 +75,35 @@ class TestContainer:
         with pytest.raises(ValueError, match="present"):
             m.with_swap(added=[7])
 
-    def test_unknown_ids_kept_but_skipped_in_views(self):
-        g = random_instance(0)
-        m = RainbowMatching(g, [0, 999, -1])
-        assert 999 in m and -1 in m
-        assert len(m) == 3
-        e0 = g.edge(0)
-        assert m.covered == frozenset({e0.u, e0.v})
-
     @pytest.mark.parametrize("ids, first", [
         ([0.9, True], 0.9),   # int() would have built [0, 1]
         ([1, True], True),    # a bool is not an id, even where it equals one
         ([0, "1"], "1"),
         ([None], None),
+        ([0, 1, -1, 2.0], 2.0),  # checked before the ids are (0 and 1 clash)
     ])
     def test_non_int_id_is_a_type_error(self, ids, first):
         g = random_instance(0)
         with pytest.raises(TypeError, match=re.escape(f"edge id {first!r} is not an int")):
             RainbowMatching(g, ids)
+
+    @given(raw_graphs(), st.data())
+    @PROPERTY_SETTINGS
+    def test_raises_exactly_when_verify_reports(self, g, data):
+        ids = data.draw(st.lists(st.integers(-2, g.num_edges + 1), max_size=5))
+        issues = verify(g, ids)
+        if issues:
+            with pytest.raises(ValueError) as err:
+                RainbowMatching(g, ids)
+            assert str(err.value) == "not rainbow: " + issues[0].detail
+            return
+        m = RainbowMatching(g, ids)
+        edges = [g.edge(i) for i in set(ids)]
+        assert len(m) == len(edges)
+        assert m.covered == {x for e in edges for x in (e.u, e.v)}
+        assert [m.edge_of_colour(c) for c in range(g.num_colours)] == [
+            next((e.id for e in edges if e.colour == c), None)
+            for c in range(g.num_colours)]
 
 
 def views(m: RainbowMatching) -> tuple:
@@ -112,8 +126,9 @@ def clash_graph() -> ColouredMultigraph:
 
 class TestWithSwapMatchesRebuild:
     """A swap patches the parent's views by the delta and equals a fresh
-    build; a parent or a result that is not rainbow raises instead, and the
-    parent is left as it was either way."""
+    build; a result that is not rainbow raises instead, and the parent is
+    left as it was either way.  A parent that is not rainbow cannot be
+    built."""
 
     @pytest.mark.parametrize("start,removed,added", [
         ([0, 1], [1], [5]),      # clean result
@@ -128,12 +143,16 @@ class TestWithSwapMatchesRebuild:
     ])
     def test_cases(self, start, removed, added):
         g = clash_graph()
+        if start != [0, 1]:  # the parents that are not rainbow
+            with pytest.raises(ValueError, match="not rainbow"):
+                RainbowMatching(g, start)
+            return
         parent = RainbowMatching(g, start)
-        want = RainbowMatching(g, (set(start) - set(removed)) | set(added))
-        if start == [0, 1] and removed:  # the two clean cases
+        if removed:  # the two clean cases
+            want = RainbowMatching(g, (set(start) - set(removed)) | set(added))
             assert views(parent.with_swap(removed, added)) == views(want)
         else:
-            with pytest.raises(ValueError, match="not rainbow|cannot add edge"):
+            with pytest.raises(ValueError, match="cannot add edge"):
                 parent.with_swap(removed, added)
         assert views(parent) == views(RainbowMatching(g, start))
 
@@ -142,6 +161,7 @@ class TestWithSwapMatchesRebuild:
         ([0, 1], [3], "cannot add edge 3 (1-4, colour 2)"),   # vertex clash
         ([0, 1], [4], "cannot add edge 4 (5-5, colour 2)"),   # loop
         ([0, 1], [99], "cannot add edge 99: not an edge of the graph"),
+        # the parent itself is refused
         ([0, 2], [], "not rainbow: colour 0 used by edges [0, 2]"),
         ([0, 4], [], "not rainbow: edge 4 is a loop at vertex 5"),
     ])
@@ -173,22 +193,22 @@ class TestWithSwapMatchesRebuild:
         if from_greedy:
             start = greedy(g, seed).edge_ids
         else:
-            start = data.draw(st.sets(st.integers(0, g.num_edges - 1), max_size=6))
+            start = draw_rainbow(data, g)
         removed = data.draw(st.sets(st.sampled_from(sorted(start)))
                             if start else st.just(set()))
         m = RainbowMatching(g, start)
-        if admissible:  # fits beside the kept edges, if they are rainbow
+        if admissible:  # fits beside the kept edges
             added = draw_additions(data, m, removed)
         else:
             added = data.draw(st.sets(
                 st.integers(0, g.num_edges + 2).filter(lambda i: i not in start),
                 max_size=3))
-        rebuilt = RainbowMatching(g, (set(start) - removed) | added)
-        if verify(g, m) or verify(g, rebuilt):
+        result = (set(start) - removed) | added
+        if verify(g, result):
             with pytest.raises(ValueError):
                 m.with_swap(removed, added)
         else:
-            assert views(m.with_swap(removed, added)) == views(rebuilt)
+            assert views(m.with_swap(removed, added)) == views(RainbowMatching(g, result))
         assert views(m) == views(RainbowMatching(g, start))  # parent untouched
 
 
@@ -236,16 +256,13 @@ def draw_additions(data, m: RainbowMatching, removed=frozenset(),
 
 
 class TestCovered:
-    """``covered`` is the set of endpoints of the known edges, read off the
-    graph, however the matching was made."""
+    """``covered`` is the set of endpoints of the edges, read off the graph,
+    however the matching was made."""
 
     @given(st.integers(0, 6), st.data())
     @PROPERTY_SETTINGS
     def test_equals_the_endpoint_set(self, seed, data):
         g = with_loops(seed)
-        # any ids: only the constructor may hold a set that is not rainbow
-        built = RainbowMatching(g, data.draw(st.sets(
-            st.integers(0, g.num_edges + 2), max_size=6)))
         user = RainbowMatching(g, draw_rainbow(data, g))
         root = greedy(g, seed)
         removed = data.draw(st.sets(st.sampled_from(root.sorted_ids), max_size=3)
@@ -253,13 +270,12 @@ class TestCovered:
         added = draw_additions(data, root, removed)
         trimmed = root.with_swap(removed, ())
         swapped = root.with_swap(removed, added)
-        for m in (built, user,
+        for m in (user,
                   user.with_swap((), draw_additions(data, user)),
                   root, trimmed, swapped, extend_to_maximal(g, trimmed),
                   extend_to_maximal(g, swapped),
                   extend_to_maximal(g, RainbowMatching(g, trimmed.edge_ids))):
-            ends = {x for i in m.edge_ids if 0 <= i < g.num_edges
-                    for x in g.edge(i)[1:3]}
+            ends = {x for i in m.edge_ids for x in g.edge(i)[1:3]}
             assert m.covered == ends
 
 
@@ -302,13 +318,12 @@ class TestChainDistance:
         ([999], "unknown_edge"),
     ])
     def test_non_rainbow_parent_raises(self, start, kind):
+        # no chain can start from it: building it raises
         g = with_loops(0)
-        parent = RainbowMatching(g, start)
-        issue = verify(g, parent)[0]
+        issue = verify(g, start)[0]
         assert issue.kind == kind
-        # even a swap whose result would be rainbow
         with pytest.raises(ValueError, match="not rainbow: " + re.escape(issue.detail)):
-            parent.with_swap([start[0]], ())
+            RainbowMatching(g, start)
 
     def test_unrelated_matchings(self):
         g = with_loops(0)
@@ -346,20 +361,20 @@ class TestVerify:
 
     def test_colour_clash(self):
         g = ColouredMultigraph(4, 1, [(0, 1, 0), (2, 3, 0)])
-        issues = verify(g, RainbowMatching(g, [0, 1]))
+        issues = verify(g, [1, 0, 1])  # any iterable of ids; repeats collapse
         assert [i.kind for i in issues] == ["colour_clash"]
         assert issues[0].colour == 0
         assert set(issues[0].edge_ids) == {0, 1}
 
     def test_vertex_clash(self):
         g = ColouredMultigraph(3, 2, [(0, 1, 0), (1, 2, 1)])
-        issues = verify(g, RainbowMatching(g, [0, 1]))
+        issues = verify(g, (0, 1))
         assert [i.kind for i in issues] == ["vertex_clash"]
         assert issues[0].vertex == 1
 
     def test_unknown_edge(self):
         g = random_instance(0)
-        issues = verify(g, RainbowMatching(g, [0, 404]))
+        issues = verify(g, iter([0, 404]))
         assert [i.kind for i in issues] == ["unknown_edge"]
         assert issues[0].edge_ids == (404,)
 
@@ -367,7 +382,7 @@ class TestVerify:
         # a loop covers one vertex only, so the pair looks disjoint, yet the
         # largest rainbow matching here has one edge
         g = ColouredMultigraph(3, 2, [(0, 0, 0), (1, 2, 1)])
-        issues = verify(g, RainbowMatching(g, [0, 1]))
+        issues = verify(g, {0, 1})
         assert [i.kind for i in issues] == ["loop"]
         assert (issues[0].edge_ids, issues[0].vertex) == ((0,), 0)
         assert max_rainbow_matching(g).size == 1
@@ -416,8 +431,10 @@ class TestGreedy:
         ([2, 0, -3], [-3, 2]),
     ])
     def test_extend_to_maximal_rejects_unknown_ids(self, ids, unknown):
+        # such a start cannot be built, so it never reaches the pass
         g = ColouredMultigraph(4, 2, [(0, 1, 0), (2, 3, 1)])
-        with pytest.raises(ValueError, match=re.escape(f"unknown edges {unknown}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"not rainbow: edge id {unknown[0]} not in graph")):
             extend_to_maximal(g, RainbowMatching(g, ids))
 
     @pytest.mark.parametrize("ids, kind", [
@@ -426,12 +443,21 @@ class TestGreedy:
         ([0, 3], "vertex_clash"),
     ])
     def test_extend_to_maximal_rejects_non_rainbow(self, ids, kind):
+        # such a start cannot be built, so it never reaches the pass
         g = clash_graph()
-        m = RainbowMatching(g, ids)
-        issue = verify(g, m)[0]
+        issue = verify(g, ids)[0]
         assert issue.kind == kind
         with pytest.raises(ValueError, match="not rainbow: " + re.escape(issue.detail)):
-            extend_to_maximal(g, m)
+            extend_to_maximal(g, RainbowMatching(g, ids))
+
+    def test_extend_to_maximal_rejects_another_graph(self):
+        # g1's edge 0 covers {0, 1}, g2's covers {0, 2}: read as ids of g2,
+        # the start would name a different edge
+        g1 = ColouredMultigraph(4, 2, [(0, 1, 0), (2, 3, 1)])
+        g2 = ColouredMultigraph(4, 2, [(0, 2, 0), (1, 3, 1)])
+        for m in (RainbowMatching(g1, [0]), greedy(g1)):
+            with pytest.raises(ValueError, match="^matching belongs to another graph$"):
+                extend_to_maximal(g2, m)
 
 
 def reference_extension(g: ColouredMultigraph, ids) -> frozenset[int]:
@@ -481,8 +507,8 @@ def family_graph(family: str, seed: int) -> ColouredMultigraph:
 
 class TestDeltaExtension:
     """``extend_to_maximal`` passes over the delta only for ``with_swap``
-    descendants of a maximal root of the same graph, and always returns what
-    the full id-order pass returns."""
+    descendants of a maximal root, and always returns what the full id-order
+    pass returns; a matching of another graph raises."""
 
     @given(st.sampled_from(["random", "tight", "latin"]), st.integers(0, 60),
            st.sampled_from(["greedy", "extended", "user", "foreign"]), st.data())
@@ -509,12 +535,16 @@ class TestDeltaExtension:
             added = draw_additions(data, m, removed, max_size=2)
             chain.append(m.with_swap(removed, added))
         for m in chain:
+            if root_kind == "foreign":
+                with pytest.raises(ValueError, match="another graph"):
+                    extend_to_maximal(g, m)
+                continue
             with greedy_passes() as log:
                 got = extend_to_maximal(g, m)
             assert got.graph is g
             assert got.edge_ids == reference_extension(g, m.edge_ids)
             assert views(got) == views(RainbowMatching(g, got.edge_ids))
-            if root_kind in ("user", "foreign"):
+            if root_kind == "user":
                 assert log == ["full"]
             elif m is root:
                 assert log == [] and got is m
@@ -531,22 +561,21 @@ class TestCloseness:
 
     def test_values(self):
         g = random_instance(0)
-        m1 = RainbowMatching(g, [0, 1])
-        m2 = RainbowMatching(g, [1, 7])
+        m1 = RainbowMatching(g, [0, 7])
+        m2 = RainbowMatching(g, [7, 14])
         c = closeness(m1, m2)
         assert c.distance == 2
         assert c.size_equal
         assert c.within(2) and not c.within(1)
-        assert not closeness(m1, RainbowMatching(g, [1])).within(64)
+        assert not closeness(m1, RainbowMatching(g, [7])).within(64)
 
     @given(st.integers(0, 6), st.data())
     @PROPERTY_SETTINGS
     def test_metric_properties(self, seed, data):
         g = random_instance(seed)
-        ids = st.sets(st.integers(0, g.num_edges - 1), max_size=6)
-        a = RainbowMatching(g, data.draw(ids))
-        b = RainbowMatching(g, data.draw(ids))
-        c = RainbowMatching(g, data.draw(ids))
+        a = RainbowMatching(g, draw_rainbow(data, g))
+        b = RainbowMatching(g, draw_rainbow(data, g))
+        c = RainbowMatching(g, draw_rainbow(data, g))
         ab, ba = closeness(a, b), closeness(b, a)
         assert ab.distance == ba.distance  # symmetry
         assert closeness(a, a).distance == 0
@@ -593,19 +622,19 @@ class TestJson:
         assert [item["edge_id"] for item in doc["edges"]] == list(m.sorted_ids)
         assert matching_from_json(g, doc) == m
 
-    def test_unknown_id_survives_round_trip(self):
+    def test_unknown_id_is_read_but_not_built(self):
         g = random_instance(0)
-        m = RainbowMatching(g, [0, 999])
-        doc = matching_to_json(g, m)
-        assert doc["edges"][-1] == {"u": None, "v": None, "colour": None,
-                                    "edge_id": 999}
-        back = matching_from_json(g, doc)
-        assert back == m
-        assert [i.kind for i in verify(g, back)] == ["unknown_edge"]
+        doc = matching_to_json(g, RainbowMatching(g, [0]))
+        doc["edges"].append({"u": None, "v": None, "colour": None, "edge_id": 999})
+        doc["edges"].append({"edge_id": 0})
+        assert document_ids(doc) == [0, 999, 0]
+        assert [i.kind for i in verify(g, document_ids(doc))] == ["unknown_edge"]
+        with pytest.raises(ValueError, match="^not rainbow: edge id 999 not in graph$"):
+            matching_from_json(g, doc)
 
     def test_malformed_document(self):
         g = random_instance(0)
-        with pytest.raises(ValueError, match="malformed"):
-            matching_from_json(g, {"edges": [{"u": 0}]})
-        with pytest.raises(ValueError, match="malformed"):
-            matching_from_json(g, {})
+        for doc in ({"edges": [{"u": 0}]}, {}, {"edges": [{"edge_id": 1.0}]}):
+            for read in (document_ids, lambda d: matching_from_json(g, d)):
+                with pytest.raises(ValueError, match="^malformed matching document: "):
+                    read(doc)

@@ -11,20 +11,9 @@ from hypothesis import strategies as st
 
 from rainbowmatch import (ColouredMultigraph, Edge, InstanceParams, Issue, as_fraction,
                           dumps, hypothesis_check, loads, validate)
-from conftest import random_instance
+from conftest import random_instance, raw_graphs
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
-
-
-@st.composite
-def raw_graphs(draw) -> ColouredMultigraph:
-    """Any in-range ``(u, v, c)`` triples: loops, parallel edges and colour
-    clashes included, on few enough vertices that they are common."""
-    v = draw(st.integers(1, 8))
-    c = draw(st.integers(1, 4))
-    edge = st.tuples(st.integers(0, v - 1), st.integers(0, v - 1),
-                     st.integers(0, c - 1))
-    return ColouredMultigraph(v, c, draw(st.lists(edge, max_size=24)))
 
 
 def check_params(need: int = 0, cap: int = 1) -> InstanceParams:
