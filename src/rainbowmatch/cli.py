@@ -298,12 +298,7 @@ def _add_oracle_caps(p, time_limit: float) -> None:
     p.add_argument("--time-limit", type=_seconds, default=time_limit)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rainbowmatch",
-                     description="Rainbow matchings in properly edge-coloured multigraphs")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="greedy plus switching augmentation")
+def _fill_solve(p) -> None:
     p.add_argument("--input", required=True, help="instance file")
     _add_solve_flags(p)
     p.add_argument("--seed", type=int, default=0)
@@ -316,13 +311,15 @@ def _build_parser() -> _Parser:
                    help="also write the matching JSON to this file")
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("verify", help="check a matching document against an instance")
+
+def _fill_verify(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--matching", required=True, help="matching JSON file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="exact optimum by branch and bound")
+
+def _fill_oracle(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--latin", action="store_true",
                    help="input is a Latin square, search cells instead of edges")
@@ -330,7 +327,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_oracle)
 
-    p = sub.add_parser("stats", help="levels and counting diagnostics as JSON")
+
+def _fill_stats(p) -> None:
     p.add_argument("--input", required=True)
     _add_density_flags(p)
     p.add_argument("--seed", type=int, default=0,
@@ -338,13 +336,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--matching", default=None, help="matching JSON file")
     p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("check", help="validate an instance against the hypotheses")
+
+def _fill_check(p) -> None:
     p.add_argument("--input", required=True)
     _add_density_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("generate", help="write an instance")
+
+def _fill_generate(p) -> None:
     gsub = p.add_subparsers(dest="what", required=True)
     pr = gsub.add_parser("random", help="random dense proper instance")
     _add_shape_flags(pr)
@@ -357,7 +357,8 @@ def _build_parser() -> _Parser:
     pl.add_argument("--output", default=None)
     pl.set_defaults(handler=_cmd_generate)
 
-    p = sub.add_parser("bench", help="solve random instances, CSV to stdout")
+
+def _fill_bench(p) -> None:
     p.add_argument("--seeds", required=True, help="a range like 0..99 or one seed")
     _add_shape_flags(p)
     _add_solve_flags(p)
@@ -366,13 +367,39 @@ def _build_parser() -> _Parser:
     _add_oracle_caps(p, 10.0)
     p.set_defaults(handler=_cmd_bench)
 
+
+# the subcommands in help order: name -> (help, the function adding its arguments)
+_COMMANDS = {
+    "solve": ("greedy plus switching augmentation", _fill_solve),
+    "verify": ("check a matching document against an instance", _fill_verify),
+    "oracle": ("exact optimum by branch and bound", _fill_oracle),
+    "stats": ("levels and counting diagnostics as JSON", _fill_stats),
+    "check": ("validate an instance against the hypotheses", _fill_check),
+    "generate": ("write an instance", _fill_generate),
+    "bench": ("solve random instances, CSV to stdout", _fill_bench),
+}
+
+
+def _build_parser(argv) -> _Parser:
+    """The parser for the arguments ``argv``.  Every subcommand is
+    registered, but only the one that ``argv`` starts with gets its
+    arguments; when it starts with none (help, a typo, nothing at all), all
+    of them do, so usage and errors read as the full tree's."""
+    parser = _Parser(prog="rainbowmatch",
+                     description="Rainbow matchings in properly edge-coloured multigraphs")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (text, fill) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if named is None or named == name:
+            fill(p)
     return parser
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, ValueError) as exc:

@@ -5,7 +5,13 @@ pairwise differently coloured.  :class:`RainbowMatching` is a value object:
 every mutation produces a new instance, which keeps the switching engine's
 backtracking trivial.  :meth:`RainbowMatching.with_swap` pays only for the
 delta, including the distance to the start of its swap chain, so
-:func:`closeness` against that start is O(1) instead of O(k).
+:meth:`~RainbowMatching.distance_to` that start, and :func:`closeness`, is
+O(1) instead of O(k).
+
+A matching is read through three sets, each a plain attribute: ``edge_ids``
+(is this edge in M), ``covered`` (is this vertex covered) and ``colours``
+(is this colour used).  ``covered`` and ``colours`` are read-only key views
+of the matching's two indexes, with set operators and ``isdisjoint``.
 
 Every :class:`RainbowMatching` is a rainbow matching of its graph: the
 constructor, :meth:`~RainbowMatching.with_swap` and the greedy passes raise
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from collections.abc import Iterator, KeysView
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .multigraph import ColouredMultigraph, Issue
@@ -37,13 +43,15 @@ class RainbowMatching:
     is not), and ValueError naming the first :func:`verify` issue of ids that
     are not a rainbow matching of ``graph``; repeated ids collapse.
 
-    A matching made by :meth:`with_swap` remembers the root of its swap chain
-    (the first matching not made by ``with_swap``) and its distance to it.
-    One made by a greedy pass remembers that it is maximal.
+    ``edge_ids`` is a frozenset, ``covered`` and ``colours`` the key views of
+    the twin index (vertex to vertex) and the colour index (colour to edge
+    id).  A matching made by :meth:`with_swap` remembers the root of its swap
+    chain (the first matching not made by ``with_swap``) and its distance to
+    it.  One made by a greedy pass remembers that it is maximal.
     """
 
-    __slots__ = ("graph", "edge_ids", "_by_colour", "_twin", "_sorted",
-                 "_root", "_dist", "_maximal")
+    __slots__ = ("graph", "edge_ids", "covered", "colours", "_by_colour", "_twin",
+                 "_sorted", "_root", "_dist", "_maximal")
 
     def __init__(self, graph: ColouredMultigraph, edge_ids=()):
         edge_ids = tuple(edge_ids)
@@ -70,6 +78,8 @@ class RainbowMatching:
             raise ValueError("not rainbow: " + verify(graph, self._sorted)[0].detail)
         self._by_colour = by_colour
         self._twin = twin
+        self.covered = twin.keys()
+        self.colours = by_colour.keys()
 
     @classmethod
     def _from_views(cls, graph, edge_ids, by_colour, twin) -> "RainbowMatching":
@@ -79,6 +89,8 @@ class RainbowMatching:
         out.edge_ids = edge_ids
         out._by_colour = by_colour
         out._twin = twin
+        out.covered = twin.keys()
+        out.colours = by_colour.keys()
         out._sorted = None
         out._root = None
         out._dist = 0
@@ -102,24 +114,20 @@ class RainbowMatching:
     def __hash__(self) -> int:
         return hash(self.edge_ids)
 
-    @property
-    def covered(self) -> KeysView[int]:
-        """The covered vertices: a read-only view of the twin index's keys,
-        with set operators and ``isdisjoint`` but no ``union``."""
-        return self._twin.keys()
-
     def edge_of_colour(self, colour: int) -> int | None:
         return self._by_colour.get(colour)
 
-    def twin_of(self, vertex: int) -> int | None:
-        """The other endpoint of the matching edge at ``vertex``, if covered."""
-        return self._twin.get(vertex)
-
-    def is_covered(self, vertex: int) -> bool:
-        return vertex in self._twin
-
-    def uses_colour(self, colour: int) -> bool:
-        return colour in self._by_colour
+    def distance_to(self, other: "RainbowMatching") -> int:
+        """The size of the symmetric difference with ``other``, a matching of
+        the same graph (else ValueError).  O(1) when ``other`` is this
+        matching or the root of its swap chain; otherwise O(k)."""
+        if self._root is other:
+            return self._dist
+        if self is other:
+            return 0
+        if self.graph is not other.graph:
+            raise ValueError("matchings belong to different graphs")
+        return len(self.edge_ids ^ other.edge_ids)
 
     @property
     def sorted_ids(self) -> tuple[int, ...]:
@@ -191,18 +199,10 @@ class Closeness(NamedTuple):
 def closeness(a: RainbowMatching, b: RainbowMatching) -> Closeness:
     """Distance and size agreement of ``a`` and ``b``.
 
-    O(1) when ``b`` is ``a`` or descends from it by :meth:`with_swap` (the
-    switch engine's case: every switch result against its context base);
-    otherwise O(k) through the symmetric difference."""
-    if a.graph is not b.graph:
-        raise ValueError("matchings belong to different graphs")
-    if b._root is a:
-        distance = b._dist
-    elif a is b:
-        distance = 0
-    else:
-        distance = len(a.edge_ids ^ b.edge_ids)
-    return Closeness(distance, len(a.edge_ids) == len(b.edge_ids))
+    O(1) when ``b`` is ``a`` or descends from it by :meth:`with_swap`;
+    otherwise O(k) through the symmetric difference, as
+    :meth:`RainbowMatching.distance_to` reads it."""
+    return Closeness(b.distance_to(a), len(a.edge_ids) == len(b.edge_ids))
 
 
 def verify(graph: ColouredMultigraph, edge_ids) -> list[Issue]:
@@ -270,9 +270,9 @@ def extend_to_maximal(graph: ColouredMultigraph,
     root = matching._root
     if root is not None and root._maximal:
         freed = set()
-        for x in root._twin.keys() - matching._twin.keys():
+        for x in root.covered - matching.covered:
             freed.update(graph.edges_at(x))
-        for c in root._by_colour.keys() - matching._by_colour.keys():
+        for c in root.colours - matching.colours:
             freed.update(graph.edges_with_colour(c))
         return _greedy_pass(graph, sorted(freed), matching)
     return _greedy_pass(graph, range(graph.num_edges), matching)

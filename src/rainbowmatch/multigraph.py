@@ -38,9 +38,6 @@ class Edge(NamedTuple):
             return self.u
         raise ValueError(f"vertex {vertex} not an endpoint of edge {self.id}")
 
-    def touches(self, vertex: int) -> bool:
-        return vertex == self.u or vertex == self.v
-
 
 @dataclass(frozen=True)
 class Issue:
@@ -113,9 +110,6 @@ class ColouredMultigraph:
 
     def edges_at(self, vertex: int) -> tuple[int, ...]:
         return self._by_vertex.get(vertex, ())
-
-    def degree(self, vertex: int) -> int:
-        return len(self._by_vertex.get(vertex, ()))
 
     def __repr__(self) -> str:
         return (f"ColouredMultigraph(V={self.num_vertices}, "

@@ -101,7 +101,8 @@ def _unused_colours(graph: ColouredMultigraph, matching: RainbowMatching) -> lis
     Empty classes are never read, so a header's colour count costs nothing;
     the number of unused colours, C - |M| for a rainbow matching, needs no
     scan either."""
-    return [c for c in graph.colours_with_edges() if not matching.uses_colour(c)]
+    used = matching.colours
+    return [c for c in graph.colours_with_edges() if c not in used]
 
 
 def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,

@@ -36,7 +36,9 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,
+# ``closeness`` is not called here; it stays bound in this namespace because
+# the benchmark's tracer patches ``switching.closeness`` by name
+from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,  # noqa: F401
                        matching_to_json)
 from .multigraph import ColouredMultigraph, InstanceParams
 from .reachability import (VIOLATION_KINDS, FlexibleStructure, Hierarchy,
@@ -82,8 +84,9 @@ class SwitchRequest(_SwitchRequestFields):
     ``avoid_colours`` must stay untouched.  Set sizes are capped by
     2 * (m - level + 1) for the colour's level.
 
-    An immutable named tuple (one is built per switch call); the three set
-    fields are coerced to frozensets.
+    An immutable named tuple (one is built per switch call); the constructor
+    coerces the three set fields to frozensets.  A chain, whose sets already
+    are frozensets, builds the tuple directly.
     """
 
     __slots__ = ()
@@ -222,7 +225,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     """
     colour, vertex, budget, fix, avoid_vertices, avoid_colours = request
     hierarchy = ctx.hierarchy
-    le = hierarchy.entry(colour)
+    le = hierarchy.by_colour.get(colour)
     if le is None:
         raise SwitchUsageError(f"colour {colour} is not reachable")
     if vertex != le.head:
@@ -237,28 +240,36 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
         raise SwitchUsageError("cannot fix the edge being switched out")
     if not fix <= edge_ids:
         raise SwitchUsageError("fix set contains edges outside the matching")
-    if not current.covered.isdisjoint(avoid_vertices):
-        clash = avoid_vertices & current.covered
+    covered = current.covered
+    if not covered.isdisjoint(avoid_vertices):
+        clash = avoid_vertices & covered
         raise SwitchUsageError(f"avoided vertices already covered: {sorted(clash)}")
-    for c in avoid_colours:
-        if current.uses_colour(c):
-            raise SwitchUsageError(f"avoided colour {c} already in use")
-    cap = 2 * (hierarchy.m - le.level + 1)
+    colours = current.colours
+    if not colours.isdisjoint(avoid_colours):
+        c = next(c for c in avoid_colours if c in colours)
+        raise SwitchUsageError(f"avoided colour {c} already in use")
+    m = len(hierarchy.levels)
+    level = le.level
+    cap = 2 * (m - level + 1)
     if len(fix) > cap or len(avoid_vertices) > cap or len(avoid_colours) > cap:
         for name, group in (("fix", fix), ("avoid_vertices", avoid_vertices),
                             ("avoid_colours", avoid_colours)):
             if len(group) > cap:
-                raise SwitchUsageError(f"{name} larger than {cap} at level {le.level}")
-    if not closeness(ctx.base, current).within(budget):
+                raise SwitchUsageError(f"{name} larger than {cap} at level {level}")
+    # the closeness contract, ``closeness(base, current).within(budget)``,
+    # read in O(1) off the swap chain
+    base = ctx.base
+    size = len(base.edge_ids)
+    if current.distance_to(base) > budget or len(edge_ids) != size:
         raise SwitchUsageError("current matching is farther from base than the budget")
-    if depth > hierarchy.m:
+    if depth > m:
         raise SwitchUsageError("recursion deeper than the hierarchy")
 
-    slack = closeness_slack(le.level)
+    slack = closeness_slack(level)
     if budget + slack > ctx.max_budget:
         return NotFound("budget_cap", {})
 
-    if le.level == 1:
+    if level == 1:
         out = _switch_base(ctx, current, request, le)
     else:
         out = _switch_inductive(ctx, current, request, le, depth)
@@ -266,14 +277,14 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
         return out
 
     result, calls, case, removed, added, rejections = out
-    assert result.edge_of_colour(colour) is None
-    assert not result.is_covered(vertex)
+    assert colour not in result.colours
+    assert vertex not in result.covered
     assert fix <= result.edge_ids
     assert result.covered.isdisjoint(avoid_vertices)
-    assert not any(result.uses_colour(c) for c in avoid_colours)
-    near = closeness(ctx.base, result)
-    assert near.within(budget + slack)
-    calls.append(SwitchCall(request, le.level, current, result, near.distance,
+    assert result.colours.isdisjoint(avoid_colours)
+    distance = result.distance_to(base)
+    assert distance <= budget + slack and len(result.edge_ids) == size
+    calls.append(SwitchCall(request, level, current, result, distance,
                             depth, case, removed, added))
     return SwitchOutcome(calls, rejections)
 
@@ -282,13 +293,14 @@ def _chain(ctx, current, budget, requests, depth):
     """Serve ``(colour, vertex, fix, avoid_vertices, avoid_colours)``
     requests in order, each from the previous result with the previous
     distance to base as its budget.  Returns ``(matching, calls)`` or the
-    first :class:`NotFound` unchanged."""
+    first :class:`NotFound` unchanged.  Every plan builds its three sets as
+    frozensets, so each request is made as the tuple it is, not coerced."""
     calls = []
     for colour, vertex, fix, avoid_vertices, avoid_colours in requests:
         # looked up as a module global on every call: this is the seam that
         # the benchmark's tracer and the tests' call recorder patch
-        out = robust_switch(ctx, current, SwitchRequest(
-            colour, vertex, budget, fix, avoid_vertices, avoid_colours), depth)
+        out = robust_switch(ctx, current, tuple.__new__(SwitchRequest, (
+            colour, vertex, budget, fix, avoid_vertices, avoid_colours)), depth)
         if isinstance(out, NotFound):
             return out
         current, budget = out.matching, out.distance_to_base
@@ -306,8 +318,8 @@ def _switch_base(ctx, current, request, le):
         pairs = list(pairs)
         ctx.rng.shuffle(pairs)
 
-    covered = current.covered
-    avoid_vertices = request.avoid_vertices
+    edge_ids, covered, colours = current.edge_ids, current.covered, current.colours
+    _, _, _, fix, avoid_vertices, avoid_colours = request
     for w, z, gid, hid, partner, spare in pairs:
         if w in covered:
             reason = "w_not_free"
@@ -317,15 +329,16 @@ def _switch_base(ctx, current, request, le):
             reason = "z_not_free"
         elif z in avoid_vertices:
             reason = "z_avoided"
-        elif current.edge_of_colour(partner.colour) not in (None, partner.edge_id):
+        # the partner's colour is used by an edge other than the partner
+        elif partner.colour in colours and partner.edge_id not in edge_ids:
             reason = "partner_colour_in_use"
-        elif partner.edge_id not in current.edge_ids:
+        elif partner.edge_id not in edge_ids:
             reason = "partner_missing"
-        elif partner.edge_id in request.fix:
+        elif partner.edge_id in fix:
             reason = "partner_fixed"
-        elif current.uses_colour(spare):
+        elif spare in colours:
             reason = "spare_colour_in_use"
-        elif spare in request.avoid_colours:
+        elif spare in avoid_colours:
             reason = "spare_colour_avoided"
         else:
             removed, added = (le.edge_id, partner.edge_id), (gid, hid)
@@ -339,12 +352,14 @@ def _lift(ctx, current, request, keep, w, colour):
     edge replaces the switched edge through the free vertex ``w``; or the
     name of the first filter the candidate fails.  ``keep`` is the request's
     fix set plus the switched edge."""
-    if current.is_covered(w):
+    if w in current.covered:
         return "w_not_free"
     if w in request.avoid_vertices:
         return "w_avoided"
-    sub = ctx.hierarchy.entry(colour)
-    if current.edge_of_colour(colour) != sub.edge_id:
+    sub = ctx.hierarchy.by_colour[colour]
+    # M is rainbow, so its edge of ``colour`` is ``sub``'s exactly when
+    # ``sub``'s is in M
+    if sub.edge_id not in current.edge_ids:
         return "partner_missing"
     if sub.edge_id in keep:
         return "partner_fixed"
@@ -357,13 +372,14 @@ def _descend(ctx, current, request, keep, u, colour):
     head ``u``, after which that edge replaces the switched edge; or the name
     of the first filter the candidate fails.  ``keep`` is the request's fix
     set plus the switched edge."""
-    u_edge = ctx.hierarchy.head_entry(u)
-    if u_edge.edge_id not in current.edge_ids:
+    hierarchy, edge_ids = ctx.hierarchy, current.edge_ids
+    u_edge = hierarchy.by_head[u]
+    if u_edge.edge_id not in edge_ids:
         return "head_edge_missing"
     if u_edge.edge_id in keep:
         return "head_edge_fixed"
-    sub = ctx.hierarchy.entry(colour)
-    if current.edge_of_colour(colour) != sub.edge_id:
+    sub = hierarchy.by_colour[colour]
+    if sub.edge_id not in edge_ids:
         return "partner_missing"
     if sub.edge_id in keep or sub.edge_id == u_edge.edge_id:
         return "partner_fixed"
@@ -431,14 +447,15 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     e = ctx.graph.edge(violation.edge_id)
     requests = []
     if violation.kind != "extend":
-        target = ctx.hierarchy.entry(e.colour)
+        hierarchy, covered = ctx.hierarchy, ctx.base.covered
+        target = hierarchy.by_colour.get(e.colour)
         # the endpoints' level edges, in witness order, but the colour's own
-        to_free = [le for le in map(ctx.hierarchy.head_entry, violation.vertices)
+        to_free = [le for le in map(hierarchy.by_head.get, violation.vertices)
                    if le is not None and le is not target]
         ends = frozenset(violation.vertices)
         keep = frozenset([target.edge_id] + [le.edge_id for le in to_free])
         # a frozenset, so that ``avoid |=`` below leaves queued requests alone
-        avoid = frozenset([v for v in ends if not ctx.base.is_covered(v)])
+        avoid = frozenset([v for v in ends if v not in covered])
         for le in to_free:
             keep -= {le.edge_id}
             requests.append((le.colour, le.head, keep, avoid, frozenset()))

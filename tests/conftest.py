@@ -81,11 +81,11 @@ def brute_scan(graph, matching, hier):
     for e in graph.edges:
         if e.u == e.v:
             continue
-        fu = not matching.is_covered(e.u)
-        fv = not matching.is_covered(e.v)
+        fu = e.u not in matching.covered
+        fv = e.v not in matching.covered
         hu, hv = e.u in heads, e.v in heads
         ends = tuple(sorted((e.u, e.v)))
-        if not matching.uses_colour(e.colour):
+        if e.colour not in matching.colours:
             if fu and fv:
                 out.append(("extend", e.id, e.colour, ends))
         elif e.colour in reach_colours:
@@ -138,14 +138,14 @@ def recheck_call(g, base, rec) -> None:
     result = RainbowMatching(g, rec.result_ids)
     assert verify(g, result) == []
     assert result.edge_of_colour(rec.colour) is None          # clause 1
-    assert not result.is_covered(rec.vertex)
+    assert rec.vertex not in result.covered
     c = closeness(base, result)                               # clause 2
     assert c.size_equal
     assert c.distance == rec.distance_to_base
     assert c.distance <= rec.budget + closeness_slack(rec.level)
     assert set(rec.fix) <= set(rec.result_ids)                # clause 3
     assert not set(rec.avoid_vertices) & result.covered
-    assert not any(result.uses_colour(col) for col in rec.avoid_colours)
+    assert result.colours.isdisjoint(rec.avoid_colours)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from rainbowmatch import cyclic_square, dumps_square, generate_random, latin_to_graph
-from rainbowmatch.cli import main
+from rainbowmatch.cli import _COMMANDS, _build_parser, main
 from rainbowmatch.multigraph import dumps as dumps_graph
 
 
@@ -489,3 +489,54 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: --seeds: ") and fragment in err
         assert len(err.splitlines()) == 1
+
+
+class TestParser:
+    """The parser fills in only the subcommand that argv names, and reads
+    every argv exactly as the full tree does."""
+
+    @staticmethod
+    def outcome(parser, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv)
+        out, err = capsys.readouterr()
+        return info.value.code, out, err
+
+    @pytest.mark.parametrize("argv", [
+        [name, "--help"] for name in _COMMANDS
+    ] + [["generate", "random", "--help"], ["generate", "latin", "--help"], ["--help"]],
+        ids=lambda argv: " ".join(argv))
+    def test_help_matches_the_full_tree(self, argv, capsys):
+        want = self.outcome(_build_parser([]), argv, capsys)
+        assert want[0] == 0 and want[1].startswith("usage: rainbowmatch")
+        assert self.outcome(_build_parser(argv), argv, capsys) == want
+
+    @pytest.mark.parametrize("argv", [
+        [], ["solvee"], ["-x", "solve"], ["solve"], ["solve", "--input"],
+        ["solve", "--input", "x", "--bogus"], ["verify", "--input", "x"],
+        ["oracle", "--input", "x", "--time-limit", "nan"], ["generate"],
+        ["generate", "fancy"], ["generate", "latin", "--cyclic", "3", "--format", "png"],
+        ["bench", "--seeds", "0"], ["check", "--input", "x", "--seed", "1"],
+    ], ids=lambda argv: " ".join(argv) or "nothing")
+    def test_errors_match_the_full_tree(self, argv, capsys):
+        want = self.outcome(_build_parser([]), argv, capsys)
+        assert want[0] == 1 and want[1] == "" and "error: " in want[2]
+        assert self.outcome(_build_parser(argv), argv, capsys) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--input", "x", "--shuffle", "--max-budget", "9"],
+        ["generate", "random", "--colours", "6"],
+        ["bench", "--seeds", "0..3", "--colours", "4", "--time-limit", "inf"],
+    ], ids=lambda argv: argv[0])
+    def test_arguments_match_the_full_tree(self, argv):
+        assert _build_parser(argv).parse_args(argv) == _build_parser([]).parse_args(argv)
+
+    def test_only_the_named_subcommand_is_filled(self):
+        def filled(parser):
+            choices = parser._subparsers._group_actions[0].choices
+            return {name for name, p in choices.items() if len(p._actions) > 1}
+
+        assert filled(_build_parser([])) == set(_COMMANDS)
+        assert filled(_build_parser(["--help", "solve"])) == set(_COMMANDS)
+        for name in _COMMANDS:
+            assert filled(_build_parser([name, "--help"])) == {name}

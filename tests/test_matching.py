@@ -44,13 +44,12 @@ class TestContainer:
         assert 0 in m and 2 not in m
         assert list(m) == [0, 7]
         assert m.covered == frozenset({e0.u, e0.v, e1.u, e1.v})
-        assert {c for c in range(g.num_colours) if m.uses_colour(c)} == {
-            e0.colour, e1.colour}
+        assert m.colours == {e0.colour, e1.colour}
         assert m.edge_of_colour(e0.colour) == 0
-        assert m.twin_of(e0.u) == e0.v
-        assert m.twin_of(e0.v) == e0.u
-        assert m.is_covered(e0.u) and not m.is_covered(
-            next(v for v in range(g.num_vertices) if v not in m.covered))
+        assert m.edge_ids == {0, 7}
+        assert e0.u in m.covered and not any(
+            v in m.covered for v in range(g.num_vertices)
+            if v not in (e0.u, e0.v, e1.u, e1.v))
 
     def test_equality_is_by_edge_set(self):
         g = random_instance(0)
@@ -108,9 +107,8 @@ class TestContainer:
 
 def views(m: RainbowMatching) -> tuple:
     g = m.graph
-    return (m.edge_ids, m.covered,
-            [m.edge_of_colour(c) for c in range(g.num_colours)],
-            [m.twin_of(v) for v in range(g.num_vertices)])
+    return (m.edge_ids, set(m.covered), set(m.colours),
+            [m.edge_of_colour(c) for c in range(g.num_colours)])
 
 
 def clash_graph() -> ColouredMultigraph:
@@ -279,6 +277,41 @@ class TestCovered:
             assert m.covered == ends
 
 
+class TestReadSets:
+    """The three read sets, ``edge_ids``, ``covered`` and ``colours``, equal a
+    fresh build's on every matching of a chain of swaps and greedy passes,
+    and ``distance_to`` equals the symmetric difference."""
+
+    @given(st.integers(0, 6), st.booleans(), st.data())
+    @PROPERTY_SETTINGS
+    def test_equal_a_fresh_build(self, seed, from_greedy, data):
+        g = with_loops(seed)
+        root = greedy(g, seed) if from_greedy else RainbowMatching(g, draw_rainbow(data, g))
+        chain = [root]
+        for _ in range(data.draw(st.integers(1, 8))):
+            m = chain[-1]
+            if data.draw(st.integers(0, 3)) == 0:
+                chain.append(extend_to_maximal(g, m))
+                continue
+            removed = data.draw(st.sets(st.sampled_from(m.sorted_ids), max_size=3)
+                                if len(m) else st.just(set()))
+            chain.append(m.with_swap(removed, draw_additions(data, m, removed)))
+        chain.append(greedy(g, seed + 1))
+        for m in chain:
+            fresh = RainbowMatching(g, m.edge_ids)
+            assert m.edge_ids == fresh.edge_ids
+            assert m.covered == fresh.covered
+            assert m.colours == fresh.colours
+            # against every other matching: O(1) where it is the chain root
+            for other in chain:
+                assert m.distance_to(other) == len(other.edge_ids ^ m.edge_ids)
+
+    def test_distance_to_another_graph_raises(self):
+        a, b = with_loops(0), with_loops(0)
+        with pytest.raises(ValueError, match="^matchings belong to different graphs$"):
+            greedy(a, 0).distance_to(greedy(b, 0))
+
+
 class TestChainDistance:
     """A ``with_swap`` result carries its distance to the chain root."""
 
@@ -405,8 +438,8 @@ class TestGreedy:
             for e in g.edges:
                 if e.u == e.v:
                     continue
-                blocked = (m.is_covered(e.u) or m.is_covered(e.v)
-                           or m.uses_colour(e.colour))
+                blocked = (e.u in m.covered or e.v in m.covered
+                           or e.colour in m.colours)
                 assert blocked, f"edge {e.id} extends a 'maximal' matching"
 
     def test_triangle_matches_oracle(self):
@@ -423,7 +456,7 @@ class TestGreedy:
         for e in g.edges:
             if e.u == e.v:
                 continue
-            assert m.is_covered(e.u) or m.is_covered(e.v) or m.uses_colour(e.colour)
+            assert e.u in m.covered or e.v in m.covered or e.colour in m.colours
 
     @pytest.mark.parametrize("ids, unknown", [
         ([-1], [-1]),         # used to read the last edge and extend to [-1, 0]
@@ -591,14 +624,14 @@ class TestExternalEdges:
         for i in external_edges(g, m, free):
             e = g.edge(i)
             assert e.colour in free
-            assert m.is_covered(e.u) != m.is_covered(e.v)
+            assert (e.u in m.covered) != (e.v in m.covered)
 
     def test_sorted_and_complete(self):
         g = random_instance(4)
         m = greedy(g)
         got = external_edges(g, m, range(g.num_colours))
         expect = [e.id for e in g.edges
-                  if m.is_covered(e.u) != m.is_covered(e.v)]
+                  if (e.u in m.covered) != (e.v in m.covered)]
         assert got == expect
 
     def test_sorted_by_id_across_colour_classes(self):
@@ -607,7 +640,7 @@ class TestExternalEdges:
         g = latin_to_graph(cyclic_square(6))
         m = greedy(g)
         expect = [e.id for e in g.edges
-                  if m.is_covered(e.u) != m.is_covered(e.v)]
+                  if (e.u in m.covered) != (e.v in m.covered)]
         assert expect and external_edges(g, m, range(g.num_colours)) == expect
         assert external_edges(g, m, [3, 1]) == [
             i for i in expect if g.edge(i).colour in (1, 3)]

@@ -48,7 +48,7 @@ class TestFlexibleStructure:
         g = ColouredMultigraph(5, 4, [(0, 1, 0), (0, 2, 1), (0, 3, 2), (0, 4, 3)])
         m = RainbowMatching(g, [0])
         params, flex, _, _ = analyse(g, m)
-        assert [c for c in range(g.num_colours) if not m.uses_colour(c)] == [1, 2, 3]
+        assert [c for c in range(g.num_colours) if c not in m.colours] == [1, 2, 3]
         assert max(1, ceil(params.alpha * 3)) == 1  # the tail threshold
         assert len(flex.partners) == 1
         oe = flex.partners[0]
@@ -101,7 +101,7 @@ class TestGoodBad:
         assert {i for ids in good.good_at.values() for i in ids} == {8, 9}
         # every external flexible-coloured edge is good
         assert {e.id for e in g.edges if e.colour in (1, 3)
-                and m.is_covered(e.u) != m.is_covered(e.v)} == {8, 9}
+                and (e.u in m.covered) != (e.v in m.covered)} == {8, 9}
         assert good.good_at == {1: (8,), 5: (9,)}
         assert good.bad_per_colour == {1: 0, 3: 0}
 
@@ -217,17 +217,17 @@ def brute_pairs(g, m, flex, good, le) -> tuple:
             continue
         w = ge.other(le.tail)
         # an external flexible-coloured edge is bad unless good_at holds it
-        if m.is_covered(w) or gid not in good.good_at.get(le.tail, ()):
+        if w in m.covered or gid not in good.good_at.get(le.tail, ()):
             continue
         partner = flex.partners[ge.colour]
         if partner.edge_id == le.edge_id:
             continue
         for hid in g.edges_at(partner.tail):
             he = g.edge(hid)
-            if he.u == he.v or m.uses_colour(he.colour):
+            if he.u == he.v or he.colour in m.colours:
                 continue
             z = he.other(partner.tail)
-            if not m.is_covered(z) and z != w:
+            if z not in m.covered and z != w:
                 out.append((w, z, gid, hid, partner, he.colour))
     return tuple(sorted(out, key=lambda t: t[:4]))
 
@@ -237,7 +237,7 @@ def recount_certificates(g, m) -> int:
     level edge carries exactly the switch options counted, and return how
     many level-2+ edges were checked."""
     params, flex, good, hier = analyse(g, m)
-    free_set = {v for v in range(g.num_vertices) if not m.is_covered(v)}
+    free_set = {v for v in range(g.num_vertices) if v not in m.covered}
     flex_colours = flex.partners.keys()
     level1_threshold = (max(1, ceil(params.alpha * len(flex_colours)))
                         if flex_colours else 1)
@@ -406,8 +406,8 @@ class TestLookups:
         threshold = max(1, ceil(params.alpha * (graph.num_colours - len(m))))
         seen = {v: 0 for v in range(graph.num_vertices)}
         for e in graph.edges:
-            if not m.uses_colour(e.colour) and m.is_covered(e.u) != m.is_covered(e.v):
-                seen[e.u if m.is_covered(e.u) else e.v] += 1
+            if e.colour not in m.colours and (e.u in m.covered) != (e.v in m.covered):
+                seen[e.u if e.u in m.covered else e.v] += 1
         tails = {}
         for eid in m.edge_ids:
             e = graph.edge(eid)

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainbowmatch import switching
+from rainbowmatch import cli, instances, multigraph, switching
 from rainbowmatch import (
     AugmentOutcome,
     ColouredMultigraph,
@@ -28,6 +28,7 @@ from rainbowmatch import (
     solve,
     verify,
 )
+from rainbowmatch.reachability import FlexibleStructure, Hierarchy
 
 from conftest import (isotope, random_instance, recheck_call, recorded_calls,
                       tight_instance)
@@ -173,7 +174,7 @@ class TestBaseCase:
         assert not isinstance(out, NotFound)
         assert out.matching.edge_ids == {2, 4, 5}
         assert out.rejections == {"spare_colour_avoided": 1}
-        assert not out.matching.uses_colour(2)
+        assert 2 not in out.matching.colours
 
 
 class TestUsageErrors:
@@ -405,8 +406,8 @@ class TestInductiveCase:
         assert [(c.depth, c.level, c.case) for c in out.calls] == [
             (1, 1, "base"), (1, 1, "base"), (0, 2, "descend")]
         assert out.calls[2].removed == (4,) and out.calls[2].added == (11,)
-        assert not out.matching.uses_colour(6)
-        assert not out.matching.is_covered(6)
+        assert 6 not in out.matching.colours
+        assert 6 not in out.matching.covered
         # the first inner switch keeps both the level-2 edge and the lower
         # head's edge; the second frees that head without the first colour
         assert requests_served(log) == [
@@ -594,8 +595,8 @@ def check_switch_contract(g, base, ctx) -> list[int]:
                 m = out.matching
                 assert verify(g, m) == []
                 assert len(m) == len(base)
-                assert not m.uses_colour(le.colour)
-                assert not m.is_covered(le.head)
+                assert le.colour not in m.colours
+                assert le.head not in m.covered
                 assert out.distance_to_base <= closeness_slack(level.index)
                 found.append(level.index)
     for rec in log:
@@ -852,9 +853,35 @@ class TestExchangeReplay:
                         before = calls[i - 1].result
                         assert before.with_swap(c.removed, c.added) == c.result
                     assert c.removed[0] == ctx.hierarchy.entry(c.request.colour).edge_id
+                    # a chain builds its requests uncoerced: every set is a frozenset
+                    assert type(c.request) is SwitchRequest
+                    assert [type(x) for x in c.request[3:]] == [frozenset] * 3
                     checked[c.case] += 1
             return out
 
         monkeypatch.setattr(switching, "robust_switch", replaying)
         solve(make(), seed=seed, shuffle=shuffle)
         assert set(checked) == cases
+
+
+# every name that perfbench/tracing.py patches, by owner: it reads each from
+# the owner's own ``__dict__``, so a name moved or inherited breaks the benchmark
+TRACED_NAMES = [
+    (cli, ["main", "solve", "max_rainbow_matching", "max_partial_transversal"]),
+    (multigraph, ["loads"]),
+    (instances, ["loads_square"]),
+    (switching, ["robust_switch", "closeness", "greedy", "extend_to_maximal",
+                 "compute_flexible", "classify_good_bad", "build_hierarchy",
+                 "find_violations", "augment"]),
+    (SwitchContext, ["build"]),
+    (RainbowMatching, ["__init__", "with_swap"]),
+    (Hierarchy, ["entry", "head_entry"]),
+    (FlexibleStructure, ["by_colour"]),
+]
+
+
+@pytest.mark.parametrize("owner,names", TRACED_NAMES,
+                         ids=[owner.__name__ for owner, _ in TRACED_NAMES])
+def test_traced_names_are_in_their_owners_dict(owner, names):
+    assert [name for name in names if name not in vars(owner)] == []
+
