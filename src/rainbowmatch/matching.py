@@ -8,10 +8,11 @@ delta, including the distance to the start of its swap chain, so
 :meth:`~RainbowMatching.distance_to` that start, and :func:`closeness`, is
 O(1) instead of O(k).
 
-A matching is read through three sets, each a plain attribute: ``edge_ids``
+A matching is its three read sets, each a plain attribute: ``edge_ids``
 (is this edge in M), ``covered`` (is this vertex covered) and ``colours``
-(is this colour used).  ``covered`` and ``colours`` are read-only key views
-of the matching's two indexes, with set operators and ``isdisjoint``.
+(is this colour used).  ``edge_ids`` is a frozenset; ``covered`` and
+``colours`` are plain sets that no caller may change, since a swap chain
+copies and patches them.
 
 Every :class:`RainbowMatching` is a rainbow matching of its graph: the
 constructor, :meth:`~RainbowMatching.with_swap` and the greedy passes raise
@@ -43,14 +44,14 @@ class RainbowMatching:
     is not), and ValueError naming the first :func:`verify` issue of ids that
     are not a rainbow matching of ``graph``; repeated ids collapse.
 
-    ``edge_ids`` is a frozenset, ``covered`` and ``colours`` the key views of
-    the twin index (vertex to vertex) and the colour index (colour to edge
-    id).  A matching made by :meth:`with_swap` remembers the root of its swap
-    chain (the first matching not made by ``with_swap``) and its distance to
-    it.  One made by a greedy pass remembers that it is maximal.
+    ``edge_ids`` is a frozenset, ``covered`` (the endpoints of its edges) and
+    ``colours`` (their colours) read-only sets.  A matching made by
+    :meth:`with_swap` remembers the root of its swap chain (the first matching
+    not made by ``with_swap``) and its distance to it.  One made by a greedy
+    pass remembers that it is maximal.
     """
 
-    __slots__ = ("graph", "edge_ids", "covered", "colours", "_by_colour", "_twin",
+    __slots__ = ("graph", "edge_ids", "covered", "colours",
                  "_sorted", "_root", "_dist", "_maximal")
 
     def __init__(self, graph: ColouredMultigraph, edge_ids=()):
@@ -64,33 +65,30 @@ class RainbowMatching:
         self._root = None
         self._dist = 0
         self._maximal = False
-        by_colour: dict[int, int] = {}
-        twin: dict[int, int] = {}
+        covered: set[int] = set()
+        colours: set[int] = set()
         edges = graph.edges
         for i in self._sorted:
             if 0 <= i < len(edges):
                 _, u, v, c = edges[i]
-                if u != v and c not in by_colour and u not in twin and v not in twin:
-                    by_colour[c] = i
-                    twin[u] = v
-                    twin[v] = u
+                if u != v and c not in colours and u not in covered and v not in covered:
+                    colours.add(c)
+                    covered.add(u)
+                    covered.add(v)
                     continue
             raise ValueError("not rainbow: " + verify(graph, self._sorted)[0].detail)
-        self._by_colour = by_colour
-        self._twin = twin
-        self.covered = twin.keys()
-        self.colours = by_colour.keys()
+        self.covered = covered
+        self.colours = colours
 
     @classmethod
-    def _from_views(cls, graph, edge_ids, by_colour, twin) -> "RainbowMatching":
-        """A rainbow matching from views the caller built; no root, not maximal."""
+    def _from_sets(cls, graph, edge_ids, covered, colours) -> "RainbowMatching":
+        """A rainbow matching from read sets the caller built; no root, not
+        maximal."""
         out = cls.__new__(cls)
         out.graph = graph
         out.edge_ids = edge_ids
-        out._by_colour = by_colour
-        out._twin = twin
-        out.covered = twin.keys()
-        out.colours = by_colour.keys()
+        out.covered = covered
+        out.colours = colours
         out._sorted = None
         out._root = None
         out._dist = 0
@@ -114,9 +112,6 @@ class RainbowMatching:
     def __hash__(self) -> int:
         return hash(self.edge_ids)
 
-    def edge_of_colour(self, colour: int) -> int | None:
-        return self._by_colour.get(colour)
-
     def distance_to(self, other: "RainbowMatching") -> int:
         """The size of the symmetric difference with ``other``, a matching of
         the same graph (else ValueError).  O(1) when ``other`` is this
@@ -138,41 +133,46 @@ class RainbowMatching:
 
     def with_swap(self, removed=(), added=()) -> "RainbowMatching":
         """A new rainbow matching with ``removed`` taken out and ``added`` put
-        in, its views and its distance to the chain root patched by the delta.
+        in, its read sets and its distance to the chain root patched by the
+        delta.
 
-        Every removed id must be present and every added id absent.  Raises
-        ValueError if the result would not be rainbow (an added id outside the
-        graph, a loop, a colour or vertex in use), TypeError for a non-int
-        id; this matching is left as it was.
+        Every id must be an ``int`` (a bool is not), else TypeError, checked
+        before anything else.  Every removed id must be present and every
+        added id absent.  Raises ValueError if the result would not be rainbow
+        (an added id outside the graph, a loop, a colour or vertex in use);
+        this matching is left as it was.
         """
-        rem = frozenset(removed)
-        add = frozenset(added)
+        rem = tuple(removed)
+        add = tuple(added)
+        for i in rem + add:
+            if type(i) is not int:
+                raise TypeError(f"edge id {i!r} is not an int")
+        rem = frozenset(rem)
+        add = frozenset(add)
         if not rem <= self.edge_ids:
             raise ValueError(f"cannot remove absent edges {sorted(rem - self.edge_ids)}")
         if add & self.edge_ids:
             raise ValueError(f"cannot add present edges {sorted(add & self.edge_ids)}")
         edges = self.graph.edges
-        # dict.copy clones the hash table even after deletions; dict() does
-        # not, and a swap chain deletes on every step
-        by_colour = self._by_colour.copy()
-        twin = self._twin.copy()
+        covered = self.covered.copy()
+        colours = self.colours.copy()
         for i in rem:
             _, u, v, c = edges[i]
-            del by_colour[c], twin[u], twin[v]
+            colours.remove(c)
+            covered.remove(u)
+            covered.remove(v)
         for i in add:
-            if type(i) is not int:
-                raise TypeError(f"edge id {i!r} is not an int")
             if not (0 <= i < len(edges)):
                 raise ValueError(f"cannot add edge {i}: not an edge of the graph")
             _, u, v, c = edges[i]
-            if u == v or c in by_colour or u in twin or v in twin:
+            if u == v or c in colours or u in covered or v in covered:
                 raise ValueError(f"cannot add edge {i} ({u}-{v}, colour {c}): "
                                  "a loop, or its colour or a vertex is in use")
-            by_colour[c] = i
-            twin[u] = v
-            twin[v] = u
-        out = RainbowMatching._from_views(self.graph, (self.edge_ids - rem) | add,
-                                          by_colour, twin)
+            colours.add(c)
+            covered.add(u)
+            covered.add(v)
+        out = RainbowMatching._from_sets(self.graph, (self.edge_ids - rem) | add,
+                                         covered, colours)
         # every removed id was in self and every added id was not, so each
         # moves the distance to the root by one: closer where the root agrees
         root = self if self._root is None else self._root
@@ -281,23 +281,24 @@ def extend_to_maximal(graph: ColouredMultigraph,
 def _greedy_pass(graph, order, start: RainbowMatching) -> RainbowMatching:
     """The rainbow matching ``start`` plus every edge of ``order``, in that
     order, that no vertex or colour used so far blocks; maximal, since
-    ``order`` holds every edge that ``start`` does not block.  The views are
-    patched copies of ``start``'s, which equal a fresh build's: each added
-    edge brings a new colour and two new vertices."""
+    ``order`` holds every edge that ``start`` does not block.  Its
+    ``covered`` and ``colours`` are patched copies of ``start``'s, which equal
+    a fresh build's: each added edge brings a new colour and two new
+    vertices."""
     edges = graph.edges
-    by_colour = start._by_colour.copy()
-    twin = start._twin.copy()
+    covered = start.covered.copy()
+    colours = start.colours.copy()
     added = []
     for i in order:
         _, u, v, c = edges[i]
-        if u == v or c in by_colour or u in twin or v in twin:
+        if u == v or c in colours or u in covered or v in covered:
             continue
         added.append(i)
-        by_colour[c] = i
-        twin[u] = v
-        twin[v] = u
-    out = RainbowMatching._from_views(graph, start.edge_ids.union(added),
-                                      by_colour, twin)
+        colours.add(c)
+        covered.add(u)
+        covered.add(v)
+    out = RainbowMatching._from_sets(graph, start.edge_ids.union(added),
+                                     covered, colours)
     out._maximal = True
     return out
 

@@ -361,7 +361,9 @@ class Violation(NamedTuple):
 def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
                     hierarchy: Hierarchy) -> list[Violation]:
     """All violations, ordered by kind as in :data:`VIOLATION_KINDS`, ties by
-    witness vertices then edge id.
+    witness vertices then edge id.  ``hierarchy`` must be built on
+    ``matching``: the level edge of a reachable colour is then the matching's
+    own edge of that colour, which is no violation.
 
     Scans only the unused-colour and reachable-colour classes; the brute-force
     equivalent is a full edge sweep.  Candidates are kept by kind as plain
@@ -376,8 +378,9 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
             if u != v and u not in covered and v not in covered:
                 found["extend"].append(((u, v) if u < v else (v, u), eid, c))
     heads = hierarchy.by_head
-    for c in sorted(hierarchy.by_colour):
-        own = matching.edge_of_colour(c)
+    reach = hierarchy.by_colour
+    for c in sorted(reach):
+        own = reach[c].edge_id
         for eid in graph.edges_with_colour(c):
             if eid == own:
                 continue

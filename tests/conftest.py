@@ -89,7 +89,7 @@ def brute_scan(graph, matching, hier):
             if fu and fv:
                 out.append(("extend", e.id, e.colour, ends))
         elif e.colour in reach_colours:
-            if e.id == matching.edge_of_colour(e.colour):
+            if e.id in matching.edge_ids:
                 continue
             if hu and hv:
                 out.append(("reach_reach", e.id, e.colour, ends))
@@ -137,7 +137,8 @@ def recheck_call(g, base, rec) -> None:
     holding ``fix`` and clear of both avoid sets."""
     result = RainbowMatching(g, rec.result_ids)
     assert verify(g, result) == []
-    assert result.edge_of_colour(rec.colour) is None          # clause 1
+    assert all(g.edge(i).colour != rec.colour                 # clause 1
+               for i in rec.result_ids)
     assert rec.vertex not in result.covered
     c = closeness(base, result)                               # clause 2
     assert c.size_equal

@@ -45,7 +45,7 @@ class TestContainer:
         assert list(m) == [0, 7]
         assert m.covered == frozenset({e0.u, e0.v, e1.u, e1.v})
         assert m.colours == {e0.colour, e1.colour}
-        assert m.edge_of_colour(e0.colour) == 0
+        assert [i for i in m.edge_ids if g.edge(i).colour == e0.colour] == [0]
         assert m.edge_ids == {0, 7}
         assert e0.u in m.covered and not any(
             v in m.covered for v in range(g.num_vertices)
@@ -73,6 +73,20 @@ class TestContainer:
             m.with_swap(removed=[3])
         with pytest.raises(ValueError, match="present"):
             m.with_swap(added=[7])
+        # each id is checked as given, before any set is built: one that
+        # equals an edge id, present or absent, is still not an int
+        one = RainbowMatching(g, [1])
+        for removed, added, bad in [
+            ([True], [], True),    # equals present edge 1
+            ([1.0], [], 1.0),      # equals present edge 1
+            ([8.0], [], 8.0),      # equals an absent edge
+            ([], [True], True),    # equals present edge 1
+            ([], [1.0], 1.0),
+            ([1], [2, None], None),
+        ]:
+            with pytest.raises(TypeError, match=re.escape(f"edge id {bad!r} is not an int")):
+                one.with_swap(removed, added)
+        assert views(one) == views(RainbowMatching(g, [1]))
 
     @pytest.mark.parametrize("ids, first", [
         ([0.9, True], 0.9),   # int() would have built [0, 1]
@@ -99,16 +113,18 @@ class TestContainer:
         m = RainbowMatching(g, ids)
         edges = [g.edge(i) for i in set(ids)]
         assert len(m) == len(edges)
+        assert m.edge_ids == {e.id for e in edges}
         assert m.covered == {x for e in edges for x in (e.u, e.v)}
-        assert [m.edge_of_colour(c) for c in range(g.num_colours)] == [
-            next((e.id for e in edges if e.colour == c), None)
-            for c in range(g.num_colours)]
+        assert m.colours == {e.colour for e in edges}
 
 
 def views(m: RainbowMatching) -> tuple:
-    g = m.graph
-    return (m.edge_ids, set(m.covered), set(m.colours),
-            [m.edge_of_colour(c) for c in range(g.num_colours)])
+    """The three read sets, ``covered`` and ``colours`` first checked against
+    a scan of the edge ids."""
+    ends = [m.graph.edge(i) for i in m.edge_ids]
+    assert m.covered == {x for e in ends for x in (e.u, e.v)}
+    assert m.colours == {e.colour for e in ends}
+    return (m.edge_ids, set(m.covered), set(m.colours))
 
 
 def clash_graph() -> ColouredMultigraph:
@@ -123,7 +139,7 @@ def clash_graph() -> ColouredMultigraph:
 
 
 class TestWithSwapMatchesRebuild:
-    """A swap patches the parent's views by the delta and equals a fresh
+    """A swap patches the parent's read sets by the delta and equals a fresh
     build; a result that is not rainbow raises instead, and the parent is
     left as it was either way.  A parent that is not rainbow cannot be
     built."""

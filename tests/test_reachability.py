@@ -294,6 +294,15 @@ class TestProperties:
         assert [(v.kind, v.edge_id, v.colour, v.vertices)
                 for v in found] == brute_scan(g, m, hier)
 
+        # each reachable colour's level edge is the matching's own edge of
+        # that colour, which find_violations skips; each head its own
+        for c, le in hier.by_colour.items():
+            assert le.colour == c
+            assert le.edge_id in m.edge_ids
+            assert g.edge(le.edge_id).colour == c
+        for h, le in hier.by_head.items():
+            assert le.head == h
+
         # levels partition a subset of the matching edges
         seen: set[int] = set()
         for level in hier.levels:
@@ -415,18 +424,24 @@ class TestLookups:
             if e.u != e.v and ends:
                 tails[e.colour] = ends[0]
         assert flex.partners.keys() == tails.keys()
+        own = {graph.edge(i).colour: i for i in m.edge_ids}
         for c in range(graph.num_colours + 1):
             assert hier.entry(c) == scan_entry(hier, c, "colour")
             oe = flex.by_colour(c)
             if c not in tails:
                 assert oe is None
                 continue
-            e = graph.edge(m.edge_of_colour(c))
+            e = graph.edge(own[c])
             assert isinstance(oe, OrientedEdge)
             assert (oe.edge_id, oe.colour) == (e.id, c)
             assert (oe.tail, oe.head) == (tails[c], e.other(tails[c]))
         for v in range(graph.num_vertices + 1):
             assert hier.head_entry(v) == scan_entry(hier, v, "head")
+        # as in test_structure_invariants, on hierarchies that surely grow
+        for c, le in hier.by_colour.items():
+            assert (le.colour, le.edge_id) == (c, own[c])
+        for h, le in hier.by_head.items():
+            assert le.head == h
 
     @pytest.mark.parametrize("graph,levels,stopped", [
         (generate_random(32, 34, 68, 2, 1), 2, 0),
