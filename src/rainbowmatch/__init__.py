@@ -4,9 +4,8 @@ Solver, exact oracles, instance generators and verifiers.  The public surface
 is re-exported here; the CLI lives in :mod:`rainbowmatch.cli`.
 """
 
-from .multigraph import (ColouredMultigraph, Edge, HypothesisReport, InstanceParams,
-                         Issue, as_fraction, dumps, hypothesis_check, load, loads,
-                         save, validate)
+from .multigraph import (ColouredMultigraph, Edge, InstanceParams, Issue, as_fraction,
+                         dumps, hypothesis_check, load, loads, save, validate)
 from .instances import (LatinSquare, PlacementError, cyclic_square, dumps_square,
                         enumerate_reduced_squares, generate_random, latin_to_graph,
                         load_square, loads_square, permute_square, save_square)

@@ -98,23 +98,30 @@ def _load_matching(graph, path: str):
     return ids, document_issues(graph, doc) + verify(graph, ids)
 
 
+def _print_issues(issues, as_json=False, ok_line=None, file=None, **fields) -> int:
+    """Print ``issues`` and return the exit code: 2 if there are any, else 0.
+    As JSON, ``{"ok", **fields, "issues"}``; as text, one ``kind: detail``
+    line per issue, or ``ok_line`` when there are none."""
+    if as_json:
+        print(json.dumps({
+            "ok": not issues,
+            **fields,
+            "issues": [{"kind": i.kind, "detail": i.detail} for i in issues],
+        }, indent=2), file=file)
+    elif issues:
+        for i in issues:
+            print(f"{i.kind}: {i.detail}", file=file)
+    else:
+        print(ok_line, file=file)
+    return 2 if issues else 0
+
+
 def _cmd_verify(args) -> int:
     graph = multigraph.load(args.input)
     ids, issues = _load_matching(graph, args.matching)
     size = len(set(ids))
-    if args.json:
-        print(json.dumps({
-            "ok": not issues,
-            "size": size,
-            "issues": [{"kind": i.kind, "detail": i.detail} for i in issues],
-        }, indent=2))
-    else:
-        if issues:
-            for i in issues:
-                print(f"{i.kind}: {i.detail}")
-        else:
-            print(f"ok: valid rainbow matching of size {size}")
-    return 2 if issues else 0
+    return _print_issues(issues, args.json,
+                         f"ok: valid rainbow matching of size {size}", size=size)
 
 
 def _cmd_oracle(args) -> int:
@@ -153,9 +160,7 @@ def _cmd_stats(args) -> int:
     if args.matching:
         ids, issues = _load_matching(graph, args.matching)
         if issues:
-            for i in issues:
-                print(f"{i.kind}: {i.detail}", file=sys.stderr)
-            return 2
+            return _print_issues(issues, file=sys.stderr)
         m = RainbowMatching(graph, ids)
     else:
         m = greedy(graph, args.seed)
@@ -240,19 +245,8 @@ def _cmd_bench(args) -> int:
 def _cmd_check(args) -> int:
     graph = multigraph.load(args.input)
     params = _params_for(graph.num_colours, args)
-    report = hypothesis_check(graph, params)
-    if args.json:
-        print(json.dumps({
-            "ok": report.ok,
-            "issues": [{"kind": i.kind, "detail": i.detail} for i in report.issues],
-        }, indent=2))
-    else:
-        if report.ok:
-            print("ok: instance satisfies the hypotheses")
-        else:
-            for i in report.issues:
-                print(f"{i.kind}: {i.detail}")
-    return 0 if report.ok else 2
+    return _print_issues(hypothesis_check(graph, params), args.json,
+                         "ok: instance satisfies the hypotheses")
 
 
 def _add_density_flags(p) -> None:

@@ -59,26 +59,18 @@ class RainbowMatching:
         for i in edge_ids:
             if type(i) is not int:
                 raise TypeError(f"edge id {i!r} is not an int")
+        issues = verify(graph, edge_ids)
+        if issues:
+            raise ValueError("not rainbow: " + issues[0].detail)
         self.graph = graph
         self.edge_ids = frozenset(edge_ids)
         self._sorted = tuple(sorted(self.edge_ids))
         self._root = None
         self._dist = 0
         self._maximal = False
-        covered: set[int] = set()
-        colours: set[int] = set()
-        edges = graph.edges
-        for i in self._sorted:
-            if 0 <= i < len(edges):
-                _, u, v, c = edges[i]
-                if u != v and c not in colours and u not in covered and v not in covered:
-                    colours.add(c)
-                    covered.add(u)
-                    covered.add(v)
-                    continue
-            raise ValueError("not rainbow: " + verify(graph, self._sorted)[0].detail)
-        self.covered = covered
-        self.colours = colours
+        mine = [graph.edges[i] for i in self._sorted]
+        self.covered = {x for e in mine for x in (e.u, e.v)}
+        self.colours = {e.colour for e in mine}
 
     @classmethod
     def _from_sets(cls, graph, edge_ids, covered, colours) -> "RainbowMatching":

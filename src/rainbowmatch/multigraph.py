@@ -195,20 +195,9 @@ class InstanceParams:
                    max(1, floor(Fraction(num_colours, 16))))
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of checking an instance against density hypotheses."""
-
-    issues: tuple[Issue, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        """True when the instance meets every hypothesis."""
-        return not self.issues
-
-
-def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> HypothesisReport:
-    """Check properness plus the density hypotheses in ``params``.
+def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> list[Issue]:
+    """Report every way ``graph`` misses the hypotheses in ``params``; an
+    empty list when it meets them all.
 
     Requires: proper colouring, every colour class at least
     ``min_colour_count`` edges, and every vertex pair joined by at most
@@ -245,7 +234,7 @@ def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> Hypot
                 "multiplicity",
                 f"pair ({u},{v}) joined by {n} edges, cap is {cap}",
                 vertex=u))
-    return HypothesisReport(tuple(issues))
+    return issues
 
 
 # -- text format ------------------------------------------------------------
@@ -280,10 +269,7 @@ def loads(text: str) -> ColouredMultigraph:
             raise ValueError(f"line {lineno}: header must be 'V C'")
     if header is None:
         raise ValueError("missing 'V C' header line")
-    try:
-        return ColouredMultigraph(header[0], header[1], triples)
-    except ValueError as exc:
-        raise ValueError(str(exc)) from None
+    return ColouredMultigraph(header[0], header[1], triples)
 
 
 def dumps(graph: ColouredMultigraph) -> str:

@@ -111,8 +111,6 @@ def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
     max(1, ceil(alpha * |free colours|)) external unused-colour edges to be
     its tail; ``matching`` is rainbow, so |free colours| = C - |M|."""
     unused = _unused_colours(graph, matching)
-    if not unused:
-        return FlexibleStructure({}, {})
     threshold = max(1, ceil(params.alpha * (graph.num_colours - len(matching))))
     external_free_at = _by_covered_end(
         graph, matching, external_edges(graph, matching, unused))
@@ -147,8 +145,6 @@ class GoodBadReport:
 def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
                       flex: FlexibleStructure,
                       params: InstanceParams) -> GoodBadReport:
-    if not flex.partners:
-        return GoodBadReport({}, {})
     half = max(1, ceil(params.alpha * (graph.num_colours - len(matching)) / 2))
     edges = graph.edges
     # each flexible colour's reserve, as the (u, v) endpoints of its edges
@@ -362,8 +358,7 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
                     hierarchy: Hierarchy) -> list[Violation]:
     """All violations, ordered by kind as in :data:`VIOLATION_KINDS`, ties by
     witness vertices then edge id.  ``hierarchy`` must be built on
-    ``matching``: the level edge of a reachable colour is then the matching's
-    own edge of that colour, which is no violation.
+    ``matching``.
 
     Scans only the unused-colour and reachable-colour classes; the brute-force
     equivalent is a full edge sweep.  Candidates are kept by kind as plain
@@ -378,12 +373,8 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
             if u != v and u not in covered and v not in covered:
                 found["extend"].append(((u, v) if u < v else (v, u), eid, c))
     heads = hierarchy.by_head
-    reach = hierarchy.by_colour
-    for c in sorted(reach):
-        own = reach[c].edge_id
+    for c in sorted(hierarchy.by_colour):
         for eid in graph.edges_with_colour(c):
-            if eid == own:
-                continue
             _, u, v, _ = edges[eid]
             if u == v:
                 continue

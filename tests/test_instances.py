@@ -107,7 +107,7 @@ def test_generator_meets_hypotheses():
     assert validate(g) == []
     for c in range(8):
         assert g.colour_class_size(c) == 12
-    assert hypothesis_check(g, InstanceParams.for_graph(g, epsilon="1/2")).ok
+    assert hypothesis_check(g, InstanceParams.for_graph(g, epsilon="1/2")) == []
 
 
 def test_generator_rejects_impossible():
