@@ -14,14 +14,12 @@ from .matching import (Closeness, RainbowMatching, closeness, extend_to_maximal,
                        verify)
 from .oracle import (CapExceeded, OracleResult, max_partial_transversal,
                      max_rainbow_matching)
-from .reachability import (FlexibleStructure, GoodBadReport, Hierarchy, Level,
-                           LevelEdge, OrientedEdge, Violation, build_hierarchy,
-                           certificate, classify_good_bad, compute_flexible,
-                           counting_diagnostics, find_violations)
-from .switching import (AugmentOutcome, CallRecord, NotFound, SolveReport,
-                        SwitchCall, SwitchContext, SwitchOutcome, SwitchRequest,
-                        SwitchUsageError, augment, closeness_slack, robust_switch,
-                        solve)
+from .reachability import (FlexibleStructure, Hierarchy, Level, LevelEdge, OrientedEdge,
+                           Violation, build_hierarchy, certificate, classify_good_bad,
+                           compute_flexible, counting_diagnostics, find_violations)
+from .switching import (AugmentOutcome, CallRecord, NotFound, SolveReport, SwitchContext,
+                        SwitchOutcome, SwitchRequest, SwitchUsageError, augment,
+                        closeness_slack, robust_switch, solve)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

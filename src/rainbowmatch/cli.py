@@ -70,7 +70,7 @@ def _cmd_solve(args) -> int:
                    max_iterations=args.max_iterations, shuffle=args.shuffle)
     if args.save_matching:
         with open(args.save_matching, "w", encoding="utf-8") as fh:
-            json.dump(matching_to_json(graph, report.matching), fh, indent=2)
+            json.dump(matching_to_json(report.matching), fh, indent=2)
             fh.write("\n")
     if args.json:
         doc = report.to_json_dict(include_timing=args.timing)
@@ -164,7 +164,7 @@ def _cmd_stats(args) -> int:
         m = RainbowMatching(graph, ids)
     else:
         m = greedy(graph, args.seed)
-    ctx = SwitchContext.build(graph, m, params)
+    ctx = SwitchContext.build(m, params)
     doc = {
         "levels": [{"i": lv.index, "size": len(lv.edges),
                     "colours": sorted(lv.colours)}
@@ -172,7 +172,7 @@ def _cmd_stats(args) -> int:
         "m": ctx.hierarchy.m,
         "F_size": len(ctx.flex.partners),
         "R_size": len(ctx.hierarchy.by_colour),
-        "counting": counting_diagnostics(graph, m, ctx.hierarchy, params),
+        "counting": counting_diagnostics(m, ctx.hierarchy, params),
     }
     print(json.dumps(doc, indent=2))
     return 0

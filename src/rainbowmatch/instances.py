@@ -4,7 +4,8 @@ A Latin square of order n turns into a properly n-edge-coloured copy of
 K_{n,n} (rows are vertices 0..n-1, columns n..2n-1, the cell symbol is the
 edge colour), so partial transversals of the square are exactly rainbow
 matchings of the graph.  The random generator places each colour class as a
-matching, respecting a parallel-edge cap, and is fully determined by its seed.
+matching, respecting a parallel-edge cap, and is fully determined by its seed;
+when sampling fails it falls back to a 1-factorisation of the complete graph.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .multigraph import ColouredMultigraph
 
 
 class PlacementError(ValueError):
-    """Admissible parameters, but bounded retries failed to place them."""
+    """More colour classes than a 1-factorisation can place under the cap."""
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,9 @@ def generate_random(colours: int, count: int, vertices: int, cap: int,
     by more than ``cap`` edges.
 
     Deterministic in ``seed``.  Raises ValueError when the parameters cannot
-    be satisfied (detected up front for the obvious cases, after bounded
-    retries otherwise).
+    be satisfied.  When 64 sampling attempts fail, the classes are placed by
+    :func:`_round_robin`, which raises :class:`PlacementError` only for more
+    than ``cap * (n - 1)`` colours, n being ``vertices`` rounded up to even.
 
     The seed-to-instance map is test and benchmark data, pinned by
     ``tests/test_instances.py::TestGeneratorGolden``: vertex draws are
@@ -135,7 +137,28 @@ def generate_random(colours: int, count: int, vertices: int, cap: int,
         triples = _try_generate(colours, count, vertices, cap, rng)
         if triples is not None:
             return ColouredMultigraph(vertices, colours, triples)
-    raise PlacementError("could not place all colour classes; loosen the parameters")
+    return ColouredMultigraph(vertices, colours,
+                              _round_robin(colours, count, vertices, cap, rng))
+
+
+def _round_robin(colours: int, count: int, vertices: int, cap: int,
+                 rng: random.Random) -> list[tuple[int, int, int]]:
+    """Colour classes from the round-robin 1-factorisation of K_n, n the
+    even one of ``vertices`` and ``vertices + 1``, with the extra vertex
+    dropped and the labels shuffled: colour c takes the first ``count``
+    edges of round c mod (n - 1), so no pair carries more than ``cap``."""
+    n = vertices + vertices % 2
+    if colours > cap * (n - 1):
+        raise PlacementError(f"{colours} colour classes do not fit under cap {cap} "
+                             f"on {vertices} vertices; loosen the parameters")
+    label = list(range(vertices))
+    rng.shuffle(label)
+    rounds = []
+    for r in range(min(colours, n - 1)):
+        pairs = [(r, n - 1)] + [((r + i) % (n - 1), (r - i) % (n - 1))
+                                for i in range(1, n // 2)]
+        rounds.append([(label[u], label[v]) for u, v in pairs if v < vertices][:count])
+    return [(u, v, c) for c in range(colours) for u, v in rounds[c % (n - 1)]]
 
 
 def _try_generate(colours: int, count: int, vertices: int, cap: int,

@@ -242,23 +242,21 @@ def greedy(graph: ColouredMultigraph, seed: int = 0) -> RainbowMatching:
     return _greedy_pass(graph, order, RainbowMatching(graph))
 
 
-def extend_to_maximal(graph: ColouredMultigraph,
-                      matching: RainbowMatching) -> RainbowMatching:
-    """Add compatible edges in id order until no more fit.
+def extend_to_maximal(matching: RainbowMatching) -> RainbowMatching:
+    """Add compatible edges of the matching's graph in id order until no
+    more fit.
 
     The cost depends on what is known about ``matching``.  A maximal matching
-    of ``graph`` (one a greedy pass built) is returned as it is.  A
+    (one a greedy pass built) is returned as it is.  A
     :meth:`~RainbowMatching.with_swap` descendant of one pays only for the
     delta: the pass reads just the edges at the vertices, and of the colours,
     that its root used and it does not, since a vertex or colour it still
     uses blocks every other edge.  Anything else takes the full pass over
-    every edge.  The result is the same either way.  A matching of another
-    graph raises ValueError.
+    every edge.  The result is the same either way.
     """
-    if matching.graph is not graph:
-        raise ValueError("matching belongs to another graph")
     if matching._maximal:
         return matching
+    graph = matching.graph
     root = matching._root
     if root is not None and root._maximal:
         freed = set()
@@ -295,11 +293,12 @@ def _greedy_pass(graph, order, start: RainbowMatching) -> RainbowMatching:
     return out
 
 
-def external_edges(graph: ColouredMultigraph, matching: RainbowMatching,
-                   colours) -> list[int]:
-    """Edge ids with exactly one endpoint covered and colour in ``colours``,
-    sorted by id: the external edges, the one place that rule is written.
-    Reads only the requested colour classes; a loop is never external."""
+def external_edges(matching: RainbowMatching, colours) -> list[int]:
+    """Edge ids of the matching's graph with exactly one endpoint covered and
+    colour in ``colours``, sorted by id: the external edges, the one place
+    that rule is written.  Reads only the requested colour classes; a loop is
+    never external."""
+    graph = matching.graph
     covered = matching.covered
     edges = graph.edges
     out = []
@@ -314,10 +313,10 @@ def external_edges(graph: ColouredMultigraph, matching: RainbowMatching,
 
 # -- JSON form ----------------------------------------------------------------
 
-def matching_to_json(graph: ColouredMultigraph, matching: RainbowMatching) -> dict:
+def matching_to_json(matching: RainbowMatching) -> dict:
     edges = []
     for i in matching.sorted_ids:
-        e = graph.edge(i)
+        e = matching.graph.edge(i)
         edges.append({"u": e.u, "v": e.v, "colour": e.colour, "edge_id": e.id})
     return {"size": len(matching), "edges": edges}
 

@@ -1,8 +1,8 @@
 """Flexible structure, reachability levels, violations, counting diagnostics.
 
-Everything here is computed against one fixed maximal rainbow matching M of a
-graph; a vertex is free when M does not cover it.  Each rule is stated once:
-external edges (one endpoint covered) in
+Everything here is computed against one fixed maximal rainbow matching M of
+the graph it carries; a vertex is free when M does not cover it.  Each rule
+is stated once: external edges (one endpoint covered) in
 :func:`rainbowmatch.matching.external_edges`, indexed by covered endpoint in
 :func:`_by_covered_end`; the orientation of a matching edge, lower-id tail
 first, in :func:`_orient`; a level edge's certificate in :func:`certificate`
@@ -40,9 +40,7 @@ logger = logging.getLogger(__name__)
 def _orient(e: Edge, certify):
     """``(tail, head, found)`` for the first orientation of the matching edge
     ``e``, lower-id tail first, whose tail gets a ``found`` other than None
-    from ``certify(tail)``; None when neither does or ``e`` is a loop."""
-    if e.u == e.v:
-        return None
+    from ``certify(tail)``; None when neither does."""
     lo, hi = (e.u, e.v) if e.u < e.v else (e.v, e.u)
     for tail, head in ((lo, hi), (hi, lo)):
         found = certify(tail)
@@ -51,13 +49,12 @@ def _orient(e: Edge, certify):
     return None
 
 
-def _by_covered_end(graph: ColouredMultigraph, matching: RainbowMatching,
-                    edge_ids) -> dict[int, tuple[int, ...]]:
+def _by_covered_end(matching: RainbowMatching, edge_ids) -> dict[int, tuple[int, ...]]:
     """External ``edge_ids`` indexed by covered endpoint, each tuple sorted
     by (free endpoint, edge id)."""
     at: dict[int, list[tuple[int, int]]] = {}
     covered = matching.covered
-    edges = graph.edges
+    edges = matching.graph.edges
     for eid in edge_ids:
         _, u, v, _ = edges[eid]
         if u in covered:
@@ -96,24 +93,23 @@ class FlexibleStructure:
         return self.partners.get(colour)
 
 
-def _unused_colours(graph: ColouredMultigraph, matching: RainbowMatching) -> list[int]:
+def _unused_colours(matching: RainbowMatching) -> list[int]:
     """The colours that have an edge and that ``matching`` does not use.
     Empty classes are never read, so a header's colour count costs nothing;
     the number of unused colours, C - |M| for a rainbow matching, needs no
     scan either."""
     used = matching.colours
-    return [c for c in graph.colours_with_edges() if c not in used]
+    return [c for c in matching.graph.colours_with_edges() if c not in used]
 
 
-def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
-                     params: InstanceParams) -> FlexibleStructure:
+def compute_flexible(matching: RainbowMatching, params: InstanceParams) -> FlexibleStructure:
     """Orient every matching edge that has an endpoint seeing at least
     max(1, ceil(alpha * |free colours|)) external unused-colour edges to be
     its tail; ``matching`` is rainbow, so |free colours| = C - |M|."""
-    unused = _unused_colours(graph, matching)
+    graph = matching.graph
     threshold = max(1, ceil(params.alpha * (graph.num_colours - len(matching))))
     external_free_at = _by_covered_end(
-        graph, matching, external_edges(graph, matching, unused))
+        matching, external_edges(matching, _unused_colours(matching)))
 
     def enough(tail):
         return len(external_free_at.get(tail, ())) >= threshold or None
@@ -127,24 +123,14 @@ def compute_flexible(graph: ColouredMultigraph, matching: RainbowMatching,
     return FlexibleStructure(external_free_at, partners)
 
 
-@dataclass(frozen=True)
-class GoodBadReport:
-    """External flexible-coloured edges split by whether the tail of their
-    colour's matching edge keeps at least max(1, ceil(alpha * |free colours|
-    / 2)) external unused-colour edges disjoint from them.
-
-    ``good_at`` indexes the good edges by covered endpoint, each tuple sorted
-    by (free endpoint, edge id); ``bad_per_colour`` counts bad edges per
-    flexible colour.
-    """
-
-    good_at: dict[int, tuple[int, ...]]
-    bad_per_colour: dict[int, int]
-
-
-def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
-                      flex: FlexibleStructure,
-                      params: InstanceParams) -> GoodBadReport:
+def classify_good_bad(matching: RainbowMatching, flex: FlexibleStructure,
+                      params: InstanceParams) -> dict[int, tuple[int, ...]]:
+    """The good edges indexed by covered endpoint, each tuple sorted by (free
+    endpoint, edge id).  An external flexible-coloured edge is good when the
+    tail of its colour's matching edge keeps at least max(1, ceil(alpha *
+    |free colours| / 2)) external unused-colour edges disjoint from it, and
+    bad otherwise."""
+    graph = matching.graph
     half = max(1, ceil(params.alpha * (graph.num_colours - len(matching)) / 2))
     edges = graph.edges
     # each flexible colour's reserve, as the (u, v) endpoints of its edges
@@ -153,8 +139,7 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
                for oe in flex.partners.values()}
 
     good: list[int] = []
-    bad_per_colour: dict[int, int] = {c: 0 for c in flex.partners}
-    for eid in external_edges(graph, matching, flex.partners):
+    for eid in external_edges(matching, flex.partners):
         _, u, v, c = edges[eid]
         kept = 0
         for a, b in reserve[c]:
@@ -162,9 +147,7 @@ def classify_good_bad(graph: ColouredMultigraph, matching: RainbowMatching,
                 kept += 1
         if kept >= half:
             good.append(eid)
-        else:
-            bad_per_colour[c] += 1
-    return GoodBadReport(_by_covered_end(graph, matching, good), bad_per_colour)
+    return _by_covered_end(matching, good)
 
 
 @dataclass(frozen=True)
@@ -242,7 +225,8 @@ def certificate(graph: ColouredMultigraph, tail: int, colours, covered,
 
 
 def _base_pairs(graph: ColouredMultigraph, flex: FlexibleStructure,
-                good: GoodBadReport, edge_id: int, tail: int) -> tuple[tuple, ...]:
+                good_at: dict[int, tuple[int, ...]], edge_id: int,
+                tail: int) -> tuple[tuple, ...]:
     """Level-1 configurations ``(w, z, gid, hid, partner, spare)`` for the
     matching edge ``edge_id`` with tail ``tail``: a good edge from the tail to
     ``w`` whose colour has flexible edge ``partner``, other than ``edge_id``
@@ -250,7 +234,7 @@ def _base_pairs(graph: ColouredMultigraph, flex: FlexibleStructure,
     partner's tail to ``z``, with ``z`` not ``w``; sorted by the first four."""
     found = []
     edges = graph.edges
-    for gid in good.good_at.get(tail, ()):
+    for gid in good_at.get(tail, ()):
         _, u, v, c = edges[gid]
         w = v if u == tail else u
         partner = flex.by_colour(c)
@@ -267,8 +251,8 @@ def _base_pairs(graph: ColouredMultigraph, flex: FlexibleStructure,
     return tuple(found)
 
 
-def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
-                    flex: FlexibleStructure, good: GoodBadReport,
+def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
+                    good_at: dict[int, tuple[int, ...]],
                     params: InstanceParams) -> Hierarchy:
     """Grow levels until a candidate set falls below max(1, ceil(alpha * C)).
 
@@ -278,6 +262,7 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
     max(1, ceil(alpha * |R_j|)) edges, and carries that certificate (from
     the smallest such j), a level-1 edge its base-switch pairs.
     """
+    graph = matching.graph
     stop = max(1, ceil(params.alpha * graph.num_colours))
     level1_threshold = max(1, ceil(params.alpha * len(flex.partners)))
     covered = matching.covered
@@ -287,7 +272,7 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
     by_head: dict[int, LevelEdge] = {}
 
     def certified_by_good(tail):
-        if len(good.good_at.get(tail, ())) >= level1_threshold:
+        if len(good_at.get(tail, ())) >= level1_threshold:
             return 0, (), ()
         return None
 
@@ -311,7 +296,7 @@ def build_hierarchy(graph: ColouredMultigraph, matching: RainbowMatching,
             found = _orient(e, certify)
             if found is not None:
                 tail, head, (cert, lifts, descends) = found
-                pairs = _base_pairs(graph, flex, good, eid, tail) if cert == 0 else ()
+                pairs = _base_pairs(graph, flex, good_at, eid, tail) if cert == 0 else ()
                 cands.append(LevelEdge(eid, tail, head, e.colour, index, cert,
                                        pairs, lifts, descends))
         if len(cands) < stop:
@@ -354,8 +339,7 @@ class Violation(NamedTuple):
         return (VIOLATION_KINDS.index(self.kind), self.vertices, self.edge_id)
 
 
-def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
-                    hierarchy: Hierarchy) -> list[Violation]:
+def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> list[Violation]:
     """All violations, ordered by kind as in :data:`VIOLATION_KINDS`, ties by
     witness vertices then edge id.  ``hierarchy`` must be built on
     ``matching``.
@@ -364,10 +348,11 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
     equivalent is a full edge sweep.  Candidates are kept by kind as plain
     tuples, ``(vertices, edge id, colour)``, and only built once sorted.
     """
+    graph = matching.graph
     edges = graph.edges
     covered = matching.covered
     found = {kind: [] for kind in VIOLATION_KINDS}
-    for c in _unused_colours(graph, matching):
+    for c in _unused_colours(matching):
         for eid in graph.edges_with_colour(c):
             _, u, v, _ = edges[eid]
             if u != v and u not in covered and v not in covered:
@@ -392,8 +377,8 @@ def find_violations(graph: ColouredMultigraph, matching: RainbowMatching,
             for vertices, eid, c in sorted(found[kind])]
 
 
-def counting_diagnostics(graph: ColouredMultigraph, matching: RainbowMatching,
-                         hierarchy: Hierarchy, params: InstanceParams) -> dict:
+def counting_diagnostics(matching: RainbowMatching, hierarchy: Hierarchy,
+                         params: InstanceParams) -> dict:
     """Edge counts behind the "some violation must exist" argument, as the
     ``counting`` document of ``rainbowmatch stats``.
 
@@ -417,6 +402,7 @@ def counting_diagnostics(graph: ColouredMultigraph, matching: RainbowMatching,
     core = matching.covered - hierarchy.by_head.keys() - fringe
     reach = hierarchy.by_colour
 
+    graph = matching.graph
     total = touching_fringe = core_not_fringe = inside_total = max_inside = 0
     for c in sorted(reach):
         inside = 0

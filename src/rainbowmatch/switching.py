@@ -22,10 +22,11 @@ construction followed by repeated find-violations / augment rounds until the
 target size is reached or no recipe lands.
 
 Each successful call makes one elementary exchange and is asserted against
-its contract as it returns; its outcome carries a :class:`SwitchCall` for it
-and for every call under it.  ``solve`` turns only the landed augmentations'
-calls into records (:class:`CallRecord`), one per exchange; a caller that
-wants every call wraps the module-global :func:`robust_switch`.
+its contract as it returns; its :class:`SwitchOutcome` is the one record of
+that call, holding the outcomes of the calls under it.  ``solve`` turns only
+the landed augmentations' calls into records (:class:`CallRecord`), one per
+exchange; a caller that wants every call wraps the module-global
+:func:`robust_switch`.
 """
 
 from __future__ import annotations
@@ -108,28 +109,6 @@ class SwitchRequest(_SwitchRequestFields):
         return cls(*iterable)
 
 
-class SwitchCall(NamedTuple):
-    """A successful switch call at recursion ``depth`` and its one exchange,
-    as its outcome carries it: references only, nothing sorted or copied.
-    :meth:`CallRecord.from_call` makes a record of it.
-
-    ``case`` is ``"base"`` (level 1), ``"lift"`` (into a free vertex) or
-    ``"descend"`` (into a lower head).  The exchange takes the ``removed``
-    edge ids, the level edge of the request's colour first, out of ``start``
-    (base) or of the previous call's result (lift, descend) and puts the
-    ``added`` ones in."""
-
-    request: SwitchRequest
-    level: int
-    start: RainbowMatching
-    result: RainbowMatching
-    distance_to_base: int
-    depth: int
-    case: str
-    removed: tuple[int, ...]
-    added: tuple[int, ...]
-
-
 class CallRecord(NamedTuple):
     """A successful switch call with everything needed to re-check its
     contract afterwards, as plain sorted ids.  The id tuples are shared with
@@ -148,32 +127,49 @@ class CallRecord(NamedTuple):
     distance_to_base: int
 
     @classmethod
-    def from_call(cls, base: RainbowMatching, call: SwitchCall) -> "CallRecord":
+    def from_call(cls, base: RainbowMatching, call: "SwitchOutcome") -> "CallRecord":
         """The record of ``call``, made in a context whose base is ``base``."""
         colour, vertex, budget, fix, avoid_vertices, avoid_colours = call.request
         return cls(colour, vertex, call.level, budget, tuple(sorted(fix)),
                    tuple(sorted(avoid_vertices)), tuple(sorted(avoid_colours)),
-                   base.sorted_ids, call.start.sorted_ids, call.result.sorted_ids,
+                   base.sorted_ids, call.start.sorted_ids, call.matching.sorted_ids,
                    call.distance_to_base)
 
 
-@dataclass
-class SwitchOutcome:
-    """A served request.  ``calls`` covers this call and every call under
-    it, innermost first; this call's own entry comes last."""
+class SwitchOutcome(NamedTuple):
+    """A served request at recursion ``depth``, the one record of its call:
+    references only, nothing sorted or copied.  :meth:`CallRecord.from_call`
+    makes a plain record of it.
 
-    calls: list[SwitchCall]
+    ``case`` is ``"base"`` (level 1), ``"lift"`` (into a free vertex) or
+    ``"descend"`` (into a lower head).  The exchange takes the ``removed``
+    edge ids, the level edge of the request's colour first, out of ``start``
+    (base) or of the last result under it (lift, descend) and puts the
+    ``added`` ones in, giving ``matching``.  ``rejections`` counts, over the
+    candidates this call passed over, the first filter each failed;
+    ``under`` holds the outcomes of the calls it made, in the order served."""
+
+    request: SwitchRequest
+    level: int
+    start: RainbowMatching
+    matching: RainbowMatching
+    distance_to_base: int
+    depth: int
+    case: str
+    removed: tuple[int, ...]
+    added: tuple[int, ...]
     rejections: dict[str, int]
+    under: tuple["SwitchOutcome", ...]
 
     @property
-    def matching(self) -> RainbowMatching:
-        """The served matching: this call's result."""
-        return self.calls[-1].result
-
-    @property
-    def distance_to_base(self) -> int:
-        """This call's result's distance to the context's base."""
-        return self.calls[-1].distance_to_base
+    def calls(self) -> list["SwitchOutcome"]:
+        """This call and every call under it in post-order: a call after
+        the calls under it, so this one comes last."""
+        out = []
+        for sub in self.under:
+            out += sub.calls
+        out.append(self)
+        return out
 
 
 @dataclass
@@ -187,10 +183,9 @@ class NotFound:
 
 @dataclass
 class SwitchContext:
-    """Everything the engine needs about one base matching, which
-    :meth:`build` checks is a matching of the graph itself."""
+    """Everything the engine needs about one base matching, read from the
+    graph that the base carries."""
 
-    graph: ColouredMultigraph
     base: RainbowMatching
     flex: FlexibleStructure
     hierarchy: Hierarchy
@@ -198,20 +193,18 @@ class SwitchContext:
     rng: random.Random | None = None
 
     @classmethod
-    def build(cls, graph: ColouredMultigraph, matching: RainbowMatching,
-              params: InstanceParams | None = None, max_budget: int = DEFAULT_MAX_BUDGET,
+    def build(cls, matching: RainbowMatching, params: InstanceParams | None = None,
+              max_budget: int = DEFAULT_MAX_BUDGET,
               rng: random.Random | None = None) -> "SwitchContext":
-        if matching.graph is not graph:
-            raise SwitchUsageError("base is a matching of another graph")
         if params is None:
-            params = InstanceParams.for_graph(graph)
-        flex = compute_flexible(graph, matching, params)
-        good = classify_good_bad(graph, matching, flex, params)
-        hierarchy = build_hierarchy(graph, matching, flex, good, params)
-        return cls(graph, matching, flex, hierarchy, max_budget=max_budget, rng=rng)
+            params = InstanceParams.for_graph(matching.graph)
+        flex = compute_flexible(matching, params)
+        good_at = classify_good_bad(matching, flex, params)
+        hierarchy = build_hierarchy(matching, flex, good_at, params)
+        return cls(matching, flex, hierarchy, max_budget=max_budget, rng=rng)
 
     def violations(self) -> list[Violation]:
-        return find_violations(self.graph, self.base, self.hierarchy)
+        return find_violations(self.base, self.hierarchy)
 
 
 def robust_switch(ctx: SwitchContext, current: RainbowMatching,
@@ -276,7 +269,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     if type(out) is NotFound:
         return out
 
-    result, calls, case, removed, added, rejections = out
+    result, under, case, removed, added, rejections = out
     assert colour not in result.colours
     assert vertex not in result.covered
     assert fix <= result.edge_ids
@@ -284,18 +277,17 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     assert result.colours.isdisjoint(avoid_colours)
     distance = result.distance_to(base)
     assert distance <= budget + slack and len(result.edge_ids) == size
-    calls.append(SwitchCall(request, level, current, result, distance,
-                            depth, case, removed, added))
-    return SwitchOutcome(calls, rejections)
+    return SwitchOutcome(request, level, current, result, distance, depth, case,
+                         removed, added, rejections, under)
 
 
 def _chain(ctx, current, budget, requests, depth):
     """Serve ``(colour, vertex, fix, avoid_vertices, avoid_colours)``
     requests in order, each from the previous result with the previous
-    distance to base as its budget.  Returns ``(matching, calls)`` or the
-    first :class:`NotFound` unchanged.  Every plan builds its three sets as
-    frozensets, so each request is made as the tuple it is, not coerced."""
-    calls = []
+    distance to base as its budget.  Returns the tuple of outcomes served or
+    the first :class:`NotFound` unchanged.  Every plan builds its three sets
+    as frozensets, so each request is made as the tuple it is, not coerced."""
+    served = []
     for colour, vertex, fix, avoid_vertices, avoid_colours in requests:
         # looked up as a module global on every call: this is the seam that
         # the benchmark's tracer and the tests' call recorder patch
@@ -304,8 +296,8 @@ def _chain(ctx, current, budget, requests, depth):
         if isinstance(out, NotFound):
             return out
         current, budget = out.matching, out.distance_to_base
-        calls += out.calls
-    return current, calls
+        served.append(out)
+    return tuple(served)
 
 
 def _switch_base(ctx, current, request, le):
@@ -342,7 +334,7 @@ def _switch_base(ctx, current, request, le):
             reason = "spare_colour_avoided"
         else:
             removed, added = (le.edge_id, partner.edge_id), (gid, hid)
-            return current.with_swap(removed, added), [], "base", removed, added, rej
+            return current.with_swap(removed, added), (), "base", removed, added, rej
         rej[reason] = rej.get(reason, 0) + 1
     return NotFound("no_configuration", rej)
 
@@ -393,7 +385,7 @@ def _switch_inductive(ctx, current, request, le, depth):
     """Level >= 2: walk a certifying lower-level-coloured edge from the tail,
     first into a free vertex (a lift, one lower switch), else into a lower
     head (a descend, two)."""
-    edges = ctx.graph.edges
+    edges = current.graph.edges
     rej: dict[str, int] = {}
     lifts, descends = le.lifts, le.descends
     if ctx.rng is not None:
@@ -414,18 +406,19 @@ def _switch_inductive(ctx, current, request, le, depth):
             if isinstance(out, NotFound):
                 rej["recursion_failed"] = rej.get("recursion_failed", 0) + 1
                 continue
-            result, calls = out
             removed, added = (le.edge_id,), (eid,)
-            return result.with_swap(removed, added), calls, case, removed, added, rej
+            return (out[-1].matching.with_swap(removed, added), out, case, removed,
+                    added, rej)
     return NotFound("no_configuration", rej)
 
 
 @dataclass
 class AugmentOutcome:
-    """A landed recipe: the chain's calls, in the order served."""
+    """A landed recipe: every call of its chain, each top-level call after
+    the calls under it."""
 
     matching: RainbowMatching
-    calls: list[SwitchCall]
+    calls: list[SwitchOutcome]
 
 
 def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFound:
@@ -444,7 +437,7 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     """
     if violation.kind not in VIOLATION_KINDS:
         raise SwitchUsageError(f"unknown violation kind {violation.kind!r}")
-    e = ctx.graph.edge(violation.edge_id)
+    e = ctx.base.graph.edge(violation.edge_id)
     requests = []
     if violation.kind != "extend":
         hierarchy, covered = ctx.hierarchy, ctx.base.covered
@@ -465,8 +458,9 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     out = _chain(ctx, ctx.base, 0, requests, 0)
     if isinstance(out, NotFound):
         return out
-    matching, calls = out
-    return AugmentOutcome(matching.with_swap((), (e.id,)), calls)
+    matching = out[-1].matching if out else ctx.base
+    return AugmentOutcome(matching.with_swap((), (e.id,)),
+                          [call for top in out for call in top.calls])
 
 
 @dataclass
@@ -535,7 +529,7 @@ class SolveReport:
             "size": self.size,
             "iterations": len(self.iterations),
             "switches": self.total_exchanges,
-            "matching": matching_to_json(self.matching.graph, self.matching),
+            "matching": matching_to_json(self.matching),
         }
         if include_timing:
             doc["wall_ms"] = round(self.wall_ms, 3)
@@ -571,28 +565,22 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
         if index >= max_iterations:
             status = "iteration_cap"
             break
-        current = extend_to_maximal(graph, current)
+        current = extend_to_maximal(current)
         if target >= 1 and len(current) >= target:
             status = "target_reached"
             break
-        ctx = SwitchContext.build(graph, current, params,
-                                  max_budget=max_budget, rng=rng)
+        ctx = SwitchContext.build(current, params, max_budget=max_budget, rng=rng)
         found = ctx.violations()
-        chosen: tuple[Violation, AugmentOutcome] | None = None
-        attempted = 0
-        for violation in found:
-            attempted += 1
+        for attempted, violation in enumerate(found, 1):
             out = augment(ctx, violation)
             if isinstance(out, AugmentOutcome):
-                chosen = (violation, out)
                 break
-        if chosen is None:
+        else:
             iterations.append(IterationRecord(
-                index, len(current), len(current), len(found), attempted,
+                index, len(current), len(current), len(found), len(found),
                 None, None, 0, current.sorted_ids))
             status = "stalled"
             break
-        violation, out = chosen
         iterations.append(IterationRecord(
             index, len(current), len(out.matching), len(found), attempted,
             violation.kind, violation.edge_id, len(out.calls),

@@ -7,8 +7,9 @@ mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
 clashes).  Hand fixtures
 that several suites share live here too, along with ``recorded_calls()``,
 which logs every successful switch call, ``recheck_call()``, which checks
-one such record against the switch contract, and ``brute_scan()``, the
-full-edge-sweep reference for ``find_violations``.
+one such record against the switch contract, ``brute_scan()``, the
+full-edge-sweep reference for ``find_violations``, and ``bad_per_colour()``,
+which counts the bad edges that ``classify_good_bad`` leaves out.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import pytest
 from hypothesis import strategies as st
 
 from rainbowmatch import (ColouredMultigraph, InstanceParams, RainbowMatching, closeness,
-                          closeness_slack, cyclic_square, generate_random, permute_square,
-                          switching, verify)
+                          closeness_slack, cyclic_square, external_edges, generate_random,
+                          permute_square, switching, verify)
 
 # (colours, count, vertices, cap) rotated by seed; count = ceil(1.5 * colours)
 _SHAPES = [
@@ -103,6 +104,18 @@ def brute_scan(graph, matching, hier):
     return sorted(out, key=lambda t: (order.index(t[0]), t[3], t[1]))
 
 
+def bad_per_colour(matching, flex, good_at) -> dict[int, int]:
+    """The bad edges per flexible colour: the external edges of that colour
+    that ``good_at``, as ``classify_good_bad`` returns it, does not hold.
+    Every flexible colour has an entry, 0 included."""
+    good = {i for ids in good_at.values() for i in ids}
+    counts = {c: 0 for c in flex.partners}
+    for eid in external_edges(matching, flex.partners):
+        if eid not in good:
+            counts[matching.graph.edge(eid).colour] += 1
+    return counts
+
+
 @contextmanager
 def recorded_calls():
     """Log a :class:`~rainbowmatch.CallRecord` for every successful switch
@@ -120,7 +133,7 @@ def recorded_calls():
     def recording(ctx, current, request, depth=0):
         out = inner(ctx, current, request, depth)
         if type(out) is switching.SwitchOutcome:
-            log.append(switching.CallRecord.from_call(ctx.base, out.calls[-1]))
+            log.append(switching.CallRecord.from_call(ctx.base, out))
         return out
 
     switching.robust_switch = recording

@@ -35,8 +35,8 @@ from rainbowmatch import (
 )
 from rainbowmatch import switching
 
-from conftest import (brute_scan, default_params, random_instance, recheck_call,
-                      recorded_calls)
+from conftest import (bad_per_colour, brute_scan, default_params, random_instance,
+                      recheck_call, recorded_calls)
 
 _SOLVE_FUZZ_SEEDS = 1000
 _SOLVE_FUZZ_LIMIT_S = 300.0
@@ -133,7 +133,7 @@ def test_oracle_soundness_on_small_instances():
 def test_flexible_colour_lower_bound():
     pairs = _qualifying_pairs()
     for g, m, params in pairs:
-        flex = compute_flexible(g, m, params)
+        flex = compute_flexible(m, params)
         n = g.num_colours
         bound = ceil((Fraction(params.epsilon, 2) - params.alpha) * n)
         assert len(flex.partners) >= bound, (
@@ -146,10 +146,10 @@ def test_bad_edge_upper_bound():
     pairs = _qualifying_pairs()
     limit = None
     for g, m, params in pairs:
-        flex = compute_flexible(g, m, params)
-        good = classify_good_bad(g, m, flex, params)
+        flex = compute_flexible(m, params)
+        good_at = classify_good_bad(m, flex, params)
         limit = 2 / params.alpha
-        for colour, count in good.bad_per_colour.items():
+        for colour, count in bad_per_colour(m, flex, good_at).items():
             assert count <= limit, (colour, count)
     _report(f"PASS bad edge bound: per flexible colour <= 2/alpha = {limit} "
             f"on {len(pairs)} matchings")
@@ -170,7 +170,7 @@ def test_switch_closeness_contract(lift_fixture, descend_fixture):
             solve(g, target_deficit=seed % 2, seed=seed)
         observed.extend((g, rec) for rec in log)
     for g, base, params in _qualifying_pairs():
-        ctx = SwitchContext.build(g, base, params=params)
+        ctx = SwitchContext.build(base, params=params)
         with recorded_calls() as log:
             for level in ctx.hierarchy.levels:
                 for le in level.edges:
@@ -179,7 +179,7 @@ def test_switch_closeness_contract(lift_fixture, descend_fixture):
     # two-level recursions, guaranteed by construction
     for g, ids, colour, head in ((lift_fixture, (0, 1, 2), 2, 6),
                                  (descend_fixture, (0, 1, 2, 3, 4), 6, 6)):
-        ctx = SwitchContext.build(g, RainbowMatching(g, ids))
+        ctx = SwitchContext.build(RainbowMatching(g, ids))
         with recorded_calls() as log:
             out = switching.robust_switch(ctx, ctx.base, SwitchRequest(colour, head))
         assert not isinstance(out, NotFound)
@@ -227,9 +227,9 @@ def test_hierarchy_sanity():
         params = default_params(g)
         for greedy_seed in range(3):
             m = greedy(g, greedy_seed)
-            flex = compute_flexible(g, m, params)
-            good = classify_good_bad(g, m, flex, params)
-            hier = build_hierarchy(g, m, flex, good, params)
+            flex = compute_flexible(m, params)
+            good_at = classify_good_bad(m, flex, params)
+            hier = build_hierarchy(m, flex, good_at, params)
 
             assert hier.m < 1 / params.alpha
 
@@ -241,7 +241,7 @@ def test_hierarchy_sanity():
                 seen |= ids
 
             found = sorted((v.kind, v.edge_id)
-                           for v in find_violations(g, m, hier))
+                           for v in find_violations(m, hier))
             assert found == sorted((kind, eid) for kind, eid, _, _
                                    in brute_scan(g, m, hier))
             matchings += 1

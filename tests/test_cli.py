@@ -184,6 +184,13 @@ class TestPipeline:
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True
 
+    def test_generate_without_output_writes_stdout(self, capsys):
+        # the defaults for four colours: count 6, 12 vertices, cap 1
+        assert main(["generate", "random", "--colours", "4", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == dumps_graph(generate_random(4, 6, 12, 1, 2))
+        assert main(["generate", "latin", "--cyclic", "3", "--format", "square"]) == 0
+        assert capsys.readouterr().out == dumps_square(cyclic_square(3))
+
     def test_generate_latin_square_format(self, tmp_path, capsys):
         out = str(tmp_path / "sq.txt")
         assert main(["generate", "latin", "--cyclic", "3", "--format", "square",
@@ -216,6 +223,15 @@ class TestOracle:
         assert code == 2
         assert doc["exact"] is False
         assert doc["size"] <= 3
+
+    @pytest.mark.parametrize("caps,code,tag", [
+        ([], 0, "optimum"), (["--max-nodes", "3"], 2, "best found (cap exceeded)"),
+    ], ids=["exact", "capped"])
+    def test_plain_text(self, z4_path, capsys, caps, code, tag):
+        assert main(["oracle", "--input", z4_path, "--json", *caps]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["oracle", "--input", z4_path, *caps]) == code
+        assert capsys.readouterr().out == f"{tag}: {doc['size']}  nodes: {doc['nodes']}\n"
 
     def test_exact_on_z33_past_a_thousand_edges(self, tmp_path, capsys):
         # 1089 edges: one Python frame per edge would pass the recursion limit
@@ -367,6 +383,13 @@ class TestBench:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[3] == ""
+
+    def test_capped_oracle_leaves_column_empty(self, capsys):
+        assert main(["bench", "--seeds", "7", "--colours", "4",
+                     "--max-nodes", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[:4] == ["7", "4", "4", ""]
 
     def test_optimum_past_a_thousand_edges(self, capsys):
         # 32 colours at the default density: 1536 edges

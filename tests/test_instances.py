@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowmatch import (InstanceParams, LatinSquare, PlacementError, cyclic_square,
-                          dumps, dumps_square, enumerate_reduced_squares,
+from rainbowmatch import (ColouredMultigraph, InstanceParams, LatinSquare, PlacementError,
+                          cyclic_square, dumps, dumps_square, enumerate_reduced_squares,
                           generate_random, hypothesis_check, latin_to_graph, load,
                           load_square, loads_square, max_partial_transversal,
                           permute_square, save, save_square, validate)
-from rainbowmatch.instances import _sample_edge
+from rainbowmatch.instances import _round_robin, _sample_edge
 from conftest import _SHAPES, isotope, random_instance, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -25,6 +26,12 @@ def test_cyclic_square_cells():
     assert sq.rows == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     assert sq.order == 3
     assert sq[1] == (1, 2, 0)
+
+
+def test_order_zero():
+    with pytest.raises(ValueError, match="^order must be >= 1$"):
+        cyclic_square(0)
+    assert list(enumerate_reduced_squares(0)) == []
 
 
 def test_latin_square_rejects_non_latin():
@@ -66,6 +73,21 @@ def test_square_text_round_trip():
         loads_square("2\n0 1\n")
     with pytest.raises(ValueError):
         loads_square("")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("2\n0 x\n1 0\n", "line 2: expected integers"),
+    ("2 2\n0 1\n1 0\n", "line 1: first line must be the order"),
+    ("2\n0 1\n1 0 1\n", "line 3: expected 2 symbols"),
+], ids=["not_an_integer", "no_order_line", "row_length"])
+def test_loads_square_rejects(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        loads_square(text)
+
+
+def test_loads_square_skips_blank_and_comment_lines():
+    text = "# order 2\n\n2  # the order\n   \n0 1\n# between rows\n1 0\n\n"
+    assert loads_square(text) == cyclic_square(2)
 
 
 def test_file_round_trip(tmp_path):
@@ -117,13 +139,56 @@ def test_generator_rejects_impossible():
         generate_random(2, 2, 4, 0, 0)  # cap < 1
 
 
-def test_generator_placement_fails_on_a_feasible_shape():
-    # a known defect of the rejection sampler, kept visible until a
-    # constructive generator replaces it: ten colour classes of 15 edges (a
-    # perfect matching each) fit on 30 vertices, as any ten classes of a
-    # 1-factorisation of K_30 show, but this seed exhausts the 64 tries
+def _pair_load(graph) -> int:
+    """The most edges that join one pair of vertices."""
+    return max(Counter(frozenset((e.u, e.v)) for e in graph.edges).values())
+
+
+def test_generator_places_a_feasible_shape_by_fallback():
+    # ten colour classes of 15 edges (a perfect matching each) fit on 30
+    # vertices, but this seed exhausts the 64 sampling tries, so ten classes
+    # of a 1-factorisation of K_30 place them
+    g = generate_random(10, 15, 30, 1, 8391)
+    assert validate(g) == []
+    assert [g.colour_class_size(c) for c in range(10)] == [15] * 10
+    assert _pair_load(g) == 1
+    assert hypothesis_check(g, InstanceParams.for_graph(g, epsilon="1/2")) == []
+    # the same text that CI pins on 3.10 and 3.12
+    assert _digest(g) == _FALLBACK_DIGEST
+
+
+@given(colours=st.integers(16, 32), seed=st.integers(0, 29))
+@settings(max_examples=15, deadline=None)
+def test_generator_places_near_threshold_cap_one(colours, seed):
+    # most of these shapes exhaust the sampling tries
+    count = colours + 2
+    g = generate_random(colours, count, 2 * count, 1, seed)
+    assert validate(g) == []
+    assert all(g.colour_class_size(c) == count for c in range(colours))
+    assert _pair_load(g) == 1
+    assert dumps(generate_random(colours, count, 2 * count, 1, seed)) == dumps(g)
+
+
+@pytest.mark.parametrize("colours,count,vertices,cap", [
+    (7, 3, 7, 1),    # odd: the extra vertex of K_8 is dropped
+    (14, 3, 7, 2),   # two classes per round
+    (3, 2, 4, 1),
+])
+def test_round_robin_classes(colours, count, vertices, cap):
+    triples = _round_robin(colours, count, vertices, cap, random.Random(0))
+    g = ColouredMultigraph(vertices, colours, triples)
+    assert validate(g) == []
+    assert all(g.colour_class_size(c) == count for c in range(colours))
+    assert _pair_load(g) == cap
+
+
+def test_round_robin_refuses_more_classes_than_the_cap_allows():
+    # K_4 has three rounds, so cap 1 holds three classes on 3 or 4 vertices
+    for vertices in (3, 4):
+        with pytest.raises(PlacementError):
+            _round_robin(4, 1, vertices, 1, random.Random(0))
     with pytest.raises(PlacementError):
-        generate_random(10, 15, 30, 1, 8391)
+        generate_random(4, 1, 3, 1, 0)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -178,9 +243,10 @@ def test_sample_edge_draws_exactly_like_randrange(seed, vertices, used_share, ca
 # stream shows here first.  Many of these seeds make ``_try_generate`` give
 # up and retry, among them (10, 15, 30, 1) seed 2 (36 retries), benchmark
 # seed 0 (2 retries) and tight seed 4 (20 retries); most also reach the
-# shuffled sweep that follows 200 rejected draws.  A seed that fails
-# placement is part of the map too: see
-# ``test_generator_placement_fails_on_a_feasible_shape`` (seed 8391).
+# shuffled sweep that follows 200 rejected draws.  A seed that exhausts the
+# 64 tries is placed by the 1-factorisation fallback, and that is part of the
+# map too: see ``test_generator_places_a_feasible_shape_by_fallback``.
+_FALLBACK_DIGEST = "9ce4eeb4366e737d2b7678d0eebc075608da3951d0615929052e7cb40f4f8758"
 _BENCH_SHAPE = (48, 50, 100, 3)
 _BENCH_DIGESTS = [
     "21a2e53fe4109d01474b4d5886451ec906bd6b8b48cbf945bfe0b69f51b7e47f",

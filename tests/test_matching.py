@@ -286,9 +286,9 @@ class TestCovered:
         swapped = root.with_swap(removed, added)
         for m in (user,
                   user.with_swap((), draw_additions(data, user)),
-                  root, trimmed, swapped, extend_to_maximal(g, trimmed),
-                  extend_to_maximal(g, swapped),
-                  extend_to_maximal(g, RainbowMatching(g, trimmed.edge_ids))):
+                  root, trimmed, swapped, extend_to_maximal(trimmed),
+                  extend_to_maximal(swapped),
+                  extend_to_maximal(RainbowMatching(g, trimmed.edge_ids))):
             ends = {x for i in m.edge_ids for x in g.edge(i)[1:3]}
             assert m.covered == ends
 
@@ -307,7 +307,7 @@ class TestReadSets:
         for _ in range(data.draw(st.integers(1, 8))):
             m = chain[-1]
             if data.draw(st.integers(0, 3)) == 0:
-                chain.append(extend_to_maximal(g, m))
+                chain.append(extend_to_maximal(m))
                 continue
             removed = data.draw(st.sets(st.sampled_from(m.sorted_ids), max_size=3)
                                 if len(m) else st.just(set()))
@@ -466,7 +466,7 @@ class TestGreedy:
     def test_extend_to_maximal_keeps_start(self):
         g = random_instance(3)
         base = RainbowMatching(g, [4])
-        m = extend_to_maximal(g, base)
+        m = extend_to_maximal(base)
         assert 4 in m
         assert verify(g, m) == []
         for e in g.edges:
@@ -484,7 +484,7 @@ class TestGreedy:
         g = ColouredMultigraph(4, 2, [(0, 1, 0), (2, 3, 1)])
         with pytest.raises(ValueError, match=re.escape(
                 f"not rainbow: edge id {unknown[0]} not in graph")):
-            extend_to_maximal(g, RainbowMatching(g, ids))
+            extend_to_maximal(RainbowMatching(g, ids))
 
     @pytest.mark.parametrize("ids, kind", [
         ([4], "loop"),
@@ -497,16 +497,18 @@ class TestGreedy:
         issue = verify(g, ids)[0]
         assert issue.kind == kind
         with pytest.raises(ValueError, match="not rainbow: " + re.escape(issue.detail)):
-            extend_to_maximal(g, RainbowMatching(g, ids))
+            extend_to_maximal(RainbowMatching(g, ids))
 
-    def test_extend_to_maximal_rejects_another_graph(self):
-        # g1's edge 0 covers {0, 1}, g2's covers {0, 2}: read as ids of g2,
-        # the start would name a different edge
+    def test_extend_to_maximal_reads_the_matchings_graph(self):
+        # g1's edge 0 covers {0, 1}, g2's covers {0, 2}: the same ids name
+        # other edges in g2, so the extension must be g1's
         g1 = ColouredMultigraph(4, 2, [(0, 1, 0), (2, 3, 1)])
         g2 = ColouredMultigraph(4, 2, [(0, 2, 0), (1, 3, 1)])
         for m in (RainbowMatching(g1, [0]), greedy(g1)):
-            with pytest.raises(ValueError, match="^matching belongs to another graph$"):
-                extend_to_maximal(g2, m)
+            got = extend_to_maximal(m)
+            assert got.graph is g1 and got.edge_ids == {0, 1}
+            assert got == RainbowMatching(g1, [0, 1])
+            assert got != RainbowMatching(g2, [0, 1])
 
 
 def reference_extension(g: ColouredMultigraph, ids) -> frozenset[int]:
@@ -557,7 +559,7 @@ def family_graph(family: str, seed: int) -> ColouredMultigraph:
 class TestDeltaExtension:
     """``extend_to_maximal`` passes over the delta only for ``with_swap``
     descendants of a maximal root, and always returns what the full id-order
-    pass returns; a matching of another graph raises."""
+    pass returns; a matching is extended on its own graph."""
 
     @given(st.sampled_from(["random", "tight", "latin"]), st.integers(0, 60),
            st.sampled_from(["greedy", "extended", "user", "foreign"]), st.data())
@@ -569,7 +571,7 @@ class TestDeltaExtension:
             root = start
         elif root_kind == "extended":  # maximal, and built by extension
             kept = data.draw(st.sets(st.sampled_from(start.sorted_ids)))
-            root = extend_to_maximal(g, RainbowMatching(g, kept))
+            root = extend_to_maximal(RainbowMatching(g, kept))
         elif root_kind == "user":  # maximal, but nothing records it
             root = RainbowMatching(g, start.edge_ids)
         else:  # maximal on an equal graph object that is not ``g``
@@ -585,11 +587,12 @@ class TestDeltaExtension:
             chain.append(m.with_swap(removed, added))
         for m in chain:
             if root_kind == "foreign":
-                with pytest.raises(ValueError, match="another graph"):
-                    extend_to_maximal(g, m)
+                got = extend_to_maximal(m)
+                assert got.graph is other and got.graph is not g
+                assert got.edge_ids == reference_extension(other, m.edge_ids)
                 continue
             with greedy_passes() as log:
-                got = extend_to_maximal(g, m)
+                got = extend_to_maximal(m)
             assert got.graph is g
             assert got.edge_ids == reference_extension(g, m.edge_ids)
             assert views(got) == views(RainbowMatching(g, got.edge_ids))
@@ -599,7 +602,7 @@ class TestDeltaExtension:
                 assert log == [] and got is m
             else:
                 assert log == ["delta"]
-            assert extend_to_maximal(g, got) is got  # it records being maximal
+            assert extend_to_maximal(got) is got  # it records being maximal
 
 
 class TestCloseness:
@@ -637,7 +640,7 @@ class TestExternalEdges:
         g = random_instance(1)
         m = greedy(g)
         free = set(g.num_colours - c - 1 for c in range(2))
-        for i in external_edges(g, m, free):
+        for i in external_edges(m, free):
             e = g.edge(i)
             assert e.colour in free
             assert (e.u in m.covered) != (e.v in m.covered)
@@ -645,7 +648,7 @@ class TestExternalEdges:
     def test_sorted_and_complete(self):
         g = random_instance(4)
         m = greedy(g)
-        got = external_edges(g, m, range(g.num_colours))
+        got = external_edges(m, range(g.num_colours))
         expect = [e.id for e in g.edges
                   if (e.u in m.covered) != (e.v in m.covered)]
         assert got == expect
@@ -657,8 +660,8 @@ class TestExternalEdges:
         m = greedy(g)
         expect = [e.id for e in g.edges
                   if (e.u in m.covered) != (e.v in m.covered)]
-        assert expect and external_edges(g, m, range(g.num_colours)) == expect
-        assert external_edges(g, m, [3, 1]) == [
+        assert expect and external_edges(m, range(g.num_colours)) == expect
+        assert external_edges(m, [3, 1]) == [
             i for i in expect if g.edge(i).colour in (1, 3)]
 
 
@@ -666,14 +669,14 @@ class TestJson:
     def test_round_trip(self):
         g = random_instance(2)
         m = greedy(g, seed=3)
-        doc = matching_to_json(g, m)
+        doc = matching_to_json(m)
         assert doc["size"] == len(m)
         assert [item["edge_id"] for item in doc["edges"]] == list(m.sorted_ids)
         assert matching_from_json(g, doc) == m
 
     def test_unknown_id_is_read_but_not_built(self):
         g = random_instance(0)
-        doc = matching_to_json(g, RainbowMatching(g, [0]))
+        doc = matching_to_json(RainbowMatching(g, [0]))
         doc["edges"].append({"u": None, "v": None, "colour": None, "edge_id": 999})
         doc["edges"].append({"edge_id": 0})
         assert document_ids(doc) == [0, 999, 0]

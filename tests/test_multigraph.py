@@ -43,6 +43,7 @@ def test_construction_and_indexes():
     assert e.other(0) == 2 and e.other(2) == 0
     with pytest.raises(ValueError):
         e.other(3)
+    assert repr(g) == "ColouredMultigraph(V=4, C=3, E=4)"
 
 
 def test_construction_rejects_out_of_range():

@@ -29,17 +29,17 @@ from rainbowmatch.cli import main
 from rainbowmatch.matching import external_edges
 from rainbowmatch.multigraph import dumps
 
-from conftest import brute_scan, default_params, isotope, random_instance
+from conftest import bad_per_colour, brute_scan, default_params, isotope, random_instance
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
 
 def analyse(graph, matching, params=None):
     params = params or default_params(graph)
-    flex = compute_flexible(graph, matching, params)
-    good = classify_good_bad(graph, matching, flex, params)
-    hier = build_hierarchy(graph, matching, flex, good, params)
-    return params, flex, good, hier
+    flex = compute_flexible(matching, params)
+    good_at = classify_good_bad(matching, flex, params)
+    hier = build_hierarchy(matching, flex, good_at, params)
+    return params, flex, good_at, hier
 
 
 class TestFlexibleStructure:
@@ -73,37 +73,37 @@ class TestFlexibleStructure:
     def test_full_colour_matching_short_circuits(self):
         g = ColouredMultigraph(2, 1, [(0, 1, 0)])
         m = RainbowMatching(g, [0])
-        _, flex, good, hier = analyse(g, m)
+        _, flex, good_at, hier = analyse(g, m)
         assert g.num_colours - len(m) == 0  # the matching uses every colour
         assert not flex.partners
-        assert not any(good.good_at.values()) and not good.bad_per_colour
+        assert not any(good_at.values()) and not bad_per_colour(m, flex, good_at)
         assert hier.m == 0
 
     def test_no_externals_means_no_structure(self):
         g = ColouredMultigraph(4, 3, [(0, 1, 0), (2, 3, 1)])
         m = RainbowMatching(g, [0, 1])
-        _, flex, good, hier = analyse(g, m)
+        _, flex, good_at, hier = analyse(g, m)
         assert g.num_colours - len(m) > 0  # not every colour is used
         assert flex.partners == {}
         assert hier.m == 0
         assert not hier.by_head
-        assert find_violations(g, m, hier) == []
+        assert find_violations(m, hier) == []
 
 
 class TestGoodBad:
     def test_reach_free_fixture_classification(self, reach_free_fixture):
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
-        params, flex, good, _ = analyse(g, m)
+        params, flex, good_at, _ = analyse(g, m)
         assert flex.partners.keys() == {1, 3}
         assert {oe.tail for oe in flex.partners.values()} == {3, 7}
         assert max(1, ceil(params.alpha * (g.num_colours - len(m)) / 2)) == 1
-        assert {i for ids in good.good_at.values() for i in ids} == {8, 9}
+        assert {i for ids in good_at.values() for i in ids} == {8, 9}
         # every external flexible-coloured edge is good
         assert {e.id for e in g.edges if e.colour in (1, 3)
                 and (e.u in m.covered) != (e.v in m.covered)} == {8, 9}
-        assert good.good_at == {1: (8,), 5: (9,)}
-        assert good.bad_per_colour == {1: 0, 3: 0}
+        assert good_at == {1: (8,), 5: (9,)}
+        assert bad_per_colour(m, flex, good_at) == {1: 0, 3: 0}
 
     def test_edge_eating_the_reserve_is_bad(self):
         # the only flexible-coloured external lands on the reserve itself,
@@ -115,18 +115,18 @@ class TestGoodBad:
             (1, 4, 1),   # 3: flexible-coloured, but touches reserve vertex 4
         ])
         m = RainbowMatching(g, [0, 1])
-        _, flex, good, _ = analyse(g, m)
+        _, flex, good_at, _ = analyse(g, m)
         assert flex.partners.keys() == {1}
-        assert {i for ids in good.good_at.values() for i in ids} == set()
-        assert all(3 not in ids for ids in good.good_at.values())
-        assert good.bad_per_colour == {1: 1}
+        assert {i for ids in good_at.values() for i in ids} == set()
+        assert all(3 not in ids for ids in good_at.values())
+        assert bad_per_colour(m, flex, good_at) == {1: 1}
 
 
 class TestHierarchy:
     def test_reach_free_fixture_levels(self, reach_free_fixture):
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
-        params, flex, good, hier = analyse(g, m)
+        params, flex, good_at, hier = analyse(g, m)
         assert hier.m == 1
         assert max(1, ceil(params.alpha * g.num_colours)) == 1  # the stop threshold
         level = hier.levels[0]
@@ -148,12 +148,12 @@ class TestHierarchy:
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
         params = InstanceParams.for_graph(g, epsilon="1/2", alpha="1/3")
-        _, _, good, hier = analyse(g, m, params)
+        _, _, good_at, hier = analyse(g, m, params)
         assert max(1, ceil(params.alpha * g.num_colours)) == 3
         assert hier.m == 0
         assert {le.edge_id for le in hier.stopped} == {0, 2}
         assert not hier.by_head
-        assert find_violations(g, m, hier) == []
+        assert find_violations(m, hier) == []
 
 
 class TestViolations:
@@ -161,7 +161,7 @@ class TestViolations:
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
         _, _, _, hier = analyse(g, m)
-        assert find_violations(g, m, hier) == [
+        assert find_violations(m, hier) == [
             Violation("reach_free", 10, 2, (0, 9)),
         ]
 
@@ -170,7 +170,7 @@ class TestViolations:
         m = RainbowMatching(g, [0, 1, 2, 3, 4, 5])
         _, _, _, hier = analyse(g, m)
         assert hier.by_head.keys() == {0, 4, 6}
-        assert find_violations(g, m, hier) == [
+        assert find_violations(m, hier) == [
             Violation("reach_reach", 16, 3, (0, 4)),
         ]
 
@@ -178,7 +178,7 @@ class TestViolations:
         g = free_free_fixture
         m = RainbowMatching(g, [0, 1])
         _, _, _, hier = analyse(g, m)
-        assert find_violations(g, m, hier) == [
+        assert find_violations(m, hier) == [
             Violation("free_free", 5, 0, (6, 7)),
         ]
 
@@ -204,7 +204,7 @@ class TestViolations:
             v.kind = "extend"
 
 
-def brute_pairs(g, m, flex, good, le) -> tuple:
+def brute_pairs(g, m, flex, good_at, le) -> tuple:
     """The level-1 configurations ``(w, z, gid, hid, partner, spare)`` of
     ``le``, enumerated from the graph: good edges at the tail (external,
     flexible-coloured, not bad) times the external unused-colour edges at the
@@ -217,7 +217,7 @@ def brute_pairs(g, m, flex, good, le) -> tuple:
             continue
         w = ge.other(le.tail)
         # an external flexible-coloured edge is bad unless good_at holds it
-        if w in m.covered or gid not in good.good_at.get(le.tail, ()):
+        if w in m.covered or gid not in good_at.get(le.tail, ()):
             continue
         partner = flex.partners[ge.colour]
         if partner.edge_id == le.edge_id:
@@ -236,7 +236,7 @@ def recount_certificates(g, m) -> int:
     """Recount every level edge's certificate from scratch, check that each
     level edge carries exactly the switch options counted, and return how
     many level-2+ edges were checked."""
-    params, flex, good, hier = analyse(g, m)
+    params, flex, good_at, hier = analyse(g, m)
     free_set = {v for v in range(g.num_vertices) if v not in m.covered}
     flex_colours = flex.partners.keys()
     level1_threshold = (max(1, ceil(params.alpha * len(flex_colours)))
@@ -248,8 +248,8 @@ def recount_certificates(g, m) -> int:
         for le in level.edges:
             if level.index == 1:
                 assert le.cert == 0
-                assert len(good.good_at.get(le.tail, ())) >= level1_threshold
-                assert le.pairs == brute_pairs(g, m, flex, good, le)
+                assert len(good_at.get(le.tail, ())) >= level1_threshold
+                assert le.pairs == brute_pairs(g, m, flex, good_at, le)
                 assert le.lifts == le.descends == ()
                 continue
             assert 1 <= le.cert < level.index
@@ -283,7 +283,7 @@ def check_structure(g, m):
     params, _, _, hier = analyse(g, m)
 
     # maximal matchings leave no extend violations
-    found = find_violations(g, m, hier)
+    found = find_violations(m, hier)
     assert all(v.kind != "extend" for v in found)
 
     # detector agrees with the brute-force sweep, order and witnesses too
@@ -341,7 +341,7 @@ class TestProperties:
         dropped = full.sorted_ids[drop % len(full)]
         m = RainbowMatching(g, full.edge_ids - {dropped})
         _, _, _, hier = analyse(g, m)
-        found = find_violations(g, m, hier)
+        found = find_violations(m, hier)
         assert [(v.kind, v.edge_id, v.colour, v.vertices)
                 for v in found] == brute_scan(g, m, hier)
         assert ("extend", dropped) in [(v.kind, v.edge_id) for v in found]
@@ -358,8 +358,8 @@ class TestProperties:
     def test_counting_partition(self, seed, greedy_seed):
         g = random_instance(seed)
         m = greedy(g, greedy_seed)
-        params, flex, good, hier = analyse(g, m)
-        doc = counting_diagnostics(g, m, hier, params)
+        params, flex, good_at, hier = analyse(g, m)
+        doc = counting_diagnostics(m, hier, params)
 
         # core is covered - heads - fringe, so this holds exactly when the
         # fringe lies in the covered vertices and misses the heads
@@ -380,8 +380,8 @@ class TestProperties:
     def test_count_report_json_keys(self):
         g = random_instance(0)
         m = greedy(g)
-        params, flex, good, hier = analyse(g, m)
-        doc = counting_diagnostics(g, m, hier, params)
+        params, flex, good_at, hier = analyse(g, m)
+        doc = counting_diagnostics(m, hier, params)
         assert list(doc) == [
             "reach_colours", "fringe_size", "core_size", "reach_edges_total",
             "reach_edges_touching_fringe", "reach_edges_core_not_fringe",
@@ -394,10 +394,10 @@ class TestCountingErrors:
     def test_improper_colouring_breaks_the_properness_bound(self, improper_witness):
         g = improper_witness
         m = greedy(g, 0)
-        params, flex, good, hier = analyse(g, m, InstanceParams.for_graph(g))
+        params, flex, good_at, hier = analyse(g, m, InstanceParams.for_graph(g))
         with pytest.raises(ValueError, match=r"colour 2 has 2 edges inside a "
                                              r"core of 2 vertices"):
-            counting_diagnostics(g, m, hier, params)
+            counting_diagnostics(m, hier, params)
 
 
 def scan_entry(hier, key, attr):
@@ -475,9 +475,9 @@ def reachability_facts(graph, tmp_path, capsys) -> dict:
     no record reprs, so fields may move between records as long as the facts
     stay."""
     m = greedy(graph, 0)
-    ctx = SwitchContext.build(graph, m)
+    ctx = SwitchContext.build(m)
     flex, hier = ctx.flex, ctx.hierarchy
-    good = classify_good_bad(graph, m, flex, InstanceParams.for_graph(graph))
+    good_at = classify_good_bad(m, flex, InstanceParams.for_graph(graph))
 
     def level_edge(le):
         return [le.edge_id, le.tail, le.head, le.colour, le.cert]
@@ -488,7 +488,7 @@ def reachability_facts(graph, tmp_path, capsys) -> dict:
         for le in level.edges:
             # a level-2+ edge carries no base pairs; they stay pinned anyway
             pairs = le.pairs if level.index == 1 else brute_pairs(
-                graph, m, flex, good, le)
+                graph, m, flex, good_at, le)
             entry = {"edge": level_edge(le), "base_pairs": [
                 [w, z, gid, hid, partner.edge_id, partner.tail, spare]
                 for w, z, gid, hid, partner, spare in pairs]}
@@ -503,16 +503,16 @@ def reachability_facts(graph, tmp_path, capsys) -> dict:
         "flexible": [[oe.edge_id, oe.tail, oe.head, oe.colour]
                      for oe in flex.partners.values()],
         "external_free_at": sorted(flex.external_free_at.items()),
-        "good_at": sorted(good.good_at.items()),
-        "bad": sorted(set(external_edges(graph, m, flex.partners))
-                      - {i for ids in good.good_at.values() for i in ids}),
-        "bad_per_colour": sorted(good.bad_per_colour.items()),
+        "good_at": sorted(good_at.items()),
+        "bad": sorted(set(external_edges(m, flex.partners))
+                      - {i for ids in good_at.values() for i in ids}),
+        "bad_per_colour": sorted(bad_per_colour(m, flex, good_at).items()),
         "levels": levels,
         "stopped": [level_edge(le) for le in hier.stopped],
         "reach_heads": sorted(hier.by_head),
         "reach_colours": sorted(hier.by_colour),
         "violations": [[v.kind, v.edge_id, v.colour, v.vertices]
-                       for v in find_violations(graph, m, hier)],
+                       for v in find_violations(m, hier)],
         "stats": json.loads(capsys.readouterr().out),
     }
 

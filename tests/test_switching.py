@@ -18,9 +18,11 @@ from rainbowmatch import (
     SwitchContext,
     SwitchRequest,
     SwitchUsageError,
+    Violation,
     augment,
     closeness_slack,
     cyclic_square,
+    extend_to_maximal,
     generate_random,
     greedy,
     latin_to_graph,
@@ -62,7 +64,7 @@ class TestBaseCase:
     def test_single_exchange(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with recorded_calls() as log:
             out = switching.robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0))
         assert not isinstance(out, NotFound)
@@ -79,7 +81,7 @@ class TestBaseCase:
     def test_z_avoided(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         out = robust_switch(ctx, base, SwitchRequest(
             colour=0, vertex=0, avoid_vertices=[5]))
         assert isinstance(out, NotFound)
@@ -89,7 +91,7 @@ class TestBaseCase:
     def test_w_avoided(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         out = robust_switch(ctx, base, SwitchRequest(
             colour=0, vertex=0, avoid_vertices=[4]))
         assert isinstance(out, NotFound)
@@ -98,7 +100,7 @@ class TestBaseCase:
     def test_partner_fixed(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         out = robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0, fix=[1]))
         assert isinstance(out, NotFound)
         assert out.rejections == {"partner_fixed": 1}
@@ -108,7 +110,7 @@ class TestBaseCase:
         g = ColouredMultigraph(8, 4, [
             (0, 1, 0), (2, 3, 1), (1, 4, 1), (3, 5, 2), (6, 7, 3), (4, 7, 3)])
         base = RainbowMatching(g, [0, 1, 4])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         drifted = RainbowMatching(g, [0, 1, 5])  # edge 5 covers w = 4
         out = robust_switch(ctx, drifted, SwitchRequest(
             colour=0, vertex=0, budget=2))
@@ -119,7 +121,7 @@ class TestBaseCase:
         g = ColouredMultigraph(8, 4, [
             (0, 1, 0), (2, 3, 1), (1, 4, 1), (3, 5, 2), (6, 7, 3), (5, 7, 3)])
         base = RainbowMatching(g, [0, 1, 4])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         drifted = RainbowMatching(g, [0, 1, 5])  # edge 5 covers z = 5
         out = robust_switch(ctx, drifted, SwitchRequest(
             colour=0, vertex=0, budget=2))
@@ -130,7 +132,7 @@ class TestBaseCase:
         g = ColouredMultigraph(8, 3, [
             (0, 1, 0), (2, 3, 1), (1, 4, 1), (3, 5, 2), (6, 7, 1), (6, 7, 2)])
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         holder_elsewhere = RainbowMatching(g, [0, 4])  # colour 1 via edge 4
         out = robust_switch(ctx, holder_elsewhere, SwitchRequest(
             colour=0, vertex=0, budget=2))
@@ -155,7 +157,7 @@ class TestBaseCase:
             (8, 9, 2),   # 6: colour-2 edge the current matching drifts onto
         ])
         base = RainbowMatching(g, [0, 1, 5])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         drifted = RainbowMatching(g, [0, 1, 6])
         out = robust_switch(ctx, drifted, SwitchRequest(
             colour=0, vertex=0, budget=2))
@@ -168,7 +170,7 @@ class TestBaseCase:
             (0, 1, 0), (2, 3, 1), (1, 4, 1), (3, 5, 2), (3, 5, 3), (6, 7, 4),
             (8, 9, 2)])
         base = RainbowMatching(g, [0, 1, 5])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         out = robust_switch(ctx, base, SwitchRequest(
             colour=0, vertex=0, avoid_colours=[2]))
         assert not isinstance(out, NotFound)
@@ -181,21 +183,21 @@ class TestUsageErrors:
     def test_unreachable_colour(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with pytest.raises(SwitchUsageError, match="not reachable"):
             robust_switch(ctx, base, SwitchRequest(colour=1, vertex=2))
 
     def test_wrong_vertex(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with pytest.raises(SwitchUsageError, match="designated head"):
             robust_switch(ctx, base, SwitchRequest(colour=0, vertex=1))
 
     def test_target_already_gone(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         drifted = RainbowMatching(g, [2, 3])
         with pytest.raises(SwitchUsageError, match="left the matching"):
             robust_switch(ctx, drifted, SwitchRequest(
@@ -204,21 +206,21 @@ class TestUsageErrors:
     def test_fix_target(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with pytest.raises(SwitchUsageError, match="cannot fix"):
             robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0, fix=[0]))
 
     def test_fix_outside_matching(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with pytest.raises(SwitchUsageError, match="outside the matching"):
             robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0, fix=[3]))
 
     def test_avoided_vertex_covered(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with pytest.raises(SwitchUsageError, match="already covered"):
             robust_switch(ctx, base, SwitchRequest(
                 colour=0, vertex=0, avoid_vertices=[1]))
@@ -226,7 +228,7 @@ class TestUsageErrors:
     def test_avoided_colour_in_use(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with pytest.raises(SwitchUsageError, match="already in use"):
             robust_switch(ctx, base, SwitchRequest(
                 colour=0, vertex=0, avoid_colours=[1]))
@@ -234,7 +236,7 @@ class TestUsageErrors:
     def test_set_size_cap(self, reach_free_fixture):
         g = reach_free_fixture
         base = RainbowMatching(g, [0, 1, 2, 3])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         # m = 1 so the cap at level 1 is 2(m - 1 + 1) = 2
         with pytest.raises(SwitchUsageError, match="larger than 2"):
             robust_switch(ctx, base, SwitchRequest(
@@ -245,7 +247,7 @@ class TestUsageErrors:
             (0, 1, 0), (2, 3, 1), (1, 4, 1), (3, 5, 2), (3, 6, 3), (6, 7, 4),
             (8, 9, 2)])
         base = RainbowMatching(g, [0, 1, 5])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         drifted = RainbowMatching(g, [0, 1, 6])
         with pytest.raises(SwitchUsageError, match="farther from base"):
             robust_switch(ctx, drifted, SwitchRequest(colour=0, vertex=0))
@@ -253,7 +255,7 @@ class TestUsageErrors:
     def test_depth_beyond_hierarchy(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with pytest.raises(SwitchUsageError, match="deeper"):
             robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0), depth=2)
 
@@ -283,7 +285,7 @@ class TestUsageErrors:
     def test_first_broken_rule_wins(self, base_switch_fixture, max_budget,
                                     current_ids, request_kw, depth, message):
         g = base_switch_fixture
-        ctx = SwitchContext.build(g, RainbowMatching(g, [0, 1]),
+        ctx = SwitchContext.build(RainbowMatching(g, [0, 1]),
                                   max_budget=max_budget)
         current = RainbowMatching(g, current_ids)
         with pytest.raises(SwitchUsageError, match=re.escape(message)):
@@ -292,7 +294,7 @@ class TestUsageErrors:
     def test_cap_names_the_first_oversized_set(self, reach_free_fixture):
         g = reach_free_fixture
         base = RainbowMatching(g, [0, 1, 2, 3])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         with pytest.raises(SwitchUsageError,
                            match="^avoid_vertices larger than 2 at level 1$"):
             robust_switch(ctx, base, SwitchRequest(
@@ -312,14 +314,16 @@ class TestUsageErrors:
         with pytest.raises(ValueError, match=rf"^not rainbow: {re.escape(problem)}$"):
             RainbowMatching(g, edge_ids)
 
-    def test_base_of_another_graph(self):
-        # g1's edge 0 covers {0, 1}, g2's covers {0, 2}: built on g2, the
-        # context would miss g2's edge 1, which extends the matching
+    def test_context_reads_the_base_graph(self):
+        # g1's edge 0 covers {0, 1}, g2's covers {0, 2}: g2's edge 1 would
+        # extend at (1, 3), g1's extends at (2, 3)
         g1 = ColouredMultigraph(4, 2, [(0, 1, 0), (2, 3, 1)])
         g2 = ColouredMultigraph(4, 2, [(0, 2, 0), (1, 3, 1)])
-        with pytest.raises(SwitchUsageError,
-                           match="^base is a matching of another graph$"):
-            SwitchContext.build(g2, RainbowMatching(g1, [0]))
+        base = RainbowMatching(g1, [0])
+        assert extend_to_maximal(base).edge_ids == {0, 1}
+        ctx = SwitchContext.build(base)
+        assert ctx.base.graph is g1 and ctx.base.graph is not g2
+        assert ctx.violations() == [Violation("extend", 1, 1, (2, 3))]
 
     def test_request_coerces_collections(self):
         req = SwitchRequest(colour=0, vertex=0, fix=[1, 2],
@@ -352,7 +356,7 @@ class TestBudgetCap:
     def test_cap_blocks_before_search(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base, max_budget=3)
+        ctx = SwitchContext.build(base, max_budget=3)
         out = robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0))
         assert isinstance(out, NotFound)
         assert out.reason == "budget_cap"
@@ -361,10 +365,10 @@ class TestBudgetCap:
     def test_cap_boundary_level_two(self, descend_fixture):
         g = descend_fixture
         base = RainbowMatching(g, [0, 1, 2, 3, 4])
-        blocked = SwitchContext.build(g, base, max_budget=9)
+        blocked = SwitchContext.build(base, max_budget=9)
         out = robust_switch(blocked, base, SwitchRequest(colour=6, vertex=6))
         assert isinstance(out, NotFound) and out.reason == "budget_cap"
-        exact = SwitchContext.build(g, base, max_budget=10)
+        exact = SwitchContext.build(base, max_budget=10)
         out2 = robust_switch(exact, base, SwitchRequest(colour=6, vertex=6))
         assert not isinstance(out2, NotFound)
 
@@ -373,7 +377,7 @@ class TestInductiveCase:
     def test_lift(self, lift_fixture):
         g = lift_fixture
         base = RainbowMatching(g, [0, 1, 2])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         assert ctx.hierarchy.m == 2
         with recorded_calls() as log:
             out = switching.robust_switch(ctx, base, SwitchRequest(colour=2, vertex=6))
@@ -394,7 +398,7 @@ class TestInductiveCase:
     def test_descend(self, descend_fixture):
         g = descend_fixture
         base = RainbowMatching(g, [0, 1, 2, 3, 4])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         assert ctx.hierarchy.m == 2
         with recorded_calls() as log:
             out = switching.robust_switch(ctx, base, SwitchRequest(colour=6, vertex=6))
@@ -406,6 +410,12 @@ class TestInductiveCase:
         assert [(c.depth, c.level, c.case) for c in out.calls] == [
             (1, 1, "base"), (1, 1, "base"), (0, 2, "descend")]
         assert out.calls[2].removed == (4,) and out.calls[2].added == (11,)
+        # the descend is one record over the two calls it made, and the
+        # second of them keeps its own rejections
+        assert out.calls[2] is out and out.under == tuple(out.calls[:2])
+        assert [c.under for c in out.under] == [(), ()]
+        assert [c.rejections for c in out.calls] == [
+            {}, {"spare_colour_in_use": 1}, {}]
         assert 6 not in out.matching.colours
         assert 6 not in out.matching.covered
         # the first inner switch keeps both the level-2 edge and the lower
@@ -420,7 +430,7 @@ class TestInductiveCase:
         rows.append((7, 12, 0))  # edge 12: lift candidate to free vertex 12
         g = ColouredMultigraph(17, 7, rows)
         base = RainbowMatching(g, [0, 1, 2, 3, 4])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         out = robust_switch(ctx, base, SwitchRequest(colour=6, vertex=6))
         assert not isinstance(out, NotFound)
         assert out.calls[-1].case == "lift"
@@ -429,7 +439,7 @@ class TestInductiveCase:
     def test_recursion_failed_surfaces(self, lift_fixture):
         g = lift_fixture
         base = RainbowMatching(g, [0, 1, 2])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         # both spare colours forbidden starves the inner base switch
         out = robust_switch(ctx, base, SwitchRequest(
             colour=2, vertex=6, avoid_colours=[4, 5]))
@@ -442,7 +452,7 @@ class TestAugment:
     def test_extend(self, base_switch_fixture):
         g = base_switch_fixture
         base = RainbowMatching(g, [1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         (violation,) = ctx.violations()
         assert violation.kind == "extend"
         with recorded_calls() as log:
@@ -454,7 +464,7 @@ class TestAugment:
 
     def test_unknown_kind(self, base_switch_fixture):
         g = base_switch_fixture
-        ctx = SwitchContext.build(g, RainbowMatching(g, [1]))
+        ctx = SwitchContext.build(RainbowMatching(g, [1]))
         (violation,) = ctx.violations()
         with pytest.raises(SwitchUsageError,
                            match="^unknown violation kind 'bogus'$"):
@@ -463,7 +473,7 @@ class TestAugment:
     def test_free_free(self, free_free_fixture):
         g = free_free_fixture
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         (violation,) = ctx.violations()
         assert violation.kind == "free_free"
         with recorded_calls() as log:
@@ -478,7 +488,7 @@ class TestAugment:
     def test_reach_free(self, reach_free_fixture):
         g = reach_free_fixture
         base = RainbowMatching(g, [0, 1, 2, 3])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         (violation,) = ctx.violations()
         assert violation.kind == "reach_free"
         with recorded_calls() as log:
@@ -496,7 +506,7 @@ class TestAugment:
     def test_reach_reach(self, reach_reach_fixture):
         g = reach_reach_fixture
         base = RainbowMatching(g, [0, 1, 2, 3, 4, 5])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         (violation,) = ctx.violations()
         assert violation.kind == "reach_reach"
         with recorded_calls() as log:
@@ -506,6 +516,9 @@ class TestAugment:
         assert len(out.matching) == 7
         assert verify(g, out.matching) == []
         assert len(out.calls) == 3
+        # each call of the chain keeps the rejections of its own scan
+        assert [c.rejections for c in out.calls] == [
+            {}, {"spare_colour_in_use": 1}, {"spare_colour_in_use": 2}]
         assert [rec.distance_to_base for rec in log] == [4, 8, 12]
         assert requests_served(log) == [
             (0, 0, 0, (2, 3), (), ()), (2, 4, 4, (3,), (0,), ()),
@@ -523,7 +536,7 @@ class TestAugment:
             (0, 6, 0),   # violating edge in colour 0 off its own head
         ])
         base = RainbowMatching(g, [0, 1])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         (violation,) = ctx.violations()
         assert violation.kind == "reach_free"
         assert violation.vertices == (0, 6)
@@ -554,7 +567,7 @@ class TestAugment:
             (3, 13, 6),   # 11: third spare at 3
         ])
         base = RainbowMatching(g, [0, 1, 2, 3])
-        ctx = SwitchContext.build(g, base)
+        ctx = SwitchContext.build(base)
         (violation,) = ctx.violations()
         assert violation.kind == "reach_reach"
         assert violation.vertices == (0, 4)
@@ -571,7 +584,7 @@ class TestAugment:
     def test_not_found_propagates(self, reach_free_fixture):
         g = reach_free_fixture
         base = RainbowMatching(g, [0, 1, 2, 3])
-        ctx = SwitchContext.build(g, base, max_budget=3)
+        ctx = SwitchContext.build(base, max_budget=3)
         (violation,) = ctx.violations()
         with recorded_calls() as log:
             out = augment(ctx, violation)
@@ -610,7 +623,7 @@ class TestContractFuzz:
     def test_every_reachable_colour_obeys_the_contract(self, seed, greedy_seed):
         g = random_instance(seed)
         base = greedy(g, greedy_seed)
-        check_switch_contract(g, base, SwitchContext.build(g, base))
+        check_switch_contract(g, base, SwitchContext.build(base))
 
 
 # the reachability golden instances that grow level-2 edges; the random
@@ -626,7 +639,7 @@ class TestContractLevel2:
             g = REACHABILITY_GOLDEN[name][0]()
             for greedy_seed in range(4):
                 base = greedy(g, greedy_seed)
-                found += check_switch_contract(g, base, SwitchContext.build(g, base))
+                found += check_switch_contract(g, base, SwitchContext.build(base))
         assert any(level >= 2 for level in found)
 
 
@@ -759,7 +772,7 @@ class TestGoldenOutput:
         def counting(ctx, current, request, depth=0):
             out = inner(ctx, current, request, depth)
             if type(out) is switching.SwitchOutcome:
-                landed[out.calls[-1].case] += 1
+                landed[out.case] += 1
             return out
 
         monkeypatch.setattr(switching, "robust_switch", counting)
@@ -847,11 +860,11 @@ class TestExchangeReplay:
                 calls = out.calls
                 for i, c in enumerate(calls):
                     if c.case == "base":
-                        assert c.start.with_swap(c.removed, c.added) == c.result
+                        assert c.start.with_swap(c.removed, c.added) == c.matching
                     else:
                         assert i > 0 and calls[i - 1].depth == c.depth + 1
-                        before = calls[i - 1].result
-                        assert before.with_swap(c.removed, c.added) == c.result
+                        before = calls[i - 1].matching
+                        assert before.with_swap(c.removed, c.added) == c.matching
                     assert c.removed[0] == ctx.hierarchy.entry(c.request.colour).edge_id
                     # a chain builds its requests uncoerced: every set is a frozenset
                     assert type(c.request) is SwitchRequest
