@@ -375,18 +375,20 @@ _COMMANDS = {
 
 
 def _build_parser(argv) -> _Parser:
-    """The parser for the arguments ``argv``.  Every subcommand is
-    registered, but only the one that ``argv`` starts with gets its
-    arguments; when it starts with none (help, a typo, nothing at all), all
-    of them do, so usage and errors read as the full tree's."""
+    """The parser for the arguments ``argv``.  When ``argv`` starts with a
+    subcommand, only that one is registered, under the full tree's metavar
+    so that usage reads the same; when it starts with none (help, a typo,
+    nothing at all), all of them are, so usage and errors read as the full
+    tree's.  The metavar is left out there: it would rename the argument in
+    the "required" and "invalid choice" errors."""
     parser = _Parser(prog="rainbowmatch",
                      description="Rainbow matchings in properly edge-coloured multigraphs")
-    sub = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=named and "{" + ",".join(_COMMANDS) + "}")
     for name, (text, fill) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
         if named is None or named == name:
-            fill(p)
+            fill(sub.add_parser(name, help=text))
     return parser
 
 

@@ -236,6 +236,8 @@ def loads_square(text: str) -> LatinSquare:
             if len(vals) != 1:
                 raise ValueError(f"line {lineno}: first line must be the order")
             order = vals[0]
+            if order < 0:
+                raise ValueError(f"line {lineno}: order must be non-negative")
             continue
         if len(vals) != order:
             raise ValueError(f"line {lineno}: expected {order} symbols")

@@ -121,9 +121,19 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     as wide as the colours that occur, not as the largest colour id.  Every
     further matching edge comes from the suffix and uses a distinct unused
     colour, a distinct free vertex of each cover and two free vertices of its
-    own, so the bound is valid.  The colour term is tested at every node,
-    the vertex terms once per state: after each pop and after each take.
-    Tested at every node, they cost more than they prune on general graphs.
+    own, so the bound is valid.  The colour term decides at every node, the
+    vertex terms are tested once per state: after each pop and after each
+    take.  Tested at every node, they cost more than they prune on general
+    graphs.
+
+    A free mask holds the positions in ``order`` that no chosen edge blocks.
+    After a node whose edge is blocked, the nodes up to the next free
+    position only skip: ``k`` and the best size stay put, and the colour
+    term can only fall, as each suffix's colours hold the next one's.  So
+    such a run is counted in one step when the colour term passes at its
+    last node, and up to the first node where it fails otherwise.  A run
+    stops short of the next node at which a cap may fire, so caps fire at
+    the same node as when each node is stepped through.
 
     A valid bound never prunes a node whose subtree holds a matching larger
     than the best found so far.  With the branching order fixed, the nodes
@@ -142,6 +152,20 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     vmasks = [1 << bit[e.u] | 1 << bit[e.v] for e in order]
     rank = {c: i for i, c in enumerate(sorted({e.colour for e in order}))}
     cbits = [1 << rank[e.colour] for e in order]
+    # keep[i]: three masks whose AND holds the positions of the edges that
+    # share no vertex and no colour with order[i] (those off each of its
+    # ends and off its colour).  Shared per vertex and colour, they take
+    # O((V + C) m) bits like the suffix tables; one mask per edge takes m^2
+    at_v = [0] * len(bit)
+    at_c = [0] * len(rank)
+    for i, e in enumerate(order):
+        at_v[bit[e.u]] |= 1 << i
+        at_v[bit[e.v]] |= 1 << i
+        at_c[rank[e.colour]] |= 1 << i
+    full = (1 << m) - 1
+    off_v = [full & ~x for x in at_v]
+    off_c = [full & ~x for x in at_c]
+    keep = [(off_v[bit[e.u]], off_v[bit[e.v]], off_c[rank[e.colour]]) for e in order]
     adjacent = [0] * len(bit)
     for e in order:
         adjacent[bit[e.u]] |= 1 << bit[e.v]
@@ -170,10 +194,10 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     best: tuple[int, ...] = ()
     chosen: list[int] = []
     # skip branches still to visit: (edge index, used vertices, used colours,
-    # len(chosen))
-    stack = [(0, 0, 0, 0)]
+    # len(chosen), free positions)
+    stack = [(0, 0, 0, 0, full)]
     while stack:
-        i, used_v, used_c, k = stack.pop()
+        i, used_v, used_c, k, free = stack.pop()
         del chosen[k:]
         fresh = True  # the vertex terms are still to be tested for used_v
         while True:
@@ -197,13 +221,32 @@ def max_rainbow_matching(graph: ColouredMultigraph,
                         or (nv[i] - (vsuffix[i] & used_v).bit_count()) // 2 <= slack):
                     break
                 fresh = False
-            if not (used_v & vmasks[i] or used_c & cbits[i]):
-                stack.append((i + 1, used_v, used_c, k))
+            if free >> i & 1:
+                stack.append((i + 1, used_v, used_c, k, free))
                 chosen.append(ids[i])
                 used_v |= vmasks[i]
                 used_c |= cbits[i]
+                a, b, c = keep[i]
+                free &= a & b & c
                 k += 1
                 fresh = True
+            else:
+                # nodes i+1 .. last only skip a blocked edge: last is short
+                # of the next free position and of node check_at
+                rest = free >> i + 1
+                last = i + (rest & -rest).bit_length() - 1 if rest else m - 1
+                if last - i >= check_at - nodes:
+                    last = i + check_at - 1 - nodes
+                if nc[last] - (suffix[last] & used_c).bit_count() <= slack:
+                    # the colour term only falls along the run: count up to
+                    # the node where it first fails
+                    p = i + 1
+                    while nc[p] - (suffix[p] & used_c).bit_count() > slack:
+                        p += 1
+                    nodes += p - i
+                    break
+                nodes += last - i
+                i = last
             i += 1
     return OracleResult(best_size, best, nodes)
 
@@ -214,13 +257,18 @@ def max_partial_transversal(square: LatinSquare,
     """Exact maximum partial transversal by row-wise search over cells.
 
     Works on the square directly (columns and symbols as bitmasks), with the
-    bound min(rows left, free columns, free symbols).  A node's children are
-    its free cells in row ``i`` by ascending column, then the child that
-    leaves row ``i`` empty; they are pushed in reverse so they pop in that
-    order.  Independent of the graph search above.
+    bound min(rows left, free columns, free symbols): a node holding ``k``
+    cells has ``n - k`` free columns and as many free symbols.  A node's
+    children are its free cells in row ``i`` by ascending column, then the
+    child that leaves row ``i`` empty; they are pushed in reverse so they
+    pop in that order, from each row's cells built once.  Independent of
+    the graph search above.
     """
     n = square.order
-    rows = square.rows
+    # each row's cells as (column bit, symbol bit, cell), in push order
+    bits = [1 << j for j in range(n)]
+    cells = [[(bits[j], bits[row[j]], (i, j)) for j in range(n - 1, -1, -1)]
+             for i, row in enumerate(square.rows)]
     deadline = _deadline(time_limit)
     nodes = 0
     check_at = _next_check(0, max_nodes)
@@ -247,13 +295,10 @@ def max_partial_transversal(square: LatinSquare,
             best = tuple(chosen)
         if i == n:
             continue
-        room = min(n - i, n - cols.bit_count(), n - syms.bit_count())
-        if k + room <= best_size:
+        if k + min(n - i, n - k) <= best_size:
             continue
         stack.append((i + 1, cols, syms, k, None))
-        row = rows[i]
-        for j in range(n - 1, -1, -1):
-            s = row[j]
-            if not (cols >> j & 1 or syms >> s & 1):
-                stack.append((i + 1, cols | 1 << j, syms | 1 << s, k, (i, j)))
+        for cbit, sbit, cell in cells[i]:
+            if not (cols & cbit or syms & sbit):
+                stack.append((i + 1, cols | cbit, syms | sbit, k, cell))
     return OracleResult(best_size, best, nodes)

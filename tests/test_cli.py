@@ -515,7 +515,7 @@ class TestErrors:
 
 
 class TestParser:
-    """The parser fills in only the subcommand that argv names, and reads
+    """The parser registers only the subcommand that argv names, and reads
     every argv exactly as the full tree does."""
 
     @staticmethod
@@ -554,12 +554,25 @@ class TestParser:
     def test_arguments_match_the_full_tree(self, argv):
         assert _build_parser(argv).parse_args(argv) == _build_parser([]).parse_args(argv)
 
-    def test_only_the_named_subcommand_is_filled(self):
-        def filled(parser):
-            choices = parser._subparsers._group_actions[0].choices
-            return {name for name, p in choices.items() if len(p._actions) > 1}
+    # the full tree's own stderr, pinned literally: the tests above compare
+    # the trimmed parser with the full tree, built by the same code
+    @pytest.mark.parametrize("argv,err", [
+        (["solve", "--input", "x", "--bogus"],
+         "error: unrecognized arguments: --bogus\n"),
+        ([], "error: the following arguments are required: command\n"),
+        (["solvee"], "error: argument command: invalid choice: 'solvee' (choose from "
+         "'solve', 'verify', 'oracle', 'stats', 'check', 'generate', 'bench')\n"),
+    ], ids=["unrecognized", "nothing", "typo"])
+    def test_literal_errors(self, argv, err, capsys):
+        assert self.outcome(_build_parser(argv), argv, capsys) == (
+            1, "", "usage: rainbowmatch [-h] "
+                   "{solve,verify,oracle,stats,check,generate,bench} ...\n" + err)
 
-        assert filled(_build_parser([])) == set(_COMMANDS)
-        assert filled(_build_parser(["--help", "solve"])) == set(_COMMANDS)
+    def test_only_the_named_subcommand_is_filled(self):
+        def registered(parser):
+            return set(parser._subparsers._group_actions[0].choices)
+
+        assert registered(_build_parser([])) == set(_COMMANDS)
+        assert registered(_build_parser(["--help", "solve"])) == set(_COMMANDS)
         for name in _COMMANDS:
-            assert filled(_build_parser([name, "--help"])) == {name}
+            assert registered(_build_parser([name, "--help"])) == {name}

@@ -73,13 +73,15 @@ def test_square_text_round_trip():
         loads_square("2\n0 1\n")
     with pytest.raises(ValueError):
         loads_square("")
+    assert loads_square("0\n").rows == ()
 
 
 @pytest.mark.parametrize("text,message", [
     ("2\n0 x\n1 0\n", "line 2: expected integers"),
     ("2 2\n0 1\n1 0\n", "line 1: first line must be the order"),
     ("2\n0 1\n1 0 1\n", "line 3: expected 2 symbols"),
-], ids=["not_an_integer", "no_order_line", "row_length"])
+    ("# no rows\n-2\n", "line 2: order must be non-negative"),
+], ids=["not_an_integer", "no_order_line", "row_length", "negative_order"])
 def test_loads_square_rejects(text, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         loads_square(text)

@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from rainbowmatch import (
     CapExceeded,
@@ -23,7 +23,10 @@ from rainbowmatch import (
     verify,
 )
 
-from conftest import isotope, random_instance, tight_instance
+from rainbowmatch.oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, OracleResult,
+                                 _breach, _deadline, _greedy_cover, _next_check)
+
+from conftest import isotope, random_instance, raw_graphs, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -200,6 +203,160 @@ class TestAgainstColourBound:
         res = max_rainbow_matching(graph)
         assert (res.size, res.witness) == (size, witness)
         assert res.nodes <= nodes
+
+
+def reference_rainbow_matching(graph, max_nodes=DEFAULT_MAX_NODES,
+                               time_limit=DEFAULT_TIME_LIMIT):
+    """A frozen copy of the graph search that tests every node's fit and
+    colour term one node at a time: the search tree that
+    :func:`max_rainbow_matching` must walk, node for node."""
+    order = [e for e in graph.edges if e.u != e.v]
+    order.sort(key=lambda e: (graph.colour_class_size(e.colour), e.id))
+    m = len(order)
+    ids = [e.id for e in order]
+    ends = sorted({x for e in order for x in (e.u, e.v)})
+    bit = {v: i for i, v in enumerate(ends)}
+    vmasks = [1 << bit[e.u] | 1 << bit[e.v] for e in order]
+    rank = {c: i for i, c in enumerate(sorted({e.colour for e in order}))}
+    cbits = [1 << rank[e.colour] for e in order]
+    adjacent = [0] * len(bit)
+    for e in order:
+        adjacent[bit[e.u]] |= 1 << bit[e.v]
+        adjacent[bit[e.v]] |= 1 << bit[e.u]
+    cover1 = _greedy_cover(adjacent, range(len(bit)))
+    cover2 = _greedy_cover(adjacent, range(len(bit) - 1, -1, -1))
+    suffix = [0] * (m + 1)
+    vsuffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | cbits[i]
+        vsuffix[i] = vsuffix[i + 1] | vmasks[i]
+    s1 = [vs & cover1 for vs in vsuffix]
+    s2 = [vs & cover2 for vs in vsuffix]
+    nc = [x.bit_count() for x in suffix]
+    nv = [x.bit_count() for x in vsuffix]
+    n1 = [x.bit_count() for x in s1]
+    n2 = [x.bit_count() for x in s2]
+    deadline = _deadline(time_limit)
+    nodes = 0
+    check_at = _next_check(0, max_nodes)
+    best_size = 0
+    best = ()
+    chosen = []
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, used_v, used_c, k = stack.pop()
+        del chosen[k:]
+        fresh = True
+        while True:
+            nodes += 1
+            if nodes >= check_at:
+                breach = _breach(nodes, max_nodes, deadline)
+                if breach:
+                    raise CapExceeded(breach, OracleResult(best_size, best, nodes))
+                check_at = _next_check(nodes, max_nodes)
+            if k > best_size:
+                best_size = k
+                best = tuple(chosen)
+            if i == m:
+                break
+            slack = best_size - k
+            if nc[i] - (suffix[i] & used_c).bit_count() <= slack:
+                break
+            if fresh:
+                if (n1[i] - (s1[i] & used_v).bit_count() <= slack
+                        or n2[i] - (s2[i] & used_v).bit_count() <= slack
+                        or (nv[i] - (vsuffix[i] & used_v).bit_count()) // 2 <= slack):
+                    break
+                fresh = False
+            if not (used_v & vmasks[i] or used_c & cbits[i]):
+                stack.append((i + 1, used_v, used_c, k))
+                chosen.append(ids[i])
+                used_v |= vmasks[i]
+                used_c |= cbits[i]
+                k += 1
+                fresh = True
+            i += 1
+    return OracleResult(best_size, best, nodes)
+
+
+def reference_partial_transversal(square, max_nodes=DEFAULT_MAX_NODES,
+                                  time_limit=DEFAULT_TIME_LIMIT):
+    """A frozen copy of the square search that counts the used columns and
+    symbols at every node: the search tree that
+    :func:`max_partial_transversal` must walk, node for node."""
+    n = square.order
+    rows = square.rows
+    deadline = _deadline(time_limit)
+    nodes = 0
+    check_at = _next_check(0, max_nodes)
+    best_size = 0
+    best = ()
+    chosen = []
+    stack = [(0, 0, 0, 0, None)]
+    while stack:
+        i, cols, syms, k, cell = stack.pop()
+        del chosen[k:]
+        if cell is not None:
+            chosen.append(cell)
+            k += 1
+        nodes += 1
+        if nodes >= check_at:
+            breach = _breach(nodes, max_nodes, deadline)
+            if breach:
+                raise CapExceeded(breach, OracleResult(best_size, best, nodes))
+            check_at = _next_check(nodes, max_nodes)
+        if k > best_size:
+            best_size = k
+            best = tuple(chosen)
+        if i == n:
+            continue
+        room = min(n - i, n - cols.bit_count(), n - syms.bit_count())
+        if k + room <= best_size:
+            continue
+        stack.append((i + 1, cols, syms, k, None))
+        row = rows[i]
+        for j in range(n - 1, -1, -1):
+            s = row[j]
+            if not (cols >> j & 1 or syms >> s & 1):
+                stack.append((i + 1, cols | 1 << j, syms | 1 << s, k, (i, j)))
+    return OracleResult(best_size, best, nodes)
+
+
+# orders drawn evenly, so that order 8, whose searches pass node 4096, is
+# common
+isotopes = st.builds(isotope, st.sampled_from(range(1, 9)), st.integers(0, 2**30))
+
+# both clock strides 4096 and 8192 lie within reach, and a time limit of 0
+# fires on the first of them that the node cap does not pre-empt
+search_caps = st.fixed_dictionaries({
+    "max_nodes": st.one_of(st.integers(0, 9_000), st.just(DEFAULT_MAX_NODES)),
+    "time_limit": st.sampled_from([DEFAULT_TIME_LIMIT, 0]),
+})
+
+
+class TestAgainstReference:
+    """Counting a run of blocked edges in one step, and the precomputed row
+    cells, leave both search trees as they were: equal status, size,
+    witness and node count, at every cap."""
+
+    @given(st.one_of(raw_graphs(), search_instances(),
+                     isotopes.map(latin_to_graph)), search_caps)
+    @example(latin_to_graph(isotope(8, 0)), {"max_nodes": 4095, "time_limit": 0})
+    @example(latin_to_graph(isotope(8, 1)), {"max_nodes": 4096, "time_limit": 60})
+    @example(latin_to_graph(isotope(8, 2)), {"max_nodes": 8191, "time_limit": 60})
+    @PROPERTY_SETTINGS
+    def test_graph_search(self, graph, caps):
+        assert outcome(max_rainbow_matching, graph, **caps) \
+            == outcome(reference_rainbow_matching, graph, **caps)
+
+    @given(isotopes, search_caps)
+    @example(isotope(8, 0), {"max_nodes": 4095, "time_limit": 0})
+    @example(isotope(8, 1), {"max_nodes": 4096, "time_limit": 60})
+    @example(isotope(8, 2), {"max_nodes": 8191, "time_limit": 60})
+    @PROPERTY_SETTINGS
+    def test_square_search(self, square, caps):
+        assert outcome(max_partial_transversal, square, **caps) \
+            == outcome(reference_partial_transversal, square, **caps)
 
 
 class TestCaps:
