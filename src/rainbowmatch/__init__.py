@@ -15,8 +15,9 @@ from .matching import (Closeness, RainbowMatching, closeness, extend_to_maximal,
 from .oracle import (CapExceeded, OracleResult, max_partial_transversal,
                      max_rainbow_matching)
 from .reachability import (FlexibleStructure, Hierarchy, Level, LevelEdge, OrientedEdge,
-                           Violation, build_hierarchy, certificate, classify_good_bad,
-                           compute_flexible, counting_diagnostics, find_violations)
+                           RankedViolations, Violation, build_hierarchy, certificate,
+                           classify_good_bad, compute_flexible, counting_diagnostics,
+                           find_violations)
 from .switching import (AugmentOutcome, CallRecord, NotFound, SolveReport, SwitchContext,
                         SwitchOutcome, SwitchRequest, SwitchUsageError, augment,
                         closeness_slack, robust_switch, solve)

@@ -243,32 +243,45 @@ def hypothesis_check(graph: ColouredMultigraph, params: InstanceParams) -> list[
 # a comment, blank lines are skipped.  Repeated "u v c" lines are distinct
 # parallel edges.
 
+def _ints(parts: list[str], lineno: int, line: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, parts))
+    except ValueError:
+        raise ValueError(
+            f"line {lineno}: expected integers, got {line.strip()!r}") from None
+
+
 def loads(text: str) -> ColouredMultigraph:
     """Parse an instance from its text form; raises ValueError with the
-    offending line number on malformed input."""
-    header: tuple[int, ...] | None = None
-    triples: list[tuple[int, ...]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
+    offending line number on malformed input.
+
+    Comments are cut line by line only when the text holds a ``#``, and an
+    edge row is first read as three integers; a row that is not takes the
+    general path, which names the first fault of the first bad line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    rows = enumerate(lines, start=1)
+    for lineno, line in rows:
         parts = line.split()
-        if not parts:
-            continue
-        try:
-            row = tuple(map(int, parts))
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: expected integers, got {line.strip()!r}") from None
-        if header is not None:
-            if len(row) != 3:
-                raise ValueError(f"line {lineno}: edge line must be 'u v c'")
-            triples.append(row)
-        elif len(row) == 2:
-            header = row
-        else:
-            raise ValueError(f"line {lineno}: header must be 'V C'")
-    if header is None:
+        if parts:
+            header = _ints(parts, lineno, line)
+            if len(header) != 2:
+                raise ValueError(f"line {lineno}: header must be 'V C'")
+            break
+    else:
         raise ValueError("missing 'V C' header line")
+    triples: list[tuple[int, int, int]] = []
+    append = triples.append
+    for lineno, line in rows:
+        parts = line.split()
+        try:
+            u, v, c = parts
+            append((int(u), int(v), int(c)))
+        except ValueError:
+            if parts:
+                _ints(parts, lineno, line)
+                raise ValueError(f"line {lineno}: edge line must be 'u v c'") from None
     return ColouredMultigraph(header[0], header[1], triples)
 
 

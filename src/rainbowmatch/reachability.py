@@ -19,9 +19,11 @@ options, built once when the edge is placed.
 
 Violations are edges whose colour is reachable but whose endpoints sit where
 no such edge may sit if the matching were unimprovable; each kind maps to an
-augmentation recipe in :mod:`rainbowmatch.switching`.  The counting argument
-that some violation must exist is :func:`counting_diagnostics`, which returns
-the ``counting`` document that ``rainbowmatch stats`` prints.
+augmentation recipe in :mod:`rainbowmatch.switching`.  :func:`find_violations`
+counts them all but sorts and builds them only as they are iterated
+(:class:`RankedViolations`).  The counting argument that some violation must
+exist is :func:`counting_diagnostics`, which returns the ``counting`` document
+that ``rainbowmatch stats`` prints.
 """
 
 from __future__ import annotations
@@ -339,42 +341,84 @@ class Violation(NamedTuple):
         return (VIOLATION_KINDS.index(self.kind), self.vertices, self.edge_id)
 
 
-def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> list[Violation]:
+class RankedViolations:
+    """The violations of one matching in rank order, ranked lazily.
+
+    Sized and iterable, and equal to the list of its violations (either way
+    round), so it stands in for that list.  Every candidate is counted up
+    front, one bucket per kind; a bucket is sorted only when iteration
+    reaches it, and each :class:`Violation` is built only when it is
+    yielded.  A caller that stops at the first violation whose recipe lands
+    pays for the buckets it reached and the violations it took.
+    """
+
+    __slots__ = ("_buckets", "_len")
+
+    def __init__(self, buckets: tuple[list, ...]):
+        # one list of ``(vertices, edge id, colour)`` per kind, in the order
+        # of VIOLATION_KINDS; edge ids are unique, so colours never compare
+        self._buckets = buckets
+        self._len = sum(map(len, buckets))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        make = tuple.__new__  # Violation's own __new__ adds a Python call each
+        for kind, bucket in zip(VIOLATION_KINDS, self._buckets):
+            # a second pass re-sorts a sorted bucket: one linear check, and
+            # the order a paused pass over it reads is unchanged
+            bucket.sort()
+            for vertices, eid, c in bucket:
+                yield make(Violation, (kind, eid, c, vertices))
+
+    def __eq__(self, other):
+        if isinstance(other, RankedViolations):
+            other = list(other)
+        elif not isinstance(other, list):
+            return NotImplemented
+        return len(other) == self._len and list(self) == other
+
+    def __repr__(self) -> str:
+        return f"RankedViolations({list(self)!r})"
+
+
+def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedViolations:
     """All violations, ordered by kind as in :data:`VIOLATION_KINDS`, ties by
-    witness vertices then edge id.  ``hierarchy`` must be built on
-    ``matching``.
+    witness vertices then edge id, as a :class:`RankedViolations`: counted
+    now, sorted and built as they are iterated.  ``hierarchy`` must be built
+    on ``matching``.
 
     Scans only the unused-colour and reachable-colour classes; the brute-force
     equivalent is a full edge sweep.  Candidates are kept by kind as plain
-    tuples, ``(vertices, edge id, colour)``, and only built once sorted.
+    tuples, ``(vertices, edge id, colour)``.
     """
     graph = matching.graph
     edges = graph.edges
     covered = matching.covered
-    found = {kind: [] for kind in VIOLATION_KINDS}
+    extend, reach_free, reach_reach, free_free = buckets = [], [], [], []
     for c in _unused_colours(matching):
         for eid in graph.edges_with_colour(c):
             _, u, v, _ = edges[eid]
             if u != v and u not in covered and v not in covered:
-                found["extend"].append(((u, v) if u < v else (v, u), eid, c))
+                extend.append(((u, v) if u < v else (v, u), eid, c))
     heads = hierarchy.by_head
-    for c in sorted(hierarchy.by_colour):
+    for c in hierarchy.by_colour:
         for eid in graph.edges_with_colour(c):
             _, u, v, _ = edges[eid]
             if u == v:
                 continue
             if u in heads:
                 if v in heads:
-                    found["reach_reach"].append(((u, v) if u < v else (v, u), eid, c))
+                    reach_reach.append(((u, v) if u < v else (v, u), eid, c))
                 elif v not in covered:
-                    found["reach_free"].append(((u, v), eid, c))
+                    reach_free.append(((u, v), eid, c))
             elif v in heads:
                 if u not in covered:
-                    found["reach_free"].append(((v, u), eid, c))
+                    reach_free.append(((v, u), eid, c))
             elif u not in covered and v not in covered:
-                found["free_free"].append(((u, v) if u < v else (v, u), eid, c))
-    return [Violation(kind, eid, c, vertices) for kind in VIOLATION_KINDS
-            for vertices, eid, c in sorted(found[kind])]
+                free_free.append(((u, v) if u < v else (v, u), eid, c))
+    return RankedViolations(buckets)
 
 
 def counting_diagnostics(matching: RainbowMatching, hierarchy: Hierarchy,

@@ -19,7 +19,9 @@ extension is the empty chain.  A higher-level switch is a chain one level
 down: a lift frees one lower colour, a descend two, then one exchange moves
 the switched edge onto the certifying edge.  The solve loop is greedy
 construction followed by repeated find-violations / augment rounds until the
-target size is reached or no recipe lands.
+target size is reached or no recipe lands.  :func:`find_violations` returns a
+lazily ranked :class:`~rainbowmatch.reachability.RankedViolations`: a round
+pays for the violations it tries, not for every one it counts.
 
 Each successful call makes one elementary exchange and is asserted against
 its contract as it returns; its :class:`SwitchOutcome` is the one record of
@@ -34,7 +36,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # ``closeness`` is not called here; it stays bound in this namespace because
@@ -43,12 +45,14 @@ from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,  #
                        matching_to_json)
 from .multigraph import ColouredMultigraph, InstanceParams
 from .reachability import (VIOLATION_KINDS, FlexibleStructure, Hierarchy,
-                           Violation, build_hierarchy, classify_good_bad,
-                           compute_flexible, find_violations)
+                           RankedViolations, Violation, build_hierarchy,
+                           classify_good_bad, compute_flexible, find_violations)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_BUDGET = 64  # the cap on a switch's distance to the iteration base
+
+_EMPTY = frozenset()  # one shared empty set for the requests augment builds
 
 
 def closeness_slack(level: int) -> int:
@@ -172,7 +176,7 @@ class SwitchOutcome(NamedTuple):
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class NotFound:
     """No admissible configuration; ``rejections`` counts the first filter
     each candidate failed."""
@@ -184,13 +188,22 @@ class NotFound:
 @dataclass
 class SwitchContext:
     """Everything the engine needs about one base matching, read from the
-    graph that the base carries."""
+    graph that the base carries.
+
+    The constants every switch call reads are computed once: ``m``, the
+    hierarchy depth, and ``size``, the base size."""
 
     base: RainbowMatching
     flex: FlexibleStructure
     hierarchy: Hierarchy
     max_budget: int = DEFAULT_MAX_BUDGET
     rng: random.Random | None = None
+    m: int = field(init=False, repr=False)
+    size: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.m = len(self.hierarchy.levels)
+        self.size = len(self.base.edge_ids)
 
     @classmethod
     def build(cls, matching: RainbowMatching, params: InstanceParams | None = None,
@@ -203,7 +216,7 @@ class SwitchContext:
         hierarchy = build_hierarchy(matching, flex, good_at, params)
         return cls(matching, flex, hierarchy, max_budget=max_budget, rng=rng)
 
-    def violations(self) -> list[Violation]:
+    def violations(self) -> RankedViolations:
         return find_violations(self.base, self.hierarchy)
 
 
@@ -217,8 +230,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     requests raise :class:`SwitchUsageError`.
     """
     colour, vertex, budget, fix, avoid_vertices, avoid_colours = request
-    hierarchy = ctx.hierarchy
-    le = hierarchy.by_colour.get(colour)
+    le = ctx.hierarchy.by_colour.get(colour)
     if le is None:
         raise SwitchUsageError(f"colour {colour} is not reachable")
     if vertex != le.head:
@@ -241,9 +253,8 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     if not colours.isdisjoint(avoid_colours):
         c = next(c for c in avoid_colours if c in colours)
         raise SwitchUsageError(f"avoided colour {c} already in use")
-    m = len(hierarchy.levels)
     level = le.level
-    cap = 2 * (m - level + 1)
+    cap = 2 * (ctx.m - level + 1)
     if len(fix) > cap or len(avoid_vertices) > cap or len(avoid_colours) > cap:
         for name, group in (("fix", fix), ("avoid_vertices", avoid_vertices),
                             ("avoid_colours", avoid_colours)):
@@ -251,11 +262,10 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
                 raise SwitchUsageError(f"{name} larger than {cap} at level {level}")
     # the closeness contract, ``closeness(base, current).within(budget)``,
     # read in O(1) off the swap chain
-    base = ctx.base
-    size = len(base.edge_ids)
+    base, size = ctx.base, ctx.size
     if current.distance_to(base) > budget or len(edge_ids) != size:
         raise SwitchUsageError("current matching is farther from base than the budget")
-    if depth > m:
+    if depth > ctx.m:
         raise SwitchUsageError("recursion deeper than the hierarchy")
 
     slack = closeness_slack(level)
@@ -433,33 +443,45 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     one chain from the base, then the edge goes in.
 
     Returns a matching one edge larger, or :class:`NotFound` when some switch
-    in the chain finds no configuration under the budget cap.
+    in the chain finds no configuration under the budget cap.  Raises
+    :class:`SwitchUsageError` on an unknown kind, an edge id that is not one
+    of the graph's, and a kind other than ``extend`` whose edge's colour is
+    not reachable.
     """
-    if violation.kind not in VIOLATION_KINDS:
-        raise SwitchUsageError(f"unknown violation kind {violation.kind!r}")
-    e = ctx.base.graph.edge(violation.edge_id)
+    kind, edge_id, _, vertices = violation
+    if kind not in VIOLATION_KINDS:
+        raise SwitchUsageError(f"unknown violation kind {kind!r}")
+    base = ctx.base
+    edges = base.graph.edges
+    if type(edge_id) is not int or not 0 <= edge_id < len(edges):
+        raise SwitchUsageError(f"edge {edge_id!r} is not an edge of the graph")
+    if kind == "extend":
+        return AugmentOutcome(base.with_swap((), (edge_id,)), [])
+    colour = edges[edge_id][3]
+    hierarchy = ctx.hierarchy
+    target = hierarchy.by_colour.get(colour)
+    if target is None:
+        raise SwitchUsageError(f"colour {colour} of edge {edge_id} is not reachable")
+    head = target.head
+    # the endpoints' level edges, in witness order, but the colour's own
+    to_free = [le for le in map(hierarchy.by_head.get, vertices)
+               if le is not None and le is not target]
     requests = []
-    if violation.kind != "extend":
-        hierarchy, covered = ctx.hierarchy, ctx.base.covered
-        target = hierarchy.by_colour.get(e.colour)
-        # the endpoints' level edges, in witness order, but the colour's own
-        to_free = [le for le in map(hierarchy.by_head.get, violation.vertices)
-                   if le is not None and le is not target]
-        ends = frozenset(violation.vertices)
+    if to_free:
+        covered = base.covered
         keep = frozenset([target.edge_id] + [le.edge_id for le in to_free])
         # a frozenset, so that ``avoid |=`` below leaves queued requests alone
-        avoid = frozenset([v for v in ends if v not in covered])
+        avoid = frozenset([v for v in vertices if v not in covered])
         for le in to_free:
             keep -= {le.edge_id}
-            requests.append((le.colour, le.head, keep, avoid, frozenset()))
+            requests.append((le.colour, le.head, keep, avoid, _EMPTY))
             avoid |= {le.head}
-        requests.append((e.colour, target.head, frozenset(),
-                         ends - {target.head}, frozenset()))
-    out = _chain(ctx, ctx.base, 0, requests, 0)
+    requests.append((colour, head, _EMPTY,
+                     frozenset([v for v in vertices if v != head]), _EMPTY))
+    out = _chain(ctx, base, 0, requests, 0)
     if isinstance(out, NotFound):
         return out
-    matching = out[-1].matching if out else ctx.base
-    return AugmentOutcome(matching.with_swap((), (e.id,)),
+    return AugmentOutcome(out[-1].matching.with_swap((), (edge_id,)),
                           [call for top in out for call in top.calls])
 
 

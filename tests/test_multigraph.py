@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowmatch import (ColouredMultigraph, Edge, InstanceParams, Issue, as_fraction,
@@ -142,6 +142,105 @@ def test_loads_skips_comments_blank_lines_crlf_and_surrounding_blanks():
 def test_loads_error_messages(bad, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         loads(bad)
+
+
+def reference_loads(text: str) -> ColouredMultigraph:
+    """The parse loop of ``loads`` before it learned to skip the comment cut
+    and to read edge rows as three integers first, kept as a reference: it
+    cuts and splits every line, then converts every row whole."""
+    header: tuple[int, ...] | None = None
+    triples: list[tuple[int, ...]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            row = tuple(map(int, parts))
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected integers, got {line.strip()!r}") from None
+        if header is not None:
+            if len(row) != 3:
+                raise ValueError(f"line {lineno}: edge line must be 'u v c'")
+            triples.append(row)
+        elif len(row) == 2:
+            header = row
+        else:
+            raise ValueError(f"line {lineno}: header must be 'V C'")
+    if header is None:
+        raise ValueError("missing 'V C' header line")
+    return ColouredMultigraph(header[0], header[1], triples)
+
+
+def parse_outcome(parse, text):
+    """What ``parse`` makes of ``text``: the graph's counts, edges and both
+    indexes in their order, or the ValueError's message."""
+    try:
+        g = parse(text)
+    except ValueError as err:
+        return str(err)
+    return (g.num_vertices, g.num_colours, g.edges,
+            [(c, g.edges_with_colour(c)) for c in g.colours_with_edges()],
+            [g.edges_at(v) for v in range(g.num_vertices)])
+
+
+# mostly small integers, so that many texts parse; then the spellings int()
+# also reads (signs, a leading zero, underscores, Arabic-Indic and fullwidth
+# digits) and tokens it refuses
+_token = st.sampled_from(["0", "1", "2", "3", "4", "5"] * 4
+                         + ["-1", "+2", "07", "1_0", "\u0663", "\uff11",
+                            "x", "1.0", "_1", "1__0", "0x1", "\u00b2"])
+_gap = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def instance_lines(draw):
+    """One line: blanks, a row of tokens, maybe a comment."""
+    tokens = draw(st.lists(_token, min_size=0, max_size=5)
+                  | st.lists(_token, min_size=3, max_size=3))
+    line = draw(st.sampled_from(["", " ", "\t"]))
+    for t in tokens:
+        line += t + draw(_gap)
+    return line + draw(st.sampled_from(["", "", "#", "# c", "#1 2 3", " # 0 1"]))
+
+
+@st.composite
+def instance_texts(draw):
+    """Comments, blank lines and tabs, then a header (two small integers,
+    any row, or none), then rows; joined by any line break splitlines knows."""
+    lines = draw(st.lists(st.sampled_from(["", "  ", "# note", "\t# x"]), max_size=2))
+    header = draw(st.sampled_from(["pair", "pair", "pair", "row", "none"]))
+    if header == "pair":
+        lines.append(f"{draw(st.integers(0, 6))} {draw(st.integers(0, 4))}"
+                     + draw(st.sampled_from(["", "  # V C", "\t"])))
+    elif header == "row":
+        lines.append(draw(instance_lines()))
+    lines += draw(st.lists(instance_lines(), max_size=8))
+    breaks = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0c", "\u2028"])
+    return "".join(line + draw(breaks) for line in lines) + draw(
+        st.sampled_from(["", "# end", "0 1 0"]))
+
+
+class TestLoadsAgainstReference:
+    """The comment cut once per text and the three-integer fast path leave
+    the parse as it was: the same graph, or the same error and line."""
+
+    @given(instance_texts())
+    @example("4 2\n0 1 0\n\n2 3 1  # c\n")
+    @example("# h\n 4 2\r\n0 1\n")
+    @example("4 2\n0 1 0 0\n")
+    @example("4 2\n0 x 0\n")
+    @example("4 2\n0 1 x 1\n")
+    @example("4 2\n-1 1 0\n")
+    @example("4 2\n1_0 1 0\n")
+    @example("4 2\n\u0663 1 0\n")
+    @example("1 2 3\n")
+    @example("# only\n")
+    @settings(max_examples=300, deadline=None)
+    def test_same_graph_or_error(self, text):
+        assert parse_outcome(loads, text) == parse_outcome(reference_loads, text)
 
 
 def test_as_fraction_reads_decimals_exactly():

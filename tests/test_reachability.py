@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from math import ceil, floor
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowmatch import (
+    AugmentOutcome,
     ColouredMultigraph,
     InstanceParams,
     OrientedEdge,
@@ -24,6 +26,8 @@ from rainbowmatch import (
     generate_random,
     greedy,
     latin_to_graph,
+    solve,
+    switching,
 )
 from rainbowmatch.cli import main
 from rainbowmatch.matching import external_edges
@@ -388,6 +392,77 @@ class TestProperties:
             "reach_edges_inside_core", "max_inside_core", "expected_min_total",
             "fringe_capacity", "core_capacity", "forced_into_core",
             "contradiction"]
+
+
+# near-threshold random instances (cap 2, as above) and Latin isotopes:
+# almost every base grows a level, so the reachable kinds are common
+ranked_instances = st.one_of(
+    st.builds(lambda c, s: generate_random(c, c + 2, 2 * (c + 2), 2, s),
+              st.integers(16, 32), st.integers(0, 199)),
+    st.builds(lambda n, s: latin_to_graph(isotope(n, s)),
+              st.integers(5, 16), st.integers(0, 2**30)),
+)
+
+
+class TestRankedViolations:
+    """``find_violations`` counts every candidate but sorts and builds them
+    as they are iterated; it must stand in for the eager ranked list."""
+
+    @given(ranked_instances, st.integers(0, 7), st.booleans(), st.integers(0, 300))
+    @PROPERTY_SETTINGS
+    def test_lazy_sequence_is_the_ranked_list(self, g, greedy_seed, drop, stop):
+        m = greedy(g, greedy_seed)
+        if drop and m.sorted_ids:
+            # one matching edge fewer: extend violations too
+            m = RainbowMatching(g, m.sorted_ids[1:])
+        _, _, _, hier = analyse(g, m)
+        eager = [Violation(*t) for t in brute_scan(g, m, hier)]
+        found = find_violations(m, hier)
+        assert len(found) == len(eager)
+        # a partial iteration of a fresh sequence yields the list's prefix
+        assert list(itertools.islice(found, stop)) == eager[:stop]
+        assert list(found) == eager
+        assert found == eager and eager == found
+        assert not found != eager and not eager != found
+        assert found == find_violations(m, hier)
+        assert found != eager + [None] and eager + [None] != found
+        if eager:
+            assert found != eager[:-1] and found != tuple(eager)
+        # two iterations at once, over a fresh sequence
+        fresh = find_violations(m, hier)
+        assert list(zip(fresh, fresh)) == [(v, v) for v in eager]
+
+    @given(ranked_instances, st.integers(0, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_solve_records_follow_the_ranked_list(self, g, seed):
+        tried = []
+        inner = switching.augment
+
+        def logging(ctx, violation):
+            out = inner(ctx, violation)
+            tried.append((violation, isinstance(out, AugmentOutcome)))
+            return out
+
+        switching.augment = logging
+        try:
+            report = solve(g, seed=seed)
+        finally:
+            switching.augment = inner
+        for rec in report.iterations:
+            base = RainbowMatching(g, rec.base_ids)
+            _, _, _, hier = analyse(g, base)
+            eager = [Violation(*t) for t in brute_scan(g, base, hier)]
+            mine, tried = tried[:rec.attempted], tried[rec.attempted:]
+            assert rec.violations == len(eager)
+            assert [v for v, _ in mine] == eager[:rec.attempted]
+            landed = [ok for _, ok in mine]
+            if rec.kind is None:
+                assert rec.attempted == len(eager) and not any(landed)
+                assert rec.edge_id is None
+            else:
+                assert landed == [False] * (rec.attempted - 1) + [True]
+                assert (rec.kind, rec.edge_id) == eager[rec.attempted - 1][:2]
+        assert tried == []
 
 
 class TestCountingErrors:

@@ -22,6 +22,7 @@ from rainbowmatch import (
     augment,
     closeness_slack,
     cyclic_square,
+    dumps,
     extend_to_maximal,
     generate_random,
     greedy,
@@ -581,6 +582,28 @@ class TestAugment:
         assert requests_served(log) == [
             (2, 4, 0, (0,), (), ()), (0, 0, 4, (), (4,), ())]
 
+    # an id past the end raised IndexError, -1 read the last edge as if it
+    # were the violating one, and True read edge 1
+    @pytest.mark.parametrize("edge_id", [10**6, -1, True])
+    def test_edge_outside_the_graph(self, free_free_fixture, edge_id):
+        g = free_free_fixture
+        ctx = SwitchContext.build(RainbowMatching(g, [0, 1]))
+        (violation,) = ctx.violations()
+        assert violation.edge_id == g.num_edges - 1
+        with pytest.raises(SwitchUsageError,
+                           match=f"^edge {edge_id} is not an edge of the graph$"):
+            augment(ctx, violation._replace(edge_id=edge_id))
+
+    # this used to fail with AttributeError on the missing level edge
+    def test_unreachable_violation_colour(self, base_switch_fixture):
+        g = base_switch_fixture
+        ctx = SwitchContext.build(RainbowMatching(g, [1]))
+        (violation,) = ctx.violations()
+        assert violation.colour not in ctx.hierarchy.by_colour
+        with pytest.raises(SwitchUsageError,
+                           match="^colour 0 of edge 0 is not reachable$"):
+            augment(ctx, violation._replace(kind="free_free"))
+
     def test_not_found_propagates(self, reach_free_fixture):
         g = reach_free_fixture
         base = RainbowMatching(g, [0, 1, 2, 3])
@@ -836,6 +859,32 @@ class TestLandedCalls:
         assert len(report.switch_calls) == count
         blob = repr(report.switch_calls)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# sha256 of ``solve --json`` stdout on generate_random(128, 130, 260, 8, 7)
+# at seed 0, recorded before each context computed its constants once.
+# It is the one instance measured whose solve serves level-3 calls (4 of the
+# 270 it makes) and it reaches 128; the CI's solve-smoke job pins the same
+# stdout on Python 3.10 and 3.12.
+LEVEL3_JSON_SHA256 = "98a2cf3e7889333646b090c5096c558639e13828e536532b4275d5c3637073e4"
+
+
+class TestLevel3:
+    def test_level3_solve_unchanged_and_within_contract(self, tmp_path, capsys):
+        g = generate_random(128, 130, 260, 8, 7)
+        path = tmp_path / "r128.txt"
+        path.write_text(dumps(g))
+        with recorded_calls() as log:
+            assert cli.main(["solve", "--input", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LEVEL3_JSON_SHA256
+        assert any(rec.level == 3 for rec in log)
+        bases = {}
+        for rec in log:
+            base = bases.get(rec.base_ids)
+            if base is None:
+                base = bases[rec.base_ids] = RainbowMatching(g, rec.base_ids)
+            recheck_call(g, base, rec)
 
 
 class TestExchangeReplay:
