@@ -29,6 +29,12 @@ that call, holding the outcomes of the calls under it.  ``solve`` turns only
 the landed augmentations' calls into records (:class:`CallRecord`), one per
 exchange; a caller that wants every call wraps the module-global
 :func:`robust_switch`.
+
+A context builds each exchange's matching once
+(:meth:`SwitchContext.exchange`): the stall proof repeats the same exchanges
+from value-equal chain states under other constraints, and such a repeat gets
+back the matching built the first time.  Its call still runs every check and
+its candidate scan.
 """
 
 from __future__ import annotations
@@ -191,7 +197,9 @@ class SwitchContext:
     graph that the base carries.
 
     The constants every switch call reads are computed once: ``m``, the
-    hierarchy depth, and ``size``, the base size."""
+    hierarchy depth, and ``size``, the base size.  ``built`` holds every
+    matching that :meth:`exchange` has built, keyed by the value of the
+    exchange: ``(start edge ids, removed, added)``."""
 
     base: RainbowMatching
     flex: FlexibleStructure
@@ -200,6 +208,8 @@ class SwitchContext:
     rng: random.Random | None = None
     m: int = field(init=False, repr=False)
     size: int = field(init=False, repr=False)
+    built: dict[tuple, RainbowMatching] = field(default_factory=dict, init=False,
+                                                repr=False)
 
     def __post_init__(self):
         self.m = len(self.hierarchy.levels)
@@ -219,6 +229,23 @@ class SwitchContext:
     def violations(self) -> RankedViolations:
         return find_violations(self.base, self.hierarchy)
 
+    def exchange(self, current: RainbowMatching, removed: tuple[int, ...],
+                 added: tuple[int, ...]) -> RainbowMatching:
+        """``current.with_swap(removed, added)``, built once per context.
+
+        ``current`` must be a matching of the base's graph, as
+        :func:`robust_switch` checks first.  Matchings are immutable, and
+        every one that the engine passes here descends from the base, so an
+        exchange repeated from a value-equal matching returns the matching
+        built the first time: equal ids, read sets and distance to the base.
+        An exchange that raises stores nothing.
+        """
+        key = (current.edge_ids, removed, added)
+        out = self.built.get(key)
+        if out is None:
+            out = self.built[key] = current.with_swap(removed, added)
+        return out
+
 
 def robust_switch(ctx: SwitchContext, current: RainbowMatching,
                   request: SwitchRequest, depth: int = 0) -> SwitchOutcome | NotFound:
@@ -230,6 +257,8 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     requests raise :class:`SwitchUsageError`.
     """
     colour, vertex, budget, fix, avoid_vertices, avoid_colours = request
+    if current.graph is not ctx.base.graph:
+        raise SwitchUsageError("current matching is of another graph than the base")
     le = ctx.hierarchy.by_colour.get(colour)
     if le is None:
         raise SwitchUsageError(f"colour {colour} is not reachable")
@@ -267,6 +296,8 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
         raise SwitchUsageError("current matching is farther from base than the budget")
     if depth > ctx.m:
         raise SwitchUsageError("recursion deeper than the hierarchy")
+    if depth < 0:
+        raise SwitchUsageError(f"negative recursion depth {depth}")
 
     slack = closeness_slack(level)
     if budget + slack > ctx.max_budget:
@@ -344,7 +375,8 @@ def _switch_base(ctx, current, request, le):
             reason = "spare_colour_avoided"
         else:
             removed, added = (le.edge_id, partner.edge_id), (gid, hid)
-            return current.with_swap(removed, added), (), "base", removed, added, rej
+            return (ctx.exchange(current, removed, added), (), "base", removed,
+                    added, rej)
         rej[reason] = rej.get(reason, 0) + 1
     return NotFound("no_configuration", rej)
 
@@ -417,8 +449,8 @@ def _switch_inductive(ctx, current, request, le, depth):
                 rej["recursion_failed"] = rej.get("recursion_failed", 0) + 1
                 continue
             removed, added = (le.edge_id,), (eid,)
-            return (out[-1].matching.with_swap(removed, added), out, case, removed,
-                    added, rej)
+            return (ctx.exchange(out[-1].matching, removed, added), out, case,
+                    removed, added, rej)
     return NotFound("no_configuration", rej)
 
 
@@ -456,7 +488,7 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     if type(edge_id) is not int or not 0 <= edge_id < len(edges):
         raise SwitchUsageError(f"edge {edge_id!r} is not an edge of the graph")
     if kind == "extend":
-        return AugmentOutcome(base.with_swap((), (edge_id,)), [])
+        return AugmentOutcome(ctx.exchange(base, (), (edge_id,)), [])
     colour = edges[edge_id][3]
     hierarchy = ctx.hierarchy
     target = hierarchy.by_colour.get(colour)
@@ -481,7 +513,7 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     out = _chain(ctx, base, 0, requests, 0)
     if isinstance(out, NotFound):
         return out
-    return AugmentOutcome(out[-1].matching.with_swap((), (edge_id,)),
+    return AugmentOutcome(ctx.exchange(out[-1].matching, (), (edge_id,)),
                           [call for top in out for call in top.calls])
 
 

@@ -260,6 +260,27 @@ class TestUsageErrors:
         with pytest.raises(SwitchUsageError, match="deeper"):
             robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0), depth=2)
 
+    def test_negative_depth(self, base_switch_fixture):
+        g = base_switch_fixture
+        base = RainbowMatching(g, [0, 1])
+        ctx = SwitchContext.build(base)
+        with pytest.raises(SwitchUsageError, match="^negative recursion depth -1$"):
+            robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0), depth=-1)
+
+    def test_matching_of_another_graph(self, base_switch_fixture):
+        # the same edges in a second graph: the same ids, so only the graph
+        # tells them apart; it is checked before any other rule
+        g = base_switch_fixture
+        twin = ColouredMultigraph(g.num_vertices, g.num_colours,
+                                  [(e.u, e.v, e.colour) for e in g.edges])
+        ctx = SwitchContext.build(RainbowMatching(g, [0, 1]))
+        foreign = RainbowMatching(twin, [0, 1])
+        for request in (SwitchRequest(colour=0, vertex=0),
+                        SwitchRequest(colour=1, vertex=5)):
+            with pytest.raises(SwitchUsageError, match="another graph"):
+                robust_switch(ctx, foreign, request)
+        assert ctx.built == {}
+
     # each request breaks one rule and the next one in check order (the last
     # rule alone); the first rule's message wins, also when the budget cap
     # would block the search (max_budget 3 is below level 1's slack of 4)
@@ -868,6 +889,19 @@ class TestLandedCalls:
 # stdout on Python 3.10 and 3.12.
 LEVEL3_JSON_SHA256 = "98a2cf3e7889333646b090c5096c558639e13828e536532b4275d5c3637073e4"
 
+# sha256 of the same instance's ``solve --json --shuffle`` stdout (it reaches
+# 128 through level-1 and level-2 calls only) and ``stats`` stdout (the greedy
+# base's one-level hierarchy), recorded before each switch context built its
+# exchanges once; the CI's solve-smoke job pins both on Python 3.10 and 3.12
+LEVEL3_STDOUT_SHA256 = {
+    "solve_shuffle": (
+        "3843407b998aad9ad2e5b646e522b4c03a3ee28039653246f872c9080aab10b3",
+        ["solve", "--json", "--shuffle"]),
+    "stats": (
+        "a7470d750f6b9c45e129d652d2d57aab87f0a0a6fd907165ead3604298ba8399",
+        ["stats"]),
+}
+
 
 class TestLevel3:
     def test_level3_solve_unchanged_and_within_contract(self, tmp_path, capsys):
@@ -885,6 +919,94 @@ class TestLevel3:
             if base is None:
                 base = bases[rec.base_ids] = RainbowMatching(g, rec.base_ids)
             recheck_call(g, base, rec)
+
+    @pytest.mark.parametrize("name", sorted(LEVEL3_STDOUT_SHA256))
+    def test_level3_stdout_unchanged(self, name, tmp_path, capsys):
+        digest, command = LEVEL3_STDOUT_SHA256[name]
+        path = tmp_path / "r128.txt"
+        path.write_text(dumps(generate_random(128, 130, 260, 8, 7)))
+        assert cli.main([command[0], "--input", str(path), *command[1:]]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def assert_built_fresh(ctx, got, fresh) -> None:
+    """``got``, a matching that ``ctx`` served, equals ``fresh``, the same
+    exchange built anew, and knows its exact distance to the base."""
+    assert (got.edge_ids, got.covered, got.colours) == (
+        fresh.edge_ids, fresh.covered, fresh.colours)
+    assert got.distance_to(ctx.base) == len(got.edge_ids ^ ctx.base.edge_ids)
+
+
+class TestSharedExchanges:
+    def test_value_equal_start_shares_the_build(self, base_switch_fixture):
+        g = base_switch_fixture
+        base = RainbowMatching(g, [0, 1])
+        ctx = SwitchContext.build(base)
+        built = ctx.exchange(base, (0, 1), (2, 3))
+        assert ctx.exchange(RainbowMatching(g, [0, 1]), (0, 1), (2, 3)) is built
+        assert ctx.built == {(base.edge_ids, (0, 1), (2, 3)): built}
+        assert SwitchContext.build(base).built == {}
+
+    @pytest.mark.parametrize("removed,added,message", [
+        ((3,), (), "cannot remove absent edges [3]"),
+        ((), (2,), "cannot add edge 2 (1-4, colour 1): a loop, or its colour "
+                   "or a vertex is in use"),
+    ], ids=["absent", "clash"])
+    def test_an_exchange_that_raises_stores_nothing(self, base_switch_fixture,
+                                                    removed, added, message):
+        g = base_switch_fixture
+        base = RainbowMatching(g, [0, 1])
+        ctx = SwitchContext.build(base)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ctx.exchange(base, removed, added)
+            assert ctx.built == {}
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("args,seed", [
+        pytest.param((48, 50, 100, 3, 1), 1, id="descend"),
+        pytest.param((128, 130, 260, 8, 7), 0, id="level3"),
+    ])
+    def test_every_served_call_matches_a_fresh_build(self, args, seed, shuffle,
+                                                     monkeypatch):
+        g = generate_random(*args)
+        contexts = []
+        build = SwitchContext.build.__func__
+
+        def building(cls, *a, **kw):
+            ctx = build(cls, *a, **kw)
+            assert ctx.built == {}
+            contexts.append(ctx)
+            return ctx
+
+        first = {}
+        repeats = Counter()
+        inner = switching.robust_switch
+
+        def checking(ctx, current, request, depth=0):
+            out = inner(ctx, current, request, depth)
+            if type(out) is switching.SwitchOutcome:
+                start = out.start if out.case == "base" else out.under[-1].matching
+                got, fresh = out.matching, start.with_swap(out.removed, out.added)
+                assert_built_fresh(ctx, got, fresh)
+                key = (id(ctx), start.edge_ids, out.removed, out.added)
+                if key in first:
+                    assert first[key] is got
+                    repeats[out.case] += 1
+                else:
+                    first[key] = got
+            return out
+
+        monkeypatch.setattr(SwitchContext, "build", classmethod(building))
+        monkeypatch.setattr(switching, "robust_switch", checking)
+        solve(g, seed=seed, shuffle=shuffle)
+        assert repeats["base"] > 0
+        # augment's final add goes through the same dict
+        for ctx in contexts:
+            for (ids, removed, added), got in ctx.built.items():
+                fresh = RainbowMatching(g, ids).with_swap(removed, added)
+                assert_built_fresh(ctx, got, fresh)
 
 
 class TestExchangeReplay:
