@@ -30,8 +30,6 @@ from .oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, CapExceeded,
 from .reachability import counting_diagnostics
 from .switching import DEFAULT_MAX_BUDGET, SwitchContext, solve
 
-logger = logging.getLogger(__name__)
-
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}
 
@@ -135,12 +133,9 @@ def _cmd_oracle(args) -> int:
             res = max_rainbow_matching(graph, args.max_nodes, args.time_limit)
     except CapExceeded as exc:
         res, exact = exc.best, False
-    if args.latin:
-        witness = [list(cell) for cell in res.witness]
-    else:
-        witness = list(res.witness)
     if args.json:
-        print(json.dumps({"size": res.size, "witness": witness,
+        # json writes the witness's tuples, of ids or of cells, as arrays
+        print(json.dumps({"size": res.size, "witness": res.witness,
                           "nodes": res.nodes, "exact": exact}, indent=2))
     else:
         tag = "optimum" if exact else "best found (cap exceeded)"

@@ -20,23 +20,21 @@ options, built once when the edge is placed.
 Violations are edges whose colour is reachable but whose endpoints sit where
 no such edge may sit if the matching were unimprovable; each kind maps to an
 augmentation recipe in :mod:`rainbowmatch.switching`.  :func:`find_violations`
-counts them all but sorts and builds them only as they are iterated
-(:class:`RankedViolations`).  The counting argument that some violation must
-exist is :func:`counting_diagnostics`, which returns the ``counting`` document
-that ``rainbowmatch stats`` prints.
+returns them as a sized stream, :class:`RankedViolations`, which alone fixes
+their rank order: counted at once, sorted and built as they are iterated.
+The counting argument that some violation must exist is
+:func:`counting_diagnostics`, which returns the ``counting`` document that
+``rainbowmatch stats`` prints.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from math import ceil
 from typing import NamedTuple
 
 from .matching import RainbowMatching, external_edges
 from .multigraph import ColouredMultigraph, Edge, InstanceParams
-
-logger = logging.getLogger(__name__)
 
 
 def _orient(e: Edge, certify):
@@ -121,7 +119,7 @@ def compute_flexible(matching: RainbowMatching, params: InstanceParams) -> Flexi
         e = graph.edge(eid)
         found = _orient(e, enough)
         if found is not None:
-            partners.setdefault(e.colour, OrientedEdge(eid, found[0], found[1], e.colour))
+            partners[e.colour] = OrientedEdge(eid, found[0], found[1], e.colour)
     return FlexibleStructure(external_free_at, partners)
 
 
@@ -269,7 +267,8 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
     level1_threshold = max(1, ceil(params.alpha * len(flex.partners)))
     covered = matching.covered
     levels: list[Level] = []
-    # the level edges so far, first match kept (colours and heads are unique)
+    # the level edges so far; M is rainbow and each of its edges is placed
+    # once, so no colour or head is entered twice
     by_colour: dict[int, LevelEdge] = {}
     by_head: dict[int, LevelEdge] = {}
 
@@ -314,8 +313,8 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
             colours=frozenset(le.colour for le in cands),
         ))
         for le in cands:
-            by_colour.setdefault(le.colour, le)
-            by_head.setdefault(le.head, le)
+            by_colour[le.colour] = le
+            by_head[le.head] = le
 
 
 # the violation kinds in rank order: a recipe for an earlier kind is tried first
@@ -336,20 +335,18 @@ class Violation(NamedTuple):
     colour: int
     vertices: tuple[int, ...]
 
-    @property
-    def rank(self) -> tuple:
-        return (VIOLATION_KINDS.index(self.kind), self.vertices, self.edge_id)
-
 
 class RankedViolations:
     """The violations of one matching in rank order, ranked lazily.
 
-    Sized and iterable, and equal to the list of its violations (either way
-    round), so it stands in for that list.  Every candidate is counted up
-    front, one bucket per kind; a bucket is sorted only when iteration
-    reaches it, and each :class:`Violation` is built only when it is
-    yielded.  A caller that stops at the first violation whose recipe lands
-    pays for the buckets it reached and the violations it took.
+    Sized and iterable, as often as asked: each pass yields the violations
+    by kind as in :data:`VIOLATION_KINDS`, ties by witness vertices then
+    edge id, the one place that order is fixed.  ``list()`` gives the ranked
+    list.  Every candidate is counted up front, one bucket per kind; a bucket
+    is sorted only when iteration reaches it, and each :class:`Violation` is
+    built only when it is yielded.  A caller that stops at the first
+    violation whose recipe lands pays for the buckets it reached and the
+    violations it took.
     """
 
     __slots__ = ("_buckets", "_len")
@@ -372,22 +369,14 @@ class RankedViolations:
             for vertices, eid, c in bucket:
                 yield make(Violation, (kind, eid, c, vertices))
 
-    def __eq__(self, other):
-        if isinstance(other, RankedViolations):
-            other = list(other)
-        elif not isinstance(other, list):
-            return NotImplemented
-        return len(other) == self._len and list(self) == other
-
     def __repr__(self) -> str:
         return f"RankedViolations({list(self)!r})"
 
 
 def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedViolations:
-    """All violations, ordered by kind as in :data:`VIOLATION_KINDS`, ties by
-    witness vertices then edge id, as a :class:`RankedViolations`: counted
-    now, sorted and built as they are iterated.  ``hierarchy`` must be built
-    on ``matching``.
+    """All violations, as a :class:`RankedViolations` in its rank order:
+    counted now, sorted and built as they are iterated.  ``hierarchy`` must
+    be built on ``matching``.
 
     Scans only the unused-colour and reachable-colour classes; the brute-force
     equivalent is a full edge sweep.  Candidates are kept by kind as plain

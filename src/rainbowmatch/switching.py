@@ -289,10 +289,13 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
                             ("avoid_colours", avoid_colours)):
             if len(group) > cap:
                 raise SwitchUsageError(f"{name} larger than {cap} at level {level}")
+    base, size = ctx.base, ctx.size
+    if len(edge_ids) != size:
+        raise SwitchUsageError(f"current matching has {len(edge_ids)} edges, "
+                               f"the base {size}")
     # the closeness contract, ``closeness(base, current).within(budget)``,
     # read in O(1) off the swap chain
-    base, size = ctx.base, ctx.size
-    if current.distance_to(base) > budget or len(edge_ids) != size:
+    if current.distance_to(base) > budget:
         raise SwitchUsageError("current matching is farther from base than the budget")
     if depth > ctx.m:
         raise SwitchUsageError("recursion deeper than the hierarchy")
@@ -477,19 +480,24 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     Returns a matching one edge larger, or :class:`NotFound` when some switch
     in the chain finds no configuration under the budget cap.  Raises
     :class:`SwitchUsageError` on an unknown kind, an edge id that is not one
-    of the graph's, and a kind other than ``extend`` whose edge's colour is
-    not reachable.
+    of the graph's, ``vertices`` other than the edge's two endpoints or a
+    ``colour`` other than its own, and a kind other than ``extend`` whose
+    edge's colour is not reachable.
     """
-    kind, edge_id, _, vertices = violation
+    kind, edge_id, colour, vertices = violation
     if kind not in VIOLATION_KINDS:
         raise SwitchUsageError(f"unknown violation kind {kind!r}")
     base = ctx.base
     edges = base.graph.edges
     if type(edge_id) is not int or not 0 <= edge_id < len(edges):
         raise SwitchUsageError(f"edge {edge_id!r} is not an edge of the graph")
+    _, u, v, c = edges[edge_id]
+    if colour != c or vertices not in ((u, v), (v, u)):
+        raise SwitchUsageError(
+            f"vertices {vertices!r} and colour {colour!r} are not those of "
+            f"edge {edge_id} ({u}-{v}, colour {c})")
     if kind == "extend":
         return AugmentOutcome(ctx.exchange(base, (), (edge_id,)), [])
-    colour = edges[edge_id][3]
     hierarchy = ctx.hierarchy
     target = hierarchy.by_colour.get(colour)
     if target is None:

@@ -8,7 +8,8 @@ clashes).  Hand fixtures
 that several suites share live here too, along with ``recorded_calls()``,
 which logs every successful switch call, ``recheck_call()``, which checks
 one such record against the switch contract, ``brute_scan()``, the
-full-edge-sweep reference for ``find_violations``, and ``bad_per_colour()``,
+full-edge-sweep reference for ``find_violations``, ``rank()``, the order it
+ranks by, and ``bad_per_colour()``,
 which counts the bad edges that ``classify_good_bad`` leaves out.
 """
 
@@ -71,10 +72,18 @@ def tight_instance(seed: int) -> ColouredMultigraph:
     return generate_random(colours, count, 2 * count, 1, seed)
 
 
+def rank(violation) -> tuple:
+    """The rank key of a violation ``(kind, edge id, colour, witness
+    vertices)``: extend, reach_free, reach_reach, free_free, ties by witness
+    vertices then edge id."""
+    kind, edge_id, _, vertices = violation
+    return (("extend", "reach_free", "reach_reach", "free_free").index(kind),
+            vertices, edge_id)
+
+
 def brute_scan(graph, matching, hier):
     """Full-edge-sweep reference for find_violations: ``(kind, edge id,
-    colour, witness vertices)`` in rank order, that is extend, reach_free,
-    reach_reach, free_free, ties by witness vertices then edge id."""
+    colour, witness vertices)`` in :func:`rank` order."""
     level_edges = [le for level in hier.levels for le in level.edges]
     heads = {le.head for le in level_edges}
     reach_colours = {le.colour for le in level_edges}
@@ -100,8 +109,7 @@ def brute_scan(graph, matching, hier):
                 out.append(("reach_free", e.id, e.colour, (e.v, e.u)))
             elif fu and fv:
                 out.append(("free_free", e.id, e.colour, ends))
-    order = ["extend", "reach_free", "reach_reach", "free_free"]
-    return sorted(out, key=lambda t: (order.index(t[0]), t[3], t[1]))
+    return sorted(out, key=rank)
 
 
 def bad_per_colour(matching, flex, good_at) -> dict[int, int]:

@@ -33,7 +33,8 @@ from rainbowmatch.cli import main
 from rainbowmatch.matching import external_edges
 from rainbowmatch.multigraph import dumps
 
-from conftest import bad_per_colour, brute_scan, default_params, isotope, random_instance
+from conftest import (bad_per_colour, brute_scan, default_params, isotope, random_instance,
+                      rank)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -91,7 +92,7 @@ class TestFlexibleStructure:
         assert flex.partners == {}
         assert hier.m == 0
         assert not hier.by_head
-        assert find_violations(m, hier) == []
+        assert list(find_violations(m, hier)) == []
 
 
 class TestGoodBad:
@@ -157,7 +158,7 @@ class TestHierarchy:
         assert hier.m == 0
         assert {le.edge_id for le in hier.stopped} == {0, 2}
         assert not hier.by_head
-        assert find_violations(m, hier) == []
+        assert list(find_violations(m, hier)) == []
 
 
 class TestViolations:
@@ -165,7 +166,7 @@ class TestViolations:
         g = reach_free_fixture
         m = RainbowMatching(g, [0, 1, 2, 3])
         _, _, _, hier = analyse(g, m)
-        assert find_violations(m, hier) == [
+        assert list(find_violations(m, hier)) == [
             Violation("reach_free", 10, 2, (0, 9)),
         ]
 
@@ -174,7 +175,7 @@ class TestViolations:
         m = RainbowMatching(g, [0, 1, 2, 3, 4, 5])
         _, _, _, hier = analyse(g, m)
         assert hier.by_head.keys() == {0, 4, 6}
-        assert find_violations(m, hier) == [
+        assert list(find_violations(m, hier)) == [
             Violation("reach_reach", 16, 3, (0, 4)),
         ]
 
@@ -182,7 +183,7 @@ class TestViolations:
         g = free_free_fixture
         m = RainbowMatching(g, [0, 1])
         _, _, _, hier = analyse(g, m)
-        assert find_violations(m, hier) == [
+        assert list(find_violations(m, hier)) == [
             Violation("free_free", 5, 0, (6, 7)),
         ]
 
@@ -194,16 +195,16 @@ class TestViolations:
             Violation("reach_free", 3, 1, (6, 7)),
             Violation("extend", 2, 5, (2, 3)),
         ]
-        assert [v.kind for v in sorted(vs, key=lambda v: v.rank)] == [
+        assert [v.kind for v in sorted(vs, key=rank)] == [
             "extend", "extend", "reach_free", "reach_reach", "free_free"]
         # ties within a kind fall back to witness vertices then edge id
-        assert sorted(vs, key=lambda v: v.rank)[0].edge_id == 2
+        assert sorted(vs, key=rank)[0].edge_id == 2
 
     def test_named_tuple_repr_and_immutability(self):
         v = Violation("reach_free", 10, 2, (0, 9))
         assert repr(v) == ("Violation(kind='reach_free', edge_id=10, colour=2, "
                            "vertices=(0, 9))")
-        assert v.rank == (1, (0, 9), 10)
+        assert rank(v) == (1, (0, 9), 10)
         with pytest.raises(AttributeError):
             v.kind = "extend"
 
@@ -349,7 +350,7 @@ class TestProperties:
         assert [(v.kind, v.edge_id, v.colour, v.vertices)
                 for v in found] == brute_scan(g, m, hier)
         assert ("extend", dropped) in [(v.kind, v.edge_id) for v in found]
-        assert [v.rank for v in found] == sorted(v.rank for v in found)
+        assert [rank(v) for v in found] == sorted(map(rank, found))
 
     @given(st.integers(0, 200), st.integers(0, 7))
     @PROPERTY_SETTINGS
@@ -406,7 +407,7 @@ ranked_instances = st.one_of(
 
 class TestRankedViolations:
     """``find_violations`` counts every candidate but sorts and builds them
-    as they are iterated; it must stand in for the eager ranked list."""
+    as they are iterated; every pass over it yields the eager ranked list."""
 
     @given(ranked_instances, st.integers(0, 7), st.booleans(), st.integers(0, 300))
     @PROPERTY_SETTINGS
@@ -422,12 +423,6 @@ class TestRankedViolations:
         # a partial iteration of a fresh sequence yields the list's prefix
         assert list(itertools.islice(found, stop)) == eager[:stop]
         assert list(found) == eager
-        assert found == eager and eager == found
-        assert not found != eager and not eager != found
-        assert found == find_violations(m, hier)
-        assert found != eager + [None] and eager + [None] != found
-        if eager:
-            assert found != eager[:-1] and found != tuple(eager)
         # two iterations at once, over a fresh sequence
         fresh = find_violations(m, hier)
         assert list(zip(fresh, fresh)) == [(v, v) for v in eager]

@@ -313,6 +313,25 @@ class TestUsageErrors:
         with pytest.raises(SwitchUsageError, match=re.escape(message)):
             robust_switch(ctx, current, SwitchRequest(**request_kw), depth)
 
+    # a current of another size than the base, however close, is misused,
+    # checked in the budget's slot: after the set caps, before the depth
+    @pytest.mark.parametrize("current_ids,request_kw,depth,message", [
+        ([0], dict(colour=0, vertex=0, budget=5), 0,
+         "current matching has 1 edges, the base 2"),
+        ([0], dict(colour=0, vertex=0, budget=5, avoid_colours=[5, 6, 7]), 0,
+         "avoid_colours larger than 2 at level 1"),
+        ([0], dict(colour=0, vertex=0), 2, "current matching has 1 edges"),
+    ], ids=["smaller", "cap+smaller", "smaller+budget+depth"])
+    def test_current_of_another_size(self, base_switch_fixture, current_ids,
+                                     request_kw, depth, message):
+        g = base_switch_fixture
+        base = RainbowMatching(g, [0, 1])
+        ctx = SwitchContext.build(base)
+        current = RainbowMatching(g, current_ids)
+        assert current.distance_to(base) <= 5
+        with pytest.raises(SwitchUsageError, match=f"^{re.escape(message)}"):
+            robust_switch(ctx, current, SwitchRequest(**request_kw), depth)
+
     def test_cap_names_the_first_oversized_set(self, reach_free_fixture):
         g = reach_free_fixture
         base = RainbowMatching(g, [0, 1, 2, 3])
@@ -345,7 +364,7 @@ class TestUsageErrors:
         assert extend_to_maximal(base).edge_ids == {0, 1}
         ctx = SwitchContext.build(base)
         assert ctx.base.graph is g1 and ctx.base.graph is not g2
-        assert ctx.violations() == [Violation("extend", 1, 1, (2, 3))]
+        assert list(ctx.violations()) == [Violation("extend", 1, 1, (2, 3))]
 
     def test_request_coerces_collections(self):
         req = SwitchRequest(colour=0, vertex=0, fix=[1, 2],
@@ -625,6 +644,40 @@ class TestAugment:
                            match="^colour 0 of edge 0 is not reachable$"):
             augment(ctx, violation._replace(kind="free_free"))
 
+    # a violation whose fields are not its edge's used to leak a bare
+    # ValueError from the exchange ((), (9, 9)), raise a SwitchUsageError
+    # about another request ((0, 0)), come back NotFound ((0, 8)), or land
+    # with the wrong field ignored (a colour, an extend's vertices)
+    @pytest.mark.parametrize("fixture,ids,fields", [
+        ("reach_free_fixture", [0, 1, 2, 3], dict(vertices=())),
+        ("reach_free_fixture", [0, 1, 2, 3], dict(vertices=(0, 0))),
+        ("reach_free_fixture", [0, 1, 2, 3], dict(vertices=(9, 9))),
+        ("reach_free_fixture", [0, 1, 2, 3], dict(vertices=(0, 8))),
+        ("reach_free_fixture", [0, 1, 2, 3], dict(colour=0)),
+        ("base_switch_fixture", [1], dict(vertices=())),
+        ("base_switch_fixture", [1], dict(colour=2)),
+    ], ids=["no_vertices", "head_twice", "free_twice", "other_vertex",
+            "other_colour", "extend_no_vertices", "extend_other_colour"])
+    def test_violation_names_its_edge(self, request, fixture, ids, fields):
+        g = request.getfixturevalue(fixture)
+        ctx = SwitchContext.build(RainbowMatching(g, ids))
+        (violation,) = ctx.violations()
+        bad = violation._replace(**fields)
+        e = g.edge(violation.edge_id)
+        message = (f"vertices {bad.vertices!r} and colour {bad.colour!r} are "
+                   f"not those of edge {e.id} ({e.u}-{e.v}, colour {e.colour})")
+        with recorded_calls() as log:
+            with pytest.raises(SwitchUsageError, match=f"^{re.escape(message)}$"):
+                augment(ctx, bad)
+        assert log == [] and ctx.built == {}
+
+    def test_violation_vertices_in_either_order(self, reach_free_fixture):
+        g = reach_free_fixture
+        ctx = SwitchContext.build(RainbowMatching(g, [0, 1, 2, 3]))
+        (violation,) = ctx.violations()
+        out = augment(ctx, violation._replace(vertices=violation.vertices[::-1]))
+        assert out.matching.edge_ids == {6, 8, 9, 10, 11}
+
     def test_not_found_propagates(self, reach_free_fixture):
         g = reach_free_fixture
         base = RainbowMatching(g, [0, 1, 2, 3])
@@ -902,6 +955,14 @@ LEVEL3_STDOUT_SHA256 = {
         ["stats"]),
 }
 
+# sha256 of ``solve --json --shuffle`` stdout on generate_random(256, 258,
+# 516, 16, 6) at seed 0.  It stalls at 255 (exit 2) in a three-level context
+# whose stall proof serves 2 depth-2 calls (level-1 base exchanges under a
+# level-3 call); it is the one solve of 336 scanned at C=96-256, plain and
+# shuffled, that serves any.  The CI's solve-smoke job pins the same stdout
+# on Python 3.10 and 3.12.
+DEPTH2_JSON_SHA256 = "bef043ec6c0c80df067dea0f8a9bf8601107a22696efb8a6b67b9833548d7b27"
+
 
 class TestLevel3:
     def test_level3_solve_unchanged_and_within_contract(self, tmp_path, capsys):
@@ -928,6 +989,28 @@ class TestLevel3:
         assert cli.main([command[0], "--input", str(path), *command[1:]]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_depth2_solve_unchanged_and_within_contract(self, tmp_path, capsys,
+                                                        monkeypatch):
+        g = generate_random(256, 258, 516, 16, 6)
+        path = tmp_path / "r256.txt"
+        path.write_text(dumps(g))
+        deep = []
+        inner = switching.robust_switch
+
+        def recording(ctx, current, request, depth=0):
+            out = inner(ctx, current, request, depth)
+            if depth == 2 and type(out) is switching.SwitchOutcome:
+                deep.append(switching.CallRecord.from_call(ctx.base, out))
+            return out
+
+        monkeypatch.setattr(switching, "robust_switch", recording)
+        assert cli.main(["solve", "--input", str(path), "--json", "--shuffle"]) == 2
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DEPTH2_JSON_SHA256
+        assert len(deep) == 2
+        for rec in deep:
+            recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
 
 
 def assert_built_fresh(ctx, got, fresh) -> None:
