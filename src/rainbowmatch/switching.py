@@ -35,6 +35,24 @@ A context builds each exchange's matching once
 from value-equal chain states under other constraints, and such a repeat gets
 back the matching built the first time.  Its call still runs every check and
 its candidate scan.
+
+An augmentation whose chain needs more spare colours than the base leaves
+unused is refuted before its first switch call.  Let U = C - |M| be the
+number of colours the base does not use (:attr:`SwitchContext.unused`).
+
+- Every exchange removes base edges only: level edges and flexible partners.
+  Their colours are used by the base, so no chain ever frees a colour that
+  the base leaves unused.
+- Every level-1 exchange adds an edge of a ``spare`` colour, one that the
+  base does not use and the current matching does not use yet.  So a chain
+  makes at most U level-1 exchanges.
+- Every served switch makes at least one level-1 exchange: a lift serves
+  one lower switch and a descend two.
+
+A chain of k switches therefore lands only if k <= U, and :func:`augment`
+returns ``NotFound("too_few_spares", {})`` for one that asks more.  The
+shuffled path (``rng``) runs every chain, so that its draws, and with them
+its output, stay those of the full search.
 """
 
 from __future__ import annotations
@@ -196,10 +214,12 @@ class SwitchContext:
     """Everything the engine needs about one base matching, read from the
     graph that the base carries.
 
-    The constants every switch call reads are computed once: ``m``, the
-    hierarchy depth, and ``size``, the base size.  ``built`` holds every
-    matching that :meth:`exchange` has built, keyed by the value of the
-    exchange: ``(start edge ids, removed, added)``."""
+    The constants the engine reads are computed once: ``m``, the hierarchy
+    depth, and ``size``, the base size, which every switch call reads, and
+    ``unused``, C - |M|, the number of colours the base does not use, which
+    bounds the switches of one augmentation.  ``built`` holds every matching that :meth:`exchange`
+    has built, keyed by the value of the exchange: ``(start edge ids,
+    removed, added)``."""
 
     base: RainbowMatching
     flex: FlexibleStructure
@@ -208,12 +228,14 @@ class SwitchContext:
     rng: random.Random | None = None
     m: int = field(init=False, repr=False)
     size: int = field(init=False, repr=False)
+    unused: int = field(init=False, repr=False)
     built: dict[tuple, RainbowMatching] = field(default_factory=dict, init=False,
                                                 repr=False)
 
     def __post_init__(self):
         self.m = len(self.hierarchy.levels)
         self.size = len(self.base.edge_ids)
+        self.unused = self.base.graph.num_colours - self.size
 
     @classmethod
     def build(cls, matching: RainbowMatching, params: InstanceParams | None = None,
@@ -466,6 +488,16 @@ class AugmentOutcome:
     calls: list[SwitchOutcome]
 
 
+# a reachable-coloured violation's kind by (endpoints that are reachable
+# heads, endpoints that are free), as find_violations sorts it
+_KIND_BY_ENDS = {(1, 1): "reach_free", (2, 0): "reach_reach", (0, 2): "free_free"}
+
+
+def _not_of_kind(kind, edge_id, u, v, c) -> SwitchUsageError:
+    return SwitchUsageError(f"edge {edge_id} ({u}-{v}, colour {c}) is not of "
+                            f"kind {kind!r} in the base")
+
+
 def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFound:
     """Run the recipe for one violation against the context base.
 
@@ -478,11 +510,16 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     one chain from the base, then the edge goes in.
 
     Returns a matching one edge larger, or :class:`NotFound` when some switch
-    in the chain finds no configuration under the budget cap.  Raises
-    :class:`SwitchUsageError` on an unknown kind, an edge id that is not one
-    of the graph's, ``vertices`` other than the edge's two endpoints or a
-    ``colour`` other than its own, and a kind other than ``extend`` whose
-    edge's colour is not reachable.
+    in the chain finds no configuration under the budget cap.  A chain of
+    more switches than the base leaves colours unused cannot land (see the
+    module docstring); unless the context shuffles, it is refuted before its
+    first switch call as ``NotFound("too_few_spares", {})``.
+
+    Raises :class:`SwitchUsageError` on an unknown kind, an edge id that is
+    not one of the graph's, ``vertices`` other than the edge's two endpoints
+    or a ``colour`` other than its own, a kind other than ``extend`` whose
+    edge's colour is not reachable, and an edge that is not of its kind as
+    :func:`~rainbowmatch.reachability.find_violations` defines it.
     """
     kind, edge_id, colour, vertices = violation
     if kind not in VIOLATION_KINDS:
@@ -496,19 +533,29 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
         raise SwitchUsageError(
             f"vertices {vertices!r} and colour {colour!r} are not those of "
             f"edge {edge_id} ({u}-{v}, colour {c})")
+    covered = base.covered
     if kind == "extend":
+        if u == v or c in base.colours or u in covered or v in covered:
+            raise _not_of_kind(kind, edge_id, u, v, c)
         return AugmentOutcome(ctx.exchange(base, (), (edge_id,)), [])
     hierarchy = ctx.hierarchy
     target = hierarchy.by_colour.get(colour)
     if target is None:
         raise SwitchUsageError(f"colour {colour} of edge {edge_id} is not reachable")
+    heads = hierarchy.by_head
+    if u == v or _KIND_BY_ENDS.get((
+            (u in heads) + (v in heads),
+            (u not in covered) + (v not in covered))) != kind:
+        raise _not_of_kind(kind, edge_id, u, v, c)
     head = target.head
     # the endpoints' level edges, in witness order, but the colour's own
-    to_free = [le for le in map(hierarchy.by_head.get, vertices)
+    to_free = [le for le in map(heads.get, vertices)
                if le is not None and le is not target]
+    # each switch of the chain takes a spare colour of its own
+    if len(to_free) >= ctx.unused and ctx.rng is None:
+        return NotFound("too_few_spares", {})
     requests = []
     if to_free:
-        covered = base.covered
         keep = frozenset([target.edge_id] + [le.edge_id for le in to_free])
         # a frozenset, so that ``avoid |=`` below leaves queued requests alone
         avoid = frozenset([v for v in vertices if v not in covered])

@@ -7,7 +7,8 @@ mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
 clashes).  Hand fixtures
 that several suites share live here too, along with ``recorded_calls()``,
 which logs every successful switch call, ``recheck_call()``, which checks
-one such record against the switch contract, ``brute_scan()``, the
+one such record against the switch contract, ``spare_bound_off()``, which
+turns off ``augment``'s spare-colour bound, ``brute_scan()``, the
 full-edge-sweep reference for ``find_violations``, ``rank()``, the order it
 ranks by, and ``bad_per_colour()``,
 which counts the bad edges that ``classify_good_bad`` leaves out.
@@ -16,6 +17,7 @@ which counts the bad edges that ``classify_good_bad`` leaves out.
 from __future__ import annotations
 
 import random
+import sys
 from contextlib import contextmanager
 from math import ceil
 
@@ -149,6 +151,36 @@ def recorded_calls():
         yield log
     finally:
         switching.robust_switch = inner
+
+
+@contextmanager
+def spare_bound_off():
+    """Turn off ``augment``'s spare-colour bound inside the block.
+
+    Every context that ``SwitchContext.build`` makes in the block claims
+    more unused colours (``ctx.unused``, which only the bound reads) than
+    any chain can ask for, so every augmentation runs its chain as it did
+    before the bound.  A context manager, so it also serves hypothesis
+    tests; the ``no_spare_bound`` fixture wraps a whole test in it.
+    """
+    build = switching.SwitchContext.__dict__["build"]
+
+    def building(cls, *args, **kwargs):
+        ctx = build.__func__(cls, *args, **kwargs)
+        ctx.unused = sys.maxsize
+        return ctx
+
+    switching.SwitchContext.build = classmethod(building)
+    try:
+        yield
+    finally:
+        switching.SwitchContext.build = build
+
+
+@pytest.fixture
+def no_spare_bound():
+    with spare_bound_off():
+        yield
 
 
 def recheck_call(g, base, rec) -> None:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,8 +34,9 @@ from rainbowmatch import (
 )
 from rainbowmatch.reachability import FlexibleStructure, Hierarchy
 
-from conftest import (isotope, random_instance, recheck_call, recorded_calls,
-                      tight_instance)
+from conftest import (isotope, random_instance, raw_graphs, recheck_call,
+                      recorded_calls, spare_bound_off, tight_instance)
+from test_matching import family_graph
 from test_reachability import REACHABILITY_GOLDEN
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -489,6 +491,18 @@ class TestInductiveCase:
         assert out.rejections == {"recursion_failed": 1}
 
 
+def assert_not_of_its_kind(ctx, violation) -> None:
+    """``augment`` rejects ``violation`` as not of its kind, before any
+    switch call or exchange."""
+    e = ctx.base.graph.edge(violation.edge_id)
+    message = (f"edge {e.id} ({e.u}-{e.v}, colour {e.colour}) is not of "
+               f"kind {violation.kind!r} in the base")
+    with recorded_calls() as log:
+        with pytest.raises(SwitchUsageError, match=f"^{re.escape(message)}$"):
+            augment(ctx, violation)
+    assert log == [] and ctx.built == {}
+
+
 class TestAugment:
     def test_extend(self, base_switch_fixture):
         g = base_switch_fixture
@@ -671,6 +685,50 @@ class TestAugment:
                 augment(ctx, bad)
         assert log == [] and ctx.built == {}
 
+    # a loop or an extend with a covered endpoint used to leak a bare
+    # ValueError from the exchange, and a reach_free on the base's own edge 0
+    # raised "avoided vertices already covered: [1]"
+    @pytest.mark.parametrize("violation", [
+        Violation("extend", 4, 2, (4, 4)),
+        Violation("extend", 5, 2, (1, 5)),
+        Violation("extend", 0, 0, (0, 1)),
+        Violation("reach_free", 0, 0, (0, 1)),
+        Violation("reach_reach", 0, 0, (0, 1)),
+        Violation("free_free", 0, 0, (0, 1)),
+    ], ids=["extend_loop", "extend_covered_end", "extend_base_edge",
+            "reach_free_base_edge", "reach_reach_base_edge", "free_free_base_edge"])
+    def test_violation_not_of_its_kind(self, base_switch_fixture, violation):
+        g = ColouredMultigraph(6, 3, [(e.u, e.v, e.colour) for e in base_switch_fixture.edges]
+                               + [(4, 4, 2), (1, 5, 2)])
+        ctx = SwitchContext.build(RainbowMatching(g, [0, 1]))
+        assert 0 in ctx.hierarchy.by_colour
+        assert_not_of_its_kind(ctx, violation)
+
+    @pytest.mark.parametrize("fixture,ids,kind", [
+        ("reach_free_fixture", [0, 1, 2, 3], "reach_reach"),
+        ("reach_free_fixture", [0, 1, 2, 3], "free_free"),
+        ("reach_reach_fixture", [0, 1, 2, 3, 4, 5], "reach_free"),
+        ("free_free_fixture", [0, 1], "reach_free"),
+        ("free_free_fixture", [0, 1], "extend"),
+    ], ids=["reach_free_as_reach_reach", "reach_free_as_free_free",
+            "reach_reach_as_reach_free", "free_free_as_reach_free",
+            "free_free_as_extend"])
+    def test_violation_of_another_kind(self, request, fixture, ids, kind):
+        g = request.getfixturevalue(fixture)
+        ctx = SwitchContext.build(RainbowMatching(g, ids))
+        (violation,) = ctx.violations()
+        assert_not_of_its_kind(ctx, violation._replace(kind=kind))
+
+    @given(st.sampled_from(["random", "tight", "latin", "raw"]), st.integers(0, 60),
+           st.data())
+    @PROPERTY_SETTINGS
+    def test_every_found_violation_is_of_its_kind(self, family, seed, data):
+        # augment takes every violation find_violations yields, of every kind
+        g = data.draw(raw_graphs()) if family == "raw" else family_graph(family, seed)
+        ctx = SwitchContext.build(extend_to_maximal(greedy(g, seed)))
+        for violation in ctx.violations():
+            assert isinstance(augment(ctx, violation), (AugmentOutcome, NotFound))
+
     def test_violation_vertices_in_either_order(self, reach_free_fixture):
         g = reach_free_fixture
         ctx = SwitchContext.build(RainbowMatching(g, [0, 1, 2, 3]))
@@ -814,7 +872,10 @@ class TestSolve:
 # sha256 of the JSON report plus the log of every successful switch call and
 # the iteration log, recorded before the switch engine applied deltas and
 # memoised per-context facts; a speed-up must leave every one of them
-# unchanged.
+# unchanged.  The plain solves pinned here and in TestLevel3 and
+# TestExchangeReplay log every call of the full search, so they run with
+# augment's spare-colour bound off (``no_spare_bound``); TestSpareBound pins
+# the same solves with it on.
 GOLDEN = {
     (1, False): "bdc3592278728316ad335a272bdac68782e110099cce118031f70a3608bf33f4",
     (1, True): "bdc3592278728316ad335a272bdac68782e110099cce118031f70a3608bf33f4",
@@ -851,7 +912,7 @@ def golden_blob(report, log) -> str:
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("seed,shuffle", sorted(GOLDEN))
-    def test_solve_output_unchanged(self, seed, shuffle):
+    def test_solve_output_unchanged(self, seed, shuffle, no_spare_bound):
         # near-threshold random instances: seeds 3 and 5 log 400-600
         # successful switch calls over two augmentation rounds
         with recorded_calls() as log:
@@ -860,7 +921,7 @@ class TestGoldenOutput:
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[seed, shuffle]
 
     @pytest.mark.parametrize("shuffle", sorted(GOLDEN_DESCEND))
-    def test_descend_output_unchanged(self, shuffle, monkeypatch):
+    def test_descend_output_unchanged(self, shuffle, monkeypatch, no_spare_bound):
         # the only golden instance on which a descend lands (next to 171
         # lifts); the cases above land base switches and lifts only
         landed = Counter()
@@ -881,7 +942,7 @@ class TestGoldenOutput:
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_DESCEND[shuffle]
 
     @pytest.mark.parametrize("n,seed", sorted(GOLDEN_LATIN))
-    def test_latin_stall_proof_unchanged(self, n, seed):
+    def test_latin_stall_proof_unchanged(self, n, seed, no_spare_bound):
         with recorded_calls() as log:
             report = solve(latin_to_graph(isotope(n, seed)), seed=seed)
         *shape, digest = GOLDEN_LATIN[n, seed]
@@ -938,8 +999,8 @@ class TestLandedCalls:
 # sha256 of ``solve --json`` stdout on generate_random(128, 130, 260, 8, 7)
 # at seed 0, recorded before each context computed its constants once.
 # It is the one instance measured whose solve serves level-3 calls (4 of the
-# 270 it makes) and it reaches 128; the CI's solve-smoke job pins the same
-# stdout on Python 3.10 and 3.12.
+# 270 it makes) when augment's spare-colour bound is off, and it reaches 128;
+# the CI's solve-smoke job pins the same stdout on Python 3.10 and 3.12.
 LEVEL3_JSON_SHA256 = "98a2cf3e7889333646b090c5096c558639e13828e536532b4275d5c3637073e4"
 
 # sha256 of the same instance's ``solve --json --shuffle`` stdout (it reaches
@@ -965,7 +1026,8 @@ DEPTH2_JSON_SHA256 = "bef043ec6c0c80df067dea0f8a9bf8601107a22696efb8a6b67b983354
 
 
 class TestLevel3:
-    def test_level3_solve_unchanged_and_within_contract(self, tmp_path, capsys):
+    def test_level3_solve_unchanged_and_within_contract(self, tmp_path, capsys,
+                                                        no_spare_bound):
         g = generate_random(128, 130, 260, 8, 7)
         path = tmp_path / "r128.txt"
         path.write_text(dumps(g))
@@ -980,6 +1042,20 @@ class TestLevel3:
             if base is None:
                 base = bases[rec.base_ids] = RainbowMatching(g, rec.base_ids)
             recheck_call(g, base, rec)
+
+    def test_level3_solve_on_the_shipped_path(self, tmp_path, capsys):
+        # the same stdout with augment's spare-colour bound on; the chains it
+        # refutes held every level-3 call, and each call left is re-checked
+        g = generate_random(128, 130, 260, 8, 7)
+        path = tmp_path / "r128.txt"
+        path.write_text(dumps(g))
+        with recorded_calls() as log:
+            assert cli.main(["solve", "--input", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LEVEL3_JSON_SHA256
+        assert Counter(rec.level for rec in log) == {1: 46, 2: 4}
+        for rec in log:
+            recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
 
     @pytest.mark.parametrize("name", sorted(LEVEL3_STDOUT_SHA256))
     def test_level3_stdout_unchanged(self, name, tmp_path, capsys):
@@ -1011,6 +1087,129 @@ class TestLevel3:
         assert len(deep) == 2
         for rec in deep:
             recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
+
+
+def needs_too_many_spares(ctx, violation) -> bool:
+    """Whether the chain of ``violation``'s recipe has more switches than
+    the base of ``ctx`` leaves colours unused: one switch per endpoint that
+    is a reachable head other than its colour's own head, plus one.  Restated
+    from the recipe; it reads neither ``ctx.unused`` nor ``ctx.rng``."""
+    kind, _, colour, vertices = violation
+    if kind == "extend":
+        return False
+    hierarchy = ctx.hierarchy
+    own = hierarchy.by_colour[colour].head
+    switches = 1 + sum(x in hierarchy.by_head and x != own for x in vertices)
+    return switches > ctx.base.graph.num_colours - len(ctx.base)
+
+
+@contextmanager
+def augment_calls():
+    """Log ``(ctx, violation, outcome, served)`` for every ``augment`` call
+    that ``solve`` makes inside the block; ``served`` is the
+    :func:`recorded_calls` log of the switch calls made inside it."""
+    log = []
+    inner = switching.augment
+
+    def logging(ctx, violation):
+        with recorded_calls() as served:
+            out = inner(ctx, violation)
+        log.append((ctx, violation, out, served))
+        return out
+
+    switching.augment = logging
+    try:
+        yield log
+    finally:
+        switching.augment = inner
+
+
+# the plain golden solves above with augment's spare-colour bound on: (calls
+# served with the bound off, calls served with it, sha256 of golden_blob)
+SPARE_BOUND_CASES = {
+    "random_s3": (lambda: generate_random(32, 34, 68, 2, 3), 0),
+    "random_s5": (lambda: generate_random(32, 34, 68, 2, 5), 0),
+    "descend": (lambda: generate_random(48, 50, 100, 3, 1), 1),
+    "latin_63_1": (lambda: latin_to_graph(isotope(63, 1)), 1),
+    "latin_64_2": (lambda: latin_to_graph(isotope(64, 2)), 2),
+    "level3": (lambda: generate_random(128, 130, 260, 8, 7), 0),
+}
+SPARE_BOUND_GOLDEN = {
+    "random_s3": (403, 7, "7ec8809f0c7071273c4d34680275031e9ee0323de7370f564c39a1f89e9286b9"),
+    "random_s5": (598, 15, "475d391b6c7ee90ad6c38c0d0a3d92526946f3eb4f3081b9ffbd34cf5dd69f18"),
+    "descend": (1220, 21, "364f3410a85a1bc50fd2effd3b4d03d82bb05953b384ecb9807d8169608a4215"),
+    "latin_63_1": (927, 172,
+                   "681ce8d9504e3efb67d8621a3d91039d847ea3d2e3b9be894740cf002eace969"),
+    "latin_64_2": (799, 187,
+                   "1a02faf5d5d93c2779fe0ce797acc8bb2eb89ab86b97bd0f00cc1d448ac5dd97"),
+    "level3": (9949, 50, "5927a441a3193cb280ed9946275fe1f3174a5035f95a26cdce6ce2d9d2196a31"),
+}
+
+
+@st.composite
+def near_threshold_graphs(draw) -> ColouredMultigraph:
+    colours = draw(st.integers(8, 48))
+    return generate_random(colours, colours + 2, 2 * (colours + 2),
+                           max(1, colours // 16), draw(st.integers(0, 50)))
+
+
+@st.composite
+def latin_graphs(draw) -> ColouredMultigraph:
+    return latin_to_graph(isotope(draw(st.integers(3, 16)), draw(st.integers(0, 50))))
+
+
+class TestSpareBound:
+    @pytest.mark.parametrize("name", sorted(SPARE_BOUND_CASES))
+    def test_only_refuted_chains_lose_their_calls(self, name):
+        make, seed = SPARE_BOUND_CASES[name]
+        g = make()
+        with spare_bound_off(), augment_calls() as tried:
+            full = solve(g, seed=seed)
+        with recorded_calls() as log:
+            report = solve(g, seed=seed)
+        assert report.to_json_dict() == full.to_json_dict()
+        assert report.iterations == full.iterations
+        assert report.switch_calls == full.switch_calls
+        refuted = [needs_too_many_spares(ctx, v) for ctx, v, _, _ in tried]
+        assert any(refuted)
+        assert all(isinstance(out, NotFound)
+                   for (_, _, out, _), r in zip(tried, refuted) if r)
+        assert log == [rec for (*_, served), r in zip(tried, refuted) if not r
+                       for rec in served]
+        full_calls = sum(len(served) for *_, served in tried)
+        blob = golden_blob(report, log)
+        assert (full_calls, len(log), hashlib.sha256(blob.encode()).hexdigest()) == \
+            SPARE_BOUND_GOLDEN[name]
+
+    # the bound stays out of shuffled solves, whose later draws depend on
+    # every chain run before them: their pinned logs hold with the bound on
+    @pytest.mark.parametrize("args,seed,digest", [
+        pytest.param((32, 34, 68, 2, 3), 0, GOLDEN[3, True], id="random_s3"),
+        pytest.param((32, 34, 68, 2, 5), 0, GOLDEN[5, True], id="random_s5"),
+        pytest.param((48, 50, 100, 3, 1), 1, GOLDEN_DESCEND[True], id="descend"),
+    ])
+    def test_shuffled_solves_run_every_chain(self, args, seed, digest):
+        with recorded_calls() as log:
+            report = solve(generate_random(*args), seed=seed, shuffle=True)
+        blob = golden_blob(report, log)
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("graphs", [raw_graphs(), near_threshold_graphs(),
+                                        latin_graphs()], ids=["raw", "near_threshold", "latin"])
+    @given(data=st.data(), seed=st.integers(0, 3), shuffle=st.booleans())
+    @PROPERTY_SETTINGS
+    def test_refuted_chains_never_land(self, graphs, data, seed, shuffle):
+        # with the bound off, every chain it refutes comes back NotFound, and
+        # a landed chain makes at most C - |M| level-1 exchanges
+        g = data.draw(graphs)
+        with spare_bound_off(), augment_calls() as tried:
+            solve(g, seed=seed, shuffle=shuffle)
+        for ctx, violation, out, _ in tried:
+            if needs_too_many_spares(ctx, violation):
+                assert isinstance(out, NotFound)
+            elif isinstance(out, AugmentOutcome):
+                bases = sum(call.case == "base" for call in out.calls)
+                assert bases <= g.num_colours - len(ctx.base)
 
 
 def assert_built_fresh(ctx, got, fresh) -> None:
@@ -1092,6 +1291,36 @@ class TestSharedExchanges:
                 assert_built_fresh(ctx, got, fresh)
 
 
+def replayed_cases(make, seed, shuffle, monkeypatch) -> Counter:
+    """Solve ``make()`` and check that each call's removed/added ids rebuild
+    its result from its start (base) or from the result of the call just
+    under it (lift, descend); returns the calls checked by case."""
+    checked = Counter()
+    inner = switching.robust_switch
+
+    def replaying(ctx, current, request, depth=0):
+        out = inner(ctx, current, request, depth)
+        if type(out) is switching.SwitchOutcome:
+            calls = out.calls
+            for i, c in enumerate(calls):
+                if c.case == "base":
+                    assert c.start.with_swap(c.removed, c.added) == c.matching
+                else:
+                    assert i > 0 and calls[i - 1].depth == c.depth + 1
+                    before = calls[i - 1].matching
+                    assert before.with_swap(c.removed, c.added) == c.matching
+                assert c.removed[0] == ctx.hierarchy.entry(c.request.colour).edge_id
+                # a chain builds its requests uncoerced: every set is a frozenset
+                assert type(c.request) is SwitchRequest
+                assert [type(x) for x in c.request[3:]] == [frozenset] * 3
+                checked[c.case] += 1
+        return out
+
+    monkeypatch.setattr(switching, "robust_switch", replaying)
+    solve(make(), seed=seed, shuffle=shuffle)
+    return checked
+
+
 class TestExchangeReplay:
     @pytest.mark.parametrize("make,seed,shuffle,cases", [
         pytest.param(lambda: generate_random(32, 34, 68, 2, 3), 0, False,
@@ -1102,33 +1331,19 @@ class TestExchangeReplay:
                      {"base", "lift", "descend"}, id="descend_True"),
     ])
     def test_every_call_replays_its_exchange(self, make, seed, shuffle, cases,
-                                             monkeypatch):
-        # each call's removed/added ids rebuild its result from its start
-        # (base) or from the result of the call just under it (lift, descend)
-        checked = Counter()
-        inner = switching.robust_switch
+                                             monkeypatch, no_spare_bound):
+        assert set(replayed_cases(make, seed, shuffle, monkeypatch)) == cases
 
-        def replaying(ctx, current, request, depth=0):
-            out = inner(ctx, current, request, depth)
-            if type(out) is switching.SwitchOutcome:
-                calls = out.calls
-                for i, c in enumerate(calls):
-                    if c.case == "base":
-                        assert c.start.with_swap(c.removed, c.added) == c.matching
-                    else:
-                        assert i > 0 and calls[i - 1].depth == c.depth + 1
-                        before = calls[i - 1].matching
-                        assert before.with_swap(c.removed, c.added) == c.matching
-                    assert c.removed[0] == ctx.hierarchy.entry(c.request.colour).edge_id
-                    # a chain builds its requests uncoerced: every set is a frozenset
-                    assert type(c.request) is SwitchRequest
-                    assert [type(x) for x in c.request[3:]] == [frozenset] * 3
-                    checked[c.case] += 1
-            return out
-
-        monkeypatch.setattr(switching, "robust_switch", replaying)
-        solve(make(), seed=seed, shuffle=shuffle)
-        assert set(checked) == cases
+    # the plain solves above with augment's spare-colour bound on: on
+    # random_s3 the chains it leaves to run serve base switches only
+    @pytest.mark.parametrize("make,seed,cases", [
+        pytest.param(lambda: generate_random(32, 34, 68, 2, 3), 0, {"base"},
+                     id="random_s3"),
+        pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1,
+                     {"base", "lift", "descend"}, id="descend"),
+    ])
+    def test_shipped_path_replays_its_exchanges(self, make, seed, cases, monkeypatch):
+        assert set(replayed_cases(make, seed, False, monkeypatch)) == cases
 
 
 # every name that perfbench/tracing.py patches, by owner: it reads each from
