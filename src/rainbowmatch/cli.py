@@ -20,8 +20,8 @@ import sys
 from math import ceil, isnan
 
 from . import multigraph
-from .instances import (PlacementError, cyclic_square, dumps_square, generate_random,
-                        latin_to_graph, load_square)
+from .instances import (PlacementError, check_random_shape, cyclic_square, dumps_square,
+                        generate_random, latin_to_graph, load_square)
 from .matching import (RainbowMatching, document_ids, document_issues, greedy,
                        matching_to_json, verify)
 from .multigraph import InstanceParams, hypothesis_check
@@ -209,8 +209,9 @@ def _parse_seed_range(text: str) -> range:
 
 
 def _cmd_bench(args) -> int:
-    colours, count, vertices, cap = _random_shape(args)
+    colours, count, vertices, cap = shape = _random_shape(args)
     # before the header, so that a bad argument leaves stdout empty
+    check_random_shape(*shape)
     seeds = _parse_seed_range(args.seeds)
     params = _params_for(colours, args)
     print("seed,n,found,optimum,iterations,switches,ms")

@@ -111,6 +111,16 @@ def enumerate_reduced_squares(n: int) -> Iterator[LatinSquare]:
     yield from fill(0)
 
 
+def check_random_shape(colours: int, count: int, vertices: int, cap: int) -> None:
+    """Raise ValueError when no :func:`generate_random` instance has this
+    shape: a negative count, a cap below 1, or more edges per colour than a
+    perfect matching on ``vertices`` holds."""
+    if colours < 0 or count < 0 or vertices < 0 or cap < 1:
+        raise ValueError("counts must be non-negative and cap >= 1")
+    if count > vertices // 2:
+        raise ValueError(f"count {count} exceeds a perfect matching on {vertices} vertices")
+
+
 def generate_random(colours: int, count: int, vertices: int, cap: int,
                     seed: int) -> ColouredMultigraph:
     """A random proper instance: ``colours`` colour classes of exactly
@@ -127,11 +137,7 @@ def generate_random(colours: int, count: int, vertices: int, cap: int,
     exactly the ones ``rng.randrange(vertices)`` makes (inlined for speed),
     so instances are byte-for-byte those of the plain ``randrange`` loop.
     """
-    if colours < 0 or count < 0 or vertices < 0 or cap < 1:
-        raise ValueError("counts must be non-negative and cap >= 1")
-    if count > vertices // 2:
-        raise ValueError(f"count {count} exceeds a perfect matching on {vertices} vertices")
-
+    check_random_shape(colours, count, vertices, cap)
     rng = random.Random(seed)
     for _ in range(64):
         triples = _try_generate(colours, count, vertices, cap, rng)

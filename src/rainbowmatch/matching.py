@@ -236,9 +236,18 @@ def greedy(graph: ColouredMultigraph, seed: int = 0) -> RainbowMatching:
     One full pass accepting every compatible edge, so the result is maximal:
     no remaining edge has both endpoints free and an unused colour.
     """
-    rng = random.Random(seed)
     order = list(range(graph.num_edges))
-    rng.shuffle(order)
+    # ``random.Random(seed).shuffle(order)`` drawn as CPython draws it: for
+    # each i from the end down to 1, a swap with ``_randbelow(i + 1)``, which
+    # draws ``k``-bit words until one is at most i; inlined because the
+    # calls cost more than the swaps
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(len(order) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     return _greedy_pass(graph, order, RainbowMatching(graph))
 
 

@@ -22,6 +22,9 @@ no such edge may sit if the matching were unimprovable; each kind maps to an
 augmentation recipe in :mod:`rainbowmatch.switching`.  :func:`find_violations`
 returns them as a sized stream, :class:`RankedViolations`, which alone fixes
 their rank order: counted at once, sorted and built as they are iterated.
+Each bucket also knows the fewest switches that any of its violations'
+augmentation chains makes (:func:`chain_switches`), so that a round can pass
+over a bucket whose every chain needs more spare colours than the base has.
 The counting argument that some violation must exist is
 :func:`counting_diagnostics`, which returns the ``counting`` document that
 ``rainbowmatch stats`` prints.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
+from operator import itemgetter
 from typing import NamedTuple
 
 from .matching import RainbowMatching, external_edges
@@ -336,6 +340,16 @@ class Violation(NamedTuple):
     vertices: tuple[int, ...]
 
 
+def chain_switches(hierarchy: Hierarchy, colour: int, vertices) -> int:
+    """The switch calls in the augmentation chain of a violation of reachable
+    ``colour`` between ``vertices``: one for each endpoint that is a reachable
+    head other than the colour's own head, then one that frees the colour and
+    its head (see :func:`rainbowmatch.switching.augment`)."""
+    heads = hierarchy.by_head
+    own = hierarchy.by_colour[colour].head
+    return 1 + sum(x in heads and x != own for x in vertices)
+
+
 class RankedViolations:
     """The violations of one matching in rank order, ranked lazily.
 
@@ -346,28 +360,44 @@ class RankedViolations:
     is sorted only when iteration reaches it, and each :class:`Violation` is
     built only when it is yielded.  A caller that stops at the first
     violation whose recipe lands pays for the buckets it reached and the
-    violations it took.
+    violations it took.  :meth:`ranked` can also pass over whole buckets
+    whose chains need more spare colours than the base leaves.
     """
 
-    __slots__ = ("_buckets", "_len")
+    __slots__ = ("_buckets", "_fewest", "_len")
 
-    def __init__(self, buckets: tuple[list, ...]):
+    def __init__(self, buckets: tuple[list, ...], fewest: tuple[int, ...]):
         # one list of ``(vertices, edge id, colour)`` per kind, in the order
-        # of VIOLATION_KINDS; edge ids are unique, so colours never compare
+        # of VIOLATION_KINDS, and the fewest switches a chain of each makes;
+        # edge ids are unique, so colours never compare
         self._buckets = buckets
+        self._fewest = fewest
         self._len = sum(map(len, buckets))
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self):
+        return map(itemgetter(1), self.ranked())
+
+    def ranked(self, spares: int | None = None):
+        """Yield ``(rank, violation)`` in rank order, ranks counted from 1.
+
+        Given ``spares``, pass over every bucket in which even the cheapest
+        chain makes more than ``spares`` switches: its violations keep their
+        ranks, but the bucket is not sorted and none of them is built or
+        yielded.  ``extend`` makes no switch, so it is never passed over."""
         make = tuple.__new__  # Violation's own __new__ adds a Python call each
-        for kind, bucket in zip(VIOLATION_KINDS, self._buckets):
+        rank = 0
+        for kind, bucket, fewest in zip(VIOLATION_KINDS, self._buckets, self._fewest):
+            if spares is not None and fewest > spares:
+                rank += len(bucket)
+                continue
             # a second pass re-sorts a sorted bucket: one linear check, and
             # the order a paused pass over it reads is unchanged
             bucket.sort()
-            for vertices, eid, c in bucket:
-                yield make(Violation, (kind, eid, c, vertices))
+            for rank, (vertices, eid, c) in enumerate(bucket, rank + 1):
+                yield rank, make(Violation, (kind, eid, c, vertices))
 
     def __repr__(self) -> str:
         return f"RankedViolations({list(self)!r})"
@@ -380,7 +410,8 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
 
     Scans only the unused-colour and reachable-colour classes; the brute-force
     equivalent is a full edge sweep.  Candidates are kept by kind as plain
-    tuples, ``(vertices, edge id, colour)``.
+    tuples, ``(vertices, edge id, colour)``, and each kind's fewest
+    :func:`chain_switches` is recorded.
     """
     graph = matching.graph
     edges = graph.edges
@@ -392,7 +423,12 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
             if u != v and u not in covered and v not in covered:
                 extend.append(((u, v) if u < v else (v, u), eid, c))
     heads = hierarchy.by_head
-    for c in hierarchy.by_colour:
+    # a reach_free and a reach_reach candidate with an endpoint at its own
+    # colour's head, which only an improper colouring has: its chain makes
+    # one switch fewer than any other candidate of its kind
+    own_free = own_reach = None
+    for c, le in hierarchy.by_colour.items():
+        own = le.head
         for eid in graph.edges_with_colour(c):
             _, u, v, _ = edges[eid]
             if u == v:
@@ -400,14 +436,28 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
             if u in heads:
                 if v in heads:
                     reach_reach.append(((u, v) if u < v else (v, u), eid, c))
+                    if u == own or v == own:
+                        own_reach = reach_reach[-1]
                 elif v not in covered:
                     reach_free.append(((u, v), eid, c))
+                    if u == own:
+                        own_free = reach_free[-1]
             elif v in heads:
                 if u not in covered:
                     reach_free.append(((v, u), eid, c))
+                    if v == own:
+                        own_free = reach_free[-1]
             elif u not in covered and v not in covered:
                 free_free.append(((u, v) if u < v else (v, u), eid, c))
-    return RankedViolations(buckets)
+    fewest = [0]  # extend makes no switch
+    for bucket, cheapest in ((reach_free, own_free), (reach_reach, own_reach),
+                             (free_free, None)):
+        if not bucket:
+            fewest.append(0)  # nothing to pass over
+            continue
+        vertices, _, c = cheapest or bucket[0]
+        fewest.append(chain_switches(hierarchy, c, vertices))
+    return RankedViolations(buckets, tuple(fewest))
 
 
 def counting_diagnostics(matching: RainbowMatching, hierarchy: Hierarchy,

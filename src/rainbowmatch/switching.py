@@ -50,9 +50,14 @@ number of colours the base does not use (:attr:`SwitchContext.unused`).
   one lower switch and a descend two.
 
 A chain of k switches therefore lands only if k <= U, and :func:`augment`
-returns ``NotFound("too_few_spares", {})`` for one that asks more.  The
-shuffled path (``rng``) runs every chain, so that its draws, and with them
-its output, stay those of the full search.
+returns ``NotFound("too_few_spares", {})`` for one that asks more.  The solve
+loop applies the same bound a bucket at a time: each violation bucket knows
+the fewest switches its chains make
+(:func:`~rainbowmatch.reachability.chain_switches`), and a round passes over
+a bucket whose fewest exceeds U without sorting it, building its violations
+or calling :func:`augment`; they still count as tried.  The shuffled path
+(``rng``) runs every chain, so that its draws, and with them its output, stay
+those of the full search.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,  #
                        matching_to_json)
 from .multigraph import ColouredMultigraph, InstanceParams
 from .reachability import (VIOLATION_KINDS, FlexibleStructure, Hierarchy,
-                           RankedViolations, Violation, build_hierarchy,
+                           RankedViolations, Violation, build_hierarchy, chain_switches,
                            classify_good_bad, compute_flexible, find_violations)
 
 logger = logging.getLogger(__name__)
@@ -511,9 +516,11 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
 
     Returns a matching one edge larger, or :class:`NotFound` when some switch
     in the chain finds no configuration under the budget cap.  A chain of
-    more switches than the base leaves colours unused cannot land (see the
-    module docstring); unless the context shuffles, it is refuted before its
-    first switch call as ``NotFound("too_few_spares", {})``.
+    more switches (:func:`~rainbowmatch.reachability.chain_switches`) than
+    the base leaves colours unused cannot land (see the module docstring);
+    unless the context shuffles, it is refuted before its first switch call
+    as ``NotFound("too_few_spares", {})``.  ``solve`` does not call this for
+    a violation whose whole bucket is refuted so.
 
     Raises :class:`SwitchUsageError` on an unknown kind, an edge id that is
     not one of the graph's, ``vertices`` other than the edge's two endpoints
@@ -552,7 +559,7 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     to_free = [le for le in map(heads.get, vertices)
                if le is not None and le is not target]
     # each switch of the chain takes a spare colour of its own
-    if len(to_free) >= ctx.unused and ctx.rng is None:
+    if ctx.rng is None and chain_switches(hierarchy, colour, vertices) > ctx.unused:
         return NotFound("too_few_spares", {})
     requests = []
     if to_free:
@@ -680,7 +687,10 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
             break
         ctx = SwitchContext.build(current, params, max_budget=max_budget, rng=rng)
         found = ctx.violations()
-        for attempted, violation in enumerate(found, 1):
+        # a bucket whose every chain augment would refute for too few spare
+        # colours is passed over, its violations counted as tried; a
+        # shuffled solve runs every chain, so that its draws do not move
+        for attempted, violation in found.ranked(ctx.unused if rng is None else None):
             out = augment(ctx, violation)
             if isinstance(out, AugmentOutcome):
                 break

@@ -6,9 +6,11 @@ mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
 ``raw_graphs()`` draws improper multigraphs (loops, parallel edges, colour
 clashes).  Hand fixtures
 that several suites share live here too, along with ``recorded_calls()``,
-which logs every successful switch call, ``recheck_call()``, which checks
-one such record against the switch contract, ``spare_bound_off()``, which
-turns off ``augment``'s spare-colour bound, ``brute_scan()``, the
+which logs every successful switch call, ``augment_calls()``, which logs
+every ``augment`` call of a solve, ``recheck_call()``, which checks one such
+record against the switch contract, ``brute_switches()`` and
+``needs_too_many_spares()``, the spare-colour bound restated from the
+recipe, ``spare_bound_off()``, which turns that bound off, ``brute_scan()``, the
 full-edge-sweep reference for ``find_violations``, ``rank()``, the order it
 ranks by, and ``bad_per_colour()``,
 which counts the bad edges that ``classify_good_bad`` leaves out.
@@ -153,14 +155,55 @@ def recorded_calls():
         switching.robust_switch = inner
 
 
+def brute_switches(hierarchy, violation) -> int:
+    """The switch calls in the chain of ``violation``'s recipe, restated
+    from the recipe: one per endpoint that is a reachable head other than
+    its colour's own head, plus one; none for ``extend``."""
+    kind, _, colour, vertices = violation
+    if kind == "extend":
+        return 0
+    own = hierarchy.by_colour[colour].head
+    return 1 + sum(x in hierarchy.by_head and x != own for x in vertices)
+
+
+def needs_too_many_spares(ctx, violation) -> bool:
+    """Whether the chain of ``violation``'s recipe has more switches than
+    the base of ``ctx`` leaves colours unused.  It reads neither
+    ``ctx.unused`` nor ``ctx.rng``."""
+    return brute_switches(ctx.hierarchy, violation) > (
+        ctx.base.graph.num_colours - len(ctx.base))
+
+
+@contextmanager
+def augment_calls():
+    """Log ``(ctx, violation, outcome, served)`` for every ``augment`` call
+    that ``solve`` makes inside the block; ``served`` is the
+    :func:`recorded_calls` log of the switch calls made inside it."""
+    log = []
+    inner = switching.augment
+
+    def logging(ctx, violation):
+        with recorded_calls() as served:
+            out = inner(ctx, violation)
+        log.append((ctx, violation, out, served))
+        return out
+
+    switching.augment = logging
+    try:
+        yield log
+    finally:
+        switching.augment = inner
+
+
 @contextmanager
 def spare_bound_off():
     """Turn off ``augment``'s spare-colour bound inside the block.
 
     Every context that ``SwitchContext.build`` makes in the block claims
-    more unused colours (``ctx.unused``, which only the bound reads) than
-    any chain can ask for, so every augmentation runs its chain as it did
-    before the bound.  A context manager, so it also serves hypothesis
+    more unused colours (``ctx.unused``, which the bound reads in
+    ``augment`` and ``solve`` passes to ``RankedViolations.ranked``) than
+    any chain can ask for, so no bucket is passed over and every
+    augmentation runs its chain as it did before the bound.  A context manager, so it also serves hypothesis
     tests; the ``no_spare_bound`` fixture wraps a whole test in it.
     """
     build = switching.SwitchContext.__dict__["build"]

@@ -501,6 +501,19 @@ class TestErrors:
                      "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["exact"] is True
 
+    @pytest.mark.parametrize("shape, fragment", [
+        (["--colours", "-3"], "counts must be non-negative and cap >= 1"),
+        (["--colours", "4", "--cap", "0"], "counts must be non-negative and cap >= 1"),
+        (["--colours", "4", "--vertices", "1"], "count 6 exceeds a perfect matching "
+                                                "on 1 vertices"),
+    ], ids=["colours", "cap", "vertices"])
+    def test_bench_impossible_shape(self, capsys, shape, fragment):
+        code = main(["bench", "--seeds", "0", *shape, "--no-oracle"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""  # bench rejects it before its CSV header
+        assert err == f"error: {fragment}\n"
+
     @pytest.mark.parametrize("seeds, fragment", [
         ("abc", "expected a seed or a range"),
         ("3..1", "empty range"),

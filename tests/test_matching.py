@@ -1,6 +1,7 @@
 """Matching container, greedy construction, verification, closeness."""
 from __future__ import annotations
 
+import random
 import re
 from contextlib import contextmanager
 
@@ -437,10 +438,38 @@ class TestVerify:
         assert max_rainbow_matching(g).size == 1
 
 
+def greedy_order(graph, seed) -> list[int]:
+    """The edge order that ``greedy(graph, seed)`` passes over."""
+    orders = []
+    inner = matching._greedy_pass
+
+    def capturing(graph, order, start):
+        orders.append(list(order))
+        return inner(graph, order, start)
+
+    matching._greedy_pass = capturing
+    try:
+        greedy(graph, seed)
+    finally:
+        matching._greedy_pass = inner
+    [order] = orders
+    return order
+
+
 class TestGreedy:
     def test_deterministic_per_seed(self):
         g = random_instance(2)
         assert greedy(g, seed=5) == greedy(g, seed=5)
+
+    @given(st.integers(0, 600), st.integers(-2**70, 2**70))
+    @PROPERTY_SETTINGS
+    def test_order_is_the_library_shuffle(self, edges, seed):
+        # greedy draws its shuffle inline; the draws and swaps must stay
+        # those of ``random.Random(seed).shuffle``, which the goldens pin
+        g = ColouredMultigraph(2, 1, [(0, 1, 0)] * edges)
+        order = list(range(edges))
+        random.Random(seed).shuffle(order)
+        assert greedy_order(g, seed) == order
 
     def test_is_rainbow(self):
         for seed in range(6):

@@ -13,10 +13,12 @@ from rainbowmatch import (
     AugmentOutcome,
     ColouredMultigraph,
     InstanceParams,
+    NotFound,
     OrientedEdge,
     RainbowMatching,
     SwitchContext,
     Violation,
+    augment,
     build_hierarchy,
     classify_good_bad,
     compute_flexible,
@@ -33,8 +35,9 @@ from rainbowmatch.cli import main
 from rainbowmatch.matching import external_edges
 from rainbowmatch.multigraph import dumps
 
-from conftest import (bad_per_colour, brute_scan, default_params, isotope, random_instance,
-                      rank)
+from conftest import (augment_calls, bad_per_colour, brute_scan, brute_switches,
+                      default_params, isotope, needs_too_many_spares, random_instance,
+                      rank, raw_graphs, spare_bound_off)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -407,7 +410,9 @@ ranked_instances = st.one_of(
 
 class TestRankedViolations:
     """``find_violations`` counts every candidate but sorts and builds them
-    as they are iterated; every pass over it yields the eager ranked list."""
+    as they are iterated; every pass over it yields the eager ranked list,
+    and a ranked pass given a spare count passes over exactly the buckets
+    whose every chain needs more."""
 
     @given(ranked_instances, st.integers(0, 7), st.booleans(), st.integers(0, 300))
     @PROPERTY_SETTINGS
@@ -430,34 +435,135 @@ class TestRankedViolations:
     @given(ranked_instances, st.integers(0, 3))
     @settings(max_examples=15, deadline=None)
     def test_solve_records_follow_the_ranked_list(self, g, seed):
-        tried = []
-        inner = switching.augment
-
-        def logging(ctx, violation):
-            out = inner(ctx, violation)
-            tried.append((violation, isinstance(out, AugmentOutcome)))
-            return out
-
-        switching.augment = logging
-        try:
+        # each of a round's first ``attempted`` ranked violations either
+        # reaches augment, in rank order, or sits in a bucket passed over
+        # whole: every violation of its kind needs more spare colours than
+        # the base leaves, and augment refutes it for that
+        with augment_calls() as tried:
             report = solve(g, seed=seed)
-        finally:
-            switching.augment = inner
+        for rec in report.iterations:
+            ctx = SwitchContext.build(RainbowMatching(g, rec.base_ids))
+            eager = [Violation(*t) for t in brute_scan(g, ctx.base, ctx.hierarchy)]
+            assert rec.violations == len(eager)
+            mine = []
+            while tried and tried[0][0].base.sorted_ids == rec.base_ids:
+                mine.append(tried.pop(0))
+            ranked = eager[:rec.attempted]
+            reached = [v for _, v, _, _ in mine]
+            kinds = {v.kind for v in reached}
+            assert reached == [v for v in ranked if v.kind in kinds]
+            passed_over = [v for v in ranked if v.kind not in kinds]
+            for violation in passed_over:
+                assert augment(ctx, violation) == NotFound("too_few_spares", {})
+            for kind in {v.kind for v in passed_over}:
+                assert all(needs_too_many_spares(ctx, v) for v in eager if v.kind == kind)
+            landed = [isinstance(out, AugmentOutcome) for _, _, out, _ in mine]
+            if rec.kind is None:
+                assert rec.attempted == len(eager) and not any(landed)
+                assert rec.edge_id is None
+            else:
+                assert landed == [False] * (len(landed) - 1) + [True]
+                assert reached[-1] == ranked[-1]
+                assert (rec.kind, rec.edge_id) == ranked[-1][:2]
+        assert tried == []
+
+    @pytest.mark.parametrize("mode", ["shuffle", "bound_off"])
+    @pytest.mark.parametrize("make,seed", [
+        pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1, id="random"),
+        pytest.param(lambda: latin_to_graph(isotope(15, 1)), 0, id="latin"),
+    ])
+    def test_shuffled_and_unbounded_solves_pass_over_nothing(self, make, seed, mode):
+        g = make()
+        with augment_calls() as plain:
+            report = solve(g, seed=seed)
+        # the plain solve passes over some violation
+        assert len(plain) < sum(rec.attempted for rec in report.iterations)
+        with augment_calls() as tried:
+            if mode == "shuffle":
+                report = solve(g, seed=seed, shuffle=True)
+            else:
+                with spare_bound_off():
+                    report = solve(g, seed=seed)
         for rec in report.iterations:
             base = RainbowMatching(g, rec.base_ids)
             _, _, _, hier = analyse(g, base)
             eager = [Violation(*t) for t in brute_scan(g, base, hier)]
             mine, tried = tried[:rec.attempted], tried[rec.attempted:]
-            assert rec.violations == len(eager)
-            assert [v for v, _ in mine] == eager[:rec.attempted]
-            landed = [ok for _, ok in mine]
-            if rec.kind is None:
-                assert rec.attempted == len(eager) and not any(landed)
-                assert rec.edge_id is None
-            else:
-                assert landed == [False] * (rec.attempted - 1) + [True]
-                assert (rec.kind, rec.edge_id) == eager[rec.attempted - 1][:2]
+            assert [(ctx.base.sorted_ids, v) for ctx, v, _, _ in mine] == [
+                (rec.base_ids, v) for v in eager[:rec.attempted]]
         assert tried == []
+
+    @pytest.mark.parametrize("spares", [None, 0, 1, 2])
+    def test_extend_is_never_passed_over(self, spares):
+        g = generate_random(32, 34, 68, 2, 3)
+        m = RainbowMatching(g, greedy(g, 0).sorted_ids[1:])
+        _, _, _, hier = analyse(g, m)
+        eager = [Violation(*t) for t in brute_scan(g, m, hier)]
+        extend = [v for v in eager if v.kind == "extend"]
+        assert extend
+        ranked = list(find_violations(m, hier).ranked(spares))
+        assert ranked[:len(extend)] == list(enumerate(extend, 1))
+
+    def test_a_full_base_leaves_nothing_to_pass_over(self):
+        # past n, at target_deficit -1, the last round's base uses every
+        # colour, so it has no spare: no flexible edge, no level, and so no
+        # violation of any kind, extend included, to try or to pass over
+        g = generate_random(32, 34, 68, 2, 3)
+        with augment_calls() as tried:
+            report = solve(g, target_deficit=-1)
+        assert (report.status, report.size) == ("stalled", 32)
+        last = report.iterations[-1]
+        ctx = SwitchContext.build(RainbowMatching(g, last.base_ids))
+        assert ctx.unused == 0 and ctx.hierarchy.m == 0
+        assert brute_scan(g, ctx.base, ctx.hierarchy) == []
+        assert (last.violations, last.attempted, last.kind) == (0, 0, None)
+        assert all(c.base.sorted_ids != last.base_ids for c, _, _, _ in tried)
+
+    @given(st.one_of(ranked_instances, raw_graphs()), st.integers(0, 7), st.booleans())
+    @PROPERTY_SETTINGS
+    def test_passed_over_buckets_match_a_brute_scan(self, g, greedy_seed, drop):
+        m = greedy(g, greedy_seed)
+        if drop and m.sorted_ids:
+            m = RainbowMatching(g, m.sorted_ids[1:])
+        _, _, _, hier = analyse(g, m)
+        self.assert_passes_over_by_brute_scan(g, m, hier)
+
+    @pytest.mark.parametrize("fixture,size,extra,switches", [
+        # colours 0 and 2 get a second edge at head 0, colour 0's own head
+        ("reach_free_fixture", 4, [(0, 13, 0), (0, 4, 0), (0, 4, 2)],
+         {("reach_free", 10): 2, ("reach_free", 12): 1, ("reach_reach", 13): 2,
+          ("reach_reach", 14): 2}),
+        # colour 3 gets two more edges at head 6, its own head
+        ("reach_reach_fixture", 6, [(0, 6, 3), (6, 13, 3)],
+         {("reach_free", 18): 1, ("reach_reach", 16): 3, ("reach_reach", 17): 2}),
+    ], ids=["reach_free", "reach_reach"])
+    def test_an_endpoint_at_its_own_colours_head(self, request, fixture, size, extra,
+                                                 switches):
+        # an improper colouring: a chain whose edge meets its own colour's
+        # head makes one switch fewer than the others of its kind
+        g = request.getfixturevalue(fixture)
+        g = ColouredMultigraph(g.num_vertices, g.num_colours,
+                               [(u, v, c) for _, u, v, c in g.edges] + extra)
+        m = RainbowMatching(g, range(size))  # the fixture's base
+        _, _, _, hier = analyse(g, m)
+        assert {(v[0], v[1]): brute_switches(hier, v)
+                for v in brute_scan(g, m, hier)} == switches
+        self.assert_passes_over_by_brute_scan(g, m, hier)
+
+    @staticmethod
+    def assert_passes_over_by_brute_scan(g, m, hier):
+        """``ranked(spares)`` keeps the ranks of the brute-force list and
+        passes over exactly the kinds whose fewest switches exceed
+        ``spares``."""
+        eager = [Violation(*t) for t in brute_scan(g, m, hier)]
+        fewest = {}
+        for v in eager:
+            fewest[v.kind] = min(fewest.get(v.kind, len(eager) + 9), brute_switches(hier, v))
+        found = find_violations(m, hier)
+        assert list(found.ranked()) == list(enumerate(eager, 1))
+        for spares in range(4):
+            assert list(found.ranked(spares)) == [
+                (i, v) for i, v in enumerate(eager, 1) if fewest[v.kind] <= spares]
 
 
 class TestCountingErrors:

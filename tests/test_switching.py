@@ -5,7 +5,6 @@ import hashlib
 import json
 import re
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,8 +33,9 @@ from rainbowmatch import (
 )
 from rainbowmatch.reachability import FlexibleStructure, Hierarchy
 
-from conftest import (isotope, random_instance, raw_graphs, recheck_call,
-                      recorded_calls, spare_bound_off, tight_instance)
+from conftest import (augment_calls, isotope, needs_too_many_spares, random_instance,
+                      raw_graphs, recheck_call, recorded_calls, spare_bound_off,
+                      tight_instance)
 from test_matching import family_graph
 from test_reachability import REACHABILITY_GOLDEN
 
@@ -1087,41 +1087,6 @@ class TestLevel3:
         assert len(deep) == 2
         for rec in deep:
             recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
-
-
-def needs_too_many_spares(ctx, violation) -> bool:
-    """Whether the chain of ``violation``'s recipe has more switches than
-    the base of ``ctx`` leaves colours unused: one switch per endpoint that
-    is a reachable head other than its colour's own head, plus one.  Restated
-    from the recipe; it reads neither ``ctx.unused`` nor ``ctx.rng``."""
-    kind, _, colour, vertices = violation
-    if kind == "extend":
-        return False
-    hierarchy = ctx.hierarchy
-    own = hierarchy.by_colour[colour].head
-    switches = 1 + sum(x in hierarchy.by_head and x != own for x in vertices)
-    return switches > ctx.base.graph.num_colours - len(ctx.base)
-
-
-@contextmanager
-def augment_calls():
-    """Log ``(ctx, violation, outcome, served)`` for every ``augment`` call
-    that ``solve`` makes inside the block; ``served`` is the
-    :func:`recorded_calls` log of the switch calls made inside it."""
-    log = []
-    inner = switching.augment
-
-    def logging(ctx, violation):
-        with recorded_calls() as served:
-            out = inner(ctx, violation)
-        log.append((ctx, violation, out, served))
-        return out
-
-    switching.augment = logging
-    try:
-        yield log
-    finally:
-        switching.augment = inner
 
 
 # the plain golden solves above with augment's spare-colour bound on: (calls
