@@ -302,19 +302,31 @@ def _greedy_pass(graph, order, start: RainbowMatching) -> RainbowMatching:
     return out
 
 
+def free_vertices(matching: RainbowMatching) -> list[int]:
+    """The vertices that have an edge and that ``matching`` does not cover,
+    in the graph's vertex-index order; a header's vertex count costs
+    nothing."""
+    covered = matching.covered
+    return [x for x in matching.graph.vertices_with_edges() if x not in covered]
+
+
 def external_edges(matching: RainbowMatching, colours) -> list[int]:
     """Edge ids of the matching's graph with exactly one endpoint covered and
     colour in ``colours``, sorted by id: the external edges, the one place
-    that rule is written.  Reads only the requested colour classes; a loop is
-    never external."""
+    that rule is written.  Each has exactly one free endpoint, so they are
+    read from the edges at the free vertices, or from the requested colour
+    classes when those hold fewer edges; a loop is never external."""
     graph = matching.graph
     covered = matching.covered
     edges = graph.edges
+    wanted = set(colours)
+    classes = [graph.edges_with_colour(c) for c in wanted]
+    at_free = [graph.edges_at(x) for x in free_vertices(matching)]
     out = []
-    for c in set(colours):
-        for eid in graph.edges_with_colour(c):
-            _, u, v, _ = edges[eid]
-            if (u in covered) != (v in covered):
+    for ids in classes if sum(map(len, classes)) < sum(map(len, at_free)) else at_free:
+        for eid in ids:
+            _, u, v, c = edges[eid]
+            if c in wanted and (u in covered) != (v in covered):
                 out.append(eid)
     out.sort()
     return out
@@ -333,12 +345,23 @@ def matching_to_json(matching: RainbowMatching) -> dict:
 def document_ids(doc: dict) -> list[int]:
     """The edge ids that a matching's JSON form lists, in order, repeats
     included, for :func:`document_issues` and :func:`verify` to check.  A
-    missing field or an id that is not an integer (a float, a bool, a string,
+    missing field, an ``edges`` that is not a list, an item of it that is not
+    an object, or an id that is not an integer (a float, a bool, a string,
     null) makes the document malformed."""
     try:
-        ids = [item["edge_id"] for item in doc["edges"]]
+        items = doc["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matching document: {exc}") from None
+    if not isinstance(items, list):
+        raise ValueError("malformed matching document: 'edges' is not a list")
+    ids = []
+    for n, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"malformed matching document: item {n} of 'edges' "
+                             "is not an object")
+        if "edge_id" not in item:
+            raise ValueError("malformed matching document: 'edge_id'")
+        ids.append(item["edge_id"])
     for i in ids:
         if type(i) is not int:
             raise ValueError(f"malformed matching document: edge id {i!r} "

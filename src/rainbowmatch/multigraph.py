@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -65,23 +66,36 @@ class ColouredMultigraph:
     __slots__ = ("num_vertices", "num_colours", "edges", "_by_colour", "_by_vertex")
 
     def __init__(self, num_vertices: int, num_colours: int,
-                 edges: list[tuple[int, int, int]] | tuple[tuple[int, int, int], ...]):
-        if num_vertices < 0 or num_colours < 0:
-            raise ValueError("vertex and colour counts must be non-negative")
+                 edges: Iterable[tuple[int, int, int]]):
+        """``edges`` is any iterable of ``(u, v, c)`` triples, read once in
+        id order.  Out-of-range ids raise ValueError naming the first such
+        edge, after the whole iterable is read: a reader that raises while
+        it is read, like :func:`loads` on a malformed line, wins."""
         built = []
         by_colour: defaultdict[int, list[int]] = defaultdict(list)
         by_vertex: defaultdict[int, list[int]] = defaultdict(list)
         make = tuple.__new__  # Edge's own __new__ adds a Python call per edge
         for i, (u, v, c) in enumerate(edges):
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError(f"edge {i}: endpoint out of range for V={num_vertices}")
-            if not (0 <= c < num_colours):
-                raise ValueError(f"edge {i}: colour {c} out of range for C={num_colours}")
             built.append(make(Edge, (i, u, v, c)))
             by_colour[c].append(i)
             by_vertex[u].append(i)
             if v != u:
                 by_vertex[v].append(i)
+        if num_vertices < 0 or num_colours < 0:
+            raise ValueError("vertex and colour counts must be non-negative")
+        # checked once per vertex and colour with an edge, not per edge: the
+        # first edge out of range is the lowest id an out-of-range key holds
+        count = len(built)
+        far_vertex = min((ids[0] for x, ids in by_vertex.items()
+                          if not 0 <= x < num_vertices), default=count)
+        far_colour = min((ids[0] for c, ids in by_colour.items()
+                          if not 0 <= c < num_colours), default=count)
+        if far_vertex < count and far_vertex <= far_colour:
+            raise ValueError(f"edge {far_vertex}: endpoint out of range for "
+                             f"V={num_vertices}")
+        if far_colour < count:
+            raise ValueError(f"edge {far_colour}: colour {built[far_colour][3]} out of "
+                             f"range for C={num_colours}")
         self.num_vertices = num_vertices
         self.num_colours = num_colours
         self.edges = tuple(built)
@@ -104,6 +118,11 @@ class ColouredMultigraph:
         """The colours with at least one edge, a read-only view of the colour
         index: a scan costs the number of such colours, not C."""
         return self._by_colour.keys()
+
+    def vertices_with_edges(self):
+        """The vertices with at least one edge, a read-only view of the
+        vertex index: a scan costs the number of such vertices, not V."""
+        return self._by_vertex.keys()
 
     def colour_class_size(self, colour: int) -> int:
         return len(self._by_colour.get(colour, ()))
@@ -251,13 +270,37 @@ def _ints(parts: list[str], lineno: int, line: str) -> tuple[int, ...]:
             f"line {lineno}: expected integers, got {line.strip()!r}") from None
 
 
+def _edge_rows(rows, ints: dict[str, int]):
+    """Yield each edge row of the numbered ``rows`` as ``(u, v, c)``,
+    skipping blank lines; raise ValueError naming the first malformed row.
+    ``ints`` memoises token -> int, so a token seen before costs one dict
+    hit and no ``int()`` call."""
+    for lineno, line in rows:
+        parts = line.split()
+        try:
+            u, v, c = parts
+            row = ints[u], ints[v], ints[c]
+        except KeyError:
+            ints.update(zip(parts, _ints(parts, lineno, line)))
+            row = ints[u], ints[v], ints[c]
+        except ValueError:
+            if parts:
+                _ints(parts, lineno, line)
+                raise ValueError(f"line {lineno}: edge line must be 'u v c'") from None
+            continue
+        yield row
+
+
 def loads(text: str) -> ColouredMultigraph:
     """Parse an instance from its text form; raises ValueError with the
     offending line number on malformed input.
 
-    Comments are cut line by line only when the text holds a ``#``, and an
-    edge row is first read as three integers; a row that is not takes the
-    general path, which names the first fault of the first bad line."""
+    One pass over the lines: the graph is built as the edge rows are read,
+    so every parse error wins over an id out of range, which the graph
+    reports after the last line.  Comments are cut line by line only when
+    the text holds a ``#``; each distinct token is converted once per text.
+    A row that is not three integers takes the general path, which names the
+    first fault of the first bad line."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
@@ -271,18 +314,7 @@ def loads(text: str) -> ColouredMultigraph:
             break
     else:
         raise ValueError("missing 'V C' header line")
-    triples: list[tuple[int, int, int]] = []
-    append = triples.append
-    for lineno, line in rows:
-        parts = line.split()
-        try:
-            u, v, c = parts
-            append((int(u), int(v), int(c)))
-        except ValueError:
-            if parts:
-                _ints(parts, lineno, line)
-                raise ValueError(f"line {lineno}: edge line must be 'u v c'") from None
-    return ColouredMultigraph(header[0], header[1], triples)
+    return ColouredMultigraph(header[0], header[1], _edge_rows(rows, {}))
 
 
 def dumps(graph: ColouredMultigraph) -> str:

@@ -1,7 +1,8 @@
 """Flexible structure, reachability levels, violations, counting diagnostics.
 
 Everything here is computed against one fixed maximal rainbow matching M of
-the graph it carries; a vertex is free when M does not cover it.  Each rule
+the graph it carries; a vertex is free when it has an edge and M does not
+cover it (:func:`rainbowmatch.matching.free_vertices`).  Each rule
 is stated once: external edges (one endpoint covered) in
 :func:`rainbowmatch.matching.external_edges`, indexed by covered endpoint in
 :func:`_by_covered_end`; the orientation of a matching edge, lower-id tail
@@ -15,13 +16,22 @@ from the tail into free vertices or lower heads.  Growth stops when a
 candidate level falls below the stop threshold.  A head is "reachable" when
 its matching edge made some level; the switching engine can free any
 reachable head on demand.  Each :class:`LevelEdge` carries its switch
-options, built once when the edge is placed.
+options: a higher level's lifts and descends from the round that placed it,
+a level-1 edge's pairs built when a switch first reads them.  Each
+``(tail, level)`` certificate is read from the graph once per hierarchy.
+
+Near threshold few vertices are free, so a round reads the edges at the free
+vertices wherever a rule needs a free endpoint: every violation kind but
+``reach_reach``, and the external edges whenever their colour classes hold
+more edges.  No round walks the vertex range, and only ``reach_reach``,
+which joins two heads, scans the reachable colour classes.
 
 Violations are edges whose colour is reachable but whose endpoints sit where
 no such edge may sit if the matching were unimprovable; each kind maps to an
 augmentation recipe in :mod:`rainbowmatch.switching`.  :func:`find_violations`
 returns them as a sized stream, :class:`RankedViolations`, which alone fixes
-their rank order: counted at once, sorted and built as they are iterated.
+their rank order: counted at once, sorted and built as they are iterated
+(``reach_reach`` kept as edge ids until a pass first reaches it).
 Each bucket also knows the fewest switches that any of its violations'
 augmentation chains makes (:func:`chain_switches`), so that a round can pass
 over a bucket whose every chain needs more spare colours than the base has.
@@ -33,11 +43,12 @@ The counting argument that some violation must exist is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import ceil
 from operator import itemgetter
 from typing import NamedTuple
 
-from .matching import RainbowMatching, external_edges
+from .matching import RainbowMatching, external_edges, free_vertices
 from .multigraph import ColouredMultigraph, Edge, InstanceParams
 
 
@@ -159,9 +170,9 @@ class LevelEdge:
     """A matching edge placed on level ``level`` (a stopped candidate carries
     m + 1, the level it failed to start), with the options a switch has to
     free its head.  ``cert`` names the lower level whose colours certified it
-    (0 means good flexible edges).  A level-1 edge carries its
-    :func:`_base_pairs`; a higher one the :func:`certificate` that placed it,
-    ``lifts`` and ``descends``.  The fields a level does not use are empty."""
+    (0 means good flexible edges).  A level-1 edge has :attr:`pairs`; a
+    higher one carries the :func:`certificate` that placed it, ``lifts`` and
+    ``descends``.  The fields a level does not use are empty."""
 
     edge_id: int
     tail: int
@@ -169,9 +180,19 @@ class LevelEdge:
     colour: int
     level: int
     cert: int
-    pairs: tuple[tuple, ...] = field(repr=False)
     lifts: tuple[tuple[int, int], ...] = field(repr=False)
     descends: tuple[tuple[int, int], ...] = field(repr=False)
+    # ``(graph, flex, good_at)`` for a certified-by-good edge, whose pairs
+    # are built from it on first read; None above level 1
+    pairs_from: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple, ...]:
+        """A level-1 edge's :func:`_base_pairs`, built when first read and
+        then kept; empty above level 1."""
+        if self.pairs_from is None:
+            return ()
+        return _base_pairs(*self.pairs_from, self.edge_id, self.tail)
 
 
 @dataclass(frozen=True)
@@ -264,17 +285,33 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
     flexible-coloured edges at the tail; level i+1 takes unassigned edges
     whose tail gets, from some lower level j, a certificate of at least
     max(1, ceil(alpha * |R_j|)) edges, and carries that certificate (from
-    the smallest such j), a level-1 edge its base-switch pairs.
+    the smallest such j).  A level-1 edge builds its base-switch pairs only
+    when they are first read.
+
+    Each threshold is computed once per level, and each ``(tail, level)``
+    certificate is read from the graph once: its lifts never change, and its
+    descends are its edges into covered vertices that have since become
+    heads, counted again in each growth round.  A placed edge's tail never
+    becomes a head, so edges into one are not kept.
     """
     graph = matching.graph
     stop = max(1, ceil(params.alpha * graph.num_colours))
     level1_threshold = max(1, ceil(params.alpha * len(flex.partners)))
     covered = matching.covered
     levels: list[Level] = []
+    # per level: its certificate threshold, and by tail its certificate
+    # with ``open_heads`` below, whose descends are those into heads
+    grown: list[tuple[Level, int, dict[int, tuple]]] = []
+    # the covered vertices that are heads or may still become one: a placed
+    # edge's tail never does
+    open_heads = set(covered)
     # the level edges so far; M is rainbow and each of its edges is placed
     # once, so no colour or head is entered twice
     by_colour: dict[int, LevelEdge] = {}
     by_head: dict[int, LevelEdge] = {}
+    pairs_from = (graph, flex, good_at)
+    is_head = by_head.__contains__
+    first = itemgetter(0)
 
     def certified_by_good(tail):
         if len(good_at.get(tail, ())) >= level1_threshold:
@@ -283,11 +320,17 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
 
     def certified_below(tail):
         # the smallest lower level whose certificate at ``tail`` is big enough
-        for level in levels:
-            need = max(1, ceil(params.alpha * len(level.colours)))
-            lifts, descends = certificate(graph, tail, level.colours, covered, by_head)
-            if len(lifts) + len(descends) >= need:
-                return level.index, lifts, descends
+        for level, need, at in grown:
+            read = at.get(tail)
+            if read is None:
+                read = at[tail] = certificate(graph, tail, level.colours, covered,
+                                              open_heads)
+            lifts, into_open = read
+            have = len(lifts)
+            if have < need <= have + len(into_open):  # the heads decide
+                have += sum(map(is_head, map(first, into_open)))
+            if have >= need:
+                return level.index, lifts, tuple(d for d in into_open if is_head(d[0]))
         return None
 
     while True:
@@ -301,9 +344,8 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
             found = _orient(e, certify)
             if found is not None:
                 tail, head, (cert, lifts, descends) = found
-                pairs = _base_pairs(graph, flex, good_at, eid, tail) if cert == 0 else ()
-                cands.append(LevelEdge(eid, tail, head, e.colour, index, cert,
-                                       pairs, lifts, descends))
+                cands.append(LevelEdge(eid, tail, head, e.colour, index, cert, lifts,
+                                       descends, pairs_from if cert == 0 else None))
         if len(cands) < stop:
             return Hierarchy(
                 levels=tuple(levels),
@@ -311,14 +353,17 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
                 by_colour=by_colour,
                 by_head=by_head,
             )
-        levels.append(Level(
+        level = Level(
             index=index,
             edges=tuple(cands),
             colours=frozenset(le.colour for le in cands),
-        ))
+        )
+        levels.append(level)
+        grown.append((level, max(1, ceil(params.alpha * len(level.colours))), {}))
         for le in cands:
             by_colour[le.colour] = le
             by_head[le.head] = le
+            open_heads.discard(le.tail)
 
 
 # the violation kinds in rank order: a recipe for an earlier kind is tried first
@@ -358,21 +403,25 @@ class RankedViolations:
     edge id, the one place that order is fixed.  ``list()`` gives the ranked
     list.  Every candidate is counted up front, one bucket per kind; a bucket
     is sorted only when iteration reaches it, and each :class:`Violation` is
-    built only when it is yielded.  A caller that stops at the first
-    violation whose recipe lands pays for the buckets it reached and the
-    violations it took.  :meth:`ranked` can also pass over whole buckets
+    built only when it is yielded.  The ``reach_reach`` bucket holds bare
+    edge ids until a pass first reaches it.  A caller that stops at the
+    first violation whose recipe lands pays for the buckets it reached and
+    the violations it took.  :meth:`ranked` can also pass over whole buckets
     whose chains need more spare colours than the base leaves.
     """
 
-    __slots__ = ("_buckets", "_fewest", "_len")
+    __slots__ = ("_buckets", "_fewest", "_len", "_edges")
 
-    def __init__(self, buckets: tuple[list, ...], fewest: tuple[int, ...]):
-        # one list of ``(vertices, edge id, colour)`` per kind, in the order
-        # of VIOLATION_KINDS, and the fewest switches a chain of each makes;
-        # edge ids are unique, so colours never compare
+    def __init__(self, buckets: tuple[list, ...], fewest: tuple[int, ...], edges):
+        # one list per kind, in the order of VIOLATION_KINDS, and the fewest
+        # switches a chain of each makes.  Each holds ``(vertices, edge id,
+        # colour)`` tuples, but reach_reach's holds edge ids while ``_edges``,
+        # the graph's edges, is set; edge ids are unique, so colours never
+        # compare
         self._buckets = buckets
         self._fewest = fewest
         self._len = sum(map(len, buckets))
+        self._edges = edges
 
     def __len__(self) -> int:
         return self._len
@@ -393,6 +442,9 @@ class RankedViolations:
             if spares is not None and fewest > spares:
                 rank += len(bucket)
                 continue
+            if kind == "reach_reach" and self._edges is not None:
+                edges, self._edges = self._edges, None
+                bucket[:] = [_witness(edges[eid]) for eid in bucket]
             # a second pass re-sorts a sorted bucket: one linear check, and
             # the order a paused pass over it reads is unchanged
             bucket.sort()
@@ -403,61 +455,71 @@ class RankedViolations:
         return f"RankedViolations({list(self)!r})"
 
 
+def _witness(e: Edge) -> tuple:
+    """``(vertices, edge id, colour)`` of a candidate edge whose endpoints
+    play the same part, lower endpoint first."""
+    _, u, v, c = e
+    return (u, v) if u < v else (v, u), e[0], c
+
+
 def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedViolations:
     """All violations, as a :class:`RankedViolations` in its rank order:
     counted now, sorted and built as they are iterated.  ``hierarchy`` must
     be built on ``matching``.
 
-    Scans only the unused-colour and reachable-colour classes; the brute-force
-    equivalent is a full edge sweep.  Candidates are kept by kind as plain
-    tuples, ``(vertices, edge id, colour)``, and each kind's fewest
+    Every ``extend``, ``reach_free`` and ``free_free`` violation has a free
+    endpoint, so these are read from the edges at the free vertices, a
+    free-free edge from its lower endpoint only.  Only ``reach_reach`` joins
+    two heads: the reachable colour classes are scanned for it, keeping the
+    edge ids only.  Candidates are kept by kind as plain tuples,
+    ``(vertices, edge id, colour)``, and each kind's fewest
     :func:`chain_switches` is recorded.
     """
     graph = matching.graph
     edges = graph.edges
     covered = matching.covered
-    extend, reach_free, reach_reach, free_free = buckets = [], [], [], []
-    for c in _unused_colours(matching):
-        for eid in graph.edges_with_colour(c):
-            _, u, v, _ = edges[eid]
-            if u != v and u not in covered and v not in covered:
-                extend.append(((u, v) if u < v else (v, u), eid, c))
+    used = matching.colours
     heads = hierarchy.by_head
+    reach = hierarchy.by_colour
+    extend, reach_free, reach_reach, free_free = buckets = [], [], [], []
     # a reach_free and a reach_reach candidate with an endpoint at its own
     # colour's head, which only an improper colouring has: its chain makes
     # one switch fewer than any other candidate of its kind
     own_free = own_reach = None
-    for c, le in hierarchy.by_colour.items():
+    for x in free_vertices(matching):
+        for eid in graph.edges_at(x):
+            _, u, v, c = edges[eid]
+            y = v if u == x else u
+            if y in covered:
+                if y in heads and c in reach:
+                    reach_free.append(((y, x), eid, c))
+                    if y == reach[c].head:
+                        own_free = reach_free[-1]
+            elif x < y:  # both ends free, and not a loop
+                if c not in used:
+                    extend.append(((x, y), eid, c))
+                elif c in reach:
+                    free_free.append(((x, y), eid, c))
+    for c, le in reach.items():
         own = le.head
         for eid in graph.edges_with_colour(c):
             _, u, v, _ = edges[eid]
-            if u == v:
-                continue
-            if u in heads:
-                if v in heads:
-                    reach_reach.append(((u, v) if u < v else (v, u), eid, c))
-                    if u == own or v == own:
-                        own_reach = reach_reach[-1]
-                elif v not in covered:
-                    reach_free.append(((u, v), eid, c))
-                    if u == own:
-                        own_free = reach_free[-1]
-            elif v in heads:
-                if u not in covered:
-                    reach_free.append(((v, u), eid, c))
-                    if v == own:
-                        own_free = reach_free[-1]
-            elif u not in covered and v not in covered:
-                free_free.append(((u, v) if u < v else (v, u), eid, c))
+            if u in heads and v in heads and u != v:
+                reach_reach.append(eid)
+                if u == own or v == own:
+                    own_reach = eid
+    # reach_reach holds edge ids: its cheapest candidate as a witness
+    cheapest_reach = reach_reach and _witness(
+        edges[reach_reach[0] if own_reach is None else own_reach])
     fewest = [0]  # extend makes no switch
-    for bucket, cheapest in ((reach_free, own_free), (reach_reach, own_reach),
+    for bucket, cheapest in ((reach_free, own_free), (reach_reach, cheapest_reach),
                              (free_free, None)):
         if not bucket:
             fewest.append(0)  # nothing to pass over
             continue
         vertices, _, c = cheapest or bucket[0]
         fewest.append(chain_switches(hierarchy, c, vertices))
-    return RankedViolations(buckets, tuple(fewest))
+    return RankedViolations(buckets, tuple(fewest), edges)
 
 
 def counting_diagnostics(matching: RainbowMatching, hierarchy: Hierarchy,

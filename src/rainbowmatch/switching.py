@@ -222,9 +222,9 @@ class SwitchContext:
     The constants the engine reads are computed once: ``m``, the hierarchy
     depth, and ``size``, the base size, which every switch call reads, and
     ``unused``, C - |M|, the number of colours the base does not use, which
-    bounds the switches of one augmentation.  ``built`` holds every matching that :meth:`exchange`
-    has built, keyed by the value of the exchange: ``(start edge ids,
-    removed, added)``."""
+    bounds the switches of one augmentation.  ``built`` holds every matching
+    that :meth:`exchange` has built, keyed by the value of the exchange:
+    ``(start edge ids, removed, added)``."""
 
     base: RainbowMatching
     flex: FlexibleStructure

@@ -163,6 +163,24 @@ class TestPipeline:
         assert err == (f"error: malformed matching document: edge id {edge_id!r} "
                        "is not an integer\n")
 
+    @pytest.mark.parametrize("doc,detail", [
+        ({"edges": {}}, "'edges' is not a list"),
+        ({"edges": ""}, "'edges' is not a list"),
+        ({"edges": {"x": 1}}, "'edges' is not a list"),
+        ({"edges": [7]}, "item 0 of 'edges' is not an object"),
+    ], ids=["dict", "string", "keyed", "int_item"])
+    @pytest.mark.parametrize("command", ["verify", "stats"])
+    def test_edges_of_the_wrong_type_are_malformed(self, tmp_path, z4_path, capsys,
+                                                   command, doc, detail):
+        # a dict or a string used to read as a valid empty matching
+        matching = tmp_path / "bad.json"
+        matching.write_text(json.dumps(doc))
+        code = main([command, "--input", z4_path, "--matching", str(matching)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: malformed matching document: {detail}\n"
+
     @pytest.mark.parametrize("command", ["verify", "stats"])
     def test_deeply_nested_document_is_malformed(self, tmp_path, z4_path, capsys,
                                                  command):

@@ -719,3 +719,19 @@ class TestJson:
             for read in (document_ids, lambda d: matching_from_json(g, d)):
                 with pytest.raises(ValueError, match="^malformed matching document: "):
                     read(doc)
+        # an ``edges`` that is not a list, or an item that is not an object,
+        # is named; a dict or a string used to read as an empty matching
+        for doc, detail in (
+                ({"edges": {}}, "'edges' is not a list"),
+                ({"edges": ""}, "'edges' is not a list"),
+                ({"edges": {"x": 1}}, "'edges' is not a list"),
+                ({"edges": None}, "'edges' is not a list"),
+                ({"edges": [{"edge_id": 0}, 1]}, "item 1 of 'edges' is not an object"),
+                ({"edges": ["edge_id"]}, "item 0 of 'edges' is not an object"),
+                ({"edges": [{"u": 0}, 1]}, "'edge_id'"),
+                ({}, "'edges'"),
+                ([], "list indices must be integers or slices, not str")):
+            for read in (document_ids, lambda d: matching_from_json(g, d)):
+                with pytest.raises(ValueError) as info:
+                    read(doc)
+                assert str(info.value) == f"malformed matching document: {detail}"

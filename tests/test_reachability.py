@@ -7,7 +7,7 @@ import json
 from math import ceil, floor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rainbowmatch import (
     AugmentOutcome,
@@ -549,6 +549,12 @@ class TestRankedViolations:
         assert {(v[0], v[1]): brute_switches(hier, v)
                 for v in brute_scan(g, m, hier)} == switches
         self.assert_passes_over_by_brute_scan(g, m, hier)
+        # reach_reach is counted from edge ids and built when first reached
+        eager = [Violation(*t) for t in brute_scan(g, m, hier)]
+        found = find_violations(m, hier)
+        assert len(found) == len(eager)
+        assert [v for v in found if v.kind == "reach_reach"] == [
+            v for v in eager if v.kind == "reach_reach"]
 
     @staticmethod
     def assert_passes_over_by_brute_scan(g, m, hier):
@@ -564,6 +570,145 @@ class TestRankedViolations:
         for spares in range(4):
             assert list(found.ranked(spares)) == [
                 (i, v) for i, v in enumerate(eager, 1) if fewest[v.kind] <= spares]
+
+
+def reference_orient(e, certify):
+    lo, hi = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+    for tail, head in ((lo, hi), (hi, lo)):
+        found = certify(tail)
+        if found is not None:
+            return tail, head, found
+    return None
+
+
+def reference_certificate(graph, tail, colours, covered, below):
+    lifts = []
+    descends = []
+    edges = graph.edges
+    for eid in graph.edges_at(tail):
+        _, u, v, c = edges[eid]
+        if c not in colours or u == v:
+            continue
+        other = v if u == tail else u
+        if other not in covered:
+            lifts.append((other, eid))
+        elif other in below:
+            descends.append((other, eid))
+    lifts.sort()
+    descends.sort()
+    return tuple(lifts), tuple(descends)
+
+
+def reference_base_pairs(graph, flex, good_at, edge_id, tail):
+    found = []
+    edges = graph.edges
+    for gid in good_at.get(tail, ()):
+        _, u, v, c = edges[gid]
+        w = v if u == tail else u
+        partner = flex.by_colour(c)
+        if partner is None or partner.edge_id == edge_id:
+            continue
+        ptail = partner.tail
+        for hid in flex.external_free_at.get(ptail, ()):
+            _, u, v, spare = edges[hid]
+            z = v if u == ptail else u
+            if z == w:
+                continue
+            found.append((w, z, gid, hid, partner, spare))
+    found.sort(key=lambda t: t[:4])
+    return tuple(found)
+
+
+def reference_hierarchy(matching, flex, good_at, params):
+    """``build_hierarchy`` as it was before certificates were kept per
+    ``(tail, level)`` and level-1 pairs were built on first read, with each
+    level edge as the tuple ``(edge_id, tail, head, colour, level, cert,
+    pairs, lifts, descends)``: ``(levels, stopped, by_colour, by_head)``,
+    each level as ``(index, edges, colours)``."""
+    graph = matching.graph
+    stop = max(1, ceil(params.alpha * graph.num_colours))
+    level1_threshold = max(1, ceil(params.alpha * len(flex.partners)))
+    covered = matching.covered
+    levels = []
+    by_colour = {}
+    by_head = {}
+
+    def certified_by_good(tail):
+        if len(good_at.get(tail, ())) >= level1_threshold:
+            return 0, (), ()
+        return None
+
+    def certified_below(tail):
+        for index, _, colours in levels:
+            need = max(1, ceil(params.alpha * len(colours)))
+            lifts, descends = reference_certificate(graph, tail, colours, covered,
+                                                    by_head)
+            if len(lifts) + len(descends) >= need:
+                return index, lifts, descends
+        return None
+
+    while True:
+        certify = certified_by_good if not levels else certified_below
+        index = len(levels) + 1
+        cands = []
+        for eid in matching.sorted_ids:
+            e = graph.edge(eid)
+            if e.colour in by_colour:
+                continue
+            found = reference_orient(e, certify)
+            if found is not None:
+                tail, head, (cert, lifts, descends) = found
+                pairs = (reference_base_pairs(graph, flex, good_at, eid, tail)
+                         if cert == 0 else ())
+                cands.append((eid, tail, head, e.colour, index, cert, pairs, lifts,
+                              descends))
+        if len(cands) < stop:
+            return levels, cands, by_colour, by_head
+        levels.append((index, cands, frozenset(t[3] for t in cands)))
+        for t in cands:
+            by_colour[t[3]] = t
+            by_head[t[2]] = t
+
+
+def level_edge_fields(le) -> tuple:
+    """Every field of a level edge, ``pairs`` read through its lazy path."""
+    return (le.edge_id, le.tail, le.head, le.colour, le.level, le.cert, le.pairs,
+            le.lifts, le.descends)
+
+
+near_threshold = st.builds(
+    lambda c, s: generate_random(c, c + 2, 2 * (c + 2), max(2, c // 16), s),
+    st.integers(16, 64), st.integers(0, 199))
+
+
+class TestHierarchyAgainstReference:
+    """Keeping each ``(tail, level)`` certificate, computing each level's
+    threshold once and building level-1 pairs on first read leave the
+    hierarchy as it was: the same levels, stopped candidates and lookups,
+    every level edge field equal."""
+
+    @given(st.one_of(raw_graphs(), ranked_instances, near_threshold), st.integers(0, 7),
+           st.booleans(), st.sampled_from([None, "1/64", "1/200"]))
+    # a tail that fails in one growth round and is certified in the next by
+    # a lower level's descends into the heads placed in between
+    @example(latin_to_graph(isotope(6, 1)), 2, False, None)
+    @example(latin_to_graph(isotope(8, 1)), 1, False, "1/64")
+    @PROPERTY_SETTINGS
+    def test_same_hierarchy(self, g, greedy_seed, drop, alpha):
+        m = greedy(g, greedy_seed)
+        if drop and m.sorted_ids:
+            m = RainbowMatching(g, m.sorted_ids[1:])
+        params = InstanceParams.for_graph(g, epsilon="1/2", alpha=alpha)
+        flex = compute_flexible(m, params)
+        good_at = classify_good_bad(m, flex, params)
+        hier = build_hierarchy(m, flex, good_at, params)
+        levels, stopped, by_colour, by_head = reference_hierarchy(
+            m, flex, good_at, params)
+        assert [(lv.index, [level_edge_fields(le) for le in lv.edges], lv.colours)
+                for lv in hier.levels] == levels
+        assert [level_edge_fields(le) for le in hier.stopped] == stopped
+        assert {c: level_edge_fields(le) for c, le in hier.by_colour.items()} == by_colour
+        assert {h: level_edge_fields(le) for h, le in hier.by_head.items()} == by_head
 
 
 class TestCountingErrors:
