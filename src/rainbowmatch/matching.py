@@ -314,17 +314,14 @@ def external_edges(matching: RainbowMatching, colours) -> list[int]:
     """Edge ids of the matching's graph with exactly one endpoint covered and
     colour in ``colours``, sorted by id: the external edges, the one place
     that rule is written.  Each has exactly one free endpoint, so they are
-    read from the edges at the free vertices, or from the requested colour
-    classes when those hold fewer edges; a loop is never external."""
-    graph = matching.graph
+    read from the edges at the free vertices; a loop is never external."""
     covered = matching.covered
-    edges = graph.edges
+    edges = matching.graph.edges
+    edges_at = matching.graph.edges_at
     wanted = set(colours)
-    classes = [graph.edges_with_colour(c) for c in wanted]
-    at_free = [graph.edges_at(x) for x in free_vertices(matching)]
     out = []
-    for ids in classes if sum(map(len, classes)) < sum(map(len, at_free)) else at_free:
-        for eid in ids:
+    for x in free_vertices(matching):
+        for eid in edges_at(x):
             _, u, v, c = edges[eid]
             if c in wanted and (u in covered) != (v in covered):
                 out.append(eid)

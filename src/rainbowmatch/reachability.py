@@ -17,14 +17,13 @@ candidate level falls below the stop threshold.  A head is "reachable" when
 its matching edge made some level; the switching engine can free any
 reachable head on demand.  Each :class:`LevelEdge` carries its switch
 options: a higher level's lifts and descends from the round that placed it,
-a level-1 edge's pairs built when a switch first reads them.  Each
-``(tail, level)`` certificate is read from the graph once per hierarchy.
+a level-1 edge's pairs built when a switch first reads them.
 
 Near threshold few vertices are free, so a round reads the edges at the free
-vertices wherever a rule needs a free endpoint: every violation kind but
-``reach_reach``, and the external edges whenever their colour classes hold
-more edges.  No round walks the vertex range, and only ``reach_reach``,
-which joins two heads, scans the reachable colour classes.
+vertices wherever a rule needs a free endpoint: the external edges and
+every violation kind but ``reach_reach``.  No round walks the vertex range,
+and only ``reach_reach``, which joins two heads, scans the reachable colour
+classes.
 
 Violations are edges whose colour is reachable but whose endpoints sit where
 no such edge may sit if the matching were unimprovable; each kind maps to an
@@ -184,7 +183,8 @@ class LevelEdge:
     descends: tuple[tuple[int, int], ...] = field(repr=False)
     # ``(graph, flex, good_at)`` for a certified-by-good edge, whose pairs
     # are built from it on first read; None above level 1
-    pairs_from: tuple | None = field(default=None, repr=False, compare=False)
+    pairs_from: tuple | None = field(default=None, repr=False, compare=False,
+                                     kw_only=True)
 
     @cached_property
     def pairs(self) -> tuple[tuple, ...]:
@@ -285,33 +285,20 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
     flexible-coloured edges at the tail; level i+1 takes unassigned edges
     whose tail gets, from some lower level j, a certificate of at least
     max(1, ceil(alpha * |R_j|)) edges, and carries that certificate (from
-    the smallest such j).  A level-1 edge builds its base-switch pairs only
-    when they are first read.
-
-    Each threshold is computed once per level, and each ``(tail, level)``
-    certificate is read from the graph once: its lifts never change, and its
-    descends are its edges into covered vertices that have since become
-    heads, counted again in each growth round.  A placed edge's tail never
-    becomes a head, so edges into one are not kept.
+    the smallest such j).  Each level's threshold is computed once.  A
+    level-1 edge builds its base-switch pairs only when they are first read.
     """
     graph = matching.graph
     stop = max(1, ceil(params.alpha * graph.num_colours))
     level1_threshold = max(1, ceil(params.alpha * len(flex.partners)))
     covered = matching.covered
-    levels: list[Level] = []
-    # per level: its certificate threshold, and by tail its certificate
-    # with ``open_heads`` below, whose descends are those into heads
-    grown: list[tuple[Level, int, dict[int, tuple]]] = []
-    # the covered vertices that are heads or may still become one: a placed
-    # edge's tail never does
-    open_heads = set(covered)
+    # each level with its certificate threshold
+    levels: list[tuple[Level, int]] = []
     # the level edges so far; M is rainbow and each of its edges is placed
     # once, so no colour or head is entered twice
     by_colour: dict[int, LevelEdge] = {}
     by_head: dict[int, LevelEdge] = {}
     pairs_from = (graph, flex, good_at)
-    is_head = by_head.__contains__
-    first = itemgetter(0)
 
     def certified_by_good(tail):
         if len(good_at.get(tail, ())) >= level1_threshold:
@@ -320,17 +307,10 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
 
     def certified_below(tail):
         # the smallest lower level whose certificate at ``tail`` is big enough
-        for level, need, at in grown:
-            read = at.get(tail)
-            if read is None:
-                read = at[tail] = certificate(graph, tail, level.colours, covered,
-                                              open_heads)
-            lifts, into_open = read
-            have = len(lifts)
-            if have < need <= have + len(into_open):  # the heads decide
-                have += sum(map(is_head, map(first, into_open)))
-            if have >= need:
-                return level.index, lifts, tuple(d for d in into_open if is_head(d[0]))
+        for level, need in levels:
+            lifts, descends = certificate(graph, tail, level.colours, covered, by_head)
+            if len(lifts) + len(descends) >= need:
+                return level.index, lifts, descends
         return None
 
     while True:
@@ -345,25 +325,21 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
             if found is not None:
                 tail, head, (cert, lifts, descends) = found
                 cands.append(LevelEdge(eid, tail, head, e.colour, index, cert, lifts,
-                                       descends, pairs_from if cert == 0 else None))
+                                       descends,
+                                       pairs_from=pairs_from if cert == 0 else None))
         if len(cands) < stop:
             return Hierarchy(
-                levels=tuple(levels),
+                levels=tuple(level for level, _ in levels),
                 stopped=tuple(cands),
                 by_colour=by_colour,
                 by_head=by_head,
             )
-        level = Level(
-            index=index,
-            edges=tuple(cands),
-            colours=frozenset(le.colour for le in cands),
-        )
-        levels.append(level)
-        grown.append((level, max(1, ceil(params.alpha * len(level.colours))), {}))
+        colours = frozenset(le.colour for le in cands)
+        levels.append((Level(index=index, edges=tuple(cands), colours=colours),
+                       max(1, ceil(params.alpha * len(colours)))))
         for le in cands:
             by_colour[le.colour] = le
             by_head[le.head] = le
-            open_heads.discard(le.tail)
 
 
 # the violation kinds in rank order: a recipe for an earlier kind is tried first

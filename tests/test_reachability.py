@@ -682,10 +682,9 @@ near_threshold = st.builds(
 
 
 class TestHierarchyAgainstReference:
-    """Keeping each ``(tail, level)`` certificate, computing each level's
-    threshold once and building level-1 pairs on first read leave the
-    hierarchy as it was: the same levels, stopped candidates and lookups,
-    every level edge field equal."""
+    """Computing each level's threshold once and building level-1 pairs on
+    first read leave the hierarchy as it was: the same levels, stopped
+    candidates and lookups, every level edge field equal."""
 
     @given(st.one_of(raw_graphs(), ranked_instances, near_threshold), st.integers(0, 7),
            st.booleans(), st.sampled_from([None, "1/64", "1/200"]))
