@@ -266,9 +266,22 @@ def _add_solve_flags(p) -> None:
     _add_density_flags(p)
     p.add_argument("--target-deficit", type=int, default=0,
                    help="stop at size n minus this (default 0)")
-    p.add_argument("--max-budget", type=int, default=DEFAULT_MAX_BUDGET,
+    p.add_argument("--max-budget", type=_non_negative, default=DEFAULT_MAX_BUDGET,
                    help="cap on distance to the iteration base (default %(default)s)")
-    p.add_argument("--max-iterations", type=int, default=1000)
+    p.add_argument("--max-iterations", type=_non_negative, default=1000)
+
+
+def _non_negative(text: str) -> int:
+    """A ``--max-budget`` or ``--max-iterations`` value: an int of at least
+    0.  A negative cap would stop every solve before its first round or
+    refuse every switch, so it is a usage error instead."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _seconds(text: str) -> float:

@@ -36,9 +36,10 @@ from value-equal chain states under other constraints, and such a repeat gets
 back the matching built the first time.  Its call still runs every check and
 its candidate scan.
 
-An augmentation whose chain needs more spare colours than the base leaves
-unused is refuted before its first switch call.  Let U = C - |M| be the
-number of colours the base does not use (:attr:`SwitchContext.unused`).
+A chain that needs more spare colours than the base leaves unused is cut
+short, at the top before its first switch call and inside a switch before
+the candidates it cannot afford.  Let U = C - |M| be the number of colours
+the base does not use (:attr:`SwitchContext.unused`).
 
 - Every exchange removes base edges only: level edges and flexible partners.
   Their colours are used by the base, so no chain ever frees a colour that
@@ -55,9 +56,25 @@ loop applies the same bound a bucket at a time: each violation bucket knows
 the fewest switches its chains make
 (:func:`~rainbowmatch.reachability.chain_switches`), and a round passes over
 a bucket whose fewest exceeds U without sorting it, building its violations
-or calling :func:`augment`; they still count as tried.  The shuffled path
-(``rng``) runs every chain, so that its draws, and with them its output, stay
-those of the full search.
+or calling :func:`augment`; they still count as tried.
+
+Nested chains apply it per request.  :func:`_chain` gives each request a
+``reserve``: the number of requests after it in the same chain, each of
+which needs a spare colour of its own.  A level >= 2 switch has
+``left = U - (colours of current that the base does not use) - reserve``
+spare colours for itself; it passes over every lift when ``left < 1`` and
+every descend when ``left < 2``, counting each as ``too_few_spares`` among
+its rejections.  A candidate passed over could land only by leaving a later
+request of the same chain without a spare colour, so that chain fails
+either way and the caller's next step is the same.  The calls a candidate
+makes get the reserve of their own chain, 0 for a lift's one request and 1
+then 0 for a descend's two, never the parent's: a switch returns its first
+success, and a bound that counted requests outside it could make a switch
+inside a candidate pass over that success for a later one that the full
+search never reaches, which would change the output.
+
+The shuffled path (``rng``) applies neither bound and runs every chain, so
+that its draws, and with them its output, stay those of the full search.
 """
 
 from __future__ import annotations
@@ -275,13 +292,23 @@ class SwitchContext:
 
 
 def robust_switch(ctx: SwitchContext, current: RainbowMatching,
-                  request: SwitchRequest, depth: int = 0) -> SwitchOutcome | NotFound:
+                  request: SwitchRequest, depth: int = 0, *,
+                  reserve: int = 0) -> SwitchOutcome | NotFound:
     """Serve ``request`` against ``current``, a matching within
     ``request.budget`` of ``ctx.base``.
 
     Returns a new matching of the same size with the requested colour unused
     and the requested head uncovered, or :class:`NotFound`.  Malformed
-    requests raise :class:`SwitchUsageError`.
+    requests raise :class:`SwitchUsageError`, as does a negative or non-int
+    ``reserve``.
+
+    ``reserve`` is the number of requests that come after this one in the
+    chain that made it, each of which needs a spare colour of its own.
+    Unless the context shuffles, a level >= 2 switch passes over the lifts
+    and descends that would leave fewer spare colours than that, counting
+    each as ``too_few_spares`` (see the module docstring).  The calls it
+    makes for a candidate get the reserve of their own chain, never this
+    one.
     """
     colour, vertex, budget, fix, avoid_vertices, avoid_colours = request
     if current.graph is not ctx.base.graph:
@@ -328,6 +355,8 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
         raise SwitchUsageError("recursion deeper than the hierarchy")
     if depth < 0:
         raise SwitchUsageError(f"negative recursion depth {depth}")
+    if type(reserve) is not int or reserve < 0:
+        raise SwitchUsageError(f"reserve {reserve!r} is not a non-negative int")
 
     slack = closeness_slack(level)
     if budget + slack > ctx.max_budget:
@@ -336,7 +365,7 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     if level == 1:
         out = _switch_base(ctx, current, request, le)
     else:
-        out = _switch_inductive(ctx, current, request, le, depth)
+        out = _switch_inductive(ctx, current, request, le, depth, reserve)
     if type(out) is NotFound:
         return out
 
@@ -355,15 +384,19 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
 def _chain(ctx, current, budget, requests, depth):
     """Serve ``(colour, vertex, fix, avoid_vertices, avoid_colours)``
     requests in order, each from the previous result with the previous
-    distance to base as its budget.  Returns the tuple of outcomes served or
-    the first :class:`NotFound` unchanged.  Every plan builds its three sets
-    as frozensets, so each request is made as the tuple it is, not coerced."""
+    distance to base as its budget, and with the number of requests after
+    it as its ``reserve``.  Returns the tuple of outcomes served or the first
+    :class:`NotFound` unchanged.  Every plan builds its three sets as
+    frozensets, so each request is made as the tuple it is, not coerced."""
     served = []
+    reserve = len(requests)
     for colour, vertex, fix, avoid_vertices, avoid_colours in requests:
+        reserve -= 1
         # looked up as a module global on every call: this is the seam that
         # the benchmark's tracer and the tests' call recorder patch
         out = robust_switch(ctx, current, tuple.__new__(SwitchRequest, (
-            colour, vertex, budget, fix, avoid_vertices, avoid_colours)), depth)
+            colour, vertex, budget, fix, avoid_vertices, avoid_colours)), depth,
+            reserve=reserve)
         if isinstance(out, NotFound):
             return out
         current, budget = out.matching, out.distance_to_base
@@ -453,21 +486,33 @@ def _descend(ctx, current, request, keep, u, colour):
              request.avoid_colours | {colour})]
 
 
-def _switch_inductive(ctx, current, request, le, depth):
+def _switch_inductive(ctx, current, request, le, depth, reserve):
     """Level >= 2: walk a certifying lower-level-coloured edge from the tail,
     first into a free vertex (a lift, one lower switch), else into a lower
-    head (a descend, two)."""
+    head (a descend, two).  Unless the context shuffles, a case whose
+    switches need more spare colours than are ``left`` after ``reserve`` is
+    passed over whole."""
     edges = current.graph.edges
     rej: dict[str, int] = {}
     lifts, descends = le.lifts, le.descends
-    if ctx.rng is not None:
+    if ctx.rng is None:
+        # the spare colours that neither the chain so far nor the requests
+        # after this one take
+        left = ctx.unused - len(current.colours - ctx.base.colours) - reserve
+    else:
+        left = 2  # a shuffled switch tries both cases, so its draws stay put
         lifts = list(lifts)
         descends = list(descends)
         ctx.rng.shuffle(lifts)
         ctx.rng.shuffle(descends)
 
     keep = request.fix | {le.edge_id}
-    for case, walk, plan in (("lift", lifts, _lift), ("descend", descends, _descend)):
+    for case, walk, plan, needs in (("lift", lifts, _lift, 1),
+                                    ("descend", descends, _descend, 2)):
+        if left < needs:
+            if walk:
+                rej["too_few_spares"] = rej.get("too_few_spares", 0) + len(walk)
+            continue
         for v, eid in walk:
             _, _, _, colour = edges[eid]
             requests = plan(ctx, current, request, keep, v, colour)
@@ -520,7 +565,10 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
     the base leaves colours unused cannot land (see the module docstring);
     unless the context shuffles, it is refuted before its first switch call
     as ``NotFound("too_few_spares", {})``.  ``solve`` does not call this for
-    a violation whose whole bucket is refuted so.
+    a violation whose whole bucket is refuted so.  Each switch of the chain
+    gets the number of switches after it as its ``reserve``, so the first
+    NotFound may come from a switch that passes over candidates the rest of
+    the chain cannot afford.
 
     Raises :class:`SwitchUsageError` on an unknown kind, an edge id that is
     not one of the graph's, ``vertices`` other than the edge's two endpoints

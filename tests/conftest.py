@@ -10,7 +10,8 @@ which logs every successful switch call, ``augment_calls()``, which logs
 every ``augment`` call of a solve, ``recheck_call()``, which checks one such
 record against the switch contract, ``brute_switches()`` and
 ``needs_too_many_spares()``, the spare-colour bound restated from the
-recipe, ``spare_bound_off()``, which turns that bound off, ``brute_scan()``, the
+recipe, ``spare_bound_off()``, which turns that bound off everywhere,
+``switch_bound_off()``, which turns it off inside switches only, ``brute_scan()``, the
 full-edge-sweep reference for ``find_violations``, ``rank()``, the order it
 ranks by, and ``bad_per_colour()``,
 which counts the bad edges that ``classify_good_bad`` leaves out.
@@ -142,8 +143,8 @@ def recorded_calls():
     log = []
     inner = switching.robust_switch
 
-    def recording(ctx, current, request, depth=0):
-        out = inner(ctx, current, request, depth)
+    def recording(ctx, current, request, depth=0, *, reserve=0):
+        out = inner(ctx, current, request, depth, reserve=reserve)
         if type(out) is switching.SwitchOutcome:
             log.append(switching.CallRecord.from_call(ctx.base, out))
         return out
@@ -218,6 +219,26 @@ def spare_bound_off():
         yield
     finally:
         switching.SwitchContext.build = build
+
+
+@contextmanager
+def switch_bound_off():
+    """Turn off the spare-colour bound inside switches, leaving ``augment``'s
+    and ``solve``'s: every level >= 2 switch made in the block reads a
+    reserve so far below zero that it passes over no lift or descend, as it
+    did before switches took a reserve.  A context manager, so it also serves
+    hypothesis tests.
+    """
+    inner = switching._switch_inductive
+
+    def unbounded(ctx, current, request, le, depth, reserve):
+        return inner(ctx, current, request, le, depth, -sys.maxsize)
+
+    switching._switch_inductive = unbounded
+    try:
+        yield
+    finally:
+        switching._switch_inductive = inner
 
 
 @pytest.fixture

@@ -491,6 +491,37 @@ class TestErrors:
         assert err.startswith("error: ") and "zero denominator" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["solve", "--input", "{z4}"], ["solve", "--input", "{z4}", "--json"],
+        ["bench", "--seeds", "0", "--colours", "4", "--no-oracle"],
+    ], ids=["solve", "solve_json", "bench"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-iterations", "-1", "must not be negative: -1"),
+        ("--max-budget", "-1", "must not be negative: -1"),
+        ("--max-budget", "-64", "must not be negative: -64"),
+        ("--max-iterations", "x", "invalid int value: 'x'"),
+    ], ids=["iterations", "budget", "budget_64", "not_an_int"])
+    def test_negative_cap(self, z4_path, capsys, command, flag, value, message):
+        # a negative cap would stop the solve before its first round, or
+        # refuse every switch, and still look like a result
+        argv = [arg.format(z4=z4_path) for arg in command]
+        with pytest.raises(SystemExit) as info:
+            main(argv + [flag, value])
+        out, err = capsys.readouterr()
+        assert info.value.code == 1
+        assert out == ""  # bench rejects it before its CSV header
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: argument {flag}: {message}"]
+        assert "Traceback" not in err
+
+    def test_zero_budget_is_a_cap(self, z4_path, capsys):
+        # 0 is a cap, not a usage error: every switch is refused and the
+        # solve stalls (a zero --max-iterations is TestSolve's cap test)
+        assert main(["solve", "--input", z4_path, "--json", "--max-budget", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["status"] == "stalled"
+        assert err == ""
+
     def test_impossible_generate(self, capsys):
         code = main(["generate", "random", "--colours", "4", "--count", "10",
                      "--vertices", "6"])

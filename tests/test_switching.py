@@ -35,7 +35,7 @@ from rainbowmatch.reachability import FlexibleStructure, Hierarchy
 
 from conftest import (augment_calls, isotope, needs_too_many_spares, random_instance,
                       raw_graphs, recheck_call, recorded_calls, spare_bound_off,
-                      tight_instance)
+                      switch_bound_off, tight_instance)
 from test_matching import family_graph
 from test_reachability import REACHABILITY_GOLDEN
 
@@ -269,6 +269,17 @@ class TestUsageErrors:
         with pytest.raises(SwitchUsageError, match="^negative recursion depth -1$"):
             robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0), depth=-1)
 
+    @pytest.mark.parametrize("reserve", [-1, 1.0, True, "1", None],
+                             ids=["negative", "float", "bool", "string", "none"])
+    def test_reserve_not_a_count(self, base_switch_fixture, reserve):
+        g = base_switch_fixture
+        base = RainbowMatching(g, [0, 1])
+        ctx = SwitchContext.build(base)
+        with pytest.raises(SwitchUsageError, match=re.escape(
+                f"reserve {reserve!r} is not a non-negative int")):
+            robust_switch(ctx, base, SwitchRequest(colour=0, vertex=0),
+                          reserve=reserve)
+
     def test_matching_of_another_graph(self, base_switch_fixture):
         # the same edges in a second graph: the same ids, so only the graph
         # tells them apart; it is checked before any other rule
@@ -478,6 +489,70 @@ class TestInductiveCase:
         assert not isinstance(out, NotFound)
         assert out.calls[-1].case == "lift"
         assert out.matching.edge_ids == {2, 3, 5, 9, 12}
+
+    def test_reserved_spares_pass_over_descends(self, descend_fixture):
+        # the level-2 switch as the first of two requests: its one descend
+        # would take both spare colours the base leaves unused (4 and 5),
+        # and the request after it needs one of its own
+        g = descend_fixture
+        base = RainbowMatching(g, [0, 1, 2, 3, 4])
+        ctx = SwitchContext.build(base)
+        assert ctx.unused == 2
+        with recorded_calls() as log:
+            out = switching.robust_switch(ctx, base, SwitchRequest(colour=6, vertex=6),
+                                          reserve=1)
+        assert out == NotFound("no_configuration", {"too_few_spares": 1})
+        assert log == []
+        served = robust_switch(ctx, base, SwitchRequest(colour=6, vertex=6))
+        assert served.case == "descend" and {4, 5} <= served.matching.colours
+
+    @pytest.mark.parametrize("reserve,rejections", [
+        (2, None), (3, {"too_few_spares": 1}),
+    ], ids=["one_left", "none_left"])
+    def test_reserved_spares_pass_over_lifts(self, lift_fixture, reserve, rejections):
+        # three spare colours: a lift needs one, so a reserve of three
+        # passes over it and a reserve of two does not
+        g = lift_fixture
+        base = RainbowMatching(g, [0, 1, 2])
+        ctx = SwitchContext.build(base)
+        assert ctx.unused == 3
+        out = robust_switch(ctx, base, SwitchRequest(colour=2, vertex=6),
+                            reserve=reserve)
+        if rejections is None:
+            assert out.case == "lift" and out.rejections == {}
+        else:
+            assert out == NotFound("no_configuration", rejections)
+
+    @pytest.mark.parametrize("reserve", [0, 1, 2])
+    @pytest.mark.parametrize("fixture,colours,ids,request_kw,case,under", [
+        ("lift_fixture", 6, [0, 1, 2], dict(colour=2, vertex=6), "lift", [0]),
+        # descend_fixture with two more colours, so that its descend lands
+        # under any reserve up to 2
+        ("descend_fixture", 9, [0, 1, 2, 3, 4], dict(colour=6, vertex=6),
+         "descend", [1, 0]),
+    ], ids=["lift", "descend"])
+    def test_sub_calls_get_their_own_chains_reserve(
+            self, request, monkeypatch, reserve, fixture, colours, ids,
+            request_kw, case, under):
+        # never the parent's: a bound counting requests outside the switch
+        # could pick a later success inside it that the full search never
+        # reaches
+        rows = [(e.u, e.v, e.colour) for e in request.getfixturevalue(fixture).edges]
+        g = ColouredMultigraph(max(max(u, v) for u, v, _ in rows) + 1, colours, rows)
+        base = RainbowMatching(g, ids)
+        ctx = SwitchContext.build(base)
+        seen = []
+        inner = switching.robust_switch
+
+        def noting(ctx, current, request, depth=0, *, reserve=0):
+            seen.append((depth, reserve))
+            return inner(ctx, current, request, depth, reserve=reserve)
+
+        monkeypatch.setattr(switching, "robust_switch", noting)
+        out = switching.robust_switch(ctx, base, SwitchRequest(**request_kw),
+                                      reserve=reserve)
+        assert out.case == case
+        assert seen == [(0, reserve)] + [(1, r) for r in under]
 
     def test_recursion_failed_surfaces(self, lift_fixture):
         g = lift_fixture
@@ -927,8 +1002,8 @@ class TestGoldenOutput:
         landed = Counter()
         inner = switching.robust_switch
 
-        def counting(ctx, current, request, depth=0):
-            out = inner(ctx, current, request, depth)
+        def counting(ctx, current, request, depth=0, *, reserve=0):
+            out = inner(ctx, current, request, depth, reserve=reserve)
             if type(out) is switching.SwitchOutcome:
                 landed[out.case] += 1
             return out
@@ -1044,7 +1119,7 @@ class TestLevel3:
             recheck_call(g, base, rec)
 
     def test_level3_solve_on_the_shipped_path(self, tmp_path, capsys):
-        # the same stdout with augment's spare-colour bound on; the chains it
+        # the same stdout with the spare-colour bound on; the chains augment
         # refutes held every level-3 call, and each call left is re-checked
         g = generate_random(128, 130, 260, 8, 7)
         path = tmp_path / "r128.txt"
@@ -1053,9 +1128,21 @@ class TestLevel3:
             assert cli.main(["solve", "--input", str(path), "--json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == LEVEL3_JSON_SHA256
-        assert Counter(rec.level for rec in log) == {1: 46, 2: 4}
+        assert Counter(rec.level for rec in log) == {1: 26, 2: 4}
         for rec in log:
             recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
+
+    def test_level3_solve_with_augments_bound_alone(self, tmp_path, capsys):
+        # the same stdout with the bound inside switches off: the chains
+        # that augment leaves to run then serve 20 more level-1 calls
+        g = generate_random(128, 130, 260, 8, 7)
+        path = tmp_path / "r128.txt"
+        path.write_text(dumps(g))
+        with switch_bound_off(), recorded_calls() as log:
+            assert cli.main(["solve", "--input", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LEVEL3_JSON_SHA256
+        assert Counter(rec.level for rec in log) == {1: 46, 2: 4}
 
     @pytest.mark.parametrize("name", sorted(LEVEL3_STDOUT_SHA256))
     def test_level3_stdout_unchanged(self, name, tmp_path, capsys):
@@ -1074,8 +1161,8 @@ class TestLevel3:
         deep = []
         inner = switching.robust_switch
 
-        def recording(ctx, current, request, depth=0):
-            out = inner(ctx, current, request, depth)
+        def recording(ctx, current, request, depth=0, *, reserve=0):
+            out = inner(ctx, current, request, depth, reserve=reserve)
             if depth == 2 and type(out) is switching.SwitchOutcome:
                 deep.append(switching.CallRecord.from_call(ctx.base, out))
             return out
@@ -1089,8 +1176,9 @@ class TestLevel3:
             recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
 
 
-# the plain golden solves above with augment's spare-colour bound on: (calls
-# served with the bound off, calls served with it, sha256 of golden_blob)
+# the plain golden solves above with the spare-colour bound on: (calls served
+# with the bound off, calls served with augment's bound alone, sha256 of
+# golden_blob, and the same two with the bound inside switches too)
 SPARE_BOUND_CASES = {
     "random_s3": (lambda: generate_random(32, 34, 68, 2, 3), 0),
     "random_s5": (lambda: generate_random(32, 34, 68, 2, 5), 0),
@@ -1100,14 +1188,20 @@ SPARE_BOUND_CASES = {
     "level3": (lambda: generate_random(128, 130, 260, 8, 7), 0),
 }
 SPARE_BOUND_GOLDEN = {
-    "random_s3": (403, 7, "7ec8809f0c7071273c4d34680275031e9ee0323de7370f564c39a1f89e9286b9"),
-    "random_s5": (598, 15, "475d391b6c7ee90ad6c38c0d0a3d92526946f3eb4f3081b9ffbd34cf5dd69f18"),
-    "descend": (1220, 21, "364f3410a85a1bc50fd2effd3b4d03d82bb05953b384ecb9807d8169608a4215"),
+    "random_s3": (403, 7, "7ec8809f0c7071273c4d34680275031e9ee0323de7370f564c39a1f89e9286b9",
+                  7, "7ec8809f0c7071273c4d34680275031e9ee0323de7370f564c39a1f89e9286b9"),
+    "random_s5": (598, 15, "475d391b6c7ee90ad6c38c0d0a3d92526946f3eb4f3081b9ffbd34cf5dd69f18",
+                  4, "dff7de8e1d0a588aa754826aa6d3d78d9b4a3e91f4e7fe912e448d3975fc2a98"),
+    "descend": (1220, 21, "364f3410a85a1bc50fd2effd3b4d03d82bb05953b384ecb9807d8169608a4215",
+                7, "8b47508cc9bcd411412710c7c7803e7b766b260ea87ce0a62090d868f4b84c11"),
     "latin_63_1": (927, 172,
-                   "681ce8d9504e3efb67d8621a3d91039d847ea3d2e3b9be894740cf002eace969"),
+                   "681ce8d9504e3efb67d8621a3d91039d847ea3d2e3b9be894740cf002eace969",
+                   52, "deb9b5cdf066afcde655948c77f1faf4446522158ac89d59f700a3154436800e"),
     "latin_64_2": (799, 187,
-                   "1a02faf5d5d93c2779fe0ce797acc8bb2eb89ab86b97bd0f00cc1d448ac5dd97"),
-    "level3": (9949, 50, "5927a441a3193cb280ed9946275fe1f3174a5035f95a26cdce6ce2d9d2196a31"),
+                   "1a02faf5d5d93c2779fe0ce797acc8bb2eb89ab86b97bd0f00cc1d448ac5dd97",
+                   65, "cf6c2eb584c843a7b6a90cd054ba07248ff474362a62517812f44741ce70a5da"),
+    "level3": (9949, 50, "5927a441a3193cb280ed9946275fe1f3174a5035f95a26cdce6ce2d9d2196a31",
+               30, "e362aa851072b8adab9bde5b0a6de0b731749b040f70f75b76a904470dcadc7b"),
 }
 
 
@@ -1130,21 +1224,31 @@ class TestSpareBound:
         g = make()
         with spare_bound_off(), augment_calls() as tried:
             full = solve(g, seed=seed)
-        with recorded_calls() as log:
+        # augment's bound alone: the chains it refutes lose all their calls,
+        # every other chain none
+        with switch_bound_off(), recorded_calls() as log:
             report = solve(g, seed=seed)
-        assert report.to_json_dict() == full.to_json_dict()
-        assert report.iterations == full.iterations
-        assert report.switch_calls == full.switch_calls
+        # with the bound inside switches too, some of those calls go as well
+        with recorded_calls() as shipped_log:
+            shipped = solve(g, seed=seed)
+        for got in (report, shipped):
+            assert got.to_json_dict() == full.to_json_dict()
+            assert got.iterations == full.iterations
+            assert got.switch_calls == full.switch_calls
         refuted = [needs_too_many_spares(ctx, v) for ctx, v, _, _ in tried]
         assert any(refuted)
         assert all(isinstance(out, NotFound)
                    for (_, _, out, _), r in zip(tried, refuted) if r)
         assert log == [rec for (*_, served), r in zip(tried, refuted) if not r
                        for rec in served]
+        calls = iter(log)
+        assert all(rec in calls for rec in shipped_log)
         full_calls = sum(len(served) for *_, served in tried)
-        blob = golden_blob(report, log)
-        assert (full_calls, len(log), hashlib.sha256(blob.encode()).hexdigest()) == \
-            SPARE_BOUND_GOLDEN[name]
+        assert (full_calls,
+                len(log), hashlib.sha256(golden_blob(report, log).encode()).hexdigest(),
+                len(shipped_log),
+                hashlib.sha256(golden_blob(shipped, shipped_log).encode()).hexdigest()
+                ) == SPARE_BOUND_GOLDEN[name]
 
     # the bound stays out of shuffled solves, whose later draws depend on
     # every chain run before them: their pinned logs hold with the bound on
@@ -1175,6 +1279,36 @@ class TestSpareBound:
             elif isinstance(out, AugmentOutcome):
                 bases = sum(call.case == "base" for call in out.calls)
                 assert bases <= g.num_colours - len(ctx.base)
+
+
+class TestSwitchBound:
+    @pytest.mark.parametrize("graphs", [raw_graphs(), near_threshold_graphs(),
+                                        latin_graphs()], ids=["raw", "near_threshold", "latin"])
+    @given(data=st.data(), seed=st.integers(0, 3))
+    @PROPERTY_SETTINGS
+    def test_no_outcome_moves(self, graphs, data, seed):
+        # the bound inside switches only passes over candidates whose chain
+        # fails either way: the same augment calls with the same outcomes,
+        # landed ones call for call, and each one's served calls a subsequence
+        # of what the full search serves
+        g = data.draw(graphs)
+        with switch_bound_off(), augment_calls() as full_tried:
+            full = solve(g, seed=seed)
+        with augment_calls() as tried:
+            report = solve(g, seed=seed)
+        assert json.dumps(report.to_json_dict()) == json.dumps(full.to_json_dict())
+        assert report.iterations == full.iterations
+        assert report.switch_calls == full.switch_calls
+        assert len(tried) == len(full_tried)
+        for (_, violation, out, served), (_, full_violation, full_out, full_served) \
+                in zip(tried, full_tried):
+            assert violation == full_violation
+            assert type(out) is type(full_out)
+            if isinstance(out, AugmentOutcome):
+                assert out == full_out
+                assert served == full_served
+            calls = iter(full_served)
+            assert all(rec in calls for rec in served)
 
 
 def assert_built_fresh(ctx, got, fresh) -> None:
@@ -1231,8 +1365,8 @@ class TestSharedExchanges:
         repeats = Counter()
         inner = switching.robust_switch
 
-        def checking(ctx, current, request, depth=0):
-            out = inner(ctx, current, request, depth)
+        def checking(ctx, current, request, depth=0, *, reserve=0):
+            out = inner(ctx, current, request, depth, reserve=reserve)
             if type(out) is switching.SwitchOutcome:
                 start = out.start if out.case == "base" else out.under[-1].matching
                 got, fresh = out.matching, start.with_swap(out.removed, out.added)
@@ -1263,8 +1397,8 @@ def replayed_cases(make, seed, shuffle, monkeypatch) -> Counter:
     checked = Counter()
     inner = switching.robust_switch
 
-    def replaying(ctx, current, request, depth=0):
-        out = inner(ctx, current, request, depth)
+    def replaying(ctx, current, request, depth=0, *, reserve=0):
+        out = inner(ctx, current, request, depth, reserve=reserve)
         if type(out) is switching.SwitchOutcome:
             calls = out.calls
             for i, c in enumerate(calls):
@@ -1299,16 +1433,28 @@ class TestExchangeReplay:
                                              monkeypatch, no_spare_bound):
         assert set(replayed_cases(make, seed, shuffle, monkeypatch)) == cases
 
-    # the plain solves above with augment's spare-colour bound on: on
-    # random_s3 the chains it leaves to run serve base switches only
+    # plain solves with the spare-colour bound on: on random_s3 the chains
+    # it leaves to run serve base switches only, and on the 48-colour
+    # instance above its bound inside switches passes over every descend
+    # that would land; the 96-colour instance still serves one
     @pytest.mark.parametrize("make,seed,cases", [
         pytest.param(lambda: generate_random(32, 34, 68, 2, 3), 0, {"base"},
                      id="random_s3"),
-        pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1,
+        pytest.param(lambda: generate_random(96, 98, 196, 6, 1), 1,
                      {"base", "lift", "descend"}, id="descend"),
+        pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1,
+                     {"base", "lift"}, id="descend_48"),
     ])
     def test_shipped_path_replays_its_exchanges(self, make, seed, cases, monkeypatch):
         assert set(replayed_cases(make, seed, False, monkeypatch)) == cases
+
+    def test_augments_bound_alone_replays_a_descend(self, monkeypatch):
+        # the 48-colour instance with the bound inside switches off serves
+        # the descend that the shipped path passes over
+        with switch_bound_off():
+            cases = replayed_cases(lambda: generate_random(48, 50, 100, 3, 1), 1,
+                                   False, monkeypatch)
+        assert set(cases) == {"base", "lift", "descend"}
 
 
 # every name that perfbench/tracing.py patches, by owner: it reads each from
