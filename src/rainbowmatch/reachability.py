@@ -25,12 +25,14 @@ every violation kind but ``reach_reach``.  No round walks the vertex range,
 and only ``reach_reach``, which joins two heads, scans the reachable colour
 classes.
 
-Violations are edges whose colour is reachable but whose endpoints sit where
-no such edge may sit if the matching were unimprovable; each kind maps to an
-augmentation recipe in :mod:`rainbowmatch.switching`.  :func:`find_violations`
-returns them as a sized stream, :class:`RankedViolations`, which alone fixes
-their rank order: counted at once, sorted and built as they are iterated
-(``reach_reach`` kept as edge ids until a pass first reaches it).
+Violations are edges of reachable colour whose endpoints sit where no such
+edge may sit if the matching were unimprovable: a reachable head and a free
+vertex, two heads, or two free vertices.  M must be maximal, and
+:func:`find_violations` raises on an edge that would extend it.  It returns
+the violations as a sized stream, :class:`RankedViolations`, which alone
+fixes their rank order (within a kind, by :func:`witness_vertices`):
+counted at once, sorted and built as they are iterated (``reach_reach``
+kept as edge ids until a pass first reaches it).
 Each bucket also knows the fewest switches that any of its violations'
 augmentation chains makes (:func:`chain_switches`), so that a round can pass
 over a bucket whose every chain needs more spare colours than the base has.
@@ -343,22 +345,24 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
 
 
 # the violation kinds in rank order: a recipe for an earlier kind is tried first
-VIOLATION_KINDS = ("extend", "reach_free", "reach_reach", "free_free")
+VIOLATION_KINDS = ("reach_free", "reach_reach", "free_free")
 
 
 class Violation(NamedTuple):
-    """An edge that lets the matching grow.
-
-    kinds: ``extend`` (unused colour, both endpoints free),
-    ``reach_free`` (reachable colour between a reachable head and a free
-    vertex), ``reach_reach`` (reachable colour between two reachable heads),
-    ``free_free`` (reachable colour with both endpoints free).
-    """
+    """An edge of reachable colour that lets a maximal matching grow, as
+    ranked; ``vertices`` are its :func:`witness_vertices`.  kinds:
+    ``reach_free`` (a reachable head and a free vertex), ``reach_reach``
+    (two reachable heads), ``free_free`` (two free vertices)."""
 
     kind: str
     edge_id: int
     colour: int
     vertices: tuple[int, ...]
+
+
+def witness_vertices(covered, u: int, v: int) -> tuple[int, int]:
+    """A violation's ends in witness order: covered first, else lower id first."""
+    return (u, v) if (u not in covered, u) < (v not in covered, v) else (v, u)
 
 
 def chain_switches(hierarchy: Hierarchy, colour: int, vertices) -> int:
@@ -411,7 +415,7 @@ class RankedViolations:
         Given ``spares``, pass over every bucket in which even the cheapest
         chain makes more than ``spares`` switches: its violations keep their
         ranks, but the bucket is not sorted and none of them is built or
-        yielded.  ``extend`` makes no switch, so it is never passed over."""
+        yielded."""
         make = tuple.__new__  # Violation's own __new__ adds a Python call each
         rank = 0
         for kind, bucket, fewest in zip(VIOLATION_KINDS, self._buckets, self._fewest):
@@ -443,13 +447,15 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
     counted now, sorted and built as they are iterated.  ``hierarchy`` must
     be built on ``matching``.
 
-    Every ``extend``, ``reach_free`` and ``free_free`` violation has a free
-    endpoint, so these are read from the edges at the free vertices, a
-    free-free edge from its lower endpoint only.  Only ``reach_reach`` joins
-    two heads: the reachable colour classes are scanned for it, keeping the
-    edge ids only.  Candidates are kept by kind as plain tuples,
-    ``(vertices, edge id, colour)``, and each kind's fewest
-    :func:`chain_switches` is recorded.
+    Every ``reach_free`` and ``free_free`` violation has a free endpoint, so
+    these are read from the edges at the free vertices, a free-free edge
+    from its lower endpoint only.  Only ``reach_reach`` joins two heads: the
+    reachable colour classes are scanned for it, keeping the edge ids only.
+    Candidates are kept by kind as plain tuples, ``(vertices, edge id,
+    colour)`` in :func:`witness_vertices` order, and each kind's fewest
+    :func:`chain_switches` is recorded.  Raises ValueError, naming the edge,
+    when an unused-colour edge joins two free vertices: ``matching`` is not
+    maximal.
     """
     graph = matching.graph
     edges = graph.edges
@@ -457,7 +463,7 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
     used = matching.colours
     heads = hierarchy.by_head
     reach = hierarchy.by_colour
-    extend, reach_free, reach_reach, free_free = buckets = [], [], [], []
+    reach_free, reach_reach, free_free = buckets = [], [], []
     # a reach_free and a reach_reach candidate with an endpoint at its own
     # colour's head, which only an improper colouring has: its chain makes
     # one switch fewer than any other candidate of its kind
@@ -473,8 +479,10 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
                         own_free = reach_free[-1]
             elif x < y:  # both ends free, and not a loop
                 if c not in used:
-                    extend.append(((x, y), eid, c))
-                elif c in reach:
+                    raise ValueError(
+                        f"edge {eid} ({u}-{v}, colour {c}) joins two free vertices "
+                        "in a colour the matching does not use: it is not maximal")
+                if c in reach:
                     free_free.append(((x, y), eid, c))
     for c, le in reach.items():
         own = le.head
@@ -487,7 +495,7 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
     # reach_reach holds edge ids: its cheapest candidate as a witness
     cheapest_reach = reach_reach and _witness(
         edges[reach_reach[0] if own_reach is None else own_reach])
-    fewest = [0]  # extend makes no switch
+    fewest = []
     for bucket, cheapest in ((reach_free, own_free), (reach_reach, cheapest_reach),
                              (free_free, None)):
         if not bucket:

@@ -14,12 +14,12 @@ Every multi-switch move is one chain (:func:`_chain`): requests served in
 order, each starting from the previous result with the previous distance to
 base as its budget.  An augmentation (:func:`augment`) is a chain from the
 base that frees each endpoint of the violating edge that is a reachable
-head, then the edge's colour and its own head, and adds the edge; a direct
-extension is the empty chain.  A higher-level switch is a chain one level
-down: a lift frees one lower colour, a descend two, then one exchange moves
-the switched edge onto the certifying edge.  The solve loop is greedy
-construction followed by repeated find-violations / augment rounds until the
-target size is reached or no recipe lands.  :func:`find_violations` returns a
+head, then the edge's colour and its own head, and adds the edge.  A
+higher-level switch is a chain one level down: a lift frees one lower
+colour, a descend two, then one exchange moves the switched edge onto the
+certifying edge.  The solve loop is greedy construction followed by
+repeated find-violations / augment rounds until the target size is reached
+or no recipe lands.  :func:`find_violations` returns a
 lazily ranked :class:`~rainbowmatch.reachability.RankedViolations`: a round
 pays for the violations it tries, not for every one it counts.
 
@@ -90,9 +90,9 @@ from typing import NamedTuple
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,  # noqa: F401
                        matching_to_json)
 from .multigraph import ColouredMultigraph, InstanceParams
-from .reachability import (VIOLATION_KINDS, FlexibleStructure, Hierarchy,
-                           RankedViolations, Violation, build_hierarchy, chain_switches,
-                           classify_good_bad, compute_flexible, find_violations)
+from .reachability import (FlexibleStructure, Hierarchy, RankedViolations, build_hierarchy,
+                           classify_good_bad, compute_flexible, find_violations,
+                           witness_vertices)
 
 logger = logging.getLogger(__name__)
 
@@ -255,6 +255,8 @@ class SwitchContext:
                                                 repr=False)
 
     def __post_init__(self):
+        if self.max_budget < 0:
+            raise ValueError(f"max_budget must not be negative: {self.max_budget}")
         self.m = len(self.hierarchy.levels)
         self.size = len(self.base.edge_ids)
         self.unused = self.base.graph.num_colours - self.size
@@ -538,76 +540,55 @@ class AugmentOutcome:
     calls: list[SwitchOutcome]
 
 
-# a reachable-coloured violation's kind by (endpoints that are reachable
-# heads, endpoints that are free), as find_violations sorts it
-_KIND_BY_ENDS = {(1, 1): "reach_free", (2, 0): "reach_reach", (0, 2): "free_free"}
+def augment(ctx: SwitchContext, edge_id: int) -> AugmentOutcome | NotFound:
+    """Run the recipe for the violating edge ``edge_id`` against the context
+    base.
 
-
-def _not_of_kind(kind, edge_id, u, v, c) -> SwitchUsageError:
-    return SwitchUsageError(f"edge {edge_id} ({u}-{v}, colour {c}) is not of "
-                            f"kind {kind!r} in the base")
-
-
-def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFound:
-    """Run the recipe for one violation against the context base.
-
-    ``extend`` just adds its edge.  Every other kind follows one rule: each
-    endpoint that is a reachable head, other than the head of the violating
-    colour's own edge, is freed by a switch of that head's colour, which
-    keeps the colour's own edge and the head edges still to be freed and
-    avoids the endpoints already free or freed.  One last switch frees the
-    colour and its head, avoiding every other endpoint.  The switches run as
-    one chain from the base, then the edge goes in.
+    Each endpoint that is a reachable head, other than the head of the
+    violating colour's own edge, is freed in witness order
+    (:func:`~rainbowmatch.reachability.witness_vertices`) by a switch of
+    that head's colour, which keeps the colour's own edge and the head edges
+    still to be freed and avoids the endpoints already free or freed.  One
+    last switch frees the colour and its head, avoiding every other
+    endpoint.  The switches run as one chain from the base, then the edge
+    goes in.
 
     Returns a matching one edge larger, or :class:`NotFound` when some switch
     in the chain finds no configuration under the budget cap.  A chain of
-    more switches (:func:`~rainbowmatch.reachability.chain_switches`) than
-    the base leaves colours unused cannot land (see the module docstring);
-    unless the context shuffles, it is refuted before its first switch call
-    as ``NotFound("too_few_spares", {})``.  ``solve`` does not call this for
-    a violation whose whole bucket is refuted so.  Each switch of the chain
-    gets the number of switches after it as its ``reserve``, so the first
-    NotFound may come from a switch that passes over candidates the rest of
-    the chain cannot afford.
+    more switches than the base leaves colours unused cannot land (see the
+    module docstring); unless the context shuffles, it is refuted before its
+    first switch call as ``NotFound("too_few_spares", {})``.  ``solve`` does
+    not call this for a violation whose whole bucket is refuted so.  Each
+    switch of the chain gets the number of switches after it as its
+    ``reserve``, so the first NotFound may come from a switch that passes
+    over candidates the rest of the chain cannot afford.
 
-    Raises :class:`SwitchUsageError` on an unknown kind, an edge id that is
-    not one of the graph's, ``vertices`` other than the edge's two endpoints
-    or a ``colour`` other than its own, a kind other than ``extend`` whose
-    edge's colour is not reachable, and an edge that is not of its kind as
-    :func:`~rainbowmatch.reachability.find_violations` defines it.
+    Raises :class:`SwitchUsageError` on an edge id that is not one of the
+    graph's, and on an edge that is not a violation of the base: a loop, an
+    edge whose colour is not reachable, or one whose ends are not a
+    reachable head and a free vertex, two heads or two free vertices.
     """
-    kind, edge_id, colour, vertices = violation
-    if kind not in VIOLATION_KINDS:
-        raise SwitchUsageError(f"unknown violation kind {kind!r}")
     base = ctx.base
     edges = base.graph.edges
     if type(edge_id) is not int or not 0 <= edge_id < len(edges):
         raise SwitchUsageError(f"edge {edge_id!r} is not an edge of the graph")
-    _, u, v, c = edges[edge_id]
-    if colour != c or vertices not in ((u, v), (v, u)):
-        raise SwitchUsageError(
-            f"vertices {vertices!r} and colour {colour!r} are not those of "
-            f"edge {edge_id} ({u}-{v}, colour {c})")
-    covered = base.covered
-    if kind == "extend":
-        if u == v or c in base.colours or u in covered or v in covered:
-            raise _not_of_kind(kind, edge_id, u, v, c)
-        return AugmentOutcome(ctx.exchange(base, (), (edge_id,)), [])
-    hierarchy = ctx.hierarchy
-    target = hierarchy.by_colour.get(colour)
-    if target is None:
-        raise SwitchUsageError(f"colour {colour} of edge {edge_id} is not reachable")
-    heads = hierarchy.by_head
-    if u == v or _KIND_BY_ENDS.get((
+    _, u, v, colour = edges[edge_id]
+    heads, covered = ctx.hierarchy.by_head, base.covered
+    target = ctx.hierarchy.by_colour.get(colour)
+    # the ends' (reachable heads, free vertices) counts of reach_free,
+    # reach_reach and free_free
+    if target is None or u == v or (
             (u in heads) + (v in heads),
-            (u not in covered) + (v not in covered))) != kind:
-        raise _not_of_kind(kind, edge_id, u, v, c)
+            (u not in covered) + (v not in covered)) not in ((1, 1), (2, 0), (0, 2)):
+        raise SwitchUsageError(f"edge {edge_id} ({u}-{v}, colour {colour}) is not a "
+                               "violation of the base")
+    vertices = witness_vertices(covered, u, v)
     head = target.head
     # the endpoints' level edges, in witness order, but the colour's own
     to_free = [le for le in map(heads.get, vertices)
                if le is not None and le is not target]
-    # each switch of the chain takes a spare colour of its own
-    if ctx.rng is None and chain_switches(hierarchy, colour, vertices) > ctx.unused:
+    # each switch of the chain, one per request, takes a spare colour of its own
+    if ctx.rng is None and len(to_free) + 1 > ctx.unused:
         return NotFound("too_few_spares", {})
     requests = []
     if to_free:
@@ -629,9 +610,13 @@ def augment(ctx: SwitchContext, violation: Violation) -> AugmentOutcome | NotFou
 
 @dataclass
 class IterationRecord:
-    """One round of the solve loop.  ``exchanges`` is the number of switch
-    calls in the landed chain, one exchange each (0 when nothing landed);
-    ``base_ids`` is the round's base matching."""
+    """One round of the solve loop.  ``attempted`` is the landed
+    violation's rank, else ``violations``: it counts those of buckets passed
+    over for too few spare colours too, which never reach ``augment``.
+    ``kind`` (one of :data:`~rainbowmatch.reachability.VIOLATION_KINDS`) and
+    ``edge_id`` name the landed violation, None if none; ``exchanges`` is
+    the number of switch calls in its chain, one exchange each (0 if none
+    landed); ``base_ids`` is the round's base matching."""
 
     index: int
     size_before: int
@@ -709,7 +694,11 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
 
     A non-positive target is never reported reached; such runs go to stall,
     so asking for more than the graph can give is visible in the status.
+    A negative ``max_iterations`` or ``max_budget`` raises ValueError.
     """
+    for name, cap in (("max_iterations", max_iterations), ("max_budget", max_budget)):
+        if cap < 0:
+            raise ValueError(f"{name} must not be negative: {cap}")
     t0 = time.perf_counter()
     if params is None:
         params = InstanceParams.for_graph(graph)
@@ -739,7 +728,7 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
         # colours is passed over, its violations counted as tried; a
         # shuffled solve runs every chain, so that its draws do not move
         for attempted, violation in found.ranked(ctx.unused if rng is None else None):
-            out = augment(ctx, violation)
+            out = augment(ctx, violation.edge_id)
             if isinstance(out, AugmentOutcome):
                 break
         else:

@@ -7,7 +7,7 @@ mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
 clashes).  Hand fixtures
 that several suites share live here too, along with ``recorded_calls()``,
 which logs every successful switch call, ``augment_calls()``, which logs
-every ``augment`` call of a solve, ``recheck_call()``, which checks one such
+every ``augment`` call of a solve by edge id, ``recheck_call()``, which checks one such
 record against the switch contract, ``brute_switches()`` and
 ``needs_too_many_spares()``, the spare-colour bound restated from the
 recipe, ``spare_bound_off()``, which turns that bound off everywhere,
@@ -79,16 +79,16 @@ def tight_instance(seed: int) -> ColouredMultigraph:
 
 def rank(violation) -> tuple:
     """The rank key of a violation ``(kind, edge id, colour, witness
-    vertices)``: extend, reach_free, reach_reach, free_free, ties by witness
+    vertices)``: reach_free, reach_reach, free_free, ties by witness
     vertices then edge id."""
     kind, edge_id, _, vertices = violation
-    return (("extend", "reach_free", "reach_reach", "free_free").index(kind),
-            vertices, edge_id)
+    return (("reach_free", "reach_reach", "free_free").index(kind), vertices, edge_id)
 
 
 def brute_scan(graph, matching, hier):
-    """Full-edge-sweep reference for find_violations: ``(kind, edge id,
-    colour, witness vertices)`` in :func:`rank` order."""
+    """Full-edge-sweep reference for find_violations on a maximal
+    ``matching``: ``(kind, edge id, colour, witness vertices)`` in
+    :func:`rank` order."""
     level_edges = [le for level in hier.levels for le in level.edges]
     heads = {le.head for le in level_edges}
     reach_colours = {le.colour for le in level_edges}
@@ -100,10 +100,7 @@ def brute_scan(graph, matching, hier):
         fv = e.v not in matching.covered
         hu, hv = e.u in heads, e.v in heads
         ends = tuple(sorted((e.u, e.v)))
-        if e.colour not in matching.colours:
-            if fu and fv:
-                out.append(("extend", e.id, e.colour, ends))
-        elif e.colour in reach_colours:
+        if e.colour in reach_colours:
             if e.id in matching.edge_ids:
                 continue
             if hu and hv:
@@ -156,37 +153,35 @@ def recorded_calls():
         switching.robust_switch = inner
 
 
-def brute_switches(hierarchy, violation) -> int:
-    """The switch calls in the chain of ``violation``'s recipe, restated
-    from the recipe: one per endpoint that is a reachable head other than
-    its colour's own head, plus one; none for ``extend``."""
-    kind, _, colour, vertices = violation
-    if kind == "extend":
-        return 0
+def brute_switches(hierarchy, colour, vertices) -> int:
+    """The switch calls in the recipe's chain for a violation of ``colour``
+    between ``vertices``, restated from the recipe: one per endpoint that is
+    a reachable head other than its colour's own head, plus one."""
     own = hierarchy.by_colour[colour].head
     return 1 + sum(x in hierarchy.by_head and x != own for x in vertices)
 
 
-def needs_too_many_spares(ctx, violation) -> bool:
-    """Whether the chain of ``violation``'s recipe has more switches than
-    the base of ``ctx`` leaves colours unused.  It reads neither
-    ``ctx.unused`` nor ``ctx.rng``."""
-    return brute_switches(ctx.hierarchy, violation) > (
+def needs_too_many_spares(ctx, edge_id) -> bool:
+    """Whether the chain of the recipe for the violating edge ``edge_id``
+    has more switches than the base of ``ctx`` leaves colours unused.  It
+    reads neither ``ctx.unused`` nor ``ctx.rng``."""
+    e = ctx.base.graph.edge(edge_id)
+    return brute_switches(ctx.hierarchy, e.colour, (e.u, e.v)) > (
         ctx.base.graph.num_colours - len(ctx.base))
 
 
 @contextmanager
 def augment_calls():
-    """Log ``(ctx, violation, outcome, served)`` for every ``augment`` call
+    """Log ``(ctx, edge_id, outcome, served)`` for every ``augment`` call
     that ``solve`` makes inside the block; ``served`` is the
     :func:`recorded_calls` log of the switch calls made inside it."""
     log = []
     inner = switching.augment
 
-    def logging(ctx, violation):
+    def logging(ctx, edge_id):
         with recorded_calls() as served:
-            out = inner(ctx, violation)
-        log.append((ctx, violation, out, served))
+            out = inner(ctx, edge_id)
+        log.append((ctx, edge_id, out, served))
         return out
 
     switching.augment = logging

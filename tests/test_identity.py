@@ -5,8 +5,12 @@ Each instance of :data:`CORPUS` is solved through ``rainbowmatch solve
 together with every :class:`~rainbowmatch.switching.IterationRecord` of the
 run, so the number of violations found and tried per round is pinned too.
 The corpus holds near-threshold random instances (C = 8-64), isotopes of
-Z_n (orders 15-33) and the instance whose plain solve serves level-3 calls
-with the spare-colour bound off (C=128, seed 7).  It is built from seeds, so
+Z_n (orders 15-33), the instance whose plain solve serves level-3 calls
+with the spare-colour bound off (C=128, seed 7), and raw multigraphs:
+uniform ``(u, v, c)`` triples on 2-16 vertices and 1-9 colours, so loops,
+colour clashes and parallel edges.  In the plain solves of raw seeds 7, 24,
+30 and 110, ``augment`` refutes a chain for too few spare colours; in those of
+105 and 170 one is refuted and another lands.  It is built from seeds, so
 no data file is kept.
 
 Run as a script to compare every digest and print the first instance that
@@ -22,12 +26,13 @@ import functools
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 
 import pytest
 
-from rainbowmatch import cli, dumps, generate_random, latin_to_graph
+from rainbowmatch import ColouredMultigraph, cli, dumps, generate_random, latin_to_graph
 
 from conftest import isotope
 
@@ -43,12 +48,22 @@ def _latin(order, seed):
     return latin_to_graph(isotope(order, seed))
 
 
+def _raw(seed):
+    rng = random.Random(seed)
+    vertices, colours = rng.randint(2, 16), rng.randint(1, 9)
+    return ColouredMultigraph(vertices, colours, [
+        (rng.randrange(vertices), rng.randrange(vertices), rng.randrange(colours))
+        for _ in range(rng.randint(0, 60))])
+
+
 CORPUS = {
     **{f"random-C{c}-s{s}": functools.partial(_random, c, s)
        for c in (8, 12, 16, 24, 32, 40, 48, 64) for s in range(3)},
     **{f"latin-n{n}-s{s}": functools.partial(_latin, n, s)
        for n in (15, 16, 17, 21, 24, 27, 30, 33) for s in range(2)},
     "level3-C128-s7": functools.partial(generate_random, 128, 130, 260, 8, 7),
+    **{f"raw-s{s}": functools.partial(_raw, s)
+       for s in (*range(12), 24, 30, 105, 110, 170)},
 }
 
 
@@ -167,6 +182,41 @@ DIGESTS = {
     "latin-n33-s1 shuffle": "cee9451479d33ddd0cca8f78081fe5ea8e5f0cd89eaa715cc789c9464ebd1aa8",
     "level3-C128-s7 plain": "2935c471da7cd6955705a372772cecbdf8517bdd2d8d79edd27671ea9c4b1d7c",
     "level3-C128-s7 shuffle": "934feb66c740e28aeee4622519163075ee12b34024ee7748120d785a786a340c",
+    # the raw multigraphs, recorded before augment took an edge id
+    "raw-s0 plain": "3cb88866f6be1f8c3cece3707f1576612117cf2489362c580d5e70a15deb42a4",
+    "raw-s0 shuffle": "3cb88866f6be1f8c3cece3707f1576612117cf2489362c580d5e70a15deb42a4",
+    "raw-s1 plain": "fb1cc43084b72d8d664ed8094e5c4aef4ca01f602fc1d1262cb1859e4be38c90",
+    "raw-s1 shuffle": "fb1cc43084b72d8d664ed8094e5c4aef4ca01f602fc1d1262cb1859e4be38c90",
+    "raw-s2 plain": "cd05cebea7a1d4156078919a40b7b8ec9543290c623d30fa8718f859e8ee8136",
+    "raw-s2 shuffle": "cd05cebea7a1d4156078919a40b7b8ec9543290c623d30fa8718f859e8ee8136",
+    "raw-s3 plain": "1b6d3f5426acf8a57c3f2c5761ad5e149e56bd8c097111827d2efa1880f957f6",
+    "raw-s3 shuffle": "1b6d3f5426acf8a57c3f2c5761ad5e149e56bd8c097111827d2efa1880f957f6",
+    "raw-s4 plain": "cc453a8e44caea60cf16dd6c9719ee6c38a6daeaeb1de3bd85c3bbbaf028a4a7",
+    "raw-s4 shuffle": "cc453a8e44caea60cf16dd6c9719ee6c38a6daeaeb1de3bd85c3bbbaf028a4a7",
+    "raw-s5 plain": "7819787ca8b9f4e84cfd2c43acc489cdd597a6420457a2262c72eed05d32d726",
+    "raw-s5 shuffle": "7819787ca8b9f4e84cfd2c43acc489cdd597a6420457a2262c72eed05d32d726",
+    "raw-s6 plain": "fc760c650f2716e9375240d105e9d1ae6b3e0046aad3f488f9727f5bc1cd522c",
+    "raw-s6 shuffle": "fc760c650f2716e9375240d105e9d1ae6b3e0046aad3f488f9727f5bc1cd522c",
+    "raw-s7 plain": "4e83d162404bc96c3d41ddd846998be55bbf9088d398abfd5b4c1802a4e0a955",
+    "raw-s7 shuffle": "4e83d162404bc96c3d41ddd846998be55bbf9088d398abfd5b4c1802a4e0a955",
+    "raw-s8 plain": "9ed669e064878367cef5fecdab05e748dbe4d66626cea934c4d2b687cd825912",
+    "raw-s8 shuffle": "9ed669e064878367cef5fecdab05e748dbe4d66626cea934c4d2b687cd825912",
+    "raw-s9 plain": "0be16472b662deddcb404a24d8045007ba1a945da9dbaad0f36f59c3e1623dea",
+    "raw-s9 shuffle": "0be16472b662deddcb404a24d8045007ba1a945da9dbaad0f36f59c3e1623dea",
+    "raw-s10 plain": "cff00e1bb0f2d9e841b5edb89ad2f566ef3ce166e972909188f9ef15702b28a7",
+    "raw-s10 shuffle": "cff00e1bb0f2d9e841b5edb89ad2f566ef3ce166e972909188f9ef15702b28a7",
+    "raw-s11 plain": "173e6f16eb14ec5bea3c4102f796839e50b6b2b2e875b61e83d627dfdfc72f39",
+    "raw-s11 shuffle": "173e6f16eb14ec5bea3c4102f796839e50b6b2b2e875b61e83d627dfdfc72f39",
+    "raw-s24 plain": "5fc2c1ff166078b8cb28f2ce295e2697bba5eddd9a99ebfa59644fda49542d4f",
+    "raw-s24 shuffle": "5fc2c1ff166078b8cb28f2ce295e2697bba5eddd9a99ebfa59644fda49542d4f",
+    "raw-s30 plain": "62bc2b30df84f3bae8c503ed44b67e5fd8d0668a21c9f7beeccbf85c94a984f7",
+    "raw-s30 shuffle": "62bc2b30df84f3bae8c503ed44b67e5fd8d0668a21c9f7beeccbf85c94a984f7",
+    "raw-s105 plain": "53985cf4f38f49ed7344ec3982856c9d6399feafd81f27d73552dfa30ad1d808",
+    "raw-s105 shuffle": "53985cf4f38f49ed7344ec3982856c9d6399feafd81f27d73552dfa30ad1d808",
+    "raw-s110 plain": "e9ca29d22974e69d25af68cff57a10ddd8f4732737ab7b9eb040ee775b3fd630",
+    "raw-s110 shuffle": "e9ca29d22974e69d25af68cff57a10ddd8f4732737ab7b9eb040ee775b3fd630",
+    "raw-s170 plain": "1207dce3fd442db6f997ed7cedad041addc51b59d6c3a24270a2b8093bec5e16",
+    "raw-s170 shuffle": "1207dce3fd442db6f997ed7cedad041addc51b59d6c3a24270a2b8093bec5e16",
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
 from math import ceil, floor
 
 import pytest
@@ -24,6 +25,7 @@ from rainbowmatch import (
     compute_flexible,
     counting_diagnostics,
     cyclic_square,
+    extend_to_maximal,
     find_violations,
     generate_random,
     greedy,
@@ -40,6 +42,10 @@ from conftest import (augment_calls, bad_per_colour, brute_scan, brute_switches,
                       rank, raw_graphs, spare_bound_off)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
+
+NOT_MAXIMAL = re.compile(r"^edge (\d+) \((\d+)-(\d+), colour (\d+)\) joins two free "
+                         r"vertices in a colour the matching does not use: it is not "
+                         r"maximal$")
 
 
 def analyse(graph, matching, params=None):
@@ -193,23 +199,23 @@ class TestViolations:
     def test_rank_order(self):
         vs = [
             Violation("free_free", 1, 0, (0, 1)),
-            Violation("extend", 9, 5, (2, 3)),
+            Violation("reach_free", 9, 5, (2, 3)),
             Violation("reach_reach", 4, 2, (4, 5)),
             Violation("reach_free", 3, 1, (6, 7)),
-            Violation("extend", 2, 5, (2, 3)),
+            Violation("reach_free", 2, 5, (2, 3)),
         ]
         assert [v.kind for v in sorted(vs, key=rank)] == [
-            "extend", "extend", "reach_free", "reach_reach", "free_free"]
+            "reach_free", "reach_free", "reach_free", "reach_reach", "free_free"]
         # ties within a kind fall back to witness vertices then edge id
-        assert sorted(vs, key=rank)[0].edge_id == 2
+        assert [v.edge_id for v in sorted(vs, key=rank)][:3] == [2, 9, 3]
 
     def test_named_tuple_repr_and_immutability(self):
         v = Violation("reach_free", 10, 2, (0, 9))
         assert repr(v) == ("Violation(kind='reach_free', edge_id=10, colour=2, "
                            "vertices=(0, 9))")
-        assert rank(v) == (1, (0, 9), 10)
+        assert rank(v) == (0, (0, 9), 10)
         with pytest.raises(AttributeError):
-            v.kind = "extend"
+            v.kind = "free_free"
 
 
 def brute_pairs(g, m, flex, good_at, le) -> tuple:
@@ -286,13 +292,25 @@ def recount_certificates(g, m) -> int:
     return checked
 
 
+def assert_not_maximal(g, m, hier) -> int:
+    """``find_violations`` refuses ``m``, naming an edge of a colour that
+    ``m`` does not use between two free vertices; returns that edge's id."""
+    with pytest.raises(ValueError) as raised:
+        find_violations(m, hier)
+    named = NOT_MAXIMAL.match(str(raised.value))
+    assert named, str(raised.value)
+    e = g.edge(int(named[1]))
+    assert (e.u, e.v, e.colour) == tuple(map(int, named.groups()[1:]))
+    assert e.u != e.v and e.colour not in m.colours
+    assert not {e.u, e.v} & m.covered
+    return e.id
+
+
 def check_structure(g, m):
     """The violation and hierarchy facts that hold for any maximal ``m``."""
     params, _, _, hier = analyse(g, m)
 
-    # maximal matchings leave no extend violations
     found = find_violations(m, hier)
-    assert all(v.kind != "extend" for v in found)
 
     # detector agrees with the brute-force sweep, order and witnesses too
     assert [(v.kind, v.edge_id, v.colour, v.vertices)
@@ -340,8 +358,9 @@ class TestProperties:
     @given(st.integers(0, 200), st.integers(0, 7), st.integers(0, 50))
     @PROPERTY_SETTINGS
     def test_violations_on_non_maximal_matchings(self, seed, greedy_seed, drop):
-        # greedy minus one edge: the freed edge, at least, is an extend
-        # violation, which a maximal matching never has
+        # greedy minus one edge: the freed edge, at least, joins two free
+        # vertices in an unused colour, so the base is refused; extended to
+        # maximal again, it is read
         g = random_instance(seed)
         full = greedy(g, greedy_seed)
         if not full.sorted_ids:
@@ -349,10 +368,12 @@ class TestProperties:
         dropped = full.sorted_ids[drop % len(full)]
         m = RainbowMatching(g, full.edge_ids - {dropped})
         _, _, _, hier = analyse(g, m)
+        assert_not_maximal(g, m, hier)
+        m = extend_to_maximal(m)
+        _, _, _, hier = analyse(g, m)
         found = find_violations(m, hier)
         assert [(v.kind, v.edge_id, v.colour, v.vertices)
                 for v in found] == brute_scan(g, m, hier)
-        assert ("extend", dropped) in [(v.kind, v.edge_id) for v in found]
         assert [rank(v) for v in found] == sorted(map(rank, found))
 
     @given(st.integers(0, 200), st.integers(0, 7))
@@ -419,8 +440,9 @@ class TestRankedViolations:
     def test_lazy_sequence_is_the_ranked_list(self, g, greedy_seed, drop, stop):
         m = greedy(g, greedy_seed)
         if drop and m.sorted_ids:
-            # one matching edge fewer: extend violations too
-            m = RainbowMatching(g, m.sorted_ids[1:])
+            # another maximal base: one matching edge dropped, then edges
+            # added in id order
+            m = extend_to_maximal(RainbowMatching(g, m.sorted_ids[1:]))
         _, _, _, hier = analyse(g, m)
         eager = [Violation(*t) for t in brute_scan(g, m, hier)]
         found = find_violations(m, hier)
@@ -449,14 +471,16 @@ class TestRankedViolations:
             while tried and tried[0][0].base.sorted_ids == rec.base_ids:
                 mine.append(tried.pop(0))
             ranked = eager[:rec.attempted]
-            reached = [v for _, v, _, _ in mine]
+            by_edge = {v.edge_id: v for v in eager}
+            reached = [by_edge[edge_id] for _, edge_id, _, _ in mine]
             kinds = {v.kind for v in reached}
             assert reached == [v for v in ranked if v.kind in kinds]
             passed_over = [v for v in ranked if v.kind not in kinds]
             for violation in passed_over:
-                assert augment(ctx, violation) == NotFound("too_few_spares", {})
+                assert augment(ctx, violation.edge_id) == NotFound("too_few_spares", {})
             for kind in {v.kind for v in passed_over}:
-                assert all(needs_too_many_spares(ctx, v) for v in eager if v.kind == kind)
+                assert all(needs_too_many_spares(ctx, v.edge_id)
+                           for v in eager if v.kind == kind)
             landed = [isinstance(out, AugmentOutcome) for _, _, out, _ in mine]
             if rec.kind is None:
                 assert rec.attempted == len(eager) and not any(landed)
@@ -489,25 +513,24 @@ class TestRankedViolations:
             _, _, _, hier = analyse(g, base)
             eager = [Violation(*t) for t in brute_scan(g, base, hier)]
             mine, tried = tried[:rec.attempted], tried[rec.attempted:]
-            assert [(ctx.base.sorted_ids, v) for ctx, v, _, _ in mine] == [
-                (rec.base_ids, v) for v in eager[:rec.attempted]]
+            assert [(ctx.base.sorted_ids, edge_id) for ctx, edge_id, _, _ in mine] == [
+                (rec.base_ids, v.edge_id) for v in eager[:rec.attempted]]
         assert tried == []
 
-    @pytest.mark.parametrize("spares", [None, 0, 1, 2])
-    def test_extend_is_never_passed_over(self, spares):
+    def test_a_non_maximal_base_raises(self):
+        # greedy minus its first edge: that edge goes back in, so the base
+        # is refused before any bucket is counted, let alone passed over
         g = generate_random(32, 34, 68, 2, 3)
-        m = RainbowMatching(g, greedy(g, 0).sorted_ids[1:])
+        full = greedy(g, 0)
+        m = RainbowMatching(g, full.sorted_ids[1:])
         _, _, _, hier = analyse(g, m)
-        eager = [Violation(*t) for t in brute_scan(g, m, hier)]
-        extend = [v for v in eager if v.kind == "extend"]
-        assert extend
-        ranked = list(find_violations(m, hier).ranked(spares))
-        assert ranked[:len(extend)] == list(enumerate(extend, 1))
+        assert hier.m >= 1
+        assert assert_not_maximal(g, m, hier) == full.sorted_ids[0]
 
     def test_a_full_base_leaves_nothing_to_pass_over(self):
         # past n, at target_deficit -1, the last round's base uses every
         # colour, so it has no spare: no flexible edge, no level, and so no
-        # violation of any kind, extend included, to try or to pass over
+        # violation of any kind to try or to pass over
         g = generate_random(32, 34, 68, 2, 3)
         with augment_calls() as tried:
             report = solve(g, target_deficit=-1)
@@ -524,7 +547,7 @@ class TestRankedViolations:
     def test_passed_over_buckets_match_a_brute_scan(self, g, greedy_seed, drop):
         m = greedy(g, greedy_seed)
         if drop and m.sorted_ids:
-            m = RainbowMatching(g, m.sorted_ids[1:])
+            m = extend_to_maximal(RainbowMatching(g, m.sorted_ids[1:]))
         _, _, _, hier = analyse(g, m)
         self.assert_passes_over_by_brute_scan(g, m, hier)
 
@@ -546,8 +569,8 @@ class TestRankedViolations:
                                [(u, v, c) for _, u, v, c in g.edges] + extra)
         m = RainbowMatching(g, range(size))  # the fixture's base
         _, _, _, hier = analyse(g, m)
-        assert {(v[0], v[1]): brute_switches(hier, v)
-                for v in brute_scan(g, m, hier)} == switches
+        assert {(kind, eid): brute_switches(hier, c, vertices)
+                for kind, eid, c, vertices in brute_scan(g, m, hier)} == switches
         self.assert_passes_over_by_brute_scan(g, m, hier)
         # reach_reach is counted from edge ids and built when first reached
         eager = [Violation(*t) for t in brute_scan(g, m, hier)]
@@ -564,7 +587,8 @@ class TestRankedViolations:
         eager = [Violation(*t) for t in brute_scan(g, m, hier)]
         fewest = {}
         for v in eager:
-            fewest[v.kind] = min(fewest.get(v.kind, len(eager) + 9), brute_switches(hier, v))
+            fewest[v.kind] = min(fewest.get(v.kind, len(eager) + 9),
+                                 brute_switches(hier, v.colour, v.vertices))
         found = find_violations(m, hier)
         assert list(found.ranked()) == list(enumerate(eager, 1))
         for spares in range(4):

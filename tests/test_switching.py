@@ -31,11 +31,12 @@ from rainbowmatch import (
     solve,
     verify,
 )
-from rainbowmatch.reachability import FlexibleStructure, Hierarchy
+from rainbowmatch.reachability import (VIOLATION_KINDS, FlexibleStructure, Hierarchy,
+                                       witness_vertices)
 
-from conftest import (augment_calls, isotope, needs_too_many_spares, random_instance,
-                      raw_graphs, recheck_call, recorded_calls, spare_bound_off,
-                      switch_bound_off, tight_instance)
+from conftest import (augment_calls, brute_scan, isotope, needs_too_many_spares,
+                      random_instance, raw_graphs, recheck_call, recorded_calls,
+                      spare_bound_off, switch_bound_off, tight_instance)
 from test_matching import family_graph
 from test_reachability import REACHABILITY_GOLDEN
 
@@ -370,14 +371,16 @@ class TestUsageErrors:
 
     def test_context_reads_the_base_graph(self):
         # g1's edge 0 covers {0, 1}, g2's covers {0, 2}: g2's edge 1 would
-        # extend at (1, 3), g1's extends at (2, 3)
+        # extend at (1, 3), g1's extends at (2, 3), so the base is not
+        # maximal, and the violations name g1's edge
         g1 = ColouredMultigraph(4, 2, [(0, 1, 0), (2, 3, 1)])
         g2 = ColouredMultigraph(4, 2, [(0, 2, 0), (1, 3, 1)])
         base = RainbowMatching(g1, [0])
         assert extend_to_maximal(base).edge_ids == {0, 1}
         ctx = SwitchContext.build(base)
         assert ctx.base.graph is g1 and ctx.base.graph is not g2
-        assert list(ctx.violations()) == [Violation("extend", 1, 1, (2, 3))]
+        with pytest.raises(ValueError, match=r"^edge 1 \(2-3, colour 1\) joins two free "):
+            ctx.violations()
 
     def test_request_coerces_collections(self):
         req = SwitchRequest(colour=0, vertex=0, fix=[1, 2],
@@ -566,40 +569,30 @@ class TestInductiveCase:
         assert out.rejections == {"recursion_failed": 1}
 
 
-def assert_not_of_its_kind(ctx, violation) -> None:
-    """``augment`` rejects ``violation`` as not of its kind, before any
-    switch call or exchange."""
-    e = ctx.base.graph.edge(violation.edge_id)
-    message = (f"edge {e.id} ({e.u}-{e.v}, colour {e.colour}) is not of "
-               f"kind {violation.kind!r} in the base")
+def assert_not_a_violation(ctx, edge_id) -> None:
+    """``augment`` rejects ``edge_id`` as no violation of the base, before
+    any switch call or exchange."""
+    e = ctx.base.graph.edge(edge_id)
+    message = f"edge {e.id} ({e.u}-{e.v}, colour {e.colour}) is not a violation of the base"
     with recorded_calls() as log:
         with pytest.raises(SwitchUsageError, match=f"^{re.escape(message)}$"):
-            augment(ctx, violation)
+            augment(ctx, edge_id)
     assert log == [] and ctx.built == {}
 
 
+@st.composite
+def near_threshold_graphs(draw) -> ColouredMultigraph:
+    colours = draw(st.integers(8, 48))
+    return generate_random(colours, colours + 2, 2 * (colours + 2),
+                           max(1, colours // 16), draw(st.integers(0, 50)))
+
+
+@st.composite
+def latin_graphs(draw) -> ColouredMultigraph:
+    return latin_to_graph(isotope(draw(st.integers(3, 16)), draw(st.integers(0, 50))))
+
+
 class TestAugment:
-    def test_extend(self, base_switch_fixture):
-        g = base_switch_fixture
-        base = RainbowMatching(g, [1])
-        ctx = SwitchContext.build(base)
-        (violation,) = ctx.violations()
-        assert violation.kind == "extend"
-        with recorded_calls() as log:
-            out = augment(ctx, violation)
-        assert isinstance(out, AugmentOutcome)
-        assert out.matching.edge_ids == {0, 1}
-        assert out.calls == []
-        assert requests_served(log) == []
-
-    def test_unknown_kind(self, base_switch_fixture):
-        g = base_switch_fixture
-        ctx = SwitchContext.build(RainbowMatching(g, [1]))
-        (violation,) = ctx.violations()
-        with pytest.raises(SwitchUsageError,
-                           match="^unknown violation kind 'bogus'$"):
-            augment(ctx, violation._replace(kind="bogus"))
-
     def test_free_free(self, free_free_fixture):
         g = free_free_fixture
         base = RainbowMatching(g, [0, 1])
@@ -607,7 +600,7 @@ class TestAugment:
         (violation,) = ctx.violations()
         assert violation.kind == "free_free"
         with recorded_calls() as log:
-            out = augment(ctx, violation)
+            out = augment(ctx, violation.edge_id)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {2, 3, 5}
         assert len(out.calls) == 1
@@ -622,7 +615,7 @@ class TestAugment:
         (violation,) = ctx.violations()
         assert violation.kind == "reach_free"
         with recorded_calls() as log:
-            out = augment(ctx, violation)
+            out = augment(ctx, violation.edge_id)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {6, 8, 9, 10, 11}
         assert len(out.matching) == 5
@@ -640,7 +633,7 @@ class TestAugment:
         (violation,) = ctx.violations()
         assert violation.kind == "reach_reach"
         with recorded_calls() as log:
-            out = augment(ctx, violation)
+            out = augment(ctx, violation.edge_id)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {6, 9, 12, 13, 14, 15, 16}
         assert len(out.matching) == 7
@@ -671,7 +664,7 @@ class TestAugment:
         assert violation.kind == "reach_free"
         assert violation.vertices == (0, 6)
         with recorded_calls() as log:
-            out = augment(ctx, violation)
+            out = augment(ctx, violation.edge_id)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {2, 3, 4}
         assert verify(g, out.matching) == []
@@ -702,7 +695,7 @@ class TestAugment:
         assert violation.kind == "reach_reach"
         assert violation.vertices == (0, 4)
         with recorded_calls() as log:
-            out = augment(ctx, violation)
+            out = augment(ctx, violation.edge_id)
         assert isinstance(out, AugmentOutcome)
         assert out.matching.edge_ids == {5, 6, 8, 9, 10}
         assert verify(g, out.matching) == []
@@ -717,82 +710,44 @@ class TestAugment:
     def test_edge_outside_the_graph(self, free_free_fixture, edge_id):
         g = free_free_fixture
         ctx = SwitchContext.build(RainbowMatching(g, [0, 1]))
-        (violation,) = ctx.violations()
-        assert violation.edge_id == g.num_edges - 1
         with pytest.raises(SwitchUsageError,
                            match=f"^edge {edge_id} is not an edge of the graph$"):
-            augment(ctx, violation._replace(edge_id=edge_id))
+            augment(ctx, edge_id)
 
     # this used to fail with AttributeError on the missing level edge
     def test_unreachable_violation_colour(self, base_switch_fixture):
-        g = base_switch_fixture
-        ctx = SwitchContext.build(RainbowMatching(g, [1]))
-        (violation,) = ctx.violations()
-        assert violation.colour not in ctx.hierarchy.by_colour
-        with pytest.raises(SwitchUsageError,
-                           match="^colour 0 of edge 0 is not reachable$"):
-            augment(ctx, violation._replace(kind="free_free"))
-
-    # a violation whose fields are not its edge's used to leak a bare
-    # ValueError from the exchange ((), (9, 9)), raise a SwitchUsageError
-    # about another request ((0, 0)), come back NotFound ((0, 8)), or land
-    # with the wrong field ignored (a colour, an extend's vertices)
-    @pytest.mark.parametrize("fixture,ids,fields", [
-        ("reach_free_fixture", [0, 1, 2, 3], dict(vertices=())),
-        ("reach_free_fixture", [0, 1, 2, 3], dict(vertices=(0, 0))),
-        ("reach_free_fixture", [0, 1, 2, 3], dict(vertices=(9, 9))),
-        ("reach_free_fixture", [0, 1, 2, 3], dict(vertices=(0, 8))),
-        ("reach_free_fixture", [0, 1, 2, 3], dict(colour=0)),
-        ("base_switch_fixture", [1], dict(vertices=())),
-        ("base_switch_fixture", [1], dict(colour=2)),
-    ], ids=["no_vertices", "head_twice", "free_twice", "other_vertex",
-            "other_colour", "extend_no_vertices", "extend_other_colour"])
-    def test_violation_names_its_edge(self, request, fixture, ids, fields):
-        g = request.getfixturevalue(fixture)
-        ctx = SwitchContext.build(RainbowMatching(g, ids))
-        (violation,) = ctx.violations()
-        bad = violation._replace(**fields)
-        e = g.edge(violation.edge_id)
-        message = (f"vertices {bad.vertices!r} and colour {bad.colour!r} are "
-                   f"not those of edge {e.id} ({e.u}-{e.v}, colour {e.colour})")
-        with recorded_calls() as log:
-            with pytest.raises(SwitchUsageError, match=f"^{re.escape(message)}$"):
-                augment(ctx, bad)
-        assert log == [] and ctx.built == {}
-
-    # a loop or an extend with a covered endpoint used to leak a bare
-    # ValueError from the exchange, and a reach_free on the base's own edge 0
-    # raised "avoided vertices already covered: [1]"
-    @pytest.mark.parametrize("violation", [
-        Violation("extend", 4, 2, (4, 4)),
-        Violation("extend", 5, 2, (1, 5)),
-        Violation("extend", 0, 0, (0, 1)),
-        Violation("reach_free", 0, 0, (0, 1)),
-        Violation("reach_reach", 0, 0, (0, 1)),
-        Violation("free_free", 0, 0, (0, 1)),
-    ], ids=["extend_loop", "extend_covered_end", "extend_base_edge",
-            "reach_free_base_edge", "reach_reach_base_edge", "free_free_base_edge"])
-    def test_violation_not_of_its_kind(self, base_switch_fixture, violation):
-        g = ColouredMultigraph(6, 3, [(e.u, e.v, e.colour) for e in base_switch_fixture.edges]
-                               + [(4, 4, 2), (1, 5, 2)])
+        # edge 4 joins two free vertices in colour 1, which the base uses
+        # but which is not reachable
+        rows = [(e.u, e.v, e.colour) for e in base_switch_fixture.edges]
+        g = ColouredMultigraph(6, 3, rows + [(4, 5, 1)])
         ctx = SwitchContext.build(RainbowMatching(g, [0, 1]))
-        assert 0 in ctx.hierarchy.by_colour
-        assert_not_of_its_kind(ctx, violation)
+        assert list(ctx.violations()) == []
+        assert 1 in ctx.base.colours and 1 not in ctx.hierarchy.by_colour
+        assert not {4, 5} & ctx.base.covered
+        assert_not_a_violation(ctx, 4)
 
-    @pytest.mark.parametrize("fixture,ids,kind", [
-        ("reach_free_fixture", [0, 1, 2, 3], "reach_reach"),
-        ("reach_free_fixture", [0, 1, 2, 3], "free_free"),
-        ("reach_reach_fixture", [0, 1, 2, 3, 4, 5], "reach_free"),
-        ("free_free_fixture", [0, 1], "reach_free"),
-        ("free_free_fixture", [0, 1], "extend"),
-    ], ids=["reach_free_as_reach_reach", "reach_free_as_free_free",
-            "reach_reach_as_reach_free", "free_free_as_reach_free",
-            "free_free_as_extend"])
-    def test_violation_of_another_kind(self, request, fixture, ids, kind):
-        g = request.getfixturevalue(fixture)
-        ctx = SwitchContext.build(RainbowMatching(g, ids))
-        (violation,) = ctx.violations()
-        assert_not_of_its_kind(ctx, violation._replace(kind=kind))
+    # a loop or an extend-shaped edge used to leak a bare ValueError from the
+    # exchange, and a base edge raised "avoided vertices already covered: [1]"
+    @pytest.mark.parametrize("edge_id", [
+        pytest.param(12, id="loop"),
+        pytest.param(13, id="unused_colour"),
+        pytest.param(4, id="unused_colour_covered_end"),
+        pytest.param(0, id="base_edge"),
+        pytest.param(14, id="head_and_covered"),
+        pytest.param(15, id="covered_and_free"),
+        pytest.param(16, id="covered_twice"),
+    ])
+    def test_not_a_violation(self, reach_free_fixture, edge_id):
+        # the fixture, whose base reaches colours 0, 1 and 2 once these
+        # edges are in, with heads 0, 3 and 4 and free vertices 8-13
+        rows = [(e.u, e.v, e.colour) for e in reach_free_fixture.edges]
+        g = ColouredMultigraph(14, 7, rows + [
+            (9, 9, 2), (8, 10, 4), (0, 2, 2), (1, 9, 0), (1, 5, 0)])
+        ctx = SwitchContext.build(RainbowMatching(g, [0, 1, 2, 3]))
+        assert ctx.hierarchy.by_colour.keys() == {0, 1, 2}
+        assert ctx.hierarchy.by_head.keys() == {0, 3, 4}
+        assert ctx.base.covered == set(range(8))
+        assert_not_a_violation(ctx, edge_id)
 
     @given(st.sampled_from(["random", "tight", "latin", "raw"]), st.integers(0, 60),
            st.data())
@@ -802,14 +757,46 @@ class TestAugment:
         g = data.draw(raw_graphs()) if family == "raw" else family_graph(family, seed)
         ctx = SwitchContext.build(extend_to_maximal(greedy(g, seed)))
         for violation in ctx.violations():
-            assert isinstance(augment(ctx, violation), (AugmentOutcome, NotFound))
+            assert violation.kind in VIOLATION_KINDS
+            assert isinstance(augment(ctx, violation.edge_id), (AugmentOutcome, NotFound))
+
+    @pytest.mark.parametrize("graphs", [raw_graphs(), near_threshold_graphs(),
+                                        latin_graphs()], ids=["raw", "near_threshold", "latin"])
+    @given(data=st.data(), seed=st.integers(0, 3))
+    @PROPERTY_SETTINGS
+    def test_an_edge_is_a_violation_exactly_when_listed(self, graphs, data, seed):
+        # augment refuses exactly the edges that the brute-force sweep does
+        # not list, and finds the witness order that find_violations writes
+        g = data.draw(graphs)
+        base = extend_to_maximal(greedy(g, seed))
+        ctx = SwitchContext.build(base)
+        listed = {eid for _, eid, _, _ in brute_scan(g, base, ctx.hierarchy)}
+        for eid in range(g.num_edges):
+            try:
+                augment(ctx, eid)
+            except SwitchUsageError:
+                assert eid not in listed
+            else:
+                assert eid in listed
+        for v in ctx.violations():
+            e = g.edge(v.edge_id)
+            assert witness_vertices(base.covered, e.u, e.v) == v.vertices
+            assert witness_vertices(base.covered, e.v, e.u) == v.vertices
 
     def test_violation_vertices_in_either_order(self, reach_free_fixture):
-        g = reach_free_fixture
+        # the violating edge written free end first: augment puts the head
+        # first, as find_violations does, and lands the same chain
+        rows = [(e.u, e.v, e.colour) for e in reach_free_fixture.edges]
+        assert rows[10] == (0, 9, 2)
+        rows[10] = (9, 0, 2)
+        g = ColouredMultigraph(14, 7, rows)
         ctx = SwitchContext.build(RainbowMatching(g, [0, 1, 2, 3]))
-        (violation,) = ctx.violations()
-        out = augment(ctx, violation._replace(vertices=violation.vertices[::-1]))
+        assert list(ctx.violations()) == [Violation("reach_free", 10, 2, (0, 9))]
+        with recorded_calls() as log:
+            out = augment(ctx, 10)
         assert out.matching.edge_ids == {6, 8, 9, 10, 11}
+        assert requests_served(log) == [
+            (0, 0, 0, (2,), (9,), ()), (2, 4, 4, (), (0, 9), ())]
 
     def test_not_found_propagates(self, reach_free_fixture):
         g = reach_free_fixture
@@ -817,7 +804,7 @@ class TestAugment:
         ctx = SwitchContext.build(base, max_budget=3)
         (violation,) = ctx.violations()
         with recorded_calls() as log:
-            out = augment(ctx, violation)
+            out = augment(ctx, violation.edge_id)
         assert isinstance(out, NotFound)
         assert out.reason == "budget_cap"
         assert requests_served(log) == []
@@ -897,6 +884,25 @@ class TestSolve:
         assert report.status == "iteration_cap"
         assert report.exit_code == 3
 
+    # both used to be served: -1 rounds capped at once, and a budget of -5
+    # refused every switch and stalled at 30 where the defaults reach 32;
+    # 0 is a valid cap for either
+    @pytest.mark.parametrize("name,at_zero", [
+        ("max_iterations", "iteration_cap"), ("max_budget", "stalled")])
+    def test_negative_caps_raise(self, name, at_zero):
+        g = generate_random(32, 34, 68, 2, 3)
+        with pytest.raises(ValueError, match=f"^{name} must not be negative: -1$"):
+            solve(g, **{name: -1})
+        report = solve(g, **{name: 0})
+        assert (report.status, report.size) == (at_zero, 30)
+        assert solve(g).size == 32
+
+    def test_context_rejects_a_negative_budget(self, base_switch_fixture):
+        base = RainbowMatching(base_switch_fixture, [0, 1])
+        with pytest.raises(ValueError, match="^max_budget must not be negative: -5$"):
+            SwitchContext.build(base, max_budget=-5)
+        assert SwitchContext.build(base, max_budget=0).max_budget == 0
+
     def test_empty_graph_stalls(self):
         g = ColouredMultigraph(0, 1, [])
         report = solve(g, target_deficit=0, seed=0)
@@ -925,8 +931,7 @@ class TestSolve:
         report = solve(g, target_deficit=0, seed=1)
         for rec in report.iterations:
             assert rec.size_after >= rec.size_before
-            assert rec.kind in (None, "extend", "reach_free", "reach_reach",
-                                "free_free")
+            assert rec.kind is None or rec.kind in VIOLATION_KINDS
 
     def test_shuffle_still_valid(self):
         g = tight_instance(2)
@@ -1205,18 +1210,6 @@ SPARE_BOUND_GOLDEN = {
 }
 
 
-@st.composite
-def near_threshold_graphs(draw) -> ColouredMultigraph:
-    colours = draw(st.integers(8, 48))
-    return generate_random(colours, colours + 2, 2 * (colours + 2),
-                           max(1, colours // 16), draw(st.integers(0, 50)))
-
-
-@st.composite
-def latin_graphs(draw) -> ColouredMultigraph:
-    return latin_to_graph(isotope(draw(st.integers(3, 16)), draw(st.integers(0, 50))))
-
-
 class TestSpareBound:
     @pytest.mark.parametrize("name", sorted(SPARE_BOUND_CASES))
     def test_only_refuted_chains_lose_their_calls(self, name):
@@ -1235,7 +1228,7 @@ class TestSpareBound:
             assert got.to_json_dict() == full.to_json_dict()
             assert got.iterations == full.iterations
             assert got.switch_calls == full.switch_calls
-        refuted = [needs_too_many_spares(ctx, v) for ctx, v, _, _ in tried]
+        refuted = [needs_too_many_spares(ctx, eid) for ctx, eid, _, _ in tried]
         assert any(refuted)
         assert all(isinstance(out, NotFound)
                    for (_, _, out, _), r in zip(tried, refuted) if r)
@@ -1273,8 +1266,8 @@ class TestSpareBound:
         g = data.draw(graphs)
         with spare_bound_off(), augment_calls() as tried:
             solve(g, seed=seed, shuffle=shuffle)
-        for ctx, violation, out, _ in tried:
-            if needs_too_many_spares(ctx, violation):
+        for ctx, edge_id, out, _ in tried:
+            if needs_too_many_spares(ctx, edge_id):
                 assert isinstance(out, NotFound)
             elif isinstance(out, AugmentOutcome):
                 bases = sum(call.case == "base" for call in out.calls)
@@ -1300,9 +1293,9 @@ class TestSwitchBound:
         assert report.iterations == full.iterations
         assert report.switch_calls == full.switch_calls
         assert len(tried) == len(full_tried)
-        for (_, violation, out, served), (_, full_violation, full_out, full_served) \
+        for (_, edge_id, out, served), (_, full_edge_id, full_out, full_served) \
                 in zip(tried, full_tried):
-            assert violation == full_violation
+            assert edge_id == full_edge_id
             assert type(out) is type(full_out)
             if isinstance(out, AugmentOutcome):
                 assert out == full_out
