@@ -517,15 +517,26 @@ class TestRankedViolations:
                 (rec.base_ids, v.edge_id) for v in eager[:rec.attempted]]
         assert tried == []
 
-    def test_a_non_maximal_base_raises(self):
+    @pytest.mark.parametrize("spares", [None, 0, 1, 2])
+    def test_extend_is_never_passed_over(self, spares):
         # greedy minus its first edge: that edge goes back in, so the base
-        # is refused before any bucket is counted, let alone passed over
+        # is refused before any bucket is counted, let alone passed over at
+        # any spare bound; on the base extend_to_maximal makes of it, no
+        # violation whose own chain fits in ``spares`` is passed over
         g = generate_random(32, 34, 68, 2, 3)
         full = greedy(g, 0)
         m = RainbowMatching(g, full.sorted_ids[1:])
         _, _, _, hier = analyse(g, m)
         assert hier.m >= 1
         assert assert_not_maximal(g, m, hier) == full.sorted_ids[0]
+        m = extend_to_maximal(m)
+        _, _, _, hier = analyse(g, m)
+        kept = dict(find_violations(m, hier).ranked(spares))
+        eager = [Violation(*t) for t in brute_scan(g, m, hier)]
+        fits = [(i, v) for i, v in enumerate(eager, 1) if spares is None
+                or brute_switches(hier, v.colour, v.vertices) <= spares]
+        assert fits or spares == 0
+        assert all(kept.get(i) == v for i, v in fits)
 
     def test_a_full_base_leaves_nothing_to_pass_over(self):
         # past n, at target_deficit -1, the last round's base uses every

@@ -34,9 +34,9 @@ from rainbowmatch import (
 from rainbowmatch.reachability import (VIOLATION_KINDS, FlexibleStructure, Hierarchy,
                                        witness_vertices)
 
-from conftest import (augment_calls, brute_scan, isotope, needs_too_many_spares,
-                      random_instance, raw_graphs, recheck_call, recorded_calls,
-                      spare_bound_off, switch_bound_off, tight_instance)
+from conftest import (augment_calls, brute_scan, brute_switches, isotope,
+                      needs_too_many_spares, random_instance, raw_graphs, recheck_call,
+                      recorded_calls, spare_bound_off, switch_bound_off, tight_instance)
 from test_matching import family_graph
 from test_reachability import REACHABILITY_GOLDEN
 
@@ -727,12 +727,11 @@ class TestAugment:
         assert_not_a_violation(ctx, 4)
 
     # a loop or an extend-shaped edge used to leak a bare ValueError from the
-    # exchange, and a base edge raised "avoided vertices already covered: [1]"
+    # exchange
     @pytest.mark.parametrize("edge_id", [
         pytest.param(12, id="loop"),
         pytest.param(13, id="unused_colour"),
         pytest.param(4, id="unused_colour_covered_end"),
-        pytest.param(0, id="base_edge"),
         pytest.param(14, id="head_and_covered"),
         pytest.param(15, id="covered_and_free"),
         pytest.param(16, id="covered_twice"),
@@ -748,6 +747,47 @@ class TestAugment:
         assert ctx.hierarchy.by_head.keys() == {0, 3, 4}
         assert ctx.base.covered == set(range(8))
         assert_not_a_violation(ctx, edge_id)
+
+    # a base edge is a violation of no kind: passed as one, it used to raise
+    # "avoided vertices already covered: [1]"; the extend case's graph adds a
+    # loop and a covered-end edge in the unused colour 2
+    @pytest.mark.parametrize("fixture,ids,extra", [
+        ("base_switch_fixture", [0, 1], [(4, 4, 2), (1, 5, 2)]),
+        ("free_free_fixture", [0, 1], []),
+        ("reach_free_fixture", [0, 1, 2, 3], []),
+        ("reach_reach_fixture", [0, 1, 2, 3, 4, 5], []),
+    ], ids=["extend_base_edge", "free_free_base_edge", "reach_free_base_edge",
+            "reach_reach_base_edge"])
+    def test_violation_not_of_its_kind(self, request, fixture, ids, extra):
+        g = request.getfixturevalue(fixture)
+        g = ColouredMultigraph(g.num_vertices, g.num_colours,
+                               [(e.u, e.v, e.colour) for e in g.edges] + extra)
+        ctx = SwitchContext.build(RainbowMatching(g, ids))
+        assert ctx.hierarchy.by_colour
+        for eid in ids:
+            assert_not_a_violation(ctx, eid)
+
+    # the kind is read from the edge's ends: a violation relabelled with
+    # another kind is no edge id and is refused, and its edge is served as
+    # its own kind, with that kind's chain of switches
+    @pytest.mark.parametrize("fixture,ids,kind", [
+        ("free_free_fixture", [0, 1], "reach_free"),
+        ("reach_free_fixture", [0, 1, 2, 3], "free_free"),
+    ], ids=["free_free_as_reach_free", "reach_free_as_free_free"])
+    def test_violation_of_another_kind(self, request, fixture, ids, kind):
+        g = request.getfixturevalue(fixture)
+        ctx = SwitchContext.build(RainbowMatching(g, ids))
+        (violation,) = ctx.violations()
+        relabelled = violation._replace(kind=kind)
+        message = f"edge {relabelled!r} is not an edge of the graph"
+        with recorded_calls() as log:
+            with pytest.raises(SwitchUsageError, match=f"^{re.escape(message)}$"):
+                augment(ctx, relabelled)
+        assert log == [] and ctx.built == {}
+        out = augment(ctx, violation.edge_id)
+        assert isinstance(out, AugmentOutcome)
+        assert len(out.calls) == brute_switches(ctx.hierarchy, violation.colour,
+                                                violation.vertices)
 
     @given(st.sampled_from(["random", "tight", "latin", "raw"]), st.integers(0, 60),
            st.data())
