@@ -272,9 +272,10 @@ def _add_solve_flags(p) -> None:
 
 
 def _non_negative(text: str) -> int:
-    """A ``--max-budget`` or ``--max-iterations`` value: an int of at least
-    0.  A negative cap would stop every solve before its first round or
-    refuse every switch, so it is a usage error instead."""
+    """A ``--max-budget``, ``--max-iterations`` or ``--max-nodes`` value: an
+    int of at least 0.  A negative cap would stop every solve before its
+    first round, refuse every switch or stop every oracle search after one
+    node, so it is a usage error instead."""
     try:
         value = int(text)
     except ValueError:
@@ -297,7 +298,7 @@ def _seconds(text: str) -> float:
 
 
 def _add_oracle_caps(p, time_limit: float) -> None:
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--max-nodes", type=_non_negative, default=DEFAULT_MAX_NODES)
     p.add_argument("--time-limit", type=_seconds, default=time_limit)
 
 

@@ -20,7 +20,8 @@ a wall-clock limit and raise :class:`CapExceeded` (carrying the best matching
 found so far) when either is hit, so callers can distinguish a certified
 optimum from a lower bound.  The node cap is checked on every node and the
 clock on every ``_TIME_CHECK_STRIDE``-th.  A NaN time limit raises
-ValueError: no clock reading would ever exceed its deadline.
+ValueError: no clock reading would ever exceed its deadline.  So does a
+negative node cap, which would stop every search after one node.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ def _next_check(nodes: int, max_nodes: int) -> int:
     """The first node count after ``nodes`` at which a cap may fire: one past
     the node cap, or the next multiple of the clock stride."""
     return min(max_nodes + 1, (nodes // _TIME_CHECK_STRIDE + 1) * _TIME_CHECK_STRIDE)
+
+
+def _first_check(max_nodes: int) -> int:
+    """:func:`_next_check` for a search that has visited no node; a negative
+    ``max_nodes`` raises ValueError."""
+    if max_nodes < 0:
+        raise ValueError(f"max_nodes must not be negative: {max_nodes}")
+    return _next_check(0, max_nodes)
 
 
 def _deadline(time_limit: float) -> float:
@@ -189,7 +198,7 @@ def max_rainbow_matching(graph: ColouredMultigraph,
     n2 = [x.bit_count() for x in s2]
     deadline = _deadline(time_limit)
     nodes = 0
-    check_at = _next_check(0, max_nodes)
+    check_at = _first_check(max_nodes)
     best_size = 0
     best: tuple[int, ...] = ()
     chosen: list[int] = []
@@ -271,7 +280,7 @@ def max_partial_transversal(square: LatinSquare,
              for i, row in enumerate(square.rows)]
     deadline = _deadline(time_limit)
     nodes = 0
-    check_at = _next_check(0, max_nodes)
+    check_at = _first_check(max_nodes)
     best_size = 0
     best: tuple = ()
     chosen: list[tuple[int, int]] = []

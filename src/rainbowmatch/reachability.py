@@ -6,8 +6,10 @@ cover it (:func:`rainbowmatch.matching.free_vertices`).  Each rule
 is stated once: external edges (one endpoint covered) in
 :func:`rainbowmatch.matching.external_edges`, indexed by covered endpoint in
 :func:`_by_covered_end`; the orientation of a matching edge, lower-id tail
-first, in :func:`_orient`; a level edge's certificate in :func:`certificate`
-and a level-1 edge's base-switch pairs in :func:`_base_pairs`.
+first, in :func:`_orient`; a level edge's certificate in :func:`certificate`;
+a level-1 edge's base-switch pairs in :func:`_base_pairs`; and the witness
+order of a violation's ends, covered end first, else lower id first, in
+:func:`witness_vertices`.
 
 Flexible edges have a tail that sees many external edges of unused colours;
 level-1 edges are certified by good flexible-coloured edges at their tail,
@@ -31,8 +33,8 @@ vertex, two heads, or two free vertices.  M must be maximal, and
 :func:`find_violations` raises on an edge that would extend it.  It returns
 the violations as a sized stream, :class:`RankedViolations`, which alone
 fixes their rank order (within a kind, by :func:`witness_vertices`):
-counted at once, sorted and built as they are iterated (``reach_reach``
-kept as edge ids until a pass first reaches it).
+counted at once, sorted and built as they are iterated (every bucket holds
+edge ids until a pass first reaches it).
 Each bucket also knows the fewest switches that any of its violations'
 augmentation chains makes (:func:`chain_switches`), so that a round can pass
 over a bucket whose every chain needs more spare colours than the base has.
@@ -362,7 +364,9 @@ class Violation(NamedTuple):
 
 def witness_vertices(covered, u: int, v: int) -> tuple[int, int]:
     """A violation's ends in witness order: covered first, else lower id first."""
-    return (u, v) if (u not in covered, u) < (v not in covered, v) else (v, u)
+    if (u in covered) == (v in covered):
+        return (u, v) if u < v else (v, u)
+    return (u, v) if u in covered else (v, u)
 
 
 def chain_switches(hierarchy: Hierarchy, colour: int, vertices) -> int:
@@ -381,27 +385,29 @@ class RankedViolations:
     Sized and iterable, as often as asked: each pass yields the violations
     by kind as in :data:`VIOLATION_KINDS`, ties by witness vertices then
     edge id, the one place that order is fixed.  ``list()`` gives the ranked
-    list.  Every candidate is counted up front, one bucket per kind; a bucket
-    is sorted only when iteration reaches it, and each :class:`Violation` is
-    built only when it is yielded.  The ``reach_reach`` bucket holds bare
-    edge ids until a pass first reaches it.  A caller that stops at the
-    first violation whose recipe lands pays for the buckets it reached and
-    the violations it took.  :meth:`ranked` can also pass over whole buckets
-    whose chains need more spare colours than the base leaves.
+    list.  Every candidate is counted up front, one bucket of edge ids per
+    kind; the first pass that reaches a bucket orders it, once, by
+    :func:`witness_vertices`, and each :class:`Violation` is built only when
+    it is yielded.  A caller that stops at the first violation whose recipe
+    lands pays for the buckets it reached and the violations it took.
+    :meth:`ranked` can also pass over whole buckets whose chains need more
+    spare colours than the base leaves.
     """
 
-    __slots__ = ("_buckets", "_fewest", "_len", "_edges")
+    __slots__ = ("_buckets", "_sorted", "_fewest", "_len", "_edges", "_covered")
 
-    def __init__(self, buckets: tuple[list, ...], fewest: tuple[int, ...], edges):
-        # one list per kind, in the order of VIOLATION_KINDS, and the fewest
-        # switches a chain of each makes.  Each holds ``(vertices, edge id,
-        # colour)`` tuples, but reach_reach's holds edge ids while ``_edges``,
-        # the graph's edges, is set; edge ids are unique, so colours never
-        # compare
+    def __init__(self, buckets: tuple[list, ...], fewest: tuple[int, ...], edges,
+                 covered):
+        # one list of edge ids per kind, in the order of VIOLATION_KINDS, and
+        # the fewest switches a chain of each makes.  ``_sorted[i]`` records
+        # that bucket i holds its ``(vertices, edge id, colour)`` tuples in
+        # rank order instead; edge ids are unique, so colours never compare
         self._buckets = buckets
+        self._sorted = [False] * len(buckets)
         self._fewest = fewest
         self._len = sum(map(len, buckets))
         self._edges = edges
+        self._covered = covered
 
     def __len__(self) -> int:
         return self._len
@@ -418,28 +424,22 @@ class RankedViolations:
         yielded."""
         make = tuple.__new__  # Violation's own __new__ adds a Python call each
         rank = 0
-        for kind, bucket, fewest in zip(VIOLATION_KINDS, self._buckets, self._fewest):
+        for i, (kind, bucket, fewest) in enumerate(
+                zip(VIOLATION_KINDS, self._buckets, self._fewest)):
             if spares is not None and fewest > spares:
                 rank += len(bucket)
                 continue
-            if kind == "reach_reach" and self._edges is not None:
-                edges, self._edges = self._edges, None
-                bucket[:] = [_witness(edges[eid]) for eid in bucket]
-            # a second pass re-sorts a sorted bucket: one linear check, and
-            # the order a paused pass over it reads is unchanged
-            bucket.sort()
+            if not self._sorted[i]:
+                self._sorted[i] = True
+                covered = self._covered
+                bucket[:] = [(witness_vertices(covered, u, v), eid, c)
+                             for eid, u, v, c in map(self._edges.__getitem__, bucket)]
+                bucket.sort()
             for rank, (vertices, eid, c) in enumerate(bucket, rank + 1):
                 yield rank, make(Violation, (kind, eid, c, vertices))
 
     def __repr__(self) -> str:
         return f"RankedViolations({list(self)!r})"
-
-
-def _witness(e: Edge) -> tuple:
-    """``(vertices, edge id, colour)`` of a candidate edge whose endpoints
-    play the same part, lower endpoint first."""
-    _, u, v, c = e
-    return (u, v) if u < v else (v, u), e[0], c
 
 
 def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedViolations:
@@ -450,12 +450,10 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
     Every ``reach_free`` and ``free_free`` violation has a free endpoint, so
     these are read from the edges at the free vertices, a free-free edge
     from its lower endpoint only.  Only ``reach_reach`` joins two heads: the
-    reachable colour classes are scanned for it, keeping the edge ids only.
-    Candidates are kept by kind as plain tuples, ``(vertices, edge id,
-    colour)`` in :func:`witness_vertices` order, and each kind's fewest
-    :func:`chain_switches` is recorded.  Raises ValueError, naming the edge,
-    when an unused-colour edge joins two free vertices: ``matching`` is not
-    maximal.
+    reachable colour classes are scanned for it.  Candidates are kept by
+    kind as edge ids, and each kind's fewest :func:`chain_switches` is
+    recorded.  Raises ValueError, naming the edge, when an unused-colour
+    edge joins two free vertices: ``matching`` is not maximal.
     """
     graph = matching.graph
     edges = graph.edges
@@ -474,16 +472,16 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
             y = v if u == x else u
             if y in covered:
                 if y in heads and c in reach:
-                    reach_free.append(((y, x), eid, c))
+                    reach_free.append(eid)
                     if y == reach[c].head:
-                        own_free = reach_free[-1]
+                        own_free = eid
             elif x < y:  # both ends free, and not a loop
                 if c not in used:
                     raise ValueError(
                         f"edge {eid} ({u}-{v}, colour {c}) joins two free vertices "
                         "in a colour the matching does not use: it is not maximal")
                 if c in reach:
-                    free_free.append(((x, y), eid, c))
+                    free_free.append(eid)
     for c, le in reach.items():
         own = le.head
         for eid in graph.edges_with_colour(c):
@@ -492,18 +490,15 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
                 reach_reach.append(eid)
                 if u == own or v == own:
                     own_reach = eid
-    # reach_reach holds edge ids: its cheapest candidate as a witness
-    cheapest_reach = reach_reach and _witness(
-        edges[reach_reach[0] if own_reach is None else own_reach])
     fewest = []
-    for bucket, cheapest in ((reach_free, own_free), (reach_reach, cheapest_reach),
-                             (free_free, None)):
+    for bucket, own in ((reach_free, own_free), (reach_reach, own_reach),
+                        (free_free, None)):
         if not bucket:
             fewest.append(0)  # nothing to pass over
             continue
-        vertices, _, c = cheapest or bucket[0]
-        fewest.append(chain_switches(hierarchy, c, vertices))
-    return RankedViolations(buckets, tuple(fewest), edges)
+        _, u, v, c = edges[bucket[0] if own is None else own]
+        fewest.append(chain_switches(hierarchy, c, (u, v)))
+    return RankedViolations(buckets, tuple(fewest), edges, covered)
 
 
 def counting_diagnostics(matching: RainbowMatching, hierarchy: Hierarchy,

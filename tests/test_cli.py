@@ -244,7 +244,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("caps,code,tag", [
         ([], 0, "optimum"), (["--max-nodes", "3"], 2, "best found (cap exceeded)"),
-    ], ids=["exact", "capped"])
+        (["--max-nodes", "0"], 2, "best found (cap exceeded)"),
+    ], ids=["exact", "capped", "capped_at_0"])
     def test_plain_text(self, z4_path, capsys, caps, code, tag):
         assert main(["oracle", "--input", z4_path, "--json", *caps]) == code
         doc = json.loads(capsys.readouterr().out)
@@ -403,11 +404,12 @@ class TestBench:
         assert lines[1].split(",")[3] == ""
 
     def test_capped_oracle_leaves_column_empty(self, capsys):
-        assert main(["bench", "--seeds", "7", "--colours", "4",
-                     "--max-nodes", "1"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2
-        assert lines[1].split(",")[:4] == ["7", "4", "4", ""]
+        for cap in ("1", "0"):  # 0 is a cap, not a usage error
+            assert main(["bench", "--seeds", "7", "--colours", "4",
+                         "--max-nodes", cap]) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            assert len(lines) == 2
+            assert lines[1].split(",")[:4] == ["7", "4", "4", ""]
 
     def test_optimum_past_a_thousand_edges(self, capsys):
         # 32 colours at the default density: 1536 edges
@@ -491,19 +493,28 @@ class TestErrors:
         assert err.startswith("error: ") and "zero denominator" in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("command", [
-        ["solve", "--input", "{z4}"], ["solve", "--input", "{z4}", "--json"],
-        ["bench", "--seeds", "0", "--colours", "4", "--no-oracle"],
-    ], ids=["solve", "solve_json", "bench"])
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--max-iterations", "-1", "must not be negative: -1"),
-        ("--max-budget", "-1", "must not be negative: -1"),
-        ("--max-budget", "-64", "must not be negative: -64"),
-        ("--max-iterations", "x", "invalid int value: 'x'"),
-    ], ids=["iterations", "budget", "budget_64", "not_an_int"])
+    @pytest.mark.parametrize("command,flag,value,message", [
+        pytest.param(command, flag, value, message, id=f"{flag_id}-{command_id}")
+        for commands, flags in (
+            ({"solve": ["solve", "--input", "{z4}"],
+              "solve_json": ["solve", "--input", "{z4}", "--json"],
+              "bench": ["bench", "--seeds", "0", "--colours", "4", "--no-oracle"]},
+             {"iterations": ("--max-iterations", "-1", "must not be negative: -1"),
+              "budget": ("--max-budget", "-1", "must not be negative: -1"),
+              "budget_64": ("--max-budget", "-64", "must not be negative: -64"),
+              "not_an_int": ("--max-iterations", "x", "invalid int value: 'x'")}),
+            ({"oracle": ["oracle", "--input", "{z4}"],
+              "oracle_latin": ["oracle", "--input", "{z4}", "--latin"],
+              "bench": ["bench", "--seeds", "0", "--colours", "4"]},
+             {"nodes": ("--max-nodes", "-1", "must not be negative: -1")}),
+        )
+        for flag_id, (flag, value, message) in flags.items()
+        for command_id, command in commands.items()
+    ])
     def test_negative_cap(self, z4_path, capsys, command, flag, value, message):
-        # a negative cap would stop the solve before its first round, or
-        # refuse every switch, and still look like a result
+        # a negative cap would stop the solve before its first round, refuse
+        # every switch or stop the oracle after one node, and still look like
+        # a result
         argv = [arg.format(z4=z4_path) for arg in command]
         with pytest.raises(SystemExit) as info:
             main(argv + [flag, value])

@@ -400,6 +400,8 @@ class TestCaps:
         (8, 4095, ("nodes", 7, Z8_AT_4096_GRAPH, 4096), ("nodes", 7, Z8_AT_4096_SQUARE, 4096)),
         (8, 4096, ("nodes", 7, Z8_AT_4096_GRAPH, 4097), ("nodes", 7, Z8_AT_4096_SQUARE, 4097)),
         (8, 4097, ("nodes", 7, Z8_AT_4096_GRAPH, 4098), ("nodes", 7, Z8_AT_4096_SQUARE, 4098)),
+        # 0 is a cap: it fires on the root
+        (7, 0, ("nodes", 0, (), 1), ("nodes", 0, (), 1)),
     ])
     def test_node_caps(self, n, max_nodes, graph, square):
         sq = cyclic_square(n)
@@ -422,6 +424,16 @@ class TestCaps:
             max_rainbow_matching(latin_to_graph(sq), time_limit=float("nan"))
         with pytest.raises(ValueError, match="^time limit is NaN$"):
             max_partial_transversal(sq, time_limit=float("nan"))
+
+    # a negative node cap would stop every search after its first node
+    @pytest.mark.parametrize("max_nodes", [-1, -4096])
+    def test_negative_node_cap_refused(self, max_nodes):
+        sq = cyclic_square(7)
+        message = f"^max_nodes must not be negative: {max_nodes}$"
+        with pytest.raises(ValueError, match=message):
+            max_rainbow_matching(latin_to_graph(sq), max_nodes=max_nodes)
+        with pytest.raises(ValueError, match=message):
+            max_partial_transversal(sq, max_nodes=max_nodes)
 
     def test_infinite_time_limit_allowed(self):
         sq = cyclic_square(5)

@@ -583,28 +583,46 @@ class TestRankedViolations:
         assert {(kind, eid): brute_switches(hier, c, vertices)
                 for kind, eid, c, vertices in brute_scan(g, m, hier)} == switches
         self.assert_passes_over_by_brute_scan(g, m, hier)
-        # reach_reach is counted from edge ids and built when first reached
+        # every bucket is counted from edge ids and built when first reached
         eager = [Violation(*t) for t in brute_scan(g, m, hier)]
         found = find_violations(m, hier)
         assert len(found) == len(eager)
-        assert [v for v in found if v.kind == "reach_reach"] == [
-            v for v in eager if v.kind == "reach_reach"]
+        assert list(found) == eager
 
     @staticmethod
     def assert_passes_over_by_brute_scan(g, m, hier):
         """``ranked(spares)`` keeps the ranks of the brute-force list and
         passes over exactly the kinds whose fewest switches exceed
-        ``spares``."""
+        ``spares``: after a full pass, on a fresh sequence, and while
+        another pass is paused just before or inside a bucket."""
         eager = [Violation(*t) for t in brute_scan(g, m, hier)]
+        full = list(enumerate(eager, 1))
         fewest = {}
         for v in eager:
             fewest[v.kind] = min(fewest.get(v.kind, len(eager) + 9),
                                  brute_switches(hier, v.colour, v.vertices))
+
+        def kept(spares):
+            return [(i, v) for i, v in full if spares is None or fewest[v.kind] <= spares]
+
         found = find_violations(m, hier)
-        assert list(found.ranked()) == list(enumerate(eager, 1))
+        assert list(found.ranked()) == full
         for spares in range(4):
-            assert list(found.ranked(spares)) == [
-                (i, v) for i, v in enumerate(eager, 1) if fewest[v.kind] <= spares]
+            assert list(found.ranked(spares)) == kept(spares)
+            # no bucket reached yet
+            assert list(find_violations(m, hier).ranked(spares)) == kept(spares)
+        # a pass paused after the violation before a kind's first, then after
+        # that first one, while second passes reach the kind's bucket
+        firsts = {}
+        for i, v in enumerate(eager):
+            firsts.setdefault(v.kind, i)
+        for stop in (i + more for i in firsts.values() for more in (0, 1)):
+            found = find_violations(m, hier)
+            paused = found.ranked()
+            head = list(itertools.islice(paused, stop))
+            for spares in (*range(4), None):
+                assert list(found.ranked(spares)) == kept(spares)
+            assert head + list(paused) == full
 
 
 def reference_orient(e, certify):
