@@ -286,14 +286,18 @@ def _non_negative(text: str) -> int:
 
 
 def _seconds(text: str) -> float:
-    """A ``--time-limit`` value: a float other than NaN, which would switch
-    the oracles' clock off."""
+    """A ``--time-limit`` value: a float of at least 0.  NaN would switch the
+    oracles' clock off, and a negative limit would stop every search at its
+    first clock reading and still look like a result, so both are usage
+    errors; 0 and inf stay."""
     try:
         value = float(text)
     except ValueError:
         value = float("nan")
     if isnan(value):
         raise argparse.ArgumentTypeError(f"not a number of seconds: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
     return value
 
 

@@ -20,8 +20,10 @@ a wall-clock limit and raise :class:`CapExceeded` (carrying the best matching
 found so far) when either is hit, so callers can distinguish a certified
 optimum from a lower bound.  The node cap is checked on every node and the
 clock on every ``_TIME_CHECK_STRIDE``-th.  A NaN time limit raises
-ValueError: no clock reading would ever exceed its deadline.  So does a
-negative node cap, which would stop every search after one node.
+ValueError: no clock reading would ever exceed its deadline.  So do a
+negative time limit, which would stop every search at its first clock
+reading, and a negative node cap, which would stop every search after one
+node.  A limit of 0 is a cap like any other.
 """
 
 from __future__ import annotations
@@ -76,9 +78,12 @@ def _first_check(max_nodes: int) -> int:
 
 
 def _deadline(time_limit: float) -> float:
-    """The clock reading past which a search started now is out of time."""
+    """The clock reading past which a search started now is out of time; a
+    NaN or negative ``time_limit`` raises ValueError."""
     if isnan(time_limit):
         raise ValueError("time limit is NaN")
+    if time_limit < 0:
+        raise ValueError(f"time_limit must not be negative: {time_limit}")
     return time.perf_counter() + time_limit
 
 

@@ -7,7 +7,7 @@ is stated once: external edges (one endpoint covered) in
 :func:`rainbowmatch.matching.external_edges`, indexed by covered endpoint in
 :func:`_by_covered_end`; the orientation of a matching edge, lower-id tail
 first, in :func:`_orient`; a level edge's certificate in :func:`certificate`;
-a level-1 edge's base-switch pairs in :func:`_base_pairs`; and the witness
+a level-1 edge's base-switch pairs in :func:`base_pairs`; and the witness
 order of a violation's ends, covered end first, else lower id first, in
 :func:`witness_vertices`.
 
@@ -17,9 +17,11 @@ level-(i+1) edges by a lower level's certificate: many edges of its colours
 from the tail into free vertices or lower heads.  Growth stops when a
 candidate level falls below the stop threshold.  A head is "reachable" when
 its matching edge made some level; the switching engine can free any
-reachable head on demand.  Each :class:`LevelEdge` carries its switch
-options: a higher level's lifts and descends from the round that placed it,
-a level-1 edge's pairs built when a switch first reads them.
+reachable head on demand.  The level records are named tuples.  A
+higher-level :class:`LevelEdge` carries its switch options, the lifts and
+descends of the round that placed it; a level-1 edge's options are its
+:func:`base_pairs`, which the switch context builds when a switch first
+reads them (:class:`rainbowmatch.switching.SwitchContext`).
 
 Near threshold few vertices are free, so a round reads the edges at the free
 vertices wherever a rule needs a free endpoint: the external edges and
@@ -46,7 +48,6 @@ The counting argument that some violation must exist is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import ceil
 from operator import itemgetter
 from typing import NamedTuple
@@ -82,8 +83,7 @@ def _by_covered_end(matching: RainbowMatching, edge_ids) -> dict[int, tuple[int,
     return {x: tuple(eid for _, eid in sorted(ends)) for x, ends in at.items()}
 
 
-@dataclass(frozen=True)
-class OrientedEdge:
+class OrientedEdge(NamedTuple):
     """A matching edge with a chosen direction: the certificate lives at the
     tail, the head is what a switch can set free."""
 
@@ -168,14 +168,13 @@ def classify_good_bad(matching: RainbowMatching, flex: FlexibleStructure,
     return _by_covered_end(matching, good)
 
 
-@dataclass(frozen=True)
-class LevelEdge:
+class LevelEdge(NamedTuple):
     """A matching edge placed on level ``level`` (a stopped candidate carries
-    m + 1, the level it failed to start), with the options a switch has to
-    free its head.  ``cert`` names the lower level whose colours certified it
-    (0 means good flexible edges).  A level-1 edge has :attr:`pairs`; a
-    higher one carries the :func:`certificate` that placed it, ``lifts`` and
-    ``descends``.  The fields a level does not use are empty."""
+    m + 1, the level it failed to start).  ``cert`` names the lower level
+    whose colours certified it (0 means good flexible edges).  A higher-level
+    edge carries the :func:`certificate` that placed it, ``lifts`` and
+    ``descends``, the options a switch has to free its head; they are empty
+    on level 1, whose options are the edge's :func:`base_pairs`."""
 
     edge_id: int
     tail: int
@@ -183,24 +182,11 @@ class LevelEdge:
     colour: int
     level: int
     cert: int
-    lifts: tuple[tuple[int, int], ...] = field(repr=False)
-    descends: tuple[tuple[int, int], ...] = field(repr=False)
-    # ``(graph, flex, good_at)`` for a certified-by-good edge, whose pairs
-    # are built from it on first read; None above level 1
-    pairs_from: tuple | None = field(default=None, repr=False, compare=False,
-                                     kw_only=True)
-
-    @cached_property
-    def pairs(self) -> tuple[tuple, ...]:
-        """A level-1 edge's :func:`_base_pairs`, built when first read and
-        then kept; empty above level 1."""
-        if self.pairs_from is None:
-            return ()
-        return _base_pairs(*self.pairs_from, self.edge_id, self.tail)
+    lifts: tuple[tuple[int, int], ...]
+    descends: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """One level: its edges, with their colours."""
 
     index: int
@@ -253,7 +239,7 @@ def certificate(graph: ColouredMultigraph, tail: int, colours, covered,
     return tuple(lifts), tuple(descends)
 
 
-def _base_pairs(graph: ColouredMultigraph, flex: FlexibleStructure,
+def base_pairs(graph: ColouredMultigraph, flex: FlexibleStructure,
                 good_at: dict[int, tuple[int, ...]], edge_id: int,
                 tail: int) -> tuple[tuple, ...]:
     """Level-1 configurations ``(w, z, gid, hid, partner, spare)`` for the
@@ -289,8 +275,7 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
     flexible-coloured edges at the tail; level i+1 takes unassigned edges
     whose tail gets, from some lower level j, a certificate of at least
     max(1, ceil(alpha * |R_j|)) edges, and carries that certificate (from
-    the smallest such j).  Each level's threshold is computed once.  A
-    level-1 edge builds its base-switch pairs only when they are first read.
+    the smallest such j).  Each level's threshold is computed once.
     """
     graph = matching.graph
     stop = max(1, ceil(params.alpha * graph.num_colours))
@@ -302,7 +287,6 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
     # once, so no colour or head is entered twice
     by_colour: dict[int, LevelEdge] = {}
     by_head: dict[int, LevelEdge] = {}
-    pairs_from = (graph, flex, good_at)
 
     def certified_by_good(tail):
         if len(good_at.get(tail, ())) >= level1_threshold:
@@ -329,8 +313,7 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
             if found is not None:
                 tail, head, (cert, lifts, descends) = found
                 cands.append(LevelEdge(eid, tail, head, e.colour, index, cert, lifts,
-                                       descends,
-                                       pairs_from=pairs_from if cert == 0 else None))
+                                       descends))
         if len(cands) < stop:
             return Hierarchy(
                 levels=tuple(level for level, _ in levels),

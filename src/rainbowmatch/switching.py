@@ -5,10 +5,12 @@ free a given colour and its designated head while keeping named edges, never
 touching named vertices or colours.  Level-1 colours are freed directly by a
 four-edge exchange built from a good flexible-coloured edge and an external
 unused-colour edge; higher levels recurse through lower levels first.  A
-switch tries exactly the options that its level edge
-(:class:`~rainbowmatch.reachability.LevelEdge`) carries.  Every produced
-matching stays within ``budget + closeness_slack(level)`` of the base, which
-keeps chains composable.
+switch reads its options, and the order it tries them in, from the context
+alone (:class:`SwitchContext`): a higher level's are the lifts and descends
+that its level edge (:class:`~rainbowmatch.reachability.LevelEdge`) carries,
+a level-1 edge's the pairs that the context builds on the first switch of
+its colour.  Every produced matching stays within ``budget +
+closeness_slack(level)`` of the base, which keeps chains composable.
 
 Every multi-switch move is one chain (:func:`_chain`): requests served in
 order, each starting from the previous result with the previous distance to
@@ -39,7 +41,8 @@ its candidate scan.
 A chain that needs more spare colours than the base leaves unused is cut
 short, at the top before its first switch call and inside a switch before
 the candidates it cannot afford.  Let U = C - |M| be the number of colours
-the base does not use (:attr:`SwitchContext.unused`).
+the base does not use, which a plain context holds as
+:attr:`SwitchContext.spares`.
 
 - Every exchange removes base edges only: level edges and flexible partners.
   Their colours are used by the base, so no chain ever frees a colour that
@@ -73,8 +76,11 @@ success, and a bound that counted requests outside it could make a switch
 inside a candidate pass over that success for a later one that the full
 search never reaches, which would change the output.
 
-The shuffled path (``rng``) applies neither bound and runs every chain, so
-that its draws, and with them its output, stay those of the full search.
+A shuffled context (``rng``) differs from a plain one in two members
+only, both decided once in the context: its ``spares`` are unbounded, so
+neither bound ever applies and every chain runs, which keeps its draws, and
+with them its output, those of the full search; and its
+:meth:`SwitchContext.order` shuffles each switch's candidates.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field
+from math import inf
 from typing import NamedTuple
 
 # ``closeness`` is not called here; it stays bound in this namespace because
@@ -90,9 +97,9 @@ from typing import NamedTuple
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,  # noqa: F401
                        matching_to_json)
 from .multigraph import ColouredMultigraph, InstanceParams
-from .reachability import (FlexibleStructure, Hierarchy, RankedViolations, build_hierarchy,
-                           classify_good_bad, compute_flexible, find_violations,
-                           witness_vertices)
+from .reachability import (FlexibleStructure, Hierarchy, RankedViolations, base_pairs,
+                           build_hierarchy, classify_good_bad, compute_flexible,
+                           find_violations, witness_vertices)
 
 logger = logging.getLogger(__name__)
 
@@ -234,23 +241,30 @@ class NotFound:
 @dataclass
 class SwitchContext:
     """Everything the engine needs about one base matching, read from the
-    graph that the base carries.
+    graph that the base carries, and the one place that reads ``rng``.
 
     The constants the engine reads are computed once: ``m``, the hierarchy
     depth, and ``size``, the base size, which every switch call reads, and
-    ``unused``, C - |M|, the number of colours the base does not use, which
-    bounds the switches of one augmentation.  ``built`` holds every matching
-    that :meth:`exchange` has built, keyed by the value of the exchange:
-    ``(start edge ids, removed, added)``."""
+    ``spares``, which bounds the spare colours of one augmentation: C - |M|,
+    the number of colours the base does not use, or unbounded when the
+    context shuffles (see the module docstring).  :meth:`order` gives each
+    switch its candidates, shuffled when the context shuffles.  ``pairs``
+    holds each level-1 edge's :func:`~rainbowmatch.reachability.base_pairs`
+    by edge id, built from ``good_at`` when a switch first reads them, and
+    ``built`` every matching that :meth:`exchange` has built, keyed by the
+    value of the exchange: ``(start edge ids, removed, added)``."""
 
     base: RainbowMatching
     flex: FlexibleStructure
     hierarchy: Hierarchy
+    good_at: dict[int, tuple[int, ...]] = field(repr=False)
     max_budget: int = DEFAULT_MAX_BUDGET
     rng: random.Random | None = None
     m: int = field(init=False, repr=False)
     size: int = field(init=False, repr=False)
-    unused: int = field(init=False, repr=False)
+    spares: int | float = field(init=False, repr=False)
+    pairs: dict[int, tuple[tuple, ...]] = field(default_factory=dict, init=False,
+                                                repr=False)
     built: dict[tuple, RainbowMatching] = field(default_factory=dict, init=False,
                                                 repr=False)
 
@@ -259,7 +273,7 @@ class SwitchContext:
             raise ValueError(f"max_budget must not be negative: {self.max_budget}")
         self.m = len(self.hierarchy.levels)
         self.size = len(self.base.edge_ids)
-        self.unused = self.base.graph.num_colours - self.size
+        self.spares = self.base.graph.num_colours - self.size if self.rng is None else inf
 
     @classmethod
     def build(cls, matching: RainbowMatching, params: InstanceParams | None = None,
@@ -270,10 +284,19 @@ class SwitchContext:
         flex = compute_flexible(matching, params)
         good_at = classify_good_bad(matching, flex, params)
         hierarchy = build_hierarchy(matching, flex, good_at, params)
-        return cls(matching, flex, hierarchy, max_budget=max_budget, rng=rng)
+        return cls(matching, flex, hierarchy, good_at, max_budget=max_budget, rng=rng)
 
     def violations(self) -> RankedViolations:
         return find_violations(self.base, self.hierarchy)
+
+    def order(self, candidates):
+        """``candidates`` in the order a switch tries them: unchanged, or a
+        shuffled copy when the context shuffles."""
+        if self.rng is None:
+            return candidates
+        shuffled = list(candidates)
+        self.rng.shuffle(shuffled)
+        return shuffled
 
     def exchange(self, current: RainbowMatching, removed: tuple[int, ...],
                  added: tuple[int, ...]) -> RainbowMatching:
@@ -305,12 +328,11 @@ def robust_switch(ctx: SwitchContext, current: RainbowMatching,
     ``reserve``.
 
     ``reserve`` is the number of requests that come after this one in the
-    chain that made it, each of which needs a spare colour of its own.
-    Unless the context shuffles, a level >= 2 switch passes over the lifts
-    and descends that would leave fewer spare colours than that, counting
-    each as ``too_few_spares`` (see the module docstring).  The calls it
-    makes for a candidate get the reserve of their own chain, never this
-    one.
+    chain that made it, each of which needs a spare colour of its own.  A
+    level >= 2 switch passes over the lifts and descends that would leave
+    fewer of the context's ``spares`` than that, counting each as
+    ``too_few_spares`` (see the module docstring).  The calls it makes for
+    a candidate get the reserve of their own chain, never this one.
     """
     colour, vertex, budget, fix, avoid_vertices, avoid_colours = request
     if current.graph is not ctx.base.graph:
@@ -411,14 +433,14 @@ def _switch_base(ctx, current, request, le):
     flexible-coloured edge at the tail plus an external unused-colour edge at
     the partner's tail."""
     rej: dict[str, int] = {}
-    pairs = le.pairs
-    if ctx.rng is not None:
-        pairs = list(pairs)
-        ctx.rng.shuffle(pairs)
+    pairs = ctx.pairs.get(le.edge_id)
+    if pairs is None:
+        pairs = ctx.pairs[le.edge_id] = base_pairs(ctx.base.graph, ctx.flex, ctx.good_at,
+                                                   le.edge_id, le.tail)
 
     edge_ids, covered, colours = current.edge_ids, current.covered, current.colours
     _, _, _, fix, avoid_vertices, avoid_colours = request
-    for w, z, gid, hid, partner, spare in pairs:
+    for w, z, gid, hid, partner, spare in ctx.order(pairs):
         if w in covered:
             reason = "w_not_free"
         elif w in avoid_vertices:
@@ -491,22 +513,15 @@ def _descend(ctx, current, request, keep, u, colour):
 def _switch_inductive(ctx, current, request, le, depth, reserve):
     """Level >= 2: walk a certifying lower-level-coloured edge from the tail,
     first into a free vertex (a lift, one lower switch), else into a lower
-    head (a descend, two).  Unless the context shuffles, a case whose
-    switches need more spare colours than are ``left`` after ``reserve`` is
-    passed over whole."""
+    head (a descend, two).  A case whose switches need more of the
+    context's spare colours than are ``left`` after ``reserve`` is passed
+    over whole."""
     edges = current.graph.edges
     rej: dict[str, int] = {}
-    lifts, descends = le.lifts, le.descends
-    if ctx.rng is None:
-        # the spare colours that neither the chain so far nor the requests
-        # after this one take
-        left = ctx.unused - len(current.colours - ctx.base.colours) - reserve
-    else:
-        left = 2  # a shuffled switch tries both cases, so its draws stay put
-        lifts = list(lifts)
-        descends = list(descends)
-        ctx.rng.shuffle(lifts)
-        ctx.rng.shuffle(descends)
+    lifts, descends = ctx.order(le.lifts), ctx.order(le.descends)
+    # the spare colours that neither the chain so far nor the requests after
+    # this one take
+    left = ctx.spares - len(current.colours - ctx.base.colours) - reserve
 
     keep = request.fix | {le.edge_id}
     for case, walk, plan, needs in (("lift", lifts, _lift, 1),
@@ -556,8 +571,9 @@ def augment(ctx: SwitchContext, edge_id: int) -> AugmentOutcome | NotFound:
     Returns a matching one edge larger, or :class:`NotFound` when some switch
     in the chain finds no configuration under the budget cap.  A chain of
     more switches than the base leaves colours unused cannot land (see the
-    module docstring); unless the context shuffles, it is refuted before its
-    first switch call as ``NotFound("too_few_spares", {})``.  ``solve`` does
+    module docstring); one of more switches than the context's ``spares`` is
+    refuted before its first switch call as ``NotFound("too_few_spares",
+    {})``.  ``solve`` does
     not call this for a violation whose whole bucket is refuted so.  Each
     switch of the chain gets the number of switches after it as its
     ``reserve``, so the first NotFound may come from a switch that passes
@@ -588,7 +604,7 @@ def augment(ctx: SwitchContext, edge_id: int) -> AugmentOutcome | NotFound:
     to_free = [le for le in map(heads.get, vertices)
                if le is not None and le is not target]
     # each switch of the chain, one per request, takes a spare colour of its own
-    if ctx.rng is None and len(to_free) + 1 > ctx.unused:
+    if len(to_free) + 1 > ctx.spares:
         return NotFound("too_few_spares", {})
     requests = []
     if to_free:
@@ -725,9 +741,8 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
         ctx = SwitchContext.build(current, params, max_budget=max_budget, rng=rng)
         found = ctx.violations()
         # a bucket whose every chain augment would refute for too few spare
-        # colours is passed over, its violations counted as tried; a
-        # shuffled solve runs every chain, so that its draws do not move
-        for attempted, violation in found.ranked(ctx.unused if rng is None else None):
+        # colours is passed over, its violations counted as tried
+        for attempted, violation in found.ranked(ctx.spares):
             out = augment(ctx, violation.edge_id)
             if isinstance(out, AugmentOutcome):
                 break

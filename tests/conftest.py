@@ -164,7 +164,7 @@ def brute_switches(hierarchy, colour, vertices) -> int:
 def needs_too_many_spares(ctx, edge_id) -> bool:
     """Whether the chain of the recipe for the violating edge ``edge_id``
     has more switches than the base of ``ctx`` leaves colours unused.  It
-    reads neither ``ctx.unused`` nor ``ctx.rng``."""
+    reads neither ``ctx.spares`` nor ``ctx.rng``."""
     e = ctx.base.graph.edge(edge_id)
     return brute_switches(ctx.hierarchy, e.colour, (e.u, e.v)) > (
         ctx.base.graph.num_colours - len(ctx.base))
@@ -196,7 +196,7 @@ def spare_bound_off():
     """Turn off ``augment``'s spare-colour bound inside the block.
 
     Every context that ``SwitchContext.build`` makes in the block claims
-    more unused colours (``ctx.unused``, which the bound reads in
+    more spare colours (``ctx.spares``, which the bound reads in
     ``augment`` and ``solve`` passes to ``RankedViolations.ranked``) than
     any chain can ask for, so no bucket is passed over and every
     augmentation runs its chain as it did before the bound.  A context manager, so it also serves hypothesis
@@ -206,7 +206,7 @@ def spare_bound_off():
 
     def building(cls, *args, **kwargs):
         ctx = build.__func__(cls, *args, **kwargs)
-        ctx.unused = sys.maxsize
+        ctx.spares = sys.maxsize
         return ctx
 
     switching.SwitchContext.build = classmethod(building)

@@ -506,15 +506,17 @@ class TestErrors:
             ({"oracle": ["oracle", "--input", "{z4}"],
               "oracle_latin": ["oracle", "--input", "{z4}", "--latin"],
               "bench": ["bench", "--seeds", "0", "--colours", "4"]},
-             {"nodes": ("--max-nodes", "-1", "must not be negative: -1")}),
+             {"nodes": ("--max-nodes", "-1", "must not be negative: -1"),
+              "seconds": ("--time-limit", "-1", "must not be negative: -1"),
+              "seconds_small": ("--time-limit", "-0.5", "must not be negative: -0.5")}),
         )
         for flag_id, (flag, value, message) in flags.items()
         for command_id, command in commands.items()
     ])
     def test_negative_cap(self, z4_path, capsys, command, flag, value, message):
         # a negative cap would stop the solve before its first round, refuse
-        # every switch or stop the oracle after one node, and still look like
-        # a result
+        # every switch or stop the oracle after one node or at its first
+        # clock reading, and still look like a result
         argv = [arg.format(z4=z4_path) for arg in command]
         with pytest.raises(SystemExit) as info:
             main(argv + [flag, value])
@@ -524,6 +526,15 @@ class TestErrors:
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: argument {flag}: {message}"]
         assert "Traceback" not in err
+
+    def test_minus_infinity_time_limit(self, z4_path, capsys):
+        # argparse reads a bare ``-inf`` as an option, so it comes with ``=``
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", "--input", z4_path, "--time-limit=-inf"])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (1, "")
+        assert err.splitlines()[-1] == (
+            "error: argument --time-limit: must not be negative: -inf")
 
     def test_zero_budget_is_a_cap(self, z4_path, capsys):
         # 0 is a cap, not a usage error: every switch is refused and the
@@ -560,6 +571,19 @@ class TestErrors:
         assert main(["oracle", "--input", z4_path, "--time-limit", "inf",
                      "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["exact"] is True
+
+    @pytest.mark.parametrize("latin", [[], ["--latin"]], ids=["oracle", "oracle_latin"])
+    def test_zero_time_limit_is_a_cap(self, tmp_path, capsys, latin):
+        # 0 is a cap, not a usage error: the clock is read on every 4096th
+        # node only, and Z_4's searches end before that
+        path = tmp_path / "z4.txt"
+        square = cyclic_square(4)
+        path.write_text(dumps_square(square) if latin else dumps_graph(latin_to_graph(square)))
+        assert main(["oracle", "--input", str(path), *latin, "--json",
+                     "--time-limit", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["exact"] is True
+        assert err == ""
 
     @pytest.mark.parametrize("shape, fragment", [
         (["--colours", "-3"], "counts must be non-negative and cap >= 1"),

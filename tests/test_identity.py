@@ -1,9 +1,14 @@
-"""Output identity: a seeded corpus of instances whose solves are pinned.
+"""Output identity: a seeded corpus of instances whose outputs are pinned.
 
 Each instance of :data:`CORPUS` is solved through ``rainbowmatch solve
 --json``, plain and with ``--shuffle``, and :func:`digest` hashes the stdout
 together with every :class:`~rainbowmatch.switching.IterationRecord` of the
 run, so the number of violations found and tried per round is pinned too.
+Each instance also goes through ``rainbowmatch stats`` (level sizes and
+colours, |F|, |R| and the counting figures of the greedy base) and ``check
+--json``; for these the digest hashes the exit code and the stdout, so an
+instance that ``stats`` refuses for a colour clash is pinned by its exit
+code and empty stdout.
 The corpus holds near-threshold random instances (C = 8-64), isotopes of
 Z_n (orders 15-33), the instance whose plain solve serves level-3 calls
 with the spare-colour bound off (C=128, seed 7), and raw multigraphs:
@@ -36,7 +41,9 @@ from rainbowmatch import ColouredMultigraph, cli, dumps, generate_random, latin_
 
 from conftest import isotope
 
-MODES = {"plain": [], "shuffle": ["--shuffle"]}
+# mode: the command line, after ``--input F``; the two solve modes come first
+MODES = {"plain": ["solve", "--json"], "shuffle": ["solve", "--json", "--shuffle"],
+         "stats": ["stats"], "check": ["check", "--json"]}
 
 
 def _random(colours, seed):
@@ -73,8 +80,9 @@ def instance_text(name: str) -> str:
 
 
 def digest(name: str, mode: str) -> str:
-    """sha256 of the ``solve --json`` stdout of instance ``name`` in
-    ``mode``, then the repr of each iteration record as a field tuple."""
+    """sha256 of the stdout of instance ``name`` in ``mode``: for a solve,
+    then the repr of each iteration record as a field tuple; for ``stats``
+    and ``check``, after the exit code and a newline."""
     reports = []
     solve = cli.solve
 
@@ -82,6 +90,7 @@ def digest(name: str, mode: str) -> str:
         reports.append(solve(*args, **kwargs))
         return reports[-1]
 
+    command, *flags = MODES[mode]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.txt")
         with open(path, "w", encoding="utf-8") as fh:
@@ -89,10 +98,12 @@ def digest(name: str, mode: str) -> str:
         out = io.StringIO()
         cli.solve = recording
         try:
-            with contextlib.redirect_stdout(out):
-                cli.main(["solve", "--input", path, "--json", *MODES[mode]])
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, "--input", path, *flags])
         finally:
             cli.solve = solve
+    if command != "solve":
+        return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
     (report,) = reports
     records = [dataclasses.astuple(rec) for rec in report.iterations]
     return hashlib.sha256((out.getvalue() + repr(records)).encode()).hexdigest()
@@ -217,6 +228,124 @@ DIGESTS = {
     "raw-s110 shuffle": "e9ca29d22974e69d25af68cff57a10ddd8f4732737ab7b9eb040ee775b3fd630",
     "raw-s170 plain": "1207dce3fd442db6f997ed7cedad041addc51b59d6c3a24270a2b8093bec5e16",
     "raw-s170 shuffle": "1207dce3fd442db6f997ed7cedad041addc51b59d6c3a24270a2b8093bec5e16",
+    # ``stats`` and ``check --json`` of every instance, recorded before the
+    # level records became named tuples
+    "random-C8-s0 stats": "65a9ac364b81a699fdb09f9a6b062a80364085dc42dc3e6b1f31ab10d0d99d96",
+    "random-C8-s0 check": "ee1dacbfb5b55a3be6e6d8061f934d2d8b10fd3ffc494e0f2fb4ec63c69f15ac",
+    "random-C8-s1 stats": "65a9ac364b81a699fdb09f9a6b062a80364085dc42dc3e6b1f31ab10d0d99d96",
+    "random-C8-s1 check": "ee1dacbfb5b55a3be6e6d8061f934d2d8b10fd3ffc494e0f2fb4ec63c69f15ac",
+    "random-C8-s2 stats": "015719b0b760788ac93e115f4e2876fad2e84b5d2fa3f6a7a58178ef35733d7f",
+    "random-C8-s2 check": "ee1dacbfb5b55a3be6e6d8061f934d2d8b10fd3ffc494e0f2fb4ec63c69f15ac",
+    "random-C12-s0 stats": "f685c0837c05c48e368ef45eb940c664287212805ea6719a4f730399115af680",
+    "random-C12-s0 check": "c87e3652931f0e7b04c121f2950066a3c61ad6cb0b1ecc05aea6d144aab7db59",
+    "random-C12-s1 stats": "8e94268cd6e4922e2db197572b3cc26d438b75cb6829a417fdb461b0b2a11c1d",
+    "random-C12-s1 check": "c87e3652931f0e7b04c121f2950066a3c61ad6cb0b1ecc05aea6d144aab7db59",
+    "random-C12-s2 stats": "47d091d5656f121bf43e55b8044f964a0421a193c9f7c21f25933fcd14a54195",
+    "random-C12-s2 check": "c87e3652931f0e7b04c121f2950066a3c61ad6cb0b1ecc05aea6d144aab7db59",
+    "random-C16-s0 stats": "a7ded1ebc494874deefb97c3b6e091b7de37f2694c0fb566cf1683416ca69228",
+    "random-C16-s0 check": "193caf7e72dcd0f08c65dccf1fd4eb70aaaa4d9657b0fea32dc5f0b1e119a8f1",
+    "random-C16-s1 stats": "f257fccd7501ab03fe7ad8ac8ccf883dfb890344fe5d85dee716492b49832ade",
+    "random-C16-s1 check": "193caf7e72dcd0f08c65dccf1fd4eb70aaaa4d9657b0fea32dc5f0b1e119a8f1",
+    "random-C16-s2 stats": "a7ded1ebc494874deefb97c3b6e091b7de37f2694c0fb566cf1683416ca69228",
+    "random-C16-s2 check": "193caf7e72dcd0f08c65dccf1fd4eb70aaaa4d9657b0fea32dc5f0b1e119a8f1",
+    "random-C24-s0 stats": "c8c1c428b0809eb7897d1eaeb48934c2934936863c511bde735aea7f85222a33",
+    "random-C24-s0 check": "bd0b6ce03d811582f53b717ad1fe99dd0fafbc0aa5adf956973a1d20695d9e24",
+    "random-C24-s1 stats": "69ba9b82093d6057d5723168612f3d55db75f35b78ba64fec4b24938139a907e",
+    "random-C24-s1 check": "bd0b6ce03d811582f53b717ad1fe99dd0fafbc0aa5adf956973a1d20695d9e24",
+    "random-C24-s2 stats": "947f77db047f697ba976dd0d214a22ae5c7a466b6e2b95076e542c538f11e378",
+    "random-C24-s2 check": "bd0b6ce03d811582f53b717ad1fe99dd0fafbc0aa5adf956973a1d20695d9e24",
+    "random-C32-s0 stats": "d0f8c8e29a5e86ac9cc136e3ed2c3bc89b234d77954574b5a7adec87cc93779a",
+    "random-C32-s0 check": "547612f8ae4fccec4495b72ae155e398fc6c7d1e8efdb9d0a2d156ebb3f529a1",
+    "random-C32-s1 stats": "ba0ced879211751cad0d07d25fa03890b7be91e54911f443fa073e17c535c10a",
+    "random-C32-s1 check": "547612f8ae4fccec4495b72ae155e398fc6c7d1e8efdb9d0a2d156ebb3f529a1",
+    "random-C32-s2 stats": "05a8b5b55cac350fe2ac1f095d6fc09632f2a968f96edf1e928c5ef513fc125f",
+    "random-C32-s2 check": "547612f8ae4fccec4495b72ae155e398fc6c7d1e8efdb9d0a2d156ebb3f529a1",
+    "random-C40-s0 stats": "89c8bc778968df56aa5c6c4547090064c340937216b6174ba2a0b03d1fca44d0",
+    "random-C40-s0 check": "1621817bdeb3cb2d16d5f0c4094870d995b9b7aee031c53ce5196e06549411ba",
+    "random-C40-s1 stats": "3d7263308d0c48298e6e26d2aa2c1d8b5f4493a7705abbc05aee4fd5a5727be7",
+    "random-C40-s1 check": "1621817bdeb3cb2d16d5f0c4094870d995b9b7aee031c53ce5196e06549411ba",
+    "random-C40-s2 stats": "e00c575d6865c1074ecaf262c8be1f567b0521b5f6d9ab380c1fb3c75c507d67",
+    "random-C40-s2 check": "1621817bdeb3cb2d16d5f0c4094870d995b9b7aee031c53ce5196e06549411ba",
+    "random-C48-s0 stats": "44d00036d2e23937ffa57c4ada75138b422a3c594994cd6907801c10f91d61f5",
+    "random-C48-s0 check": "1956f8abf1e38225bcbb482ae1ad9945f59fe3c320e1bb84ab3c788151b5fbb0",
+    "random-C48-s1 stats": "5df107fdbe718eeba8e1fe49e395cdad21bfa181024fed57b0ecdc72639009ac",
+    "random-C48-s1 check": "1956f8abf1e38225bcbb482ae1ad9945f59fe3c320e1bb84ab3c788151b5fbb0",
+    "random-C48-s2 stats": "dc9ac5413eda0c9462933694b447766d6eaed22d32d42917cbe59ab993a98017",
+    "random-C48-s2 check": "1956f8abf1e38225bcbb482ae1ad9945f59fe3c320e1bb84ab3c788151b5fbb0",
+    "random-C64-s0 stats": "e76f779ecce12d8e0bb707cc990d9711f68190ac2f46c60b38d235cb4c3dabf9",
+    "random-C64-s0 check": "2b23c45e1058686e918cebd6f7da1663284382b1f2a7ef8e19397e420d3a888c",
+    "random-C64-s1 stats": "78e8018ee7b62a02adda182c0e957455e95c93203636829c4286f0d7197a582b",
+    "random-C64-s1 check": "2b23c45e1058686e918cebd6f7da1663284382b1f2a7ef8e19397e420d3a888c",
+    "random-C64-s2 stats": "17870590b688a609ce9e834a1acdc30236f1ce195f18e43b62999826b29117d2",
+    "random-C64-s2 check": "2b23c45e1058686e918cebd6f7da1663284382b1f2a7ef8e19397e420d3a888c",
+    "latin-n15-s0 stats": "9fbad70137c6d2356b13c15a8cb38df64e5f63eb4726993bf01d01b481407f9d",
+    "latin-n15-s0 check": "8a8a96de4b8e7978b8f8b9d22b3c7db7930fdca999856c4d7244657d278c2989",
+    "latin-n15-s1 stats": "7e98b63992b914105c4f55e64c094ffd5db7c4a2e17c4d361576ebb310cbb8af",
+    "latin-n15-s1 check": "8a8a96de4b8e7978b8f8b9d22b3c7db7930fdca999856c4d7244657d278c2989",
+    "latin-n16-s0 stats": "92f6c4c705ef9fa0d913ebd92d4b91d6b45738dc81d0160cc6dfbe266b020d68",
+    "latin-n16-s0 check": "31f3fc29a30fb042f264b72d7513f3538bf342ebfd0a314cc6e975d5823c4ec6",
+    "latin-n16-s1 stats": "8b7798b1cb508edc4a49f5289849b337ce2913c9682ce46dd86e0db642e236fd",
+    "latin-n16-s1 check": "31f3fc29a30fb042f264b72d7513f3538bf342ebfd0a314cc6e975d5823c4ec6",
+    "latin-n17-s0 stats": "97b265656855d3ed346edc2215c4c4aa658cb973d4798636b0ba0eef3d1d6fa2",
+    "latin-n17-s0 check": "dec1aa0eb41d7078665f2735e4189af187f9498fb03a2a01532dbe655b23d269",
+    "latin-n17-s1 stats": "5baf2a5425b65c0fffe38417f0326bac68181079d61d7ad4492b896a21106936",
+    "latin-n17-s1 check": "dec1aa0eb41d7078665f2735e4189af187f9498fb03a2a01532dbe655b23d269",
+    "latin-n21-s0 stats": "0fcd1830ac29b65d7c47a305fca37947a5f3236dd5f2a5e67cfa09c9b3138b94",
+    "latin-n21-s0 check": "6443c869f76e962faf16636be9b4e8a48a935f54820ece8ea97b7f4f533950eb",
+    "latin-n21-s1 stats": "f197bfe83f8b1c58c9e615b7344826e5800875a1782ecb77a90ec3fcdec4a74e",
+    "latin-n21-s1 check": "6443c869f76e962faf16636be9b4e8a48a935f54820ece8ea97b7f4f533950eb",
+    "latin-n24-s0 stats": "e65b00e0dc806a1beb86b88bd512a8308dd58927147ad959bede3565b8601c44",
+    "latin-n24-s0 check": "03132464fc78095085e0256300f482af6e21237fc690135148c9d457b1f6d0c4",
+    "latin-n24-s1 stats": "00aaff4293b879c1d0e132f94404beecb7a0a651cd70767b43b309f1b9da30cc",
+    "latin-n24-s1 check": "03132464fc78095085e0256300f482af6e21237fc690135148c9d457b1f6d0c4",
+    "latin-n27-s0 stats": "c3d0d77d86baf931183a86d48f340a79f90ecb175d7c9a963ef6b2a32e5cbff8",
+    "latin-n27-s0 check": "57153268d70d0911d9d7659ff89c61560de33f58820f88636b9b3a94615c1c18",
+    "latin-n27-s1 stats": "c872d035d362ad52a57cef1e2367ed8efc269a63b40660c67f26a8edd51c69bc",
+    "latin-n27-s1 check": "57153268d70d0911d9d7659ff89c61560de33f58820f88636b9b3a94615c1c18",
+    "latin-n30-s0 stats": "5ff66e83b211178e5231d2d9d927a3cd804ce0f9f10d96a63c7377dca9a830f2",
+    "latin-n30-s0 check": "b613366caa57d802f087bdab8a36f5e69ef351f918653a912dea6cf8703f5dc1",
+    "latin-n30-s1 stats": "964f0551490366216d9b2bf6f835988b76ab8b8a13db11677ff43a6f21b62030",
+    "latin-n30-s1 check": "b613366caa57d802f087bdab8a36f5e69ef351f918653a912dea6cf8703f5dc1",
+    "latin-n33-s0 stats": "1e6b9d5869195be97b380291beb09ca4d1f3fa7857c87e4e77f885834a1206e2",
+    "latin-n33-s0 check": "d783ee138a8fbd972557e4d88921688c2ec686022ffdcddde3dbaad990e5fcc6",
+    "latin-n33-s1 stats": "05692c608e2f27265794ce53386fe804a9702064aa9752877c0724ce54f4ec98",
+    "latin-n33-s1 check": "d783ee138a8fbd972557e4d88921688c2ec686022ffdcddde3dbaad990e5fcc6",
+    "level3-C128-s7 stats": "77e73aa1b57fe720dfc61bb05be284a151706bc0d454008d92457f7aa999da46",
+    "level3-C128-s7 check": "7d19eb146ccca6b686d1ead92172cfac60b5e079e645e8e3d1e84b5e24d136db",
+    "raw-s0 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s0 check": "91d91ca9c86ad4923da4eb56612e13b230338e45279ff2f503ebc2c814a03d35",
+    "raw-s1 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s1 check": "681ccc8aec8445e26356d642804cc5625238449867d84a4b74772212e0e5082c",
+    "raw-s2 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s2 check": "ec23952b36f87f88421f8cbbb2599115da9646c0b8cd1d0f22570795cb75d8b3",
+    "raw-s3 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s3 check": "c3912128b41c9b423c08e63373eef69740f15e99c500200fbfd2fc7765313f72",
+    "raw-s4 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s4 check": "edbfe2953556207d9dda4255c7ec6edf96649c2dd0ea84f7095f184acca0baa4",
+    "raw-s5 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s5 check": "73d8d12c24bf50cb4ebb5c46227839c40fb10ac59ae874b20380941e74fca258",
+    "raw-s6 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s6 check": "a7eb137fd7099d3ccb3e3675ee536a6641d0795b6c09ca97aa59297c21a23fa2",
+    "raw-s7 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s7 check": "d4c1b043e774e688c3d933d50a28d7c06c993d5328625c716354388873f08e7a",
+    "raw-s8 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s8 check": "ce04c94dc16437dc260195c59513c609b7d1e8269697fc2dca18774f8d87bda5",
+    "raw-s9 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s9 check": "b59ca18207d1bfc917e3bb6025a489d14fa1a64b47341b981479d3c442319194",
+    "raw-s10 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s10 check": "538df451d1da44441358b5ad3ba9afc620bb3012bbdf6c6760356fc95039a140",
+    "raw-s11 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s11 check": "43c247e84afd34886316db4bd16ef0b61768f124b1a451feab2b1e2dc0d2e737",
+    "raw-s24 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s24 check": "ed423c8648d37f11fa4c9f02cff54819853340b43d94594e8134a1e3aff57c83",
+    "raw-s30 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s30 check": "c86654b4b554a68f83697a4724f9f53be069f9e3634c93527ea0d9e3ae57b30f",
+    "raw-s105 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s105 check": "00fb9bf81738b208321f286281ba628bf7f3e5e0940357ec44508589af67dd5f",
+    "raw-s110 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s110 check": "aad3bbaad905763ce00682fa6890fa3affe8cc4235224d9c7ec21ceb7064544f",
+    "raw-s170 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "raw-s170 check": "36262930d81e539948129ffb99f2a7e52e30f1d5db3747b7b86071e66e75d96a",
 }
 
 

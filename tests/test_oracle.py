@@ -435,6 +435,16 @@ class TestCaps:
         with pytest.raises(ValueError, match=message):
             max_partial_transversal(sq, max_nodes=max_nodes)
 
+    # a negative time limit would stop every search at its first clock reading
+    @pytest.mark.parametrize("time_limit", [-1, -0.5, float("-inf")])
+    def test_negative_time_limit_refused(self, time_limit):
+        sq = cyclic_square(7)
+        message = f"^time_limit must not be negative: {time_limit}$"
+        with pytest.raises(ValueError, match=message):
+            max_rainbow_matching(latin_to_graph(sq), time_limit=time_limit)
+        with pytest.raises(ValueError, match=message):
+            max_partial_transversal(sq, time_limit=time_limit)
+
     def test_infinite_time_limit_allowed(self):
         sq = cyclic_square(5)
         assert max_rainbow_matching(latin_to_graph(sq), time_limit=float("inf")).size == 5

@@ -36,6 +36,7 @@ from rainbowmatch import (
 from rainbowmatch.cli import main
 from rainbowmatch.matching import external_edges
 from rainbowmatch.multigraph import dumps
+from rainbowmatch.reachability import base_pairs
 
 from conftest import (augment_calls, bad_per_colour, brute_scan, brute_switches,
                       default_params, isotope, needs_too_many_spares, random_instance,
@@ -263,11 +264,11 @@ def recount_certificates(g, m) -> int:
             if level.index == 1:
                 assert le.cert == 0
                 assert len(good_at.get(le.tail, ())) >= level1_threshold
-                assert le.pairs == brute_pairs(g, m, flex, good_at, le)
+                assert (base_pairs(g, flex, good_at, le.edge_id, le.tail)
+                        == brute_pairs(g, m, flex, good_at, le))
                 assert le.lifts == le.descends == ()
                 continue
             assert 1 <= le.cert < level.index
-            assert le.pairs == ()
             targets = free_set | heads_below
             for j in range(1, le.cert + 1):
                 lower = hier.levels[j - 1]
@@ -548,7 +549,7 @@ class TestRankedViolations:
         assert (report.status, report.size) == ("stalled", 32)
         last = report.iterations[-1]
         ctx = SwitchContext.build(RainbowMatching(g, last.base_ids))
-        assert ctx.unused == 0 and ctx.hierarchy.m == 0
+        assert ctx.spares == 0 and ctx.hierarchy.m == 0
         assert brute_scan(g, ctx.base, ctx.hierarchy) == []
         assert (last.violations, last.attempted, last.kind) == (0, 0, None)
         assert all(c.base.sorted_ids != last.base_ids for c, _, _, _ in tried)
@@ -723,9 +724,11 @@ def reference_hierarchy(matching, flex, good_at, params):
             by_head[t[2]] = t
 
 
-def level_edge_fields(le) -> tuple:
-    """Every field of a level edge, ``pairs`` read through its lazy path."""
-    return (le.edge_id, le.tail, le.head, le.colour, le.level, le.cert, le.pairs,
+def level_edge_fields(le, graph, flex, good_at) -> tuple:
+    """Every field of a level edge, with its level-1 ``pairs`` from
+    ``base_pairs`` (empty above level 1) where the reference kept them."""
+    pairs = base_pairs(graph, flex, good_at, le.edge_id, le.tail) if le.cert == 0 else ()
+    return (le.edge_id, le.tail, le.head, le.colour, le.level, le.cert, pairs,
             le.lifts, le.descends)
 
 
@@ -735,9 +738,10 @@ near_threshold = st.builds(
 
 
 class TestHierarchyAgainstReference:
-    """Computing each level's threshold once and building level-1 pairs on
-    first read leave the hierarchy as it was: the same levels, stopped
-    candidates and lookups, every level edge field equal."""
+    """Computing each level's threshold once and taking level-1 pairs out of
+    the level edges into ``base_pairs`` leave the hierarchy as it was: the
+    same levels, stopped candidates and lookups, every level edge field
+    equal."""
 
     @given(st.one_of(raw_graphs(), ranked_instances, near_threshold), st.integers(0, 7),
            st.booleans(), st.sampled_from([None, "1/64", "1/200"]))
@@ -756,11 +760,15 @@ class TestHierarchyAgainstReference:
         hier = build_hierarchy(m, flex, good_at, params)
         levels, stopped, by_colour, by_head = reference_hierarchy(
             m, flex, good_at, params)
-        assert [(lv.index, [level_edge_fields(le) for le in lv.edges], lv.colours)
+
+        def fields(le):
+            return level_edge_fields(le, g, flex, good_at)
+
+        assert [(lv.index, [fields(le) for le in lv.edges], lv.colours)
                 for lv in hier.levels] == levels
-        assert [level_edge_fields(le) for le in hier.stopped] == stopped
-        assert {c: level_edge_fields(le) for c, le in hier.by_colour.items()} == by_colour
-        assert {h: level_edge_fields(le) for h, le in hier.by_head.items()} == by_head
+        assert [fields(le) for le in hier.stopped] == stopped
+        assert {c: fields(le) for c, le in hier.by_colour.items()} == by_colour
+        assert {h: fields(le) for h, le in hier.by_head.items()} == by_head
 
 
 class TestCountingErrors:
@@ -860,8 +868,8 @@ def reachability_facts(graph, tmp_path, capsys) -> dict:
         entries = []
         for le in level.edges:
             # a level-2+ edge carries no base pairs; they stay pinned anyway
-            pairs = le.pairs if level.index == 1 else brute_pairs(
-                graph, m, flex, good_at, le)
+            pairs = (base_pairs(graph, flex, good_at, le.edge_id, le.tail)
+                     if level.index == 1 else brute_pairs(graph, m, flex, good_at, le))
             entry = {"edge": level_edge(le), "base_pairs": [
                 [w, z, gid, hid, partner.edge_id, partner.tail, spare]
                 for w, z, gid, hid, partner, spare in pairs]}

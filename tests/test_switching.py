@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -500,7 +502,7 @@ class TestInductiveCase:
         g = descend_fixture
         base = RainbowMatching(g, [0, 1, 2, 3, 4])
         ctx = SwitchContext.build(base)
-        assert ctx.unused == 2
+        assert ctx.spares == 2
         with recorded_calls() as log:
             out = switching.robust_switch(ctx, base, SwitchRequest(colour=6, vertex=6),
                                           reserve=1)
@@ -518,7 +520,7 @@ class TestInductiveCase:
         g = lift_fixture
         base = RainbowMatching(g, [0, 1, 2])
         ctx = SwitchContext.build(base)
-        assert ctx.unused == 3
+        assert ctx.spares == 3
         out = robust_switch(ctx, base, SwitchRequest(colour=2, vertex=6),
                             reserve=reserve)
         if rejections is None:
@@ -1342,6 +1344,97 @@ class TestSwitchBound:
                 assert served == full_served
             calls = iter(full_served)
             assert all(rec in calls for rec in served)
+
+
+class _Unshuffled(random.Random):
+    """A random source whose shuffle leaves every list as it is."""
+
+    def shuffle(self, x):
+        pass
+
+
+def served_as(ctx, edge_id):
+    """What ``augment`` makes of the violating edge ``edge_id`` in ``ctx``:
+    the landed matching's ids or the :class:`NotFound`, with the records of
+    the switch calls served on the way."""
+    with recorded_calls() as log:
+        out = augment(ctx, edge_id)
+    if isinstance(out, AugmentOutcome):
+        return "landed", out.matching.sorted_ids, log
+    return out, log
+
+
+@contextmanager
+def pair_builds():
+    """Log ``(flex, edge_id, tail)`` for every ``base_pairs`` call that the
+    switch engine makes inside the block; ``flex`` is the calling context's
+    flexible structure, kept so that its id stays unique."""
+    log = []
+    inner = switching.base_pairs
+
+    def logging(graph, flex, good_at, edge_id, tail):
+        log.append((flex, edge_id, tail))
+        return inner(graph, flex, good_at, edge_id, tail)
+
+    switching.base_pairs = logging
+    try:
+        yield log
+    finally:
+        switching.base_pairs = inner
+
+
+def assert_pairs_built_once(g, seed, shuffle) -> int:
+    """Solve ``g`` and check that each context built each level-1 edge's
+    pairs at most once, for a level-1 edge only, and kept them all; return
+    the number of builds."""
+    with pair_builds() as built, augment_calls() as tried:
+        solve(g, seed=seed, shuffle=shuffle)
+    contexts = {id(ctx.flex): ctx for ctx, _, _, _ in tried}
+    assert max(Counter((id(flex), eid) for flex, eid, _ in built).values(),
+               default=1) == 1
+    for flex, eid, tail in built:
+        ctx = contexts[id(flex)]
+        le = ctx.hierarchy.by_colour[g.edge(eid).colour]
+        assert (le.edge_id, le.level, le.tail) == (eid, 1, tail)
+    for key, ctx in contexts.items():
+        assert sorted(ctx.pairs) == sorted(eid for flex, eid, _ in built if id(flex) == key)
+    return len(built)
+
+
+class TestShufflePolicy:
+    """A shuffled context differs from a plain one only in the order of its
+    candidates and in its spare bound, and it builds level-1 pairs as a plain
+    one does: once per edge and context, when a switch first reads them."""
+
+    @pytest.mark.parametrize("graphs", [raw_graphs(), near_threshold_graphs(),
+                                        latin_graphs()], ids=["raw", "near_threshold", "latin"])
+    @given(data=st.data(), seed=st.integers(0, 3))
+    @PROPERTY_SETTINGS
+    def test_a_shuffle_that_moves_nothing_serves_as_plain(self, graphs, data, seed):
+        # with the bound off, a plain context serves every violation exactly
+        # as a shuffled one whose shuffle leaves every list in place
+        g = data.draw(graphs)
+        base = extend_to_maximal(greedy(g, seed))
+        unshuffled = SwitchContext.build(base, rng=_Unshuffled())
+        with spare_bound_off():
+            plain = SwitchContext.build(base)
+        found = list(plain.violations())
+        assert list(unshuffled.violations()) == found
+        for violation in found:
+            assert served_as(unshuffled, violation.edge_id) == served_as(
+                plain, violation.edge_id)
+
+    @pytest.mark.parametrize("graphs", [raw_graphs(), near_threshold_graphs(),
+                                        latin_graphs()], ids=["raw", "near_threshold", "latin"])
+    @given(data=st.data(), seed=st.integers(0, 3), shuffle=st.booleans())
+    @PROPERTY_SETTINGS
+    def test_pairs_built_at_most_once_per_context(self, graphs, data, seed, shuffle):
+        assert_pairs_built_once(data.draw(graphs), seed, shuffle)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_a_solve_builds_pairs(self, shuffle):
+        # the descend instance: level-1 switches run in both orders
+        assert assert_pairs_built_once(generate_random(48, 50, 100, 3, 1), 1, shuffle) > 0
 
 
 def assert_built_fresh(ctx, got, fresh) -> None:
