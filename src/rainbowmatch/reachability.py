@@ -48,7 +48,7 @@ The counting argument that some violation must exist is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, inf
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -398,18 +398,18 @@ class RankedViolations:
     def __iter__(self):
         return map(itemgetter(1), self.ranked())
 
-    def ranked(self, spares: int | None = None):
+    def ranked(self, spares: int | float = inf):
         """Yield ``(rank, violation)`` in rank order, ranks counted from 1.
 
-        Given ``spares``, pass over every bucket in which even the cheapest
-        chain makes more than ``spares`` switches: its violations keep their
+        Pass over every bucket in which even the cheapest chain makes more
+        than ``spares`` switches (none, by default): its violations keep their
         ranks, but the bucket is not sorted and none of them is built or
         yielded."""
         make = tuple.__new__  # Violation's own __new__ adds a Python call each
         rank = 0
         for i, (kind, bucket, fewest) in enumerate(
                 zip(VIOLATION_KINDS, self._buckets, self._fewest)):
-            if spares is not None and fewest > spares:
+            if fewest > spares:
                 rank += len(bucket)
                 continue
             if not self._sorted[i]:

@@ -257,7 +257,7 @@ class SwitchContext:
     base: RainbowMatching
     flex: FlexibleStructure
     hierarchy: Hierarchy
-    good_at: dict[int, tuple[int, ...]] = field(repr=False)
+    good_at: dict[int, tuple[int, ...]] = field(repr=False, kw_only=True)
     max_budget: int = DEFAULT_MAX_BUDGET
     rng: random.Random | None = None
     m: int = field(init=False, repr=False)
@@ -284,7 +284,8 @@ class SwitchContext:
         flex = compute_flexible(matching, params)
         good_at = classify_good_bad(matching, flex, params)
         hierarchy = build_hierarchy(matching, flex, good_at, params)
-        return cls(matching, flex, hierarchy, good_at, max_budget=max_budget, rng=rng)
+        return cls(matching, flex, hierarchy, good_at=good_at, max_budget=max_budget,
+                   rng=rng)
 
     def violations(self) -> RankedViolations:
         return find_violations(self.base, self.hierarchy)

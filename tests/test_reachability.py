@@ -5,7 +5,7 @@ import hashlib
 import itertools
 import json
 import re
-from math import ceil, floor
+from math import ceil, floor, inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -532,7 +532,9 @@ class TestRankedViolations:
         assert assert_not_maximal(g, m, hier) == full.sorted_ids[0]
         m = extend_to_maximal(m)
         _, _, _, hier = analyse(g, m)
-        kept = dict(find_violations(m, hier).ranked(spares))
+        found = find_violations(m, hier)
+        # None: the default bound, which passes over nothing
+        kept = dict(found.ranked() if spares is None else found.ranked(spares))
         eager = [Violation(*t) for t in brute_scan(g, m, hier)]
         fits = [(i, v) for i, v in enumerate(eager, 1) if spares is None
                 or brute_switches(hier, v.colour, v.vertices) <= spares]
@@ -604,7 +606,7 @@ class TestRankedViolations:
                                  brute_switches(hier, v.colour, v.vertices))
 
         def kept(spares):
-            return [(i, v) for i, v in full if spares is None or fewest[v.kind] <= spares]
+            return [(i, v) for i, v in full if fewest[v.kind] <= spares]
 
         found = find_violations(m, hier)
         assert list(found.ranked()) == full
@@ -621,7 +623,7 @@ class TestRankedViolations:
             found = find_violations(m, hier)
             paused = found.ranked()
             head = list(itertools.islice(paused, stop))
-            for spares in (*range(4), None):
+            for spares in (*range(4), inf):
                 assert list(found.ranked(spares)) == kept(spares)
             assert head + list(paused) == full
 
