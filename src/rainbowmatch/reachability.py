@@ -17,10 +17,11 @@ level-(i+1) edges by a lower level's certificate: many edges of its colours
 from the tail into free vertices or lower heads.  Growth stops when a
 candidate level falls below the stop threshold.  A head is "reachable" when
 its matching edge made some level; the switching engine can free any
-reachable head on demand.  The level records are named tuples.  A
-higher-level :class:`LevelEdge` carries its switch options, the lifts and
-descends of the round that placed it; a level-1 edge's options are its
-:func:`base_pairs`, which the switch context builds when a switch first
+reachable head on demand.  The level records are named tuples, and a
+:class:`LevelEdge` keeps only what placed it: a higher level counts a
+tail's :func:`certificate` up to its threshold and builds no list.  The
+switch options, a level-1 edge's :func:`base_pairs` and a higher edge's
+lifts and descends, are built by the switch context when a switch first
 reads them (:class:`rainbowmatch.switching.SwitchContext`).
 
 Near threshold few vertices are free, so a round reads the edges at the free
@@ -48,6 +49,7 @@ The counting argument that some violation must exist is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import ceil, inf
 from operator import itemgetter
 from typing import NamedTuple
@@ -171,10 +173,10 @@ def classify_good_bad(matching: RainbowMatching, flex: FlexibleStructure,
 class LevelEdge(NamedTuple):
     """A matching edge placed on level ``level`` (a stopped candidate carries
     m + 1, the level it failed to start).  ``cert`` names the lower level
-    whose colours certified it (0 means good flexible edges).  A higher-level
-    edge carries the :func:`certificate` that placed it, ``lifts`` and
-    ``descends``, the options a switch has to free its head; they are empty
-    on level 1, whose options are the edge's :func:`base_pairs`."""
+    whose colours certified it (0 means good flexible edges).  It keeps only
+    what placed it: the options a switch has to free its head, a level-1
+    edge's :func:`base_pairs` or a higher edge's :func:`certificate`, are
+    built by the switch context when a switch first reads them."""
 
     edge_id: int
     tail: int
@@ -182,8 +184,6 @@ class LevelEdge(NamedTuple):
     colour: int
     level: int
     cert: int
-    lifts: tuple[tuple[int, int], ...]
-    descends: tuple[tuple[int, int], ...]
 
 
 class Level(NamedTuple):
@@ -216,14 +216,13 @@ class Hierarchy:
         return self.by_head.get(head)
 
 
-def certificate(graph: ColouredMultigraph, tail: int, colours, covered,
-                below) -> tuple[tuple, tuple]:
-    """What a level with ``colours`` certifies at ``tail``: the edges of those
-    colours from ``tail`` into a free vertex (one not in ``covered``), the
-    lifts, and into ``below``, the descends.  Each is a tuple of
-    ``(vertex, edge id)`` in ascending order."""
-    lifts = []
-    descends = []
+def certificate(graph: ColouredMultigraph, tail: int, colours, covered, heads,
+                level: int):
+    """Yield the edges that a level with ``colours`` certifies at ``tail`` for
+    an edge of ``level``, as ``(vertex, edge id)`` in edge order: the edges of
+    those colours from ``tail`` into a free vertex (one not in ``covered``),
+    the lifts, or into the head of a level edge in ``heads`` (a dict by head)
+    below ``level``, the descends."""
     edges = graph.edges
     for eid in graph.edges_at(tail):
         _, u, v, c = edges[eid]
@@ -231,12 +230,9 @@ def certificate(graph: ColouredMultigraph, tail: int, colours, covered,
             continue
         other = v if u == tail else u
         if other not in covered:
-            lifts.append((other, eid))
-        elif other in below:
-            descends.append((other, eid))
-    lifts.sort()
-    descends.sort()
-    return tuple(lifts), tuple(descends)
+            yield other, eid
+        elif other in heads and heads[other].level < level:
+            yield other, eid
 
 
 def base_pairs(graph: ColouredMultigraph, flex: FlexibleStructure,
@@ -274,8 +270,10 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
     Level 1 takes matching edges with at least max(1, ceil(alpha * |F|)) good
     flexible-coloured edges at the tail; level i+1 takes unassigned edges
     whose tail gets, from some lower level j, a certificate of at least
-    max(1, ceil(alpha * |R_j|)) edges, and carries that certificate (from
-    the smallest such j).  Each level's threshold is computed once.
+    max(1, ceil(alpha * |R_j|)) edges, and records the smallest such j as
+    its ``cert``.  Each level's threshold is computed once, and a
+    certificate is counted only up to it: no list of certifying edges is
+    built here.
     """
     graph = matching.graph
     stop = max(1, ceil(params.alpha * graph.num_colours))
@@ -289,16 +287,16 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
     by_head: dict[int, LevelEdge] = {}
 
     def certified_by_good(tail):
-        if len(good_at.get(tail, ())) >= level1_threshold:
-            return 0, (), ()
-        return None
+        return 0 if len(good_at.get(tail, ())) >= level1_threshold else None
 
     def certified_below(tail):
-        # the smallest lower level whose certificate at ``tail`` is big enough
+        # the smallest lower level whose certificate at ``tail`` is big
+        # enough, counted up to its threshold only; every head placed so far
+        # is below the level being built
         for level, need in levels:
-            lifts, descends = certificate(graph, tail, level.colours, covered, by_head)
-            if len(lifts) + len(descends) >= need:
-                return level.index, lifts, descends
+            if len(list(islice(certificate(graph, tail, level.colours, covered,
+                                           by_head, index), need))) == need:
+                return level.index
         return None
 
     while True:
@@ -311,9 +309,8 @@ def build_hierarchy(matching: RainbowMatching, flex: FlexibleStructure,
                 continue
             found = _orient(e, certify)
             if found is not None:
-                tail, head, (cert, lifts, descends) = found
-                cands.append(LevelEdge(eid, tail, head, e.colour, index, cert, lifts,
-                                       descends))
+                tail, head, cert = found
+                cands.append(LevelEdge(eid, tail, head, e.colour, index, cert))
         if len(cands) < stop:
             return Hierarchy(
                 levels=tuple(level for level, _ in levels),

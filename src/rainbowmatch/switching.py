@@ -6,11 +6,11 @@ touching named vertices or colours.  Level-1 colours are freed directly by a
 four-edge exchange built from a good flexible-coloured edge and an external
 unused-colour edge; higher levels recurse through lower levels first.  A
 switch reads its options, and the order it tries them in, from the context
-alone (:class:`SwitchContext`): a higher level's are the lifts and descends
-that its level edge (:class:`~rainbowmatch.reachability.LevelEdge`) carries,
-a level-1 edge's the pairs that the context builds on the first switch of
-its colour.  Every produced matching stays within ``budget +
-closeness_slack(level)`` of the base, which keeps chains composable.
+alone (:class:`SwitchContext`), which builds a level edge's options on the
+first switch of its colour: a level-1 edge's base pairs, a higher edge's
+lifts and descends, read off the certificate that placed it.  Every produced
+matching stays within ``budget + closeness_slack(level)`` of the base, which
+keeps chains composable.
 
 Every multi-switch move is one chain (:func:`_chain`): requests served in
 order, each starting from the previous result with the previous distance to
@@ -97,9 +97,9 @@ from typing import NamedTuple
 from .matching import (RainbowMatching, closeness, extend_to_maximal, greedy,  # noqa: F401
                        matching_to_json)
 from .multigraph import ColouredMultigraph, InstanceParams
-from .reachability import (FlexibleStructure, Hierarchy, RankedViolations, base_pairs,
-                           build_hierarchy, classify_good_bad, compute_flexible,
-                           find_violations, witness_vertices)
+from .reachability import (FlexibleStructure, Hierarchy, LevelEdge, RankedViolations,
+                           base_pairs, build_hierarchy, certificate, classify_good_bad,
+                           compute_flexible, find_violations, witness_vertices)
 
 logger = logging.getLogger(__name__)
 
@@ -248,11 +248,11 @@ class SwitchContext:
     ``spares``, which bounds the spare colours of one augmentation: C - |M|,
     the number of colours the base does not use, or unbounded when the
     context shuffles (see the module docstring).  :meth:`order` gives each
-    switch its candidates, shuffled when the context shuffles.  ``pairs``
-    holds each level-1 edge's :func:`~rainbowmatch.reachability.base_pairs`
-    by edge id, built from ``good_at`` when a switch first reads them, and
-    ``built`` every matching that :meth:`exchange` has built, keyed by the
-    value of the exchange: ``(start edge ids, removed, added)``."""
+    switch its candidates, shuffled when the context shuffles.  ``options``
+    holds every level edge's switch options that a switch has read, by edge
+    id (:meth:`options_of`), and ``built`` every matching that
+    :meth:`exchange` has built, keyed by the value of the exchange:
+    ``(start edge ids, removed, added)``."""
 
     base: RainbowMatching
     flex: FlexibleStructure
@@ -263,8 +263,7 @@ class SwitchContext:
     m: int = field(init=False, repr=False)
     size: int = field(init=False, repr=False)
     spares: int | float = field(init=False, repr=False)
-    pairs: dict[int, tuple[tuple, ...]] = field(default_factory=dict, init=False,
-                                                repr=False)
+    options: dict[int, tuple] = field(default_factory=dict, init=False, repr=False)
     built: dict[tuple, RainbowMatching] = field(default_factory=dict, init=False,
                                                 repr=False)
 
@@ -289,6 +288,27 @@ class SwitchContext:
 
     def violations(self) -> RankedViolations:
         return find_violations(self.base, self.hierarchy)
+
+    def options_of(self, le: LevelEdge) -> tuple:
+        """The options a switch has to free ``le``'s head, built on the first
+        read and then kept in ``options``: a level-1 edge's
+        :func:`~rainbowmatch.reachability.base_pairs`, from ``good_at``, and a
+        higher edge's ``(lifts, descends)``, its
+        :func:`~rainbowmatch.reachability.certificate` from level ``le.cert``
+        split into free vertices and lower heads, each sorted."""
+        out = self.options.get(le.edge_id)
+        if out is None:
+            graph, covered = self.base.graph, self.base.covered
+            if le.level == 1:
+                out = base_pairs(graph, self.flex, self.good_at, le.edge_id, le.tail)
+            else:
+                lifts, descends = [], []
+                for t in certificate(graph, le.tail, self.hierarchy.levels[le.cert - 1].colours,
+                                     covered, self.hierarchy.by_head, le.level):
+                    (descends if t[0] in covered else lifts).append(t)
+                out = tuple(sorted(lifts)), tuple(sorted(descends))
+            self.options[le.edge_id] = out
+        return out
 
     def order(self, candidates):
         """``candidates`` in the order a switch tries them: unchanged, or a
@@ -434,14 +454,9 @@ def _switch_base(ctx, current, request, le):
     flexible-coloured edge at the tail plus an external unused-colour edge at
     the partner's tail."""
     rej: dict[str, int] = {}
-    pairs = ctx.pairs.get(le.edge_id)
-    if pairs is None:
-        pairs = ctx.pairs[le.edge_id] = base_pairs(ctx.base.graph, ctx.flex, ctx.good_at,
-                                                   le.edge_id, le.tail)
-
     edge_ids, covered, colours = current.edge_ids, current.covered, current.colours
     _, _, _, fix, avoid_vertices, avoid_colours = request
-    for w, z, gid, hid, partner, spare in ctx.order(pairs):
+    for w, z, gid, hid, partner, spare in ctx.order(ctx.options_of(le)):
         if w in covered:
             reason = "w_not_free"
         elif w in avoid_vertices:
@@ -519,7 +534,7 @@ def _switch_inductive(ctx, current, request, le, depth, reserve):
     over whole."""
     edges = current.graph.edges
     rej: dict[str, int] = {}
-    lifts, descends = ctx.order(le.lifts), ctx.order(le.descends)
+    lifts, descends = map(ctx.order, ctx.options_of(le))
     # the spare colours that neither the chain so far nor the requests after
     # this one take
     left = ctx.spares - len(current.colours - ctx.base.colours) - reserve

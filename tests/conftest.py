@@ -10,7 +10,8 @@ which logs every successful switch call, ``augment_calls()``, which logs
 every ``augment`` call of a solve by edge id, ``recheck_call()``, which checks one such
 record against the switch contract, ``brute_switches()`` and
 ``needs_too_many_spares()``, the spare-colour bound restated from the
-recipe, ``spare_bound_off()``, which turns that bound off everywhere,
+recipe, ``spare_bound_off()``, which turns that bound off everywhere
+(from the stdlib-only ``spare_bound`` module, which CI imports too),
 ``switch_bound_off()``, which turns it off inside switches only, ``brute_scan()``, the
 full-edge-sweep reference for ``find_violations``, ``rank()``, the order it
 ranks by, and ``bad_per_colour()``,
@@ -30,6 +31,8 @@ from hypothesis import strategies as st
 from rainbowmatch import (ColouredMultigraph, InstanceParams, RainbowMatching, closeness,
                           closeness_slack, cyclic_square, external_edges, generate_random,
                           permute_square, switching)
+
+from spare_bound import spare_bound_off  # noqa: F401  re-exported for the suites
 
 # (colours, count, vertices, cap) rotated by seed; count = ceil(1.5 * colours)
 _SHAPES = [
@@ -189,31 +192,6 @@ def augment_calls():
         yield log
     finally:
         switching.augment = inner
-
-
-@contextmanager
-def spare_bound_off():
-    """Turn off ``augment``'s spare-colour bound inside the block.
-
-    Every context that ``SwitchContext.build`` makes in the block claims
-    more spare colours (``ctx.spares``, which the bound reads in
-    ``augment`` and ``solve`` passes to ``RankedViolations.ranked``) than
-    any chain can ask for, so no bucket is passed over and every
-    augmentation runs its chain as it did before the bound.  A context manager, so it also serves hypothesis
-    tests; the ``no_spare_bound`` fixture wraps a whole test in it.
-    """
-    build = switching.SwitchContext.__dict__["build"]
-
-    def building(cls, *args, **kwargs):
-        ctx = build.__func__(cls, *args, **kwargs)
-        ctx.spares = sys.maxsize
-        return ctx
-
-    switching.SwitchContext.build = classmethod(building)
-    try:
-        yield
-    finally:
-        switching.SwitchContext.build = build
 
 
 @contextmanager

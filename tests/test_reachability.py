@@ -248,10 +248,11 @@ def brute_pairs(g, m, flex, good_at, le) -> tuple:
 
 
 def recount_certificates(g, m) -> int:
-    """Recount every level edge's certificate from scratch, check that each
-    level edge carries exactly the switch options counted, and return how
-    many level-2+ edges were checked."""
+    """Recount every level edge's certificate from scratch, check that the
+    switch context builds exactly the switch options counted for each level
+    edge, and return how many level-2+ edges were checked."""
     params, flex, good_at, hier = analyse(g, m)
+    ctx = SwitchContext(m, flex, hier, good_at=good_at)
     free_set = {v for v in range(g.num_vertices) if v not in m.covered}
     flex_colours = flex.partners.keys()
     level1_threshold = (max(1, ceil(params.alpha * len(flex_colours)))
@@ -264,9 +265,8 @@ def recount_certificates(g, m) -> int:
             if level.index == 1:
                 assert le.cert == 0
                 assert len(good_at.get(le.tail, ())) >= level1_threshold
-                assert (base_pairs(g, flex, good_at, le.edge_id, le.tail)
+                assert (ctx.options_of(le) == base_pairs(g, flex, good_at, le.edge_id, le.tail)
                         == brute_pairs(g, m, flex, good_at, le))
-                assert le.lifts == le.descends == ()
                 continue
             assert 1 <= le.cert < level.index
             targets = free_set | heads_below
@@ -282,12 +282,13 @@ def recount_certificates(g, m) -> int:
                     assert len(counted) < need  # cert is the smallest level
                 else:
                     assert len(counted) >= need
-            # the edge carries exactly the certifying edges counted
-            assert all(v in free_set for v, _ in le.lifts)
-            assert all(v in heads_below for v, _ in le.descends)
-            assert list(le.lifts) == sorted(le.lifts)
-            assert list(le.descends) == sorted(le.descends)
-            assert sorted(le.lifts + le.descends) == counted
+            # the context builds exactly the certifying edges counted
+            lifts, descends = ctx.options_of(le)
+            assert all(v in free_set for v, _ in lifts)
+            assert all(v in heads_below for v, _ in descends)
+            assert list(lifts) == sorted(lifts)
+            assert list(descends) == sorted(descends)
+            assert sorted(lifts + descends) == counted
             checked += 1
         heads_below |= {le.head for le in level.edges}
     return checked
@@ -726,12 +727,15 @@ def reference_hierarchy(matching, flex, good_at, params):
             by_head[t[2]] = t
 
 
-def level_edge_fields(le, graph, flex, good_at) -> tuple:
-    """Every field of a level edge, with its level-1 ``pairs`` from
-    ``base_pairs`` (empty above level 1) where the reference kept them."""
-    pairs = base_pairs(graph, flex, good_at, le.edge_id, le.tail) if le.cert == 0 else ()
-    return (le.edge_id, le.tail, le.head, le.colour, le.level, le.cert, pairs,
-            le.lifts, le.descends)
+def level_edge_fields(le, ctx) -> tuple:
+    """Every field of a level edge, with the switch options that ``ctx``
+    builds for it where the reference kept them: its level-1 ``pairs``
+    (empty above level 1), then its ``lifts`` and ``descends`` (empty on
+    level 1)."""
+    options = ctx.options_of(le)
+    pairs, (lifts, descends) = (options, ((), ())) if le.cert == 0 else ((), options)
+    return (le.edge_id, le.tail, le.head, le.colour, le.level, le.cert, pairs, lifts,
+            descends)
 
 
 near_threshold = st.builds(
@@ -740,10 +744,11 @@ near_threshold = st.builds(
 
 
 class TestHierarchyAgainstReference:
-    """Computing each level's threshold once and taking level-1 pairs out of
-    the level edges into ``base_pairs`` leave the hierarchy as it was: the
-    same levels, stopped candidates and lookups, every level edge field
-    equal."""
+    """Computing each level's threshold once, counting each certificate only
+    up to it, and taking every switch option out of the level edges into the
+    switch context leave the hierarchy as it was: the same levels, stopped
+    candidates and lookups, every level edge field equal, and the options
+    that the context builds equal to those the reference kept."""
 
     @given(st.one_of(raw_graphs(), ranked_instances, near_threshold), st.integers(0, 7),
            st.booleans(), st.sampled_from([None, "1/64", "1/200"]))
@@ -751,6 +756,9 @@ class TestHierarchyAgainstReference:
     # a lower level's descends into the heads placed in between
     @example(latin_to_graph(isotope(6, 1)), 2, False, None)
     @example(latin_to_graph(isotope(8, 1)), 1, False, "1/64")
+    # near threshold at alpha 1/1000 every threshold is 1, so counting stops
+    # at the first certifying edge
+    @example(generate_random(128, 130, 260, 8, 1), 3, False, "1/1000")
     @PROPERTY_SETTINGS
     def test_same_hierarchy(self, g, greedy_seed, drop, alpha):
         m = greedy(g, greedy_seed)
@@ -762,9 +770,10 @@ class TestHierarchyAgainstReference:
         hier = build_hierarchy(m, flex, good_at, params)
         levels, stopped, by_colour, by_head = reference_hierarchy(
             m, flex, good_at, params)
+        ctx = SwitchContext(m, flex, hier, good_at=good_at)
 
         def fields(le):
-            return level_edge_fields(le, g, flex, good_at)
+            return level_edge_fields(le, ctx)
 
         assert [(lv.index, [fields(le) for le in lv.edges], lv.colours)
                 for lv in hier.levels] == levels
@@ -876,7 +885,7 @@ def reachability_facts(graph, tmp_path, capsys) -> dict:
                 [w, z, gid, hid, partner.edge_id, partner.tail, spare]
                 for w, z, gid, hid, partner, spare in pairs]}
             if level.index >= 2:
-                entry["walks"] = (le.lifts, le.descends)
+                entry["walks"] = ctx.options_of(le)
             entries.append(entry)
         levels.append(entries)
     path = tmp_path / "instance.txt"

@@ -1365,46 +1365,86 @@ def served_as(ctx, edge_id):
 
 
 @contextmanager
-def pair_builds():
-    """Log ``(flex, edge_id, tail)`` for every ``base_pairs`` call that the
-    switch engine makes inside the block; ``flex`` is the calling context's
-    flexible structure, kept so that its id stays unique."""
+def option_builds():
+    """Log ``(owner, tail, level, inputs)`` for every ``base_pairs`` and
+    ``certificate`` call that the switch engine makes inside the block: a
+    base-pairs build as ``(flex, tail, 1, edge_id)``, a certificate build as
+    ``(heads, tail, level, (colours, covered))``.  ``flex`` and ``heads`` are
+    the calling context's flexible structure and heads by ``by_head``, kept
+    so that their ids stay unique.  Placement calls
+    ``reachability.certificate`` through its own module global, so it is
+    not logged."""
     log = []
-    inner = switching.base_pairs
+    pairs, certificate = switching.base_pairs, switching.certificate
 
-    def logging(graph, flex, good_at, edge_id, tail):
-        log.append((flex, edge_id, tail))
-        return inner(graph, flex, good_at, edge_id, tail)
+    def logging_pairs(graph, flex, good_at, edge_id, tail):
+        log.append((flex, tail, 1, edge_id))
+        return pairs(graph, flex, good_at, edge_id, tail)
 
-    switching.base_pairs = logging
+    def logging_certificate(graph, tail, colours, covered, heads, level):
+        log.append((heads, tail, level, (colours, covered)))
+        return certificate(graph, tail, colours, covered, heads, level)
+
+    switching.base_pairs, switching.certificate = logging_pairs, logging_certificate
     try:
         yield log
     finally:
-        switching.base_pairs = inner
+        switching.base_pairs, switching.certificate = pairs, certificate
 
 
-def assert_pairs_built_once(g, seed, shuffle) -> int:
-    """Solve ``g`` and check that each context built each level-1 edge's
-    pairs at most once, for a level-1 edge only, and kept them all; return
-    the number of builds."""
-    with pair_builds() as built, augment_calls() as tried:
+@contextmanager
+def switches_read():
+    """Log ``(ctx, colour)`` for every switch call made inside the block that
+    reads its options: every call but one refused at the budget cap."""
+    log = []
+    inner = switching.robust_switch
+
+    def logging(ctx, current, request, depth=0, *, reserve=0):
+        out = inner(ctx, current, request, depth, reserve=reserve)
+        if not (type(out) is NotFound and out.reason == "budget_cap"):
+            log.append((ctx, request.colour))
+        return out
+
+    switching.robust_switch = logging
+    try:
+        yield log
+    finally:
+        switching.robust_switch = inner
+
+
+def assert_options_built_once(g, seed, shuffle) -> tuple[int, int]:
+    """Solve ``g`` and check that each context built each level edge's
+    switch options at most once, from the edge's own inputs, only for the
+    edges whose switches read them, and kept them all in ``ctx.options``;
+    return the number of level-1 and of higher builds."""
+    with option_builds() as built, switches_read() as read, augment_calls() as tried:
         solve(g, seed=seed, shuffle=shuffle)
-    contexts = {id(ctx.flex): ctx for ctx, _, _, _ in tried}
-    assert max(Counter((id(flex), eid) for flex, eid, _ in built).values(),
-               default=1) == 1
-    for flex, eid, tail in built:
-        ctx = contexts[id(flex)]
-        le = ctx.hierarchy.by_colour[g.edge(eid).colour]
-        assert (le.edge_id, le.level, le.tail) == (eid, 1, tail)
-    for key, ctx in contexts.items():
-        assert sorted(ctx.pairs) == sorted(eid for flex, eid, _ in built if id(flex) == key)
-    return len(built)
+    contexts = {}
+    for ctx, _, _, _ in tried:
+        contexts[id(ctx.flex)] = contexts[id(ctx.hierarchy.by_head)] = ctx
+    edges_built = {id(ctx): [] for ctx in contexts.values()}
+    for owner, tail, level, inputs in built:
+        ctx = contexts[id(owner)]
+        (le,) = [le for le in ctx.hierarchy.by_colour.values() if le.tail == tail]
+        assert le.level == level
+        if level == 1:
+            assert (owner, inputs) == (ctx.flex, le.edge_id)
+        else:
+            assert owner is ctx.hierarchy.by_head
+            assert inputs == (ctx.hierarchy.levels[le.cert - 1].colours, ctx.base.covered)
+        edges_built[id(ctx)].append(le.edge_id)
+    for ctx in contexts.values():
+        edges_read = {ctx.hierarchy.by_colour[c].edge_id for at, c in read if at is ctx}
+        assert sorted(edges_built[id(ctx)]) == sorted(ctx.options) == sorted(edges_read)
+    levels = Counter(level > 1 for _, _, level, _ in built)
+    return levels[False], levels[True]
 
 
 class TestShufflePolicy:
     """A shuffled context differs from a plain one only in the order of its
-    candidates and in its spare bound, and it builds level-1 pairs as a plain
-    one does: once per edge and context, when a switch first reads them."""
+    candidates and in its spare bound, and it builds switch options as a
+    plain one does, at every level: once per edge and context, when a switch
+    first reads them."""
 
     @pytest.mark.parametrize("graphs", [raw_graphs(), near_threshold_graphs(),
                                         latin_graphs()], ids=["raw", "near_threshold", "latin"])
@@ -1429,12 +1469,24 @@ class TestShufflePolicy:
     @given(data=st.data(), seed=st.integers(0, 3), shuffle=st.booleans())
     @PROPERTY_SETTINGS
     def test_pairs_built_at_most_once_per_context(self, graphs, data, seed, shuffle):
-        assert_pairs_built_once(data.draw(graphs), seed, shuffle)
+        assert_options_built_once(data.draw(graphs), seed, shuffle)
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_a_solve_builds_pairs(self, shuffle):
         # the descend instance: level-1 switches run in both orders
-        assert assert_pairs_built_once(generate_random(48, 50, 100, 3, 1), 1, shuffle) > 0
+        assert assert_options_built_once(generate_random(48, 50, 100, 3, 1), 1,
+                                         shuffle)[0] > 0
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_a_level3_solve_builds_higher_options(self, shuffle):
+        # switches at levels 1 and 2 read their options in both orders
+        low, high = assert_options_built_once(generate_random(128, 130, 260, 8, 7), 0,
+                                              shuffle)
+        assert low > 0 and high > 0
+
+    def test_a_latin_solve_builds_higher_options(self):
+        low, high = assert_options_built_once(latin_to_graph(isotope(16, 2)), 0, False)
+        assert low > 0 and high > 0
 
 
 def assert_built_fresh(ctx, got, fresh) -> None:
