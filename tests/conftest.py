@@ -10,8 +10,7 @@ which logs every successful switch call, ``augment_calls()``, which logs
 every ``augment`` call of a solve by edge id, ``recheck_call()``, which checks one such
 record against the switch contract, ``brute_switches()`` and
 ``needs_too_many_spares()``, the spare-colour bound restated from the
-recipe, ``spare_bound_off()``, which turns that bound off everywhere
-(from the stdlib-only ``spare_bound`` module, which CI imports too),
+recipe, ``spare_bound_off()``, which turns that bound off everywhere,
 ``switch_bound_off()``, which turns it off inside switches only, ``brute_scan()``, the
 full-edge-sweep reference for ``find_violations``, ``rank()``, the order it
 ranks by, and ``bad_per_colour()``,
@@ -20,7 +19,6 @@ which counts the bad edges that ``classify_good_bad`` leaves out.
 
 from __future__ import annotations
 
-import random
 import sys
 from contextlib import contextmanager
 from math import ceil
@@ -28,11 +26,11 @@ from math import ceil
 import pytest
 from hypothesis import strategies as st
 
-from rainbowmatch import (ColouredMultigraph, InstanceParams, RainbowMatching, closeness,
-                          closeness_slack, cyclic_square, external_edges, generate_random,
-                          permute_square, switching)
+from rainbowmatch import (ColouredMultigraph, InstanceParams, RainbowMatching,
+                          closeness_slack, external_edges, generate_random, switching)
 
-from spare_bound import spare_bound_off  # noqa: F401  re-exported for the suites
+# stdlib-only, so that tests/test_identity.py runs with nothing installed
+from stdlib_helpers import isotope, spare_bound_off  # noqa: F401  re-exported
 
 # (colours, count, vertices, cap) rotated by seed; count = ceil(1.5 * colours)
 _SHAPES = [
@@ -49,13 +47,6 @@ _SHAPES = [
 def random_instance(seed: int) -> ColouredMultigraph:
     colours, count, vertices, cap = _SHAPES[seed % len(_SHAPES)]
     return generate_random(colours, count, vertices, cap, seed)
-
-
-def isotope(n: int, seed: int):
-    """Z_n with seeded row, column and symbol permutations, as a square."""
-    rng = random.Random(seed)
-    perms = [rng.sample(range(n), n) for _ in range(3)]
-    return permute_square(cyclic_square(n), *perms)
 
 
 @st.composite
@@ -229,10 +220,10 @@ def recheck_call(g, base, rec) -> None:
     assert all(g.edge(i).colour != rec.colour                 # clause 1
                for i in rec.result_ids)
     assert rec.vertex not in result.covered
-    c = closeness(base, result)                               # clause 2
-    assert c.size_equal
-    assert c.distance == rec.distance_to_base
-    assert c.distance <= rec.budget + closeness_slack(rec.level)
+    assert len(result) == len(base)                           # clause 2
+    distance = result.distance_to(base)
+    assert distance == rec.distance_to_base
+    assert distance <= rec.budget + closeness_slack(rec.level)
     assert set(rec.fix) <= set(rec.result_ids)                # clause 3
     assert not set(rec.avoid_vertices) & result.covered
     assert result.colours.isdisjoint(rec.avoid_colours)

@@ -1,16 +1,25 @@
-"""``spare_bound_off()``, which turns the spare-colour bound off everywhere.
+"""Test helpers that need the standard library alone.
 
-Stdlib-only, so that a job without pytest can import it as well as the test
-suite (``conftest`` re-exports it): with ``tests`` on the path,
-``from spare_bound import spare_bound_off``.
+``isotope(n, seed)``, the one seeded Latin square family, and
+``spare_bound_off()``, which turns the spare-colour bound off everywhere.
+``tests/test_identity.py`` imports them so that it runs with nothing
+installed; ``conftest`` re-exports them for the suites.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from contextlib import contextmanager
 
-from rainbowmatch import switching
+from rainbowmatch import cyclic_square, permute_square, switching
+
+
+def isotope(n: int, seed: int):
+    """Z_n with seeded row, column and symbol permutations, as a square."""
+    rng = random.Random(seed)
+    perms = [rng.sample(range(n), n) for _ in range(3)]
+    return permute_square(cyclic_square(n), *perms)
 
 
 @contextmanager

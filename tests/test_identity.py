@@ -1,25 +1,44 @@
-"""Output identity: a seeded corpus of instances whose outputs are pinned.
+"""Output identity: the one table of pinned outputs.
 
-Each instance of :data:`CORPUS` is solved through ``rainbowmatch solve
---json``, plain and with ``--shuffle``, and :func:`digest` hashes the stdout
-together with every :class:`~rainbowmatch.switching.IterationRecord` of the
-run, so the number of violations found and tried per round is pinned too.
-Each instance also goes through ``rainbowmatch stats`` (level sizes and
-colours, |F|, |R| and the counting figures of the greedy base) and ``check
---json``; for these the digest hashes the exit code and the stdout, so an
-instance that ``stats`` refuses for a colour clash is pinned by its exit
-code and empty stdout.
-The corpus holds near-threshold random instances (C = 8-64), isotopes of
-Z_n (orders 15-33), the instance whose plain solve serves level-3 calls
-with the spare-colour bound off (C=128, seed 7), and raw multigraphs:
-uniform ``(u, v, c)`` triples on 2-16 vertices and 1-9 colours, so loops,
-colour clashes and parallel edges.  In the plain solves of raw seeds 7, 24,
-30 and 110, ``augment`` refutes a chain for too few spare colours; in those of
-105 and 170 one is refuted and another lands.  It is built from seeds, so
-no data file is kept.
+:data:`DIGESTS` maps ``"<instance> <mode>"`` to a sha256.  Every output that
+CI or a test pins is pinned here and nowhere else.  Each mode belongs to one
+of three families, and each family hashes in its own way:
 
-Run as a script to compare every digest and print the first instance that
-differs, or, with ``--print``, every digest as it is now::
+* the corpus solves (:data:`MODES` ``plain``, ``shuffle`` and ``text``:
+  ``rainbowmatch solve --json``, the same with ``--shuffle``, and ``solve``
+  without ``--json``) hash the stdout together with every
+  :class:`~rainbowmatch.switching.IterationRecord` of the run, so the number
+  of violations found and tried per round is pinned too;
+* the corpus ``stats`` and ``check`` (``check --json``) hash the exit code,
+  a newline and the stdout, so an instance that ``stats`` refuses for a
+  colour clash is pinned by its exit code and empty stdout;
+* the raw modes (:data:`RAW_MODES`) hash the raw stdout, or the instance
+  text for ``file``.  They hold what CI's ``sha256sum --check`` lines and
+  the tests' raw-stdout constants pinned, hashed as those did, so each of
+  those values carried over unchanged.  The command must also exit with the
+  code that :data:`RAW_PINS` gives; otherwise the digest is that code.
+
+The seeded instances are pinned in every corpus mode: near-threshold random
+instances (C = 8-64), isotopes of Z_n (orders 15-33), the instance whose
+plain solve serves level-3 calls with the spare-colour bound off (C=128,
+seed 7), and raw multigraphs: uniform ``(u, v, c)`` triples on 2-16 vertices
+and 1-9 colours, so loops, colour clashes and parallel edges.  In the plain
+solves of raw seeds 7, 24, 30 and 110, ``augment`` refutes a chain for too
+few spare colours; in those of 105 and 170 one is refuted and another lands.
+
+:data:`RAW_PINS` lists the raw modes of each instance that has any.  CI's
+instances are among them, pinned in the raw modes alone unless seeded: the
+near-threshold random instances at C=32 (seeds 3 and 1), 128 (seed 7), 256
+(seed 6) and 512 (seed 0); cyclic Z_8, as a graph and as a square; cyclic
+Z_10, Z_63 and Z_64; and ``generate_random(10, 15, 30, 1, 8391)``, which
+the generator's fallback places.  The ``json-bound-off`` mode solves inside
+``spare_bound_off()``, and its digest equals the ``json`` one on each
+instance that has it.
+
+The corpus is built from seeds, so no data file is kept.  The module needs
+the standard library alone.  Run it as a script to compare every digest and
+print the first that differs, or, with ``--print``, every digest as it is
+now::
 
     PYTHONPATH=src python tests/test_identity.py [--print]
 """
@@ -32,18 +51,42 @@ import hashlib
 import io
 import os
 import random
+import re
 import sys
 import tempfile
 
-import pytest
+from rainbowmatch import (ColouredMultigraph, LatinSquare, cli, cyclic_square, dumps,
+                          dumps_square, generate_random, latin_to_graph)
 
-from rainbowmatch import ColouredMultigraph, cli, dumps, generate_random, latin_to_graph
+from stdlib_helpers import isotope, spare_bound_off
 
-from conftest import isotope
+# corpus mode: the command and the flags that follow its ``--input F``; the
+# solve modes come first
+MODES = {"plain": ("solve", "--json"), "shuffle": ("solve", "--json", "--shuffle"),
+         "text": ("solve",), "stats": ("stats",), "check": ("check", "--json")}
 
-# mode: the command line, after ``--input F``; the two solve modes come first
-MODES = {"plain": ["solve", "--json"], "shuffle": ["solve", "--json", "--shuffle"],
-         "stats": ["stats"], "check": ["check", "--json"]}
+# raw mode: the command and the flags that follow its ``--input F``, where
+# ``{saved}`` is the matching that ``solve --target-deficit 1 --json`` saves
+# and ``{clash}`` is CLASH; ``file`` runs no command
+RAW_MODES = {
+    "file": None,
+    "json": ("solve", "--json"),
+    "json-shuffle": ("solve", "--json", "--shuffle"),
+    "json-bound-off": ("solve", "--json"),  # inside spare_bound_off()
+    "stats-raw": ("stats",),
+    "check-text": ("check",),
+    "check-json": ("check", "--json"),
+    "verify-text": ("verify", "--matching", "{saved}"),
+    "verify-json": ("verify", "--matching", "{saved}", "--json"),
+    "stats-matching": ("stats", "--matching", "{saved}"),
+    "verify-clash": ("verify", "--matching", "{clash}", "--json"),
+    "oracle": ("oracle", "--json"),
+    "oracle-capped": ("oracle", "--max-nodes", "1000", "--json"),
+    "oracle-latin": ("oracle", "--latin", "--json"),
+    "oracle-latin-capped": ("oracle", "--latin", "--max-nodes", "100", "--json"),
+}
+# edges 1 and 10 of Z_10 share a colour
+CLASH = '{"edges": [{"edge_id": 1}, {"edge_id": 10}]}\n'
 
 
 def _random(colours, seed):
@@ -55,6 +98,10 @@ def _latin(order, seed):
     return latin_to_graph(isotope(order, seed))
 
 
+def _cyclic(order):
+    return latin_to_graph(cyclic_square(order))
+
+
 def _raw(seed):
     rng = random.Random(seed)
     vertices, colours = rng.randint(2, 16), rng.randint(1, 9)
@@ -63,7 +110,8 @@ def _raw(seed):
         for _ in range(rng.randint(0, 60))])
 
 
-CORPUS = {
+# pinned in every corpus mode
+SEEDED = {
     **{f"random-C{c}-s{s}": functools.partial(_random, c, s)
        for c in (8, 12, 16, 24, 32, 40, 48, 64) for s in range(3)},
     **{f"latin-n{n}-s{s}": functools.partial(_latin, n, s)
@@ -73,16 +121,86 @@ CORPUS = {
        for s in (*range(12), 24, 30, 105, 110, 170)},
 }
 
+CORPUS = {
+    **SEEDED,
+    "random-C32-s3": functools.partial(_random, 32, 3),
+    "random-C256-s6": functools.partial(_random, 256, 6),
+    "random-C512-s0": functools.partial(_random, 512, 0),
+    "cyclic-Z8": functools.partial(_cyclic, 8),
+    "cyclic-Z8-square": functools.partial(cyclic_square, 8),
+    **{f"cyclic-Z{n}": functools.partial(_cyclic, n) for n in (10, 63, 64)},
+    "fallback-C10-s8391": functools.partial(generate_random, 10, 15, 30, 1, 8391),
+    "latin-n16-s2": functools.partial(_latin, 16, 2),
+}
+
+# instance: {raw mode: the exit code of its command, None for ``file``}
+RAW_PINS = {
+    # check exits 2: 34 edges per colour are fewer than the 48 that epsilon
+    # 1/2 asks for.  The plain solve serves 7 level-1 switch calls (403 with
+    # the spare-colour bound off), the shuffled one 475, some at level 2;
+    # both reach 32.  The saved matching's base grows two levels.
+    "random-C32-s3": {"file": None, "json": 0, "json-shuffle": 0, "json-bound-off": 0,
+                      "verify-text": 0, "verify-json": 0, "stats-matching": 0,
+                      "stats-raw": 0, "check-text": 2, "check-json": 2},
+    # two levels and 30 reachable colours
+    "random-C32-s1": {"file": None, "stats-raw": 0},
+    # plain, it serves 4 level-3 calls of 270 with the bound off, and 50 at
+    # levels 1 and 2 with it on; shuffled, level-1 and level-2 calls only
+    "level3-C128-s7": {"file": None, "json": 0, "json-shuffle": 0, "json-bound-off": 0,
+                       "stats-raw": 0},
+    # stalls at 255 in a three-level context whose stall proof serves 2
+    # depth-2 calls: the one solve of 336 scanned at C=96-256, plain and
+    # shuffled, that serves any
+    "random-C256-s6": {"file": None, "json-shuffle": 2},
+    # ten contexts of two or three levels; it stalls at 511.  Shuffled, it
+    # takes 13 s, so that solve is not pinned
+    "random-C512-s0": {"file": None, "json": 2},
+    # the exact oracles, and capped with the best found so far
+    "cyclic-Z8": {"oracle": 0, "oracle-capped": 2},
+    "cyclic-Z8-square": {"oracle-latin": 0, "oracle-latin-capped": 2},
+    "cyclic-Z10": {"verify-clash": 2},
+    # stall proofs, where the bound inside switches cuts the most calls;
+    # Z_63's last iteration tries every violation before it reports the stall
+    "cyclic-Z63": {"json": 2, "json-shuffle": 2, "json-bound-off": 2},
+    "cyclic-Z64": {"json": 2, "json-bound-off": 2},
+    # seed 8391 exhausts the 64 sampling tries on this feasible shape, so a
+    # 1-factorisation of K_30 places the ten classes; check finds no issue
+    "fallback-C10-s8391": {"file": None, "check-text": 0},
+    # greedy bases that grow 4, 4, 4 and 5 level-2 edges
+    **{name: {"stats-raw": 0} for name in ("random-C48-s0", "random-C48-s2",
+                                            "latin-n15-s1", "latin-n16-s2")},
+}
+
+
+def keys():
+    """Every pinned key, in corpus order: a seeded instance in every corpus
+    mode, then each instance in its raw modes."""
+    for name in CORPUS:
+        for mode in (*(MODES if name in SEEDED else ()), *RAW_PINS.get(name, ())):
+            yield f"{name} {mode}"
+
 
 @functools.cache
 def instance_text(name: str) -> str:
-    return dumps(CORPUS[name]())
+    made = CORPUS[name]()
+    return dumps_square(made) if isinstance(made, LatinSquare) else dumps(made)
 
 
-def digest(name: str, mode: str) -> str:
-    """sha256 of the stdout of instance ``name`` in ``mode``: for a solve,
-    then the repr of each iteration record as a field tuple; for ``stats``
-    and ``check``, after the exit code and a newline."""
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+@functools.cache
+def output(name: str, argv: tuple, bound_off: bool = False):
+    """Exit code, stdout and iteration records of ``rainbowmatch`` with
+    ``argv`` (``--input F`` after its command) on instance ``name``, inside
+    ``spare_bound_off()`` if ``bound_off``.  The records are a solve's, else
+    empty."""
     reports = []
     solve = cli.solve
 
@@ -90,23 +208,43 @@ def digest(name: str, mode: str) -> str:
         reports.append(solve(*args, **kwargs))
         return reports[-1]
 
-    command, *flags = MODES[mode]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "instance.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(instance_text(name))
-        out = io.StringIO()
+        files = {"saved": os.path.join(tmp, "saved.json"),
+                 "clash": os.path.join(tmp, "clash.json")}
+        _write(path, instance_text(name))
+        _write(files["clash"], CLASH)
+
+        def run(command, *flags):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                return cli.main([command, "--input", path, *flags]), out.getvalue()
+
+        if "{saved}" in argv:
+            code, out = run("solve", "--target-deficit", "1", "--json",
+                            "--save-matching", files["saved"])
+            if code:
+                return code, out, []
         cli.solve = recording
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([command, "--input", path, *flags])
+            with spare_bound_off() if bound_off else contextlib.nullcontext():
+                code, out = run(*(arg.format(**files) for arg in argv))
         finally:
             cli.solve = solve
-    if command != "solve":
-        return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
-    (report,) = reports
-    records = [dataclasses.astuple(rec) for rec in report.iterations]
-    return hashlib.sha256((out.getvalue() + repr(records)).encode()).hexdigest()
+    return code, out, [dataclasses.astuple(rec) for report in reports
+                       for rec in report.iterations]
+
+
+def digest(name: str, mode: str) -> str:
+    """sha256 of instance ``name`` in ``mode``, by its family's formula."""
+    if mode == "file":
+        return _sha(instance_text(name))
+    if mode in MODES:
+        code, out, records = output(name, MODES[mode])
+        return _sha(out + repr(records)) if MODES[mode][0] == "solve" else _sha(f"{code}\n{out}")
+    code, out, _ = output(name, RAW_MODES[mode], mode == "json-bound-off")
+    expected = RAW_PINS[name][mode]
+    return _sha(out) if code == expected else f"exit code {code}, not {expected}"
 
 
 # recorded before the one-pass loader and the free-vertex rounds landed
@@ -346,36 +484,173 @@ DIGESTS = {
     "raw-s110 check": "aad3bbaad905763ce00682fa6890fa3affe8cc4235224d9c7ec21ceb7064544f",
     "raw-s170 stats": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
     "raw-s170 check": "36262930d81e539948129ffb99f2a7e52e30f1d5db3747b7b86071e66e75d96a",
+    # plain-text ``solve`` of every seeded instance, recorded when CI's pins
+    # joined the table
+    "random-C8-s0 text": "2639c399040eefcbd5d9bb321947bd265bc504f3c3b46fc01fe0fc5bacf13587",
+    "random-C8-s1 text": "93809a949a22cc2af743bdfa0cdfbde7a4165eba8b9fa6e749a1c1c67867c123",
+    "random-C8-s2 text": "fb9df0afc4c74ea4536fbdacbdfb93bceb54f09226028c748fad4d523b8a39f7",
+    "random-C12-s0 text": "84d335f3abb43789dac14a50c528cf901f9110bf9cad17f6243bef92cd6bd848",
+    "random-C12-s1 text": "8f90b7e52f02078ed8cc3cceeb79893e13532575d4267f6bf8e1701074c32f9e",
+    "random-C12-s2 text": "173cc333f44a47ce63bb6cb0c10e7e7d8c64c646a8b7d1ea4a203771fbd36d23",
+    "random-C16-s0 text": "1b882017a8a3cad33d7c23abdbffc892b01c9fdfc48fbf66a298b9d3101e8f4c",
+    "random-C16-s1 text": "39db71623c91adef08089381043ef3bf56131dc853cf03d266c53955bb4304b5",
+    "random-C16-s2 text": "e686187d3a04a4cfc48c2834a0bc2df22779eab15456ec7b9f7fb410e46f6184",
+    "random-C24-s0 text": "f8aaf655148b60f48b169a8c62168a61d5992877637cab491917b2dbefb0cbfa",
+    "random-C24-s1 text": "f1bcfd99296f04feaf8230841ef5bf20c16a0314511ed514210c9233534ad60a",
+    "random-C24-s2 text": "c8db8538d620b2cfb967e32cac065983d76dc11a2e7eebc350963252b0466c60",
+    "random-C32-s0 text": "7ded7ffece53a347de08275f0b71b6a7ddb5877f88d9ab30b73cb21711845cc4",
+    "random-C32-s1 text": "e7a9523830f499d57f1e43bbab0567df79fbefb105c0d3f8976f3153db41758e",
+    "random-C32-s2 text": "e8fd7ea864615fe7f74ba586f29a62392db79eb36f10e2b884775841baad385c",
+    "random-C40-s0 text": "458d72cd353f1e0df783b313ba34b958a71067ffa5d299a9839d41cb5e724c84",
+    "random-C40-s1 text": "cae883cde38f0303e676ac30078c756dbd2219296b395962171ce86de7be57d4",
+    "random-C40-s2 text": "0ff57e78694cdc22684f1083165a36c0725ab594c62c95e70d6c8597b6273703",
+    "random-C48-s0 text": "44fd2de0eaf0b183068e91cf0f8e23a0d3a22aec72e6a623c7e60e441135c440",
+    "random-C48-s1 text": "e052469691100f3672900cd595327b1aec369bc3452f8b34acf2ae511ba8fbf5",
+    "random-C48-s2 text": "f409969346031dcdf9f37886fbec98b682d31ad7e454aeee792e79673a32687d",
+    "random-C64-s0 text": "bde5a971d4b180a3ce271845c7b638e91bd1eb807bd78b6713ecebafa3db1d4a",
+    "random-C64-s1 text": "090ac6e64ff435b88d0f18c8dc4ddadb572ba5b691ad3c6ca1d198820544657f",
+    "random-C64-s2 text": "d3ca3978fd3fd3f2e0d2579b16a6b373308002ca75e456ca3799df6141bd495d",
+    "latin-n15-s0 text": "57bf9de7488a12232cc37e46a19ca62e8ac19feee6a1597681e8b53fdb1a3ba3",
+    "latin-n15-s1 text": "0b7062e9c3a1eb05c7c14e8551c713011a7da0c6960bed32e50b122dff75fdef",
+    "latin-n16-s0 text": "9bc77027a69f305b87a1e141471f034b006c8fecd7c3ec8dd38b89b0723e394d",
+    "latin-n16-s1 text": "2d1ef6d55ca806d72916dd80c1a3bfc5ab54bbe3b3662458515965088e95c92b",
+    "latin-n17-s0 text": "f24d53f0356b4ba632d2487c1cb6159f5cfba18273e6247e26b4ff317ec83bd9",
+    "latin-n17-s1 text": "07471f1dd836c55ef4909469326b34ea6a080d26cb50f6af29205e31cc21fb50",
+    "latin-n21-s0 text": "e2010814affb43e6067ccd751a6be06bd077a124885e11341955e34868f44c75",
+    "latin-n21-s1 text": "e3db972c68884c7425122a077f163362f93bd4a86af05df769863bb728b6d7f8",
+    "latin-n24-s0 text": "f011c06a1a1ee15265fd7820814240e93c172a635917d6bd3da0fc221090ee7b",
+    "latin-n24-s1 text": "a00dd0be27e6132d34fd6114dc710f61bc2e575cdb3d86d4bd9c75f91bce3bad",
+    "latin-n27-s0 text": "e048d817187e2f3ac0ebf17b26a7478b4c6a6ae52d0054cd1ef3a25f22a3004d",
+    "latin-n27-s1 text": "27a20df0edd6f73c8126285f9a65168f06806f766758cd77a6ab3ae508e95260",
+    "latin-n30-s0 text": "a73b5a28121386a589330bb6dab1569d9587bfb3f1ab2dfa60918aa0293ec315",
+    "latin-n30-s1 text": "62f138f4e004abc5d7fe860000242d7e5d23b1a76d612dd793cbb6ca4c237011",
+    "latin-n33-s0 text": "c8873b50b0bd4ab4232f3c65938dd32854fd1cd65ed072556cb50cff88d4c31a",
+    "latin-n33-s1 text": "2c2370c3fb51ca5d3f635fa77612aa1c6870d80eb9820455a3a8c65411cee0d9",
+    "level3-C128-s7 text": "26dd507224af26fd2294dcb2f207caf54df7f3f9b66c1f6e4bc6bdc2e661462f",
+    "raw-s0 text": "1e2f609c254886f828ccf85a044bbdf2823ae0b69ba030ac5d2216508bdf4844",
+    "raw-s1 text": "ac5e2aeda669e84a81a694dd536b134f3cd4a277c7d8494f76b4354364e333ab",
+    "raw-s2 text": "58f6faa179358fba46a51187a537e970cec9a0b33ef39c94b03d34598e6c4353",
+    "raw-s3 text": "b5cc8a4129fd096badb3fdbfce8c18f313d09a04433f0ec5841a681f3426ea4e",
+    "raw-s4 text": "463ee7dfb481c95c3ffce5af8cfd35d2cf9a271877781b940728d726737cdf22",
+    "raw-s5 text": "9f99f19d0c93662e0c21c713d060471198efcc6ee3b7e945a3fc5cc6997cdb9b",
+    "raw-s6 text": "64e78c70f620dfeb42a1717ecdb58d5da085040731abf0249c347ed6abff5a88",
+    "raw-s7 text": "655a3d2ac24fe4e200ea7eaa6471042a7a03a6da13a189a9ee5975fb81f0a850",
+    "raw-s8 text": "8c7cbbe6d6835dcb5a6fb95e9338c83acc897057f4cd57a5f7dd3f08519f11a3",
+    "raw-s9 text": "ba797cbe0cbd5d4e9efd17735c5fbbbfe46ff1e9e090fe6619700311d5c6cea6",
+    "raw-s10 text": "8fd272c7f37f440d45717b0ba72d76e5b69e74fabf33e71024f35c2baabb48b9",
+    "raw-s11 text": "98c04bc633355adbec829165fc9cf9b324979d5ea454473f3d8b7db3f584017f",
+    "raw-s24 text": "f4953e37b775823d8677e336f9c052cd8248823b9a0056b17b13647452ab1810",
+    "raw-s30 text": "57770d5304eba6a9b74e52533c57730264c2743c3ac8d31ecab8af5845afe736",
+    "raw-s105 text": "531b6e25e785bd568f926f261ce928c5e8d7cd875a68a276017d7c33421db275",
+    "raw-s110 text": "c77a6fd14d3d4b124340089be01e2e0d3b135c29ab8a5211067e5a8a0fc83526",
+    "raw-s170 text": "38e13e7ff5daa50641542486187c14b834fc54712a98306fe3d64e9cacf13db9",
+    # CI's pins, each the value of one ``sha256sum --check`` line that CI ran
+    # on Python 3.10 and 3.12, carried over unchanged
+    "random-C32-s3 file": "c8d87eb6be666ee7deda4a8a4f0ab4d3cae068dedc721b425e4b3c62d8cd8298",
+    "random-C32-s3 json": "587885e5420f03e7da2afa4ecce57abcbceefaaca791177de07aea865c24e77f",
+    "random-C32-s3 json-shuffle": "16832ed0c0315e817bd93d65283148b0111a0f331f87cb33ff70a71acb616f75",
+    "random-C32-s3 verify-text": "7d7a72c091158f8b4061cabb5ec855bf1ac2009de434c047931f36f162641478",
+    "random-C32-s3 verify-json": "9f3405785459a178fd0664e0781c267ed37f0685e9074def4078b1203324fc79",
+    "random-C32-s3 stats-matching": "3fadef14b6be5722c1e8b0b81b604d3641580dd5b01d7485dcb3f3423ab42013",
+    "random-C32-s3 stats-raw": "00856c5514ac5ff934ad87d0357ca2e420767ad1f486eadb407fa98fa1afff32",
+    "random-C32-s3 check-text": "3f2462377e31a391a7b1cf236dfe8a5f43bf6a59b6b665234bb0a60cd6598f55",
+    "random-C32-s3 check-json": "201cfa99d7ca69d268624ad5d2c90369b993416dd921aac76efc394281f7e7fa",
+    "fallback-C10-s8391 file": "9ce4eeb4366e737d2b7678d0eebc075608da3951d0615929052e7cb40f4f8758",
+    "random-C32-s1 file": "070e456894500cea85dbe135419e8ca9e38374b307ef6d326311eaf0a5e6388f",
+    "random-C32-s1 stats-raw": "683f14c7da0ba0099bca9904b5ab9ce43a314a4fc8e49f84d33386fcf72edaa4",
+    "level3-C128-s7 file": "8a74977ee022cbf635e9894dcfc35abb8bd7d404c96cd771b3df90ba15c25025",
+    "level3-C128-s7 json": "98a2cf3e7889333646b090c5096c558639e13828e536532b4275d5c3637073e4",
+    "level3-C128-s7 json-shuffle": "3843407b998aad9ad2e5b646e522b4c03a3ee28039653246f872c9080aab10b3",
+    "level3-C128-s7 stats-raw": "a7470d750f6b9c45e129d652d2d57aab87f0a0a6fd907165ead3604298ba8399",
+    "cyclic-Z63 json": "d41294311f6d25e9f7fa4827a5b63ca26f2735d9bb698a6eb330052fbccca54c",
+    "cyclic-Z64 json": "40c73273194bf97b3c6b0c37866972c9251f265125a66f715a3096d8a1def174",
+    "random-C256-s6 file": "2636961666881ca73f23a516ef71f2760332a954fecff4e73c2e840d1110e19c",
+    "random-C256-s6 json-shuffle": "bef043ec6c0c80df067dea0f8a9bf8601107a22696efb8a6b67b9833548d7b27",
+    "cyclic-Z63 json-shuffle": "1456d226f243b13f715e39e6abca3eefc0ce188c2018cd0a6cbed547893ba380",
+    "random-C512-s0 file": "2e6d17715ad59f9a7501a01605fb27a4e3826af8ca277032f08e3041fd362eba",
+    "random-C512-s0 json": "c51ab0831bb1fe46aa8b1f34cce7eb115e40afe0e289ef1f3117b6c9eb7093fd",
+    "cyclic-Z8 oracle": "fd67e73fbfb14df055b385422107a3668bb2dd80dfb555cbd912dafc4847923b",
+    "cyclic-Z8-square oracle-latin": "43931f49a91f4af65e70f717ae4f0ef0f3b65cfa6655fdab56bc0b4b1c36f4a3",
+    "cyclic-Z8 oracle-capped": "35d69f10ad1f41853625ca54a9ae429e6728cf4e297ecdfe759d6aaba3ff5eeb",
+    "cyclic-Z8-square oracle-latin-capped": "0a924e5f4fcb2df7d5c8cbd955e07b5e28ec055a0ef7bab037e6a7b79ddfa82f",
+    "cyclic-Z10 verify-clash": "fcf9beade7fb9db103cc32954ef55eb93d0de09c89eef473ae3ffa57d71283cb",
+    # the same plain solves with the spare-colour bound off, as CI compared
+    # them with the stdout it had pinned
+    "random-C32-s3 json-bound-off": "587885e5420f03e7da2afa4ecce57abcbceefaaca791177de07aea865c24e77f",
+    "level3-C128-s7 json-bound-off": "98a2cf3e7889333646b090c5096c558639e13828e536532b4275d5c3637073e4",
+    "cyclic-Z63 json-bound-off": "d41294311f6d25e9f7fa4827a5b63ca26f2735d9bb698a6eb330052fbccca54c",
+    "cyclic-Z64 json-bound-off": "40c73273194bf97b3c6b0c37866972c9251f265125a66f715a3096d8a1def174",
+    # ``check`` on the fallback instance, whose exit code CI checked but whose
+    # stdout it did not pin; recorded when CI's pins joined the table
+    "fallback-C10-s8391 check-text": "7686144e2dcb98498d7c6d7f77511dbfcdff4b2d51110945b060d582c328e388",
+    # raw ``stats`` stdout, so key order and layout are pinned too; carried
+    # over from the tests, where it was recorded while the counting document
+    # was still built from a record class
+    "random-C48-s0 stats-raw": "f698e7fa7c589a9d3e76e0f0ce4b7fc22281191ad8b4314b6f7e4532c9b559db",
+    "random-C48-s2 stats-raw": "dd05264059ce6483013c485364e5ac7b9d340db9746f837dc0428b705e0b6327",
+    "latin-n15-s1 stats-raw": "4c327a7e097f9927172fd5270fbdc4975300404457e4d1665baf6c365c8fbe39",
+    "latin-n16-s2 stats-raw": "d0f36e6406da3c5065d8e010ad6a73f386504b7d7215241e2c716198d8c12a92",
 }
 
 
-@pytest.mark.parametrize("key", sorted(DIGESTS))
+def pytest_generate_tests(metafunc):
+    # parametrised here rather than by a pytest decorator, so that the
+    # module imports the standard library alone
+    if "key" in metafunc.fixturenames:
+        metafunc.parametrize("key", sorted(DIGESTS))
+
+
 def test_output_unchanged(key):
     name, mode = key.rsplit(" ", 1)
     assert digest(name, mode) == DIGESTS[key]
 
 
 def test_corpus_is_pinned_whole():
-    assert sorted(DIGESTS) == sorted(f"{name} {mode}" for name in CORPUS for mode in MODES)
+    assert sorted(DIGESTS) == sorted(keys())
+
+
+def test_bound_off_leaves_plain_solves_unchanged():
+    # augment refutes a chain that needs more spare colours than the base
+    # leaves unused, and a switch passes over the lifts and descends its
+    # chain cannot afford; with the bound off, these solves print the same
+    off = {key.split()[0]: DIGESTS[key] for key in DIGESTS if key.endswith(" json-bound-off")}
+    assert off == {name: DIGESTS[f"{name} json"] for name in
+                   ("random-C32-s3", "level3-C128-s7", "cyclic-Z63", "cyclic-Z64")}
+
+
+def test_no_other_file_repeats_a_pin():
+    # a copy of a pin elsewhere in the tests or in CI would be a second
+    # place to re-record, and a stale one would check nothing
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    pins = set(DIGESTS.values())
+    copies = []
+    for top in ("tests", ".github"):
+        for folder, subfolders, files in os.walk(os.path.join(root, top)):
+            subfolders[:] = [f for f in subfolders if f != "__pycache__"]
+            for f in files:
+                path = os.path.join(folder, f)
+                if path == os.path.abspath(__file__):
+                    continue
+                with open(path, encoding="utf-8", errors="replace") as fh:
+                    copies += [(path, hexes) for hexes in re.findall(r"\b[0-9a-f]{64}\b", fh.read())
+                               if hexes in pins]
+    assert copies == []
 
 
 def first_difference():
-    """``(key, pinned, now)`` of the first instance and mode whose digest
-    differs, in corpus order, else None."""
-    for name in CORPUS:
-        for mode in MODES:
-            key = f"{name} {mode}"
-            now = digest(name, mode)
-            if DIGESTS.get(key) != now:
-                return key, DIGESTS.get(key), now
+    """``(key, pinned, now)`` of the first key whose digest differs, in
+    corpus order, else None."""
+    for key in keys():
+        now = digest(*key.rsplit(" ", 1))
+        if DIGESTS.get(key) != now:
+            return key, DIGESTS.get(key), now
     return None
 
 
 if __name__ == "__main__":
     if "--print" in sys.argv[1:]:
-        for name in CORPUS:
-            for mode in MODES:
-                print(f'    "{name} {mode}": "{digest(name, mode)}",')
+        for key in keys():
+            print(f'    "{key}": "{digest(*key.rsplit(" ", 1))}",')
     else:
         diff = first_difference()
         print(f"all {len(DIGESTS)} digests match" if diff is None

@@ -155,8 +155,6 @@ def test_generator_places_a_feasible_shape_by_fallback():
     assert [g.colour_class_size(c) for c in range(10)] == [15] * 10
     assert _pair_load(g) == 1
     assert hypothesis_check(g, InstanceParams.for_graph(g, epsilon="1/2")) == []
-    # the same text that CI pins on 3.10 and 3.12
-    assert _digest(g) == _FALLBACK_DIGEST
 
 
 @given(colours=st.integers(16, 32), seed=st.integers(0, 29))
@@ -247,8 +245,7 @@ def test_sample_edge_draws_exactly_like_randrange(seed, vertices, used_share, ca
 # seed 0 (2 retries) and tight seed 4 (20 retries); most also reach the
 # shuffled sweep that follows 200 rejected draws.  A seed that exhausts the
 # 64 tries is placed by the 1-factorisation fallback, and that is part of the
-# map too: see ``test_generator_places_a_feasible_shape_by_fallback``.
-_FALLBACK_DIGEST = "9ce4eeb4366e737d2b7678d0eebc075608da3951d0615929052e7cb40f4f8758"
+# map too: tests/test_identity.py pins one such text, "fallback-C10-s8391 file".
 _BENCH_SHAPE = (48, 50, 100, 3)
 _BENCH_DIGESTS = [
     "21a2e53fe4109d01474b4d5886451ec906bd6b8b48cbf945bfe0b69f51b7e47f",

@@ -349,15 +349,13 @@ class TestChainDistance:
             added = draw_additions(data, m, removed)
             chain.append(m.with_swap(removed, added))
         for m in chain:
-            c = closeness(root, m)
-            assert c.distance == len(root.edge_ids ^ m.edge_ids)
-            assert c.size_equal == (len(root) == len(m))
+            assert m.distance_to(root) == len(root.edge_ids ^ m.edge_ids)
             assert m.sorted_ids == tuple(sorted(m.edge_ids))
             assert views(m) == views(RainbowMatching(g, m.edge_ids))
         # pairs where neither is the other's root take the full path
         for a, b in zip(chain, chain[1:]):
-            assert closeness(b, a).distance == len(a.edge_ids ^ b.edge_ids)
-            assert closeness(a, b).distance == len(a.edge_ids ^ b.edge_ids)
+            assert a.distance_to(b) == len(a.edge_ids ^ b.edge_ids)
+            assert b.distance_to(a) == len(a.edge_ids ^ b.edge_ids)
 
     # with_loops(0) is random_instance(0), whose edges 0 and 1 both have
     # colour 0 and edges 1 and 6 share vertex 5, plus loops 24 and 25
@@ -383,14 +381,14 @@ class TestChainDistance:
         child = root.with_swap([first], [])
         sibling = root.with_swap([second], [])
 
-        def fields(c):
-            return c.distance, c.size_equal
+        def fields(a, b):
+            return b.distance_to(a), len(a) == len(b)
 
-        assert fields(closeness(root, child)) == (1, False)
-        assert fields(closeness(twin, child)) == (1, False)
-        assert fields(closeness(child, twin)) == (1, False)
-        assert fields(closeness(child, sibling)) == (2, True)
-        assert fields(closeness(child, child)) == (0, True)
+        assert fields(root, child) == (1, False)
+        assert fields(twin, child) == (1, False)
+        assert fields(child, twin) == (1, False)
+        assert fields(child, sibling) == (2, True)
+        assert fields(child, child) == (0, True)
 
     def test_sorted_ids_computed_once(self):
         g = random_instance(0)
@@ -635,20 +633,21 @@ class TestDeltaExtension:
 
 
 class TestCloseness:
+    """The symmetric-difference distance between matchings of one graph, as
+    ``distance_to`` reads it, and ``closeness``, which only pairs it with
+    the sizes' agreement and which the engine no longer calls."""
+
     def test_requires_same_graph(self):
         a, b = random_instance(0), random_instance(0)
         with pytest.raises(ValueError, match="different graphs"):
-            closeness(RainbowMatching(a, []), RainbowMatching(b, []))
+            RainbowMatching(b, []).distance_to(RainbowMatching(a, []))
 
     def test_values(self):
         g = random_instance(0)
         m1 = RainbowMatching(g, [0, 7])
         m2 = RainbowMatching(g, [7, 14])
-        c = closeness(m1, m2)
-        assert c.distance == 2
-        assert c.size_equal
-        assert c.within(2) and not c.within(1)
-        assert not closeness(m1, RainbowMatching(g, [7])).within(64)
+        assert m2.distance_to(m1) == m1.distance_to(m2) == 2
+        assert RainbowMatching(g, [7]).distance_to(m1) == 1
 
     @given(st.integers(0, 6), st.data())
     @PROPERTY_SETTINGS
@@ -657,11 +656,22 @@ class TestCloseness:
         a = RainbowMatching(g, draw_rainbow(data, g))
         b = RainbowMatching(g, draw_rainbow(data, g))
         c = RainbowMatching(g, draw_rainbow(data, g))
-        ab, ba = closeness(a, b), closeness(b, a)
-        assert ab.distance == ba.distance  # symmetry
-        assert closeness(a, a).distance == 0
+        assert a.distance_to(b) == b.distance_to(a)  # symmetry
+        assert a.distance_to(a) == 0
         # triangle inequality for the symmetric-difference metric
-        assert closeness(a, c).distance <= ab.distance + closeness(b, c).distance
+        assert c.distance_to(a) <= b.distance_to(a) + c.distance_to(b)
+
+    def test_closeness_is_distance_to_and_size_agreement(self):
+        g = random_instance(0)
+        ms = [RainbowMatching(g, ids) for ids in ([0, 7], [7, 14], [7], [])]
+        for a in ms:
+            for b in ms:
+                c = closeness(a, b)
+                assert c == (b.distance_to(a), len(a) == len(b))
+                assert [c.within(k) for k in range(4)] == \
+                    [c.size_equal and c.distance <= k for k in range(4)]
+        with pytest.raises(ValueError, match="^matchings belong to different graphs$"):
+            closeness(ms[0], RainbowMatching(random_instance(0), []))
 
 
 class TestExternalEdges:

@@ -152,10 +152,8 @@ class TestHierarchy:
         assert hier.by_head.keys() == {0, 4}
         assert hier.by_colour.keys() == {0, 2}
         assert hier.stopped == ()
-        assert hier.entry(0) is level.edges[0]
-        assert hier.entry(5) is None
-        assert hier.head_entry(4) is level.edges[1]
-        assert hier.head_entry(3) is None
+        assert hier.by_colour[0] is level.edges[0]
+        assert hier.by_head[4] is level.edges[1]
 
     def test_high_alpha_stops_before_level_one(self, reach_free_fixture):
         # same graph, alpha forced up: 2 candidates < stop threshold 3,
@@ -832,7 +830,7 @@ class TestLookups:
         assert flex.partners.keys() == tails.keys()
         own = {graph.edge(i).colour: i for i in m.edge_ids}
         for c in range(graph.num_colours + 1):
-            assert hier.entry(c) == scan_entry(hier, c, "colour")
+            assert hier.by_colour.get(c) == scan_entry(hier, c, "colour")
             oe = flex.by_colour(c)
             if c not in tails:
                 assert oe is None
@@ -842,7 +840,7 @@ class TestLookups:
             assert (oe.edge_id, oe.colour) == (e.id, c)
             assert (oe.tail, oe.head) == (tails[c], e.other(tails[c]))
         for v in range(graph.num_vertices + 1):
-            assert hier.head_entry(v) == scan_entry(hier, v, "head")
+            assert hier.by_head.get(v) == scan_entry(hier, v, "head")
         # as in test_structure_invariants, on hierarchies that surely grow
         for c, le in hier.by_colour.items():
             assert (le.colour, le.edge_id) == (c, own[c])
@@ -860,6 +858,16 @@ class TestLookups:
             assert {le.level for le in level.edges} == {level.index}
         # a stopped candidate carries the level it failed to start
         assert all(le.level == hier.m + 1 for le in hier.stopped)
+
+    def test_entry_and_head_entry_are_the_dict_lookups(self):
+        # the methods that the engine no longer calls
+        g = generate_random(24, 26, 52, 2, 0)
+        hier = analyse(g, greedy(g, 0))[3]
+        assert hier.levels
+        for c in range(g.num_colours + 1):
+            assert hier.entry(c) is hier.by_colour.get(c)
+        for v in range(g.num_vertices + 1):
+            assert hier.head_entry(v) is hier.by_head.get(v)
 
 
 def reachability_facts(graph, tmp_path, capsys) -> dict:
@@ -934,19 +942,6 @@ REACHABILITY_GOLDEN = {
 }
 
 
-# name: sha256 of the raw ``stats --input`` stdout on the instance above, so
-# key order and layout are pinned too; recorded while the counting document
-# was still built from a record class
-STATS_STDOUT_GOLDEN = {
-    "random_c32_s1": "683f14c7da0ba0099bca9904b5ab9ce43a314a4fc8e49f84d33386fcf72edaa4",
-    "random_c32_s3": "00856c5514ac5ff934ad87d0357ca2e420767ad1f486eadb407fa98fa1afff32",
-    "random_c48_s0": "f698e7fa7c589a9d3e76e0f0ce4b7fc22281191ad8b4314b6f7e4532c9b559db",
-    "random_c48_s2": "dd05264059ce6483013c485364e5ac7b9d340db9746f837dc0428b705e0b6327",
-    "z15_iso1": "4c327a7e097f9927172fd5270fbdc4975300404457e4d1665baf6c365c8fbe39",
-    "z16_iso2": "d0f36e6406da3c5065d8e010ad6a73f386504b7d7215241e2c716198d8c12a92",
-}
-
-
 class TestGolden:
     @pytest.mark.parametrize("name", sorted(REACHABILITY_GOLDEN))
     def test_reachability_facts_unchanged(self, name, tmp_path, capsys):
@@ -954,14 +949,6 @@ class TestGolden:
         facts = reachability_facts(instance(), tmp_path, capsys)
         blob = json.dumps(facts, sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize("name", sorted(STATS_STDOUT_GOLDEN))
-    def test_stats_stdout_unchanged(self, name, tmp_path, capsys):
-        path = tmp_path / "instance.txt"
-        path.write_text(dumps(REACHABILITY_GOLDEN[name][0]()))
-        assert main(["stats", "--input", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == STATS_STDOUT_GOLDEN[name]
 
     @pytest.mark.parametrize("name", sorted(REACHABILITY_GOLDEN))
     def test_certificates_recount(self, name):

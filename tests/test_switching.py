@@ -24,11 +24,11 @@ from rainbowmatch import (
     augment,
     closeness_slack,
     cyclic_square,
-    dumps,
     extend_to_maximal,
     generate_random,
     greedy,
     latin_to_graph,
+    loads,
     robust_switch,
     solve,
     verify,
@@ -39,6 +39,7 @@ from rainbowmatch.reachability import (VIOLATION_KINDS, FlexibleStructure, Hiera
 from conftest import (augment_calls, brute_scan, brute_switches, isotope,
                       needs_too_many_spares, random_instance, raw_graphs, recheck_call,
                       recorded_calls, spare_bound_off, switch_bound_off, tight_instance)
+from test_identity import DIGESTS, instance_text
 from test_matching import family_graph
 from test_reachability import REACHABILITY_GOLDEN
 
@@ -1118,45 +1119,28 @@ class TestLandedCalls:
         assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
-# sha256 of ``solve --json`` stdout on generate_random(128, 130, 260, 8, 7)
-# at seed 0, recorded before each context computed its constants once.
-# It is the one instance measured whose solve serves level-3 calls (4 of the
-# 270 it makes) when augment's spare-colour bound is off, and it reaches 128;
-# the CI's solve-smoke job pins the same stdout on Python 3.10 and 3.12.
-LEVEL3_JSON_SHA256 = "98a2cf3e7889333646b090c5096c558639e13828e536532b4275d5c3637073e4"
-
-# sha256 of the same instance's ``solve --json --shuffle`` stdout (it reaches
-# 128 through level-1 and level-2 calls only) and ``stats`` stdout (the greedy
-# base's one-level hierarchy), recorded before each switch context built its
-# exchanges once; the CI's solve-smoke job pins both on Python 3.10 and 3.12
-LEVEL3_STDOUT_SHA256 = {
-    "solve_shuffle": (
-        "3843407b998aad9ad2e5b646e522b4c03a3ee28039653246f872c9080aab10b3",
-        ["solve", "--json", "--shuffle"]),
-    "stats": (
-        "a7470d750f6b9c45e129d652d2d57aab87f0a0a6fd907165ead3604298ba8399",
-        ["stats"]),
-}
-
-# sha256 of ``solve --json --shuffle`` stdout on generate_random(256, 258,
-# 516, 16, 6) at seed 0.  It stalls at 255 (exit 2) in a three-level context
-# whose stall proof serves 2 depth-2 calls (level-1 base exchanges under a
-# level-3 call); it is the one solve of 336 scanned at C=96-256, plain and
-# shuffled, that serves any.  The CI's solve-smoke job pins the same stdout
-# on Python 3.10 and 3.12.
-DEPTH2_JSON_SHA256 = "bef043ec6c0c80df067dea0f8a9bf8601107a22696efb8a6b67b9833548d7b27"
+# Two solves that the identity corpus pins, checked further here:
+# "level3-C128-s7" (generate_random(128, 130, 260, 8, 7)) is the one instance
+# measured whose solve serves level-3 calls (4 of the 270 it makes) when
+# augment's spare-colour bound is off; it reaches 128.  "random-C256-s6"
+# (generate_random(256, 258, 516, 16, 6)), shuffled, stalls at 255 in a
+# three-level context whose stall proof serves 2 depth-2 calls (level-1 base
+# exchanges under a level-3 call).
+def corpus_file(name, tmp_path):
+    """The graph of corpus instance ``name``, and a file of its text."""
+    path = tmp_path / "instance.txt"
+    path.write_text(instance_text(name))
+    return loads(instance_text(name)), str(path)
 
 
 class TestLevel3:
     def test_level3_solve_unchanged_and_within_contract(self, tmp_path, capsys,
                                                         no_spare_bound):
-        g = generate_random(128, 130, 260, 8, 7)
-        path = tmp_path / "r128.txt"
-        path.write_text(dumps(g))
+        g, path = corpus_file("level3-C128-s7", tmp_path)
         with recorded_calls() as log:
-            assert cli.main(["solve", "--input", str(path), "--json"]) == 0
+            assert cli.main(["solve", "--input", path, "--json"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == LEVEL3_JSON_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["level3-C128-s7 json"]
         assert any(rec.level == 3 for rec in log)
         bases = {}
         for rec in log:
@@ -1168,13 +1152,11 @@ class TestLevel3:
     def test_level3_solve_on_the_shipped_path(self, tmp_path, capsys):
         # the same stdout with the spare-colour bound on; the chains augment
         # refutes held every level-3 call, and each call left is re-checked
-        g = generate_random(128, 130, 260, 8, 7)
-        path = tmp_path / "r128.txt"
-        path.write_text(dumps(g))
+        g, path = corpus_file("level3-C128-s7", tmp_path)
         with recorded_calls() as log:
-            assert cli.main(["solve", "--input", str(path), "--json"]) == 0
+            assert cli.main(["solve", "--input", path, "--json"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == LEVEL3_JSON_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["level3-C128-s7 json"]
         assert Counter(rec.level for rec in log) == {1: 26, 2: 4}
         for rec in log:
             recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
@@ -1182,29 +1164,16 @@ class TestLevel3:
     def test_level3_solve_with_augments_bound_alone(self, tmp_path, capsys):
         # the same stdout with the bound inside switches off: the chains
         # that augment leaves to run then serve 20 more level-1 calls
-        g = generate_random(128, 130, 260, 8, 7)
-        path = tmp_path / "r128.txt"
-        path.write_text(dumps(g))
+        g, path = corpus_file("level3-C128-s7", tmp_path)
         with switch_bound_off(), recorded_calls() as log:
-            assert cli.main(["solve", "--input", str(path), "--json"]) == 0
+            assert cli.main(["solve", "--input", path, "--json"]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == LEVEL3_JSON_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["level3-C128-s7 json"]
         assert Counter(rec.level for rec in log) == {1: 46, 2: 4}
-
-    @pytest.mark.parametrize("name", sorted(LEVEL3_STDOUT_SHA256))
-    def test_level3_stdout_unchanged(self, name, tmp_path, capsys):
-        digest, command = LEVEL3_STDOUT_SHA256[name]
-        path = tmp_path / "r128.txt"
-        path.write_text(dumps(generate_random(128, 130, 260, 8, 7)))
-        assert cli.main([command[0], "--input", str(path), *command[1:]]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_depth2_solve_unchanged_and_within_contract(self, tmp_path, capsys,
                                                         monkeypatch):
-        g = generate_random(256, 258, 516, 16, 6)
-        path = tmp_path / "r256.txt"
-        path.write_text(dumps(g))
+        g, path = corpus_file("random-C256-s6", tmp_path)
         deep = []
         inner = switching.robust_switch
 
@@ -1215,9 +1184,9 @@ class TestLevel3:
             return out
 
         monkeypatch.setattr(switching, "robust_switch", recording)
-        assert cli.main(["solve", "--input", str(path), "--json", "--shuffle"]) == 2
+        assert cli.main(["solve", "--input", path, "--json", "--shuffle"]) == 2
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == DEPTH2_JSON_SHA256
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["random-C256-s6 json-shuffle"]
         assert len(deep) == 2
         for rec in deep:
             recheck_call(g, RainbowMatching(g, rec.base_ids), rec)
@@ -1586,7 +1555,7 @@ def replayed_cases(make, seed, shuffle, monkeypatch) -> Counter:
                     assert i > 0 and calls[i - 1].depth == c.depth + 1
                     before = calls[i - 1].matching
                     assert before.with_swap(c.removed, c.added) == c.matching
-                assert c.removed[0] == ctx.hierarchy.entry(c.request.colour).edge_id
+                assert c.removed[0] == ctx.hierarchy.by_colour[c.request.colour].edge_id
                 # a chain builds its requests uncoerced: every set is a frozenset
                 assert type(c.request) is SwitchRequest
                 assert [type(x) for x in c.request[3:]] == [frozenset] * 3
