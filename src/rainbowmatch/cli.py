@@ -13,6 +13,7 @@ document with an edge id that is not an integer is unreadable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -388,16 +389,20 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv) -> _Parser:
-    """The parser for the arguments ``argv``.  When ``argv`` starts with a
-    subcommand, only that one is registered, under the full tree's metavar
-    so that usage reads the same; when it starts with none (help, a typo,
-    nothing at all), all of them are, so usage and errors read as the full
-    tree's.  The metavar is left out there: it would rename the argument in
-    the "required" and "invalid choice" errors."""
+@functools.cache
+def _parser_for(named: str | None) -> _Parser:
+    """The parser for an argv whose first word is the subcommand ``named``,
+    or is none (``None``): only that subcommand is registered, under the full
+    tree's metavar so that usage reads the same; with none, all of them are,
+    so usage and errors read as the full tree's.  The metavar is left out
+    there: it would rename the argument in the "required" and "invalid
+    choice" errors.
+
+    Built once per process for each first word.  Sharing is safe because
+    parsing changes no parser state, no argument has a mutable default, and
+    each handler reads the module's names when it runs."""
     parser = _Parser(prog="rainbowmatch",
                      description="Rainbow matchings in properly edge-coloured multigraphs")
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=named and "{" + ",".join(_COMMANDS) + "}")
     for name, (text, fill) in _COMMANDS.items():
@@ -406,7 +411,20 @@ def _build_parser(argv) -> _Parser:
     return parser
 
 
+def _build_parser(argv) -> _Parser:
+    """The parser for the arguments ``argv``: :func:`_parser_for` its first
+    word when that names a subcommand, else for none (help, a typo, nothing
+    at all).  Two argvs with the same first word share one parser, built on
+    the first :func:`main` call in the process that needs it."""
+    return _parser_for(argv[0] if argv and argv[0] in _COMMANDS else None)
+
+
 def main(argv=None) -> int:
+    """Run ``rainbowmatch`` on ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.  The parser for argv's first word is built once per
+    process (:func:`_build_parser`), so a caller that runs many commands in
+    one process pays for argparse once per subcommand; a one-shot console
+    run builds its one parser as before."""
     _configure_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)

@@ -239,15 +239,18 @@ def greedy(graph: ColouredMultigraph, seed: int = 0) -> RainbowMatching:
     order = list(range(graph.num_edges))
     # ``random.Random(seed).shuffle(order)`` drawn as CPython draws it: for
     # each i from the end down to 1, a swap with ``_randbelow(i + 1)``, which
-    # draws ``k``-bit words until one is at most i; inlined because the
-    # calls cost more than the swaps
+    # draws ``k``-bit words until one is at most i, where k is the bit
+    # length of i + 1; inlined because the calls cost more than the swaps,
+    # and walked one k at a time, over the i from 2**k - 2 down to
+    # 2**(k-1) - 1
     getrandbits = random.Random(seed).getrandbits
-    for i in range(len(order) - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
+    n = len(order)
+    for k in range(n.bit_length(), 1, -1):
+        for i in range(min(n - 1, (1 << k) - 2), (1 << (k - 1)) - 2, -1):
             j = getrandbits(k)
-        order[i], order[j] = order[j], order[i]
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
     return _greedy_pass(graph, order, RainbowMatching(graph))
 
 

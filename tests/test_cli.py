@@ -9,8 +9,10 @@ import time
 import pytest
 
 from rainbowmatch import cyclic_square, dumps_square, generate_random, latin_to_graph
-from rainbowmatch.cli import _COMMANDS, _build_parser, main
+from rainbowmatch.cli import _COMMANDS, _build_parser, _parser_for, main
 from rainbowmatch.multigraph import dumps as dumps_graph
+
+from test_identity import DIGESTS, instance_text
 
 
 @pytest.fixture
@@ -613,7 +615,8 @@ class TestErrors:
 
 class TestParser:
     """The parser registers only the subcommand that argv names, and reads
-    every argv exactly as the full tree does."""
+    every argv exactly as the full tree does.  One parser per first word
+    serves every call in the process, and no call leaves state for the next."""
 
     @staticmethod
     def outcome(parser, argv, capsys):
@@ -673,3 +676,55 @@ class TestParser:
         assert registered(_build_parser(["--help", "solve"])) == set(_COMMANDS)
         for name in _COMMANDS:
             assert registered(_build_parser([name, "--help"])) == {name}
+
+    def test_one_parser_per_first_word(self):
+        assert _build_parser(["solve", "--input", "x"]) is _build_parser(["solve", "--help"])
+        assert _build_parser([]) is _build_parser(["solvee"]) is _build_parser(["--help"])
+        assert _build_parser(["solve"]) is not _build_parser(["verify"])
+
+    def test_solve_flags_do_not_carry_over(self, tmp_path, capsys):
+        path, saved = tmp_path / "r32.txt", tmp_path / "saved.json"
+        path.write_text(instance_text("random-C32-s3"))
+        assert main(["solve", "--input", str(path), "--json", "--shuffle", "--seed", "3",
+                     "--save-matching", str(saved)]) == 0
+        saved.unlink()
+        capsys.readouterr()
+        assert main(["solve", "--input", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["random-C32-s3 json"]
+        assert not saved.exists()
+
+    def test_generate_dispatches_each_call(self, capsys):
+        random_argv = ["generate", "random", "--colours", "6", "--seed", "2"]
+        for argv, want in [
+            (random_argv, dumps_graph(generate_random(6, 9, 18, 1, 2))),
+            (["generate", "latin", "--cyclic", "5"],
+             dumps_graph(latin_to_graph(cyclic_square(5)))),
+            (random_argv, dumps_graph(generate_random(6, 9, 18, 1, 2))),
+        ]:
+            assert main(argv) == 0
+            assert capsys.readouterr().out == want
+
+    def test_usage_error_leaves_the_next_call_alone(self, z4_path, capsys):
+        argv = ["solve", "--input", z4_path, "--json"]
+        main(argv)
+        want = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--input", z4_path, "--bogus"])
+        assert info.value.code == 1
+        assert capsys.readouterr().out == ""
+        main(argv)
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_help_reads_the_same_when_repeated(self, argv, capsys):
+        _parser_for.cache_clear()  # so that the first call builds the parser
+        outcomes = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            outcomes.append((info.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert (code, err) == (0, "") and out.startswith("usage: rainbowmatch")

@@ -35,10 +35,16 @@ the generator's fallback places.  The ``json-bound-off`` mode solves inside
 ``spare_bound_off()``, and its digest equals the ``json`` one on each
 instance that has it.
 
+A pin freezes an output whether it is right or not, so every pinned
+``solve --json`` document (the ``plain`` and ``shuffle`` modes, and the raw
+``json``, ``json-shuffle`` and ``json-bound-off``) must also hold a matching
+that passes :func:`verify` and its document checks, with a ``size`` equal
+to its number of ids.  The gate reads the runs that the digests made.
+
 The corpus is built from seeds, so no data file is kept.  The module needs
 the standard library alone.  Run it as a script to compare every digest and
-print the first that differs, or, with ``--print``, every digest as it is
-now::
+print the first that differs, then to verify every solve document and print
+the first that fails, or, with ``--print``, every digest as it is now::
 
     PYTHONPATH=src python tests/test_identity.py [--print]
 """
@@ -49,6 +55,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import json
 import os
 import random
 import re
@@ -56,7 +63,8 @@ import sys
 import tempfile
 
 from rainbowmatch import (ColouredMultigraph, LatinSquare, cli, cyclic_square, dumps,
-                          dumps_square, generate_random, latin_to_graph)
+                          dumps_square, generate_random, latin_to_graph, loads, verify)
+from rainbowmatch.matching import document_ids, document_issues
 
 from stdlib_helpers import isotope, spare_bound_off
 
@@ -235,16 +243,47 @@ def output(name: str, argv: tuple, bound_off: bool = False):
                        for rec in report.iterations]
 
 
+def _mode_output(name: str, mode: str):
+    """:func:`output` of instance ``name`` in ``mode``, other than ``file``."""
+    if mode in MODES:
+        return output(name, MODES[mode])
+    return output(name, RAW_MODES[mode], mode == "json-bound-off")
+
+
 def digest(name: str, mode: str) -> str:
     """sha256 of instance ``name`` in ``mode``, by its family's formula."""
     if mode == "file":
         return _sha(instance_text(name))
+    code, out, records = _mode_output(name, mode)
     if mode in MODES:
-        code, out, records = output(name, MODES[mode])
         return _sha(out + repr(records)) if MODES[mode][0] == "solve" else _sha(f"{code}\n{out}")
-    code, out, _ = output(name, RAW_MODES[mode], mode == "json-bound-off")
     expected = RAW_PINS[name][mode]
     return _sha(out) if code == expected else f"exit code {code}, not {expected}"
+
+
+# the modes whose stdout is one ``solve --json`` document
+SOLVE_JSON_MODES = ("plain", "shuffle", "json", "json-shuffle", "json-bound-off")
+
+
+def solve_json_keys():
+    """Every pinned key whose output is a ``solve --json`` document."""
+    return [key for key in keys() if key.rsplit(" ", 1)[1] in SOLVE_JSON_MODES]
+
+
+def document_problems(key: str) -> list[str]:
+    """What is wrong with the matching in the ``solve --json`` document of
+    ``key``, read from the run its digest made: the matching document's own
+    issues and :func:`verify`'s, as ``kind: detail`` lines, and a ``size``
+    other than the number of ids."""
+    name, mode = key.rsplit(" ", 1)
+    doc = json.loads(_mode_output(name, mode)[1])
+    graph = loads(instance_text(name))
+    ids = document_ids(doc["matching"])
+    problems = [f"{i.kind}: {i.detail}" for i in
+                document_issues(graph, doc["matching"]) + verify(graph, ids)]
+    if doc["size"] != len(ids):
+        problems.append(f"size {doc['size']} but {len(ids)} ids")
+    return problems
 
 
 # recorded before the one-pass loader and the free-vertex rounds landed
@@ -598,11 +637,17 @@ def pytest_generate_tests(metafunc):
     # module imports the standard library alone
     if "key" in metafunc.fixturenames:
         metafunc.parametrize("key", sorted(DIGESTS))
+    if "solve_key" in metafunc.fixturenames:
+        metafunc.parametrize("solve_key", solve_json_keys())
 
 
 def test_output_unchanged(key):
     name, mode = key.rsplit(" ", 1)
     assert digest(name, mode) == DIGESTS[key]
+
+
+def test_solve_document_verifies(solve_key):
+    assert document_problems(solve_key) == []
 
 
 def test_corpus_is_pinned_whole():
@@ -647,6 +692,16 @@ def first_difference():
     return None
 
 
+def first_invalid_document():
+    """``(key, problems)`` of the first ``solve --json`` key whose matching
+    has a problem, in corpus order, else None."""
+    for key in solve_json_keys():
+        problems = document_problems(key)
+        if problems:
+            return key, problems
+    return None
+
+
 if __name__ == "__main__":
     if "--print" in sys.argv[1:]:
         for key in keys():
@@ -655,4 +710,7 @@ if __name__ == "__main__":
         diff = first_difference()
         print(f"all {len(DIGESTS)} digests match" if diff is None
               else "first difference: {} pinned {} now {}".format(*diff))
-        sys.exit(diff is not None)
+        invalid = first_invalid_document()
+        print(f"all {len(solve_json_keys())} solve documents verify" if invalid is None
+              else "invalid matching: {} {}".format(*invalid))
+        sys.exit(diff is not None or invalid is not None)

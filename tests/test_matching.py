@@ -6,7 +6,7 @@ import re
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rainbowmatch import (
     ColouredMultigraph,
@@ -460,6 +460,16 @@ class TestGreedy:
         assert greedy(g, seed=5) == greedy(g, seed=5)
 
     @given(st.integers(0, 600), st.integers(-2**70, 2**70))
+    # greedy walks the swaps one draw width at a time; these lengths end a
+    # width, start one, or sit one past a start
+    @example(0, 1)
+    @example(1, 1)
+    @example(2, 1)
+    @example(3, 1)
+    @example(4, 1)
+    @example(255, 1)
+    @example(256, 1)
+    @example(257, 1)
     @PROPERTY_SETTINGS
     def test_order_is_the_library_shuffle(self, edges, seed):
         # greedy draws its shuffle inline; the draws and swaps must stay
