@@ -390,44 +390,25 @@ _COMMANDS = {
 
 
 @functools.cache
-def _parser_for(named: str | None) -> _Parser:
-    """The parser for an argv whose first word is the subcommand ``named``,
-    or is none (``None``): only that subcommand is registered, under the full
-    tree's metavar so that usage reads the same; with none, all of them are,
-    so usage and errors read as the full tree's.  The metavar is left out
-    there: it would rename the argument in the "required" and "invalid
-    choice" errors.
-
-    Built once per process for each first word.  Sharing is safe because
+def _parser() -> _Parser:
+    """The parser for every subcommand, built on the first :func:`main` call
+    in the process and reused by every later one.  Sharing it is safe because
     parsing changes no parser state, no argument has a mutable default, and
     each handler reads the module's names when it runs."""
     parser = _Parser(prog="rainbowmatch",
                      description="Rainbow matchings in properly edge-coloured multigraphs")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=named and "{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, fill) in _COMMANDS.items():
-        if named is None or named == name:
-            fill(sub.add_parser(name, help=text))
+        fill(sub.add_parser(name, help=text))
     return parser
-
-
-def _build_parser(argv) -> _Parser:
-    """The parser for the arguments ``argv``: :func:`_parser_for` its first
-    word when that names a subcommand, else for none (help, a typo, nothing
-    at all).  Two argvs with the same first word share one parser, built on
-    the first :func:`main` call in the process that needs it."""
-    return _parser_for(argv[0] if argv and argv[0] in _COMMANDS else None)
 
 
 def main(argv=None) -> int:
     """Run ``rainbowmatch`` on ``argv`` (default ``sys.argv[1:]``) and return
-    its exit code.  The parser for argv's first word is built once per
-    process (:func:`_build_parser`), so a caller that runs many commands in
-    one process pays for argparse once per subcommand; a one-shot console
-    run builds its one parser as before."""
+    its exit code.  Every call parses with the one :func:`_parser`, so a
+    caller that runs many commands in one process pays for argparse once."""
     _configure_logging()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (OSError, ValueError) as exc:

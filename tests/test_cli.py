@@ -4,12 +4,15 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from rainbowmatch import cyclic_square, dumps_square, generate_random, latin_to_graph
-from rainbowmatch.cli import _COMMANDS, _build_parser, _parser_for, main
+from rainbowmatch import cli, cyclic_square, dumps_square, generate_random, latin_to_graph
+from rainbowmatch.cli import _COMMANDS, main
 from rainbowmatch.multigraph import dumps as dumps_graph
 
 from test_identity import DIGESTS, instance_text
@@ -614,14 +617,14 @@ class TestErrors:
 
 
 class TestParser:
-    """The parser registers only the subcommand that argv names, and reads
-    every argv exactly as the full tree does.  One parser per first word
-    serves every call in the process, and no call leaves state for the next."""
+    """Every argv is read by the one parser that registers every subcommand
+    (the full tree), built on the first :func:`main` call in the process and
+    reused by every later one; no call leaves state for the next."""
 
     @staticmethod
-    def outcome(parser, argv, capsys):
+    def outcome(argv, capsys):
         with pytest.raises(SystemExit) as info:
-            parser.parse_args(argv)
+            main(argv)
         out, err = capsys.readouterr()
         return info.value.code, out, err
 
@@ -630,9 +633,8 @@ class TestParser:
     ] + [["generate", "random", "--help"], ["generate", "latin", "--help"], ["--help"]],
         ids=lambda argv: " ".join(argv))
     def test_help_matches_the_full_tree(self, argv, capsys):
-        want = self.outcome(_build_parser([]), argv, capsys)
-        assert want[0] == 0 and want[1].startswith("usage: rainbowmatch")
-        assert self.outcome(_build_parser(argv), argv, capsys) == want
+        code, out, err = self.outcome(argv, capsys)
+        assert (code, err) == (0, "") and out.startswith("usage: rainbowmatch")
 
     @pytest.mark.parametrize("argv", [
         [], ["solvee"], ["-x", "solve"], ["solve"], ["solve", "--input"],
@@ -642,20 +644,30 @@ class TestParser:
         ["bench", "--seeds", "0"], ["check", "--input", "x", "--seed", "1"],
     ], ids=lambda argv: " ".join(argv) or "nothing")
     def test_errors_match_the_full_tree(self, argv, capsys):
-        want = self.outcome(_build_parser([]), argv, capsys)
-        assert want[0] == 1 and want[1] == "" and "error: " in want[2]
-        assert self.outcome(_build_parser(argv), argv, capsys) == want
+        code, out, err = self.outcome(argv, capsys)
+        assert (code, out) == (1, "") and err.startswith("usage: rainbowmatch")
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            err.splitlines()[-1]]
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--input", "x", "--shuffle", "--max-budget", "9"],
-        ["generate", "random", "--colours", "6"],
-        ["bench", "--seeds", "0..3", "--colours", "4", "--time-limit", "inf"],
-    ], ids=lambda argv: argv[0])
-    def test_arguments_match_the_full_tree(self, argv):
-        assert _build_parser(argv).parse_args(argv) == _build_parser([]).parse_args(argv)
+    # every field of each namespace, the defaults included
+    @pytest.mark.parametrize("argv,want", [
+        (["solve", "--input", "x", "--shuffle", "--max-budget", "9"],
+         dict(command="solve", handler=cli._cmd_solve, input="x", epsilon="1/2",
+              alpha=None, target_deficit=0, max_budget=9, max_iterations=1000, seed=0,
+              shuffle=True, json=False, timing=False, save_matching=None)),
+        (["generate", "random", "--colours", "6"],
+         dict(command="generate", handler=cli._cmd_generate, what="random", colours=6,
+              count=None, vertices=None, cap=None, seed=0, output=None)),
+        (["bench", "--seeds", "0..3", "--colours", "4", "--time-limit", "inf"],
+         dict(command="bench", handler=cli._cmd_bench, seeds="0..3", colours=4,
+              count=None, vertices=None, cap=None, epsilon="1/2", alpha=None,
+              target_deficit=0, max_budget=cli.DEFAULT_MAX_BUDGET, max_iterations=1000,
+              no_oracle=False, max_nodes=cli.DEFAULT_MAX_NODES, time_limit=float("inf"))),
+    ], ids=["solve", "generate", "bench"])
+    def test_arguments_match_the_full_tree(self, argv, want):
+        assert vars(cli._parser().parse_args(argv)) == want
 
-    # the full tree's own stderr, pinned literally: the tests above compare
-    # the trimmed parser with the full tree, built by the same code
+    # the full tree's own stderr, pinned literally
     @pytest.mark.parametrize("argv,err", [
         (["solve", "--input", "x", "--bogus"],
          "error: unrecognized arguments: --bogus\n"),
@@ -664,23 +676,15 @@ class TestParser:
          "'solve', 'verify', 'oracle', 'stats', 'check', 'generate', 'bench')\n"),
     ], ids=["unrecognized", "nothing", "typo"])
     def test_literal_errors(self, argv, err, capsys):
-        assert self.outcome(_build_parser(argv), argv, capsys) == (
+        assert self.outcome(argv, capsys) == (
             1, "", "usage: rainbowmatch [-h] "
                    "{solve,verify,oracle,stats,check,generate,bench} ...\n" + err)
 
-    def test_only_the_named_subcommand_is_filled(self):
-        def registered(parser):
-            return set(parser._subparsers._group_actions[0].choices)
-
-        assert registered(_build_parser([])) == set(_COMMANDS)
-        assert registered(_build_parser(["--help", "solve"])) == set(_COMMANDS)
+    def test_one_parser_per_process(self, capsys):
+        cli._parser.cache_clear()
         for name in _COMMANDS:
-            assert registered(_build_parser([name, "--help"])) == {name}
-
-    def test_one_parser_per_first_word(self):
-        assert _build_parser(["solve", "--input", "x"]) is _build_parser(["solve", "--help"])
-        assert _build_parser([]) is _build_parser(["solvee"]) is _build_parser(["--help"])
-        assert _build_parser(["solve"]) is not _build_parser(["verify"])
+            assert self.outcome([name, "--help"], capsys)[0] == 0
+        assert cli._parser.cache_info().misses == 1
 
     def test_solve_flags_do_not_carry_over(self, tmp_path, capsys):
         path, saved = tmp_path / "r32.txt", tmp_path / "saved.json"
@@ -719,7 +723,7 @@ class TestParser:
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]],
                              ids=lambda argv: " ".join(argv))
     def test_help_reads_the_same_when_repeated(self, argv, capsys):
-        _parser_for.cache_clear()  # so that the first call builds the parser
+        cli._parser.cache_clear()  # so that the first call builds the parser
         outcomes = []
         for _ in range(2):
             with pytest.raises(SystemExit) as info:
@@ -728,3 +732,29 @@ class TestParser:
         assert outcomes[0] == outcomes[1]
         code, out, err = outcomes[0]
         assert (code, err) == (0, "") and out.startswith("usage: rainbowmatch")
+
+
+class TestLogLevel:
+    """``RAINBOW_LOG`` picks the level of the log lines on stderr and leaves
+    stdout alone.  Run in a subprocess: pytest's logging plugin keeps root
+    handlers, so :func:`logging.basicConfig` does nothing in process."""
+
+    @pytest.mark.parametrize("level,want", [
+        ("debug", ["DEBUG rainbowmatch.switching: iteration 0: reach_free via edge 133, "
+                   "size 30 -> 31",
+                   "DEBUG rainbowmatch.switching: iteration 1: free_free via edge 1041, "
+                   "size 31 -> 32"]),
+        ("info", []), ("loud", []), (None, []),
+    ], ids=["debug", "info", "unknown", "unset"])
+    def test_rainbow_log(self, level, want, tmp_path):
+        path = tmp_path / "r32.txt"
+        path.write_text(instance_text("random-C32-s3"))
+        env = {k: v for k, v in os.environ.items() if k != "RAINBOW_LOG"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        if level is not None:
+            env["RAINBOW_LOG"] = level
+        run = subprocess.run([sys.executable, "-m", "rainbowmatch.cli", "solve",
+                              "--input", str(path), "--json"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (run.returncode, run.stderr.splitlines()) == (0, want)
+        assert hashlib.sha256(run.stdout.encode()).hexdigest() == DIGESTS["random-C32-s3 json"]
