@@ -680,10 +680,39 @@ class TestParser:
             1, "", "usage: rainbowmatch [-h] "
                    "{solve,verify,oracle,stats,check,generate,bench} ...\n" + err)
 
-    def test_one_parser_per_process(self, capsys):
+    def test_only_the_named_subcommand_is_filled(self):
+        # every subcommand is registered, but a namespace holds the fields of
+        # the subcommand its argv names and of no other
+        choices = cli._parser()._subparsers._group_actions[0].choices
+        assert set(choices) == set(_COMMANDS)
+
+        def fields(*parsers):
+            return {"command", "handler"} | {
+                action.dest for parser in parsers for action in parser._actions
+                if action.dest != "help"}
+
+        latin = choices["generate"]._subparsers._group_actions[0].choices["latin"]
+        for argv, want in [
+            (["solve", "--input", "x"], fields(choices["solve"])),
+            (["verify", "--input", "x", "--matching", "m"], fields(choices["verify"])),
+            (["oracle", "--input", "x"], fields(choices["oracle"])),
+            (["stats", "--input", "x"], fields(choices["stats"])),
+            (["check", "--input", "x"], fields(choices["check"])),
+            (["generate", "latin", "--cyclic", "5"], fields(choices["generate"], latin)),
+            (["bench", "--seeds", "0", "--colours", "4"], fields(choices["bench"])),
+        ]:
+            args = vars(cli._parser().parse_args(argv))
+            assert set(args) == want
+            assert args["command"] == argv[0]
+            assert args["handler"] is getattr(cli, "_cmd_" + argv[0])
+
+    def test_one_parser_per_first_word(self, capsys):
+        # every first word, none and a typo included, reaches the same parser
         cli._parser.cache_clear()
         for name in _COMMANDS:
             assert self.outcome([name, "--help"], capsys)[0] == 0
+        for argv in [[], ["solvee"], ["--help"]]:
+            self.outcome(argv, capsys)
         assert cli._parser.cache_info().misses == 1
 
     def test_solve_flags_do_not_carry_over(self, tmp_path, capsys):
