@@ -8,11 +8,12 @@ from .multigraph import (ColouredMultigraph, Edge, InstanceParams, Issue, as_fra
                          dumps, hypothesis_check, load, loads, save, validate)
 from .instances import (LatinSquare, PlacementError, cyclic_square, dumps_square,
                         enumerate_reduced_squares, generate_random, latin_to_graph,
-                        load_square, loads_square, permute_square, save_square)
+                        load_square, loads_square, permute_square, save_square,
+                        square_of)
 from .matching import (Closeness, RainbowMatching, closeness, extend_to_maximal,
                        external_edges, greedy, matching_from_json, matching_to_json,
                        verify)
-from .oracle import (CapExceeded, OracleResult, max_partial_transversal,
+from .oracle import (CapExceeded, OracleResult, certify_cyclic, max_partial_transversal,
                      max_rainbow_matching)
 from .reachability import (FlexibleStructure, Hierarchy, Level, LevelEdge, OrientedEdge,
                            RankedViolations, Violation, build_hierarchy, certificate,

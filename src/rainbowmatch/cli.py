@@ -22,14 +22,16 @@ from math import ceil, isnan
 
 from . import multigraph
 from .instances import (PlacementError, check_random_shape, cyclic_square, dumps_square,
-                        generate_random, latin_to_graph, load_square)
+                        generate_random, latin_to_graph, load_square, square_of)
 from .matching import (RainbowMatching, document_ids, document_issues, greedy,
                        matching_to_json, verify)
 from .multigraph import InstanceParams, hypothesis_check
-from .oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, CapExceeded,
-                     max_partial_transversal, max_rainbow_matching)
+from .oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, CapExceeded, OracleResult,
+                     certify_cyclic, max_partial_transversal, max_rainbow_matching)
 from .reachability import counting_diagnostics
 from .switching import DEFAULT_MAX_BUDGET, SwitchContext, solve
+
+logger = logging.getLogger(__name__)
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}
@@ -123,21 +125,58 @@ def _cmd_verify(args) -> int:
                          f"ok: valid rainbow matching of size {size}", size=size)
 
 
+def _certified(square, graph=None):
+    """:func:`certify_cyclic` on ``square``, its witness as edge ids of
+    ``graph`` when one is given; None when it refuses, or when its witness
+    fails the check: :func:`verify` for edge ids, distinct rows, columns and
+    symbols for cells, with one entry per unit of size."""
+    res = certify_cyclic(square)
+    if res is None:
+        return None
+    cells = res.witness
+    if graph is not None:
+        n = square.order
+        res = OracleResult(res.size, tuple(i * n + j for i, j in cells), 0)
+        ok = len(set(res.witness)) == len(cells) == res.size \
+            and not verify(graph, res.witness)
+    else:
+        rows = {i for i, _ in cells}
+        cols = {j for _, j in cells}
+        symbols = {square[i][j] for i, j in cells}
+        ok = len(rows) == len(cols) == len(symbols) == len(cells) == res.size
+    if not ok:
+        logger.warning("the cyclic certificate's witness fails its check; searching")
+        return None
+    return res
+
+
 def _cmd_oracle(args) -> int:
-    exact = True
-    try:
-        if args.latin:
-            square = load_square(args.input)
-            res = max_partial_transversal(square, args.max_nodes, args.time_limit)
-        else:
-            graph = multigraph.load(args.input)
-            res = max_rainbow_matching(graph, args.max_nodes, args.time_limit)
-    except CapExceeded as exc:
-        res, exact = exc.best, False
+    graph = square = None
+    if args.latin:
+        square = load_square(args.input)
+    else:
+        graph = multigraph.load(args.input)
+        if not args.search:
+            square = square_of(graph)
+    res = None if args.search or square is None else _certified(square, graph)
+    exact, proof = True, None
+    if res is not None:
+        proof = f"isotope of Z_{square.order}"
+    else:
+        try:
+            if args.latin:
+                res = max_partial_transversal(square, args.max_nodes, args.time_limit)
+            else:
+                res = max_rainbow_matching(graph, args.max_nodes, args.time_limit)
+        except CapExceeded as exc:
+            res, exact = exc.best, False
     if args.json:
         # json writes the witness's tuples, of ids or of cells, as arrays
-        print(json.dumps({"size": res.size, "witness": res.witness,
-                          "nodes": res.nodes, "exact": exact}, indent=2))
+        doc = {"size": res.size, "witness": res.witness, "nodes": res.nodes,
+               "exact": exact}
+        print(json.dumps(doc if proof is None else {**doc, "proof": proof}, indent=2))
+    elif proof is not None:
+        print(f"optimum: {res.size}  proof: {proof}")
     else:
         tag = "optimum" if exact else "best found (cap exceeded)"
         print(f"{tag}: {res.size}  nodes: {res.nodes}")
@@ -329,9 +368,18 @@ def _fill_verify(p) -> None:
 
 
 def _fill_oracle(p) -> None:
+    p.description = (
+        "Print the maximum rainbow matching of a graph, or partial transversal "
+        "of a Latin square, with a witness.  An isotope of Z_n, given as a "
+        "square or as the K_{n,n} that 'generate latin' writes, is certified "
+        "from its group structure in O(n^2): optimum n for odd n, n - 1 for "
+        "even n, and 'proof' names the certificate.  Anything else is proved "
+        "by branch and bound, which --max-nodes and --time-limit cap.")
     p.add_argument("--input", required=True)
     p.add_argument("--latin", action="store_true",
                    help="input is a Latin square, search cells instead of edges")
+    p.add_argument("--search", action="store_true",
+                   help="skip the certificate and prove the optimum by branch and bound")
     _add_oracle_caps(p, DEFAULT_TIME_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_oracle)
@@ -381,7 +429,7 @@ def _fill_bench(p) -> None:
 _COMMANDS = {
     "solve": ("greedy plus switching augmentation", _fill_solve),
     "verify": ("check a matching document against an instance", _fill_verify),
-    "oracle": ("exact optimum by branch and bound", _fill_oracle),
+    "oracle": ("exact optimum: cyclic certificate, else branch and bound", _fill_oracle),
     "stats": ("levels and counting diagnostics as JSON", _fill_stats),
     "check": ("validate an instance against the hypotheses", _fill_check),
     "generate": ("write an instance", _fill_generate),

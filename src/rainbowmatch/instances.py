@@ -3,7 +3,8 @@
 A Latin square of order n turns into a properly n-edge-coloured copy of
 K_{n,n} (rows are vertices 0..n-1, columns n..2n-1, the cell symbol is the
 edge colour), so partial transversals of the square are exactly rainbow
-matchings of the graph.  The random generator places each colour class as a
+matchings of the graph, and :func:`square_of` reads such a graph back into
+its square.  The random generator places each colour class as a
 matching, respecting a parallel-edge cap, and is fully determined by its seed;
 when sampling fails it falls back to a 1-factorisation of the complete graph.
 """
@@ -73,6 +74,27 @@ def latin_to_graph(square: LatinSquare) -> ColouredMultigraph:
     n = square.order
     triples = [(i, n + j, square.rows[i][j]) for i in range(n) for j in range(n)]
     return ColouredMultigraph(2 * n, n, triples)
+
+
+def square_of(graph: ColouredMultigraph) -> LatinSquare | None:
+    """The square that :func:`latin_to_graph` turns into ``graph``, or None
+    when ``graph`` is not of that form: 2n vertices, n colours, n^2 edges,
+    edge i*n + j joining i to n + j, and colours that make a Latin square.
+    The counts are compared before any edge is read."""
+    n = graph.num_colours
+    if graph.num_vertices != 2 * n or graph.num_edges != n * n:
+        return None
+    edges = graph.edges
+    rows = []
+    for i in range(n):
+        row = edges[i * n:(i + 1) * n]
+        if any(e.u != i or e.v != n + j for j, e in enumerate(row)):
+            return None
+        rows.append(tuple(e.colour for e in row))
+    try:
+        return LatinSquare(tuple(rows))
+    except ValueError:
+        return None
 
 
 def enumerate_reduced_squares(n: int) -> Iterator[LatinSquare]:

@@ -11,10 +11,13 @@ import time
 
 import pytest
 
-from rainbowmatch import cli, cyclic_square, dumps_square, generate_random, latin_to_graph
+from rainbowmatch import (cli, cyclic_square, dumps_square, generate_random, latin_to_graph,
+                          verify)
 from rainbowmatch.cli import _COMMANDS, main
 from rainbowmatch.multigraph import dumps as dumps_graph
+from rainbowmatch.oracle import OracleResult
 
+from stdlib_helpers import isotope
 from test_identity import DIGESTS, instance_text
 
 
@@ -240,8 +243,11 @@ class TestOracle:
         assert doc["size"] == 5
         assert all(len(cell) == 2 for cell in doc["witness"])
 
+    # the cap tests and the search past a thousand edges pass --search:
+    # without it, a cyclic input is certified and never searched
     def test_cap_exceeded_exit_code(self, z4_path, capsys):
-        code = main(["oracle", "--input", z4_path, "--max-nodes", "3", "--json"])
+        code = main(["oracle", "--input", z4_path, "--search", "--max-nodes", "3",
+                     "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
         assert doc["exact"] is False
@@ -252,16 +258,16 @@ class TestOracle:
         (["--max-nodes", "0"], 2, "best found (cap exceeded)"),
     ], ids=["exact", "capped", "capped_at_0"])
     def test_plain_text(self, z4_path, capsys, caps, code, tag):
-        assert main(["oracle", "--input", z4_path, "--json", *caps]) == code
+        assert main(["oracle", "--input", z4_path, "--search", "--json", *caps]) == code
         doc = json.loads(capsys.readouterr().out)
-        assert main(["oracle", "--input", z4_path, *caps]) == code
+        assert main(["oracle", "--input", z4_path, "--search", *caps]) == code
         assert capsys.readouterr().out == f"{tag}: {doc['size']}  nodes: {doc['nodes']}\n"
 
     def test_exact_on_z33_past_a_thousand_edges(self, tmp_path, capsys):
         # 1089 edges: one Python frame per edge would pass the recursion limit
         path = tmp_path / "z33.txt"
         path.write_text(dumps_graph(latin_to_graph(cyclic_square(33))))
-        code = main(["oracle", "--input", str(path), "--json"])
+        code = main(["oracle", "--input", str(path), "--search", "--json"])
         out, err = capsys.readouterr()
         assert code == 0
         assert err == ""
@@ -274,6 +280,84 @@ class TestOracle:
         assert main(["verify", "--input", str(path), "--matching",
                      str(matching)]) == 0
         assert capsys.readouterr().out == "ok: valid rainbow matching of size 33\n"
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("latin", [False, True], ids=["graph", "square"])
+    def test_certified(self, tmp_path, capsys, n, latin):
+        square = isotope(n, 3)
+        path = tmp_path / "in.txt"
+        path.write_text(dumps_square(square) if latin
+                        else dumps_graph(latin_to_graph(square)))
+        flags = ["--latin"] if latin else []
+        assert main(["oracle", "--input", str(path), *flags, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["size", "witness", "nodes", "exact", "proof"]
+        assert (doc["size"], doc["nodes"], doc["exact"], doc["proof"]) \
+            == (n - 1, 0, True, f"isotope of Z_{n}")
+        # cells in row order, or edge ids; as edges, a rainbow matching
+        ids = [i * n + j for i, j in doc["witness"]] if latin else doc["witness"]
+        assert ids == sorted(ids) and len(set(ids)) == n - 1
+        assert verify(latin_to_graph(square), ids) == []
+        assert main(["oracle", "--input", str(path), *flags]) == 0
+        assert capsys.readouterr().out == f"optimum: {n - 1}  proof: isotope of Z_{n}\n"
+        # the search proves the same size
+        assert main(["oracle", "--input", str(path), *flags, "--search", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["size"] == n - 1
+
+    @pytest.mark.parametrize("caps", [["--max-nodes", "0"], ["--time-limit", "0"]],
+                             ids=["nodes", "time"])
+    @pytest.mark.parametrize("latin", [False, True], ids=["graph", "square"])
+    def test_caps_bound_the_search_only(self, tmp_path, capsys, caps, latin):
+        square = cyclic_square(14)
+        path = tmp_path / "z14.txt"
+        path.write_text(dumps_square(square) if latin
+                        else dumps_graph(latin_to_graph(square)))
+        flags = ["--latin"] if latin else []
+        assert main(["oracle", "--input", str(path), *flags, *caps, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["size"], doc["exact"]) == (13, True)
+        assert main(["oracle", "--input", str(path), *flags, *caps, "--search"]) == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("latin", [False, True], ids=["graph", "square"])
+    def test_witness_failing_its_check_is_searched(self, tmp_path, capsys, monkeypatch,
+                                                   latin):
+        # a certificate whose witness lists a cell twice is not printed
+        square = cyclic_square(6)
+        path = tmp_path / "z6.txt"
+        path.write_text(dumps_square(square) if latin
+                        else dumps_graph(latin_to_graph(square)))
+        flags = ["--latin"] if latin else []
+        assert main(["oracle", "--input", str(path), *flags, "--search", "--json"]) == 0
+        want = capsys.readouterr().out
+
+        certify = cli.certify_cyclic
+
+        def twice(sq):
+            res = certify(sq)
+            return OracleResult(res.size, res.witness[:-1] + res.witness[:1], 0)
+
+        monkeypatch.setattr(cli, "certify_cyclic", twice)
+        assert main(["oracle", "--input", str(path), *flags, "--json"]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("text", [
+        # K_{3,3} with a colour repeated in row 0: the shape is Latin, the
+        # colouring is not
+        "6 3\n0 3 0\n0 4 0\n0 5 2\n1 3 1\n1 4 2\n1 5 0\n2 3 2\n2 4 0\n2 5 1\n",
+        # Z_8 with its colours moved near 4,000,000
+        "\n".join(["16 4000000", *(f"{i} {8 + j} {3_999_983 + (i + j) % 8}"
+                                    for i in range(8) for j in range(8))]) + "\n",
+    ], ids=["k33_not_latin", "z8_far"])
+    @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
+    def test_unrecognised_graph_is_searched(self, tmp_path, capsys, text, json_flag):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code = main(["oracle", "--input", str(path), *json_flag])
+        out = capsys.readouterr().out
+        assert (code, out) == (main(["oracle", "--input", str(path), "--search",
+                                     *json_flag]), capsys.readouterr().out)
+        assert "proof" not in out
 
 
 class TestStats:
@@ -573,7 +657,7 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_time_limit_inf_is_no_limit(self, z4_path, capsys):
-        assert main(["oracle", "--input", z4_path, "--time-limit", "inf",
+        assert main(["oracle", "--input", z4_path, "--search", "--time-limit", "inf",
                      "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["exact"] is True
 
@@ -584,7 +668,7 @@ class TestErrors:
         path = tmp_path / "z4.txt"
         square = cyclic_square(4)
         path.write_text(dumps_square(square) if latin else dumps_graph(latin_to_graph(square)))
-        assert main(["oracle", "--input", str(path), *latin, "--json",
+        assert main(["oracle", "--input", str(path), *latin, "--search", "--json",
                      "--time-limit", "0"]) == 0
         out, err = capsys.readouterr()
         assert json.loads(out)["exact"] is True

@@ -39,12 +39,16 @@ A pin freezes an output whether it is right or not, so every pinned
 ``solve --json`` document (the ``plain`` and ``shuffle`` modes, and the raw
 ``json``, ``json-shuffle`` and ``json-bound-off``) must also hold a matching
 that passes :func:`verify` and its document checks, with a ``size`` equal
-to its number of ids.  The gate reads the runs that the digests made.
+to its number of ids.  So must the witness of every pinned document that
+the cyclic certificate proved (:data:`CERTIFIED_MODES`), its cells read as
+the edges of :func:`latin_to_graph`.  The oracle modes that pin the exact
+searches pass ``--search``, so the certificate does not replace them.  The
+gates read the runs that the digests made.
 
 The corpus is built from seeds, so no data file is kept.  The module needs
 the standard library alone.  Run it as a script to compare every digest and
-print the first that differs, then to verify every solve document and print
-the first that fails, or, with ``--print``, every digest as it is now::
+print the first that differs, then to verify every solve document and
+certified witness and print the first that fails, or, with ``--print``, every digest as it is now::
 
     PYTHONPATH=src python tests/test_identity.py [--print]
 """
@@ -88,10 +92,12 @@ RAW_MODES = {
     "verify-json": ("verify", "--matching", "{saved}", "--json"),
     "stats-matching": ("stats", "--matching", "{saved}"),
     "verify-clash": ("verify", "--matching", "{clash}", "--json"),
-    "oracle": ("oracle", "--json"),
-    "oracle-capped": ("oracle", "--max-nodes", "1000", "--json"),
-    "oracle-latin": ("oracle", "--latin", "--json"),
-    "oracle-latin-capped": ("oracle", "--latin", "--max-nodes", "100", "--json"),
+    "oracle": ("oracle", "--search", "--json"),
+    "oracle-capped": ("oracle", "--search", "--max-nodes", "1000", "--json"),
+    "oracle-latin": ("oracle", "--latin", "--search", "--json"),
+    "oracle-latin-capped": ("oracle", "--latin", "--search", "--max-nodes", "100", "--json"),
+    "oracle-certified": ("oracle", "--json"),
+    "oracle-latin-certified": ("oracle", "--latin", "--json"),
 }
 # edges 1 and 10 of Z_10 share a colour
 CLASH = '{"edges": [{"edge_id": 1}, {"edge_id": 10}]}\n'
@@ -163,9 +169,11 @@ RAW_PINS = {
     # ten contexts of two or three levels; it stalls at 511.  Shuffled, it
     # takes 13 s, so that solve is not pinned
     "random-C512-s0": {"file": None, "json": 2},
-    # the exact oracles, and capped with the best found so far
-    "cyclic-Z8": {"oracle": 0, "oracle-capped": 2},
-    "cyclic-Z8-square": {"oracle-latin": 0, "oracle-latin-capped": 2},
+    # the exact searches, capped with the best found so far, and the cyclic
+    # certificate
+    "cyclic-Z8": {"oracle": 0, "oracle-capped": 2, "oracle-certified": 0},
+    "cyclic-Z8-square": {"oracle-latin": 0, "oracle-latin-capped": 2,
+                         "oracle-latin-certified": 0},
     "cyclic-Z10": {"verify-clash": 2},
     # stall proofs, where the bound inside switches cuts the most calls;
     # Z_63's last iteration tries every violation before it reports the stall
@@ -268,6 +276,42 @@ SOLVE_JSON_MODES = ("plain", "shuffle", "json", "json-shuffle", "json-bound-off"
 def solve_json_keys():
     """Every pinned key whose output is a ``solve --json`` document."""
     return [key for key in keys() if key.rsplit(" ", 1)[1] in SOLVE_JSON_MODES]
+
+
+# the modes whose stdout is an ``oracle --json`` document that the cyclic
+# certificate proved
+CERTIFIED_MODES = ("oracle-certified", "oracle-latin-certified")
+
+
+def certified_keys():
+    """Every pinned key whose output is a certified ``oracle --json`` document."""
+    return [key for key in keys() if key.rsplit(" ", 1)[1] in CERTIFIED_MODES]
+
+
+def witness_problems(key: str) -> list[str]:
+    """What is wrong with the witness in the certified ``oracle --json``
+    document of ``key``, read from the run its digest made: :func:`verify`'s
+    issues, with cells read as the edges of :func:`latin_to_graph`, a cell
+    off the square, a ``size`` other than the number of distinct witness
+    entries or an entry listed twice, and a document
+    that does not claim an exact optimum with 0 nodes."""
+    name, mode = key.rsplit(" ", 1)
+    doc = json.loads(_mode_output(name, mode)[1])
+    made = CORPUS[name]()
+    if isinstance(made, LatinSquare):
+        n = made.order
+        problems = [f"cell {cell} off the square" for cell in doc["witness"]
+                    if not all(0 <= x < n for x in cell)]
+        graph, ids = latin_to_graph(made), [i * n + j for i, j in doc["witness"]]
+    else:
+        problems, graph, ids = [], made, doc["witness"]
+    problems += [f"{i.kind}: {i.detail}" for i in verify(graph, ids)]
+    if not doc["size"] == len(ids) == len(set(ids)):
+        problems.append(f"size {doc['size']} but {len(ids)} witness entries, "
+                        f"{len(set(ids))} distinct")
+    if (doc["exact"], doc["nodes"]) != (True, 0):
+        problems.append(f"exact {doc['exact']} with {doc['nodes']} nodes")
+    return problems
 
 
 def document_problems(key: str) -> list[str]:
@@ -612,6 +656,9 @@ DIGESTS = {
     "cyclic-Z8-square oracle-latin": "43931f49a91f4af65e70f717ae4f0ef0f3b65cfa6655fdab56bc0b4b1c36f4a3",
     "cyclic-Z8 oracle-capped": "35d69f10ad1f41853625ca54a9ae429e6728cf4e297ecdfe759d6aaba3ff5eeb",
     "cyclic-Z8-square oracle-latin-capped": "0a924e5f4fcb2df7d5c8cbd955e07b5e28ec055a0ef7bab037e6a7b79ddfa82f",
+    # the cyclic certificate, on the graph and on the square
+    "cyclic-Z8 oracle-certified": "f1b36236d9d4b7b25b1ca2c7e7f663e28aaaf22f7e280dedca51cac1c5488b90",
+    "cyclic-Z8-square oracle-latin-certified": "e52eeafe53b929416d83c39493bb679ef3a5a3a9837524e5facf140906c60cf4",
     "cyclic-Z10 verify-clash": "fcf9beade7fb9db103cc32954ef55eb93d0de09c89eef473ae3ffa57d71283cb",
     # the same plain solves with the spare-colour bound off, as CI compared
     # them with the stdout it had pinned
@@ -639,6 +686,8 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("key", sorted(DIGESTS))
     if "solve_key" in metafunc.fixturenames:
         metafunc.parametrize("solve_key", solve_json_keys())
+    if "certified_key" in metafunc.fixturenames:
+        metafunc.parametrize("certified_key", certified_keys())
 
 
 def test_output_unchanged(key):
@@ -648,6 +697,10 @@ def test_output_unchanged(key):
 
 def test_solve_document_verifies(solve_key):
     assert document_problems(solve_key) == []
+
+
+def test_certified_witness_verifies(certified_key):
+    assert witness_problems(certified_key) == []
 
 
 def test_corpus_is_pinned_whole():
@@ -694,9 +747,14 @@ def first_difference():
 
 def first_invalid_document():
     """``(key, problems)`` of the first ``solve --json`` key whose matching
-    has a problem, in corpus order, else None."""
+    has a problem, then of the first certified ``oracle --json`` key whose
+    witness has one, in corpus order, else None."""
     for key in solve_json_keys():
         problems = document_problems(key)
+        if problems:
+            return key, problems
+    for key in certified_keys():
+        problems = witness_problems(key)
         if problems:
             return key, problems
     return None
@@ -711,6 +769,7 @@ if __name__ == "__main__":
         print(f"all {len(DIGESTS)} digests match" if diff is None
               else "first difference: {} pinned {} now {}".format(*diff))
         invalid = first_invalid_document()
-        print(f"all {len(solve_json_keys())} solve documents verify" if invalid is None
+        print(f"all {len(solve_json_keys())} solve documents and "
+              f"{len(certified_keys())} certified witnesses verify" if invalid is None
               else "invalid matching: {} {}".format(*invalid))
         sys.exit(diff is not None or invalid is not None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from rainbowmatch import (ColouredMultigraph, InstanceParams, LatinSquare, Place
                           cyclic_square, dumps, dumps_square, enumerate_reduced_squares,
                           generate_random, hypothesis_check, latin_to_graph, load,
                           load_square, loads_square, max_partial_transversal,
-                          permute_square, save, save_square, validate)
+                          permute_square, save, save_square, square_of, validate)
 from rainbowmatch.instances import _round_robin, _sample_edge
 from conftest import _SHAPES, isotope, random_instance, tight_instance
 
@@ -52,6 +53,37 @@ def test_latin_to_graph_shape():
     e = g.edge(5)
     assert (e.u, e.v, e.colour) == (1, 5, 0)
     assert validate(g) == []
+
+
+@pytest.mark.parametrize("square", [LatinSquare(()), cyclic_square(1), cyclic_square(5),
+                                    isotope(8, 0), isotope(13, 2)],
+                         ids=["order0", "z1", "z5", "z8_isotope", "z13_isotope"])
+def test_square_of_inverts_latin_to_graph(square):
+    assert square_of(latin_to_graph(square)) == square
+
+
+@pytest.mark.parametrize("graph", [
+    # the counts of K_{2,2} with one vertex, colour or edge too many
+    ColouredMultigraph(5, 2, [(0, 2, 0), (0, 3, 1), (1, 2, 1), (1, 3, 0)]),
+    ColouredMultigraph(4, 3, [(0, 2, 0), (0, 3, 1), (1, 2, 1), (1, 3, 0)]),
+    ColouredMultigraph(4, 2, [(0, 2, 0), (0, 3, 1), (1, 2, 1), (1, 3, 0), (0, 1, 0)]),
+    # the right counts, an edge off its place: rows swapped, endpoints
+    # reversed, a loop
+    ColouredMultigraph(4, 2, [(1, 2, 1), (1, 3, 0), (0, 2, 0), (0, 3, 1)]),
+    ColouredMultigraph(4, 2, [(2, 0, 0), (0, 3, 1), (1, 2, 1), (1, 3, 0)]),
+    ColouredMultigraph(4, 2, [(0, 2, 0), (0, 3, 1), (1, 2, 1), (1, 1, 0)]),
+    # K_{2,2} in place, coloured by no Latin square
+    ColouredMultigraph(4, 2, [(0, 2, 0), (0, 3, 0), (1, 2, 1), (1, 3, 1)]),
+], ids=["vertices", "colours", "edges", "rows_swapped", "reversed", "loop", "not_latin"])
+def test_square_of_refuses_other_graphs(graph):
+    assert square_of(graph) is None
+
+
+def test_square_of_compares_counts_before_reading_edges():
+    # a graph whose edges cannot be read: the counts refuse it first
+    for v, c, e in [(16, 8, 63), (17, 8, 64), (16, 9, 64), (4_000_000, 2, 4)]:
+        assert square_of(SimpleNamespace(num_vertices=v, num_colours=c, num_edges=e)) \
+            is None
 
 
 def test_reduced_square_counts():

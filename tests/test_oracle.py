@@ -12,8 +12,10 @@ from hypothesis import example, given, reject, settings, strategies as st
 from rainbowmatch import (
     CapExceeded,
     ColouredMultigraph,
+    LatinSquare,
     PlacementError,
     RainbowMatching,
+    certify_cyclic,
     cyclic_square,
     enumerate_reduced_squares,
     latin_to_graph,
@@ -105,6 +107,98 @@ class TestWitness:
         assert len({i for i, _ in cells}) == 5
         assert len({j for _, j in cells}) == 5
         assert len({sq.rows[i][j] for i, j in cells}) == 5
+
+
+def group_table(*orders: int) -> LatinSquare:
+    """The addition table of Z_{orders[0]} x Z_{orders[1]} x ..., elements
+    numbered in lexicographic order."""
+    elements = list(itertools.product(*(range(k) for k in orders)))
+    number = {x: i for i, x in enumerate(elements)}
+    return LatinSquare(tuple(
+        tuple(number[tuple((a + b) % k for a, b, k in zip(x, y, orders))]
+              for y in elements) for x in elements))
+
+
+def isomorphic_to_cyclic(square: LatinSquare) -> bool:
+    """Whether some bijection f of the symbols has f(L[i][j]) = f(i) + f(j)
+    mod n: for a reduced square, whose first row and column read 0..n-1,
+    that is isotopy to Z_n.  Tries all n! bijections."""
+    n = square.order
+    return any(all(f[square[i][j]] == (f[i] + f[j]) % n
+                   for i in range(n) for j in range(n))
+               for f in itertools.permutations(range(n)))
+
+
+def witness_problems(square: LatinSquare, res: OracleResult) -> list:
+    """:func:`verify`'s issues with the certificate's cells read as edges of
+    :func:`latin_to_graph`, and any mismatch of size, witness length, order
+    or node count."""
+    n = square.order
+    ids = [i * n + j for i, j in res.witness]
+    problems = list(verify(latin_to_graph(square), ids))
+    if not (res.size == len(set(ids)) == len(ids) and res.nodes == 0
+            and all(0 <= x < n for cell in res.witness for x in cell)
+            and list(res.witness) == sorted(res.witness)):
+        problems.append(res)
+    return problems
+
+
+class TestCyclicCertificate:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_agrees_with_both_searches(self, n):
+        for square in (cyclic_square(n), isotope(n, 0), isotope(n, 1)):
+            res = certify_cyclic(square)
+            assert res is not None
+            assert res.size == max_partial_transversal(square).size \
+                == max_rainbow_matching(latin_to_graph(square)).size \
+                == (n if n % 2 else n - 1)
+            assert witness_problems(square, res) == []
+
+    def test_refuses_the_empty_square(self):
+        # no group has an empty table; both searches prove 0
+        square = LatinSquare(())
+        assert certify_cyclic(square) is None
+        assert max_partial_transversal(square).size \
+            == max_rainbow_matching(latin_to_graph(square)).size == 0
+
+    def test_reduced_squares_of_orders_4_and_5(self):
+        # it accepts exactly the reduced squares that are isotopes of Z_n:
+        # 3 of the 4 of order 4 (not Z_2 x Z_2) and 6 of the 56 of order 5
+        accepted = 0
+        for n in (4, 5):
+            for square in enumerate_reduced_squares(n):
+                res = certify_cyclic(square)
+                assert (res is not None) == isomorphic_to_cyclic(square), square.rows
+                if res is not None:
+                    accepted += 1
+                    assert res.size == max_partial_transversal(square).size
+                    assert witness_problems(square, res) == []
+        assert accepted == 9
+
+    @pytest.mark.parametrize("orders", [(2, 2), (2, 4)], ids=["Z2xZ2", "Z2xZ4"])
+    def test_refuses_non_cyclic_groups(self, orders):
+        # both have a transversal, so a bound of n - 1 would be wrong
+        square = group_table(*orders)
+        assert certify_cyclic(square) is None
+        assert max_partial_transversal(square).size == square.order
+
+    def test_refuses_z6_with_an_intercalate_turned(self):
+        # cells (0, 0), (0, 3), (3, 0) and (3, 3) of Z_6 hold 0, 3, 3, 0;
+        # turned, the square is still Latin, no longer an isotope of Z_6,
+        # and it has a transversal
+        rows = [list(row) for row in cyclic_square(6).rows]
+        for i, j in itertools.product((0, 3), repeat=2):
+            rows[i][j] = (rows[i][j] + 3) % 6
+        square = LatinSquare(tuple(map(tuple, rows)))
+        assert certify_cyclic(square) is None
+        assert max_partial_transversal(square).size == 6
+
+    @pytest.mark.parametrize("n", [64, 65, 256])
+    def test_large_orders(self, n):
+        square = isotope(n, 0)
+        res = certify_cyclic(square)
+        assert res.size == (n if n % 2 else n - 1)
+        assert witness_problems(square, res) == []
 
 
 def exhaustive_optimum(graph: ColouredMultigraph) -> int:
