@@ -31,8 +31,6 @@ from .oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, CapExceeded, OracleR
 from .reachability import counting_diagnostics
 from .switching import DEFAULT_MAX_BUDGET, SwitchContext, solve
 
-logger = logging.getLogger(__name__)
-
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}
 
@@ -125,43 +123,19 @@ def _cmd_verify(args) -> int:
                          f"ok: valid rainbow matching of size {size}", size=size)
 
 
-def _certified(square, graph=None):
-    """:func:`certify_cyclic` on ``square``, its witness as edge ids of
-    ``graph`` when one is given; None when it refuses, or when its witness
-    fails the check: :func:`verify` for edge ids, distinct rows, columns and
-    symbols for cells, with one entry per unit of size."""
-    res = certify_cyclic(square)
-    if res is None:
-        return None
-    cells = res.witness
-    if graph is not None:
-        n = square.order
-        res = OracleResult(res.size, tuple(i * n + j for i, j in cells), 0)
-        ok = len(set(res.witness)) == len(cells) == res.size \
-            and not verify(graph, res.witness)
-    else:
-        rows = {i for i, _ in cells}
-        cols = {j for _, j in cells}
-        symbols = {square[i][j] for i, j in cells}
-        ok = len(rows) == len(cols) == len(symbols) == len(cells) == res.size
-    if not ok:
-        logger.warning("the cyclic certificate's witness fails its check; searching")
-        return None
-    return res
-
-
 def _cmd_oracle(args) -> int:
-    graph = square = None
     if args.latin:
         square = load_square(args.input)
     else:
         graph = multigraph.load(args.input)
-        if not args.search:
-            square = square_of(graph)
-    res = None if args.search or square is None else _certified(square, graph)
+        square = square_of(graph)
+    res = None if square is None else certify_cyclic(square)
     exact, proof = True, None
     if res is not None:
-        proof = f"isotope of Z_{square.order}"
+        n = square.order
+        proof = f"isotope of Z_{n}"
+        if not args.latin:
+            res = OracleResult(res.size, tuple(i * n + j for i, j in res.witness), 0)
     else:
         try:
             if args.latin:
@@ -378,8 +352,6 @@ def _fill_oracle(p) -> None:
     p.add_argument("--input", required=True)
     p.add_argument("--latin", action="store_true",
                    help="input is a Latin square, search cells instead of edges")
-    p.add_argument("--search", action="store_true",
-                   help="skip the certificate and prove the optimum by branch and bound")
     _add_oracle_caps(p, DEFAULT_TIME_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_oracle)

@@ -12,12 +12,11 @@ import time
 import pytest
 
 from rainbowmatch import (cli, cyclic_square, dumps_square, generate_random, latin_to_graph,
-                          verify)
+                          load, max_rainbow_matching)
 from rainbowmatch.cli import _COMMANDS, main
 from rainbowmatch.multigraph import dumps as dumps_graph
-from rainbowmatch.oracle import OracleResult
 
-from stdlib_helpers import isotope
+from stdlib_helpers import group_table, isotope, plus_vertex, witness_problems
 from test_identity import DIGESTS, instance_text
 
 
@@ -25,6 +24,14 @@ from test_identity import DIGESTS, instance_text
 def z4_path(tmp_path):
     path = tmp_path / "z4.txt"
     path.write_text(dumps_graph(latin_to_graph(cyclic_square(4))))
+    return str(path)
+
+
+@pytest.fixture
+def z4_plus_vertex_path(tmp_path):
+    # the cyclic certificate refuses it, so ``oracle`` searches it
+    path = tmp_path / "z4-plus-vertex.txt"
+    path.write_text(dumps_graph(plus_vertex(latin_to_graph(cyclic_square(4)))))
     return str(path)
 
 
@@ -243,11 +250,10 @@ class TestOracle:
         assert doc["size"] == 5
         assert all(len(cell) == 2 for cell in doc["witness"])
 
-    # the cap tests and the search past a thousand edges pass --search:
-    # without it, a cyclic input is certified and never searched
-    def test_cap_exceeded_exit_code(self, z4_path, capsys):
-        code = main(["oracle", "--input", z4_path, "--search", "--max-nodes", "3",
-                     "--json"])
+    # the cap tests and the search past a thousand edges read graphs that
+    # the cyclic certificate refuses: a cyclic input is never searched
+    def test_cap_exceeded_exit_code(self, z4_plus_vertex_path, capsys):
+        code = main(["oracle", "--input", z4_plus_vertex_path, "--max-nodes", "3", "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 2
         assert doc["exact"] is False
@@ -257,17 +263,18 @@ class TestOracle:
         ([], 0, "optimum"), (["--max-nodes", "3"], 2, "best found (cap exceeded)"),
         (["--max-nodes", "0"], 2, "best found (cap exceeded)"),
     ], ids=["exact", "capped", "capped_at_0"])
-    def test_plain_text(self, z4_path, capsys, caps, code, tag):
-        assert main(["oracle", "--input", z4_path, "--search", "--json", *caps]) == code
+    def test_plain_text(self, z4_plus_vertex_path, capsys, caps, code, tag):
+        assert main(["oracle", "--input", z4_plus_vertex_path, "--json", *caps]) == code
         doc = json.loads(capsys.readouterr().out)
-        assert main(["oracle", "--input", z4_path, "--search", *caps]) == code
+        assert main(["oracle", "--input", z4_plus_vertex_path, *caps]) == code
         assert capsys.readouterr().out == f"{tag}: {doc['size']}  nodes: {doc['nodes']}\n"
 
     def test_exact_on_z33_past_a_thousand_edges(self, tmp_path, capsys):
-        # 1089 edges: one Python frame per edge would pass the recursion limit
+        # 1089 edges: one Python frame per edge would pass the recursion
+        # limit.  A 67th vertex, on no edge, keeps the certificate out
         path = tmp_path / "z33.txt"
-        path.write_text(dumps_graph(latin_to_graph(cyclic_square(33))))
-        code = main(["oracle", "--input", str(path), "--search", "--json"])
+        path.write_text(dumps_graph(plus_vertex(latin_to_graph(cyclic_square(33)))))
+        code = main(["oracle", "--input", str(path), "--json"])
         out, err = capsys.readouterr()
         assert code == 0
         assert err == ""
@@ -294,15 +301,13 @@ class TestOracle:
         assert list(doc) == ["size", "witness", "nodes", "exact", "proof"]
         assert (doc["size"], doc["nodes"], doc["exact"], doc["proof"]) \
             == (n - 1, 0, True, f"isotope of Z_{n}")
-        # cells in row order, or edge ids; as edges, a rainbow matching
-        ids = [i * n + j for i, j in doc["witness"]] if latin else doc["witness"]
-        assert ids == sorted(ids) and len(set(ids)) == n - 1
-        assert verify(latin_to_graph(square), ids) == []
+        # cells in row order, or edge ids in order; as edges, a rainbow matching
+        witness = [tuple(cell) for cell in doc["witness"]] if latin else doc["witness"]
+        assert witness == sorted(witness)
+        assert witness_problems(square if latin else latin_to_graph(square),
+                                doc["size"], witness) == []
         assert main(["oracle", "--input", str(path), *flags]) == 0
         assert capsys.readouterr().out == f"optimum: {n - 1}  proof: isotope of Z_{n}\n"
-        # the search proves the same size
-        assert main(["oracle", "--input", str(path), *flags, "--search", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["size"] == n - 1
 
     @pytest.mark.parametrize("caps", [["--max-nodes", "0"], ["--time-limit", "0"]],
                              ids=["nodes", "time"])
@@ -316,30 +321,6 @@ class TestOracle:
         assert main(["oracle", "--input", str(path), *flags, *caps, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert (doc["size"], doc["exact"]) == (13, True)
-        assert main(["oracle", "--input", str(path), *flags, *caps, "--search"]) == 2
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("latin", [False, True], ids=["graph", "square"])
-    def test_witness_failing_its_check_is_searched(self, tmp_path, capsys, monkeypatch,
-                                                   latin):
-        # a certificate whose witness lists a cell twice is not printed
-        square = cyclic_square(6)
-        path = tmp_path / "z6.txt"
-        path.write_text(dumps_square(square) if latin
-                        else dumps_graph(latin_to_graph(square)))
-        flags = ["--latin"] if latin else []
-        assert main(["oracle", "--input", str(path), *flags, "--search", "--json"]) == 0
-        want = capsys.readouterr().out
-
-        certify = cli.certify_cyclic
-
-        def twice(sq):
-            res = certify(sq)
-            return OracleResult(res.size, res.witness[:-1] + res.witness[:1], 0)
-
-        monkeypatch.setattr(cli, "certify_cyclic", twice)
-        assert main(["oracle", "--input", str(path), *flags, "--json"]) == 0
-        assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("text", [
         # K_{3,3} with a colour repeated in row 0: the shape is Latin, the
@@ -353,11 +334,14 @@ class TestOracle:
     def test_unrecognised_graph_is_searched(self, tmp_path, capsys, text, json_flag):
         path = tmp_path / "g.txt"
         path.write_text(text)
-        code = main(["oracle", "--input", str(path), *json_flag])
+        res = max_rainbow_matching(load(str(path)))
+        assert main(["oracle", "--input", str(path), *json_flag]) == 0
         out = capsys.readouterr().out
-        assert (code, out) == (main(["oracle", "--input", str(path), "--search",
-                                     *json_flag]), capsys.readouterr().out)
-        assert "proof" not in out
+        if json_flag:
+            assert json.loads(out) == {"size": res.size, "witness": list(res.witness),
+                                       "nodes": res.nodes, "exact": True}
+        else:
+            assert out == f"optimum: {res.size}  nodes: {res.nodes}\n"
 
 
 class TestStats:
@@ -656,20 +640,22 @@ class TestErrors:
             f"error: argument --time-limit: not a number of seconds: {value!r}"]
         assert "Traceback" not in err
 
-    def test_time_limit_inf_is_no_limit(self, z4_path, capsys):
-        assert main(["oracle", "--input", z4_path, "--search", "--time-limit", "inf",
+    def test_time_limit_inf_is_no_limit(self, z4_plus_vertex_path, capsys):
+        assert main(["oracle", "--input", z4_plus_vertex_path, "--time-limit", "inf",
                      "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["exact"] is True
 
     @pytest.mark.parametrize("latin", [[], ["--latin"]], ids=["oracle", "oracle_latin"])
-    def test_zero_time_limit_is_a_cap(self, tmp_path, capsys, latin):
+    def test_zero_time_limit_is_a_cap(self, z4_plus_vertex_path, tmp_path, capsys,
+                                      latin):
         # 0 is a cap, not a usage error: the clock is read on every 4096th
-        # node only, and Z_4's searches end before that
-        path = tmp_path / "z4.txt"
-        square = cyclic_square(4)
-        path.write_text(dumps_square(square) if latin else dumps_graph(latin_to_graph(square)))
-        assert main(["oracle", "--input", str(path), *latin, "--search", "--json",
-                     "--time-limit", "0"]) == 0
+        # node only, and the searches of Z_4's graph plus a vertex and of
+        # Z_2 x Z_2's square, which the cyclic certificate refuses, end
+        # before that
+        path = tmp_path / "z2xz2.txt"
+        path.write_text(dumps_square(group_table(2, 2)))
+        assert main(["oracle", "--input", str(path) if latin else z4_plus_vertex_path,
+                     *latin, "--json", "--time-limit", "0"]) == 0
         out, err = capsys.readouterr()
         assert json.loads(out)["exact"] is True
         assert err == ""

@@ -29,9 +29,11 @@ few spare colours; in those of 105 and 170 one is refuted and another lands.
 :data:`RAW_PINS` lists the raw modes of each instance that has any.  CI's
 instances are among them, pinned in the raw modes alone unless seeded: the
 near-threshold random instances at C=32 (seeds 3 and 1), 128 (seed 7), 256
-(seed 6) and 512 (seed 0); cyclic Z_8, as a graph and as a square; cyclic
-Z_10, Z_63 and Z_64; and ``generate_random(10, 15, 30, 1, 8391)``, which
-the generator's fallback places.  The ``json-bound-off`` mode solves inside
+(seed 6) and 512 (seed 0); cyclic Z_8, as a graph and as a square, which
+``oracle`` certifies; Z_8's graph with a 17th vertex and Z_2 x Z_4's square,
+which the certificate refuses, so ``oracle`` searches them; cyclic Z_10,
+Z_63 and Z_64; and ``generate_random(10, 15, 30, 1, 8391)``, which the
+generator's fallback places.  The ``json-bound-off`` mode solves inside
 ``spare_bound_off()``, and its digest equals the ``json`` one on each
 instance that has it.
 
@@ -39,16 +41,17 @@ A pin freezes an output whether it is right or not, so every pinned
 ``solve --json`` document (the ``plain`` and ``shuffle`` modes, and the raw
 ``json``, ``json-shuffle`` and ``json-bound-off``) must also hold a matching
 that passes :func:`verify` and its document checks, with a ``size`` equal
-to its number of ids.  So must the witness of every pinned document that
-the cyclic certificate proved (:data:`CERTIFIED_MODES`), its cells read as
-the edges of :func:`latin_to_graph`.  The oracle modes that pin the exact
-searches pass ``--search``, so the certificate does not replace them.  The
-gates read the runs that the digests made.
+to its number of ids.  So must the witness of every pinned ``oracle
+--json`` document (:data:`ORACLE_MODES`), its cells read as the edges of
+:func:`latin_to_graph`, and a document that names a ``proof`` must claim
+an exact optimum with 0 nodes.  The gates read the runs that the digests
+made.
 
 The corpus is built from seeds, so no data file is kept.  The module needs
 the standard library alone.  Run it as a script to compare every digest and
 print the first that differs, then to verify every solve document and
-certified witness and print the first that fails, or, with ``--print``, every digest as it is now::
+oracle witness and print the first that fails, or, with ``--print``, every
+digest as it is now::
 
     PYTHONPATH=src python tests/test_identity.py [--print]
 """
@@ -70,7 +73,8 @@ from rainbowmatch import (ColouredMultigraph, LatinSquare, cli, cyclic_square, d
                           dumps_square, generate_random, latin_to_graph, loads, verify)
 from rainbowmatch.matching import document_ids, document_issues
 
-from stdlib_helpers import isotope, spare_bound_off
+from stdlib_helpers import (group_table, isotope, plus_vertex, spare_bound_off,
+                            witness_problems)
 
 # corpus mode: the command and the flags that follow its ``--input F``; the
 # solve modes come first
@@ -92,12 +96,10 @@ RAW_MODES = {
     "verify-json": ("verify", "--matching", "{saved}", "--json"),
     "stats-matching": ("stats", "--matching", "{saved}"),
     "verify-clash": ("verify", "--matching", "{clash}", "--json"),
-    "oracle": ("oracle", "--search", "--json"),
-    "oracle-capped": ("oracle", "--search", "--max-nodes", "1000", "--json"),
-    "oracle-latin": ("oracle", "--latin", "--search", "--json"),
-    "oracle-latin-capped": ("oracle", "--latin", "--search", "--max-nodes", "100", "--json"),
-    "oracle-certified": ("oracle", "--json"),
-    "oracle-latin-certified": ("oracle", "--latin", "--json"),
+    "oracle": ("oracle", "--json"),
+    "oracle-capped": ("oracle", "--max-nodes", "1000", "--json"),
+    "oracle-latin": ("oracle", "--latin", "--json"),
+    "oracle-latin-capped": ("oracle", "--latin", "--max-nodes", "100", "--json"),
 }
 # edges 1 and 10 of Z_10 share a colour
 CLASH = '{"edges": [{"edge_id": 1}, {"edge_id": 10}]}\n'
@@ -114,6 +116,10 @@ def _latin(order, seed):
 
 def _cyclic(order):
     return latin_to_graph(cyclic_square(order))
+
+
+def _cyclic_plus_vertex(order):
+    return plus_vertex(_cyclic(order))
 
 
 def _raw(seed):
@@ -142,6 +148,8 @@ CORPUS = {
     "random-C512-s0": functools.partial(_random, 512, 0),
     "cyclic-Z8": functools.partial(_cyclic, 8),
     "cyclic-Z8-square": functools.partial(cyclic_square, 8),
+    "cyclic-Z8-plus-vertex": functools.partial(_cyclic_plus_vertex, 8),
+    "group-Z2xZ4-square": functools.partial(group_table, 2, 4),
     **{f"cyclic-Z{n}": functools.partial(_cyclic, n) for n in (10, 63, 64)},
     "fallback-C10-s8391": functools.partial(generate_random, 10, 15, 30, 1, 8391),
     "latin-n16-s2": functools.partial(_latin, 16, 2),
@@ -169,11 +177,15 @@ RAW_PINS = {
     # ten contexts of two or three levels; it stalls at 511.  Shuffled, it
     # takes 13 s, so that solve is not pinned
     "random-C512-s0": {"file": None, "json": 2},
-    # the exact searches, capped with the best found so far, and the cyclic
-    # certificate
-    "cyclic-Z8": {"oracle": 0, "oracle-capped": 2, "oracle-certified": 0},
-    "cyclic-Z8-square": {"oracle-latin": 0, "oracle-latin-capped": 2,
-                         "oracle-latin-certified": 0},
+    # the cyclic certificate, which the caps do not touch
+    "cyclic-Z8": {"oracle": 0, "oracle-capped": 0},
+    "cyclic-Z8-square": {"oracle-latin": 0, "oracle-latin-capped": 0},
+    # the exact searches, and capped with the best found so far, on inputs
+    # that the certificate refuses: Z_8's graph with a 17th vertex, which
+    # the graph search treats as Z_8's, and Z_2 x Z_4, which has a
+    # transversal
+    "cyclic-Z8-plus-vertex": {"oracle": 0, "oracle-capped": 2},
+    "group-Z2xZ4-square": {"oracle-latin": 0, "oracle-latin-capped": 2},
     "cyclic-Z10": {"verify-clash": 2},
     # stall proofs, where the bound inside switches cuts the most calls;
     # Z_63's last iteration tries every violation before it reports the stall
@@ -278,39 +290,25 @@ def solve_json_keys():
     return [key for key in keys() if key.rsplit(" ", 1)[1] in SOLVE_JSON_MODES]
 
 
-# the modes whose stdout is an ``oracle --json`` document that the cyclic
-# certificate proved
-CERTIFIED_MODES = ("oracle-certified", "oracle-latin-certified")
+# the modes whose stdout is one ``oracle --json`` document
+ORACLE_MODES = ("oracle", "oracle-capped", "oracle-latin", "oracle-latin-capped")
 
 
-def certified_keys():
-    """Every pinned key whose output is a certified ``oracle --json`` document."""
-    return [key for key in keys() if key.rsplit(" ", 1)[1] in CERTIFIED_MODES]
+def oracle_keys():
+    """Every pinned key whose output is an ``oracle --json`` document."""
+    return [key for key in keys() if key.rsplit(" ", 1)[1] in ORACLE_MODES]
 
 
-def witness_problems(key: str) -> list[str]:
-    """What is wrong with the witness in the certified ``oracle --json``
-    document of ``key``, read from the run its digest made: :func:`verify`'s
-    issues, with cells read as the edges of :func:`latin_to_graph`, a cell
-    off the square, a ``size`` other than the number of distinct witness
-    entries or an entry listed twice, and a document
-    that does not claim an exact optimum with 0 nodes."""
+def oracle_problems(key: str) -> list[str]:
+    """What is wrong with the ``oracle --json`` document of ``key``, read
+    from the run its digest made: :func:`witness_problems`, and a document
+    that names a ``proof`` but does not claim an exact optimum with 0
+    nodes."""
     name, mode = key.rsplit(" ", 1)
     doc = json.loads(_mode_output(name, mode)[1])
-    made = CORPUS[name]()
-    if isinstance(made, LatinSquare):
-        n = made.order
-        problems = [f"cell {cell} off the square" for cell in doc["witness"]
-                    if not all(0 <= x < n for x in cell)]
-        graph, ids = latin_to_graph(made), [i * n + j for i, j in doc["witness"]]
-    else:
-        problems, graph, ids = [], made, doc["witness"]
-    problems += [f"{i.kind}: {i.detail}" for i in verify(graph, ids)]
-    if not doc["size"] == len(ids) == len(set(ids)):
-        problems.append(f"size {doc['size']} but {len(ids)} witness entries, "
-                        f"{len(set(ids))} distinct")
-    if (doc["exact"], doc["nodes"]) != (True, 0):
-        problems.append(f"exact {doc['exact']} with {doc['nodes']} nodes")
+    problems = witness_problems(CORPUS[name](), doc["size"], doc["witness"])
+    if "proof" in doc and (doc["exact"], doc["nodes"]) != (True, 0):
+        problems.append(f"proof with exact {doc['exact']} and {doc['nodes']} nodes")
     return problems
 
 
@@ -652,13 +650,19 @@ DIGESTS = {
     "cyclic-Z63 json-shuffle": "1456d226f243b13f715e39e6abca3eefc0ce188c2018cd0a6cbed547893ba380",
     "random-C512-s0 file": "2e6d17715ad59f9a7501a01605fb27a4e3826af8ca277032f08e3041fd362eba",
     "random-C512-s0 json": "c51ab0831bb1fe46aa8b1f34cce7eb115e40afe0e289ef1f3117b6c9eb7093fd",
-    "cyclic-Z8 oracle": "fd67e73fbfb14df055b385422107a3668bb2dd80dfb555cbd912dafc4847923b",
-    "cyclic-Z8-square oracle-latin": "43931f49a91f4af65e70f717ae4f0ef0f3b65cfa6655fdab56bc0b4b1c36f4a3",
-    "cyclic-Z8 oracle-capped": "35d69f10ad1f41853625ca54a9ae429e6728cf4e297ecdfe759d6aaba3ff5eeb",
-    "cyclic-Z8-square oracle-latin-capped": "0a924e5f4fcb2df7d5c8cbd955e07b5e28ec055a0ef7bab037e6a7b79ddfa82f",
-    # the cyclic certificate, on the graph and on the square
-    "cyclic-Z8 oracle-certified": "f1b36236d9d4b7b25b1ca2c7e7f663e28aaaf22f7e280dedca51cac1c5488b90",
-    "cyclic-Z8-square oracle-latin-certified": "e52eeafe53b929416d83c39493bb679ef3a5a3a9837524e5facf140906c60cf4",
+    # the cyclic certificate, capped or not; before it, these four keys
+    # pinned the searches, whose digests the next two keys carry over
+    "cyclic-Z8 oracle": "f1b36236d9d4b7b25b1ca2c7e7f663e28aaaf22f7e280dedca51cac1c5488b90",
+    "cyclic-Z8 oracle-capped": "f1b36236d9d4b7b25b1ca2c7e7f663e28aaaf22f7e280dedca51cac1c5488b90",
+    "cyclic-Z8-square oracle-latin": "e52eeafe53b929416d83c39493bb679ef3a5a3a9837524e5facf140906c60cf4",
+    "cyclic-Z8-square oracle-latin-capped": "e52eeafe53b929416d83c39493bb679ef3a5a3a9837524e5facf140906c60cf4",
+    # the graph search on Z_8 plus a vertex: Z_8's digests from before the
+    # certificate
+    "cyclic-Z8-plus-vertex oracle": "fd67e73fbfb14df055b385422107a3668bb2dd80dfb555cbd912dafc4847923b",
+    "cyclic-Z8-plus-vertex oracle-capped": "35d69f10ad1f41853625ca54a9ae429e6728cf4e297ecdfe759d6aaba3ff5eeb",
+    # the square search on Z_2 x Z_4, recorded when the certificate came
+    "group-Z2xZ4-square oracle-latin": "36217df6353349bc8501409d8a2f22db1da12ff71434dd7a59f938de7f94b1a3",
+    "group-Z2xZ4-square oracle-latin-capped": "d2c9e5f3bbfd8d5377c5fd8a9445f797365b55b3951d5fc5d5adbe56b9100ca4",
     "cyclic-Z10 verify-clash": "fcf9beade7fb9db103cc32954ef55eb93d0de09c89eef473ae3ffa57d71283cb",
     # the same plain solves with the spare-colour bound off, as CI compared
     # them with the stdout it had pinned
@@ -686,8 +690,8 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("key", sorted(DIGESTS))
     if "solve_key" in metafunc.fixturenames:
         metafunc.parametrize("solve_key", solve_json_keys())
-    if "certified_key" in metafunc.fixturenames:
-        metafunc.parametrize("certified_key", certified_keys())
+    if "oracle_key" in metafunc.fixturenames:
+        metafunc.parametrize("oracle_key", oracle_keys())
 
 
 def test_output_unchanged(key):
@@ -699,8 +703,8 @@ def test_solve_document_verifies(solve_key):
     assert document_problems(solve_key) == []
 
 
-def test_certified_witness_verifies(certified_key):
-    assert witness_problems(certified_key) == []
+def test_oracle_witness_verifies(oracle_key):
+    assert oracle_problems(oracle_key) == []
 
 
 def test_corpus_is_pinned_whole():
@@ -747,14 +751,14 @@ def first_difference():
 
 def first_invalid_document():
     """``(key, problems)`` of the first ``solve --json`` key whose matching
-    has a problem, then of the first certified ``oracle --json`` key whose
-    witness has one, in corpus order, else None."""
+    has a problem, then of the first ``oracle --json`` key whose witness has
+    one, in corpus order, else None."""
     for key in solve_json_keys():
         problems = document_problems(key)
         if problems:
             return key, problems
-    for key in certified_keys():
-        problems = witness_problems(key)
+    for key in oracle_keys():
+        problems = oracle_problems(key)
         if problems:
             return key, problems
     return None
@@ -770,6 +774,6 @@ if __name__ == "__main__":
               else "first difference: {} pinned {} now {}".format(*diff))
         invalid = first_invalid_document()
         print(f"all {len(solve_json_keys())} solve documents and "
-              f"{len(certified_keys())} certified witnesses verify" if invalid is None
+              f"{len(oracle_keys())} oracle witnesses verify" if invalid is None
               else "invalid matching: {} {}".format(*invalid))
         sys.exit(diff is not None or invalid is not None)

@@ -29,6 +29,7 @@ from rainbowmatch.oracle import (DEFAULT_MAX_NODES, DEFAULT_TIME_LIMIT, OracleRe
                                  _breach, _deadline, _greedy_cover, _next_check)
 
 from conftest import isotope, random_instance, raw_graphs, tight_instance
+from stdlib_helpers import group_table, witness_problems
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -109,16 +110,6 @@ class TestWitness:
         assert len({sq.rows[i][j] for i, j in cells}) == 5
 
 
-def group_table(*orders: int) -> LatinSquare:
-    """The addition table of Z_{orders[0]} x Z_{orders[1]} x ..., elements
-    numbered in lexicographic order."""
-    elements = list(itertools.product(*(range(k) for k in orders)))
-    number = {x: i for i, x in enumerate(elements)}
-    return LatinSquare(tuple(
-        tuple(number[tuple((a + b) % k for a, b, k in zip(x, y, orders))]
-              for y in elements) for x in elements))
-
-
 def isomorphic_to_cyclic(square: LatinSquare) -> bool:
     """Whether some bijection f of the symbols has f(L[i][j]) = f(i) + f(j)
     mod n: for a reduced square, whose first row and column read 0..n-1,
@@ -129,16 +120,11 @@ def isomorphic_to_cyclic(square: LatinSquare) -> bool:
                for f in itertools.permutations(range(n)))
 
 
-def witness_problems(square: LatinSquare, res: OracleResult) -> list:
-    """:func:`verify`'s issues with the certificate's cells read as edges of
-    :func:`latin_to_graph`, and any mismatch of size, witness length, order
-    or node count."""
-    n = square.order
-    ids = [i * n + j for i, j in res.witness]
-    problems = list(verify(latin_to_graph(square), ids))
-    if not (res.size == len(set(ids)) == len(ids) and res.nodes == 0
-            and all(0 <= x < n for cell in res.witness for x in cell)
-            and list(res.witness) == sorted(res.witness)):
+def certificate_problems(square: LatinSquare, res: OracleResult) -> list:
+    """:func:`witness_problems` of the certificate's cells, and any node
+    count but 0 or cells out of row order."""
+    problems = witness_problems(square, res.size, res.witness)
+    if res.nodes != 0 or list(res.witness) != sorted(res.witness):
         problems.append(res)
     return problems
 
@@ -152,7 +138,7 @@ class TestCyclicCertificate:
             assert res.size == max_partial_transversal(square).size \
                 == max_rainbow_matching(latin_to_graph(square)).size \
                 == (n if n % 2 else n - 1)
-            assert witness_problems(square, res) == []
+            assert certificate_problems(square, res) == []
 
     def test_refuses_the_empty_square(self):
         # no group has an empty table; both searches prove 0
@@ -172,7 +158,7 @@ class TestCyclicCertificate:
                 if res is not None:
                     accepted += 1
                     assert res.size == max_partial_transversal(square).size
-                    assert witness_problems(square, res) == []
+                    assert certificate_problems(square, res) == []
         assert accepted == 9
 
     @pytest.mark.parametrize("orders", [(2, 2), (2, 4)], ids=["Z2xZ2", "Z2xZ4"])
@@ -198,7 +184,7 @@ class TestCyclicCertificate:
         square = isotope(n, 0)
         res = certify_cyclic(square)
         assert res.size == (n if n % 2 else n - 1)
-        assert witness_problems(square, res) == []
+        assert certificate_problems(square, res) == []
 
 
 def exhaustive_optimum(graph: ColouredMultigraph) -> int:
