@@ -6,7 +6,8 @@ mixed sizes, dense enough to satisfy the default hypotheses at epsilon 1/2.
 ``raw_graphs()`` draws improper multigraphs (loops, parallel edges, colour
 clashes).  Hand fixtures
 that several suites share live here too, along with ``recorded_calls()``,
-which logs every successful switch call, ``augment_calls()``, which logs
+which logs every successful switch call and passes every call to an
+optional callback, ``augment_calls()``, which logs
 every ``augment`` call of a solve by edge id, ``recheck_call()``, which checks one such
 record against the switch contract, ``brute_switches()`` and
 ``needs_too_many_spares()``, the spare-colour bound restated from the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from math import ceil
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -42,6 +44,17 @@ _SHAPES = [
     (10, 15, 30, 1),
     (12, 18, 36, 2),
 ]
+
+
+class SwitchCall(NamedTuple):
+    """One ``robust_switch`` call as :func:`recorded_calls` passes it to its
+    ``on_call``: its context, request, depth and reserve, and what it
+    returned."""
+    ctx: switching.SwitchContext
+    request: switching.SwitchRequest
+    depth: int
+    reserve: int
+    out: object
 
 
 def random_instance(seed: int) -> ColouredMultigraph:
@@ -121,15 +134,18 @@ def bad_per_colour(matching, flex, good_at) -> dict[int, int]:
 
 
 @contextmanager
-def recorded_calls():
+def recorded_calls(on_call=None):
     """Log a :class:`~rainbowmatch.CallRecord` for every successful switch
     call made inside the block, innermost first, as ``CallRecord.from_call``
     builds them.
 
     Wraps the module global ``switching.robust_switch``, which the switch
     engine's chains call, so a top-level call is seen only when it goes
-    through ``switching.robust_switch`` too.  A context manager rather than
-    a fixture, so it also serves hypothesis tests.
+    through ``switching.robust_switch`` too.  If ``on_call`` is given, every
+    call made in the block, found or not, is passed to it as a
+    :class:`SwitchCall` once it returns, so in post-order: the calls under a
+    call come before it.  A context manager rather than a fixture, so it
+    also serves hypothesis tests.
     """
     log = []
     inner = switching.robust_switch
@@ -138,6 +154,8 @@ def recorded_calls():
         out = inner(ctx, current, request, depth, reserve=reserve)
         if type(out) is switching.SwitchOutcome:
             log.append(switching.CallRecord.from_call(ctx.base, out))
+        if on_call is not None:
+            on_call(SwitchCall(ctx, request, depth, reserve, out))
         return out
 
     switching.robust_switch = recording

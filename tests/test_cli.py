@@ -131,7 +131,8 @@ class TestPipeline:
         assert doc["issues"][0]["kind"] == "vertex_clash"
 
     # z4's edge 0 is 0-4 colour 0 and edge 5 is 1-5 colour 2; {0, 5} is a
-    # rainbow matching, so each document's only fault is the one named
+    # rainbow matching, so each document's only fault is the one named.
+    # Edges 1 (0-5) and 4 (1-4) share colour 1 and no vertex
     @pytest.mark.parametrize("doc,kind,detail", [
         ({"size": 2, "edges": [{"edge_id": 0}, {"edge_id": 0}]},
          "duplicate_edge", "edge 0 listed 2 times"),
@@ -143,7 +144,11 @@ class TestPipeline:
          "edge_mismatch", "edge 0 is 0-4 colour 0, listed as 0-6 colour 0"),
         ({"size": 3, "edges": [{"edge_id": 0}, {"edge_id": 5}]},
          "size_mismatch", "size 3 but 2 edges listed"),
-    ], ids=["duplicate", "colour", "endpoint", "size"])
+        ({"size": 2, "edges": [{"edge_id": 1}, {"edge_id": 4}]},
+         "colour_clash", "colour 1 used by edges [1, 4]"),
+        ({"size": 2, "edges": [{"edge_id": 0}, {"edge_id": 100}]},
+         "unknown_edge", "edge id 100 not in graph"),
+    ], ids=["duplicate", "colour", "endpoint", "size", "colour_clash", "unknown"])
     def test_verify_flags_inconsistent_document(self, tmp_path, z4_path, capsys,
                                                 doc, kind, detail):
         matching = tmp_path / "bad.json"
@@ -154,6 +159,8 @@ class TestPipeline:
         assert code == 2
         assert out["ok"] is False
         assert out["issues"] == [{"kind": kind, "detail": detail}]
+        assert main(["verify", "--input", z4_path, "--matching", str(matching)]) == 2
+        assert capsys.readouterr().out == f"{kind}: {detail}\n"
 
     def test_verify_accepts_either_endpoint_order(self, tmp_path, z4_path, capsys):
         matching = tmp_path / "m.json"
@@ -221,8 +228,13 @@ class TestPipeline:
         # the defaults for four colours: count 6, 12 vertices, cap 1
         assert main(["generate", "random", "--colours", "4", "--seed", "2"]) == 0
         assert capsys.readouterr().out == dumps_graph(generate_random(4, 6, 12, 1, 2))
+        assert main(["generate", "random", "--colours", "32", "--count", "34",
+                     "--vertices", "68", "--cap", "2", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == instance_text("random-C32-s3")
         assert main(["generate", "latin", "--cyclic", "3", "--format", "square"]) == 0
         assert capsys.readouterr().out == dumps_square(cyclic_square(3))
+        assert main(["generate", "latin", "--cyclic", "3"]) == 0
+        assert capsys.readouterr().out == dumps_graph(latin_to_graph(cyclic_square(3)))
 
     def test_generate_latin_square_format(self, tmp_path, capsys):
         out = str(tmp_path / "sq.txt")
@@ -281,6 +293,7 @@ class TestOracle:
         doc = json.loads(out)
         assert doc["size"] == 33
         assert doc["exact"] is True
+        assert "proof" not in doc
         matching = tmp_path / "m.json"
         matching.write_text(json.dumps({"edges": [
             {"edge_id": i} for i in doc["witness"]]}))
@@ -288,7 +301,8 @@ class TestOracle:
                      str(matching)]) == 0
         assert capsys.readouterr().out == "ok: valid rainbow matching of size 33\n"
 
-    @pytest.mark.parametrize("n", [4, 6])
+    # the searches cannot prove Z_14 under their default caps
+    @pytest.mark.parametrize("n", [4, 6, 14, 64])
     @pytest.mark.parametrize("latin", [False, True], ids=["graph", "square"])
     def test_certified(self, tmp_path, capsys, n, latin):
         square = isotope(n, 3)
@@ -322,19 +336,27 @@ class TestOracle:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["size"], doc["exact"]) == (13, True)
 
-    @pytest.mark.parametrize("text", [
+    @pytest.mark.parametrize("text,size", [
         # K_{3,3} with a colour repeated in row 0: the shape is Latin, the
         # colouring is not
-        "6 3\n0 3 0\n0 4 0\n0 5 2\n1 3 1\n1 4 2\n1 5 0\n2 3 2\n2 4 0\n2 5 1\n",
+        ("6 3\n0 3 0\n0 4 0\n0 5 2\n1 3 1\n1 4 2\n1 5 0\n2 3 2\n2 4 0\n2 5 1\n", 3),
         # Z_8 with its colours moved near 4,000,000
-        "\n".join(["16 4000000", *(f"{i} {8 + j} {3_999_983 + (i + j) % 8}"
-                                    for i in range(8) for j in range(8))]) + "\n",
-    ], ids=["k33_not_latin", "z8_far"])
+        ("\n".join(["16 4000000", *(f"{i} {8 + j} {3_999_983 + (i + j) % 8}"
+                                     for i in range(8) for j in range(8))]) + "\n", 7),
+        # Z_10 with a 21st vertex: it has no transversal, so proving 9
+        # searches the whole tree, within the default caps
+        (dumps_graph(plus_vertex(latin_to_graph(cyclic_square(10)))), 9),
+        # two edges among 4,000,000 vertices: only the vertices with an edge
+        # get a bit
+        ("4000000 2\n0 1 0\n2 3 1\n", 2),
+    ], ids=["k33_not_latin", "z8_far", "z10_plus_vertex", "sparse"])
     @pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
-    def test_unrecognised_graph_is_searched(self, tmp_path, capsys, text, json_flag):
+    def test_unrecognised_graph_is_searched(self, tmp_path, capsys, text, size,
+                                            json_flag):
         path = tmp_path / "g.txt"
         path.write_text(text)
         res = max_rainbow_matching(load(str(path)))
+        assert res.size == size
         assert main(["oracle", "--input", str(path), *json_flag]) == 0
         out = capsys.readouterr().out
         if json_flag:
@@ -368,7 +390,9 @@ class TestStats:
         ([0, -1], "unknown_edge"),   # not read as the last edge
         ([0, 1], "vertex_clash"),    # edges 0 and 1 share vertex 0
         ([0, 0], "duplicate_edge"),  # one edge listed twice
-    ], ids=["unknown_id", "negative_id", "vertex_clash", "duplicate_edge"])
+        ([1, 4], "colour_clash"),    # edges 1 and 4 share colour 1
+    ], ids=["unknown_id", "negative_id", "vertex_clash", "duplicate_edge",
+            "colour_clash"])
     def test_rejects_invalid_matching(self, tmp_path, z4_path, capsys,
                                       edge_ids, kind):
         matching = tmp_path / "bad.json"
@@ -379,6 +403,7 @@ class TestStats:
         assert code == 2
         assert out == ""
         assert err.startswith(f"{kind}: ")
+        assert "Traceback" not in err
 
     def test_improper_colouring_exits_1(self, tmp_path, improper_witness, capsys):
         path = tmp_path / "improper.txt"
@@ -416,7 +441,7 @@ class TestSparseColourHeader:
     colours unused, and ``check`` reports the empty classes as one issue, so
     the colour count costs nothing.  Each command takes milliseconds; a
     probe of every empty colour class takes about a second, which the bound
-    catches."""
+    catches.  ``solve`` is also run under a header of 4,000,000 vertices."""
 
     @pytest.fixture
     def sparse_path(self, tmp_path):
@@ -424,13 +449,24 @@ class TestSparseColourHeader:
         path.write_text("4 4000000\n0 1 0\n2 3 1\n")
         return str(path)
 
-    def test_solve(self, sparse_path, capsys):
+    def test_solve(self, sparse_path, tmp_path, capsys):
         start = time.perf_counter()
         code = main(["solve", "--input", sparse_path, "--json"])
         assert time.perf_counter() - start < 0.5
         doc = json.loads(capsys.readouterr().out)
         assert code == 2  # stalled far below the target of 4,000,000
         assert (doc["size"], doc["target"]) == (2, 4_000_000)
+        # four edges among 4,000,000 vertices: the greedy base of two edges
+        # grows one level and stalls, so one context is built; only the
+        # vertices with an edge are read
+        path = tmp_path / "sparse-vertices.txt"
+        path.write_text("4000000 3\n2 3 2\n0 6 2\n1 2 0\n6 5 1\n")
+        start = time.perf_counter()
+        code = main(["solve", "--input", str(path), "--json"])
+        assert time.perf_counter() - start < 0.5
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert (doc["status"], doc["size"], doc["iterations"]) == ("stalled", 2, 1)
 
     def test_stats(self, sparse_path, capsys):
         start = time.perf_counter()

@@ -1,8 +1,17 @@
-"""Output identity: the one table of pinned outputs.
+"""Output identity: the one table of CLI-output pins.
 
-:data:`DIGESTS` maps ``"<instance> <mode>"`` to a sha256.  Every output that
-CI or a test pins is pinned here and nowhere else.  Each mode belongs to one
-of three families, and each family hashes in its own way:
+:data:`DIGESTS` maps ``"<instance> <mode>"`` to a sha256.  Every output of
+the ``rainbowmatch`` command that a test pins is pinned here, but for the
+two ``solve`` text digests of ``test_cli.py``'s
+``TestSolve::test_human_output_unchanged``, and no other file repeats a
+digest of this table.  Library-level outputs have tables of their own: the
+generator's seed-to-instance map in ``test_instances.py``
+(``_BENCH_DIGESTS``, ``_SHAPE_DIGESTS``, ``_TIGHT_DIGESTS``), the switch
+engine's call logs in ``test_switching.py`` (``GOLDEN``,
+``GOLDEN_DESCEND``, ``GOLDEN_LATIN``, ``GOLDEN_LATIN_LANDED``,
+``SPARE_BOUND_GOLDEN``) and the reachability facts in
+``test_reachability.py`` (``REACHABILITY_GOLDEN``).  Each mode belongs to
+one of three families, and each family hashes in its own way:
 
 * the corpus solves (:data:`MODES` ``plain``, ``shuffle`` and ``text``:
   ``rainbowmatch solve --json``, the same with ``--shuffle``, and ``solve``
@@ -26,8 +35,8 @@ and 1-9 colours, so loops, colour clashes and parallel edges.  In the plain
 solves of raw seeds 7, 24, 30 and 110, ``augment`` refutes a chain for too
 few spare colours; in those of 105 and 170 one is refuted and another lands.
 
-:data:`RAW_PINS` lists the raw modes of each instance that has any.  CI's
-instances are among them, pinned in the raw modes alone unless seeded: the
+:data:`RAW_PINS` lists the raw modes of each instance that has any.  These
+instances are pinned in the raw modes alone unless seeded: the
 near-threshold random instances at C=32 (seeds 3 and 1), 128 (seed 7), 256
 (seed 6) and 512 (seed 0); cyclic Z_8, as a graph and as a square, which
 ``oracle`` certifies; Z_8's graph with a 17th vertex and Z_2 x Z_4's square,

@@ -49,6 +49,7 @@ def test_latin_to_graph_shape():
     assert g.num_vertices == 6
     assert g.num_colours == 3
     assert g.num_edges == 9
+    assert latin_to_graph(cyclic_square(63)).num_edges == 3969
     # edge id i*n + j is cell (i, j)
     e = g.edge(5)
     assert (e.u, e.v, e.colour) == (1, 5, 0)
@@ -125,12 +126,16 @@ def test_loads_square_skips_blank_and_comment_lines():
 
 
 def test_file_round_trip(tmp_path):
-    g = random_instance(3)
-    save(g, tmp_path / "g.txt")
-    again = load(tmp_path / "g.txt")
-    assert (again.num_vertices, again.num_colours) == (g.num_vertices, g.num_colours)
-    assert again.edges == g.edges
-    assert (tmp_path / "g.txt").read_text(encoding="utf-8") == dumps(g)
+    # the second and third are what ``generate random --colours 32 --count
+    # 34 --vertices 68 --cap 2 --seed 3`` and ``generate latin --cyclic 63``
+    # write
+    for g in (random_instance(3), generate_random(32, 34, 68, 2, 3),
+              latin_to_graph(cyclic_square(63))):
+        save(g, tmp_path / "g.txt")
+        again = load(tmp_path / "g.txt")
+        assert (again.num_vertices, again.num_colours) == (g.num_vertices, g.num_colours)
+        assert again.edges == g.edges
+        assert (tmp_path / "g.txt").read_text(encoding="utf-8") == dumps(g) == dumps(again)
     sq = isotope(6, 1)
     save_square(sq, tmp_path / "sq.txt")
     assert load_square(tmp_path / "sq.txt").rows == sq.rows

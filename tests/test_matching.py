@@ -1,6 +1,7 @@
 """Matching container, greedy construction, verification, closeness."""
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from contextlib import contextmanager
@@ -29,6 +30,15 @@ from rainbowmatch.matching import document_ids
 from conftest import isotope, random_instance, raw_graphs, tight_instance
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def examples(cases):
+    """``@example(*case)`` for each of ``cases``, as one decorator."""
+    def decorate(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+    return decorate
 
 
 def triangle() -> ColouredMultigraph:
@@ -436,21 +446,30 @@ class TestVerify:
         assert max_rainbow_matching(g).size == 1
 
 
-def greedy_order(graph, seed) -> list[int]:
-    """The edge order that ``greedy(graph, seed)`` passes over."""
-    orders = []
+@contextmanager
+def greedy_passes():
+    """Log the edge order of each greedy pass made inside the block, as the
+    pass reads it: ``range(graph.num_edges)`` for a full pass in id order,
+    else a list."""
+    log = []
     inner = matching._greedy_pass
 
-    def capturing(graph, order, start):
-        orders.append(list(order))
+    def spy(graph, order, start):
+        log.append(order)
         return inner(graph, order, start)
 
-    matching._greedy_pass = capturing
+    matching._greedy_pass = spy
     try:
-        greedy(graph, seed)
+        yield log
     finally:
         matching._greedy_pass = inner
-    [order] = orders
+
+
+def greedy_order(graph, seed) -> list[int]:
+    """The edge order that ``greedy(graph, seed)`` passes over."""
+    with greedy_passes() as log:
+        greedy(graph, seed)
+    [order] = log
     return order
 
 
@@ -470,6 +489,10 @@ class TestGreedy:
     @example(255, 1)
     @example(256, 1)
     @example(257, 1)
+    # 2,400 edges take 12-bit draws, past the range drawn above; a seed of
+    # 2**40 seeds the generator from a key of two 32-bit words, and a
+    # negative seed is read as its absolute value
+    @examples(itertools.product((0, 1, 2, 3, 64, 65, 600, 2400), (0, 1, 7, 2**40, -5)))
     @PROPERTY_SETTINGS
     def test_order_is_the_library_shuffle(self, edges, seed):
         # greedy draws its shuffle inline; the draws and swaps must stay
@@ -567,24 +590,6 @@ def reference_extension(g: ColouredMultigraph, ids) -> frozenset[int]:
     return frozenset(chosen)
 
 
-@contextmanager
-def greedy_passes():
-    """Log each greedy pass made inside the block: "full" when it reads
-    every edge of the graph, "delta" when it reads a subset."""
-    log = []
-    inner = matching._greedy_pass
-
-    def spy(graph, order, start):
-        log.append("full" if order == range(graph.num_edges) else "delta")
-        return inner(graph, order, start)
-
-    matching._greedy_pass = spy
-    try:
-        yield log
-    finally:
-        matching._greedy_pass = inner
-
-
 def family_graph(family: str, seed: int) -> ColouredMultigraph:
     if family == "random":
         return random_instance(seed)
@@ -628,8 +633,12 @@ class TestDeltaExtension:
                 assert got.graph is other and got.graph is not g
                 assert got.edge_ids == reference_extension(other, m.edge_ids)
                 continue
-            with greedy_passes() as log:
+            with greedy_passes() as orders:
                 got = extend_to_maximal(m)
+            # "full" when a pass reads every edge of the graph, "delta" when
+            # it reads a subset
+            log = ["full" if order == range(g.num_edges) else "delta"
+                   for order in orders]
             assert got.graph is g
             assert got.edge_ids == reference_extension(g, m.edge_ids)
             assert views(got) == views(RainbowMatching(g, got.edge_ids))

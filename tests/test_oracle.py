@@ -181,10 +181,10 @@ class TestCyclicCertificate:
 
     @pytest.mark.parametrize("n", [64, 65, 256])
     def test_large_orders(self, n):
-        square = isotope(n, 0)
-        res = certify_cyclic(square)
-        assert res.size == (n if n % 2 else n - 1)
-        assert certificate_problems(square, res) == []
+        for square in (cyclic_square(n), isotope(n, 0)):
+            res = certify_cyclic(square)
+            assert res.size == (n if n % 2 else n - 1)
+            assert certificate_problems(square, res) == []
 
 
 def exhaustive_optimum(graph: ColouredMultigraph) -> int:

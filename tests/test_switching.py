@@ -538,8 +538,7 @@ class TestInductiveCase:
          "descend", [1, 0]),
     ], ids=["lift", "descend"])
     def test_sub_calls_get_their_own_chains_reserve(
-            self, request, monkeypatch, reserve, fixture, colours, ids,
-            request_kw, case, under):
+            self, request, reserve, fixture, colours, ids, request_kw, case, under):
         # never the parent's: a bound counting requests outside the switch
         # could pick a later success inside it that the full search never
         # reaches
@@ -548,17 +547,12 @@ class TestInductiveCase:
         base = RainbowMatching(g, ids)
         ctx = SwitchContext.build(base)
         seen = []
-        inner = switching.robust_switch
-
-        def noting(ctx, current, request, depth=0, *, reserve=0):
-            seen.append((depth, reserve))
-            return inner(ctx, current, request, depth, reserve=reserve)
-
-        monkeypatch.setattr(switching, "robust_switch", noting)
-        out = switching.robust_switch(ctx, base, SwitchRequest(**request_kw),
-                                      reserve=reserve)
+        with recorded_calls(lambda call: seen.append((call.depth, call.reserve))):
+            out = switching.robust_switch(ctx, base, SwitchRequest(**request_kw),
+                                          reserve=reserve)
         assert out.case == case
-        assert seen == [(0, reserve)] + [(1, r) for r in under]
+        # in post-order: the sub-calls return before the call they serve
+        assert seen == [(1, r) for r in under] + [(0, reserve)]
 
     def test_recursion_failed_surfaces(self, lift_fixture):
         g = lift_fixture
@@ -1044,20 +1038,16 @@ class TestGoldenOutput:
         assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[seed, shuffle]
 
     @pytest.mark.parametrize("shuffle", sorted(GOLDEN_DESCEND))
-    def test_descend_output_unchanged(self, shuffle, monkeypatch, no_spare_bound):
+    def test_descend_output_unchanged(self, shuffle, no_spare_bound):
         # the only golden instance on which a descend lands (next to 171
         # lifts); the cases above land base switches and lifts only
         landed = Counter()
-        inner = switching.robust_switch
 
-        def counting(ctx, current, request, depth=0, *, reserve=0):
-            out = inner(ctx, current, request, depth, reserve=reserve)
-            if type(out) is switching.SwitchOutcome:
-                landed[out.case] += 1
-            return out
+        def counting(call):
+            if type(call.out) is switching.SwitchOutcome:
+                landed[call.out.case] += 1
 
-        monkeypatch.setattr(switching, "robust_switch", counting)
-        with recorded_calls() as log:
+        with recorded_calls(counting) as log:
             report = solve(generate_random(48, 50, 100, 3, 1), seed=1,
                            shuffle=shuffle)
         assert (landed["lift"], landed["descend"]) == (171, 1)
@@ -1103,7 +1093,7 @@ class TestLandedCalls:
         with recorded_calls() as log:
             report = solve(g, seed=seed, shuffle=shuffle)
         landed = report.switch_calls
-        assert sum(it.exchanges for it in report.iterations) == len(landed)
+        assert 0 < len(landed) == sum(it.exchanges for it in report.iterations)
         # an in-order subsequence of every call made
         calls = iter(log)
         assert all(rec in calls for rec in landed)
@@ -1171,20 +1161,16 @@ class TestLevel3:
         assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["level3-C128-s7 json"]
         assert Counter(rec.level for rec in log) == {1: 46, 2: 4}
 
-    def test_depth2_solve_unchanged_and_within_contract(self, tmp_path, capsys,
-                                                        monkeypatch):
+    def test_depth2_solve_unchanged_and_within_contract(self, tmp_path, capsys):
         g, path = corpus_file("random-C256-s6", tmp_path)
         deep = []
-        inner = switching.robust_switch
 
-        def recording(ctx, current, request, depth=0, *, reserve=0):
-            out = inner(ctx, current, request, depth, reserve=reserve)
-            if depth == 2 and type(out) is switching.SwitchOutcome:
-                deep.append(switching.CallRecord.from_call(ctx.base, out))
-            return out
+        def recording(call):
+            if call.depth == 2 and type(call.out) is switching.SwitchOutcome:
+                deep.append(switching.CallRecord.from_call(call.ctx.base, call.out))
 
-        monkeypatch.setattr(switching, "robust_switch", recording)
-        assert cli.main(["solve", "--input", path, "--json", "--shuffle"]) == 2
+        with recorded_calls(recording):
+            assert cli.main(["solve", "--input", path, "--json", "--shuffle"]) == 2
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["random-C256-s6 json-shuffle"]
         assert len(deep) == 2
@@ -1366,19 +1352,13 @@ def switches_read():
     """Log ``(ctx, colour)`` for every switch call made inside the block that
     reads its options: every call but one refused at the budget cap."""
     log = []
-    inner = switching.robust_switch
 
-    def logging(ctx, current, request, depth=0, *, reserve=0):
-        out = inner(ctx, current, request, depth, reserve=reserve)
-        if not (type(out) is NotFound and out.reason == "budget_cap"):
-            log.append((ctx, request.colour))
-        return out
+    def reading(call):
+        if not (type(call.out) is NotFound and call.out.reason == "budget_cap"):
+            log.append((call.ctx, call.request.colour))
 
-    switching.robust_switch = logging
-    try:
+    with recorded_calls(reading):
         yield log
-    finally:
-        switching.robust_switch = inner
 
 
 def assert_options_built_once(g, seed, shuffle) -> tuple[int, int]:
@@ -1510,25 +1490,23 @@ class TestSharedExchanges:
 
         first = {}
         repeats = Counter()
-        inner = switching.robust_switch
 
-        def checking(ctx, current, request, depth=0, *, reserve=0):
-            out = inner(ctx, current, request, depth, reserve=reserve)
+        def checking(call):
+            out = call.out
             if type(out) is switching.SwitchOutcome:
                 start = out.start if out.case == "base" else out.under[-1].matching
                 got, fresh = out.matching, start.with_swap(out.removed, out.added)
-                assert_built_fresh(ctx, got, fresh)
-                key = (id(ctx), start.edge_ids, out.removed, out.added)
+                assert_built_fresh(call.ctx, got, fresh)
+                key = (id(call.ctx), start.edge_ids, out.removed, out.added)
                 if key in first:
                     assert first[key] is got
                     repeats[out.case] += 1
                 else:
                     first[key] = got
-            return out
 
         monkeypatch.setattr(SwitchContext, "build", classmethod(building))
-        monkeypatch.setattr(switching, "robust_switch", checking)
-        solve(g, seed=seed, shuffle=shuffle)
+        with recorded_calls(checking):
+            solve(g, seed=seed, shuffle=shuffle)
         assert repeats["base"] > 0
         # augment's final add goes through the same dict
         for ctx in contexts:
@@ -1537,15 +1515,14 @@ class TestSharedExchanges:
                 assert_built_fresh(ctx, got, fresh)
 
 
-def replayed_cases(make, seed, shuffle, monkeypatch) -> Counter:
+def replayed_cases(make, seed, shuffle) -> Counter:
     """Solve ``make()`` and check that each call's removed/added ids rebuild
     its result from its start (base) or from the result of the call just
     under it (lift, descend); returns the calls checked by case."""
     checked = Counter()
-    inner = switching.robust_switch
 
-    def replaying(ctx, current, request, depth=0, *, reserve=0):
-        out = inner(ctx, current, request, depth, reserve=reserve)
+    def replaying(call):
+        ctx, out = call.ctx, call.out
         if type(out) is switching.SwitchOutcome:
             calls = out.calls
             for i, c in enumerate(calls):
@@ -1560,10 +1537,9 @@ def replayed_cases(make, seed, shuffle, monkeypatch) -> Counter:
                 assert type(c.request) is SwitchRequest
                 assert [type(x) for x in c.request[3:]] == [frozenset] * 3
                 checked[c.case] += 1
-        return out
 
-    monkeypatch.setattr(switching, "robust_switch", replaying)
-    solve(make(), seed=seed, shuffle=shuffle)
+    with recorded_calls(replaying):
+        solve(make(), seed=seed, shuffle=shuffle)
     return checked
 
 
@@ -1577,8 +1553,8 @@ class TestExchangeReplay:
                      {"base", "lift", "descend"}, id="descend_True"),
     ])
     def test_every_call_replays_its_exchange(self, make, seed, shuffle, cases,
-                                             monkeypatch, no_spare_bound):
-        assert set(replayed_cases(make, seed, shuffle, monkeypatch)) == cases
+                                             no_spare_bound):
+        assert set(replayed_cases(make, seed, shuffle)) == cases
 
     # plain solves with the spare-colour bound on: on random_s3 the chains
     # it leaves to run serve base switches only, and on the 48-colour
@@ -1592,15 +1568,15 @@ class TestExchangeReplay:
         pytest.param(lambda: generate_random(48, 50, 100, 3, 1), 1,
                      {"base", "lift"}, id="descend_48"),
     ])
-    def test_shipped_path_replays_its_exchanges(self, make, seed, cases, monkeypatch):
-        assert set(replayed_cases(make, seed, False, monkeypatch)) == cases
+    def test_shipped_path_replays_its_exchanges(self, make, seed, cases):
+        assert set(replayed_cases(make, seed, False)) == cases
 
-    def test_augments_bound_alone_replays_a_descend(self, monkeypatch):
+    def test_augments_bound_alone_replays_a_descend(self):
         # the 48-colour instance with the bound inside switches off serves
         # the descend that the shipped path passes over
         with switch_bound_off():
             cases = replayed_cases(lambda: generate_random(48, 50, 100, 3, 1), 1,
-                                   False, monkeypatch)
+                                   False)
         assert set(cases) == {"base", "lift", "descend"}
 
 
