@@ -1,11 +1,9 @@
 """Output identity: the one table of CLI-output pins.
 
 :data:`DIGESTS` maps ``"<instance> <mode>"`` to a sha256.  Every output of
-the ``rainbowmatch`` command that a test pins is pinned here, but for the
-two ``solve`` text digests of ``test_cli.py``'s
-``TestSolve::test_human_output_unchanged``, and no other file repeats a
-digest of this table.  Library-level outputs have tables of their own: the
-generator's seed-to-instance map in ``test_instances.py``
+the ``rainbowmatch`` command that a test pins is pinned here, and no other
+file repeats a digest of this table.  Library-level outputs have tables of
+their own: the generator's seed-to-instance map in ``test_instances.py``
 (``_BENCH_DIGESTS``, ``_SHAPE_DIGESTS``, ``_TIGHT_DIGESTS``), the switch
 engine's call logs in ``test_switching.py`` (``GOLDEN``,
 ``GOLDEN_DESCEND``, ``GOLDEN_LATIN``, ``GOLDEN_LATIN_LANDED``,
@@ -40,8 +38,8 @@ instances are pinned in the raw modes alone unless seeded: the
 near-threshold random instances at C=32 (seeds 3 and 1), 128 (seed 7), 256
 (seed 6) and 512 (seed 0); cyclic Z_8, as a graph and as a square, which
 ``oracle`` certifies; Z_8's graph with a 17th vertex and Z_2 x Z_4's square,
-which the certificate refuses, so ``oracle`` searches them; cyclic Z_10,
-Z_63 and Z_64; and ``generate_random(10, 15, 30, 1, 8391)``, which the
+which the certificate refuses, so ``oracle`` searches them; cyclic Z_5,
+Z_10, Z_63 and Z_64; and ``generate_random(10, 15, 30, 1, 8391)``, which the
 generator's fallback places.  The ``json-bound-off`` mode solves inside
 ``spare_bound_off()``, and its digest equals the ``json`` one on each
 instance that has it.
@@ -53,14 +51,17 @@ that passes :func:`verify` and its document checks, with a ``size`` equal
 to its number of ids.  So must the witness of every pinned ``oracle
 --json`` document (:data:`ORACLE_MODES`), its cells read as the edges of
 :func:`latin_to_graph`, and a document that names a ``proof`` must claim
-an exact optimum with 0 nodes.  The gates read the runs that the digests
-made.
+an exact optimum with 0 nodes.  Every pinned ``solve --json`` document of a
+Latin entry (``latin-n*-s*``, ``cyclic-Z63`` and ``cyclic-Z64``) must have
+a ``size`` at most the optimum that :func:`certify_cyclic` proves for its
+square, read back with :func:`square_of`, and :data:`GAPS` pins the gap.
+The gates read the runs that the digests made.
 
 The corpus is built from seeds, so no data file is kept.  The module needs
 the standard library alone.  Run it as a script to compare every digest and
-print the first that differs, then to verify every solve document and
-oracle witness and print the first that fails, or, with ``--print``, every
-digest as it is now::
+print the first that differs, then to check every solve document, oracle
+witness and Latin solve gap and print the first that fails, or, with
+``--print``, every digest and gap as it is now::
 
     PYTHONPATH=src python tests/test_identity.py [--print]
 """
@@ -78,8 +79,9 @@ import re
 import sys
 import tempfile
 
-from rainbowmatch import (ColouredMultigraph, LatinSquare, cli, cyclic_square, dumps,
-                          dumps_square, generate_random, latin_to_graph, loads, verify)
+from rainbowmatch import (ColouredMultigraph, LatinSquare, certify_cyclic, cli, cyclic_square,
+                          dumps, dumps_square, generate_random, latin_to_graph, loads,
+                          square_of, verify)
 from rainbowmatch.matching import document_ids, document_issues
 
 from stdlib_helpers import (group_table, isotope, plus_vertex, spare_bound_off,
@@ -99,6 +101,7 @@ RAW_MODES = {
     "json-shuffle": ("solve", "--json", "--shuffle"),
     "json-bound-off": ("solve", "--json"),  # inside spare_bound_off()
     "stats-raw": ("stats",),
+    "text-raw": ("solve",),
     "check-text": ("check",),
     "check-json": ("check", "--json"),
     "verify-text": ("verify", "--matching", "{saved}"),
@@ -159,7 +162,7 @@ CORPUS = {
     "cyclic-Z8-square": functools.partial(cyclic_square, 8),
     "cyclic-Z8-plus-vertex": functools.partial(_cyclic_plus_vertex, 8),
     "group-Z2xZ4-square": functools.partial(group_table, 2, 4),
-    **{f"cyclic-Z{n}": functools.partial(_cyclic, n) for n in (10, 63, 64)},
+    **{f"cyclic-Z{n}": functools.partial(_cyclic, n) for n in (5, 10, 63, 64)},
     "fallback-C10-s8391": functools.partial(generate_random, 10, 15, 30, 1, 8391),
     "latin-n16-s2": functools.partial(_latin, 16, 2),
 }
@@ -171,8 +174,9 @@ RAW_PINS = {
     # the spare-colour bound off), the shuffled one 475, some at level 2;
     # both reach 32.  The saved matching's base grows two levels.
     "random-C32-s3": {"file": None, "json": 0, "json-shuffle": 0, "json-bound-off": 0,
-                      "verify-text": 0, "verify-json": 0, "stats-matching": 0,
-                      "stats-raw": 0, "check-text": 2, "check-json": 2},
+                      "text-raw": 0, "verify-text": 0, "verify-json": 0,
+                      "stats-matching": 0, "stats-raw": 0, "check-text": 2,
+                      "check-json": 2},
     # two levels and 30 reachable colours
     "random-C32-s1": {"file": None, "stats-raw": 0},
     # plain, it serves 4 level-3 calls of 270 with the bound off, and 50 at
@@ -195,6 +199,8 @@ RAW_PINS = {
     # transversal
     "cyclic-Z8-plus-vertex": {"oracle": 0, "oracle-capped": 2},
     "group-Z2xZ4-square": {"oracle-latin": 0, "oracle-latin-capped": 2},
+    # reaches its transversal of 5
+    "cyclic-Z5": {"text-raw": 0},
     "cyclic-Z10": {"verify-clash": 2},
     # stall proofs, where the bound inside switches cuts the most calls;
     # Z_63's last iteration tries every violation before it reports the stall
@@ -334,6 +340,33 @@ def document_problems(key: str) -> list[str]:
                 document_issues(graph, doc["matching"]) + verify(graph, ids)]
     if doc["size"] != len(ids):
         problems.append(f"size {doc['size']} but {len(ids)} ids")
+    return problems
+
+
+def gap_keys():
+    """Every pinned ``solve --json`` key of a Latin entry: an isotope of
+    Z_n, or cyclic Z_n, as a graph."""
+    return [key for key in solve_json_keys() if key.startswith(("latin-", "cyclic-"))]
+
+
+def optimum_and_size(key: str) -> tuple[int, int]:
+    """The optimum that :func:`certify_cyclic` proves for the square of
+    ``key``'s instance, read back with :func:`square_of`, and the ``size``
+    of ``key``'s ``solve --json`` document, read from the run its digest
+    made."""
+    name, mode = key.rsplit(" ", 1)
+    size = json.loads(_mode_output(name, mode)[1])["size"]
+    return certify_cyclic(square_of(loads(instance_text(name)))).size, size
+
+
+def gap_problems(key: str) -> list[str]:
+    """What is wrong with the size of the ``solve --json`` document of the
+    Latin entry ``key``: a size above the certified optimum, and a gap to it
+    other than :data:`GAPS` pins."""
+    optimum, size = optimum_and_size(key)
+    problems = [f"size {size} above the certified optimum {optimum}"] if size > optimum else []
+    if optimum - size != GAPS.get(key):
+        problems.append(f"gap {optimum - size}, pinned {GAPS.get(key)}")
     return problems
 
 
@@ -689,6 +722,54 @@ DIGESTS = {
     "random-C48-s2 stats-raw": "dd05264059ce6483013c485364e5ac7b9d340db9746f837dc0428b705e0b6327",
     "latin-n15-s1 stats-raw": "4c327a7e097f9927172fd5270fbdc4975300404457e4d1665baf6c365c8fbe39",
     "latin-n16-s2 stats-raw": "d0f36e6406da3c5065d8e010ad6a73f386504b7d7215241e2c716198d8c12a92",
+    # raw ``solve`` stdout without ``--json``; carried over from the tests,
+    # where it was recorded before the printer read
+    # ``RainbowMatching.sorted_ids`` directly
+    "cyclic-Z5 text-raw": "aa379581510c3941de1ae40b1d03f4b41f287ac71dce8ef0c1cf80b18de8fcf3",
+    "random-C32-s3 text-raw": "853addd6265f2f8d399551b5882aa51b61136b6843493b338f8ee12ca457599e",
+}
+
+# key of a Latin entry's ``solve --json`` document: the optimum that
+# certify_cyclic proves less the document's size; recorded when the gate
+# came, from the runs that the digests make
+GAPS = {
+    "latin-n15-s0 plain": 0,
+    "latin-n15-s0 shuffle": 0,
+    "latin-n15-s1 plain": 0,
+    "latin-n15-s1 shuffle": 0,
+    "latin-n16-s0 plain": 1,
+    "latin-n16-s0 shuffle": 1,
+    "latin-n16-s1 plain": 1,
+    "latin-n16-s1 shuffle": 1,
+    "latin-n17-s0 plain": 0,
+    "latin-n17-s0 shuffle": 0,
+    "latin-n17-s1 plain": 2,
+    "latin-n17-s1 shuffle": 2,
+    "latin-n21-s0 plain": 0,
+    "latin-n21-s0 shuffle": 0,
+    "latin-n21-s1 plain": 2,
+    "latin-n21-s1 shuffle": 2,
+    "latin-n24-s0 plain": 1,
+    "latin-n24-s0 shuffle": 1,
+    "latin-n24-s1 plain": 0,
+    "latin-n24-s1 shuffle": 0,
+    "latin-n27-s0 plain": 2,
+    "latin-n27-s0 shuffle": 2,
+    "latin-n27-s1 plain": 2,
+    "latin-n27-s1 shuffle": 2,
+    "latin-n30-s0 plain": 1,
+    "latin-n30-s0 shuffle": 0,
+    "latin-n30-s1 plain": 1,
+    "latin-n30-s1 shuffle": 1,
+    "latin-n33-s0 plain": 2,
+    "latin-n33-s0 shuffle": 0,
+    "latin-n33-s1 plain": 2,
+    "latin-n33-s1 shuffle": 2,
+    "cyclic-Z63 json": 2,
+    "cyclic-Z63 json-shuffle": 2,
+    "cyclic-Z63 json-bound-off": 2,
+    "cyclic-Z64 json": 1,
+    "cyclic-Z64 json-bound-off": 1,
 }
 
 
@@ -701,6 +782,8 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("solve_key", solve_json_keys())
     if "oracle_key" in metafunc.fixturenames:
         metafunc.parametrize("oracle_key", oracle_keys())
+    if "gap_key" in metafunc.fixturenames:
+        metafunc.parametrize("gap_key", gap_keys())
 
 
 def test_output_unchanged(key):
@@ -716,8 +799,13 @@ def test_oracle_witness_verifies(oracle_key):
     assert oracle_problems(oracle_key) == []
 
 
+def test_latin_solve_within_optimum(gap_key):
+    assert gap_problems(gap_key) == []
+
+
 def test_corpus_is_pinned_whole():
     assert sorted(DIGESTS) == sorted(keys())
+    assert sorted(GAPS) == sorted(gap_keys())
 
 
 def test_bound_off_leaves_plain_solves_unchanged():
@@ -761,15 +849,14 @@ def first_difference():
 def first_invalid_document():
     """``(key, problems)`` of the first ``solve --json`` key whose matching
     has a problem, then of the first ``oracle --json`` key whose witness has
-    one, in corpus order, else None."""
-    for key in solve_json_keys():
-        problems = document_problems(key)
-        if problems:
-            return key, problems
-    for key in oracle_keys():
-        problems = oracle_problems(key)
-        if problems:
-            return key, problems
+    one, then of the first Latin entry whose size has one, in corpus order,
+    else None."""
+    for keys_of, problems_of in ((solve_json_keys, document_problems),
+                                 (oracle_keys, oracle_problems), (gap_keys, gap_problems)):
+        for key in keys_of():
+            problems = problems_of(key)
+            if problems:
+                return key, problems
     return None
 
 
@@ -777,12 +864,16 @@ if __name__ == "__main__":
     if "--print" in sys.argv[1:]:
         for key in keys():
             print(f'    "{key}": "{digest(*key.rsplit(" ", 1))}",')
+        for key in gap_keys():
+            optimum, size = optimum_and_size(key)
+            print(f'    "{key}": {optimum - size},')
     else:
         diff = first_difference()
         print(f"all {len(DIGESTS)} digests match" if diff is None
               else "first difference: {} pinned {} now {}".format(*diff))
         invalid = first_invalid_document()
-        print(f"all {len(solve_json_keys())} solve documents and "
-              f"{len(oracle_keys())} oracle witnesses verify" if invalid is None
-              else "invalid matching: {} {}".format(*invalid))
+        print(f"all {len(solve_json_keys())} solve documents, "
+              f"{len(oracle_keys())} oracle witnesses and {len(gap_keys())} Latin "
+              "solve gaps verify" if invalid is None
+              else "invalid document: {} {}".format(*invalid))
         sys.exit(diff is not None or invalid is not None)
