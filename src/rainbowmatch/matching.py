@@ -345,12 +345,14 @@ def matching_to_json(matching: RainbowMatching) -> dict:
 def document_ids(doc: dict) -> list[int]:
     """The edge ids that a matching's JSON form lists, in order, repeats
     included, for :func:`document_issues` and :func:`verify` to check.  A
-    missing field, an ``edges`` that is not a list, an item of it that is not
-    an object, or an id that is not an integer (a float, a bool, a string,
-    null) makes the document malformed."""
+    document that is not an object, a missing field, an ``edges`` that is not
+    a list, an item of it that is not an object, or an id that is not an
+    integer (a float, a bool, a string, null) makes the document malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError("malformed matching document: the document is not an object")
     try:
         items = doc["edges"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed matching document: {exc}") from None
     if not isinstance(items, list):
         raise ValueError("malformed matching document: 'edges' is not a list")

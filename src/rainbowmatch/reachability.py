@@ -28,7 +28,7 @@ Near threshold few vertices are free, so a round reads the edges at the free
 vertices wherever a rule needs a free endpoint: the external edges and
 every violation kind but ``reach_reach``.  No round walks the vertex range,
 and only ``reach_reach``, which joins two heads, scans the reachable colour
-classes.
+classes, and only in a round that needs that bucket.
 
 Violations are edges of reachable colour whose endpoints sit where no such
 edge may sit if the matching were unimprovable: a reachable head and a free
@@ -36,11 +36,14 @@ vertex, two heads, or two free vertices.  M must be maximal, and
 :func:`find_violations` raises on an edge that would extend it.  It returns
 the violations as a sized stream, :class:`RankedViolations`, which alone
 fixes their rank order (within a kind, by :func:`witness_vertices`):
-counted at once, sorted and built as they are iterated (every bucket holds
-edge ids until a pass first reaches it).
+sorted and built as they are iterated (every bucket holds edge ids until a
+pass first reaches it), and the ``reach_reach`` bucket scanned only when its
+length, a rank past it or a pass that tries it is first asked for.
 Each bucket also knows the fewest switches that any of its violations'
 augmentation chains makes (:func:`chain_switches`), so that a round can pass
-over a bucket whose every chain needs more spare colours than the base has.
+over a bucket whose every chain needs more spare colours than the base has;
+every ``reach_reach`` chain makes at least 2, so a round with fewer spare
+colours passes over that bucket unscanned.
 The counting argument that some violation must exist is
 :func:`counting_diagnostics`, which returns the ``counting`` document that
 ``rainbowmatch stats`` prints.
@@ -365,58 +368,119 @@ class RankedViolations:
     Sized and iterable, as often as asked: each pass yields the violations
     by kind as in :data:`VIOLATION_KINDS`, ties by witness vertices then
     edge id, the one place that order is fixed.  ``list()`` gives the ranked
-    list.  Every candidate is counted up front, one bucket of edge ids per
-    kind; the first pass that reaches a bucket orders it, once, by
-    :func:`witness_vertices`, and each :class:`Violation` is built only when
-    it is yielded.  A caller that stops at the first violation whose recipe
-    lands pays for the buckets it reached and the violations it took.
-    :meth:`ranked` can also pass over whole buckets whose chains need more
-    spare colours than the base leaves.
+    list.  The candidates are kept as edge ids, one bucket per kind.  The
+    ``reach_free`` and ``free_free`` buckets are filled when the sequence is
+    made; the ``reach_reach`` bucket, which needs a scan of every reachable
+    colour class, is filled the first time something needs it: ``len()``, a
+    rank past it, or a pass that must try it.  The first pass that reaches
+    a bucket orders it, once, by :func:`witness_vertices`, and each
+    :class:`Violation` is built only when it is yielded.  A caller that
+    stops at the first violation whose recipe lands pays for the buckets it
+    reached and the violations it took.  :meth:`tried` and :meth:`ranked`
+    can also pass over whole buckets whose chains need more spare colours
+    than the base leaves, ``reach_reach`` unscanned when the base leaves
+    fewer than 2.
     """
 
-    __slots__ = ("_buckets", "_sorted", "_fewest", "_len", "_edges", "_covered")
+    __slots__ = ("_buckets", "_sorted", "_fewest", "_matching", "_hierarchy")
 
-    def __init__(self, buckets: tuple[list, ...], fewest: tuple[int, ...], edges,
-                 covered):
+    def __init__(self, matching: RainbowMatching, hierarchy: Hierarchy,
+                 reach_free: list, own_free: int | None, free_free: list):
         # one list of edge ids per kind, in the order of VIOLATION_KINDS, and
-        # the fewest switches a chain of each makes.  ``_sorted[i]`` records
-        # that bucket i holds its ``(vertices, edge id, colour)`` tuples in
-        # rank order instead; edge ids are unique, so colours never compare
-        self._buckets = buckets
-        self._sorted = [False] * len(buckets)
-        self._fewest = fewest
-        self._len = sum(map(len, buckets))
-        self._edges = edges
-        self._covered = covered
+        # the fewest switches a chain of each makes; reach_reach's are None
+        # until it is scanned.  ``_sorted[i]`` records that bucket i holds its
+        # ``(vertices, edge id, colour)`` tuples in rank order instead; edge
+        # ids are unique, so colours never compare
+        self._matching = matching
+        self._hierarchy = hierarchy
+        self._buckets = [reach_free, None, free_free]
+        self._sorted = [False] * len(VIOLATION_KINDS)
+        self._fewest = [self._fewest_of(reach_free, own_free), None,
+                        self._fewest_of(free_free, None)]
+
+    def _fewest_of(self, bucket: list, own: int | None) -> int:
+        """The fewest :func:`chain_switches` of the violations in ``bucket``:
+        those of ``own``, a candidate with an endpoint at its own colour's
+        head, when there is one, else those of any candidate; 0 for an empty
+        bucket, which has nothing to pass over."""
+        if not bucket:
+            return 0
+        _, u, v, c = self._matching.graph.edges[bucket[0] if own is None else own]
+        return chain_switches(self._hierarchy, c, (u, v))
+
+    def _scan(self) -> None:
+        """Fill the ``reach_reach`` bucket and its fewest: scan each reachable
+        colour class for edges that join two heads."""
+        graph = self._matching.graph
+        edges = graph.edges
+        heads = self._hierarchy.by_head
+        bucket = []
+        # a candidate with an endpoint at its own colour's head, which only
+        # an improper colouring has: its chain makes one switch fewer than
+        # any other candidate of its kind
+        own_reach = None
+        for c, le in self._hierarchy.by_colour.items():
+            own = le.head
+            for eid in graph.edges_with_colour(c):
+                _, u, v, _ = edges[eid]
+                if u in heads and v in heads and u != v:
+                    bucket.append(eid)
+                    if u == own or v == own:
+                        own_reach = eid
+        self._fewest[1] = self._fewest_of(bucket, own_reach)
+        self._buckets[1] = bucket
+
+    def _bucket(self, i: int) -> list:
+        if self._buckets[i] is None:
+            self._scan()
+        return self._buckets[i]
 
     def __len__(self) -> int:
-        return self._len
+        return sum(len(self._bucket(i)) for i in range(len(VIOLATION_KINDS)))
 
     def __iter__(self):
-        return map(itemgetter(1), self.ranked())
+        return map(itemgetter(2), self.tried())
 
-    def ranked(self, spares: int | float = inf):
-        """Yield ``(rank, violation)`` in rank order, ranks counted from 1.
+    def rank(self, kind: int, within: int) -> int:
+        """The rank, counted from 1, of the ``within``-th violation of the
+        kind at index ``kind`` of :data:`VIOLATION_KINDS`: every bucket
+        before it counts in full, so a rank past ``reach_reach`` scans it."""
+        return sum(len(self._bucket(i)) for i in range(kind)) + within
+
+    def tried(self, spares: int | float = inf):
+        """Yield ``(kind, within, violation)`` in rank order: the index of
+        the violation's kind in :data:`VIOLATION_KINDS`, its rank within its
+        kind, counted from 1, and the violation.
 
         Pass over every bucket in which even the cheapest chain makes more
-        than ``spares`` switches (none, by default): its violations keep their
-        ranks, but the bucket is not sorted and none of them is built or
-        yielded."""
+        than ``spares`` switches (none, by default): it is not sorted, and
+        none of its violations is built or yielded.  Both ends of a
+        ``reach_reach`` violation are heads, and at most one of them is its
+        colour's own, so its chain makes at least 2 switches: with fewer
+        than 2 spares that bucket is passed over without its scan."""
         make = tuple.__new__  # Violation's own __new__ adds a Python call each
-        rank = 0
-        for i, (kind, bucket, fewest) in enumerate(
-                zip(VIOLATION_KINDS, self._buckets, self._fewest)):
-            if fewest > spares:
-                rank += len(bucket)
+        buckets, fewest = self._buckets, self._fewest
+        for i, kind in enumerate(VIOLATION_KINDS):
+            if buckets[i] is None and spares < 2:  # reach_reach, not scanned yet
+                continue
+            bucket = self._bucket(i)
+            if fewest[i] > spares:
                 continue
             if not self._sorted[i]:
                 self._sorted[i] = True
-                covered = self._covered
-                bucket[:] = [(witness_vertices(covered, u, v), eid, c)
-                             for eid, u, v, c in map(self._edges.__getitem__, bucket)]
+                covered = self._matching.covered
+                bucket[:] = [(witness_vertices(covered, u, v), eid, c) for eid, u, v, c
+                             in map(self._matching.graph.edges.__getitem__, bucket)]
                 bucket.sort()
-            for rank, (vertices, eid, c) in enumerate(bucket, rank + 1):
-                yield rank, make(Violation, (kind, eid, c, vertices))
+            for within, (vertices, eid, c) in enumerate(bucket, 1):
+                yield i, within, make(Violation, (kind, eid, c, vertices))
+
+    def ranked(self, spares: int | float = inf):
+        """Yield ``(rank, violation)`` in rank order, ranks counted from 1,
+        for the violations that :meth:`tried` yields: those of a bucket
+        passed over keep their ranks, but none of them is yielded."""
+        for kind, within, violation in self.tried(spares):
+            yield self.rank(kind, within), violation
 
     def __repr__(self) -> str:
         return f"RankedViolations({list(self)!r})"
@@ -424,16 +488,16 @@ class RankedViolations:
 
 def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedViolations:
     """All violations, as a :class:`RankedViolations` in its rank order:
-    counted now, sorted and built as they are iterated.  ``hierarchy`` must
-    be built on ``matching``.
+    sorted and built as they are iterated.  ``hierarchy`` must be built on
+    ``matching``.
 
     Every ``reach_free`` and ``free_free`` violation has a free endpoint, so
-    these are read from the edges at the free vertices, a free-free edge
+    these are read now from the edges at the free vertices, a free-free edge
     from its lower endpoint only.  Only ``reach_reach`` joins two heads: the
-    reachable colour classes are scanned for it.  Candidates are kept by
-    kind as edge ids, and each kind's fewest :func:`chain_switches` is
-    recorded.  Raises ValueError, naming the edge, when an unused-colour
-    edge joins two free vertices: ``matching`` is not maximal.
+    sequence scans the reachable colour classes for it when it first needs
+    that bucket, so a round that passes over the bucket never scans it.
+    Raises ValueError, naming the edge, when an unused-colour edge joins two
+    free vertices: ``matching`` is not maximal.
     """
     graph = matching.graph
     edges = graph.edges
@@ -441,11 +505,10 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
     used = matching.colours
     heads = hierarchy.by_head
     reach = hierarchy.by_colour
-    reach_free, reach_reach, free_free = buckets = [], [], []
-    # a reach_free and a reach_reach candidate with an endpoint at its own
-    # colour's head, which only an improper colouring has: its chain makes
-    # one switch fewer than any other candidate of its kind
-    own_free = own_reach = None
+    reach_free, free_free = [], []
+    # a reach_free candidate with an endpoint at its own colour's head, which
+    # only an improper colouring has (see RankedViolations._scan)
+    own_free = None
     for x in free_vertices(matching):
         for eid in graph.edges_at(x):
             _, u, v, c = edges[eid]
@@ -462,23 +525,7 @@ def find_violations(matching: RainbowMatching, hierarchy: Hierarchy) -> RankedVi
                         "in a colour the matching does not use: it is not maximal")
                 if c in reach:
                     free_free.append(eid)
-    for c, le in reach.items():
-        own = le.head
-        for eid in graph.edges_with_colour(c):
-            _, u, v, _ = edges[eid]
-            if u in heads and v in heads and u != v:
-                reach_reach.append(eid)
-                if u == own or v == own:
-                    own_reach = eid
-    fewest = []
-    for bucket, own in ((reach_free, own_free), (reach_reach, own_reach),
-                        (free_free, None)):
-        if not bucket:
-            fewest.append(0)  # nothing to pass over
-            continue
-        _, u, v, c = edges[bucket[0] if own is None else own]
-        fewest.append(chain_switches(hierarchy, c, (u, v)))
-    return RankedViolations(buckets, tuple(fewest), edges, covered)
+    return RankedViolations(matching, hierarchy, reach_free, own_free, free_free)
 
 
 def counting_diagnostics(matching: RainbowMatching, hierarchy: Hierarchy,

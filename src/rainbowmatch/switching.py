@@ -23,7 +23,11 @@ certifying edge.  The solve loop is greedy construction followed by
 repeated find-violations / augment rounds until the target size is reached
 or no recipe lands.  :func:`find_violations` returns a
 lazily ranked :class:`~rainbowmatch.reachability.RankedViolations`: a round
-pays for the violations it tries, not for every one it counts.
+pays for the violations it tries, not for every one it counts.  Only a
+round whose pass reaches the ``reach_reach`` bucket, which needs a base
+that leaves at least 2 colours unused, scans for it; a round's record
+counts the violations (:class:`IterationRecord`) only when it is first
+read.
 
 Each successful call makes one elementary exchange and is asserted against
 its contract as it returns; its :class:`SwitchOutcome` is the one record of
@@ -59,7 +63,9 @@ loop applies the same bound a bucket at a time: each violation bucket knows
 the fewest switches its chains make
 (:func:`~rainbowmatch.reachability.chain_switches`), and a round passes over
 a bucket whose fewest exceeds U without sorting it, building its violations
-or calling :func:`augment`; they still count as tried.
+or calling :func:`augment`; they still count as tried.  Every ``reach_reach``
+chain makes at least 2 switches, so when U < 2 that bucket is passed over
+without even the scan that fills it.
 
 Nested chains apply it per request.  :func:`_chain` gives each request a
 ``reserve``: the number of requests after it in the same chain, each of
@@ -89,6 +95,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
 from typing import NamedTuple
 
@@ -640,6 +647,26 @@ def augment(ctx: SwitchContext, edge_id: int) -> AugmentOutcome | NotFound:
                           [call for top in out for call in top.calls])
 
 
+class _ReadOnce:
+    """A dataclass field that takes an int, or a zero-argument callable that
+    returns one: the callable is called when the field is first read, and
+    its result kept in its place.  The field has no default."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError(self.name)
+        value = record.__dict__[self.name]
+        if callable(value):
+            value = record.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, record, value):
+        record.__dict__[self.name] = value
+
+
 @dataclass
 class IterationRecord:
     """One round of the solve loop.  ``attempted`` is the landed
@@ -648,13 +675,20 @@ class IterationRecord:
     ``kind`` (one of :data:`~rainbowmatch.reachability.VIOLATION_KINDS`) and
     ``edge_id`` name the landed violation, None if none; ``exchanges`` is
     the number of switch calls in its chain, one exchange each (0 if none
-    landed); ``base_ids`` is the round's base matching."""
+    landed); ``base_ids`` is the round's base matching.
+
+    ``violations`` and ``attempted`` are ints to every reader, ``==``,
+    ``repr`` and :func:`dataclasses.astuple` included, but ``solve``
+    resolves them on their first read: a round that passed over the
+    ``reach_reach`` bucket unscanned pays for that scan then, and until
+    then the record keeps the round's
+    :class:`~rainbowmatch.reachability.RankedViolations` alive."""
 
     index: int
     size_before: int
     size_after: int
-    violations: int
-    attempted: int
+    violations: int = _ReadOnce()
+    attempted: int = _ReadOnce()
     kind: str | None
     edge_id: int | None
     exchanges: int
@@ -670,7 +704,9 @@ class SolveReport:
     ``switch_calls`` holds the calls of the landed augmentations only, the
     ones the returned matching went through: one record per exchange, each
     iteration's in post-order (a call after the calls under it).  Calls in
-    chains that failed leave no record.
+    chains that failed leave no record.  Each of ``iterations`` counts its
+    round's violations on its first read (see :class:`IterationRecord`), and
+    keeps them alive until then.
     """
 
     status: str
@@ -757,21 +793,23 @@ def solve(graph: ColouredMultigraph, params: InstanceParams | None = None,
         ctx = SwitchContext.build(current, params, max_budget=max_budget, rng=rng)
         found = ctx.violations()
         # a bucket whose every chain augment would refute for too few spare
-        # colours is passed over, its violations counted as tried
-        for attempted, violation in found.ranked(ctx.spares):
+        # colours is passed over, its violations counted as tried; the record
+        # counts them when first read, so a round that passes over
+        # reach_reach unscanned leaves it unscanned
+        for kind, within, violation in found.tried(ctx.spares):
             out = augment(ctx, violation.edge_id)
             if isinstance(out, AugmentOutcome):
                 break
         else:
             iterations.append(IterationRecord(
-                index, len(current), len(current), len(found), len(found),
+                index, len(current), len(current), found.__len__, found.__len__,
                 None, None, 0, current.sorted_ids))
             status = "stalled"
             break
         iterations.append(IterationRecord(
-            index, len(current), len(out.matching), len(found), attempted,
-            violation.kind, violation.edge_id, len(out.calls),
-            current.sorted_ids))
+            index, len(current), len(out.matching), found.__len__,
+            partial(found.rank, kind, within), violation.kind, violation.edge_id,
+            len(out.calls), current.sorted_ids))
         calls.extend(CallRecord.from_call(ctx.base, call) for call in out.calls)
         logger.debug("iteration %d: %s via edge %d, size %d -> %d", index,
                      violation.kind, violation.edge_id, len(current),

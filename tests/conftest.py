@@ -14,7 +14,8 @@ record against the switch contract, ``brute_switches()`` and
 recipe, ``spare_bound_off()``, which turns that bound off everywhere,
 ``switch_bound_off()``, which turns it off inside switches only, ``brute_scan()``, the
 full-edge-sweep reference for ``find_violations``, ``rank()``, the order it
-ranks by, and ``bad_per_colour()``,
+ranks by, ``counted_scans()``, which counts the deferred ``reach_reach``
+scans, and ``bad_per_colour()``,
 which counts the bad edges that ``classify_good_bad`` leaves out.
 """
 
@@ -29,7 +30,8 @@ import pytest
 from hypothesis import strategies as st
 
 from rainbowmatch import (ColouredMultigraph, InstanceParams, RainbowMatching,
-                          closeness_slack, external_edges, generate_random, switching)
+                          RankedViolations, closeness_slack, external_edges,
+                          generate_random, switching)
 
 # stdlib-only, so that tests/test_identity.py runs with nothing installed
 from stdlib_helpers import isotope, spare_bound_off  # noqa: F401  re-exported
@@ -119,6 +121,25 @@ def brute_scan(graph, matching, hier):
             elif fu and fv:
                 out.append(("free_free", e.id, e.colour, ends))
     return sorted(out, key=rank)
+
+
+@contextmanager
+def counted_scans():
+    """Count the ``reach_reach`` scans (``RankedViolations._scan``) made
+    inside the block: yields a list that gets one entry per scan.  A context
+    manager rather than a fixture, so it also serves hypothesis tests."""
+    scans = []
+    scan = RankedViolations._scan
+
+    def counting(self):
+        scans.append(None)
+        scan(self)
+
+    RankedViolations._scan = counting
+    try:
+        yield scans
+    finally:
+        RankedViolations._scan = scan
 
 
 def bad_per_colour(matching, flex, good_at) -> dict[int, int]:

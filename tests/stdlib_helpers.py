@@ -71,7 +71,7 @@ def spare_bound_off():
 
     Every context that ``SwitchContext.build`` makes in the block claims
     more spare colours (``ctx.spares``, which the bound reads in
-    ``augment`` and ``solve`` passes to ``RankedViolations.ranked``) than
+    ``augment`` and ``solve`` passes to ``RankedViolations.tried``) than
     any chain can ask for, so no bucket is passed over and every
     augmentation runs its chain as it did before the bound.  A context
     manager, so it also serves hypothesis tests.  A context without

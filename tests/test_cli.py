@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import json
@@ -13,12 +14,13 @@ import time
 
 import pytest
 
-from rainbowmatch import (cli, cyclic_square, dumps_square, generate_random, latin_to_graph,
-                          load, max_rainbow_matching)
+from rainbowmatch import (RainbowMatching, SwitchContext, cli, cyclic_square, dumps_square,
+                          generate_random, latin_to_graph, load, max_rainbow_matching)
 from rainbowmatch.cli import _COMMANDS, main
-from rainbowmatch.multigraph import dumps as dumps_graph
+from rainbowmatch.multigraph import dumps as dumps_graph, loads as loads_graph
+from rainbowmatch.switching import IterationRecord
 
-from conftest import recorded_calls
+from conftest import brute_scan, counted_scans, recorded_calls
 from stdlib_helpers import group_table, isotope, plus_vertex, witness_problems
 from test_identity import DIGESTS, instance_text
 
@@ -89,6 +91,85 @@ class TestSolve:
         main(["solve", "--input", z5_path, "--json"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestDeferredScan:
+    """A ``solve`` round scans for ``reach_reach`` violations only when a
+    pass tries that bucket, which needs at least 2 spare colours, and each
+    round's record counts its violations when first read: through its
+    fields, ``==``, ``repr`` or ``dataclasses.astuple``, all of which give
+    the ints of an eager count."""
+
+    READERS = {
+        "fields": lambda rec, eager: (rec.violations, rec.attempted)
+        == (eager.violations, eager.attempted),
+        "eq": lambda rec, eager: rec == eager,
+        "repr": lambda rec, eager: repr(rec) == repr(eager),
+        "astuple": lambda rec, eager: dataclasses.astuple(rec) == dataclasses.astuple(eager),
+    }
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    @pytest.mark.parametrize("make,scans,rounds", [
+        # near threshold every round has 1 spare colour, so none scans
+        pytest.param(lambda: instance_text("random-C48-s0"), 0, 2, id="random-C48-s0"),
+        # two rounds land on a reach_free violation before their pass
+        # reaches reach_reach; the stall round has 2 spare colours, so its
+        # pass scans
+        pytest.param(lambda: dumps_graph(latin_to_graph(isotope(63, 1))), 1, 3,
+                     id="isotope-Z63-s1"),
+    ])
+    def test_scans_only_when_tried(self, tmp_path, capsys, monkeypatch, make, scans,
+                                   rounds, reader):
+        text = make()
+        path = tmp_path / "instance.txt"
+        path.write_text(text)
+        reports = []
+        solve = cli.solve
+
+        def recording(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "solve", recording)
+        with counted_scans() as made:
+            assert main(["solve", "--input", str(path), "--json"]) in (0, 2)
+            json.loads(capsys.readouterr().out)
+            (report,) = reports
+            assert (len(made), len(report.iterations)) == (scans, rounds)
+            g = loads_graph(text)
+            for rec in report.iterations:
+                ctx = SwitchContext.build(RainbowMatching(g, rec.base_ids))
+                ranked = [(kind, eid) for kind, eid, _, _
+                          in brute_scan(g, ctx.base, ctx.hierarchy)]
+                attempted = (len(ranked) if rec.kind is None
+                             else ranked.index((rec.kind, rec.edge_id)) + 1)
+                eager = IterationRecord(rec.index, rec.size_before, rec.size_after,
+                                        len(ranked), attempted, rec.kind, rec.edge_id,
+                                        rec.exchanges, rec.base_ids)
+                assert self.READERS[reader](rec, eager)
+            # a round that passed over the bucket pays for its scan on the
+            # record's first read: every round has scanned once
+            assert len(made) == rounds
+
+    def test_a_record_of_plain_ints(self):
+        rec = IterationRecord(0, 3, 4, 7, 2, "reach_free", 5, 1, (0, 1, 2))
+        assert (rec.violations, rec.attempted) == (7, 2)
+        assert dataclasses.astuple(rec) == (0, 3, 4, 7, 2, "reach_free", 5, 1, (0, 1, 2))
+        assert repr(rec) == (
+            "IterationRecord(index=0, size_before=3, size_after=4, violations=7, "
+            "attempted=2, kind='reach_free', edge_id=5, exchanges=1, base_ids=(0, 1, 2))")
+        # a count given as a callable is the same record once resolved, and
+        # is resolved once
+        calls = []
+
+        def count():
+            calls.append(None)
+            return 7
+
+        lazy = IterationRecord(0, 3, 4, count, 2, "reach_free", 5, 1, (0, 1, 2))
+        assert lazy == rec and lazy.violations == 7 and len(calls) == 1
+        with pytest.raises(TypeError):
+            IterationRecord(0, 3, 4, 7)  # the counts have no default
 
 
 class TestPipeline:
@@ -178,7 +259,8 @@ class TestPipeline:
         ({"edges": ""}, "'edges' is not a list"),
         ({"edges": {"x": 1}}, "'edges' is not a list"),
         ({"edges": [7]}, "item 0 of 'edges' is not an object"),
-    ], ids=["dict", "string", "keyed", "int_item"])
+        ([{"edge_id": 0}], "the document is not an object"),
+    ], ids=["dict", "string", "keyed", "int_item", "list_document"])
     @pytest.mark.parametrize("command", ["verify", "stats"])
     def test_edges_of_the_wrong_type_are_malformed(self, tmp_path, z4_path, capsys,
                                                    command, doc, detail):

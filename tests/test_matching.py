@@ -759,7 +759,10 @@ class TestJson:
                 ({"edges": ["edge_id"]}, "item 0 of 'edges' is not an object"),
                 ({"edges": [{"u": 0}, 1]}, "'edge_id'"),
                 ({}, "'edges'"),
-                ([], "list indices must be integers or slices, not str")):
+                ([], "the document is not an object"),
+                (7, "the document is not an object"),
+                ("x", "the document is not an object"),
+                (None, "the document is not an object")):
             for read in (document_ids, lambda d: matching_from_json(g, d)):
                 with pytest.raises(ValueError) as info:
                     read(doc)

@@ -36,11 +36,11 @@ from rainbowmatch import (
 from rainbowmatch.cli import main
 from rainbowmatch.matching import external_edges
 from rainbowmatch.multigraph import dumps
-from rainbowmatch.reachability import base_pairs
+from rainbowmatch.reachability import base_pairs, chain_switches
 
 from conftest import (augment_calls, bad_per_colour, brute_scan, brute_switches,
-                      default_params, isotope, needs_too_many_spares, random_instance,
-                      rank, raw_graphs, spare_bound_off)
+                      counted_scans, default_params, isotope, needs_too_many_spares,
+                      random_instance, rank, raw_graphs, spare_bound_off)
 
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -430,10 +430,11 @@ ranked_instances = st.one_of(
 
 
 class TestRankedViolations:
-    """``find_violations`` counts every candidate but sorts and builds them
-    as they are iterated; every pass over it yields the eager ranked list,
-    and a ranked pass given a spare count passes over exactly the buckets
-    whose every chain needs more."""
+    """``find_violations`` sorts and builds the violations as they are
+    iterated, and scans for ``reach_reach`` only when that bucket is needed;
+    every pass over it yields the eager ranked list, and a ranked pass given
+    a spare count passes over exactly the buckets whose every chain needs
+    more."""
 
     @given(ranked_instances, st.integers(0, 7), st.booleans(), st.integers(0, 300))
     @PROPERTY_SETTINGS
@@ -563,6 +564,41 @@ class TestRankedViolations:
             m = extend_to_maximal(RainbowMatching(g, m.sorted_ids[1:]))
         _, _, _, hier = analyse(g, m)
         self.assert_passes_over_by_brute_scan(g, m, hier)
+
+    @given(st.one_of(ranked_instances, raw_graphs()), st.integers(0, 7), st.booleans())
+    @PROPERTY_SETTINGS
+    def test_reach_reach_passed_over_unscanned_below_two_spares(self, g, greedy_seed,
+                                                                drop):
+        # both ends of a reach_reach violation are heads, at most one of them
+        # its colour's own, so its chain makes at least 2 switches: a pass
+        # with fewer spares leaves the bucket unscanned and still tries what
+        # an eager count would.  A rank past the bucket counts it, so
+        # ranked() scans once it yields a free_free violation
+        m = greedy(g, greedy_seed)
+        if drop and m.sorted_ids:
+            m = extend_to_maximal(RainbowMatching(g, m.sorted_ids[1:]))
+        _, _, _, hier = analyse(g, m)
+        eager = [Violation(*t) for t in brute_scan(g, m, hier)]
+        assert all(chain_switches(hier, v.colour, v.vertices) >= 2
+                   for v in eager if v.kind == "reach_reach")
+        full = list(enumerate(eager, 1))
+        fewest = {}
+        for v in eager:
+            fewest[v.kind] = min(fewest.get(v.kind, inf),
+                                 brute_switches(hier, v.colour, v.vertices))
+        for spares in (0, 1):
+            eager_pairs = [(i, v) for i, v in full if fewest[v.kind] <= spares]
+            past = any(v.kind == "free_free" for _, v in eager_pairs)
+            with counted_scans() as scans:
+                found = find_violations(m, hier)
+                assert [v for _, _, v in found.tried(spares)] == [v for _, v in eager_pairs]
+                assert scans == []
+                assert list(find_violations(m, hier).ranked(spares)) == eager_pairs
+                assert len(scans) == past
+                # the pass that has to try it scans it, once
+                list(found.tried(2))
+                assert len(found) == len(eager)
+                assert len(scans) == 1 + past
 
     @pytest.mark.parametrize("fixture,size,extra,switches", [
         # colours 0 and 2 get a second edge at head 0, colour 0's own head
